@@ -277,6 +277,7 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
     // outgrew the cursor — double and retry (pass 1 only re-runs in the
     // start_row == 0 retry, where it is idempotent).
     const std::vector<Row>& build = join_->build_rows();
+    const JoinGather& gather = join_->gather();
     const uint32_t* sel = cg.sel;
     uint64_t start = 0;
     for (;;) {
@@ -287,8 +288,8 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
         std::vector<Row> rows;
         rows.reserve(counts[0]);
         for (uint64_t k = 0; k < counts[0]; ++k) {
-          rows.push_back(ConcatRows(batch.storage_row(sel[s.pair_a[k]]),
-                                    build[s.pair_b[k]]));
+          rows.push_back(gather.Gather(batch.storage_row(sel[s.pair_a[k]]),
+                                       build[s.pair_b[k]]));
         }
         BYPASS_RETURN_IF_ERROR(
             Emit(kPortOut, RowBatch::FromRows(std::move(rows))));

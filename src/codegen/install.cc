@@ -189,9 +189,17 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
   // of any projection copy layers. Every link must be unshared and feed
   // in-port 0 (the group-by's only input) — a fan-out keeps the plain
   // probe shape, whose pairs the compiled operator materializes for the
-  // join's own consumers.
+  // join's own consumers. The remap starts at the join's gather spec:
+  // output column j is probe (scan) slot gather[j], and build-side
+  // columns map to -1 so a group-by reading them declines.
   std::vector<int> remap;
   bool have_remap = false;
+  if (!join->gather().is_concat()) {
+    for (const GatherCol& c : join->gather().cols()) {
+      remap.push_back(c.side == JoinSide::kProbe ? c.slot : -1);
+    }
+    have_remap = true;
+  }
   PhysOp* cur = join;
   while (cur->num_consumers(kPortOut) == 1) {
     const auto edges = cur->consumers(kPortOut);

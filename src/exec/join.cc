@@ -495,11 +495,12 @@ Status HashJoinOp::ProbeGracePartitions() {
 Status HashJoinOp::EmitMatches(const Row& row, JoinMatches matches,
                                const std::vector<Row>& build_rows) {
   for (uint32_t idx : matches) {
-    Row joined = ConcatRows(row, build_rows[idx]);
+    Row joined = gather().Gather(row, build_rows[idx]);
     if (residual_ != nullptr) {
       EvalContext ectx{&joined, ctx_->outer_row()};
       BYPASS_ASSIGN_OR_RETURN(Value v, residual_->Eval(ectx));
       if (ValueToTriBool(v) != TriBool::kTrue) continue;
+      gather().Trim(&joined);
     }
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
@@ -550,11 +551,12 @@ Status NLJoinOp::JoinAgainstRight(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = gather().Gather(row, right);
     if (predicate_ != nullptr) {
       EvalContext ectx{&joined, ctx_->outer_row()};
       BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
       if (ValueToTriBool(v) != TriBool::kTrue) continue;
+      gather().Trim(&joined);
     }
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
@@ -580,11 +582,12 @@ Status BypassNLJoinOp::SplitAgainstRight(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = gather().Gather(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
     BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
     const int port =
         ValueToTriBool(v) == TriBool::kTrue ? kPortOut : kPortNegative;
+    gather().Trim(&joined);
     BYPASS_RETURN_IF_ERROR(EmitRow(port, std::move(joined)));
   }
   return Status::OK();

@@ -162,8 +162,10 @@ class JoinHashTable {
   bool int64_mode_ = false;
 };
 
-/// Equi hash join (right = build side). Optional residual predicate over
-/// the concatenated row.
+/// Equi hash join (right = build side). Each match emits the gathered
+/// row (BinaryPhysOp::gather()); the optional residual predicate is
+/// evaluated over the gathered row before its predicate-only tail is
+/// trimmed.
 ///
 /// Out-of-core: when the context carries a memory budget and a spill
 /// manager, a build side that cannot be charged switches the join into
@@ -182,7 +184,9 @@ class HashJoinOp : public BinaryPhysOp {
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override { return "HashJoin"; }
+  std::string Label() const override {
+    return "HashJoin" + gather().LabelSuffix();
+  }
 
   // --- Codegen-tier surface (DESIGN.md §12): a compiled pipeline that
   //     fused this join's probe loop reads the build side through these
@@ -200,7 +204,8 @@ class HashJoinOp : public BinaryPhysOp {
     *view = view_;
     return true;
   }
-  /// Build rows the view's payload indices point into.
+  /// Build rows the view's payload indices point into (narrowed to the
+  /// buffered layout the gather addresses).
   const std::vector<Row>& build_rows() const { return right_rows(); }
   const std::vector<int>& probe_key_slots() const {
     return left_key_slots_;
@@ -262,8 +267,9 @@ class NLJoinOp : public BinaryPhysOp {
   explicit NLJoinOp(ExprPtr predicate) : predicate_(std::move(predicate)) {}
 
   std::string Label() const override {
-    return predicate_ ? "NLJoin " + predicate_->ToString()
-                      : "CrossProduct";
+    return (predicate_ ? "NLJoin " + predicate_->ToString()
+                       : std::string("CrossProduct")) +
+           gather().LabelSuffix();
   }
 
  protected:
@@ -286,7 +292,8 @@ class BypassNLJoinOp : public BinaryPhysOp {
         predicate_(std::move(predicate)) {}
 
   std::string Label() const override {
-    return "BypassNLJoin± " + predicate_->ToString();
+    return "BypassNLJoin± " + predicate_->ToString() +
+           gather().LabelSuffix();
   }
 
  protected:

@@ -24,11 +24,11 @@ Status HashLeftOuterJoinOp::BuildFromRight() {
 Status HashLeftOuterJoinOp::EmitPadded(const Row& row,
                                        JoinMatches matches) {
   if (matches.empty()) {
-    return EmitRow(kPortOut, ConcatRows(row, unmatched_right_));
+    return EmitRow(kPortOut, gather().Gather(row, unmatched_right_));
   }
   for (uint32_t idx : matches) {
     BYPASS_RETURN_IF_ERROR(
-        EmitRow(kPortOut, ConcatRows(row, right_rows()[idx])));
+        EmitRow(kPortOut, gather().Gather(row, right_rows()[idx])));
   }
   return Status::OK();
 }
@@ -56,15 +56,18 @@ Status NLLeftOuterJoinOp::JoinOrPad(const Row& row) {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    Row joined = gather().Gather(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
     BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
     if (ValueToTriBool(v) != TriBool::kTrue) continue;
     matched = true;
+    gather().Trim(&joined);
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
   if (!matched) {
-    return EmitRow(kPortOut, ConcatRows(row, unmatched_right_));
+    Row padded = gather().Gather(row, unmatched_right_);
+    gather().Trim(&padded);
+    return EmitRow(kPortOut, std::move(padded));
   }
   return Status::OK();
 }

@@ -16,8 +16,8 @@ namespace bypass {
 /// Equi left outer join (right = build side).
 class HashLeftOuterJoinOp : public BinaryPhysOp {
  public:
-  /// `unmatched_right` must have the right input's arity; it is appended
-  /// to left tuples without a join partner.
+  /// `unmatched_right` must have the buffered right row's arity; it is
+  /// gathered with left tuples that have no join partner.
   HashLeftOuterJoinOp(std::vector<int> left_key_slots,
                       std::vector<int> right_key_slots,
                       Row unmatched_right)
@@ -27,7 +27,9 @@ class HashLeftOuterJoinOp : public BinaryPhysOp {
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override { return "HashLeftOuterJoin"; }
+  std::string Label() const override {
+    return "HashLeftOuterJoin" + gather().LabelSuffix();
+  }
 
  protected:
   Status BuildFromRight() override;
@@ -53,7 +55,8 @@ class NLLeftOuterJoinOp : public BinaryPhysOp {
         unmatched_right_(std::move(unmatched_right)) {}
 
   std::string Label() const override {
-    return "NLLeftOuterJoin " + predicate_->ToString();
+    return "NLLeftOuterJoin " + predicate_->ToString() +
+           gather().LabelSuffix();
   }
 
  protected:

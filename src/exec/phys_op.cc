@@ -129,6 +129,41 @@ Status PhysOp::EmitFinish(int out_port) {
   return Status::OK();
 }
 
+JoinGather::JoinGather(std::vector<GatherCol> cols, size_t out_width,
+                       int logical_width, bool build_is_logical_left)
+    : concat_(false),
+      cols_(std::move(cols)),
+      out_width_(out_width),
+      logical_width_(logical_width),
+      build_is_logical_left_(build_is_logical_left) {}
+
+Row JoinGather::Gather(const Row& probe, const Row& build) const {
+  Row out;
+  if (concat_) {
+    out.reserve(probe.size() + build.size());
+    out.insert(out.end(), probe.begin(), probe.end());
+    out.insert(out.end(), build.begin(), build.end());
+    return out;
+  }
+  // Per-column copies with the side picked by index rather than by a
+  // branch keep hot NL-join pair streams as fast as a concatenation.
+  out.reserve(cols_.size());
+  const Row* const src[2] = {&probe, &build};
+  for (const GatherCol& c : cols_) {
+    out.push_back(
+        (*src[static_cast<size_t>(c.side)])[static_cast<size_t>(c.slot)]);
+  }
+  return out;
+}
+
+std::string JoinGather::LabelSuffix() const {
+  if (concat_) return "";
+  return std::string(" [build=") +
+         (build_is_logical_left_ ? "left" : "right") + ", keep " +
+         std::to_string(out_width_) + "/" + std::to_string(logical_width_) +
+         "]";
+}
+
 Status UnaryPhysOp::FinishPort(int in_port) {
   BYPASS_CHECK(in_port == 0);
   for (int p = 0; p < num_out_ports(); ++p) {
@@ -217,23 +252,33 @@ Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
     // The build side is retained until the join finishes — the other
     // place a query's footprint scales with an input, so it pays into
     // the memory budget alongside the collector sink.
-    const int64_t bytes = ApproxRowsBytes(
-        batch.size(), batch.size() > 0 ? batch.row(0).size() : 0);
+    // Narrowed rows are charged at their buffered width.
+    const size_t width = narrow_right_ ? right_keep_.size()
+                         : batch.size() > 0 ? batch.row(0).size()
+                                            : 0;
+    const int64_t bytes = ApproxRowsBytes(batch.size(), width);
+    auto take = [&] {
+      if (narrow_right_) {
+        batch.ConsumeRowsInto(&buffers.right, right_keep_);
+      } else {
+        batch.ConsumeRowsInto(&buffers.right);
+      }
+    };
     if (CanSpillRight() && ctx_->spill() != nullptr &&
         ctx_->memory() != nullptr) {
       if (ctx_->TryChargeMemory(bytes)) {
         buffers.charged += bytes;
-        batch.ConsumeRowsInto(&buffers.right);
+        take();
       } else {
         // Over budget: take the batch uncharged and spill the worker's
         // whole buffer (batch included) to release its charges.
-        batch.ConsumeRowsInto(&buffers.right);
+        take();
         BYPASS_RETURN_IF_ERROR(SpillRightBuffer(&buffers));
       }
       return Status::OK();
     }
     BYPASS_RETURN_IF_ERROR(ctx_->ChargeMemory(bytes));
-    batch.ConsumeRowsInto(&buffers.right);
+    take();
     return Status::OK();
   }
   BYPASS_CHECK(in_port == kLeft);

@@ -19,6 +19,7 @@
 #define BYPASSDB_EXEC_PHYS_OP_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -164,6 +165,53 @@ class PhysOp {
 
 using PhysOpPtr = std::unique_ptr<PhysOp>;
 
+/// Which input of a join a gathered output column is copied from: the
+/// streamed row (left port, the probe side) or the buffered row (right
+/// port, the build side — addressed in its narrowed, buffered layout).
+enum class JoinSide : uint8_t { kProbe = 0, kBuild = 1 };
+
+struct GatherCol {
+  JoinSide side;
+  int slot;
+};
+
+/// A join's output layout, replacing the concatenation x ◦ y: an ordered
+/// list of (side, slot) naming the columns some consumer reads. Columns
+/// at and past `out_width` are read only by the join's own predicate and
+/// are trimmed before the row is emitted. A default-constructed gather is
+/// the full concatenation (every probe column, then every build column).
+class JoinGather {
+ public:
+  JoinGather() = default;
+  /// `logical_width` is the width of the unpruned logical join output and
+  /// `build_is_logical_left` records a swapped hash join; both only feed
+  /// the label.
+  JoinGather(std::vector<GatherCol> cols, size_t out_width,
+             int logical_width, bool build_is_logical_left);
+
+  /// The gathered row of the pair, predicate-only tail included.
+  Row Gather(const Row& probe, const Row& build) const;
+
+  /// Drops the predicate-only tail of a gathered row.
+  void Trim(Row* row) const {
+    if (!concat_ && row->size() > out_width_) row->resize(out_width_);
+  }
+
+  /// True for the default full concatenation (cols() is then empty).
+  bool is_concat() const { return concat_; }
+  const std::vector<GatherCol>& cols() const { return cols_; }
+
+  /// " [build=left|right, keep k/n]"; empty for the default concatenation.
+  std::string LabelSuffix() const;
+
+ private:
+  bool concat_ = true;
+  std::vector<GatherCol> cols_;
+  size_t out_width_ = 0;
+  int logical_width_ = 0;
+  bool build_is_logical_left_ = false;
+};
+
 /// Base for unary streaming operators (single input port).
 class UnaryPhysOp : public PhysOp {
  public:
@@ -191,6 +239,19 @@ class BinaryPhysOp : public PhysOp {
   void Reset() override;
   Status Consume(int in_port, RowBatch batch) final;
   Status FinishPort(int in_port) final;
+
+  /// Buffers right rows narrowed to `slots` (ascending, distinct) of the
+  /// right input's row: the subclass's build keys, predicates and gather
+  /// then address the narrowed layout. Plan-build-time only; without it
+  /// right rows are buffered whole.
+  void set_right_keep(std::vector<int> slots) {
+    right_keep_ = std::move(slots);
+    narrow_right_ = true;
+  }
+
+  /// Installs the output layout of a joining subclass (see JoinGather).
+  void set_gather(JoinGather gather) { gather_ = std::move(gather); }
+  const JoinGather& gather() const { return gather_; }
 
  protected:
   /// Called once when the right input finished, before any left row is
@@ -253,6 +314,9 @@ class BinaryPhysOp : public PhysOp {
 
   Status SpillRightBuffer(InputBuffers* buffers);
 
+  JoinGather gather_;
+  std::vector<int> right_keep_;
+  bool narrow_right_ = false;
   std::vector<InputBuffers> buffers_;
   std::vector<Row> right_rows_;  // merged at right finish
   std::atomic<bool> right_spilled_{false};

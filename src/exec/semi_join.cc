@@ -54,7 +54,7 @@ Result<bool> NLExistenceJoinOp::Matches(const Row& row) const {
       since_check = 0;
       BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
     }
-    Row joined = ConcatRows(row, right);
+    const Row joined = gather().Gather(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
     BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
     if (ValueToTriBool(v) == TriBool::kTrue) return true;

@@ -46,7 +46,9 @@ class HashExistenceJoinOp : public BinaryPhysOp {
   std::vector<JoinProbeScratch> scratch_;  // per worker
 };
 
-/// Nested-loop semi/anti join for arbitrary predicates.
+/// Nested-loop semi/anti join for arbitrary predicates, evaluated over
+/// each pair's gathered row (BinaryPhysOp::gather(); the planner gathers
+/// just the predicate's columns). Emits left rows unchanged.
 class NLExistenceJoinOp : public BinaryPhysOp {
  public:
   NLExistenceJoinOp(bool anti, ExprPtr predicate)

@@ -5,6 +5,7 @@
 #ifndef BYPASSDB_PLANNER_PLANNER_H_
 #define BYPASSDB_PLANNER_PLANNER_H_
 
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "common/result.h"
 #include "exec/executor.h"
 #include "exec/subplan_impl.h"
+#include "planner/cost_model.h"
+#include "planner/required_columns.h"
 
 namespace bypass {
 
@@ -34,6 +37,19 @@ class Planner {
   Result<PhysicalPlan> Lower(const LogicalOpPtr& root);
 
  private:
+  /// One lowered node: its physical operator and output layout — the
+  /// ascending logical column indices it materializes (joins and
+  /// projections drop the columns no consumer reads) and their schema,
+  /// which parents bind against by name. `schema` is the logical node's
+  /// own schema when every column is materialized, else it lives in the
+  /// lowering context.
+  struct Lowered {
+    PhysOp* op = nullptr;
+    std::vector<int> cols;
+    const Schema* schema = nullptr;
+  };
+  using LoweredMap = std::unordered_map<const LogicalOp*, Lowered>;
+
   struct LoweringCtx {
     PhysicalPlan* plan;
     const Schema* outer_schema;  // enclosing block's schema, or nullptr
@@ -41,14 +57,34 @@ class Planner {
     /// post-wiring pass installs the predicate as the scan's zone filter
     /// when the scan ended up with that filter as its only consumer.
     std::vector<std::pair<TableScanOp*, ExprPtr>>* zone_candidates;
+    const RequiredColumns* required;
+    /// Cardinality estimates: pick hash-join build sides, then annotate
+    /// the physical operators.
+    const std::unordered_map<const LogicalOp*, PlanEstimate>* estimates;
+    /// Narrowed layout schemas (stable addresses for Lowered::schema).
+    std::deque<Schema>* layouts;
   };
+
+  /// The schema of `node`'s layout `cols`: its own schema when `cols`
+  /// covers every column, else a narrowed copy kept in `ctx`.
+  static const Schema* LayoutSchema(const LogicalOp& node,
+                                    const std::vector<int>& cols,
+                                    LoweringCtx* ctx);
 
   Result<PhysicalPlan> LowerPlan(const LogicalOpPtr& root,
                                  const Schema* outer_schema);
 
-  Result<PhysOp*> LowerNode(
-      const LogicalOpPtr& node, LoweringCtx* ctx,
-      std::unordered_map<const LogicalOp*, PhysOp*>* memo);
+  Result<const Lowered*> LowerNode(const LogicalOpPtr& node,
+                                   LoweringCtx* ctx, LoweredMap* memo);
+
+  /// Physical operator (and layout) of an inner, outer, bypass or
+  /// existence join over the lowered inputs: one gather spec for the
+  /// output, build rows buffered narrowed to keys and gathered columns.
+  /// `swap` asks an inner equi join to build on its logical left input;
+  /// `*build_left` reports whether it does (the caller wires the ports).
+  Result<Lowered> LowerJoin(const LogicalOp& node, const Lowered& left,
+                            const Lowered& right, bool swap,
+                            bool* build_left, LoweringCtx* ctx);
 
   /// Returns a bound deep copy of `expr`: column refs get slots (against
   /// `input`, or the enclosing schema for correlated refs) and nested

@@ -160,8 +160,44 @@ std::optional<ZoneBounds> ZoneComparisonBounds(const ColumnLiteral& match,
                     static_cast<double>(may_rows) / total};
 }
 
+/// Distinct count of a column: ANALYZE's when present, else the lazy
+/// tier's; 0 when unknown.
+int64_t ColumnDistinctCount(const ColumnRefExpr& ref,
+                            const StatsProvider& stats) {
+  int64_t rows = 0;
+  if (const ColumnStatistics* rich =
+          stats.GetColumnStatistics(ref.qualifier(), ref.name(), &rows)) {
+    if (rich->distinct_count > 0) return rich->distinct_count;
+  }
+  if (const ColumnStatistics* lazy =
+          stats.GetColumnStats(ref.qualifier(), ref.name(), &rows)) {
+    return lazy->distinct_count;
+  }
+  return 0;
+}
+
+/// `a = b` over two columns (an equi-join key): 1 / max(ndv(a), ndv(b)),
+/// the textbook containment estimate; nullopt unless both sides are
+/// uncorrelated columns with known distinct counts.
+std::optional<double> ColumnEqualitySelectivity(const ComparisonExpr& cmp,
+                                                const StatsProvider& stats) {
+  if (cmp.op() != CompareOp::kEq ||
+      cmp.left()->kind() != ExprKind::kColumnRef ||
+      cmp.right()->kind() != ExprKind::kColumnRef) {
+    return std::nullopt;
+  }
+  const auto& a = static_cast<const ColumnRefExpr&>(*cmp.left());
+  const auto& b = static_cast<const ColumnRefExpr&>(*cmp.right());
+  if (a.is_outer() || b.is_outer()) return std::nullopt;
+  const int64_t ndv_a = ColumnDistinctCount(a, stats);
+  const int64_t ndv_b = ColumnDistinctCount(b, stats);
+  if (ndv_a <= 0 || ndv_b <= 0) return std::nullopt;
+  return 1.0 / static_cast<double>(std::max(ndv_a, ndv_b));
+}
+
 std::optional<double> StatsComparisonSelectivity(
     const ComparisonExpr& cmp, const StatsProvider& stats) {
+  if (auto join = ColumnEqualitySelectivity(cmp, stats)) return join;
   const auto match = MatchColumnLiteral(cmp);
   if (!match.has_value()) return std::nullopt;
   if (match->value->is_null()) return 0.0;  // θ NULL never holds

@@ -17,8 +17,9 @@
 namespace bypass {
 
 /// Selectivity of `pred` in [0, 1]. With `stats`, equality against a
-/// literal uses histograms/NDV and ranges use histogram fractions (or
-/// min/max interpolation); otherwise textbook defaults apply ('=' 0.1,
+/// literal uses histograms/NDV, column = column uses 1/max(NDV) of the
+/// two sides, and ranges use histogram fractions (or min/max
+/// interpolation); otherwise textbook defaults apply ('=' 0.1,
 /// ranges 1/3, LIKE 0.25).
 double EstimateSelectivity(const Expr& pred,
                            const StatsProvider* stats = nullptr);

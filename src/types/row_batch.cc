@@ -1,5 +1,6 @@
 #include "types/row_batch.h"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -77,6 +78,30 @@ void RowBatch::ConsumeRowsInto(std::vector<Row>* out) {
     for (uint32_t idx : sel_) out->push_back(std::move((*owned_)[idx]));
   } else {
     for (uint32_t idx : sel_) out->push_back((*storage_)[idx]);
+  }
+  sel_.clear();
+}
+
+void RowBatch::ConsumeRowsInto(std::vector<Row>* out,
+                               const std::vector<int>& slots) {
+  const size_t need = out->size() + sel_.size();
+  if (out->capacity() < need) {
+    out->reserve(std::max(need, out->capacity() * 2));
+  }
+  const bool owned = ExclusivelyOwned();
+  for (uint32_t idx : sel_) {
+    Row narrowed;
+    narrowed.reserve(slots.size());
+    if (owned) {
+      Row& src = (*owned_)[idx];
+      for (int s : slots) {
+        narrowed.push_back(std::move(src[static_cast<size_t>(s)]));
+      }
+    } else {
+      const Row& src = (*storage_)[idx];
+      for (int s : slots) narrowed.push_back(src[static_cast<size_t>(s)]);
+    }
+    out->push_back(std::move(narrowed));
   }
   sel_.clear();
 }

@@ -108,6 +108,10 @@ class RowBatch {
   /// The batch is empty afterwards.
   void ConsumeRowsInto(std::vector<Row>* out);
 
+  /// Like ConsumeRowsInto, but appends each row narrowed to `slots`
+  /// (distinct), moving the kept values when exclusively owned.
+  void ConsumeRowsInto(std::vector<Row>* out, const std::vector<int>& slots);
+
   /// Materializes the selected rows (convenience for tests).
   std::vector<Row> ToRows();
 

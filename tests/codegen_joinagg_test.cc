@@ -112,6 +112,27 @@ const char* kJoinGroupQueries[] = {
     "SELECT a2, SUM(a3), MIN(a4) FROM r, s WHERE a1 = b1 GROUP BY a2",
 };
 
+// The same three shapes over narrowed joins (DESIGN.md §16): the join
+// gathers only the columns above it read, so compiled pairs go through
+// the gather spec and the fused group-by's slots are remapped through it
+// (the probe key a1 itself is not kept).
+struct NarrowShape {
+  const char* sql;
+  const char* keep;  // the join's label suffix in the physical plan
+  bool expect_join;
+  bool expect_agg;
+};
+const NarrowShape kNarrowShapes[] = {
+    {"SELECT a2, b3 FROM r, s WHERE a1 = b1", "keep 2/8]", true, false},
+    {"SELECT a3 FROM r, s WHERE a1 = b1 AND a2 > 2", "keep 1/8]", true,
+     false},
+    {"SELECT a2, SUM(a3), MIN(a4) FROM r, s WHERE a1 = b1 GROUP BY a2",
+     "keep 3/8]", true, true},
+    {"SELECT g.a1, g.c, s.b2 FROM (SELECT a1, COUNT(*) AS c FROM r "
+     "GROUP BY a1) AS g, s WHERE g.a1 = s.b1",
+     "keep 3/6]", false, true},
+};
+
 // ------------------------------------------------ differential sweeps
 
 class CodegenDifferentialJoinAgg
@@ -147,6 +168,21 @@ TEST_P(CodegenDifferentialJoinAgg, FusedJoinGroupByMatchesInterpreter) {
   for (const char* sql : kJoinGroupQueries) {
     ExpectJoinAggAgrees(&db, sql, JoinAggOptions(batch_size),
                         /*expect_join=*/true, /*expect_agg=*/true);
+  }
+}
+
+TEST_P(CodegenDifferentialJoinAgg, NarrowedJoinsStillFuse) {
+  const auto [batch_size, null_fraction] = GetParam();
+  Database db;
+  LoadSmallRst(&db, 119, 60, 30, 15, null_fraction);
+  REQUIRE_CODEGEN(db);
+  for (const NarrowShape& shape : kNarrowShapes) {
+    auto explain = db.Explain(shape.sql, JoinAggOptions(batch_size));
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find(shape.keep), std::string::npos)
+        << "join was not narrowed as expected\n" << *explain;
+    ExpectJoinAggAgrees(&db, shape.sql, JoinAggOptions(batch_size),
+                        shape.expect_join, shape.expect_agg);
   }
 }
 

@@ -9,6 +9,7 @@
 #include "rewrite/unnest.h"
 #include "sql/parser.h"
 #include "test_util.h"
+#include "workload/tpch.h"
 
 namespace bypass {
 namespace {
@@ -172,6 +173,85 @@ TEST_F(CostModelTest, StatsDrivenEqualityUsesNdv) {
   LogicalOpPtr wide = Translate("SELECT * FROM r WHERE a1 = 1");
   EXPECT_LT(EstimatePlan(*narrow, db_.catalog()).rows,
             EstimatePlan(*wide, db_.catalog()).rows);
+}
+
+TEST_F(CostModelTest, EquiJoinSelectivityUsesMaxNdv) {
+  // a2/b2 are uniform over 1000 groups: the join keeps about
+  // |r|·|s| / max(ndv) rows. The flat '=' default (0.1) overestimated
+  // it a hundredfold.
+  LogicalOpPtr plan = Translate("SELECT * FROM r, s WHERE a2 = b2");
+  const double est = EstimatePlan(*plan, db_.catalog()).rows;
+  auto actual = db_.Query("SELECT COUNT(*) FROM r, s WHERE a2 = b2");
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  const double rows =
+      static_cast<double>(actual->rows[0][0].int64_value());
+  EXPECT_GT(est, rows / 2);
+  EXPECT_LT(est, rows * 2);
+}
+
+// The NDV-based join selectivity feeds the cost model and the cost-based
+// strategy; it must not flip the equivalence choice for any Fig. 7 text.
+TEST(CostModelFig7, AppliedEquivalencesArePinned) {
+  Database main_db;
+  Database linear_db;
+  TpchOptions tpch;
+  tpch.scale_factor = 0.01;
+  ASSERT_TRUE(LoadTpch(&main_db, tpch).ok());
+  RstOptions rst;
+  rst.rows_per_sf = 2000;
+  ASSERT_TRUE(LoadRst(&main_db, 1, 1, 1, rst).ok());
+  rst.rows_per_sf = 300;
+  ASSERT_TRUE(LoadRst(&linear_db, 1, 1, 1, rst).ok());
+  ASSERT_TRUE(main_db.AnalyzeAll().ok());
+  ASSERT_TRUE(linear_db.AnalyzeAll().ok());
+  struct Case {
+    std::string sql;
+    bool linear;
+    std::vector<std::string> rules;
+  };
+  const std::vector<Case> cases = {
+      {TpchQuery2d(), false, {"Eqv.2", "Eqv.1"}},
+      {TpchQuery2(), false, {"Eqv.1"}},
+      {"SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) "
+       "FROM s WHERE a2 = b2) OR a4 > 1500",
+       false,
+       {"Eqv.2", "Eqv.1"}},
+      {"SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(*) FROM s "
+       "WHERE a2 = b2 OR b4 > 1500)",
+       false,
+       {"Eqv.4"}},
+      {"SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) "
+       "FROM s WHERE a2 = b2) OR a3 = (SELECT COUNT(DISTINCT *) FROM t "
+       "WHERE a4 = c2)",
+       false,
+       {"Eqv.3", "Eqv.1", "Eqv.1"}},
+      {"SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) "
+       "FROM s WHERE a2 = b2 OR b3 = (SELECT COUNT(DISTINCT *) FROM t "
+       "WHERE b4 = c2))",
+       true,
+       {"Eqv.5", "Eqv.1"}},
+      {"SELECT DISTINCT * FROM r WHERE EXISTS (SELECT * FROM s WHERE "
+       "a2 = b2 AND b4 > 8000) OR a4 > 1500",
+       false,
+       {"Eqv.2", "SemiJoin"}},
+      {"SELECT DISTINCT * FROM r WHERE NOT EXISTS (SELECT * FROM s WHERE "
+       "a2 = b2) OR a4 > 9000",
+       false,
+       {"Eqv.2", "AntiJoin"}},
+      {"SELECT DISTINCT * FROM r WHERE a1 IN (SELECT b1 FROM s WHERE "
+       "a2 = b2) OR a4 > 9000",
+       false,
+       {"Eqv.2", "SemiJoin"}},
+  };
+  for (const Case& c : cases) {
+    for (ExecutionStrategy strategy :
+         {ExecutionStrategy::kUnnested, ExecutionStrategy::kCostBased}) {
+      Database& db = c.linear ? linear_db : main_db;
+      auto prepared = db.Prepare(c.sql, QueryOptions::With(strategy));
+      ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+      EXPECT_EQ(prepared->applied_rules(), c.rules) << c.sql;
+    }
+  }
 }
 
 TEST_F(CostModelTest, OperatorStatsReportEmittedRows) {

@@ -546,6 +546,38 @@ TEST(StorageBudget, GraceJoinMatchesUnlimitedOracle) {
   EXPECT_GT(spilled.stats.spill_files, 0);
 }
 
+// A Grace join buffers and partitions its build rows narrowed to the key
+// and the columns its output keeps: keeping 2 of 8 columns must write
+// fewer spill bytes than the full-width join over the same inputs and
+// budget.
+TEST(StorageBudget, NarrowGraceJoinSpillsFewerBytes) {
+  Database db;
+  LoadJoinPair(&db, 53, 4000);
+  const std::string narrow =
+      "SELECT COUNT(*), SUM(r1.x), SUM(s1.x) FROM r1, s1 WHERE r1.y = s1.y";
+  const std::string full =
+      "SELECT COUNT(DISTINCT *) FROM r1, s1 WHERE r1.y = s1.y";
+  auto explain = db.Explain(narrow);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_NE(explain->find("keep 2/8]"), std::string::npos) << *explain;
+
+  QueryOptions budgeted;
+  budgeted.memory_budget_bytes = static_cast<size_t>(
+      (TableApproxBytes(&db, "r1") + TableApproxBytes(&db, "s1")) / 10);
+  int64_t spilled[2] = {0, 0};
+  const std::string* sqls[2] = {&narrow, &full};
+  for (int i = 0; i < 2; ++i) {
+    const QueryResult unlimited = RunOk(&db, *sqls[i], QueryOptions());
+    const QueryResult grace = RunOk(&db, *sqls[i], budgeted);
+    EXPECT_EQ(SerializeRows(grace.rows), SerializeRows(unlimited.rows));
+    EXPECT_GT(grace.stats.join_spill_partitions, 0) << *sqls[i];
+    spilled[i] = grace.stats.spilled_bytes;
+  }
+  EXPECT_GT(spilled[0], 0);
+  EXPECT_LT(spilled[0], spilled[1])
+      << "the narrowed join spilled no fewer bytes than the full-width one";
+}
+
 TEST(StorageBudget, ExternalSortMatchesUnlimitedOracle) {
   Database db;
   LoadClustered(&db, "big", 6000, 100, 61);
