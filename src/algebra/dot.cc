@@ -23,7 +23,6 @@ const char* NodeShape(LogicalOpKind kind) {
       return "cylinder";
     case LogicalOpKind::kBypassSelect:
     case LogicalOpKind::kBypassPartition:
-    case LogicalOpKind::kBypassJoin:
       return "diamond";
     case LogicalOpKind::kUnion:
       return "invtriangle";
@@ -53,8 +52,7 @@ std::string PlanToDot(const LogicalOp& root,
   for (const LogicalOp* node : nodes) {
     for (const LogicalInput& in : node->inputs()) {
       os << "  n" << ids[in.op.get()] << " -> n" << ids[node];
-      if (in.op->kind() == LogicalOpKind::kBypassSelect ||
-          in.op->kind() == LogicalOpKind::kBypassJoin) {
+      if (in.op->kind() == LogicalOpKind::kBypassSelect) {
         const bool negative = in.port == StreamPort::kNegative;
         os << " [label=\"" << (negative ? "-" : "+") << "\""
            << (negative ? ", style=dashed" : "") << "]";

@@ -37,8 +37,6 @@ const char* LogicalOpKindToString(LogicalOpKind kind) {
       return "BypassSelect";
     case LogicalOpKind::kBypassPartition:
       return "BypassPartition";
-    case LogicalOpKind::kBypassJoin:
-      return "BypassJoin";
     case LogicalOpKind::kNumbering:
       return "Numbering";
     case LogicalOpKind::kSort:
@@ -301,22 +299,6 @@ LogicalOpPtr JoinOp::CloneNode(std::vector<LogicalInput> in) const {
   return std::make_shared<JoinOp>(std::move(in[0]), std::move(in[1]),
                                   predicate_ ? predicate_->Clone()
                                              : nullptr);
-}
-
-BypassJoinOp::BypassJoinOp(LogicalInput left, LogicalInput right,
-                           ExprPtr predicate)
-    : LogicalOp({std::move(left), std::move(right)}, Schema()),
-      predicate_(std::move(predicate)) {
-  schema_ = Schema::Concat(input_schema(0), input_schema(1));
-}
-
-std::string BypassJoinOp::Label() const {
-  return "BypassJoin± " + predicate_->ToString();
-}
-
-LogicalOpPtr BypassJoinOp::CloneNode(std::vector<LogicalInput> in) const {
-  return std::make_shared<BypassJoinOp>(std::move(in[0]), std::move(in[1]),
-                                        predicate_->Clone());
 }
 
 LeftOuterJoinOp::LeftOuterJoinOp(

@@ -1,9 +1,9 @@
 // Logical algebra: the paper's extended relational algebra (Sec. 2.3).
 // Core operators plus the five extensions (unary grouping Γ, binary
 // grouping Γ, left outer join with default function, numbering ν, map χ)
-// and the bypass operators (σ±, ⋈±) from Kemper et al. [17]. Plans are
-// DAGs: bypass operators have two output ports (positive/negative) that a
-// disjoint union re-unites.
+// and the bypass selection σ± from Kemper et al. [17]. Plans are DAGs:
+// bypass operators have two or more output ports (positive/negative, or
+// k tagged streams plus a remainder) that a disjoint union re-unites.
 #ifndef BYPASSDB_ALGEBRA_LOGICAL_OP_H_
 #define BYPASSDB_ALGEBRA_LOGICAL_OP_H_
 
@@ -52,7 +52,6 @@ enum class LogicalOpKind {
   kUnion,
   kBypassSelect,
   kBypassPartition,
-  kBypassJoin,
   kNumbering,
   kSort,
   kLimit,
@@ -255,22 +254,6 @@ class JoinOp : public LogicalOp {
  public:
   JoinOp(LogicalInput left, LogicalInput right, ExprPtr predicate);
   LogicalOpKind kind() const override { return LogicalOpKind::kJoin; }
-  const ExprPtr& predicate() const { return predicate_; }
-  std::string Label() const override;
-
- protected:
-  LogicalOpPtr CloneNode(std::vector<LogicalInput> in) const override;
-
- private:
-  ExprPtr predicate_;
-};
-
-/// Bypass join ⋈±_p: positive stream = joined pairs satisfying p,
-/// negative stream = (left × right) \ positive (pairs failing p).
-class BypassJoinOp : public LogicalOp {
- public:
-  BypassJoinOp(LogicalInput left, LogicalInput right, ExprPtr predicate);
-  LogicalOpKind kind() const override { return LogicalOpKind::kBypassJoin; }
   const ExprPtr& predicate() const { return predicate_; }
   std::string Label() const override;
 

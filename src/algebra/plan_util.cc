@@ -43,9 +43,6 @@ std::vector<ExprPtr> NodeExpressions(const LogicalOp& node) {
       if (j.predicate()) out.push_back(j.predicate());
       break;
     }
-    case LogicalOpKind::kBypassJoin:
-      out.push_back(static_cast<const BypassJoinOp&>(node).predicate());
-      break;
     case LogicalOpKind::kLeftOuterJoin:
       out.push_back(
           static_cast<const LeftOuterJoinOp&>(node).predicate());

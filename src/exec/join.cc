@@ -573,41 +573,4 @@ Status NLJoinOp::ProcessLeftBatch(RowBatch batch) {
   return Status::OK();
 }
 
-// ----------------------------------------------------------- BypassNLJoin
-
-Status BypassNLJoinOp::SplitAgainstRight(const Row& row) {
-  int64_t since_check = 0;
-  for (const Row& right : right_rows()) {
-    if (++since_check >= 4096) {
-      since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
-    }
-    Row joined = gather().Gather(row, right);
-    EvalContext ectx{&joined, ctx_->outer_row()};
-    BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
-    const int port =
-        ValueToTriBool(v) == TriBool::kTrue ? kPortOut : kPortNegative;
-    gather().Trim(&joined);
-    BYPASS_RETURN_IF_ERROR(EmitRow(port, std::move(joined)));
-  }
-  return Status::OK();
-}
-
-Status BypassNLJoinOp::ProcessLeft(Row row) {
-  return SplitAgainstRight(row);
-}
-
-Status BypassNLJoinOp::ProcessLeftBatch(RowBatch batch) {
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    BYPASS_RETURN_IF_ERROR(SplitAgainstRight(batch.row(i)));
-  }
-  return Status::OK();
-}
-
-Status BypassNLJoinOp::FinishBoth() {
-  BYPASS_RETURN_IF_ERROR(EmitFinish(kPortOut));
-  return EmitFinish(kPortNegative);
-}
-
 }  // namespace bypass

@@ -1,6 +1,5 @@
 // Inner joins: hash join for equi-predicates, nested-loop join for
-// arbitrary predicates, and the bypass nested-loop join ⋈± whose negative
-// stream carries the pairs failing the predicate (Eqv. 5).
+// arbitrary predicates.
 #ifndef BYPASSDB_EXEC_JOIN_H_
 #define BYPASSDB_EXEC_JOIN_H_
 
@@ -279,30 +278,6 @@ class NLJoinOp : public BinaryPhysOp {
 
  private:
   Status JoinAgainstRight(const Row& row);
-
-  ExprPtr predicate_;
-};
-
-/// Bypass nested-loop join ⋈±: positive port gets pairs satisfying the
-/// predicate, negative port the complement (e1 × e2 minus the matches).
-class BypassNLJoinOp : public BinaryPhysOp {
- public:
-  explicit BypassNLJoinOp(ExprPtr predicate)
-      : BinaryPhysOp(/*num_out_ports=*/2),
-        predicate_(std::move(predicate)) {}
-
-  std::string Label() const override {
-    return "BypassNLJoin± " + predicate_->ToString() +
-           gather().LabelSuffix();
-  }
-
- protected:
-  Status ProcessLeft(Row row) override;
-  Status ProcessLeftBatch(RowBatch batch) override;
-  Status FinishBoth() override;
-
- private:
-  Status SplitAgainstRight(const Row& row);
 
   ExprPtr predicate_;
 };

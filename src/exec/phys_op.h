@@ -230,7 +230,6 @@ class UnaryPhysOp : public PhysOp {
 class BinaryPhysOp : public PhysOp {
  public:
   BinaryPhysOp() = default;
-  explicit BinaryPhysOp(int num_out_ports) : PhysOp(num_out_ports) {}
 
   static constexpr int kLeft = 0;
   static constexpr int kRight = 1;

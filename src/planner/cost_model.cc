@@ -222,20 +222,16 @@ class Estimator : public StatsProvider {
           return {l.rows * r.rows, l.cost + r.cost + l.rows * r.rows};
         }
         const double sel = EstimateSelectivity(*join.predicate(), this);
-        const bool hashable = HasEquiConjunct(*join.predicate());
-        const double work =
-            hashable ? l.rows + r.rows : l.rows * r.rows;
-        return {l.rows * r.rows * sel, l.cost + r.cost + work};
-      }
-      case LogicalOpKind::kBypassJoin: {
-        const auto& join = static_cast<const BypassJoinOp&>(node);
-        const PlanEstimate l = Input(node.inputs()[0]);
-        const PlanEstimate r = Input(node.inputs()[1]);
-        const double sel = EstimateSelectivity(*join.predicate(), this);
-        // Both streams are produced by one nested-loop pass.
+        if (HasEquiConjunct(*join.predicate())) {
+          return {l.rows * r.rows * sel, l.cost + r.cost + l.rows + r.rows};
+        }
+        // A nested-loop join evaluates the predicate on every pair.
+        double upfront = 0;
+        const double row_cost = PredicateRowCost(join.predicate(),
+                                                 &upfront);
         const double pairs = l.rows * r.rows;
-        return {pairs * sel, l.cost + r.cost + pairs,
-                std::max(pairs * (1.0 - sel), 0.0)};
+        return {pairs * sel,
+                l.cost + r.cost + upfront + pairs * (1.0 + row_cost)};
       }
       case LogicalOpKind::kLeftOuterJoin: {
         const auto& join = static_cast<const LeftOuterJoinOp&>(node);

@@ -1,7 +1,7 @@
 // A textbook cardinality/cost model over logical plans. Its purpose here
 // is the paper's point that unnesting equivalences should be applied
-// cost-based during plan generation (Sec. 1): Eqv. 5's bypass join
-// enumerates |R|·|S| pairs, so for some queries the canonical
+// cost-based during plan generation (Sec. 1): Eqv. 5 joins every outer
+// row with every row of σp(S), so when p keeps most of S the canonical
 // nested-loop plan is actually cheaper — the model detects exactly that.
 //
 // Units are abstract "row touches"; only relative comparisons matter.

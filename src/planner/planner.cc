@@ -423,7 +423,6 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
       break;
     }
     case LogicalOpKind::kJoin:
-    case LogicalOpKind::kBypassJoin:
     case LogicalOpKind::kLeftOuterJoin:
     case LogicalOpKind::kSemiJoin:
     case LogicalOpKind::kAntiJoin: {
@@ -596,9 +595,6 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
     case LogicalOpKind::kJoin:
       pred = static_cast<const JoinOp&>(node).predicate();
       break;
-    case LogicalOpKind::kBypassJoin:
-      pred = static_cast<const BypassJoinOp&>(node).predicate();
-      break;
     case LogicalOpKind::kLeftOuterJoin:
       pred = static_cast<const LeftOuterJoinOp&>(node).predicate();
       break;
@@ -614,7 +610,7 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
   // join evaluates the rest as a residual, the outer and existence joins
   // only take the hash path without one.
   EquiSplit split;
-  if (pred != nullptr && kind != LogicalOpKind::kBypassJoin) {
+  if (pred != nullptr) {
     split = SplitEquiPred(pred, *left.schema, *right.schema);
   }
   const bool hash =
@@ -701,9 +697,6 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
       } else {
         op = std::make_unique<NLJoinOp>(std::move(bound));
       }
-      break;
-    case LogicalOpKind::kBypassJoin:
-      op = std::make_unique<BypassNLJoinOp>(std::move(bound));
       break;
     case LogicalOpKind::kLeftOuterJoin: {
       // The padding row in the buffered build layout: NULLs except the

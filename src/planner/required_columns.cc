@@ -110,7 +110,6 @@ void RequiredPass::Visit(const LogicalOp& node) {
     case LogicalOpKind::kSort:
     case LogicalOpKind::kMap:
     case LogicalOpKind::kJoin:
-    case LogicalOpKind::kBypassJoin:
     case LogicalOpKind::kLeftOuterJoin:
       if (all) {
         for (const LogicalInput& in : inputs) MarkAll(in.op.get());
@@ -168,15 +167,12 @@ void RequiredPass::Visit(const LogicalOp& node) {
       }
       break;
     case LogicalOpKind::kJoin:
-    case LogicalOpKind::kBypassJoin:
     case LogicalOpKind::kLeftOuterJoin: {
       Forward(own, in0);
       Forward(own, in1, in0->schema().num_columns());
       const ExprPtr& pred =
           node.kind() == LogicalOpKind::kJoin
               ? static_cast<const JoinOp&>(node).predicate()
-          : node.kind() == LogicalOpKind::kBypassJoin
-              ? static_cast<const BypassJoinOp&>(node).predicate()
               : static_cast<const LeftOuterJoinOp&>(node).predicate();
       // The join's schema is the concatenation its predicate binds to.
       if (pred != nullptr) MarkExpr(*pred, node.schema(), in0, in1);

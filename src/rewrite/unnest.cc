@@ -837,11 +837,14 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     return ExtendedValue{mapped, MakeColumnRef("", g)};
   }
 
-  // Eqv. 5: numbering + bypass join + binary grouping. Fully general:
-  // arbitrary θ2, non-decomposable (DISTINCT) aggregates, and p may
-  // contain nested subqueries (linear queries). One restriction of our
-  // name-based algebra: the pair schema concatenates both blocks, so the
-  // blocks must not range over the same table aliases.
+  // Eqv. 5: numbering + the pairs satisfying θ ∨ p + binary grouping.
+  // Fully general: arbitrary θ2, non-decomposable (DISTINCT) aggregates,
+  // and p may contain nested subqueries (linear queries). The paper
+  // filters ⋈±'s negative pairs by p; p is local to S (direct correlation
+  // only), so σp(R ⋈⁻θ S) = R ⋈(θ not TRUE) σp(S) and the |R|·|S| pair
+  // stream never materializes. One restriction of our name-based algebra:
+  // the pair schema concatenates both blocks, so the blocks must not
+  // range over the same table aliases.
   {
     std::unordered_map<std::string, bool> outer_quals;
     for (const ColumnDef& c : stream.op->schema().columns()) {
@@ -855,19 +858,23 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
   }
   const std::string t = FreshName("t");
   auto numbered = std::make_shared<NumberingOp>(stream, t);
-  ExprPtr join_pred =
+  ExprPtr theta =
       MakeComparison(corr->op, LocalizeOuterRefs(corr->outer_side),
                      corr->inner_side->Clone());
-  auto bj = std::make_shared<BypassJoinOp>(Out(numbered),
-                                           Out(analysis.stripped),
-                                           std::move(join_pred));
-  std::vector<ExprPtr> p_local;
-  p_local.reserve(p_terms.size());
-  for (const ExprPtr& pt : p_terms) {
-    p_local.push_back(LocalizeOuterRefs(pt));
-  }
-  auto e2 = std::make_shared<SelectOp>(Neg(bj), MakeOr(std::move(p_local)));
-  auto uni = std::make_shared<UnionOp>(Out(bj), Out(e2));
+  // Pairs where θ holds: a hash join when θ is '='.
+  auto matched = std::make_shared<JoinOp>(
+      Out(numbered), Out(analysis.stripped), theta->Clone());
+  // Pairs where θ is FALSE or UNKNOWN and p holds: a nested-loop join
+  // over σp(S). A subquery in p is unnested on S by the next pass.
+  auto p_rows = std::make_shared<SelectOp>(Out(analysis.stripped),
+                                           MakeOr(p_terms)->Clone());
+  auto unmatched = std::make_shared<JoinOp>(
+      Out(numbered), Out(p_rows),
+      MakeNot(ExprPtr(std::make_shared<FunctionExpr>(
+          BuiltinFunc::kCoalesce,
+          std::vector<ExprPtr>{std::move(theta),
+                               MakeLiteral(Value::Bool(false))}))));
+  auto uni = std::make_shared<UnionOp>(Out(matched), Out(unmatched));
   AggregateSpec agg = f.Clone();
   agg.output_name = g;
   auto bgb = std::make_shared<BinaryGroupByOp>(

@@ -11,8 +11,9 @@
 //                                    stream (rank-based choice vs Eqv. 2)
 //   Eqv. 4  disjunctive correlation  bypass-select inside the block +
 //                                    decomposed aggregate recombined by χ
-//   Eqv. 5  disjunctive correlation  numbering ν + bypass join ⋈± +
-//                                    binary grouping Γ (general case)
+//   Eqv. 5  disjunctive correlation  numbering ν + (θ join ∪ "θ not
+//                                    TRUE" join over σp(S)) + binary
+//                                    grouping Γ (general case)
 //
 // Tree and linear queries fall out of repeated application (Sec. 3.5/3.6):
 // a disjunct cascade of bypass selections handles trees, and the rewriter

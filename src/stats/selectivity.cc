@@ -324,6 +324,17 @@ double EstimateSelectivity(const Expr& pred, const StatsProvider* stats) {
       if (sq.subquery_kind() == SubqueryKind::kExists) return 0.5;
       return 0.25;
     }
+    case ExprKind::kFunction: {
+      // COALESCE(x, <literal>) passes where x does; the literal only
+      // decides x's NULL rows, which the estimate ignores. This makes
+      // "θ not TRUE", NOT COALESCE(θ, FALSE), come out as 1 − sel(θ).
+      const auto& fn = static_cast<const FunctionExpr&>(pred);
+      if (fn.func() == BuiltinFunc::kCoalesce && fn.args().size() == 2 &&
+          fn.args()[1]->kind() == ExprKind::kLiteral) {
+        return EstimateSelectivity(*fn.args()[0], stats);
+      }
+      return 0.5;
+    }
     default:
       return 0.5;
   }

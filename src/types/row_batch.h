@@ -1,7 +1,7 @@
 // RowBatch: the unit of data flow between physical operators. A batch is
 // a selection vector over shared row storage, so selections narrow and
 // bypass operators split streams without touching the rows themselves —
-// the paper's σ±/⋈± stream partition is a partition of the selection
+// the paper's σ± stream partition is a partition of the selection
 // vector. Storage is either owned (shared among the views produced by a
 // bypass split / fan-out edge) or borrowed from longer-lived memory such
 // as a catalog table, which makes scans zero-copy.

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/plan_util.h"
 #include "engine/database.h"
 #include "frontend/translator.h"
 #include "rewrite/unnest.h"
 #include "sql/parser.h"
+#include "stats/selectivity.h"
 #include "test_util.h"
 #include "workload/tpch.h"
 
@@ -102,6 +104,42 @@ TEST_F(CostModelTest, Eqv5PairStreamCanLoseToCanonical) {
       "WHERE a1 = (SELECT COUNT(DISTINCT b3) FROM s "
       "            WHERE a2 = b2 OR b4 > 1500)";
   EXPECT_GT(Cost(sql, true) * 3, Cost(sql, false)) << sql;
+}
+
+TEST_F(CostModelTest, ThetaNotTrueIsTheComplementOfTheta) {
+  // COALESCE(x, <literal>) passes where x passes, so Eqv. 5's residual
+  // predicate NOT COALESCE(θ, FALSE) estimates as 1 − sel(θ).
+  const ExprPtr theta = MakeComparison(
+      CompareOp::kEq, MakeColumnRef("", "a2"), MakeColumnRef("", "b2"));
+  const ExprPtr coalesced = std::make_shared<FunctionExpr>(
+      BuiltinFunc::kCoalesce,
+      std::vector<ExprPtr>{theta, MakeLiteral(Value::Bool(false))});
+  EXPECT_DOUBLE_EQ(EstimateSelectivity(*coalesced), 0.1);
+  EXPECT_DOUBLE_EQ(EstimateSelectivity(*MakeNot(coalesced)), 0.9);
+
+  // The same on catalog statistics, through the two joins of the Eqv. 5
+  // plan: rows = |ν(R)|·|input| · sel for θ and for "θ not TRUE".
+  ASSERT_TRUE(db_.AnalyzeAll().ok());
+  LogicalOpPtr plan = Unnest(Translate(
+      "SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT b3) "
+      "FROM s WHERE a2 = b2 OR b4 > 1500)"));
+  const auto est = EstimateAllNodes(*plan, db_.catalog());
+  double sel_theta = -1;
+  double sel_not_true = -1;
+  for (const LogicalOp* node : TopologicalNodes(*plan)) {
+    if (node->kind() != LogicalOpKind::kJoin) continue;
+    const double pairs = est.at(node->inputs()[0].op.get()).rows *
+                         est.at(node->inputs()[1].op.get()).rows;
+    const double sel = est.at(node).rows / pairs;
+    if (node->inputs()[1].op->kind() == LogicalOpKind::kSelect) {
+      sel_not_true = sel;
+    } else {
+      sel_theta = sel;
+    }
+  }
+  ASSERT_GT(sel_theta, 0);
+  ASSERT_LT(sel_theta, 0.01);  // a2/b2 have ~1000 distinct values
+  EXPECT_NEAR(sel_not_true, 1.0 - sel_theta, 1e-9);
 }
 
 TEST_F(CostModelTest, CostBasedOptionKeepsCheaperPlan) {

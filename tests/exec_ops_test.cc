@@ -248,37 +248,6 @@ TEST(BinaryPhysOpTest, BuffersLeftWhenLeftSourceRunsFirst) {
   EXPECT_EQ(plan.Run().size(), 1u);
 }
 
-TEST(BypassNLJoinOpTest, StreamsPartitionTheCrossProduct) {
-  Table left = MakeTable("l", 1, {IntRow({1}), IntRow({2})});
-  Table right = MakeTable("r", 1, {IntRow({1}), IntRow({3})});
-  auto pred = MakeComparison(CompareOp::kEq, Slot(0), Slot(1));
-  // Positive stream.
-  MiniPlan pos = BinaryPlan(&left, &right,
-                            std::make_unique<BypassNLJoinOp>(pred->Clone()));
-  auto pos_rows = pos.Run();
-  EXPECT_TRUE(RowMultisetsEqual(pos_rows, {IntRow({1, 1})}));
-  // Negative stream: (l×r) minus matches.
-  auto op = std::make_unique<BypassNLJoinOp>(pred->Clone());
-  auto scan_l = std::make_unique<TableScanOp>(&left);
-  auto scan_r = std::make_unique<TableScanOp>(&right);
-  auto sink = std::make_unique<CollectorSink>();
-  scan_l->AddConsumer(kPortOut, op.get(), BinaryPhysOp::kLeft);
-  scan_r->AddConsumer(kPortOut, op.get(), BinaryPhysOp::kRight);
-  op->AddConsumer(kPortNegative, sink.get(), 0);
-  MiniPlan neg;
-  neg.sink = sink.get();
-  neg.plan.sources.push_back(scan_r.get());
-  neg.plan.sources.push_back(scan_l.get());
-  neg.plan.ops.push_back(std::move(scan_l));
-  neg.plan.ops.push_back(std::move(scan_r));
-  neg.plan.ops.push_back(std::move(op));
-  neg.plan.ops.push_back(std::move(sink));
-  auto neg_rows = neg.Run();
-  EXPECT_TRUE(RowMultisetsEqual(
-      neg_rows,
-      {IntRow({1, 3}), IntRow({2, 1}), IntRow({2, 3})}));
-}
-
 TEST(OuterJoinTest, UnmatchedRowsGetDefaults) {
   Table left = MakeTable("l", 1, {IntRow({1}), IntRow({9})});
   Table right = MakeTable("r", 2, {IntRow({1, 100})});

@@ -7,7 +7,8 @@
 // shared σ± whose streams read different columns, a residual that reads
 // a column no consumer keeps, a correlated reference under the canonical
 // strategy, SELECT * order through a swapped build side, and Eqv. 5
-// (⋈± plus binary grouping).
+// (the θ join and the "θ not TRUE" join over σp(S) unioned under binary
+// grouping).
 #include <string>
 #include <tuple>
 #include <vector>
@@ -35,11 +36,19 @@ std::vector<std::string> PruningQueries() {
   std::vector<std::string> queries = {TpchQuery2d(), TpchQuery2()};
   for (const std::string& q : FixedBypassQueries()) queries.push_back(q);
   const std::vector<std::string> shapes = {
-      // Eqv. 5: ⋈± plus binary grouping, whole rows and a narrowed output.
+      // Eqv. 5: the θ hash join and the "θ not TRUE" join over σp(S)
+      // under binary grouping, whole rows and a narrowed output.
       "SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT b3) "
       "FROM s WHERE a2 = b2 OR b4 > 3)",
       "SELECT a3 FROM r WHERE a1 = (SELECT COUNT(DISTINCT b3) FROM s "
       "WHERE a2 = b2 OR b4 > 3)",
+      // Eqv. 5 on the linear query (paper Q4): p's block is unnested on
+      // σp(S); and a non-equi θ, where both joins are nested-loop.
+      "SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT *) "
+      "FROM s WHERE a2 = b2 OR b3 = (SELECT COUNT(DISTINCT *) FROM t "
+      "WHERE b4 = c2))",
+      "SELECT a2, a3 FROM r WHERE a1 >= (SELECT COUNT(DISTINCT b4) "
+      "FROM s WHERE a2 <= b2 OR b4 > 3)",
       // Shared σ±: the positive stream reads a3 only, the negative one
       // also a1/a2 for the unnested block.
       "SELECT a3 FROM r WHERE a4 > 4 OR "

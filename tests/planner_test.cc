@@ -103,12 +103,15 @@ TEST_F(PlannerTest, BypassPlanLowersBypassOperators) {
   EXPECT_TRUE(HasOp(plan, "UnionAll"));
 }
 
-TEST_F(PlannerTest, Eqv5LowersBinaryGroupingAndBypassJoin) {
+TEST_F(PlannerTest, Eqv5LowersBinaryGroupingOverHashAndResidualJoins) {
   PhysicalPlan plan = Plan(
       "SELECT DISTINCT * FROM r "
       "WHERE a1 = (SELECT COUNT(DISTINCT b3) FROM s "
       "            WHERE a2 = b2 OR b4 > 3)");
-  EXPECT_TRUE(HasOp(plan, "BypassNLJoin"));
+  // θ is '=': its pairs come from a hash join; the "θ not TRUE" pairs
+  // over σp(S) from a nested-loop join.
+  EXPECT_TRUE(HasOp(plan, "HashJoin"));
+  EXPECT_TRUE(HasOp(plan, "NLJoin (NOT COALESCE("));
   EXPECT_TRUE(HasOp(plan, "BinaryGroupBy(hash)"));
   EXPECT_TRUE(HasOp(plan, "Numbering"));
 }

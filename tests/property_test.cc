@@ -164,10 +164,24 @@ INSTANTIATE_TEST_SUITE_P(
         "WHERE a1 >= (SELECT AVG(b3) FROM s WHERE a2 = b2 OR b4 > 3)",
         "SELECT DISTINCT * FROM r "
         "WHERE a1 = (SELECT MIN(b3) FROM s WHERE a2 = b2 OR b4 > 3)",
-        // Eqv. 5 with NULLs.
+        // Eqv. 5 with NULLs: a pair with a NULL correlation key and p
+        // TRUE is counted (the "θ not TRUE" join over σp(S)); a pair with
+        // p UNKNOWN is not.
         "SELECT DISTINCT * FROM r "
         "WHERE a1 = (SELECT COUNT(DISTINCT b3) FROM s "
         "            WHERE a2 = b2 OR b4 > 3)",
+        // ... with a nested block in p (paper Q4, unnested on σp(S)),
+        "SELECT DISTINCT * FROM r "
+        "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 "
+        "            OR b3 = (SELECT COUNT(DISTINCT *) FROM t "
+        "                     WHERE b4 = c2))",
+        // ... with a non-equi θ (both joins nested-loop),
+        "SELECT DISTINCT * FROM r "
+        "WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 < b2 OR b4 > 3)",
+        // ... and with MAX, whose f(∅) is NULL.
+        "SELECT DISTINCT * FROM r "
+        "WHERE a1 <= (SELECT MAX(b3) FROM s WHERE a2 = b2 "
+        "             OR b3 = (SELECT MIN(c3) FROM t WHERE b4 = c2))",
         // EXISTS stays correct under NULLs (semijoin never matches NULL).
         "SELECT DISTINCT * FROM r "
         "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 3"));

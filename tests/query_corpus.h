@@ -116,7 +116,7 @@ class QueryGenerator {
 
 /// Fixed queries that pin down the plan shapes the differential test must
 /// cover regardless of random-grammar luck: the paper's Q2d pattern
-/// (scalar block under disjunction → bypass σ±/⋈± split + DAG fan-out),
+/// (scalar block under disjunction → bypass σ± split + DAG fan-out),
 /// anti/semi bypass joins from EXISTS/IN under OR, and a SELECT-clause
 /// scalar block (subplan evaluation path).
 inline std::vector<std::string> FixedBypassQueries() {

@@ -169,9 +169,23 @@ TEST_F(RewriteTest, Eqv5DistinctAggregateForcesGeneralRewrite) {
   EXPECT_FALSE(Applied("Eqv.4"));
   auto census = Census(*plan);
   EXPECT_EQ(census[LogicalOpKind::kNumbering], 1);
-  EXPECT_EQ(census[LogicalOpKind::kBypassJoin], 1);
   EXPECT_EQ(census[LogicalOpKind::kBinaryGroupBy], 1);
   EXPECT_EQ(census[LogicalOpKind::kUnion], 1);
+  // The θ pairs and the "θ not TRUE" pairs over σp(S): two inner joins
+  // of ν(R), the second one reading the pushed-down selection.
+  EXPECT_EQ(census[LogicalOpKind::kJoin], 2);
+  int joins_over_p = 0;
+  for (const LogicalOp* node : TopologicalNodes(*plan)) {
+    if (node->kind() != LogicalOpKind::kJoin) continue;
+    EXPECT_EQ(node->inputs()[0].op->kind(), LogicalOpKind::kNumbering);
+    const LogicalOp& right = *node->inputs()[1].op;
+    if (right.kind() == LogicalOpKind::kSelect &&
+        static_cast<const SelectOp&>(right).predicate()->ToString().find(
+            "b4 > 1500") != std::string::npos) {
+      ++joins_over_p;
+    }
+  }
+  EXPECT_EQ(joins_over_p, 1);
 }
 
 TEST_F(RewriteTest, Eqv5NonEqualityCorrelation) {
