@@ -68,6 +68,7 @@ struct PlannedLogical {
   LogicalOpPtr canonical;
   LogicalOpPtr optimized;
   std::vector<std::string> applied_rules;
+  std::vector<std::string> key_reductions;  ///< Eqv. 1 gate decisions
 };
 
 Result<PlannedLogical> PlanLogical(const Catalog* catalog,
@@ -89,6 +90,7 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
     LogicalOpPtr before = working;
     BYPASS_ASSIGN_OR_RETURN(working, rewriter.Rewrite(working));
     out.applied_rules = rewriter.applied_rules();
+    out.key_reductions = rewriter.key_reductions();
     if (options.cost_based && working != before) {
       // Three-way choice on estimated cost: the rank-ordered rewrite
       // competes against both forced cascade shapes (Eqv. 2 / Eqv. 3)
@@ -98,11 +100,12 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
       struct Candidate {
         LogicalOpPtr plan;
         std::vector<std::string> rules;
+        std::vector<std::string> key_reductions;
         double cost = 0;
         const char* label = nullptr;  ///< logged when a forced shape wins
       };
       std::vector<Candidate> candidates;
-      candidates.push_back({working, out.applied_rules,
+      candidates.push_back({working, out.applied_rules, out.key_reductions,
                             EstimatePlan(*working, catalog).cost,
                             nullptr});
       if (ropts.disjunct_order == DisjunctOrder::kByRank) {
@@ -120,6 +123,7 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
               LogicalOpPtr plan,
               forced_rewriter.Rewrite(CloneLogicalPlan(before)));
           candidates.push_back({plan, forced_rewriter.applied_rules(),
+                                forced_rewriter.key_reductions(),
                                 EstimatePlan(*plan, catalog).cost,
                                 label});
         }
@@ -141,6 +145,7 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
               LogicalOpPtr plan,
               tagged_rewriter.Rewrite(CloneLogicalPlan(before)));
           candidates.push_back({plan, tagged_rewriter.applied_rules(),
+                                tagged_rewriter.key_reductions(),
                                 EstimatePlan(*plan, catalog).cost,
                                 "cost-based: picked k-way tagged"});
           if (order == DisjunctOrder::kSimpleFirst) break;  // no repeat
@@ -148,6 +153,7 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
       }
       candidates.push_back({before,
                             {"cost-based: kept canonical"},
+                            {},
                             EstimatePlan(*before, catalog).cost,
                             nullptr});
       size_t best = 0;
@@ -156,6 +162,7 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
       }
       working = candidates[best].plan;
       out.applied_rules = std::move(candidates[best].rules);
+      out.key_reductions = std::move(candidates[best].key_reductions);
       if (candidates[best].label != nullptr) {
         out.applied_rules.emplace_back(candidates[best].label);
       }
@@ -519,6 +526,9 @@ Result<std::string> Database::Explain(const std::string& sql,
       }
     }
     os << "\n";
+    for (const std::string& decision : planned.key_reductions) {
+      os << decision << "\n";
+    }
     const PlanEstimate optimized_est =
         EstimatePlan(*planned.optimized, &catalog_);
     os << "rewritten logical plan (est. " << optimized_est.rows

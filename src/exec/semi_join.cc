@@ -21,6 +21,16 @@ Status HashExistenceJoinOp::BuildFromRight() {
   return ctx_->ChargeMemory(table_.RetainedBytes());
 }
 
+std::string HashExistenceJoinOp::Label() const {
+  std::string out = anti_ ? "HashAntiJoin [keys " : "HashSemiJoin [keys ";
+  for (size_t i = 0; i < left_key_slots_.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "l" + std::to_string(left_key_slots_[i]) + "=r" +
+           std::to_string(right_key_slots_[i]);
+  }
+  return out + "]";
+}
+
 bool HashExistenceJoinOp::Matches(const Row& row) const {
   return !table_.Probe(row, left_key_slots_).empty();
 }

@@ -26,9 +26,8 @@ class HashExistenceJoinOp : public BinaryPhysOp {
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override {
-    return anti_ ? "HashAntiJoin" : "HashSemiJoin";
-  }
+  /// "HashSemiJoin [keys l0=r1, ...]": probe (left) = build (right) slots.
+  std::string Label() const override;
 
  protected:
   Status BuildFromRight() override;

@@ -14,6 +14,21 @@ namespace {
 
 constexpr double kDefaultTableRows = 1000;
 constexpr double kGroupCompression = 0.1;  // ndv(keys) / rows heuristic
+constexpr double kExistenceFraction = 0.5;  // semijoin with unknown NDVs
+
+/// Appends the conjuncts of `pred` (itself when it is no AND) without
+/// cloning them.
+void CollectConjuncts(const Expr& pred, std::vector<const Expr*>* out) {
+  if (pred.kind() != ExprKind::kAnd) {
+    out->push_back(&pred);
+    return;
+  }
+  for (const ExprPtr& t : static_cast<const AndExpr&>(pred).terms()) {
+    CollectConjuncts(*t, out);
+  }
+}
+
+}  // namespace
 
 class Estimator : public StatsProvider {
  public:
@@ -28,10 +43,10 @@ class Estimator : public StatsProvider {
                                          const std::string& name,
                                          int64_t* rows) const override {
     const auto it = alias_tables_.find(qualifier);
-    if (it == alias_tables_.end()) return nullptr;
+    if (it == alias_tables_.end()) return Derived(qualifier, name, rows);
     const Table* table = it->second;
     auto slot = table->schema().FindColumn("", name);
-    if (!slot.ok()) return nullptr;
+    if (!slot.ok()) return Derived(qualifier, name, rows);
     *rows = table->num_rows();
     return &table->stats()[static_cast<size_t>(*slot)];
   }
@@ -41,9 +56,10 @@ class Estimator : public StatsProvider {
       const std::string& qualifier, const std::string& name,
       int64_t* rows) const override {
     const auto it = alias_stats_.find(qualifier);
-    if (it == alias_stats_.end()) return nullptr;
     const auto table_it = alias_tables_.find(qualifier);
-    if (table_it == alias_tables_.end()) return nullptr;
+    if (it == alias_stats_.end() || table_it == alias_tables_.end()) {
+      return Derived(qualifier, name, rows, /*rich_only=*/true);
+    }
     auto slot = table_it->second->schema().FindColumn("", name);
     if (!slot.ok() ||
         static_cast<size_t>(*slot) >= it->second->columns.size()) {
@@ -57,6 +73,10 @@ class Estimator : public StatsProvider {
       const std::string& qualifier) const override {
     const auto it = alias_tables_.find(qualifier);
     return it == alias_tables_.end() ? nullptr : it->second;
+  }
+
+  int64_t DistinctCount(const ColumnRefExpr& ref) const {
+    return ColumnDistinctCount(ref, *this);
   }
 
   const std::unordered_map<const LogicalOp*, PlanEstimate>& memo() const {
@@ -204,6 +224,15 @@ class Estimator : public StatsProvider {
       case LogicalOpKind::kMap:
       case LogicalOpKind::kNumbering: {
         const PlanEstimate in = Input(node.inputs()[0]);
+        if (node.kind() != LogicalOpKind::kNumbering) {
+          const auto& items =
+              node.kind() == LogicalOpKind::kProject
+                  ? static_cast<const ProjectOp&>(node).items()
+                  : static_cast<const MapOp&>(node).items();
+          for (const NamedExpr& item : items) {
+            InheritColumnStats(item, in.rows);
+          }
+        }
         return {in.rows, in.cost + in.rows};
       }
       case LogicalOpKind::kDistinct: {
@@ -254,7 +283,11 @@ class Estimator : public StatsProvider {
         const bool hashable = HasEquiConjunct(*pred);
         const double work =
             hashable ? l.rows + r.rows : l.rows * r.rows;
-        return {l.rows * 0.5, l.cost + r.cost + work};
+        const double kept = ContainedFraction(node, *pred, l.rows, r.rows);
+        return {l.rows * (node.kind() == LogicalOpKind::kSemiJoin
+                              ? kept
+                              : 1.0 - kept),
+                l.cost + r.cost + work};
       }
       case LogicalOpKind::kGroupBy: {
         const auto& gb = static_cast<const GroupByOp&>(node);
@@ -293,6 +326,113 @@ class Estimator : public StatsProvider {
     return {1, 1};
   }
 
+  /// Fraction of the left rows with a partner under `pred`, by
+  /// containment: each `l.a = r.b` conjunct keeps min(1, ndv(b) / ndv(a))
+  /// of the left rows (every right value is assumed to occur on the
+  /// left), conjuncts multiply, and each NDV is capped by its input's
+  /// rows. kExistenceFraction when no conjunct has both NDVs.
+  double ContainedFraction(const LogicalOp& node, const Expr& pred,
+                           double l_rows, double r_rows) const {
+    const Schema& left = node.inputs()[0].op->schema();
+    const Schema& right = node.inputs()[1].op->schema();
+    double kept = 1.0;
+    bool priced = false;
+    std::vector<const Expr*> conjuncts;
+    CollectConjuncts(pred, &conjuncts);
+    for (const Expr* c : conjuncts) {
+      if (c->kind() != ExprKind::kComparison) continue;
+      const auto& cmp = static_cast<const ComparisonExpr&>(*c);
+      if (cmp.op() != CompareOp::kEq ||
+          cmp.left()->kind() != ExprKind::kColumnRef ||
+          cmp.right()->kind() != ExprKind::kColumnRef) {
+        continue;
+      }
+      const auto* a = static_cast<const ColumnRefExpr*>(cmp.left().get());
+      const auto* b = static_cast<const ColumnRefExpr*>(cmp.right().get());
+      if (!left.HasColumn(a->qualifier(), a->name())) std::swap(a, b);
+      if (!left.HasColumn(a->qualifier(), a->name()) ||
+          !right.HasColumn(b->qualifier(), b->name())) {
+        continue;
+      }
+      const double ndv_l = std::min(
+          static_cast<double>(ColumnDistinctCount(*a, *this)), l_rows);
+      const double ndv_r = std::min(
+          static_cast<double>(ColumnDistinctCount(*b, *this)), r_rows);
+      if (ndv_l <= 0 || ndv_r <= 0) continue;
+      kept *= std::min(1.0, ndv_r / ndv_l);
+      priced = true;
+    }
+    return priced ? kept : kExistenceFraction;
+  }
+
+  /// A Project/Map item computed from one column carries that column's
+  /// NDV under its own name, capped by the input rows. A rename keeps
+  /// all of the column's statistics; arithmetic over the column and
+  /// literals (at most as many values, as many when injective) keeps its
+  /// NDV and NULL count only.
+  void InheritColumnStats(const NamedExpr& item, double in_rows) {
+    const ColumnRefExpr* ref = SoleColumn(*item.expr);
+    if (ref == nullptr || ref->is_outer() ||
+        (ref->qualifier() == item.qualifier && ref->name() == item.name)) {
+      return;
+    }
+    DerivedColumn derived;
+    const ColumnStatistics* source = GetColumnStatistics(
+        ref->qualifier(), ref->name(), &derived.rows);
+    derived.rich = source != nullptr && source->distinct_count > 0;
+    if (!derived.rich) {
+      derived.rows = 0;
+      source = GetColumnStats(ref->qualifier(), ref->name(), &derived.rows);
+    }
+    if (source == nullptr || source->distinct_count <= 0) return;
+    if (item.expr->kind() == ExprKind::kColumnRef) {
+      derived.stats = *source;
+    } else {
+      derived.rich = false;
+      derived.stats.null_count = source->null_count;
+    }
+    derived.stats.distinct_count = std::min<int64_t>(
+        source->distinct_count,
+        std::max<int64_t>(1, static_cast<int64_t>(in_rows)));
+    derived_[DerivedKey(item.qualifier, item.name)] = std::move(derived);
+  }
+
+  /// The one column `e` reads when it is that column or arithmetic over
+  /// it and literals; nullptr otherwise.
+  static const ColumnRefExpr* SoleColumn(const Expr& e) {
+    switch (e.kind()) {
+      case ExprKind::kColumnRef:
+        return static_cast<const ColumnRefExpr*>(&e);
+      case ExprKind::kArithmetic: {
+        const auto& a = static_cast<const ArithmeticExpr&>(e);
+        const bool left_literal = a.left()->kind() == ExprKind::kLiteral;
+        const bool right_literal = a.right()->kind() == ExprKind::kLiteral;
+        if (left_literal == right_literal) return nullptr;
+        return SoleColumn(left_literal ? *a.right() : *a.left());
+      }
+      default:
+        return nullptr;
+    }
+  }
+
+  /// A derived column's statistics; with `rich_only`, only those copied
+  /// from ANALYZE statistics (the rich tier).
+  const ColumnStatistics* Derived(const std::string& qualifier,
+                                  const std::string& name, int64_t* rows,
+                                  bool rich_only = false) const {
+    const auto it = derived_.find(DerivedKey(qualifier, name));
+    if (it == derived_.end() || (rich_only && !it->second.rich)) {
+      return nullptr;
+    }
+    *rows = it->second.rows;
+    return &it->second.stats;
+  }
+
+  static std::string DerivedKey(const std::string& qualifier,
+                                const std::string& name) {
+    return qualifier + '.' + name;
+  }
+
   /// Records a cardinality-source caveat once (deduplicated).
   void Note(std::string note) {
     if (notes_ == nullptr) return;
@@ -303,10 +443,11 @@ class Estimator : public StatsProvider {
   }
 
   static bool HasEquiConjunct(const Expr& pred) {
-    for (const ExprPtr& c : SplitConjuncts(pred.Clone())) {
+    std::vector<const Expr*> conjuncts;
+    CollectConjuncts(pred, &conjuncts);
+    for (const Expr* c : conjuncts) {
       if (c->kind() == ExprKind::kComparison &&
-          static_cast<const ComparisonExpr*>(c.get())->op() ==
-              CompareOp::kEq) {
+          static_cast<const ComparisonExpr*>(c)->op() == CompareOp::kEq) {
         return true;
       }
     }
@@ -320,20 +461,33 @@ class Estimator : public StatsProvider {
   mutable std::unordered_map<std::string,
                              std::shared_ptr<const TableStatistics>>
       alias_stats_;
+  /// Statistics of derived columns (InheritColumnStats), keyed by
+  /// DerivedKey; `rich` when copied from ANALYZE statistics.
+  struct DerivedColumn {
+    ColumnStatistics stats;
+    int64_t rows = 0;
+    bool rich = false;
+  };
+  std::unordered_map<std::string, DerivedColumn> derived_;
 };
 
-}  // namespace
+PlanEstimator::PlanEstimator(const Catalog* catalog)
+    : impl_(std::make_unique<Estimator>(catalog)) {}
+
+PlanEstimator::~PlanEstimator() = default;
+
+PlanEstimate PlanEstimator::Input(const LogicalInput& input) {
+  return impl_->Input(input);
+}
+
+int64_t PlanEstimator::DistinctCount(const ColumnRefExpr& ref) const {
+  return impl_->DistinctCount(ref);
+}
 
 PlanEstimate EstimatePlan(const LogicalOp& root, const Catalog* catalog,
                           std::vector<std::string>* notes) {
   Estimator estimator(catalog, notes);
   return estimator.Node(root);
-}
-
-PlanEstimate EstimateInput(const LogicalInput& input,
-                           const Catalog* catalog) {
-  Estimator estimator(catalog);
-  return estimator.Input(input);
 }
 
 std::unordered_map<const LogicalOp*, PlanEstimate> EstimateAllNodes(

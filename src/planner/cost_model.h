@@ -8,6 +8,7 @@
 #ifndef BYPASSDB_PLANNER_COST_MODEL_H_
 #define BYPASSDB_PLANNER_COST_MODEL_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,10 +39,30 @@ struct PlanEstimate {
 PlanEstimate EstimatePlan(const LogicalOp& root, const Catalog* catalog,
                           std::vector<std::string>* notes = nullptr);
 
-/// Estimate for one input edge (negative bypass streams carry the
-/// complement cardinality).
-PlanEstimate EstimateInput(const LogicalInput& input,
-                           const Catalog* catalog);
+class Estimator;
+
+/// One estimation pass over several plans: a node reached from more than
+/// one of them is estimated once. The unnesting rewriter prices a
+/// rewrite against its alternative with one.
+class PlanEstimator {
+ public:
+  explicit PlanEstimator(const Catalog* catalog);
+  ~PlanEstimator();
+  PlanEstimator(const PlanEstimator&) = delete;
+  PlanEstimator& operator=(const PlanEstimator&) = delete;
+
+  /// Estimate for one input edge (negative bypass streams carry the
+  /// complement cardinality, a multiway port its own).
+  PlanEstimate Input(const LogicalInput& input);
+
+  /// Distinct count of an uncorrelated column, 0 when unknown: base-table
+  /// statistics, or a column that a Project/Map estimated so far derives
+  /// from one column (a rename, or arithmetic with literals).
+  int64_t DistinctCount(const ColumnRefExpr& ref) const;
+
+ private:
+  std::unique_ptr<Estimator> impl_;
+};
 
 /// Estimates the whole plan and returns the per-node memo (including
 /// nodes of nested subquery blocks). The planner uses it to annotate

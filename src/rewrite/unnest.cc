@@ -1,8 +1,11 @@
 #include "rewrite/unnest.h"
 
 #include <algorithm>
+#include <functional>
+#include <iomanip>
 #include <memory>
 #include <optional>
+#include <sstream>
 
 #include "algebra/plan_util.h"
 #include "common/check.h"
@@ -238,6 +241,29 @@ bool SameColumns(const Schema& a, const Schema& b) {
   return true;
 }
 
+/// Applies `wrap` to the input of `rel` that owns every column of `cols`,
+/// descending through inner joins. Any other node kind, or columns
+/// spanning both inputs of a join, take it at `rel` itself.
+LogicalInput WrapOwningInput(
+    const LogicalInput& rel, const std::vector<const ColumnRefExpr*>& cols,
+    const std::function<LogicalOpPtr(LogicalInput)>& wrap) {
+  if (rel.op->kind() == LogicalOpKind::kJoin) {
+    std::vector<LogicalInput> inputs = rel.op->inputs();
+    for (LogicalInput& in : inputs) {
+      const Schema& schema = in.op->schema();
+      const bool owns = std::all_of(
+          cols.begin(), cols.end(), [&schema](const ColumnRefExpr* c) {
+            return schema.HasColumn(c->qualifier(), c->name());
+          });
+      if (owns) {
+        in = WrapOwningInput(in, cols, wrap);
+        return Out(rel.op->WithNewInputs(std::move(inputs)));
+      }
+    }
+  }
+  return Out(wrap(rel));
+}
+
 }  // namespace
 
 std::string UnnestingRewriter::FreshName(const char* prefix) {
@@ -408,14 +434,14 @@ Result<ExprPtr> UnnestingRewriter::RewriteItemExpr(const ExprPtr& expr,
 
 Result<LogicalOpPtr> UnnestingRewriter::TryRewriteProject(
     const ProjectOp& project, LogicalInput input) {
-  const size_t log_mark = applied_rules_.size();
+  const LogMark log_mark = Mark();
   LogicalInput current = input;
   std::vector<NamedExpr> items;
   for (const NamedExpr& item : project.items()) {
     BYPASS_ASSIGN_OR_RETURN(ExprPtr rewritten,
                             RewriteItemExpr(item.expr, &current));
     if (rewritten == nullptr) {
-      applied_rules_.resize(log_mark);
+      Rollback(log_mark);
       return LogicalOpPtr(nullptr);
     }
     items.push_back(NamedExpr{std::move(rewritten), item.name,
@@ -423,7 +449,7 @@ Result<LogicalOpPtr> UnnestingRewriter::TryRewriteProject(
   }
   if (current.op == input.op) {
     // No block was actually unnested.
-    applied_rules_.resize(log_mark);
+    Rollback(log_mark);
     return LogicalOpPtr(nullptr);
   }
   // The projection naturally drops the helper ($g, ...) columns.
@@ -505,7 +531,7 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
       break;
   }
 
-  const size_t log_mark = applied_rules_.size();
+  const LogMark log_mark = Mark();
   if (items.size() > 1) {
     LogRule(items[0].kind == CascadeItem::kSimple ? "Eqv.2" : "Eqv.3");
   }
@@ -566,7 +592,7 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
                                 ExtendWithAggregate(current, item.pred));
         if (ext.stream == nullptr) {
           // Unsupported inner shape: roll back this conjunct entirely.
-          applied_rules_.resize(log_mark);
+          Rollback(log_mark);
           return LogicalOpPtr(nullptr);
         }
         if (last) {
@@ -587,7 +613,7 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
         BYPASS_ASSIGN_OR_RETURN(QuantifiedSplit split,
                                 SplitQuantified(current, *sq));
         if (split.positive == nullptr) {
-          applied_rules_.resize(log_mark);
+          Rollback(log_mark);
           return LogicalOpPtr(nullptr);
         }
         branches.push_back(align(Out(split.positive)));
@@ -680,7 +706,8 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
       LogicalOpPtr inner_rel = analysis.stripped;
       std::vector<GroupKey> keys;
       std::vector<NamedExpr> key_maps;
-      std::vector<ExprPtr> join_conjuncts;
+      std::vector<ExprPtr> inner_keys;
+      std::vector<ExprPtr> outer_keys;
       for (const auto& o : oriented) {
         const std::string k = FreshName("k");
         const auto* ref =
@@ -689,13 +716,13 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
                 : nullptr;
         if (ref != nullptr && !ref->is_outer()) {
           keys.push_back(GroupKey{ref->qualifier(), ref->name(), k});
+          inner_keys.push_back(o.inner_side->Clone());
         } else {
           key_maps.push_back(NamedExpr{o.inner_side->Clone(), k, ""});
-          keys.push_back(GroupKey{"", k});
+          keys.push_back(GroupKey{"", k, ""});
+          inner_keys.push_back(MakeColumnRef("", k));
         }
-        join_conjuncts.push_back(
-            MakeComparison(CompareOp::kEq, LocalizeOuterRefs(o.outer_side),
-                           MakeColumnRef("", k)));
+        outer_keys.push_back(LocalizeOuterRefs(o.outer_side));
       }
       if (!key_maps.empty()) {
         inner_rel =
@@ -703,13 +730,8 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
       }
       AggregateSpec agg = f.Clone();
       agg.output_name = g;
-      auto grouped = std::make_shared<GroupByOp>(
-          Out(inner_rel), std::move(keys),
-          std::vector<AggregateSpec>{std::move(agg)}, /*scalar=*/false);
-      auto loj = std::make_shared<LeftOuterJoinOp>(
-          stream, Out(grouped), MakeAnd(std::move(join_conjuncts)),
-          std::vector<std::pair<std::string, Value>>{
-              {g, AggEmptyValue(f.func)}});
+      LogicalOpPtr loj = GroupAndJoin(stream, std::move(inner_rel), keys,
+                                      inner_keys, outer_keys, agg);
       LogRule("Eqv.1");
       return ExtendedValue{loj, MakeColumnRef("", g)};
     }
@@ -724,26 +746,26 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     if (outer_local->kind() == ExprKind::kColumnRef) {
       const auto* ref =
           static_cast<const ColumnRefExpr*>(outer_local.get());
-      left_key = GroupKey{ref->qualifier(), ref->name()};
+      left_key = GroupKey{ref->qualifier(), ref->name(), ""};
     } else {
       const std::string k = FreshName("k");
       left_in = Out(std::make_shared<MapOp>(
           left_in,
           std::vector<NamedExpr>{NamedExpr{outer_local, k, ""}}));
-      left_key = GroupKey{"", k};
+      left_key = GroupKey{"", k, ""};
     }
     LogicalOpPtr inner_rel = analysis.stripped;
     GroupKey right_key;
     if (o.inner_side->kind() == ExprKind::kColumnRef) {
       const auto* ref =
           static_cast<const ColumnRefExpr*>(o.inner_side.get());
-      right_key = GroupKey{ref->qualifier(), ref->name()};
+      right_key = GroupKey{ref->qualifier(), ref->name(), ""};
     } else {
       const std::string k = FreshName("k");
       inner_rel = std::make_shared<MapOp>(
           Out(inner_rel),
           std::vector<NamedExpr>{NamedExpr{o.inner_side->Clone(), k, ""}});
-      right_key = GroupKey{"", k};
+      right_key = GroupKey{"", k, ""};
     }
     AggregateSpec agg = f.Clone();
     agg.output_name = g;
@@ -807,7 +829,7 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
     LogicalInput neg_stream = Out(std::make_shared<MapOp>(
         Neg(bp), std::vector<NamedExpr>{
                      NamedExpr{corr->inner_side->Clone(), k, ""}}));
-    const GroupKey key{"", k};
+    const GroupKey key{"", k, ""};
     auto neg_group = std::make_shared<GroupByOp>(
         neg_stream, std::vector<GroupKey>{key}, std::move(neg_partials),
         /*scalar=*/false);
@@ -878,10 +900,89 @@ UnnestingRewriter::UnnestScalarBlock(LogicalInput stream,
   AggregateSpec agg = f.Clone();
   agg.output_name = g;
   auto bgb = std::make_shared<BinaryGroupByOp>(
-      Out(numbered), Out(uni), GroupKey{"", t}, CompareOp::kEq,
-      GroupKey{"", t}, std::vector<AggregateSpec>{std::move(agg)});
+      Out(numbered), Out(uni), GroupKey{"", t, ""}, CompareOp::kEq,
+      GroupKey{"", t, ""}, std::vector<AggregateSpec>{std::move(agg)});
   LogRule("Eqv.5");
   return ExtendedValue{bgb, MakeColumnRef("", g)};
+}
+
+LogicalOpPtr UnnestingRewriter::GroupAndJoin(
+    LogicalInput stream, LogicalOpPtr inner_rel,
+    const std::vector<GroupKey>& keys, const std::vector<ExprPtr>& inner_keys,
+    const std::vector<ExprPtr>& outer_keys, const AggregateSpec& agg) {
+  auto group_and_join = [&](LogicalOpPtr rel) -> LogicalOpPtr {
+    std::vector<ExprPtr> conjuncts;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const std::string& k = keys[i].output_alias.empty()
+                                 ? keys[i].name
+                                 : keys[i].output_alias;
+      conjuncts.push_back(MakeComparison(
+          CompareOp::kEq, outer_keys[i]->Clone(), MakeColumnRef("", k)));
+    }
+    auto grouped = std::make_shared<GroupByOp>(
+        Out(std::move(rel)), keys, std::vector<AggregateSpec>{agg.Clone()},
+        /*scalar=*/false);
+    return std::make_shared<LeftOuterJoinOp>(
+        stream, Out(grouped), MakeAnd(std::move(conjuncts)),
+        std::vector<std::pair<std::string, Value>>{
+            {agg.output_name, AggEmptyValue(agg.func)}});
+  };
+  LogicalOpPtr plain = group_and_join(inner_rel);
+
+  // The ⟕ only probes Γ with the stream's correlation values, so Γ needs
+  // only the rows of S whose keys are among them: K = Π[$m_i := outer
+  // key_i](stream) shares the stream (a DAG node), and S ⋉ K keeps every
+  // row of every group the ⟕ can reach. Keys absent from S still get
+  // f(∅); NULL keys match neither join.
+  std::vector<NamedExpr> probe_items;
+  std::vector<ExprPtr> semi_conjuncts;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::string m = "$m" + std::to_string(probe_counter_++);
+    probe_items.push_back(NamedExpr{outer_keys[i]->Clone(), m, ""});
+    semi_conjuncts.push_back(MakeComparison(
+        CompareOp::kEq, inner_keys[i]->Clone(), MakeColumnRef("", m)));
+  }
+  auto probed = std::make_shared<ProjectOp>(stream, std::move(probe_items));
+  const ExprPtr semi_pred = MakeAnd(std::move(semi_conjuncts));
+  auto semijoin = [&](LogicalInput leaf) -> LogicalOpPtr {
+    return std::make_shared<SemiJoinOp>(std::move(leaf), Out(probed),
+                                        semi_pred->Clone());
+  };
+  std::vector<const ColumnRefExpr*> cols;
+  for (const ExprPtr& k : inner_keys) {
+    cols.push_back(static_cast<const ColumnRefExpr*>(k.get()));
+  }
+  // χ-made keys leave a Map on top of S, which takes the semijoin.
+  LogicalOpPtr reduced =
+      group_and_join(WrapOwningInput(Out(inner_rel), cols, semijoin).op);
+
+  // The gate: one estimation pass over both alternatives. The estimate
+  // reaches the stream a second time through K; the plan shares it.
+  PlanEstimator estimator(options_.catalog);
+  const double plain_cost = estimator.Input(Out(plain)).cost;
+  const double reduced_cost =
+      estimator.Input(Out(reduced)).cost - estimator.Input(stream).cost;
+  const double k_rows = estimator.Input(Out(probed)).rows;
+  double ndv = 1;
+  for (const ColumnRefExpr* c : cols) {
+    ndv *= static_cast<double>(estimator.DistinctCount(*c));
+  }
+  ndv = std::min(ndv, estimator.Input(Out(inner_rel)).rows);
+  const bool apply = reduced_cost < plain_cost;
+
+  std::ostringstream line;
+  line << std::fixed << std::setprecision(0) << "Eqv.1 key reduction "
+       << (apply ? "applied" : "declined") << ": est. |K| " << k_rows
+       << ", NDV(B2) ";
+  if (ndv > 0) {
+    line << ndv;
+  } else {
+    line << "unknown";
+  }
+  line << ", cost " << reduced_cost << " with S ⋉ K vs " << plain_cost
+       << " without";
+  key_reductions_.push_back(line.str());
+  return apply ? reduced : plain;
 }
 
 Result<UnnestingRewriter::QuantifiedSplit>

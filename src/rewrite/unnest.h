@@ -2,7 +2,10 @@
 // with disjunctive linking and correlation predicates, realized as rewrite
 // rules over the logical algebra.
 //
-//   Eqv. 1  conjunctive linking      Γ + left outer join (classical)
+//   Eqv. 1  conjunctive linking      Γ + left outer join (classical);
+//                                    Γ groups only the keys the outer
+//                                    stream probes (S ⋉ K) when the
+//                                    cost model says that is cheaper
 //   Eqv. 2  disjunctive linking      bypass-select on the simple
 //                                    predicate, Eqv. 1 in its negative
 //                                    stream
@@ -86,6 +89,12 @@ class UnnestingRewriter {
     return applied_rules_;
   }
 
+  /// One line per Eqv. 1 key-reduction gate decision, "applied" or
+  /// "declined", with the estimated |K|, NDV(B2) and the two costs.
+  const std::vector<std::string>& key_reductions() const {
+    return key_reductions_;
+  }
+
  private:
   /// One bottom-up pass; memoized for DAG-shaped plans.
   Result<LogicalOpPtr> RewriteNode(
@@ -130,6 +139,18 @@ class UnnestingRewriter {
   Result<ExtendedValue> UnnestScalarBlock(LogicalInput stream,
                                           const SubqueryExpr& subquery);
 
+  /// Eqv. 1's stream ⟕ Γ_{keys; agg}(inner_rel), with `inner_rel`
+  /// reduced by a semijoin with K = Π[$m_i := outer_keys_i](stream) when
+  /// the cost model prices that cheaper (the decision is logged to
+  /// key_reductions()). `inner_keys` are column refs into `inner_rel`;
+  /// the semijoin sits on the inner-join input owning all of them, or
+  /// directly under Γ when they span join inputs or a χ computes one.
+  LogicalOpPtr GroupAndJoin(LogicalInput stream, LogicalOpPtr inner_rel,
+                            const std::vector<GroupKey>& keys,
+                            const std::vector<ExprPtr>& inner_keys,
+                            const std::vector<ExprPtr>& outer_keys,
+                            const AggregateSpec& agg);
+
   /// Rebuilds a projection item expression with every scalar block
   /// replaced by an unnested $g reference, extending `*current` along the
   /// way. Returns nullptr when the expression contains an unsupported
@@ -149,9 +170,26 @@ class UnnestingRewriter {
   std::string FreshName(const char* prefix);
   void LogRule(const char* rule) { applied_rules_.emplace_back(rule); }
 
+  /// Log positions to roll back to when a rewrite is abandoned.
+  struct LogMark {
+    size_t rules;
+    size_t key_reductions;
+  };
+  LogMark Mark() const {
+    return LogMark{applied_rules_.size(), key_reductions_.size()};
+  }
+  void Rollback(LogMark mark) {
+    applied_rules_.resize(mark.rules);
+    key_reductions_.resize(mark.key_reductions);
+  }
+
   RewriteOptions options_;
   std::vector<std::string> applied_rules_;
+  std::vector<std::string> key_reductions_;
   int name_counter_ = 0;
+  /// Counter of K's $m columns, apart from name_counter_ so a declined
+  /// reduction leaves every other fresh name as it was.
+  int probe_counter_ = 0;
   bool changed_ = false;
 };
 

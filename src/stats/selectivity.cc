@@ -160,22 +160,6 @@ std::optional<ZoneBounds> ZoneComparisonBounds(const ColumnLiteral& match,
                     static_cast<double>(may_rows) / total};
 }
 
-/// Distinct count of a column: ANALYZE's when present, else the lazy
-/// tier's; 0 when unknown.
-int64_t ColumnDistinctCount(const ColumnRefExpr& ref,
-                            const StatsProvider& stats) {
-  int64_t rows = 0;
-  if (const ColumnStatistics* rich =
-          stats.GetColumnStatistics(ref.qualifier(), ref.name(), &rows)) {
-    if (rich->distinct_count > 0) return rich->distinct_count;
-  }
-  if (const ColumnStatistics* lazy =
-          stats.GetColumnStats(ref.qualifier(), ref.name(), &rows)) {
-    return lazy->distinct_count;
-  }
-  return 0;
-}
-
 /// `a = b` over two columns (an equi-join key): 1 / max(ndv(a), ndv(b)),
 /// the textbook containment estimate; nullopt unless both sides are
 /// uncorrelated columns with known distinct counts.
@@ -253,6 +237,20 @@ std::optional<double> StatsNullFraction(const Expr& input,
 }
 
 }  // namespace
+
+int64_t ColumnDistinctCount(const ColumnRefExpr& ref,
+                            const StatsProvider& stats) {
+  int64_t rows = 0;
+  if (const ColumnStatistics* rich =
+          stats.GetColumnStatistics(ref.qualifier(), ref.name(), &rows)) {
+    if (rich->distinct_count > 0) return rich->distinct_count;
+  }
+  if (const ColumnStatistics* lazy =
+          stats.GetColumnStats(ref.qualifier(), ref.name(), &rows)) {
+    return lazy->distinct_count;
+  }
+  return 0;
+}
 
 double EstimateSelectivity(const Expr& pred, const StatsProvider* stats) {
   switch (pred.kind()) {

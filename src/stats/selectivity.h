@@ -9,6 +9,7 @@
 #ifndef BYPASSDB_STATS_SELECTIVITY_H_
 #define BYPASSDB_STATS_SELECTIVITY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "expr/expr.h"
@@ -23,6 +24,11 @@ namespace bypass {
 /// ranges 1/3, LIKE 0.25).
 double EstimateSelectivity(const Expr& pred,
                            const StatsProvider* stats = nullptr);
+
+/// Distinct count of an uncorrelated column: ANALYZE's when present,
+/// else the lazy tier's; 0 when unknown.
+int64_t ColumnDistinctCount(const ColumnRefExpr& ref,
+                            const StatsProvider& stats);
 
 /// Selectivity of each top-level disjunct of `pred` (one entry for a
 /// non-OR predicate), in disjunct order.

@@ -2,6 +2,8 @@
 // cost-based unnesting decision (paper Sec. 1).
 #include "planner/cost_model.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "algebra/plan_util.h"
@@ -225,6 +227,85 @@ TEST_F(CostModelTest, EquiJoinSelectivityUsesMaxNdv) {
       static_cast<double>(actual->rows[0][0].int64_value());
   EXPECT_GT(est, rows / 2);
   EXPECT_LT(est, rows * 2);
+}
+
+TEST_F(CostModelTest, SemiJoinKeepsTheContainedFraction) {
+  // K = Π[$m := a2](σ_{a4 < 1000}(r)) holds about a tenth of a2's ~1000
+  // values. s ⋉ K keeps |s|·min(1, ndv($m) / ndv(b2)) rows
+  // (containment), s ▷ K the rest; the flat 0.5 kept half of s either way.
+  LogicalOpPtr s = Translate("SELECT * FROM s");
+  LogicalOpPtr r = Translate("SELECT * FROM r WHERE a4 < 1000");
+  auto k = std::make_shared<ProjectOp>(
+      LogicalInput{r, StreamPort::kOut},
+      std::vector<NamedExpr>{NamedExpr{MakeColumnRef("r", "a2"), "$m", ""}});
+  const ExprPtr pred = MakeComparison(
+      CompareOp::kEq, MakeColumnRef("s", "b2"), MakeColumnRef("", "$m"));
+  auto semi = std::make_shared<SemiJoinOp>(LogicalInput{s, StreamPort::kOut},
+                                           LogicalInput{k, StreamPort::kOut},
+                                           pred->Clone());
+  auto anti = std::make_shared<AntiJoinOp>(LogicalInput{s, StreamPort::kOut},
+                                           LogicalInput{k, StreamPort::kOut},
+                                           pred->Clone());
+
+  PlanEstimator est(db_.catalog());
+  const double s_rows = est.Input({s, StreamPort::kOut}).rows;
+  const double k_rows = est.Input({k, StreamPort::kOut}).rows;
+  const double semi_rows = est.Input({semi, StreamPort::kOut}).rows;
+  const double anti_rows = est.Input({anti, StreamPort::kOut}).rows;
+  auto ndv = [&est](const char* qualifier, const char* name) {
+    const ExprPtr ref = MakeColumnRef(qualifier, name);
+    return static_cast<double>(
+        est.DistinctCount(static_cast<const ColumnRefExpr&>(*ref)));
+  };
+  // $m inherits a2's NDV, capped by the rows K holds.
+  ASSERT_GT(ndv("r", "a2"), k_rows);
+  EXPECT_DOUBLE_EQ(ndv("", "$m"), std::floor(k_rows));
+  EXPECT_DOUBLE_EQ(semi_rows, s_rows * ndv("", "$m") / ndv("s", "b2"));
+  EXPECT_DOUBLE_EQ(anti_rows, s_rows - semi_rows);
+
+  auto actual = db_.Query(
+      "SELECT COUNT(*) FROM s WHERE b2 IN (SELECT a2 FROM r WHERE a4 < "
+      "1000)");
+  ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+  const double rows = static_cast<double>(actual->rows[0][0].int64_value());
+  EXPECT_GT(semi_rows, rows / 2);
+  EXPECT_LT(semi_rows, rows * 2);
+}
+
+TEST_F(CostModelTest, DerivedColumnsInheritNdv) {
+  // A rename keeps the column's NDV; so does arithmetic over one column
+  // and a literal. Both are capped by the rows of their input.
+  LogicalOpPtr r = Translate("SELECT * FROM r");
+  auto mapped = std::make_shared<MapOp>(
+      LogicalInput{r, StreamPort::kOut},
+      std::vector<NamedExpr>{
+          NamedExpr{MakeColumnRef("r", "a2"), "$renamed", ""},
+          NamedExpr{ExprPtr(std::make_shared<ArithmeticExpr>(
+                        ArithOp::kAdd, MakeColumnRef("r", "a2"),
+                        MakeLiteral(Value::Int64(1)))),
+                    "$shifted", ""},
+          NamedExpr{ExprPtr(std::make_shared<ArithmeticExpr>(
+                        ArithOp::kAdd, MakeColumnRef("r", "a2"),
+                        MakeColumnRef("r", "a3"))),
+                    "$sum", ""}});
+  auto limited = std::make_shared<ProjectOp>(
+      LogicalInput{std::make_shared<LimitOp>(
+                       LogicalInput{mapped, StreamPort::kOut}, 10),
+                   StreamPort::kOut},
+      std::vector<NamedExpr>{
+          NamedExpr{MakeColumnRef("", "$renamed"), "$few", ""}});
+  PlanEstimator est(db_.catalog());
+  est.Input({limited, StreamPort::kOut});
+  auto ndv = [&est](const char* qualifier, const char* name) {
+    const ExprPtr ref = MakeColumnRef(qualifier, name);
+    return est.DistinctCount(static_cast<const ColumnRefExpr&>(*ref));
+  };
+  const int64_t a2 = ndv("r", "a2");
+  ASSERT_GT(a2, 10);
+  EXPECT_EQ(ndv("", "$renamed"), a2);
+  EXPECT_EQ(ndv("", "$shifted"), a2);
+  EXPECT_EQ(ndv("", "$sum"), 0);  // two columns: unknown
+  EXPECT_EQ(ndv("", "$few"), 10);
 }
 
 // The NDV-based join selectivity feeds the cost model and the cost-based

@@ -6,9 +6,10 @@
 // NULL-heavy RST data and TPC-H. The shapes that stress the pass: a
 // shared σ± whose streams read different columns, a residual that reads
 // a column no consumer keeps, a correlated reference under the canonical
-// strategy, SELECT * order through a swapped build side, and Eqv. 5
-// (the θ join and the "θ not TRUE" join over σp(S) unioned under binary
-// grouping).
+// strategy, SELECT * order through a swapped build side, Eqv. 5 (the θ
+// join and the "θ not TRUE" join over σp(S) unioned under binary
+// grouping), and Eqv. 1 grouping S ⋉ K (K: the stream's correlation
+// values) with NULL keys, absent keys, two keys and every placement.
 #include <string>
 #include <tuple>
 #include <vector>
@@ -31,6 +32,36 @@ using testing_util::LoadSmallRst;
 /// collection, grouping and the outer/existence joins cannot spill)
 /// while the part ⋈ partsupp build sides overflow into Grace partitions.
 constexpr size_t kTightBudget = 256 * 1024;
+
+/// Eqv. 1 texts whose Γ groups S ⋉ K (K: the stream's correlation
+/// values), over the wide-domain rw/sw/tw tables with NULLs on both
+/// sides; KeyReductionTextsReduceS checks the gate applies on each.
+std::vector<std::string> KeyReductionQueries() {
+  return {
+      // NULL outer keys.
+      "SELECT a1, a2, a3 FROM rw "
+      "WHERE a3 < (SELECT MAX(b3) FROM sw WHERE b2 = a2)",
+      // NULL inner keys; the stream is σ±'s negative port.
+      "SELECT a1, a2 FROM rw WHERE a1 > (SELECT SUM(b3) FROM sw "
+      "WHERE a2 = b2) OR a4 > 250",
+      // COUNT(*) over keys absent from S: 0, not NULL.
+      "SELECT a1, a2 FROM rw "
+      "WHERE (SELECT COUNT(*) FROM sw WHERE b2 = a2 + 150) = 0",
+      // A two-key correlation over a self-join: every non-NULL
+      // (b2, b4) pair finds at least itself.
+      "SELECT x.b1, x.b2 FROM sw AS x WHERE x.b1 < 3 AND "
+      "(SELECT COUNT(*) FROM sw WHERE sw.b2 = x.b2 AND sw.b4 = x.b4) = 1",
+      // The key owned by the second join input.
+      "SELECT a1, a2 FROM rw WHERE a3 <= "
+      "(SELECT MAX(c3) FROM tw, sw WHERE c2 = b3 AND b2 = a2)",
+      // S as a bare Get.
+      "SELECT * FROM rw "
+      "WHERE a1 > (SELECT AVG(b4) FROM sw WHERE b2 = a2)",
+      // A computed key: the semijoin sits directly under Γ.
+      "SELECT a1, a2 FROM rw "
+      "WHERE a3 > (SELECT MIN(b3) FROM sw WHERE b2 + 1 = a2)",
+  };
+}
 
 std::vector<std::string> PruningQueries() {
   std::vector<std::string> queries = {TpchQuery2d(), TpchQuery2()};
@@ -70,6 +101,7 @@ std::vector<std::string> PruningQueries() {
       "ps_partkey AND p_retailprice > ps_supplycost GROUP BY p_size",
   };
   queries.insert(queries.end(), shapes.begin(), shapes.end());
+  for (const std::string& q : KeyReductionQueries()) queries.push_back(q);
   return queries;
 }
 
@@ -78,6 +110,8 @@ void LoadPruningData(Database* db) {
   tpch.scale_factor = 0.01;
   ASSERT_TRUE(LoadTpch(db, tpch).ok());
   LoadSmallRst(db, 1301, 70, 50, 30, /*null_fraction=*/0.25);
+  LoadSmallRst(db, 1302, 20, 4000, 1500, /*null_fraction=*/0.25,
+               /*max_value=*/299, /*suffix=*/"w");
   ASSERT_TRUE(db->AnalyzeAll().ok());
 }
 
@@ -198,9 +232,25 @@ TEST(JoinPruning, SelectStarKeepsLogicalColumnOrder) {
   }
 }
 
+TEST(JoinPruning, KeyReductionTextsReduceS) {
+  Database db;
+  LoadPruningData(&db);
+  for (const std::string& sql : KeyReductionQueries()) {
+    auto explain = db.Explain(sql);
+    ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+    EXPECT_NE(explain->find("Eqv.1 key reduction applied"),
+              std::string::npos)
+        << *explain;
+    EXPECT_NE(explain->find("HashSemiJoin [keys "), std::string::npos)
+        << *explain;
+  }
+}
+
 // Q2d at SF 0.01: the correlated block's three joins keep at most the
 // three columns its group-by and join keys read, and the outer block
-// builds on the filtered part input rather than partsupp.
+// builds on the filtered part input rather than partsupp. The block's
+// partsupp is reduced to the probed part keys (Eqv. 1's S ⋉ K), so its
+// joins with supplier and nation build on that smaller left side.
 TEST(JoinPruning, Q2dExplainShowsNarrowJoinsAndBuildSides) {
   Database db;
   TpchOptions tpch;
@@ -210,10 +260,12 @@ TEST(JoinPruning, Q2dExplainShowsNarrowJoinsAndBuildSides) {
   auto explain = db.Explain(TpchQuery2d());
   ASSERT_TRUE(explain.ok()) << explain.status().ToString();
   const std::string& text = *explain;
-  EXPECT_NE(text.find("HashJoin [build=right, keep 3/12]"),
+  EXPECT_NE(text.find("HashSemiJoin [keys l0=r0]"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("HashJoin [build=left, keep 3/12]"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("HashJoin [build=right, keep 3/16]"),
+  EXPECT_NE(text.find("HashJoin [build=left, keep 3/16]"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("HashJoin [build=right, keep 2/19]"),

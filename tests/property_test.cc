@@ -4,6 +4,7 @@
 // (including the non-decomposable DISTINCT variants), duplicates, empty
 // groups, NULLs, and forced orderings. This is the executable form of the
 // paper's correctness claims (Sec. 3.3–3.7).
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -134,13 +135,35 @@ INSTANTIATE_TEST_SUITE_P(AllCorrelationOperators, ConjunctiveNonEqProperty,
 // NULL handling: the equivalences must agree with SQL 3VL when NULLs
 // occur in linking, correlation, and aggregated columns.
 // ---------------------------------------------------------------------
-class NullSemanticsProperty
-    : public ::testing::TestWithParam<const char*> {};
+/// A NULL-semantics text, and whether it runs on the wide instance on
+/// which Eqv. 1 must reduce Γ to the keys its stream probes (S ⋉ K).
+struct NullCase {
+  NullCase(const char* text, bool reduce = false)  // NOLINT: implicit
+      : sql(text), reduces_keys(reduce) {}
+  const char* sql;
+  bool reduces_keys;
+};
+
+void PrintTo(const NullCase& c, std::ostream* os) { *os << c.sql; }
+
+class NullSemanticsProperty : public ::testing::TestWithParam<NullCase> {};
 
 TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
   Database db;
-  LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
-  ExpectCanonicalEqualsUnnested(&db, GetParam());
+  const NullCase& c = GetParam();
+  if (c.reduces_keys) {
+    // Keys in [0, 299] and an inner table 200× the outer one: the cost
+    // gate applies the reduction.
+    LoadSmallRst(&db, 57, 20, 4000, 1500, /*null_fraction=*/0.2,
+                 /*max_value=*/299);
+  } else {
+    LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
+  }
+  const QueryResult got = ExpectCanonicalEqualsUnnested(&db, c.sql);
+  if (c.reduces_keys) {
+    EXPECT_NE(got.optimized_plan.find("SemiJoin ("), std::string::npos)
+        << "Eqv. 1 did not reduce S\n" << got.optimized_plan;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -185,6 +208,43 @@ INSTANTIATE_TEST_SUITE_P(
         // EXISTS stays correct under NULLs (semijoin never matches NULL).
         "SELECT DISTINCT * FROM r "
         "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 3"));
+
+// Eqv. 1 with Γ grouping S ⋉ K, K the stream's correlation values.
+INSTANTIATE_TEST_SUITE_P(
+    KeyReduction, NullSemanticsProperty,
+    ::testing::Values(
+        // NULL outer keys: K holds NULLs, which match nothing → f(∅).
+        NullCase{"SELECT a1, a2, a3 FROM r "
+                 "WHERE a3 < (SELECT MAX(b3) FROM s WHERE b2 = a2)",
+                 true},
+        // NULL inner keys: the semijoin drops them, as the ⟕ never
+        // reaches their group; the stream is σ±'s negative port.
+        NullCase{"SELECT a1, a2 FROM r WHERE a1 > (SELECT SUM(b3) FROM s "
+                 "WHERE a2 = b2) OR a4 > 250",
+                 true},
+        // COUNT(*) over keys absent from S (a2 + 150 exceeds b2's domain
+        // half the time) and NULL keys: 0, not NULL (the count bug).
+        NullCase{"SELECT a1, a2 FROM r WHERE (SELECT COUNT(*) FROM s "
+                 "WHERE b2 = a2 + 150) = 0",
+                 true},
+        // A two-key correlation: K holds (b2, b4) pairs of the outer
+        // copy of s, so every non-NULL pair finds at least itself.
+        NullCase{"SELECT x.b1, x.b2 FROM s AS x WHERE x.b1 < 3 AND "
+                 "(SELECT COUNT(*) FROM s WHERE s.b2 = x.b2 "
+                 "AND s.b4 = x.b4) = 1",
+                 true},
+        // The key is owned by the second join input: S = t ⋈ (s ⋉ K).
+        NullCase{"SELECT a1, a2 FROM r WHERE a3 <= (SELECT MAX(c3) "
+                 "FROM t, s WHERE c2 = b3 AND b2 = a2)",
+                 true},
+        // S is a bare Get: SELECT * over every outer column.
+        NullCase{"SELECT * FROM r "
+                 "WHERE a1 > (SELECT AVG(b4) FROM s WHERE b2 = a2)",
+                 true},
+        // A computed key: the semijoin sits over χ, directly under Γ.
+        NullCase{"SELECT a1, a2 FROM r "
+                 "WHERE a3 > (SELECT MIN(b3) FROM s WHERE b2 + 1 = a2)",
+                 true}));
 
 // ---------------------------------------------------------------------
 // Tree and linear nesting across aggregates.

@@ -35,9 +35,13 @@ inline Row IntRow(std::initializer_list<int64_t> values) {
 /// Loads small random R/S/T tables with duplicates and tight domains so
 /// that empty groups, multi-row groups, and duplicate outer rows all
 /// occur. `null_fraction` injects NULLs into a2/b2/b3/b4 columns.
+/// Values are drawn from [0, max_value]; `suffix` renames the tables
+/// (r<suffix>, s<suffix>, t<suffix>).
 inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
                          int rows_s, int rows_t,
-                         double null_fraction = 0.0) {
+                         double null_fraction = 0.0,
+                         int64_t max_value = 6,
+                         const std::string& suffix = "") {
   Rng rng(seed);
   auto load = [&](const std::string& name, char prefix, int rows) {
     if (db->catalog()->HasTable(name)) {
@@ -52,17 +56,18 @@ inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
         if (null_fraction > 0 && rng.Bernoulli(null_fraction)) {
           row.push_back(Value::Null());
         } else {
-          // Tight domains: lots of duplicates and group collisions.
-          row.push_back(Value::Int64(rng.UniformInt(0, 6)));
+          // Tight domains by default: lots of duplicates and group
+          // collisions.
+          row.push_back(Value::Int64(rng.UniformInt(0, max_value)));
         }
       }
       data.push_back(std::move(row));
     }
     ASSERT_TRUE((*table)->AppendUnchecked(std::move(data)).ok());
   };
-  load("r", 'a', rows_r);
-  load("s", 'b', rows_s);
-  load("t", 'c', rows_t);
+  load("r" + suffix, 'a', rows_r);
+  load("s" + suffix, 'b', rows_s);
+  load("t" + suffix, 'c', rows_t);
 }
 
 /// Runs `sql` canonically and unnested and asserts multiset-equal results.
