@@ -25,13 +25,16 @@
 #ifndef BYPASSDB_COMMON_FLAT_TABLE_H_
 #define BYPASSDB_COMMON_FLAT_TABLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "types/column_vector.h"
 #include "types/row.h"
+#include "types/row_batch.h"
 
 namespace bypass {
 
@@ -475,41 +478,387 @@ class FlatRowMap {
   Mode mode_ = Mode::kUnset;
 };
 
-/// Flat hash set of Rows (structural semantics). Insert copies the row
-/// only when it is new — the Distinct operator's streaming dedup — and
-/// the stored rows iterate in first-occurrence order.
+/// Flat hash set of Rows (structural semantics, NULL == NULL): the
+/// Distinct operator's streaming dedup and the DISTINCT aggregates' seen
+/// sets. Keys iterate in first-occurrence order; one probe per insert.
+///
+/// Packed mode: while every key is all-int64/NULL and of one width
+/// w <= kMaxPackedWidth, keys are fixed-width records of w + 1 words in
+/// one int64 arena — a null bitmap word, then the w values (0 under
+/// NULL). Equality is a word compare and the hash mixes the words, so no
+/// Value is hashed and no Row is allocated. The first key of any other
+/// kind (a double, string or bool, or another width) downgrades the set
+/// once to generic mode: the stored keys are re-materialized as Rows in
+/// order and re-hashed. Generic mode hashes and compares Values
+/// structurally (1 = 1.0). The first key elects the mode; Clear()
+/// re-elects it. Not thread-safe.
 class FlatRowSet {
  public:
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-  void Clear() { map_.Clear(); }
-  void Reserve(size_t n) { map_.Reserve(n); }
+  /// Widest packed key: the null bitmap is one word.
+  static constexpr size_t kMaxPackedWidth = 63;
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// True while the keys are held packed (for tests).
+  bool packed() const { return mode_ == Mode::kPacked; }
+
+  void Clear() {
+    arena_.clear();
+    rows_.clear();
+    slots_.clear();
+    mask_ = 0;
+    size_ = 0;
+    stride_ = 0;
+    reserve_ = 0;
+    mode_ = Mode::kUnset;
+  }
+
+  /// Pre-sizes the set for `n` keys: the slot array now, the key storage
+  /// once the first key has elected the mode.
+  void Reserve(size_t n) {
+    reserve_ = std::max(reserve_, n);
+    const size_t cap = flat_internal::NextPow2Capacity(n + n / 7 + 2);
+    if (cap > slots_.size()) Rebuild(cap);
+    ReserveStorage();
+  }
 
   /// True when `row` was not present (and is now inserted).
-  bool Insert(const Row& row) {
-    if (map_.Find(row) != nullptr) return false;
-    map_.FindOrEmplace(Row(row), [] { return Unit{}; });
-    return true;
+  bool Insert(const Row& row) { return InsertValues(row.data(), row.size()); }
+
+  /// Single-value key, as a one-column row (DISTINCT aggregates).
+  bool Insert(const Value& v) { return InsertValues(&v, 1); }
+
+  /// Inserts every selected row of `batch` and narrows its selection to
+  /// the rows that were new, in order (a duplicate within the batch
+  /// keeps its first occurrence). In packed mode the whole selection is
+  /// packed and hashed first — from the batch's typed columns when it
+  /// carries them, else from its rows — and then probed with the slot of
+  /// row i + kPrefetchDistance prefetched.
+  void InsertBatch(RowBatch* batch) {
+    const size_t n = batch->size();
+    if (n == 0) return;
+    if (mode_ == Mode::kUnset) {
+      const Row& first = batch->row(0);
+      Elect(first.data(), first.size());
+    }
+    std::vector<uint32_t>& sel = batch->selection();
+    size_t kept = 0;
+    if (mode_ == Mode::kPacked) {
+      if (PackBatch(*batch)) {
+        if (slots_.empty()) Rebuild(16);  // prefetches index it
+        const int64_t* keys = batch_keys_.data();
+        const uint64_t* hashes = batch_hashes_.data();
+        for (size_t i = 0; i < n; ++i) {
+          if (i + kPrefetchDistance < n) {
+            __builtin_prefetch(
+                &slots_[hashes[i + kPrefetchDistance] & mask_]);
+          }
+          if (InsertPacked(keys + i * stride_, hashes[i])) {
+            sel[kept++] = sel[i];
+          }
+        }
+        sel.resize(kept);
+        return;
+      }
+      Downgrade();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const Row& row = batch->row(i);
+      if (InsertGeneric(row.data(), row.size())) sel[kept++] = sel[i];
+    }
+    sel.resize(kept);
   }
 
-  /// Move-in variant for callers that own the row.
-  bool Insert(Row&& row) {
-    if (map_.Find(row) != nullptr) return false;
-    map_.FindOrEmplace(std::move(row), [] { return Unit{}; });
-    return true;
+  bool Contains(const Row& row) const {
+    if (size_ == 0) return false;
+    if (mode_ == Mode::kPacked) {
+      // Integral doubles equal their int64 twins; any other value that
+      // cannot pack can equal no stored key.
+      if (row.size() + 1 != stride_) return false;
+      int64_t key[kMaxPackedWidth + 1];
+      uint64_t nulls = 0;
+      for (size_t j = 0; j < row.size(); ++j) {
+        bool is_null = false;
+        if (!flat_internal::Int64KeyOf(row[j], &key[j + 1], &is_null)) {
+          return false;
+        }
+        if (is_null) nulls |= uint64_t{1} << j;
+      }
+      key[0] = static_cast<int64_t>(nulls);
+      return FindPacked(key, HashPacked(key)) != kEmpty;
+    }
+    const uint64_t hash = HashGeneric(row.data(), row.size());
+    for (size_t pos = hash & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.idx == kEmpty) return false;
+      if (s.hash == hash &&
+          EqualsGeneric(rows_[s.idx], row.data(), row.size())) {
+        return true;
+      }
+    }
   }
 
-  bool Contains(const Row& row) const { return map_.Find(row) != nullptr; }
-
-  /// Stored rows in first-occurrence order.
+  /// Stored rows in first-occurrence order (packed keys are
+  /// materialized one at a time).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& e : map_.entries()) fn(e.key);
+    if (mode_ != Mode::kPacked) {
+      for (const Row& row : rows_) fn(row);
+      return;
+    }
+    for (size_t i = 0; i < size_; ++i) fn(Unpack(i));
   }
 
  private:
-  struct Unit {};
-  FlatRowMap<Unit> map_;
+  enum class Mode : uint8_t { kUnset, kPacked, kGeneric };
+
+  struct Slot {
+    uint64_t hash;
+    uint32_t idx;
+  };
+  static constexpr uint32_t kEmpty = 0xffffffffu;
+  static constexpr size_t kPrefetchDistance = 8;
+
+  /// Picks packed mode when the first key is all-int64/NULL and narrow
+  /// enough, generic mode otherwise.
+  void Elect(const Value* vals, size_t n) {
+    mode_ = Mode::kGeneric;
+    if (n <= kMaxPackedWidth) {
+      bool packable = true;
+      for (size_t j = 0; j < n && packable; ++j) {
+        packable = vals[j].is_int64() || vals[j].is_null();
+      }
+      if (packable) {
+        mode_ = Mode::kPacked;
+        stride_ = n + 1;
+      }
+    }
+    ReserveStorage();
+  }
+
+  void ReserveStorage() {
+    if (mode_ == Mode::kPacked) {
+      arena_.reserve(reserve_ * stride_);
+    } else if (mode_ == Mode::kGeneric) {
+      rows_.reserve(reserve_);
+    }
+  }
+
+  bool InsertValues(const Value* vals, size_t n) {
+    if (mode_ == Mode::kUnset) Elect(vals, n);
+    if (mode_ == Mode::kPacked) {
+      int64_t key[kMaxPackedWidth + 1];
+      if (PackRow(vals, n, key)) return InsertPacked(key, HashPacked(key));
+      Downgrade();
+    }
+    return InsertGeneric(vals, n);
+  }
+
+  /// Packs `n` values into `out` (stride_ words); false when the key does
+  /// not fit this set's packed width or holds a non-int64 value.
+  bool PackRow(const Value* vals, size_t n, int64_t* out) const {
+    if (n + 1 != stride_) return false;
+    uint64_t nulls = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const Value& v = vals[j];
+      if (v.is_int64()) {
+        out[j + 1] = v.int64_value();
+      } else if (v.is_null()) {
+        nulls |= uint64_t{1} << j;
+        out[j + 1] = 0;
+      } else {
+        return false;
+      }
+    }
+    out[0] = static_cast<int64_t>(nulls);
+    return true;
+  }
+
+  /// Packs and hashes the batch's whole selection into batch_keys_ /
+  /// batch_hashes_; false when some row does not pack.
+  bool PackBatch(const RowBatch& batch) {
+    const size_t n = batch.size();
+    batch_keys_.resize(n * stride_);
+    batch_hashes_.resize(n);
+    int64_t* keys = batch_keys_.data();
+    const ColumnStore* store = batch.columns();
+    if (store == nullptr || !PackColumns(*store, batch.selection(), keys)) {
+      for (size_t i = 0; i < n; ++i) {
+        const Row& row = batch.row(i);
+        if (!PackRow(row.data(), row.size(), keys + i * stride_)) {
+          return false;
+        }
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      batch_hashes_[i] = HashPacked(keys + i * stride_);
+    }
+    return true;
+  }
+
+  /// Column-at-a-time packing; false (nothing relied on) unless every
+  /// column is typed int64 and the store has this set's width.
+  bool PackColumns(const ColumnStore& store,
+                   const std::vector<uint32_t>& sel, int64_t* keys) const {
+    const size_t w = store.columns.size();
+    if (w + 1 != stride_) return false;
+    for (const ColumnVector& col : store.columns) {
+      if (!col.typed() || col.type() != DataType::kInt64) return false;
+    }
+    const size_t n = sel.size();
+    for (size_t i = 0; i < n; ++i) keys[i * stride_] = 0;
+    for (size_t j = 0; j < w; ++j) {
+      const ColumnVector& col = store.columns[j];
+      const int64_t* data = col.i64_data();
+      int64_t* out = keys + j + 1;
+      if (!col.has_nulls()) {
+        for (size_t i = 0; i < n; ++i) out[i * stride_] = data[sel[i]];
+        continue;
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (col.IsNull(sel[i])) {
+          out[i * stride_] = 0;
+          keys[i * stride_] |= static_cast<int64_t>(uint64_t{1} << j);
+        } else {
+          out[i * stride_] = data[sel[i]];
+        }
+      }
+    }
+    return true;
+  }
+
+  uint64_t HashPacked(const int64_t* key) const {
+    uint64_t h = 0x6a09e667f3bcc909ULL;
+    for (size_t j = 0; j < stride_; ++j) {
+      h = (h ^ static_cast<uint64_t>(key[j])) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 29;
+    }
+    return flat_internal::HashInt64Key(static_cast<int64_t>(h));
+  }
+
+  /// HashRow's formula over a value span.
+  static uint64_t HashGeneric(const Value* vals, size_t n) {
+    uint64_t h = 0x345678;
+    for (size_t j = 0; j < n; ++j) h = h * 1000003 + vals[j].Hash();
+    return h;
+  }
+
+  static bool EqualsGeneric(const Row& stored, const Value* vals, size_t n) {
+    if (stored.size() != n) return false;
+    for (size_t j = 0; j < n; ++j) {
+      if (!stored[j].StructurallyEquals(vals[j])) return false;
+    }
+    return true;
+  }
+
+  /// Slot index of the packed key, or kEmpty.
+  uint32_t FindPacked(const int64_t* key, uint64_t hash) const {
+    for (size_t pos = hash & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.idx == kEmpty) return kEmpty;
+      if (s.hash == hash &&
+          std::equal(key, key + stride_,
+                     arena_.data() + size_t{s.idx} * stride_)) {
+        return s.idx;
+      }
+    }
+  }
+
+  bool InsertPacked(const int64_t* key, uint64_t hash) {
+    if (slots_.empty()) Rebuild(16);
+    size_t pos = hash & mask_;
+    for (;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.idx == kEmpty) break;
+      if (s.hash == hash &&
+          std::equal(key, key + stride_,
+                     arena_.data() + size_t{s.idx} * stride_)) {
+        return false;
+      }
+    }
+    arena_.insert(arena_.end(), key, key + stride_);
+    AddSlot(pos, hash);
+    return true;
+  }
+
+  bool InsertGeneric(const Value* vals, size_t n) {
+    if (slots_.empty()) Rebuild(16);
+    const uint64_t hash = HashGeneric(vals, n);
+    size_t pos = hash & mask_;
+    for (;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.idx == kEmpty) break;
+      if (s.hash == hash && EqualsGeneric(rows_[s.idx], vals, n)) {
+        return false;
+      }
+    }
+    rows_.emplace_back(vals, vals + n);
+    AddSlot(pos, hash);
+    return true;
+  }
+
+  /// Claims the empty slot at `pos` for the key just appended.
+  void AddSlot(size_t pos, uint64_t hash) {
+    slots_[pos] = Slot{hash, static_cast<uint32_t>(size_)};
+    ++size_;
+    // Grow at 7/8 load.
+    if ((size_ + 1) * 8 > slots_.size() * 7) Rebuild(slots_.size() * 2);
+  }
+
+  Row Unpack(size_t idx) const {
+    const int64_t* key = arena_.data() + idx * stride_;
+    const uint64_t nulls = static_cast<uint64_t>(key[0]);
+    Row row;
+    row.reserve(stride_ - 1);
+    for (size_t j = 0; j + 1 < stride_; ++j) {
+      row.push_back(((nulls >> j) & 1) != 0 ? Value::Null()
+                                            : Value::Int64(key[j + 1]));
+    }
+    return row;
+  }
+
+  void Place(uint64_t hash, uint32_t idx) {
+    size_t pos = hash & mask_;
+    while (slots_[pos].idx != kEmpty) pos = (pos + 1) & mask_;
+    slots_[pos] = Slot{hash, idx};
+  }
+
+  /// Re-spreads the slot array at `capacity` from the stored hashes.
+  void Rebuild(size_t capacity) {
+    std::vector<Slot> old(capacity, Slot{0, kEmpty});
+    old.swap(slots_);
+    mask_ = capacity - 1;
+    for (const Slot& s : old) {
+      if (s.idx != kEmpty) Place(s.hash, s.idx);
+    }
+  }
+
+  /// Packed -> generic, once: re-materializes and re-hashes every key in
+  /// first-occurrence order.
+  void Downgrade() {
+    mode_ = Mode::kGeneric;
+    rows_.reserve(std::max(reserve_, size_));
+    for (size_t i = 0; i < size_; ++i) rows_.push_back(Unpack(i));
+    arena_.clear();
+    arena_.shrink_to_fit();
+    if (slots_.empty()) return;
+    slots_.assign(slots_.size(), Slot{0, kEmpty});
+    for (uint32_t i = 0; i < size_; ++i) {
+      Place(HashGeneric(rows_[i].data(), rows_[i].size()), i);
+    }
+  }
+
+  std::vector<int64_t> arena_;  // packed keys, stride_ words each
+  std::vector<Row> rows_;       // generic keys
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+  size_t stride_ = 0;   // packed width + 1 (the null bitmap word)
+  size_t reserve_ = 0;  // Reserve() hint for the key storage
+  Mode mode_ = Mode::kUnset;
+  // InsertBatch scratch: the selection's packed keys and their hashes.
+  std::vector<int64_t> batch_keys_;
+  std::vector<uint64_t> batch_hashes_;
 };
 
 }  // namespace bypass

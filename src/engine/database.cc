@@ -15,6 +15,7 @@
 #include "planner/cost_model.h"
 #include "planner/planner.h"
 #include "rewrite/classify.h"
+#include "rewrite/count_distinct.h"
 #include "sql/parser.h"
 
 namespace bypass {
@@ -69,6 +70,8 @@ struct PlannedLogical {
   LogicalOpPtr optimized;
   std::vector<std::string> applied_rules;
   std::vector<std::string> key_reductions;  ///< Eqv. 1 gate decisions
+  /// Groupings whose COUNT(DISTINCT *) became COUNT(*) over δ.
+  std::vector<std::string> distinct_counts;
 };
 
 Result<PlannedLogical> PlanLogical(const Catalog* catalog,
@@ -167,6 +170,9 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
         out.applied_rules.emplace_back(candidates[best].label);
       }
     }
+    // On the chosen plan only: the equivalences (and the candidates'
+    // costs) still see COUNT(DISTINCT *), as paper footnote 1 has it.
+    working = CountDistinctOverDelta(working, &out.distinct_counts);
   }
   out.optimized = working;
   return out;
@@ -528,6 +534,9 @@ Result<std::string> Database::Explain(const std::string& sql,
     os << "\n";
     for (const std::string& decision : planned.key_reductions) {
       os << decision << "\n";
+    }
+    for (const std::string& grouping : planned.distinct_counts) {
+      os << grouping << "\n";
     }
     const PlanEstimate optimized_est =
         EstimatePlan(*planned.optimized, &catalog_);

@@ -5,12 +5,8 @@ namespace bypass {
 Status DistinctPhysOp::Consume(int, RowBatch batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<uint32_t>& sel = batch.selection();
-    size_t kept = 0;
-    for (size_t i = 0; i < sel.size(); ++i) {
-      if (seen_.Insert(batch.row(i))) sel[kept++] = sel[i];
-    }
-    sel.resize(kept);
+    if (seen_.empty()) seen_.Reserve(reserve_);
+    seen_.InsertBatch(&batch);
   }
   // Emit outside the lock so downstream work does not serialize.
   return Emit(kPortOut, std::move(batch));

@@ -6,6 +6,8 @@
 #ifndef BYPASSDB_EXEC_DISTINCT_H_
 #define BYPASSDB_EXEC_DISTINCT_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <mutex>
 #include <string>
 
@@ -16,7 +18,17 @@ namespace bypass {
 
 class DistinctPhysOp : public UnaryPhysOp {
  public:
-  DistinctPhysOp() = default;
+  /// Most keys the seen-set reserves up front, whatever the estimate.
+  static constexpr size_t kMaxReservedKeys = size_t{1} << 20;
+
+  /// `expected_rows` (the planner's estimate of the input) pre-sizes the
+  /// seen-set on the first batch, capped at kMaxReservedKeys.
+  explicit DistinctPhysOp(double expected_rows = 0)
+      : reserve_(expected_rows > 0
+                     ? static_cast<size_t>(std::min(
+                           expected_rows,
+                           static_cast<double>(kMaxReservedKeys)))
+                     : 0) {}
 
   void Reset() override { seen_.Clear(); }
   Status Consume(int in_port, RowBatch batch) override;
@@ -24,7 +36,8 @@ class DistinctPhysOp : public UnaryPhysOp {
 
  private:
   std::mutex mu_;
-  FlatRowSet seen_;  // rows copied in only on first occurrence
+  const size_t reserve_;
+  FlatRowSet seen_;  // packed keys; Rows only for non-int64 shapes
 };
 
 }  // namespace bypass

@@ -65,7 +65,7 @@ Status Aggregator::Accumulate(const EvalContext& ctx) {
   BYPASS_ASSIGN_OR_RETURN(Value v, spec_->arg->Eval(ctx));
   if (v.is_null()) return Status::OK();  // aggregates skip NULL inputs
   if (spec_->distinct) {
-    if (!distinct_.Insert(Row{v})) return Status::OK();
+    if (!distinct_.Insert(v)) return Status::OK();
   }
   return AccumulateValue(v, *ctx.row);
 }

@@ -397,7 +397,9 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
       break;
     }
     case LogicalOpKind::kDistinct: {
-      result = forward(Register(ctx, std::make_unique<DistinctPhysOp>()));
+      result = forward(Register(
+          ctx, std::make_unique<DistinctPhysOp>(
+                   EstimatedInputRows(*ctx->estimates, inputs[0]))));
       wire(result.op, 0, 0);
       break;
     }

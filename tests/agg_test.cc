@@ -92,6 +92,28 @@ TEST(AggTest, SumDistinct) {
             5);
 }
 
+// Partial DISTINCT sets hand their keys to Merge as stored: integral
+// doubles must come back as doubles, not as their packed int64 twins.
+TEST(AggTest, SumDistinctOverDoublesStaysDoubleAfterMerge) {
+  const AggregateSpec spec = Spec(AggFunc::kSum, true);
+  Aggregator left(&spec), right(&spec), total(&spec);
+  for (Aggregator* a : {&left, &right, &total}) a->Reset();
+  for (double d : {1.0, 2.0, 2.0}) {
+    const Row row{Value::Double(d)};
+    ASSERT_TRUE(left.Accumulate(EvalContext{&row, nullptr}).ok());
+  }
+  for (double d : {2.0, 3.0}) {
+    const Row row{Value::Double(d)};
+    ASSERT_TRUE(right.Accumulate(EvalContext{&row, nullptr}).ok());
+  }
+  ASSERT_TRUE(total.Merge(left).ok());
+  ASSERT_TRUE(total.Merge(right).ok());
+  auto v = total.Finalize();
+  ASSERT_TRUE(v.ok());
+  ASSERT_TRUE(v->is_double()) << v->ToString();
+  EXPECT_DOUBLE_EQ(v->double_value(), 6.0);
+}
+
 TEST(AggTest, SumOfDoublesIsDouble) {
   std::vector<Row> rows = {Row{Value::Double(1.5)},
                            Row{Value::Int64(2)}};

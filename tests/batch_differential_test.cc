@@ -132,6 +132,36 @@ TEST(ParallelDifferential, FixedBypassQueriesWithNulls) {
   }
 }
 
+// COUNT(DISTINCT *) texts, whose groupings count over a δ: every batch
+// size × threads {1, 4} must reproduce the canonical row-at-a-time result
+// on NULL-heavy data full of duplicate rows.
+TEST(ParallelDifferential, CountDistinctStarOverDelta) {
+  Database db;
+  LoadSmallRst(&db, /*seed=*/19, 30, 60, 40, /*null_fraction=*/0.4,
+               /*max_value=*/2);
+  for (const std::string& sql : testing_util::CountDistinctStarQueries()) {
+    SCOPED_TRACE(sql);
+    QueryOptions oracle_opts;
+    oracle_opts.unnest = false;
+    oracle_opts.batch_size = 1;
+    auto oracle = db.Query(sql, oracle_opts);
+    ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+    for (int num_threads : {1, 4}) {
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+        QueryOptions opts;
+        opts.num_threads = num_threads;
+        opts.batch_size = batch_size;
+        opts.morsel_size = kTinyMorselSize;
+        auto got = db.Query(sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_TRUE(RowMultisetsEqual(oracle->rows, got->rows))
+            << "num_threads " << num_threads << ", batch_size "
+            << batch_size << "\nplan:\n" << got->physical_plan;
+      }
+    }
+  }
+}
+
 // One PreparedQuery re-executed under different thread counts must keep
 // producing the serial result (the pool, per-worker slots, and memo
 // caches are rebuilt per Execute).

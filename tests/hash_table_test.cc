@@ -9,6 +9,7 @@
 // HashTableParallel* additionally exercises the parallel build path under
 // a real WorkerPool and runs in the TSan label sweep (ctest -L parallel).
 #include <cstdint>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -276,6 +277,166 @@ TEST(HashTableSetTest, DifferentialDedup) {
     ++i;
   });
   ASSERT_EQ(i, first_occurrence.size());
+}
+
+/// Rows of `width` int64/NULL values over a tight domain (many repeats).
+Row RandomPackableRow(Rng* rng, size_t width) {
+  Row row;
+  row.reserve(width);
+  for (size_t j = 0; j < width; ++j) {
+    row.push_back(rng->UniformInt(0, 5) == 0
+                      ? Value::Null()
+                      : Value::Int64(rng->UniformInt(-2, 2)));
+  }
+  return row;
+}
+
+/// Ordered reference set on the structural total order (NULL == NULL).
+struct RowLess {
+  bool operator()(const Row& a, const Row& b) const {
+    return CompareRows(a, b) < 0;
+  }
+};
+using RowReference = std::set<Row, RowLess>;
+
+/// Inserts `rows` one at a time (odd rounds) or as row batches and typed
+/// columnar batches (even rounds), checking every verdict, the size and
+/// the first-occurrence order against the reference.
+void PackedDifferentialRound(uint64_t seed, size_t width, bool expect_packed) {
+  Rng rng(seed);
+  FlatRowSet set;
+  RowReference reference;
+  std::vector<Row> first_occurrence;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<Row> rows;
+    const int n = 1 + static_cast<int>(rng.UniformInt(0, 700));
+    for (int i = 0; i < n; ++i) rows.push_back(RandomPackableRow(&rng, width));
+    std::vector<bool> fresh;
+    for (const Row& row : rows) {
+      fresh.push_back(reference.insert(row).second);
+      if (fresh.back()) first_occurrence.push_back(row);
+    }
+    if (round % 2 == 1) {
+      for (size_t i = 0; i < rows.size(); ++i) {
+        ASSERT_EQ(set.Insert(rows[i]), fresh[i]) << RowToString(rows[i]);
+      }
+    } else {
+      ColumnStore store;
+      for (size_t j = 0; j < width; ++j) {
+        store.columns.emplace_back(DataType::kInt64);
+      }
+      for (const Row& row : rows) store.AppendRow(row);
+      RowBatch batch =
+          round % 4 == 0
+              ? RowBatch::BorrowedColumnar(&store, &rows, 0, rows.size())
+              : RowBatch::FromRows(std::vector<Row>(rows));
+      set.InsertBatch(&batch);
+      std::vector<uint32_t> want;
+      for (uint32_t i = 0; i < rows.size(); ++i) {
+        if (fresh[i]) want.push_back(i);
+      }
+      ASSERT_EQ(batch.selection(), want) << "width " << width;
+    }
+    ASSERT_EQ(set.size(), reference.size());
+    ASSERT_EQ(set.packed(), expect_packed);
+  }
+  size_t i = 0;
+  set.ForEach([&](const Row& row) {
+    ASSERT_LT(i, first_occurrence.size());
+    ASSERT_TRUE(RowsStructurallyEqual(row, first_occurrence[i])) << i;
+    ++i;
+  });
+  ASSERT_EQ(i, first_occurrence.size());
+  for (const Row& row : first_occurrence) ASSERT_TRUE(set.Contains(row));
+}
+
+TEST(HashTableSetTest, PackedDifferentialWidthsOneToEight) {
+  for (size_t width = 1; width <= 8; ++width) {
+    PackedDifferentialRound(700 + width, width, /*expect_packed=*/true);
+  }
+}
+
+TEST(HashTableSetTest, Width64FallsBackToGeneric) {
+  PackedDifferentialRound(764, 64, /*expect_packed=*/false);
+}
+
+TEST(HashTableSetTest, NullIsNotZero) {
+  FlatRowSet set;
+  EXPECT_TRUE(set.Insert(Row{Value::Null()}));
+  EXPECT_TRUE(set.Insert(Row{Value::Int64(0)}));
+  EXPECT_FALSE(set.Insert(Row{Value::Null()}));
+  EXPECT_FALSE(set.Insert(Value::Int64(0)));
+  EXPECT_TRUE(set.packed());
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(HashTableSetTest, NullPositionIsPartOfTheKey) {
+  FlatRowSet set;
+  EXPECT_TRUE(set.Insert(Row{Value::Null(), Value::Int64(1)}));
+  EXPECT_TRUE(set.Insert(Row{Value::Int64(1), Value::Null()}));
+  EXPECT_FALSE(set.Insert(Row{Value::Int64(1), Value::Null()}));
+  EXPECT_FALSE(set.Insert(Row{Value::Null(), Value::Int64(1)}));
+  EXPECT_TRUE(set.Insert(Row{Value::Null(), Value::Null()}));
+  EXPECT_EQ(set.size(), 3u);
+}
+
+TEST(HashTableSetTest, IntThenIntegralDoubleIsOneKey) {
+  FlatRowSet set;
+  EXPECT_TRUE(set.Insert(Value::Int64(1)));
+  EXPECT_TRUE(set.Contains(Row{Value::Double(1.0)}));
+  EXPECT_FALSE(set.Insert(Value::Double(1.0)));
+  EXPECT_FALSE(set.packed()) << "a double downgrades the set";
+  EXPECT_EQ(set.size(), 1u);
+  std::vector<Row> stored;
+  set.ForEach([&](const Row& row) { stored.push_back(row); });
+  ASSERT_EQ(stored.size(), 1u);
+  EXPECT_TRUE(stored[0][0].is_int64()) << "the first occurrence is kept";
+}
+
+TEST(HashTableSetTest, DowngradeAfterManyIntKeysLosesNothing) {
+  for (const Value& late : {Value::String("x"), Value::Double(2.5)}) {
+    FlatRowSet set;
+    for (int64_t k = 0; k < 10000; ++k) {
+      ASSERT_TRUE(set.Insert(Row{Value::Int64(k), Value::Int64(k % 7)}));
+    }
+    ASSERT_TRUE(set.packed());
+    ASSERT_TRUE(set.Insert(Row{Value::Int64(3), late}));
+    ASSERT_FALSE(set.packed());
+    ASSERT_EQ(set.size(), 10001u);
+    for (int64_t k = 0; k < 10000; ++k) {
+      ASSERT_FALSE(set.Insert(Row{Value::Int64(k), Value::Int64(k % 7)}))
+          << k;
+    }
+    ASSERT_FALSE(set.Insert(Row{Value::Int64(3), late}));
+    ASSERT_EQ(set.size(), 10001u);
+    int64_t k = 0;
+    set.ForEach([&](const Row& row) {
+      if (k < 10000) {
+        ASSERT_TRUE(RowsStructurallyEqual(
+            row, Row{Value::Int64(k), Value::Int64(k % 7)}));
+      } else {
+        ASSERT_TRUE(RowsStructurallyEqual(row, Row{Value::Int64(3), late}));
+      }
+      ++k;
+    });
+    ASSERT_EQ(k, 10001);
+  }
+}
+
+TEST(HashTableSetTest, ClearReelectsTheMode) {
+  FlatRowSet set;
+  set.Reserve(100);
+  EXPECT_TRUE(set.Insert(Row{Value::String("a")}));
+  EXPECT_FALSE(set.packed());
+  set.Clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_TRUE(set.Insert(Row{Value::Int64(4), Value::Null()}));
+  EXPECT_TRUE(set.packed());
+  EXPECT_FALSE(set.Contains(Row{Value::String("a")}));
+  set.Clear();
+  EXPECT_TRUE(set.Insert(Row{Value::Bool(true)}));
+  EXPECT_FALSE(set.packed());
+  EXPECT_FALSE(set.Insert(Row{Value::Bool(true)}));
 }
 
 // ----------------------------------------------------------- JoinHashTable

@@ -5,12 +5,14 @@
 // groups, NULLs, and forced orderings. This is the executable form of the
 // paper's correctness claims (Sec. 3.3–3.7).
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "query_corpus.h"
 #include "test_util.h"
 
 namespace bypass {
@@ -135,34 +137,90 @@ INSTANTIATE_TEST_SUITE_P(AllCorrelationOperators, ConjunctiveNonEqProperty,
 // NULL handling: the equivalences must agree with SQL 3VL when NULLs
 // occur in linking, correlation, and aggregated columns.
 // ---------------------------------------------------------------------
-/// A NULL-semantics text, and whether it runs on the wide instance on
-/// which Eqv. 1 must reduce Γ to the keys its stream probes (S ⋉ K).
+/// Which plan shape a NULL-semantics text must take besides matching the
+/// canonical result.
+enum class NullShape {
+  kAny,
+  /// Run on the wide instance on which Eqv. 1 must reduce Γ to the keys
+  /// its stream probes (S ⋉ K).
+  kReducesKeys,
+  /// Run on a NULL-heavy instance full of duplicate rows; every grouping
+  /// must count over a δ (COUNT(DISTINCT *) as COUNT(*)).
+  kCountsOverDelta,
+};
+
 struct NullCase {
   NullCase(const char* text, bool reduce = false)  // NOLINT: implicit
-      : sql(text), reduces_keys(reduce) {}
+      : sql(text), shape(reduce ? NullShape::kReducesKeys : NullShape::kAny) {}
+  NullCase(const char* text, NullShape s) : sql(text), shape(s) {}
   const char* sql;
-  bool reduces_keys;
+  NullShape shape;
 };
 
 void PrintTo(const NullCase& c, std::ostream* os) { *os << c.sql; }
+
+/// True when every grouping of a printed logical plan (GroupBy Γ,
+/// BinaryGroupBy Γ, ScalarAgg) has a Distinct among its direct inputs.
+bool EveryGroupingReadsDistinct(const std::string& plan) {
+  std::vector<std::string> lines;
+  std::istringstream in(plan);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  auto indent = [](const std::string& l) {
+    return l.find_first_not_of(' ');
+  };
+  bool any = false;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find("Γ[") == std::string::npos &&
+        lines[i].find("ScalarAgg[") == std::string::npos) {
+      continue;
+    }
+    any = true;
+    const size_t depth = indent(lines[i]);
+    bool found = false;
+    for (size_t j = i + 1; j < lines.size() && indent(lines[j]) > depth;
+         ++j) {
+      const std::string& l = lines[j];
+      if (indent(l) == depth + 2 && l.size() >= 8 &&
+          l.compare(l.size() - 8, 8, "Distinct") == 0) {
+        found = true;
+      }
+    }
+    if (!found) return false;
+  }
+  return any;
+}
 
 class NullSemanticsProperty : public ::testing::TestWithParam<NullCase> {};
 
 TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
   Database db;
   const NullCase& c = GetParam();
-  if (c.reduces_keys) {
-    // Keys in [0, 299] and an inner table 200× the outer one: the cost
-    // gate applies the reduction.
-    LoadSmallRst(&db, 57, 20, 4000, 1500, /*null_fraction=*/0.2,
-                 /*max_value=*/299);
-  } else {
-    LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
+  switch (c.shape) {
+    case NullShape::kReducesKeys:
+      // Keys in [0, 299] and an inner table 200× the outer one: the cost
+      // gate applies the reduction.
+      LoadSmallRst(&db, 57, 20, 4000, 1500, /*null_fraction=*/0.2,
+                   /*max_value=*/299);
+      break;
+    case NullShape::kCountsOverDelta:
+      // Values in {NULL, 0, 1, 2}: most rows repeat, NULLs included.
+      LoadSmallRst(&db, 58, 30, 60, 40, /*null_fraction=*/0.4,
+                   /*max_value=*/2);
+      break;
+    case NullShape::kAny:
+      LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
+      break;
   }
   const QueryResult got = ExpectCanonicalEqualsUnnested(&db, c.sql);
-  if (c.reduces_keys) {
+  if (c.shape == NullShape::kReducesKeys) {
     EXPECT_NE(got.optimized_plan.find("SemiJoin ("), std::string::npos)
         << "Eqv. 1 did not reduce S\n" << got.optimized_plan;
+  }
+  if (c.shape == NullShape::kCountsOverDelta) {
+    EXPECT_EQ(got.optimized_plan.find("DISTINCT"), std::string::npos)
+        << got.optimized_plan;
+    EXPECT_TRUE(EveryGroupingReadsDistinct(got.optimized_plan))
+        << "a grouping does not count over δ\n" << got.optimized_plan;
   }
 }
 
@@ -245,6 +303,20 @@ INSTANTIATE_TEST_SUITE_P(
         NullCase{"SELECT a1, a2 FROM r "
                  "WHERE a3 > (SELECT MIN(b3) FROM s WHERE b2 + 1 = a2)",
                  true}));
+
+// COUNT(DISTINCT *) as COUNT(*) over δ: δ's structural NULL = NULL must
+// decide duplicates exactly as the per-group row sets of the canonical
+// plan's COUNT(DISTINCT *) do.
+std::vector<NullCase> DistinctCountCases() {
+  std::vector<NullCase> cases;
+  for (const std::string& sql : testing_util::CountDistinctStarQueries()) {
+    cases.emplace_back(sql.c_str(), NullShape::kCountsOverDelta);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(DistinctCount, NullSemanticsProperty,
+                         ::testing::ValuesIn(DistinctCountCases()));
 
 // ---------------------------------------------------------------------
 // Tree and linear nesting across aggregates.

@@ -142,6 +142,27 @@ inline std::vector<std::string> FixedBypassQueries() {
   };
 }
 
+/// COUNT(DISTINCT *) texts: paper Fig. 7's q1, q3 tree and q4 linear
+/// shapes, an uncorrelated (type A) block and a top-level scalar count.
+/// The optimizer counts each of their groupings as COUNT(*) over a δ.
+inline const std::vector<std::string>& CountDistinctStarQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT DISTINCT * FROM r "
+      "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) "
+      "OR a4 > 2",
+      "SELECT DISTINCT * FROM r "
+      "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) "
+      "OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)",
+      "SELECT DISTINCT * FROM r "
+      "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 "
+      "OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))",
+      "SELECT a1, a2 FROM r "
+      "WHERE a3 < (SELECT COUNT(DISTINCT *) FROM s) OR a4 = 1",
+      "SELECT COUNT(DISTINCT *) FROM s",
+  };
+  return queries;
+}
+
 }  // namespace testing_util
 }  // namespace bypass
 

@@ -4,11 +4,13 @@
 #include "rewrite/unnest.h"
 
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algebra/plan_util.h"
 #include "frontend/translator.h"
+#include "rewrite/count_distinct.h"
 #include "sql/parser.h"
 #include "workload/rst.h"
 
@@ -336,6 +338,100 @@ TEST_F(RewriteTest, MultipleSubqueryConjunctsUnnestOneByOne) {
   EXPECT_FALSE(PlanHasNestedSubquery(*plan));
   auto census = Census(*plan);
   EXPECT_EQ(census[LogicalOpKind::kLeftOuterJoin], 2);
+}
+
+/// Every grouping (unary or binary) in the plan, with its aggregates and
+/// the input its aggregates read.
+struct GroupingView {
+  const std::vector<AggregateSpec>* aggregates;
+  const LogicalOp* aggregated_input;
+};
+std::vector<GroupingView> Groupings(const LogicalOp& root) {
+  std::vector<GroupingView> out;
+  for (const LogicalOp* node : TopologicalNodes(root)) {
+    if (node->kind() == LogicalOpKind::kGroupBy) {
+      out.push_back({&static_cast<const GroupByOp*>(node)->aggregates(),
+                     node->inputs()[0].op.get()});
+    } else if (node->kind() == LogicalOpKind::kBinaryGroupBy) {
+      out.push_back(
+          {&static_cast<const BinaryGroupByOp*>(node)->aggregates(),
+           node->inputs()[1].op.get()});
+    }
+  }
+  return out;
+}
+
+// q3 tree and q4 linear: every COUNT(DISTINCT *) grouping — the two Eqv. 1
+// Γs, or Eqv. 1's Γ and Eqv. 5's binary grouping — counts COUNT(*) over a
+// δ of its input, one line each.
+TEST_F(RewriteTest, CountDistinctStarBecomesCountStarOverDelta) {
+  for (const char* sql :
+       {"SELECT DISTINCT * FROM r "
+        "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2) "
+        "   OR a3 = (SELECT COUNT(DISTINCT *) FROM t WHERE a4 = c2)",
+        "SELECT DISTINCT * FROM r "
+        "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 "
+        "            OR b3 = (SELECT COUNT(DISTINCT *) FROM t "
+        "                     WHERE b4 = c2))"}) {
+    LogicalOpPtr unnested = Rewrite(sql);
+    std::vector<std::string> notes;
+    LogicalOpPtr plan = CountDistinctOverDelta(unnested, &notes);
+    ASSERT_EQ(notes.size(), 2u) << sql;
+    for (const std::string& note : notes) {
+      EXPECT_EQ(note.rfind("COUNT(DISTINCT *) as COUNT(*) over δ: Γ[", 0),
+                0u)
+          << note;
+    }
+    const auto groupings = Groupings(*plan);
+    ASSERT_EQ(groupings.size(), 2u);
+    for (const GroupingView& g : groupings) {
+      EXPECT_EQ(g.aggregated_input->kind(), LogicalOpKind::kDistinct);
+      for (const AggregateSpec& a : *g.aggregates) {
+        EXPECT_EQ(a.ToString(), "count(*)");
+      }
+    }
+    EXPECT_EQ(Census(*plan)[LogicalOpKind::kDistinct],
+              Census(*unnested)[LogicalOpKind::kDistinct] + 2);
+  }
+}
+
+// A grouping with any aggregate beside COUNT(DISTINCT *) keeps its
+// per-group sets: a δ below it would change the other aggregates' input.
+TEST_F(RewriteTest, MixedCountDistinctStarIsNotRewritten) {
+  for (const char* sql :
+       {"SELECT b2, COUNT(DISTINCT *), SUM(b3) FROM s GROUP BY b2",
+        "SELECT b2, COUNT(DISTINCT *), COUNT(DISTINCT b1) FROM s "
+        "GROUP BY b2",
+        "SELECT COUNT(DISTINCT b1) FROM s"}) {
+    LogicalOpPtr plan = Rewrite(sql);
+    std::vector<std::string> notes;
+    EXPECT_EQ(CountDistinctOverDelta(plan, &notes), plan) << sql;
+    EXPECT_TRUE(notes.empty()) << sql;
+  }
+}
+
+// Two groupings over one stream share one δ.
+TEST_F(RewriteTest, GroupingsOverOneStreamShareOneDelta) {
+  LogicalOpPtr s = Translate("SELECT * FROM s");
+  const LogicalOpPtr get = s->inputs().empty() ? s : s->inputs()[0].op;
+  ASSERT_EQ(get->kind(), LogicalOpKind::kGet);
+  AggregateSpec count;
+  count.func = AggFunc::kCount;
+  count.distinct = true;
+  count.output_name = "n";
+  auto group = [&](const char* key) {
+    std::vector<AggregateSpec> aggs;
+    aggs.push_back(count.Clone());
+    return std::make_shared<GroupByOp>(
+        LogicalInput{get}, std::vector<GroupKey>{{"s", key, ""}},
+        std::move(aggs), /*scalar=*/false);
+  };
+  LogicalOpPtr plan = std::make_shared<UnionOp>(LogicalInput{group("b2")},
+                                                LogicalInput{group("b4")});
+  std::vector<std::string> notes;
+  LogicalOpPtr rewritten = CountDistinctOverDelta(plan, &notes);
+  EXPECT_EQ(notes.size(), 2u);
+  EXPECT_EQ(Census(*rewritten)[LogicalOpKind::kDistinct], 1);
 }
 
 }  // namespace
