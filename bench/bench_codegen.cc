@@ -9,9 +9,6 @@
 //                  batch-1024 gain.
 //   bypass_select  the bypass σ± split (cheap disjunct ahead of a scalar
 //                  subquery disjunct) on the RST workload.
-//   tagged_k3/k5   the k-way tagged partition with 3/5 leading simple
-//                  disjuncts; the compiled loop folds all k predicates
-//                  into one pass with first-TRUE-claims routing.
 //   q2d            the paper's Query 2d on TPC-H (SF 0.01), end to end.
 //
 // PR 10 widens the compiled region past the pipeline breakers; the
@@ -36,8 +33,8 @@
 //   bench_codegen --assert-codegen
 // it checks that (a) a compiled pipeline installs and actually runs
 // (compiled_batches > 0, zero per-batch fallbacks), (b) compiled results
-// are multiset-identical to the interpreted oracle on filter, bypass,
-// and tagged shapes, (c) re-preparing the same query hits the artifact
+// are multiset-identical to the interpreted oracle on filter and bypass
+// shapes, (c) re-preparing the same query hits the artifact
 // cache instead of recompiling, and (d) the scratch directory holds no
 // leaked sources/objects afterwards. Skips cleanly (exit 0, "n/a") when
 // the tier is compiled out or the host toolchain probe fails. Exits
@@ -77,7 +74,7 @@ using namespace bypass;         // NOLINT(build/namespaces)
 using namespace bypass::bench;  // NOLINT(build/namespaces)
 
 // The 4-way disjunctive filter (no subquery, so the compiled chain spans
-// scan → result) and the RST disjunctions used for bypass/tagged cells.
+// scan → result) and the RST disjunction used for the bypass cell.
 // Domains per workload/rst.h: a2 ∈ [0,1000), a3 ∈ [0,rows), a4 ∈
 // [0,10000).
 const char kFilterSql[] =
@@ -85,13 +82,6 @@ const char kFilterSql[] =
     "OR a2 >= 950";
 const char kBypassSql[] =
     "SELECT COUNT(*) FROM r WHERE a2 < 100 "
-    "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
-const char kTagged3Sql[] =
-    "SELECT COUNT(*) FROM r WHERE a2 < 100 OR a4 > 8000 OR a3 < 100 "
-    "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
-const char kTagged5Sql[] =
-    "SELECT COUNT(*) FROM r WHERE a2 < 100 OR a4 > 8000 OR a3 < 100 "
-    "OR a2 >= 950 OR a4 <= 10 "
     "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
 
 // The widened-region shapes (r: --rows, s: 1% of r). *3 is near-unique
@@ -227,14 +217,10 @@ int AssertCodegen(int64_t rst_rows) {
   struct Shape {
     const char* name;
     const char* sql;
-    bool tagged;
   };
-  const Shape shapes[] = {{"filter", kFilterSql, false},
-                          {"bypass", kBypassSql, false},
-                          {"tagged", kTagged3Sql, true}};
+  const Shape shapes[] = {{"filter", kFilterSql}, {"bypass", kBypassSql}};
   for (const Shape& shape : shapes) {
     QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-    opts.rewrite.use_tagged_partition = shape.tagged;
     opts.enable_codegen = true;
     opts.codegen_synchronous = true;
     auto prepared = db.Prepare(shape.sql, opts);
@@ -445,7 +431,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Fixture 2: the RST bypass/tagged workload.
+  // Fixture 2: the RST bypass workload.
   Database rst_db;
   {
     RstOptions ro;
@@ -474,9 +460,8 @@ int main(int argc, char** argv) {
   }
 
   const QueryOptions plain;  // default strategy: canonical planner
-  QueryOptions unnested = QueryOptions::With(ExecutionStrategy::kUnnested);
-  QueryOptions tagged = unnested;
-  tagged.rewrite.use_tagged_partition = true;
+  const QueryOptions unnested =
+      QueryOptions::With(ExecutionStrategy::kUnnested);
 
   struct Row {
     const char* name;
@@ -487,8 +472,6 @@ int main(int argc, char** argv) {
   const Row rows[] = {
       {"filter_1m", &filter_db, kFilterSql, plain},
       {"bypass_select", &rst_db, kBypassSql, unnested},
-      {"tagged_k3", &rst_db, kTagged3Sql, tagged},
-      {"tagged_k5", &rst_db, kTagged5Sql, tagged},
       {"q2d", &tpch_db, TpchQuery2d(), unnested},
   };
   // The widened-region (generation 2) cells run on the filter fixture:

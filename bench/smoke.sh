@@ -10,7 +10,7 @@ set -euo pipefail
 BUILD_DIR=${1:-build}
 BIN=${BUILD_DIR}/bench
 
-for b in bench_operators bench_hash bench_columnar bench_tagged bench_q1 \
+for b in bench_operators bench_hash bench_columnar bench_q1 \
          bench_q2corr bench_q2d bench_q3_tree bench_q4_linear \
          bench_quantified bench_select_clause bench_ablation_rank \
          bench_stats bench_serving bench_storage bench_codegen; do
@@ -39,16 +39,6 @@ run "${BIN}/bench_columnar" --benchmark_min_time=0.01 \
 # option is off. Exits nonzero on failure.
 run "${BIN}/bench_columnar" --assert-columnar
 
-run "${BIN}/bench_tagged" --benchmark_min_time=0.01 \
-  --benchmark_filter='BM_TaggedPartition/3/1$|BM_CascadeSimpleFirst/3/1024$'
-
-# Tagged plumbing assertion: on a ≥3-disjunct mixed-selectivity query the
-# cost-based optimizer must pick the k-way tagged plan on its own, the
-# executor must report tagged batches routing every base row to exactly
-# one stream, and the cascade control must report none. Exits nonzero on
-# failure.
-run "${BIN}/bench_tagged" --assert-tagged
-
 # Paper-table harnesses: smallest grid, tiny data, short per-cell budget.
 run "${BIN}/bench_q1" --quick --rows-per-sf=20 --timeout=10
 run "${BIN}/bench_q2corr" --quick --rows-per-sf=20 --timeout=10
@@ -74,7 +64,7 @@ run "${BIN}/bench_serving" --assert-serving --rows=500
 run "${BIN}/bench_storage" --quick --assert-storage
 
 # Codegen plumbing assertion: a compiled pipeline must install and run
-# natively on filter/bypass/tagged shapes with results multiset-identical
+# natively on filter/bypass shapes with results multiset-identical
 # to the interpreted oracle, re-preparing must hit the artifact cache
 # instead of recompiling, and the scratch directory must hold no leaked
 # emitted files. Prints n/a and passes on builds without the tier.

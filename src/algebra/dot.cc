@@ -22,7 +22,6 @@ const char* NodeShape(LogicalOpKind kind) {
     case LogicalOpKind::kGet:
       return "cylinder";
     case LogicalOpKind::kBypassSelect:
-    case LogicalOpKind::kBypassPartition:
       return "diamond";
     case LogicalOpKind::kUnion:
       return "invtriangle";
@@ -56,17 +55,6 @@ std::string PlanToDot(const LogicalOp& root,
         const bool negative = in.port == StreamPort::kNegative;
         os << " [label=\"" << (negative ? "-" : "+") << "\""
            << (negative ? ", style=dashed" : "") << "]";
-      } else if (in.op->kind() == LogicalOpKind::kBypassPartition) {
-        const auto* part =
-            static_cast<const BypassPartitionOp*>(in.op.get());
-        const int p = static_cast<int>(in.port);
-        const bool rest =
-            p == static_cast<int>(part->predicates().size());
-        if (rest) {
-          os << " [label=\"rest\", style=dashed]";
-        } else {
-          os << " [label=\"t" << p << "\"]";
-        }
       }
       os << ";\n";
     }

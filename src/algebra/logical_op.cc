@@ -35,8 +35,6 @@ const char* LogicalOpKindToString(LogicalOpKind kind) {
       return "UnionAll";
     case LogicalOpKind::kBypassSelect:
       return "BypassSelect";
-    case LogicalOpKind::kBypassPartition:
-      return "BypassPartition";
     case LogicalOpKind::kNumbering:
       return "Numbering";
     case LogicalOpKind::kSort:
@@ -187,34 +185,6 @@ std::string BypassSelectOp::Label() const {
 LogicalOpPtr BypassSelectOp::CloneNode(std::vector<LogicalInput> in) const {
   return std::make_shared<BypassSelectOp>(std::move(in[0]),
                                           predicate_->Clone());
-}
-
-// ------------------------------------------------------- BypassPartition
-
-BypassPartitionOp::BypassPartitionOp(LogicalInput input,
-                                     std::vector<ExprPtr> predicates)
-    : LogicalOp({std::move(input)}, Schema()),
-      predicates_(std::move(predicates)) {
-  BYPASS_CHECK_MSG(!predicates_.empty(),
-                   "bypass partition needs at least one disjunct");
-  schema_ = input_schema(0);
-}
-
-std::string BypassPartitionOp::Label() const {
-  std::vector<std::string> parts;
-  parts.reserve(predicates_.size());
-  for (const ExprPtr& p : predicates_) parts.push_back(p->ToString());
-  return "BypassPartition±[k=" + std::to_string(predicates_.size()) +
-         "] " + Join(parts, " | ");
-}
-
-LogicalOpPtr BypassPartitionOp::CloneNode(
-    std::vector<LogicalInput> in) const {
-  std::vector<ExprPtr> preds;
-  preds.reserve(predicates_.size());
-  for (const ExprPtr& p : predicates_) preds.push_back(p->Clone());
-  return std::make_shared<BypassPartitionOp>(std::move(in[0]),
-                                             std::move(preds));
 }
 
 // ---------------------------------------------------------------- Project
@@ -554,17 +524,7 @@ struct PrintState {
 void PrintNode(const LogicalOp* node, StreamPort port, int indent,
                PrintState* state, std::ostringstream* os) {
   for (int i = 0; i < indent; ++i) *os << "  ";
-  if (node->kind() == LogicalOpKind::kBypassPartition) {
-    // Multiway streams: [t<i>] = disjunct i's tagged stream,
-    // [rest] = the all-false/unknown remainder.
-    const auto* part = static_cast<const BypassPartitionOp*>(node);
-    const int p = static_cast<int>(port);
-    if (p == static_cast<int>(part->predicates().size())) {
-      *os << "[rest] ";
-    } else {
-      *os << "[t" << p << "] ";
-    }
-  } else if (port == StreamPort::kNegative) {
+  if (port == StreamPort::kNegative) {
     *os << "[-] ";
   } else if (state->shared_ids.count(node) > 0) {
     *os << "[+] ";

@@ -2,8 +2,8 @@
 // Core operators plus the five extensions (unary grouping Γ, binary
 // grouping Γ, left outer join with default function, numbering ν, map χ)
 // and the bypass selection σ± from Kemper et al. [17]. Plans are DAGs:
-// bypass operators have two or more output ports (positive/negative, or
-// k tagged streams plus a remainder) that a disjoint union re-unites.
+// bypass operators have two output ports (positive/negative) that a
+// disjoint union re-unites.
 #ifndef BYPASSDB_ALGEBRA_LOGICAL_OP_H_
 #define BYPASSDB_ALGEBRA_LOGICAL_OP_H_
 
@@ -22,12 +22,10 @@ namespace bypass {
 class LogicalOp;
 using LogicalOpPtr = std::shared_ptr<LogicalOp>;
 
-/// Output stream selector. Non-bypass operators only have kOut. The
-/// k-way bypass partition exposes k+1 streams addressed by plain index
-/// (static_cast<StreamPort>(i)); named values cover the binary cases.
+/// Output stream selector. Non-bypass operators only have kOut.
 enum class StreamPort : int {
-  kOut = 0,       ///< the (positive / first tagged) output
-  kNegative = 1,  ///< binary bypass operators' complement stream
+  kOut = 0,       ///< the (positive) output
+  kNegative = 1,  ///< bypass operators' complement stream
 };
 
 /// An edge in the plan DAG: a child operator plus which of its output
@@ -51,7 +49,6 @@ enum class LogicalOpKind {
   kBinaryGroupBy,
   kUnion,
   kBypassSelect,
-  kBypassPartition,
   kNumbering,
   kSort,
   kLimit,
@@ -175,34 +172,6 @@ class BypassSelectOp : public LogicalOp {
 
  private:
   ExprPtr predicate_;
-};
-
-/// K-way tagged bypass partition σ±_{p1|...|pk}: one node splits its
-/// input into k+1 streams. Stream i < k carries the tuples whose *first*
-/// TRUE disjunct is p_{i+1} (the tag set of tagged execution); stream k
-/// carries the remainder, on which every disjunct was false or unknown.
-/// Equivalent to a cascade of k bypass selections over the same ordered
-/// disjuncts. All streams share the input schema.
-class BypassPartitionOp : public LogicalOp {
- public:
-  BypassPartitionOp(LogicalInput input, std::vector<ExprPtr> predicates);
-  LogicalOpKind kind() const override {
-    return LogicalOpKind::kBypassPartition;
-  }
-  const std::vector<ExprPtr>& predicates() const { return predicates_; }
-  /// The tagged stream of disjunct i (i < predicates().size()).
-  StreamPort stream(size_t i) const { return static_cast<StreamPort>(i); }
-  /// The remainder stream (port k).
-  StreamPort remainder() const {
-    return static_cast<StreamPort>(predicates_.size());
-  }
-  std::string Label() const override;
-
- protected:
-  LogicalOpPtr CloneNode(std::vector<LogicalInput> in) const override;
-
- private:
-  std::vector<ExprPtr> predicates_;
 };
 
 /// Projection Π. Duplicate-preserving; pair with DistinctOp for Π^D.
@@ -394,8 +363,7 @@ class BinaryGroupByOp : public LogicalOp {
 class UnionOp : public LogicalOp {
  public:
   UnionOp(LogicalInput left, LogicalInput right);
-  /// N-ary form (n >= 1): one union node re-unites all k+1 streams of a
-  /// k-way bypass partition instead of a chain of binary unions.
+  /// N-ary form (n >= 1), used by cloning.
   explicit UnionOp(std::vector<LogicalInput> inputs);
   LogicalOpKind kind() const override { return LogicalOpKind::kUnion; }
   std::string Label() const override { return "UnionAll"; }

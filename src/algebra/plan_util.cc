@@ -21,12 +21,6 @@ std::vector<ExprPtr> NodeExpressions(const LogicalOp& node) {
     case LogicalOpKind::kBypassSelect:
       out.push_back(static_cast<const BypassSelectOp&>(node).predicate());
       break;
-    case LogicalOpKind::kBypassPartition:
-      for (const ExprPtr& p :
-           static_cast<const BypassPartitionOp&>(node).predicates()) {
-        out.push_back(p);
-      }
-      break;
     case LogicalOpKind::kProject:
       for (const NamedExpr& it :
            static_cast<const ProjectOp&>(node).items()) {

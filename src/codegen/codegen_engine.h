@@ -1,6 +1,6 @@
 // CodegenEngine: the JIT tier's compile service (DESIGN.md §12). Plans
-// whose filter/bypass/partition chains lower to C++ (codegen/lower_chain.h)
-// submit the emitted source here; the engine compiles it with the host
+// whose filter/bypass chains lower to C++ (codegen/lower_chain.h) submit
+// the emitted source here; the engine compiles it with the host
 // compiler into a shared object, dlopens it, and publishes the entry point
 // through a CompiledFnSlot. Compilation is asynchronous by default — the
 // serving path never blocks on the compiler; executions run interpreted

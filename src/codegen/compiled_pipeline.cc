@@ -432,30 +432,6 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
   stats->compiled_batches += 1;
 
   const bool was_dense = batch.dense();
-  if (chain_.tagged) {
-    // Mirror BypassPartitionKOp's accounting: one tagged batch, row
-    // counts for every stream including empty ones and the remainder.
-    const size_t k = static_cast<size_t>(chain_.tagged_k);
-    stats->tagged_batches += 1;
-    if (stats->tagged_stream_rows.size() < k + 1) {
-      stats->tagged_stream_rows.resize(k + 1, 0);
-    }
-    for (size_t i = 0; i <= k; ++i) {
-      stats->tagged_stream_rows[i] += static_cast<int64_t>(s.counts[i]);
-      if (s.counts[i] == 0) continue;
-      RowBatch out = batch.ShareWithSelection(std::vector<uint32_t>(
-          s.streams[i].begin(),
-          s.streams[i].begin() + static_cast<ptrdiff_t>(s.counts[i])));
-      if (was_dense && !out.empty() &&
-          out.selection().back() - out.selection().front() + 1 ==
-              out.size()) {
-        out.MarkDense();
-      }
-      BYPASS_RETURN_IF_ERROR(Emit(static_cast<int>(i), std::move(out)));
-    }
-    return Status::OK();
-  }
-
   if (ports == 2) {
     // σ± split: negative view is built before the positive selection
     // mutates the batch (BypassFilterOp's order).

@@ -1,6 +1,6 @@
 // CompiledPipelineOp: the phys-op face of the codegen tier (DESIGN.md
 // §12). It is spliced between a table scan and the consumers of a
-// lowered filter/σ±/k-way-partition chain, and routes each batch either
+// lowered filter/σ± chain, and routes each batch either
 // through the compiled function (one native pass producing every output
 // port's selection) or — while the async compile is still pending, when
 // the batch carries no typed columns, or when a per-batch guard fails —

@@ -8,7 +8,6 @@
 #include "codegen/compiled_pipeline.h"
 #include "codegen/lower_chain.h"
 #include "engine/query_options.h"
-#include "exec/bypass_partition.h"
 #include "exec/filter.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
@@ -22,7 +21,7 @@ namespace {
 /// ops.front() is the fallback entry, ops.back() the terminal whose
 /// output ports the compiled operator mirrors. `next` is the first
 /// operator past the filter prefix when the chain did not close on a
-/// σ±/partition terminal — the generation-2 pass probes it for a fusable
+/// σ± terminal — the generation-2 pass probes it for a fusable
 /// pipeline breaker (it is null after an unsupported filter or fan-out,
 /// where the breaker would not be contiguous with the compiled prefix).
 struct DiscoveredChain {
@@ -33,15 +32,15 @@ struct DiscoveredChain {
 
 /// Walks downstream from the scan's single consumer, accepting filters
 /// while each has exactly one port-0 consumer fed on in-port 0, and
-/// closing the chain on a bypass split or k-way partition. Stops at the
-/// first unsupported stage — the compiled prefix must start at the scan,
-/// so an unsupported head yields an empty chain.
+/// closing the chain on a bypass split. Stops at the first unsupported
+/// stage — the compiled prefix must start at the scan, so an unsupported
+/// head yields an empty chain.
 DiscoveredChain DiscoverChain(PhysOp* first, const Schema& schema) {
   DiscoveredChain chain;
   PhysOp* cur = first;
   while (cur != nullptr) {
     if (auto* filter = dynamic_cast<FilterOp*>(cur)) {
-      ChainStage stage{ChainStageKind::kFilter, {&filter->predicate()}};
+      ChainStage stage{ChainStageKind::kFilter, &filter->predicate()};
       if (!StageSupported(stage, schema)) break;
       chain.stages.push_back(std::move(stage));
       chain.ops.push_back(filter);
@@ -57,23 +56,10 @@ DiscoveredChain DiscoverChain(PhysOp* first, const Schema& schema) {
       break;
     }
     if (auto* bypass = dynamic_cast<BypassFilterOp*>(cur)) {
-      ChainStage stage{ChainStageKind::kBypass, {&bypass->predicate()}};
+      ChainStage stage{ChainStageKind::kBypass, &bypass->predicate()};
       if (StageSupported(stage, schema)) {
         chain.stages.push_back(std::move(stage));
         chain.ops.push_back(bypass);
-      }
-      break;
-    }
-    if (auto* part = dynamic_cast<BypassPartitionKOp*>(cur)) {
-      if (part->predicates().size() >= 2) {
-        ChainStage stage{ChainStageKind::kPartitionK, {}};
-        for (const ExprPtr& p : part->predicates()) {
-          stage.predicates.push_back(p.get());
-        }
-        if (StageSupported(stage, schema)) {
-          chain.stages.push_back(std::move(stage));
-          chain.ops.push_back(part);
-        }
       }
       break;
     }
@@ -256,6 +242,54 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
   return true;
 }
 
+/// Generation 2: a fused probe/accumulate terminal subsumes the whole
+/// filter prefix (and may exist with no filters at all). The scan may
+/// feed the breaker directly on a non-zero port (its build side) —
+/// recognition rejects that before anything else. Returns whether a
+/// compiled operator was installed.
+bool InstallWidened(TableScanOp* scan, PhysicalPlan* plan,
+                    CodegenEngine* engine, const QueryOptions& options,
+                    uint64_t stats_epoch, uint64_t plan_tag) {
+  const auto scan_edges = scan->consumers(kPortOut);
+  const Schema& schema = scan->table_schema();
+  DiscoveredChain chain =
+      scan_edges[0].in_port == 0
+          ? DiscoverChain(scan_edges[0].consumer, schema)
+          : DiscoveredChain{{}, {}, scan_edges[0].consumer};
+  WidenedTerminal terminal;
+  LoweredChain lowered;
+  const int terminal_in_port = chain.ops.empty() ? scan_edges[0].in_port : 0;
+  if (chain.next == nullptr ||
+      !RecognizeWidenedTerminal(chain.next, terminal_in_port, schema,
+                                &terminal) ||
+      !LowerChainWidened(chain.stages, terminal.desc, schema, &lowered)) {
+    return false;
+  }
+  CompiledFnSlotPtr slot = engine->Submit(
+      lowered.source, stats_epoch, options.codegen_synchronous, plan_tag);
+  if (slot == nullptr) return false;
+  PhysOp* head = chain.ops.empty() ? terminal.entry : chain.ops.front();
+  auto compiled = std::make_unique<CompiledPipelineOp>(
+      std::move(slot), std::move(lowered), head, terminal.join,
+      terminal.group);
+  if (terminal.desc.kind == ChainTerminalKind::kJoinProbe) {
+    // The compiled probe emits joined rows straight to the join's
+    // consumers; the join keeps its edges for fallback batches and
+    // end-of-stream.
+    for (const PhysOp::ConsumerEdge& e : terminal.join->consumers(kPortOut)) {
+      compiled->AddConsumer(kPortOut, e.consumer, e.in_port);
+    }
+    compiled->set_estimated_rows(kPortOut,
+                                 terminal.join->estimated_rows(kPortOut));
+  }
+  // Accumulate shapes emit nothing: results leave through the group-by's
+  // own finish. The operator still owns one out port (the lowered
+  // chain's), just with no edges.
+  scan->ReplaceConsumers(kPortOut, compiled.get(), 0);
+  plan->ops.push_back(std::move(compiled));
+  return true;
+}
+
 }  // namespace
 
 int InstallCompiledPipelines(PhysicalPlan* plan, CodegenEngine* engine,
@@ -267,63 +301,16 @@ int InstallCompiledPipelines(PhysicalPlan* plan, CodegenEngine* engine,
   int installed = 0;
   for (TableScanOp* scan : plan->sources) {
     if (scan->num_consumers(kPortOut) != 1) continue;
-    const auto scan_edges = scan->consumers(kPortOut);
-
-    const Schema& schema = scan->table_schema();
-
-    // Generation 2 first: a fused probe/accumulate terminal subsumes the
-    // whole filter prefix (and may exist with no filters at all). The
-    // scan may feed the breaker directly on a non-zero port (its build
-    // side) — recognition rejects that before anything else.
-    if (options.codegen_widened &&
-        scan->estimated_rows(kPortOut) >=
-            static_cast<double>(options.codegen_min_fused_rows)) {
-      DiscoveredChain chain =
-          scan_edges[0].in_port == 0
-              ? DiscoverChain(scan_edges[0].consumer, schema)
-              : DiscoveredChain{{}, {}, scan_edges[0].consumer};
-      WidenedTerminal terminal;
-      LoweredChain lowered;
-      const int terminal_in_port =
-          chain.ops.empty() ? scan_edges[0].in_port : 0;
-      if (chain.next != nullptr &&
-          RecognizeWidenedTerminal(chain.next, terminal_in_port, schema,
-                                   &terminal) &&
-          LowerChainWidened(chain.stages, terminal.desc, schema,
-                            &lowered)) {
-        CompiledFnSlotPtr slot =
-            engine->Submit(lowered.source, stats_epoch,
-                           options.codegen_synchronous, plan_tag);
-        if (slot != nullptr) {
-          PhysOp* head =
-              chain.ops.empty() ? terminal.entry : chain.ops.front();
-          auto compiled = std::make_unique<CompiledPipelineOp>(
-              std::move(slot), std::move(lowered), head, terminal.join,
-              terminal.group);
-          if (terminal.desc.kind == ChainTerminalKind::kJoinProbe) {
-            // The compiled probe emits joined rows straight to the
-            // join's consumers; the join keeps its edges for fallback
-            // batches and end-of-stream.
-            for (const PhysOp::ConsumerEdge& e :
-                 terminal.join->consumers(kPortOut)) {
-              compiled->AddConsumer(kPortOut, e.consumer, e.in_port);
-            }
-            compiled->set_estimated_rows(
-                kPortOut, terminal.join->estimated_rows(kPortOut));
-          }
-          // Accumulate shapes emit nothing: results leave through the
-          // group-by's own finish. The operator still owns one out port
-          // (the lowered chain's), just with no edges.
-          scan->ReplaceConsumers(kPortOut, compiled.get(), 0);
-          plan->ops.push_back(std::move(compiled));
-          ++installed;
-          continue;
-        }
-      }
+    if (InstallWidened(scan, plan, engine, options, stats_epoch,
+                       plan_tag)) {
+      ++installed;
+      continue;
     }
 
     // Generation 1: the routing-chain shapes of PR 9.
+    const auto scan_edges = scan->consumers(kPortOut);
     if (scan_edges[0].in_port != 0) continue;
+    const Schema& schema = scan->table_schema();
     DiscoveredChain chain = DiscoverChain(scan_edges[0].consumer, schema);
     if (chain.stages.empty()) continue;
 

@@ -1,8 +1,8 @@
 // The codegen splice pass (DESIGN.md §12): after the planner lowered a
 // logical plan to a PhysicalPlan, this pass finds each scan-rooted
 // straight-line chain of supported filters — optionally terminated by a
-// σ± bypass split or a k-way tagged partition — lowers the longest
-// compilable prefix to C++ (codegen/lower_chain.h), submits it to the
+// σ± bypass split — lowers the longest compilable prefix to C++
+// (codegen/lower_chain.h), submits it to the
 // CodegenEngine, and splices a CompiledPipelineOp between the scan and
 // the chain's consumers. The interpreted chain stays in the plan, wired
 // to the same consumers: it is the fallback path while the async compile

@@ -297,7 +297,7 @@ std::string Emitter::EmitPredicate(const Expr& e, int depth) {
       if (terms.empty()) return std::string();
       const std::string t = Fresh("t");
       // TriAnd/TriOr fold with short-circuit on the dominating value —
-      // FALSE for AND, TRUE for OR (the k-way tag discipline).
+      // FALSE for AND, TRUE for OR.
       body_ << "      int " << t << " = " << (is_and ? 1 : 0) << ";\n"
             << "      do {\n";
       for (const auto& term : terms) {
@@ -469,58 +469,26 @@ bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
                 LoweredChain* out) {
   if (stages.empty()) return false;
   Emitter em(schema);
-  // Lower every stage's predicates in chain order into one straight-line
-  // row body. A row exits the do-while early when a σ drops it or a
-  // partition disjunct claims it.
+  // Lower every stage's predicate in chain order into one straight-line
+  // row body. A row exits the do-while early when a σ drops it.
   std::ostringstream row;
   int num_ports = 1;
-  bool tagged = false;
-  int tagged_k = 0;
   for (size_t si = 0; si < stages.size(); ++si) {
     const ChainStage& st = stages[si];
     const bool terminal = si + 1 == stages.size();
-    switch (st.kind) {
-      case ChainStageKind::kFilter: {
-        if (st.predicates.size() != 1 || !st.predicates[0]) return false;
-        const std::string t = em.EmitPredicate(*st.predicates[0], 0);
-        if (t.empty()) return false;
-        row << em.TakeBody();
-        row << "      if (" << t << " != 1) break;\n";
-        if (terminal) row << "      o0[n0++] = r;\n";
-        break;
-      }
-      case ChainStageKind::kBypass: {
-        if (!terminal || st.predicates.size() != 1 || !st.predicates[0]) {
-          return false;
-        }
-        const std::string t = em.EmitPredicate(*st.predicates[0], 0);
-        if (t.empty()) return false;
-        row << em.TakeBody();
-        row << "      if (" << t << " == 1) o0[n0++] = r;\n"
-            << "      else o1[n1++] = r;\n";
-        num_ports = 2;
-        break;
-      }
-      case ChainStageKind::kPartitionK: {
-        if (!terminal || st.predicates.size() < 2) return false;
-        const int k = static_cast<int>(st.predicates.size());
-        for (int j = 0; j < k; ++j) {
-          if (!st.predicates[j]) return false;
-          const std::string t = em.EmitPredicate(*st.predicates[j], 0);
-          if (t.empty()) return false;
-          row << em.TakeBody();
-          row << "      if (" << t << " == 1) { o" << j << "[n" << j
-              << "++] = r; break; }\n";
-        }
-        // No disjunct claimed the row: remainder stream k.
-        row << "      o" << k << "[n" << k << "++] = r;\n";
-        num_ports = k + 1;
-        tagged = true;
-        tagged_k = k;
-        break;
-      }
+    if (st.predicate == nullptr) return false;
+    const std::string t = em.EmitPredicate(*st.predicate, 0);
+    if (t.empty()) return false;
+    row << em.TakeBody();
+    if (st.kind == ChainStageKind::kFilter) {
+      row << "      if (" << t << " != 1) break;\n";
+      if (terminal) row << "      o0[n0++] = r;\n";
+    } else {
+      if (!terminal) return false;
+      row << "      if (" << t << " == 1) o0[n0++] = r;\n"
+          << "      else o1[n1++] = r;\n";
+      num_ports = 2;
     }
-    if (terminal && st.kind == ChainStageKind::kFilter) break;
   }
 
   // Assemble the translation unit. It is deliberately freestanding: the
@@ -559,11 +527,8 @@ bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
   out->source = src.str();
   out->slots = em.slots();
   out->num_out_ports = num_ports;
-  out->tagged = tagged;
-  out->tagged_k = tagged_k;
   std::ostringstream summary;
   summary << stages.size() << (stages.size() == 1 ? " stage" : " stages");
-  if (tagged) summary << ", k=" << tagged_k;
   summary << ", " << em.slots().size()
           << (em.slots().size() == 1 ? " col" : " cols");
   out->summary = summary.str();
@@ -603,15 +568,14 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
 
   Emitter em(schema);
   // Filters lower exactly like generation 1: straight-line row body, a
-  // failing σ exits the do-while early. σ±/partition stages cannot feed
+  // failing σ exits the do-while early. σ± stages cannot feed
   // a fused breaker (they fan out) — the install pass never offers them.
   std::ostringstream filters;
   for (const ChainStage& st : stages) {
-    if (st.kind != ChainStageKind::kFilter || st.predicates.size() != 1 ||
-        st.predicates[0] == nullptr) {
+    if (st.kind != ChainStageKind::kFilter || st.predicate == nullptr) {
       return false;
     }
-    const std::string t = em.EmitPredicate(*st.predicates[0], 0);
+    const std::string t = em.EmitPredicate(*st.predicate, 0);
     if (t.empty()) return false;
     filters << em.TakeBody();
     filters << "      if (" << t << " != 1) break;\n";
@@ -898,8 +862,6 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
   out->source = src.str();
   out->slots = em.slots();
   out->num_out_ports = 1;
-  out->tagged = false;
-  out->tagged_k = 0;
   out->generation = 2;
   out->terminal = terminal;
   std::ostringstream summary;

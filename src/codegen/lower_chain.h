@@ -1,13 +1,12 @@
 // Chain lowering: turns a straight-line operator chain — zero or more
-// σ filters optionally terminated by one σ± bypass split or one k-way
-// tagged BypassPartition± — into one self-contained C++ translation unit
-// implementing the fused per-row routing loop (DESIGN.md §12). The
+// σ filters optionally terminated by one σ± bypass split — into one
+// self-contained C++ translation unit implementing the fused per-row
+// routing loop (DESIGN.md §12). The
 // emitted function replicates the interpreter's semantics exactly:
 //
 //   * SQL 3VL encoded as int {0 = false, 1 = true, 2 = unknown}, with
 //     AND/OR short-circuiting per row exactly like TriAnd/TriOr folds
-//     (OR exits on the first TRUE disjunct — the tag discipline of the
-//     k-way partition).
+//     (OR exits on the first TRUE disjunct).
 //   * Comparisons monomorphized on the columns' declared types: int64 ×
 //     int64 compares exactly; mixed numeric widens to double through the
 //     same ordering function as Value::CompareSlow (NaN compares equal
@@ -38,16 +37,14 @@
 namespace bypass {
 
 enum class ChainStageKind {
-  kFilter,      ///< σ: TRUE rows continue, rest dropped
-  kBypass,      ///< σ±: TRUE → port 0, FALSE/UNKNOWN → port 1 (terminal)
-  kPartitionK,  ///< k-way: first-TRUE disjunct i → port i, rest → port k
+  kFilter,  ///< σ: TRUE rows continue, rest dropped
+  kBypass,  ///< σ±: TRUE → port 0, FALSE/UNKNOWN → port 1 (terminal)
 };
 
-/// One operator of the chain. Filters and bypass splits carry one
-/// predicate; a k-way partition carries its k rank-ordered disjuncts.
+/// One operator of the chain and its predicate.
 struct ChainStage {
   ChainStageKind kind;
-  std::vector<const Expr*> predicates;
+  const Expr* predicate;
 };
 
 /// One input column the emitted code reads: the table-schema slot and
@@ -93,9 +90,6 @@ struct LoweredChain {
   /// Columns in CgBatch::cols order.
   std::vector<CgSlotUse> slots;
   int num_out_ports = 1;
-  /// Terminal is a k-way tagged partition (tagged-stream stats apply).
-  bool tagged = false;
-  int tagged_k = 0;
   /// ABI generation of the emitted entry point (1 = routing chain,
   /// 2 = widened probe/accumulate chain).
   int generation = 1;
@@ -115,7 +109,7 @@ bool LowerChain(const std::vector<ChainStage>& stages,
 /// this to find the longest compilable prefix of a chain.
 bool StageSupported(const ChainStage& stage, const Schema& schema);
 
-/// Generation-2 lowering: σ filters (only — no σ±/partition stages, and
+/// Generation-2 lowering: σ filters (only — no σ± stage, and
 /// `stages` may be empty for a bare scan→breaker chain) terminated by a
 /// fused hash-join probe and/or group-by accumulate loop. The emitted TU
 /// exports bypass_cg_run2 (abi 2); it probes the interpreter's hash

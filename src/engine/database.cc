@@ -131,29 +131,6 @@ Result<PlannedLogical> PlanLogical(const Catalog* catalog,
                                 label});
         }
       }
-      if (!ropts.use_tagged_partition) {
-        // Fourth shape: collapse the leading simple-disjunct run into a
-        // k-way tagged partition. Its estimate drops the per-level
-        // operator constant of the cascade, so it wins exactly when the
-        // partition applies (≥2 leading simple disjuncts). Tried under
-        // both orderings that keep simple disjuncts in front — the rank
-        // order can differ from the cheapest partition order.
-        for (const DisjunctOrder order :
-             {ropts.disjunct_order, DisjunctOrder::kSimpleFirst}) {
-          RewriteOptions fopts = ropts;
-          fopts.disjunct_order = order;
-          fopts.use_tagged_partition = true;
-          UnnestingRewriter tagged_rewriter(fopts);
-          BYPASS_ASSIGN_OR_RETURN(
-              LogicalOpPtr plan,
-              tagged_rewriter.Rewrite(CloneLogicalPlan(before)));
-          candidates.push_back({plan, tagged_rewriter.applied_rules(),
-                                tagged_rewriter.key_reductions(),
-                                EstimatePlan(*plan, catalog).cost,
-                                "cost-based: picked k-way tagged"});
-          if (order == DisjunctOrder::kSimpleFirst) break;  // no repeat
-        }
-      }
       candidates.push_back({before,
                             {"cost-based: kept canonical"},
                             {},

@@ -41,7 +41,6 @@ std::string PlanCacheKey(const std::string& sql,
   key.push_back(options.collect_plans ? 'p' : '-');
   const RewriteOptions& r = options.rewrite;
   key.push_back(r.enable_quantified ? 'q' : '-');
-  key.push_back(r.use_tagged_partition ? 't' : '-');
   key.push_back(options.enable_codegen ? 'g' : '-');
   key.push_back(options.codegen_synchronous ? 'y' : '-');
   key.push_back(static_cast<char>('0' + static_cast<int>(r.disjunct_order)));

@@ -190,24 +190,15 @@ struct QueryOptions {
   //     host toolchain; otherwise silently interpreted.
 
   /// Splice compiled pipelines into prepared plans: scan-rooted
-  /// filter/σ±/k-way-partition chains are JIT-compiled via the host
-  /// compiler + dlopen. Off by default — serving workloads that prepare
+  /// filter/σ± chains (and an eligible hash-join probe or group-by
+  /// accumulate behind them) are JIT-compiled via the host compiler +
+  /// dlopen. Off by default — serving workloads that prepare
   /// once and execute many opt in.
   bool enable_codegen = false;
   /// Compile on the preparing thread instead of the background compile
   /// thread, so the first execution already runs native. For tests and
   /// compile-time measurement; serving keeps the default (async).
   bool codegen_synchronous = false;
-  /// Widened compiled region: also fuse an eligible hash-join probe
-  /// and/or group-by accumulate terminal into the compiled chain
-  /// (second entry-point generation, DESIGN.md §12). Only consulted when
-  /// enable_codegen is set; turning it off restores the PR 9 behavior
-  /// where every pipeline breaker stays interpreted.
-  bool codegen_widened = true;
-  /// Cost gate for the widened shapes: scans whose estimated cardinality
-  /// falls below this skip probe/accumulate fusion (the plain filter
-  /// chain may still compile). 0 = fuse every eligible shape.
-  int64_t codegen_min_fused_rows = 0;
 };
 
 struct QueryResult {

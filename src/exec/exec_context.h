@@ -41,14 +41,10 @@ struct ExecStats {
   /// columnar path is disabled — the row-oracle mode of the
   /// differential tests and benches).
   int64_t columnar_batches = 0;
-  /// Batches partitioned by a k-way tagged bypass operator (0 when no
-  /// tagged plan ran — the smoke probe's negative control).
+  /// Always 0: no operator partitions batches into tagged streams any
+  /// more. Kept only because perfbench reports it as
+  /// exec.tagged_batches; it goes with the next benchmark change.
   int64_t tagged_batches = 0;
-  /// Per-output-stream row counts of the k-way tagged partitions: entry
-  /// i < k counts rows whose first TRUE disjunct was i, the last entry
-  /// counts the remainder stream. Sized on first use; attribution data
-  /// for the BENCH_PR6 sweep.
-  std::vector<int64_t> tagged_stream_rows;
   /// Segment-storage counters: segments consulted by scans, segments
   /// whose zone maps proved the pushed-down predicate unsatisfiable, and
   /// the rows those skips avoided touching.
@@ -95,12 +91,6 @@ struct ExecStats {
     codegen_cache_hits += other.codegen_cache_hits;
     compiled_join_batches += other.compiled_join_batches;
     compiled_agg_batches += other.compiled_agg_batches;
-    if (tagged_stream_rows.size() < other.tagged_stream_rows.size()) {
-      tagged_stream_rows.resize(other.tagged_stream_rows.size(), 0);
-    }
-    for (size_t i = 0; i < other.tagged_stream_rows.size(); ++i) {
-      tagged_stream_rows[i] += other.tagged_stream_rows[i];
-    }
   }
 };
 

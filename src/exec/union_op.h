@@ -1,13 +1,11 @@
 // Disjoint multiset union: forwards rows from all input ports unchanged
 // and finishes once every input has finished. Re-unites bypass streams —
-// the two ports of a binary σ± cascade, or the k+1 tagged streams of a
-// k-way bypass partition. Parallel-safe without locking: Consume is
-// stateless forwarding, and finished_inputs_ is only touched on the
-// finish path, which always runs single-threaded on the driver after the
-// worker pool has drained. Determinism is inherited from Emit/EmitFinish:
-// each worker's batches forward in arrival order and pending rows flush
-// in worker order, so k tagged streams merge exactly as the equivalent
-// cascade's streams did.
+// the two ports of a binary σ± cascade. Parallel-safe without locking:
+// Consume is stateless forwarding, and finished_inputs_ is only touched
+// on the finish path, which always runs single-threaded on the driver
+// after the worker pool has drained. Determinism is inherited from
+// Emit/EmitFinish: each worker's batches forward in arrival order and
+// pending rows flush in worker order.
 #ifndef BYPASSDB_EXEC_UNION_OP_H_
 #define BYPASSDB_EXEC_UNION_OP_H_
 

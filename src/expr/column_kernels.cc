@@ -155,10 +155,9 @@ void FillResTable(CompareOp op, bool res[3]) {
   }
 }
 
-// Explicit selection span the typed loops iterate: the batch's own
-// selection for single-predicate kernels, or a level's shrinking
-// undecided run inside the k-way partition. `dense` asserts
-// sel[i] == sel[0] + i so hot loops can index storage directly.
+// Selection span the typed loops iterate (the batch's own selection).
+// `dense` asserts sel[i] == sel[0] + i so hot loops can index storage
+// directly.
 struct SelSpan {
   const uint32_t* sel;
   size_t n;
@@ -411,14 +410,12 @@ bool DispatchLike(const ColumnOperand& input, std::string_view pattern,
   return true;
 }
 
-/// One k-way partition level: comparison or LIKE, same emit contract.
-template <typename EmitFn>
-bool DispatchLevel(const PartitionLevel& level, SelSpan span,
-                   EmitFn&& emit) {
-  if (level.kind == PartitionLevel::Kind::kLike) {
-    return DispatchLike(level.l, level.pattern, level.negated, span, emit);
-  }
-  return DispatchCompare(level.op, level.l, level.r, span, emit);
+/// True when DispatchLike runs a typed loop for `input`: a string column
+/// or a string/NULL constant. Non-string inputs raise an execution error
+/// on the row path; the kernel must not swallow it.
+bool LikeApplies(const ColumnOperand& input) {
+  const SrcTag t = Classify(input);
+  return t == SrcTag::kNullConst || IsStrTag(t);
 }
 
 /// Shared branchless partition driver: every output vector is pre-sized
@@ -613,12 +610,7 @@ bool ColumnarLikePartition(const ColumnOperand& input,
                            std::vector<uint32_t>* sel_true,
                            std::vector<uint32_t>* sel_false,
                            std::vector<uint32_t>* sel_null) {
-  PartitionLevel level;
-  level.kind = PartitionLevel::Kind::kLike;
-  level.l = input;
-  level.pattern = pattern;
-  level.negated = negated;
-  if (!PartitionLevelApplies(level)) return false;
+  if (!LikeApplies(input)) return false;
   PartitionStreams(batch, sel_true, sel_false, sel_null, [&](auto&& emit) {
     return DispatchLike(input, pattern, negated, BatchSpan(batch), emit);
   });
@@ -628,70 +620,12 @@ bool ColumnarLikePartition(const ColumnOperand& input,
 bool ColumnarLikeEval(const ColumnOperand& input, std::string_view pattern,
                       bool negated, const RowBatch& batch,
                       std::vector<Value>* out) {
-  PartitionLevel level;
-  level.kind = PartitionLevel::Kind::kLike;
-  level.l = input;
-  level.pattern = pattern;
-  level.negated = negated;
-  if (!PartitionLevelApplies(level)) return false;
+  if (!LikeApplies(input)) return false;
   out->reserve(out->size() + batch.size());
   return DispatchLike(input, pattern, negated, BatchSpan(batch),
                       [&](uint32_t, TriBool t) {
                         out->push_back(TriBoolToValueLocal(t));
                       });
-}
-
-bool PartitionLevelApplies(const PartitionLevel& level) {
-  if (level.kind == PartitionLevel::Kind::kLike) {
-    // Non-string inputs raise an execution error on the row path; the
-    // kernel must not swallow it.
-    const SrcTag t = Classify(level.l);
-    return t == SrcTag::kNullConst || IsStrTag(t);
-  }
-  return level.l.column != nullptr || level.r.column != nullptr;
-}
-
-void ColumnarPartitionKWay(const PartitionLevel* levels, size_t k,
-                           const RowBatch& batch,
-                           std::vector<uint32_t>* const* outs,
-                           KWayScratch* scratch) {
-  BYPASS_CHECK(k >= 1);
-  // Level-wise first-true semantics: level i partitions the span still
-  // undecided after levels 0..i-1 into its TRUE stream (outs[i]) and the
-  // next undecided span; the last level's complement goes straight into
-  // the remainder stream (outs[k]). Each level is the same branchless
-  // binary emit as the σ± kernel, so predicate work exactly matches the
-  // equivalent bypass cascade — the win is skipping the k-1 intermediate
-  // batch hand-offs. Intermediate spans double-buffer through `scratch`.
-  SelSpan span = BatchSpan(batch);
-  for (size_t level = 0; level < k; ++level) {
-    std::vector<uint32_t>* out_true = outs[level];
-    const size_t t0 = out_true->size();
-    out_true->resize(t0 + span.n);
-    uint32_t* tp = out_true->data() + t0;
-    size_t tn = 0;
-    const bool last = level + 1 == k;
-    std::vector<uint32_t>* rest =
-        last ? outs[k] : &scratch->undecided[level & 1];
-    if (!last) rest->clear();
-    const size_t r0 = rest->size();
-    rest->resize(r0 + span.n);
-    uint32_t* rp = rest->data() + r0;
-    size_t rn = 0;
-    const bool ok = DispatchLevel(
-        levels[level], span,
-        [&](uint32_t idx, TriBool t) BYPASS_KERNEL_INLINE {
-          const size_t is_true = t == TriBool::kTrue ? 1 : 0;
-          tp[tn] = idx;
-          tn += is_true;
-          rp[rn] = idx;
-          rn += 1 - is_true;
-        });
-    BYPASS_CHECK(ok);
-    out_true->resize(t0 + tn);
-    rest->resize(r0 + rn);
-    span = SelSpan{rest->data() + r0, rn, false};
-  }
 }
 
 std::optional<Status> ColumnarArithmeticEval(

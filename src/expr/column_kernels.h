@@ -81,46 +81,6 @@ bool ColumnarLikeEval(const ColumnOperand& input, std::string_view pattern,
                       bool negated, const RowBatch& batch,
                       std::vector<Value>* out);
 
-/// One level of a k-way tagged partition: a simple disjunct lowered to
-/// resolved operands. Either a comparison (`l op r`) or a string LIKE
-/// (`l [NOT] LIKE pattern`); `pattern` must outlive the kernel call (it
-/// aliases the expression's pattern storage).
-struct PartitionLevel {
-  enum class Kind { kCompare, kLike };
-  Kind kind = Kind::kCompare;
-  CompareOp op = CompareOp::kEq;  // kCompare only
-  ColumnOperand l;                // comparison left / LIKE input
-  ColumnOperand r;                // kCompare only
-  std::string_view pattern;       // kLike only
-  bool negated = false;           // kLike only
-};
-
-/// True when the level dispatches to a typed loop: comparisons need at
-/// least one column operand, LIKE needs a string column or a string/NULL
-/// constant. The k-way kernel requires every level to apply.
-bool PartitionLevelApplies(const PartitionLevel& level);
-
-/// Reusable per-worker buffers for ColumnarPartitionKWay: double-buffered
-/// undecided selections threaded between levels.
-struct KWayScratch {
-  std::vector<uint32_t> undecided[2];
-};
-
-/// Radix-style k-way tagged partition: one fused pass splits the batch's
-/// selected rows into k+1 streams of storage indices. outs[i] (i < k)
-/// receives the rows whose *first* TRUE level is i; outs[k] receives the
-/// remainder on which every level was FALSE or UNKNOWN — the 3VL null
-/// stream stays merged into the complement, exactly like the binary σ±
-/// split. Each level runs the branchless unconditional-store /
-/// predicated-cursor-advance emit over the shrinking undecided span, so
-/// per-level predicate work matches the equivalent cascade while the k-1
-/// intermediate operator hand-offs disappear. Every level must satisfy
-/// PartitionLevelApplies; indices append to outs[*] in batch order.
-void ColumnarPartitionKWay(const PartitionLevel* levels, size_t k,
-                           const RowBatch& batch,
-                           std::vector<uint32_t>* const* outs,
-                           KWayScratch* scratch);
-
 /// Columnar arithmetic: appends one Value per selected row, replicating
 /// ArithmeticExpr::Combine exactly (int64-preserving +,-,*; / always
 /// double with a division-by-zero execution error naming `expr_str`;

@@ -421,7 +421,7 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
       //   x θ ALL (SELECT e FROM F WHERE p)
       //     ≡ NOT EXISTS (SELECT * FROM F WHERE p AND NOT (x θ e))
       // (The ALL form assumes two-valued comparisons, i.e. NULL-free
-      // columns — the same restriction as NOT IN; see DESIGN.md.)
+      // columns; see DESIGN.md.)
       if (ast.subquery->items.size() != 1 ||
           ast.subquery->items[0].is_star) {
         return Status::BindError(

@@ -94,19 +94,6 @@ class Estimator : public StatsProvider {
 
   PlanEstimate Input(const LogicalInput& input) {
     PlanEstimate est = Node(*input.op);
-    if (!est.port_rows.empty()) {
-      // Multiway producer: each edge carries its own port's cardinality;
-      // the shared operator cost rides on the port-0 edge only so fan-in
-      // consumers do not double-count it.
-      const size_t port = static_cast<size_t>(input.port);
-      est.rows = port < est.port_rows.size()
-                     ? std::max(est.port_rows[port], 1.0)
-                     : 1.0;
-      if (port != 0) est.cost = 0;
-      est.neg_rows = 0;
-      est.port_rows.clear();
-      return est;
-    }
     if (input.port == StreamPort::kNegative) {
       // The producer's estimate describes its positive stream; the
       // negative stream carries the complement cardinality (neg_rows).
@@ -190,35 +177,6 @@ class Estimator : public StatsProvider {
             in.rows * EstimateSelectivity(*sel.predicate(), this);
         return {out, in.cost + upfront + in.rows * (1.0 + row_cost),
                 std::max(in.rows - out, 0.0)};
-      }
-      case LogicalOpKind::kBypassPartition: {
-        // One fused pass: the input is touched once (the 1.0 operator
-        // constant), then disjunct i is evaluated only on rows the first
-        // i-1 disjuncts left undecided — a cascade pays 1.0 + c_i per
-        // level instead, so the tagged form saves the per-level operator
-        // hand-off. Conditional selectivities keep correlated disjuncts
-        // from double-claiming rows.
-        const auto& part = static_cast<const BypassPartitionOp&>(node);
-        const PlanEstimate in = Input(node.inputs()[0]);
-        const std::vector<double> cond =
-            EstimateConditionalDisjunctSelectivities(part.predicates(),
-                                                     this);
-        PlanEstimate est;
-        est.cost = in.cost + in.rows;
-        est.port_rows.assign(part.predicates().size() + 1, 0.0);
-        double undecided = in.rows;
-        double upfront = 0;
-        for (size_t i = 0; i < part.predicates().size(); ++i) {
-          const double row_cost =
-              PredicateRowCost(part.predicates()[i], &upfront);
-          est.cost += undecided * row_cost;
-          est.port_rows[i] = undecided * cond[i];
-          undecided *= 1.0 - cond[i];
-        }
-        est.cost += upfront;
-        est.port_rows.back() = undecided;
-        est.rows = est.port_rows[0];
-        return est;
       }
       case LogicalOpKind::kProject:
       case LogicalOpKind::kMap:

@@ -24,10 +24,6 @@ struct PlanEstimate {
   /// Bypass operators only: estimated cardinality of the complement
   /// (negative) stream. Zero elsewhere.
   double neg_rows = 0;
-  /// Multiway (k-ported) operators only: per-port output cardinalities,
-  /// indexed by StreamPort value. Empty for binary/single-stream nodes.
-  /// The operator's cost is attributed to the port-0 edge only.
-  std::vector<double> port_rows;
 };
 
 /// Estimates a plan bottom-up. Base-table cardinalities come from ANALYZE
@@ -52,7 +48,7 @@ class PlanEstimator {
   PlanEstimator& operator=(const PlanEstimator&) = delete;
 
   /// Estimate for one input edge (negative bypass streams carry the
-  /// complement cardinality, a multiway port its own).
+  /// complement cardinality).
   PlanEstimate Input(const LogicalInput& input);
 
   /// Distinct count of an uncorrelated column, 0 when unknown: base-table

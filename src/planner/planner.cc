@@ -6,7 +6,6 @@
 #include "algebra/plan_util.h"
 #include "common/check.h"
 #include "planner/cost_model.h"
-#include "exec/bypass_partition.h"
 #include "exec/distinct.h"
 #include "exec/filter.h"
 #include "exec/group_by.h"
@@ -129,10 +128,6 @@ double EstimatedInputRows(
   const auto it = estimates.find(in.op.get());
   if (it == estimates.end()) return 0;
   const PlanEstimate& est = it->second;
-  const size_t port = static_cast<size_t>(in.port);
-  if (!est.port_rows.empty()) {
-    return port < est.port_rows.size() ? est.port_rows[port] : 0;
-  }
   return in.port == StreamPort::kNegative ? est.neg_rows : est.rows;
 }
 
@@ -177,14 +172,6 @@ Result<PhysicalPlan> Planner::LowerPlan(const LogicalOpPtr& root,
     const auto it = estimates.find(logical);
     if (it == estimates.end()) continue;
     const PlanEstimate& est = it->second;
-    if (!est.port_rows.empty()) {
-      const int ports = std::min(phys->num_out_ports(),
-                                 static_cast<int>(est.port_rows.size()));
-      for (int p = 0; p < ports; ++p) {
-        phys->set_estimated_rows(p, est.port_rows[static_cast<size_t>(p)]);
-      }
-      continue;
-    }
     phys->set_estimated_rows(kPortOut, est.rows);
     if (phys->num_out_ports() > 1) {
       phys->set_estimated_rows(kPortNegative, est.neg_rows);
@@ -525,20 +512,6 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
       const auto& limit = static_cast<const LimitOp&>(*node);
       result = forward(
           Register(ctx, std::make_unique<LimitPhysOp>(limit.count())));
-      wire(result.op, 0, 0);
-      break;
-    }
-    case LogicalOpKind::kBypassPartition: {
-      const auto& part = static_cast<const BypassPartitionOp&>(*node);
-      std::vector<ExprPtr> preds;
-      preds.reserve(part.predicates().size());
-      for (const ExprPtr& p : part.predicates()) {
-        BYPASS_ASSIGN_OR_RETURN(ExprPtr bound,
-                                BindExpr(p, *kids[0]->schema, ctx));
-        preds.push_back(std::move(bound));
-      }
-      result = forward(Register(
-          ctx, std::make_unique<BypassPartitionKOp>(std::move(preds))));
       wire(result.op, 0, 0);
       break;
     }

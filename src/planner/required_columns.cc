@@ -106,7 +106,6 @@ void RequiredPass::Visit(const LogicalOp& node) {
   switch (node.kind()) {
     case LogicalOpKind::kSelect:
     case LogicalOpKind::kBypassSelect:
-    case LogicalOpKind::kBypassPartition:
     case LogicalOpKind::kSort:
     case LogicalOpKind::kMap:
     case LogicalOpKind::kJoin:
@@ -131,13 +130,6 @@ void RequiredPass::Visit(const LogicalOp& node) {
       Forward(own, in0);
       MarkExpr(*static_cast<const BypassSelectOp&>(node).predicate(),
                in0->schema(), in0);
-      break;
-    case LogicalOpKind::kBypassPartition:
-      Forward(own, in0);
-      for (const ExprPtr& p :
-           static_cast<const BypassPartitionOp&>(node).predicates()) {
-        MarkExpr(*p, in0->schema(), in0);
-      }
       break;
     case LogicalOpKind::kLimit:
     case LogicalOpKind::kNumbering:  // the appended id is not an input

@@ -6,10 +6,8 @@
 //
 // The implementation moved into the statistics subsystem so ranks can be
 // computed against ANALYZE histograms: see stats/selectivity.h
-// (EstimateSelectivity / EstimateCost / PredicateRank, plus
-// EstimateConditionalDisjunctSelectivities — the per-disjunct
-// P(p_i | ¬p_1..¬p_{i-1}) chain the k-way tagged cost model consumes)
-// and stats/stats_provider.h (StatsProvider). This header remains as the
+// (EstimateSelectivity / EstimateCost / PredicateRank) and
+// stats/stats_provider.h (StatsProvider). This header remains as the
 // rewriter-facing include point.
 #ifndef BYPASSDB_REWRITE_RANK_H_
 #define BYPASSDB_REWRITE_RANK_H_

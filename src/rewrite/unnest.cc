@@ -545,34 +545,7 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
     return Out(ProjectToColumns(std::move(in), base));
   };
 
-  // A leading run of ≥2 simple disjuncts can be fused into one k-way
-  // tagged partition: port i carries the rows whose first satisfied
-  // disjunct is i, the remainder port feeds the rest of the cascade —
-  // tuple-identical to the σ± chain it replaces.
-  size_t start = 0;
-  bool tagged = false;
-  if (options_.use_tagged_partition) {
-    size_t m = 0;
-    while (m < items.size() && items[m].kind == CascadeItem::kSimple) {
-      ++m;
-    }
-    if (m >= 2 && m < items.size()) {
-      std::vector<ExprPtr> preds;
-      preds.reserve(m);
-      for (size_t i = 0; i < m; ++i) preds.push_back(items[i].pred);
-      auto part =
-          std::make_shared<BypassPartitionOp>(current, std::move(preds));
-      for (size_t i = 0; i < m; ++i) {
-        branches.push_back(LogicalInput{part, part->stream(i)});
-      }
-      current = LogicalInput{part, part->remainder()};
-      start = m;
-      tagged = true;
-      LogRule("TaggedK");
-    }
-  }
-
-  for (size_t i = start; i < items.size(); ++i) {
+  for (size_t i = 0; i < items.size(); ++i) {
     const CascadeItem& item = items[i];
     const bool last = (i + 1 == items.size());
     switch (item.kind) {
@@ -629,11 +602,6 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
     return branches[0].port == StreamPort::kOut
                ? branches[0].op
                : ProjectToColumns(branches[0], base);
-  }
-  if (tagged) {
-    // The k tagged streams plus any trailing cascade branches re-unite
-    // through one n-ary union (deterministic fan-in).
-    return LogicalOpPtr(std::make_shared<UnionOp>(std::move(branches)));
   }
   LogicalOpPtr result = branches[0].op;
   for (size_t i = 1; i < branches.size(); ++i) {
@@ -1033,8 +1001,20 @@ UnnestingRewriter::SplitQuantified(LogicalInput stream,
     if (ContainsOuterRef(in_column) || ContainsSubquery(in_column)) {
       return kUnsupported;
     }
-    pred_conjuncts.push_back(MakeComparison(
-        CompareOp::kEq, subquery.probe()->Clone(), in_column));
+    ExprPtr member = MakeComparison(
+        CompareOp::kEq, subquery.probe()->Clone(), in_column->Clone());
+    if (subquery.negated()) {
+      // 3VL: x NOT IN S is TRUE exactly when no qualifying y makes
+      // x = y OR x IS NULL OR y IS NULL TRUE (empty S included), so the
+      // anti join on this two-valued predicate is the TRUE stream and
+      // the semi join the FALSE ∪ UNKNOWN one.
+      member = MakeOr({std::move(member),
+                       std::make_shared<IsNullExpr>(
+                           subquery.probe()->Clone(), /*negated=*/false),
+                       std::make_shared<IsNullExpr>(std::move(in_column),
+                                                    /*negated=*/false)});
+    }
+    pred_conjuncts.push_back(std::move(member));
   }
   ExprPtr pred = pred_conjuncts.empty()
                      ? MakeLiteral(Value::Bool(true))

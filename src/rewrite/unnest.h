@@ -52,12 +52,6 @@ struct RewriteOptions {
   bool enable_quantified = true;
   /// Branch ordering within a disjunct cascade.
   DisjunctOrder disjunct_order = DisjunctOrder::kByRank;
-  /// Collapse a cascade's leading run of ≥2 simple disjuncts into one
-  /// k-way tagged partition (σ± generalized to k output streams): each
-  /// stream carries the rows whose *first* satisfied disjunct is that
-  /// branch, the remainder stream continues the cascade. Same tuples,
-  /// same streams as the cascade, one operator pass instead of k.
-  bool use_tagged_partition = false;
   /// Per-tuple cost charged to a nested block in the rank model. The
   /// default keeps subqueries last (Eqv. 2) unless a simple predicate is
   /// extremely expensive (Eqv. 3), mirroring the paper's remark. Only

@@ -1,11 +1,7 @@
 #include "stats/selectivity.h"
 
 #include <algorithm>
-#include <limits>
-#include <map>
 #include <optional>
-#include <string>
-#include <utility>
 
 #include "expr/expr_util.h"
 #include "storage/zone_map.h"
@@ -349,252 +345,6 @@ std::vector<double> EstimateDisjunctSelectivities(
     out.push_back(EstimateSelectivity(pred, stats));
   }
   return out;
-}
-
-// ------------------------------------------- conditional disjunct chain
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// A numeric interval over the reals; {lo_open, hi_open} distinguish
-/// (a,b) from [a,b]. Unbounded sides use ±inf (open).
-struct NumInterval {
-  double lo = -kInf;
-  double hi = kInf;
-  bool lo_open = true;
-  bool hi_open = true;
-};
-
-/// One disjunct, decomposed: a stats-backed interval on a named column
-/// (so overlap with other disjuncts on the same column is exact), or an
-/// opaque term treated as independent via its marginal selectivity.
-struct DisjunctTerm {
-  bool is_interval = false;
-  std::string qualifier;
-  std::string name;
-  NumInterval interval;
-  double marginal = 0.0;
-};
-
-/// Cumulative-fraction access for one column: rich histogram first,
-/// lazy min/max interpolation second, nullopt when neither can answer.
-struct ColumnCum {
-  const ColumnStatistics* rich = nullptr;
-  int64_t rich_rows = 0;
-  const ColumnStatistics* lazy = nullptr;
-  int64_t lazy_rows = 0;
-
-  static ColumnCum Lookup(const StatsProvider& stats,
-                          const std::string& qualifier,
-                          const std::string& name) {
-    ColumnCum cum;
-    cum.rich = stats.GetColumnStatistics(qualifier, name, &cum.rich_rows);
-    cum.lazy = stats.GetColumnStats(qualifier, name, &cum.lazy_rows);
-    return cum;
-  }
-
-  std::optional<double> Sel(CompareOp op, double v) const {
-    const Value value = Value::Double(v);
-    if (rich != nullptr) {
-      if (auto est = HistogramSelectivity(*rich, rich_rows, op, value)) {
-        return est;
-      }
-    }
-    if (lazy != nullptr) return LazySelectivity(*lazy, lazy_rows, op, value);
-    return std::nullopt;
-  }
-
-  std::optional<double> NonNull() const {
-    if (rich != nullptr) {
-      if (rich_rows <= 0) return 0.0;
-      return 1.0 - rich->NullFraction(rich_rows);
-    }
-    if (lazy != nullptr) {
-      if (lazy_rows <= 0) return 0.0;
-      return 1.0 - static_cast<double>(lazy->null_count) /
-                       static_cast<double>(lazy_rows);
-    }
-    return std::nullopt;
-  }
-
-  /// Fraction of all rows inside the interval (nulls never qualify).
-  std::optional<double> Mass(const NumInterval& iv) const {
-    if (iv.lo == iv.hi && !iv.lo_open && !iv.hi_open) {
-      return Sel(CompareOp::kEq, iv.lo);
-    }
-    std::optional<double> hi_cum =
-        iv.hi == kInf ? NonNull()
-                      : Sel(iv.hi_open ? CompareOp::kLt : CompareOp::kLe,
-                            iv.hi);
-    std::optional<double> lo_cum =
-        iv.lo == -kInf
-            ? std::optional<double>(0.0)
-            : Sel(iv.lo_open ? CompareOp::kLe : CompareOp::kLt, iv.lo);
-    if (!hi_cum.has_value() || !lo_cum.has_value()) return std::nullopt;
-    return std::max(0.0, *hi_cum - *lo_cum);
-  }
-};
-
-/// Tries to read a disjunct as `col θ numeric-literal` with θ an
-/// interval-shaped operator (=, <, <=, >, >=).
-bool DecomposeInterval(const Expr& pred, DisjunctTerm* term) {
-  if (pred.kind() != ExprKind::kComparison) return false;
-  const auto match =
-      MatchColumnLiteral(static_cast<const ComparisonExpr&>(pred));
-  if (!match.has_value() || !match->value->is_numeric() ||
-      match->op == CompareOp::kNe) {
-    return false;
-  }
-  const double v = match->value->AsDouble();
-  NumInterval iv;
-  switch (match->op) {
-    case CompareOp::kEq:
-      iv = {v, v, false, false};
-      break;
-    case CompareOp::kLt:
-      iv = {-kInf, v, true, true};
-      break;
-    case CompareOp::kLe:
-      iv = {-kInf, v, true, false};
-      break;
-    case CompareOp::kGt:
-      iv = {v, kInf, true, true};
-      break;
-    case CompareOp::kGe:
-      iv = {v, kInf, false, true};
-      break;
-    default:
-      return false;
-  }
-  term->is_interval = true;
-  term->qualifier = match->column->qualifier();
-  term->name = match->column->name();
-  term->interval = iv;
-  return true;
-}
-
-/// Union mass of same-column intervals: sort, merge overlapping /
-/// touching runs, sum the merged masses. nullopt when the column's stats
-/// cannot price an endpoint.
-std::optional<double> IntervalUnionMass(std::vector<NumInterval> ivs,
-                                        const ColumnCum& cum) {
-  std::sort(ivs.begin(), ivs.end(),
-            [](const NumInterval& a, const NumInterval& b) {
-              if (a.lo != b.lo) return a.lo < b.lo;
-              return !a.lo_open && b.lo_open;  // closed start first
-            });
-  std::vector<NumInterval> merged;
-  for (const NumInterval& iv : ivs) {
-    if (!merged.empty()) {
-      NumInterval& last = merged.back();
-      const bool overlaps =
-          iv.lo < last.hi ||
-          (iv.lo == last.hi && (!last.hi_open || !iv.lo_open));
-      if (overlaps) {
-        if (iv.hi > last.hi) {
-          last.hi = iv.hi;
-          last.hi_open = iv.hi_open;
-        } else if (iv.hi == last.hi) {
-          last.hi_open = last.hi_open && iv.hi_open;
-        }
-        continue;
-      }
-    }
-    merged.push_back(iv);
-  }
-  double total = 0.0;
-  for (const NumInterval& iv : merged) {
-    const auto mass = cum.Mass(iv);
-    if (!mass.has_value()) return std::nullopt;
-    total += *mass;
-  }
-  return std::min(1.0, total);
-}
-
-/// Selectivity of the disjunction of the first `m` terms: interval terms
-/// union exactly per column, everything else composes independently.
-double PrefixUnionSelectivity(const std::vector<DisjunctTerm>& terms,
-                              size_t m, const StatsProvider* stats) {
-  double pass_none = 1.0;
-  std::map<std::pair<std::string, std::string>, std::vector<NumInterval>>
-      by_column;
-  for (size_t i = 0; i < m; ++i) {
-    const DisjunctTerm& t = terms[i];
-    if (t.is_interval && stats != nullptr) {
-      by_column[{t.qualifier, t.name}].push_back(t.interval);
-    } else {
-      pass_none *= 1.0 - t.marginal;
-    }
-  }
-  for (const auto& [key, ivs] : by_column) {
-    const ColumnCum cum =
-        ColumnCum::Lookup(*stats, key.first, key.second);
-    std::optional<double> mass = IntervalUnionMass(ivs, cum);
-    if (mass.has_value()) {
-      pass_none *= 1.0 - std::clamp(*mass, 0.0, 1.0);
-      continue;
-    }
-    // No usable stats for the column: fall back to independence over
-    // the individual marginals.
-    for (size_t i = 0; i < m; ++i) {
-      const DisjunctTerm& t = terms[i];
-      if (t.is_interval && t.qualifier == key.first &&
-          t.name == key.second) {
-        pass_none *= 1.0 - t.marginal;
-      }
-    }
-  }
-  return std::clamp(1.0 - pass_none, 0.0, 1.0);
-}
-
-std::vector<double> ConditionalSelectivitiesImpl(
-    const std::vector<const Expr*>& disjuncts, const StatsProvider* stats) {
-  const size_t k = disjuncts.size();
-  std::vector<DisjunctTerm> terms(k);
-  for (size_t i = 0; i < k; ++i) {
-    DecomposeInterval(*disjuncts[i], &terms[i]);
-    terms[i].marginal =
-        std::clamp(EstimateSelectivity(*disjuncts[i], stats), 0.0, 1.0);
-  }
-  // cond_i = (U_i - U_{i-1}) / (1 - U_{i-1}) with U_i the selectivity of
-  // p_1 ∨ ... ∨ p_i; the union absorbs overlap, so a disjunct implied by
-  // its predecessors conditions to ~0 instead of its marginal.
-  std::vector<double> cond(k, 0.0);
-  double prev_union = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    double u = PrefixUnionSelectivity(terms, i + 1, stats);
-    u = std::clamp(u, prev_union, 1.0);  // prefix unions are monotone
-    const double undecided = 1.0 - prev_union;
-    cond[i] = undecided <= 1e-12
-                  ? 0.0
-                  : std::clamp((u - prev_union) / undecided, 0.0, 1.0);
-    prev_union = u;
-  }
-  return cond;
-}
-
-}  // namespace
-
-std::vector<double> EstimateConditionalDisjunctSelectivities(
-    const std::vector<ExprPtr>& disjuncts, const StatsProvider* stats) {
-  std::vector<const Expr*> ptrs;
-  ptrs.reserve(disjuncts.size());
-  for (const ExprPtr& d : disjuncts) ptrs.push_back(d.get());
-  return ConditionalSelectivitiesImpl(ptrs, stats);
-}
-
-std::vector<double> EstimateConditionalDisjunctSelectivities(
-    const Expr& pred, const StatsProvider* stats) {
-  std::vector<const Expr*> ptrs;
-  if (pred.kind() == ExprKind::kOr) {
-    for (const ExprPtr& t : static_cast<const OrExpr&>(pred).terms()) {
-      ptrs.push_back(t.get());
-    }
-  } else {
-    ptrs.push_back(&pred);
-  }
-  return ConditionalSelectivitiesImpl(ptrs, stats);
 }
 
 double EstimateCost(const Expr& pred, double subquery_cost) {

@@ -35,23 +35,6 @@ int64_t ColumnDistinctCount(const ColumnRefExpr& ref,
 std::vector<double> EstimateDisjunctSelectivities(
     const Expr& pred, const StatsProvider* stats = nullptr);
 
-/// Conditional selectivities of an ordered disjunct list: entry i is
-/// P(p_i | ¬p_1 ∧ ... ∧ ¬p_{i-1}) — the fraction of rows *still
-/// undecided* after the first i-1 disjuncts that disjunct i claims.
-/// Marginal (independence-based) estimates double-count overlap between
-/// correlated disjuncts; this uses histogram interval unions for
-/// same-column comparisons (independence across columns) so the k-way
-/// tagged cost model sees each row claimed at most once. Entries are
-/// clamped to [0, 1]; when the prefix already covers everything, later
-/// entries are 0.
-std::vector<double> EstimateConditionalDisjunctSelectivities(
-    const std::vector<ExprPtr>& disjuncts,
-    const StatsProvider* stats = nullptr);
-
-/// Convenience overload over the top-level disjuncts of `pred`.
-std::vector<double> EstimateConditionalDisjunctSelectivities(
-    const Expr& pred, const StatsProvider* stats = nullptr);
-
 /// Per-tuple evaluation cost in abstract units; LIKE and arithmetic are
 /// charged more, nested subqueries cost `subquery_cost`.
 double EstimateCost(const Expr& pred, double subquery_cost);

@@ -4,9 +4,9 @@
 // TRUE (SQL 3VL), so a segment is skippable exactly when the zone test
 // proves the predicate cannot be TRUE for any of its rows; UNKNOWN rows
 // need no special casing. Disjunctions compose per disjunct: the OR may
-// be true iff some disjunct may be, which is how the bypass/k-way tagged
-// plans inherit data skipping over each cheap disjunct (cf. Kim et al.,
-// arXiv 2002.00540).
+// be true iff some disjunct may be, which is how the bypass plans
+// inherit data skipping over each cheap disjunct (cf. Kim et al., arXiv
+// 2002.00540).
 #ifndef BYPASSDB_STORAGE_ZONE_MAP_H_
 #define BYPASSDB_STORAGE_ZONE_MAP_H_
 

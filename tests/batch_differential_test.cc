@@ -162,6 +162,55 @@ TEST(ParallelDifferential, CountDistinctStarOverDelta) {
   }
 }
 
+// k = 2..5 leading simple disjuncts ahead of a scalar block unnest to a
+// σ± cascade k levels deep; every level must route rows exactly like the
+// canonical row-at-a-time plan at batch {1, 7, 1024} × threads {1, 4},
+// also when UNKNOWN disjuncts send NULL-heavy rows down the negative
+// streams.
+TEST(ParallelDifferential, LeadingSimpleDisjunctCascades) {
+  struct Instance {
+    uint64_t seed;
+    double null_fraction;
+  };
+  for (const Instance inst : {Instance{1, 0.0}, Instance{7, 0.0},
+                              Instance{11, 0.3}}) {
+    SCOPED_TRACE("seed " + std::to_string(inst.seed));
+    Database db;
+    LoadSmallRst(&db, inst.seed, 40, 30, 20, inst.null_fraction);
+    const auto& queries = testing_util::LeadingSimpleDisjunctQueries();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string& sql = queries[q];
+      SCOPED_TRACE(sql);
+      QueryOptions oracle_opts;
+      oracle_opts.unnest = false;
+      oracle_opts.batch_size = 1;
+      auto oracle = db.Query(sql, oracle_opts);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (int num_threads : {1, 4}) {
+        for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+          QueryOptions opts;
+          opts.num_threads = num_threads;
+          opts.batch_size = batch_size;
+          opts.morsel_size = kTinyMorselSize;
+          auto got = db.Query(sql, opts);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          // Guard against a vacuous pass: k simple disjuncts give k σ±.
+          size_t splits = 0;
+          for (size_t at = got->optimized_plan.find("BypassSelect");
+               at != std::string::npos;
+               at = got->optimized_plan.find("BypassSelect", at + 1)) {
+            ++splits;
+          }
+          EXPECT_GE(splits, q + 2) << got->optimized_plan;
+          EXPECT_TRUE(RowMultisetsEqual(oracle->rows, got->rows))
+              << "num_threads " << num_threads << ", batch_size "
+              << batch_size << "\nplan:\n" << got->physical_plan;
+        }
+      }
+    }
+  }
+}
+
 // One PreparedQuery re-executed under different thread counts must keep
 // producing the serial result (the pool, per-worker slots, and memo
 // caches are rebuilt per Execute).

@@ -244,29 +244,6 @@ TEST(CodegenJoinAgg, MultiKeyGroupByStaysInterpreted) {
   EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
 }
 
-// The widened region can be disabled independently of the filter tier;
-// plans still compile generation-1 pipelines but never fuse breakers.
-TEST(CodegenJoinAgg, WidenedRegionRespectsOptionGate) {
-  Database db;
-  LoadSmallRst(&db, 115, 60, 30, 15);
-  REQUIRE_CODEGEN(db);
-  QueryOptions opts = JoinAggOptions(1024);
-  opts.codegen_widened = false;
-  const std::string sql = kJoinGroupQueries[1];
-  auto prepared = db.Prepare(sql, opts);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  auto res = prepared->Execute(opts);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->stats.compiled_join_batches, 0);
-  EXPECT_EQ(res->stats.compiled_agg_batches, 0);
-
-  QueryOptions interp = opts;
-  interp.enable_codegen = false;
-  auto oracle = db.Query(sql, interp);
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
-}
-
 // ------------------------------------------------- async swap-in
 
 // Mid-stream swap-in for the probe pipeline: the first execution may

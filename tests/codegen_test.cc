@@ -1,5 +1,5 @@
 // Differential tests for the codegen tier (DESIGN.md §12): plans whose
-// filter/bypass/tagged-partition pipelines were fused into dlopen'd
+// filter/bypass pipelines were fused into dlopen'd
 // native code must be byte-identical to the interpreted oracle — across
 // batch sizes {1, 2, 7, 1024}, NULL-heavy 3VL data, string comparisons
 // and LIKE, the morsel-parallel executor, async compile + swap, and the
@@ -19,6 +19,7 @@
 #include "engine/plan_cache.h"
 #include "engine/server.h"
 #include "engine/session.h"
+#include "query_corpus.h"
 #include "test_util.h"
 
 namespace bypass {
@@ -29,7 +30,7 @@ using testing_util::LoadSmallRst;
 // Predicate shapes the lowering must monomorphize: comparisons over
 // int64 under 3VL NULLs, AND/OR/NOT nesting, IS [NOT] NULL, arithmetic
 // (+,-,*; division stays interpreted), and a scalar-subquery disjunct so
-// bypass/tagged plans appear. Values live in [0, 6].
+// bypass plans appear. Values live in [0, 6].
 const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4",
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 "
@@ -41,10 +42,8 @@ const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 - 1 <= a2 OR a4 > 5",
 };
 
-QueryOptions CodegenOptions(size_t batch_size = 1024, int num_threads = 1,
-                            bool tagged = false) {
+QueryOptions CodegenOptions(size_t batch_size = 1024, int num_threads = 1) {
   QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-  opts.rewrite.use_tagged_partition = tagged;
   opts.enable_codegen = true;
   opts.codegen_synchronous = true;  // deterministic: compiled on first run
   opts.batch_size = batch_size;
@@ -109,15 +108,17 @@ TEST_P(CodegenDifferential, MatchesInterpreterOnRst) {
   }
 }
 
-TEST_P(CodegenDifferential, MatchesInterpreterTagged) {
+// k = 2..5 leading simple disjuncts unnest to a σ± cascade k levels
+// deep; each level is its own compiled bypass stage and must route rows
+// like the interpreted BypassFilter± it replaces.
+TEST_P(CodegenDifferential, MatchesInterpreterOnLeadingSimpleDisjuncts) {
   const auto [batch_size, null_fraction] = GetParam();
   Database db;
   LoadSmallRst(&db, 92, 60, 30, 15, null_fraction);
   REQUIRE_CODEGEN(db);
-  for (const char* sql : kCodegenQueries) {
-    ExpectCompiledAgrees(
-        &db, sql, CodegenOptions(batch_size, /*num_threads=*/1,
-                                 /*tagged=*/true));
+  for (const std::string& sql :
+       testing_util::LeadingSimpleDisjunctQueries()) {
+    ExpectCompiledAgrees(&db, sql, CodegenOptions(batch_size));
   }
 }
 
@@ -409,11 +410,19 @@ TEST_P(CodegenParallelDifferential, MorselParallelMatchesInterpreter) {
   Database db;
   LoadSmallRst(&db, 100, 120, 40, 20, 0.3);
   REQUIRE_CODEGEN(db);
-  for (bool tagged : {false, true}) {
-    for (const char* sql : kCodegenQueries) {
-      ExpectCompiledAgrees(&db, sql,
-                           CodegenOptions(32, num_threads, tagged));
-    }
+  for (const char* sql : kCodegenQueries) {
+    ExpectCompiledAgrees(&db, sql, CodegenOptions(32, num_threads));
+  }
+}
+
+TEST_P(CodegenParallelDifferential, LeadingSimpleDisjunctsMatchInterpreter) {
+  const int num_threads = GetParam();
+  Database db;
+  LoadSmallRst(&db, 100, 120, 40, 20, 0.3);
+  REQUIRE_CODEGEN(db);
+  for (const std::string& sql :
+       testing_util::LeadingSimpleDisjunctQueries()) {
+    ExpectCompiledAgrees(&db, sql, CodegenOptions(32, num_threads));
   }
 }
 

@@ -319,6 +319,20 @@ TEST(ColumnarDifferential, FixedBypassQueriesNullHeavy) {
   }
 }
 
+// The σ± cascade of k = 2..5 leading simple disjuncts partitions each
+// level's input with the columnar kernel or, in row-oracle mode, with
+// the per-row fallback; both must route UNKNOWN rows to the negative
+// stream alike.
+TEST(ColumnarDifferential, LeadingSimpleDisjunctCascadesNullHeavy) {
+  Database db;
+  LoadSmallRst(&db, /*seed=*/3, 40, 30, 20, /*null_fraction=*/0.2);
+  for (const std::string& sql :
+       testing_util::LeadingSimpleDisjunctQueries()) {
+    SCOPED_TRACE(sql);
+    ExpectColumnarMatchesRowOracle(&db, sql, /*unnest=*/true);
+  }
+}
+
 /// Table exercising all four column types (plus NULLs in each).
 void LoadMixedTypesTable(Database* db, uint64_t seed, int rows,
                          double null_fraction) {

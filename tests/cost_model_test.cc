@@ -12,6 +12,7 @@
 #include "rewrite/unnest.h"
 #include "sql/parser.h"
 #include "stats/selectivity.h"
+#include "query_corpus.h"
 #include "test_util.h"
 #include "workload/tpch.h"
 
@@ -162,6 +163,25 @@ TEST_F(CostModelTest, CostBasedOptionKeepsCheaperPlan) {
   auto base = db_.Query(sql, canonical);
   ASSERT_TRUE(base.ok());
   EXPECT_TRUE(RowMultisetsEqual(base->rows, result->rows));
+}
+
+// A cascade with ≥2 leading simple disjuncts has one physical form under
+// kCostBased too: σ± levels, one per simple disjunct, rows matching the
+// canonical plan.
+TEST_F(CostModelTest, CostBasedLeadingSimpleDisjunctsStayACascade) {
+  LoadSmallRst(&db_, 902, 40, 30, 20);
+  const std::string& sql =
+      testing_util::LeadingSimpleDisjunctQueries()[1];  // k = 3
+  auto gated = db_.Query(sql, QueryOptions::With(ExecutionStrategy::kCostBased));
+  auto base = db_.Query(sql, QueryOptions::With(ExecutionStrategy::kCanonical));
+  ASSERT_TRUE(gated.ok()) << gated.status().ToString();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_NE(gated->optimized_plan.find("BypassSelect"), std::string::npos)
+      << gated->optimized_plan;
+  EXPECT_NE(gated->physical_plan.find("BypassFilter"), std::string::npos)
+      << gated->physical_plan;
+  EXPECT_TRUE(RowMultisetsEqual(base->rows, gated->rows))
+      << gated->physical_plan;
 }
 
 TEST_F(CostModelTest, CostBasedResultsAlwaysCorrect) {

@@ -192,6 +192,11 @@ bool EveryGroupingReadsDistinct(const std::string& plan) {
 
 class NullSemanticsProperty : public ::testing::TestWithParam<NullCase> {};
 
+// A NOT IN disjunct whose correlated block qualifies NULL b1 values.
+constexpr char kNotInRepro[] =
+    "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2) "
+    "OR a4 > 5";
+
 TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
   Database db;
   const NullCase& c = GetParam();
@@ -265,7 +270,29 @@ INSTANTIATE_TEST_SUITE_P(
         "             OR b3 = (SELECT MIN(c3) FROM t WHERE b4 = c2))",
         // EXISTS stays correct under NULLs (semijoin never matches NULL).
         "SELECT DISTINCT * FROM r "
-        "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 3"));
+        "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 3",
+        // NOT IN under 3VL: a NULL probe, or a NULL among the qualifying
+        // subquery values with no match, is UNKNOWN and must reach the
+        // remainder; an empty qualifying set is TRUE even for a NULL
+        // probe. Correlated, uncorrelated, conjunctive, and mixed with IN.
+        kNotInRepro,
+        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s) OR a4 > 5",
+        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2)",
+        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2) "
+        "OR a3 IN (SELECT c3 FROM t WHERE a4 = c2) OR a4 > 5"));
+
+// The pinned NOT IN repro: 20 % NULLs in every column of a 35/45/30-row
+// RST instance, seeds 1–20, each agreeing with the canonical evaluator.
+TEST(NullSemanticsRegression, NotInUnderNullsMatchesCanonical) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database db;
+    LoadSmallRst(&db, seed, 35, 45, 30, /*null_fraction=*/0.2);
+    const QueryResult got = ExpectCanonicalEqualsUnnested(&db, kNotInRepro);
+    EXPECT_NE(got.optimized_plan.find("AntiJoin"), std::string::npos)
+        << got.optimized_plan;
+  }
+}
 
 // Eqv. 1 with Γ grouping S ⋉ K, K the stream's correlation values.
 INSTANTIATE_TEST_SUITE_P(
@@ -362,9 +389,9 @@ INSTANTIATE_TEST_SUITE_P(
         "               OR b4 > 4)"));
 
 // ---------------------------------------------------------------------
-// Quantified table subqueries in disjunctions (TR extension).
-// NULL-free data: the semi/anti-join rewrites assume two-valued
-// membership (documented restriction).
+// Quantified table subqueries in disjunctions (TR extension), on
+// NULL-free data; NullSemanticsProperty runs the NOT IN texts under
+// NULLs, where membership is three-valued.
 // ---------------------------------------------------------------------
 class QuantifiedProperty : public ::testing::TestWithParam<const char*> {};
 

@@ -163,6 +163,24 @@ inline const std::vector<std::string>& CountDistinctStarQueries() {
   return queries;
 }
 
+/// k = 2..5 leading simple disjuncts of mixed selectivity (values live
+/// in [0, 6]) ahead of a scalar subquery disjunct: each unnests to a σ±
+/// cascade k levels deep. The last text puts two disjuncts on one column
+/// (a1 < 2, a1 >= 5) so a row's first TRUE disjunct decides its branch.
+inline const std::vector<std::string>& LeadingSimpleDisjunctQueries() {
+  static const std::vector<std::string> queries = {
+      "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 "
+      "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
+      "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 "
+      "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
+      "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 OR a4 <= 1 "
+      "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
+      "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 OR a4 <= 1 "
+      "OR a1 >= 5 OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
+  };
+  return queries;
+}
+
 }  // namespace testing_util
 }  // namespace bypass
 

@@ -336,78 +336,6 @@ TEST_F(StatsSubsystemEstimator, DisjunctionStaysWithinTheClampBounds) {
   EXPECT_GE(sel, 0.8);  // >= max(disjuncts)
 }
 
-TEST_F(StatsSubsystemEstimator, ConditionalDisjunctsDiscountOverlap) {
-  // x <= 5 OR x <= 7 on uniform x ∈ 1..10: marginals are 0.5 and 0.7,
-  // but the second disjunct only claims rows in (5, 7] — conditionally
-  // (0.7 - 0.5) / (1 - 0.5) = 0.4 of the undecided rows, not 0.7.
-  // Independence would wrongly report 0.7 here; the interval union sees
-  // the correlation.
-  const ExprPtr pred =
-      MakeOr({Cmp(CompareOp::kLe, Col("u", "x"), Lit(5)),
-              Cmp(CompareOp::kLe, Col("u", "x"), Lit(7))});
-  const std::vector<double> cond =
-      EstimateConditionalDisjunctSelectivities(*pred, provider_.get());
-  ASSERT_EQ(cond.size(), 2u);
-  EXPECT_DOUBLE_EQ(cond[0], 0.5);
-  EXPECT_NEAR(cond[1], 0.4, 1e-9);
-  EXPECT_LT(cond[1],
-            Sel(Cmp(CompareOp::kLe, Col("u", "x"), Lit(7))));  // < marginal
-}
-
-TEST_F(StatsSubsystemEstimator, SubsumedDisjunctConditionsToZero) {
-  // x <= 7 OR x <= 5: the second disjunct is fully implied by the first,
-  // so no undecided row can satisfy it.
-  const std::vector<double> cond = EstimateConditionalDisjunctSelectivities(
-      *MakeOr({Cmp(CompareOp::kLe, Col("u", "x"), Lit(7)),
-               Cmp(CompareOp::kLe, Col("u", "x"), Lit(5))}),
-      provider_.get());
-  ASSERT_EQ(cond.size(), 2u);
-  EXPECT_DOUBLE_EQ(cond[0], 0.7);
-  EXPECT_NEAR(cond[1], 0.0, 1e-9);
-}
-
-TEST_F(StatsSubsystemEstimator, DisjointIntervalsKeepTheirFullMass) {
-  // x <= 2 OR x >= 9: no overlap — the second disjunct's mass (0.2)
-  // is claimed in full from the surviving 0.8: 0.2 / 0.8 = 0.25.
-  const std::vector<double> cond = EstimateConditionalDisjunctSelectivities(
-      *MakeOr({Cmp(CompareOp::kLe, Col("u", "x"), Lit(2)),
-               Cmp(CompareOp::kGe, Col("u", "x"), Lit(9))}),
-      provider_.get());
-  ASSERT_EQ(cond.size(), 2u);
-  EXPECT_DOUBLE_EQ(cond[0], 0.2);
-  EXPECT_NEAR(cond[1], 0.25, 1e-9);
-}
-
-TEST_F(StatsSubsystemEstimator,
-       ConditionalsAcrossDifferentColumnsMatchIndependence) {
-  // Different columns compose independently, so the conditional equals
-  // the marginal: P(y = 60) = 0.5 · (1/50) = 0.01 either way.
-  const std::vector<double> cond = EstimateConditionalDisjunctSelectivities(
-      *MakeOr({Cmp(CompareOp::kLe, Col("u", "x"), Lit(5)),
-               Cmp(CompareOp::kEq, Col("u", "y"), Lit(60))}),
-      provider_.get());
-  ASSERT_EQ(cond.size(), 2u);
-  EXPECT_DOUBLE_EQ(cond[0], 0.5);
-  EXPECT_NEAR(cond[1], 0.01, 1e-9);
-}
-
-TEST(StatsSubsystemConditional, WithoutStatsFallsBackToMarginals) {
-  // No provider: every disjunct conditions to its textbook marginal
-  // (independence makes (U_i - U_{i-1}) / (1 - U_{i-1}) collapse to s_i).
-  const ExprPtr pred =
-      MakeOr({Cmp(CompareOp::kLt, Col("u", "x"), Lit(5)),
-              Cmp(CompareOp::kEq, Col("u", "y"), Lit(3))});
-  const std::vector<double> cond =
-      EstimateConditionalDisjunctSelectivities(*pred, nullptr);
-  ASSERT_EQ(cond.size(), 2u);
-  EXPECT_NEAR(cond[0], EstimateSelectivity(*Cmp(CompareOp::kLt,
-                                                Col("u", "x"), Lit(5))),
-              1e-9);
-  EXPECT_NEAR(cond[1], EstimateSelectivity(*Cmp(CompareOp::kEq,
-                                                Col("u", "y"), Lit(3))),
-              1e-9);
-}
-
 TEST_F(StatsSubsystemEstimator, ConjunctionMultipliesUnderIndependence) {
   const ExprPtr pred = MakeAnd({Cmp(CompareOp::kLe, Col("u", "x"), Lit(7)),
                                 Cmp(CompareOp::kEq, Col("u", "x"), Lit(5))});
