@@ -1,15 +1,12 @@
-// Segment-storage benchmark (PR 8): the out-of-core layer measured on
-// three axes over one clustered table (x = row index, y uniform, z
-// random double, s short strings; segment_rows shrunk so the table
-// splits into many segments):
+// Segment-storage benchmark: zone maps and budgeted spill measured on
+// two axes over one clustered table (x = row index, y uniform, z random
+// double, s short strings; segment_rows shrunk so the table splits into
+// many segments):
 //
 //   zone scan    a selective clustered-range aggregate with zone maps
 //                on vs off — the on-path consults per-segment min/max
 //                and skips segments that cannot match (the acceptance
 //                criterion: >= 50% skipped with a measured speedup).
-//   segment IO   the same full-table aggregate through the flat
-//                zero-copy path vs the compressed segment read path,
-//                plus the encoded footprint vs the raw 64-bit layout.
 //   spill        a join aggregate and a top-k sort at an unlimited
 //                budget vs a budget of data/10: the Grace hash join and
 //                the external merge sort must complete with identical
@@ -39,7 +36,6 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "exec/exec_context.h"
-#include "storage/segment.h"
 #include "storage/spill.h"
 
 namespace {
@@ -243,19 +239,6 @@ int main(int argc, char** argv) {
   const Timed zone_on = Run(&db, zone_sql, zones_on, reps);
   const Timed zone_off = Run(&db, zone_sql, zones_off, reps);
 
-  // Segment read path vs flat path, full-table aggregate.
-  const std::string scan_sql = "SELECT COUNT(*), SUM(y), SUM(z) FROM big";
-  QueryOptions flat;
-  QueryOptions seg;
-  seg.scan_from_segments = true;
-  const Timed flat_scan = Run(&db, scan_sql, flat, reps);
-  const Timed seg_scan = Run(&db, scan_sql, seg, reps);
-  auto big = db.catalog()->GetTable("big");
-  const int64_t raw_bytes = big.ok() ? (*big)->num_rows() * 4 * 8 : 0;
-  const int64_t compressed_bytes =
-      big.ok() ? static_cast<int64_t>((*big)->segments().compressed_bytes())
-               : 0;
-
   // Spill: unlimited vs budget = data/10 on a join aggregate and a
   // top-k sort.
   const int64_t join_data =
@@ -295,13 +278,6 @@ int main(int argc, char** argv) {
         "    \"segments_skipped\": %lld,\n"
         "    \"skip_fraction\": %.3f\n"
         "  },\n"
-        "  \"segment_store\": {\n"
-        "    \"flat_scan_median_ms\": %.3f,\n"
-        "    \"segment_scan_median_ms\": %.3f,\n"
-        "    \"raw64_bytes\": %lld,\n"
-        "    \"compressed_bytes\": %lld,\n"
-        "    \"compression_ratio\": %.2f\n"
-        "  },\n"
         "  \"spill\": {\n"
         "    \"join\": {\"unlimited_median_ms\": %.3f, "
         "\"budgeted_median_ms\": %.3f, \"budget_bytes\": %zu, "
@@ -318,14 +294,7 @@ int main(int argc, char** argv) {
         zone_on.median_ms > 0 ? zone_off.median_ms / zone_on.median_ms : 0.0,
         static_cast<long long>(zone_on.last.stats.segments_scanned),
         static_cast<long long>(zone_on.last.stats.segments_skipped),
-        skip_fraction, flat_scan.median_ms, seg_scan.median_ms,
-        static_cast<long long>(raw_bytes),
-        static_cast<long long>(compressed_bytes),
-        compressed_bytes > 0
-            ? static_cast<double>(raw_bytes) /
-                  static_cast<double>(compressed_bytes)
-            : 0.0,
-        join_free.median_ms, join_spill.median_ms,
+        skip_fraction, join_free.median_ms, join_spill.median_ms,
         join_budget.memory_budget_bytes,
         static_cast<long long>(join_spill.last.stats.spilled_bytes),
         static_cast<long long>(
@@ -357,14 +326,6 @@ int main(int argc, char** argv) {
                 static_cast<long long>(zone_on.last.stats.segments_skipped),
                 static_cast<long long>(zone_on.last.stats.segments_scanned));
   table.AddRow("zone scan (on vs off)", {buf[0], buf[1], buf[2]});
-  std::snprintf(buf[0], sizeof(buf[0]), "%.3f", seg_scan.median_ms);
-  std::snprintf(buf[1], sizeof(buf[1]), "%.3f", flat_scan.median_ms);
-  std::snprintf(buf[2], sizeof(buf[2]), "%.2fx compression",
-                compressed_bytes > 0
-                    ? static_cast<double>(raw_bytes) /
-                          static_cast<double>(compressed_bytes)
-                    : 0.0);
-  table.AddRow("segment scan (vs flat)", {buf[0], buf[1], buf[2]});
   std::snprintf(buf[0], sizeof(buf[0]), "%.3f", join_spill.median_ms);
   std::snprintf(buf[1], sizeof(buf[1]), "%.3f", join_free.median_ms);
   std::snprintf(buf[2], sizeof(buf[2]), "%lld bytes, %lld partitions",

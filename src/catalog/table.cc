@@ -259,7 +259,7 @@ const TableSegments& Table::segments() const {
   if (!segments_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(segments_mutex_);
     if (!segments_valid_.load(std::memory_order_relaxed)) {
-      segments_ = BuildTableSegments(schema_, columns_, segment_rows_);
+      segments_ = BuildTableSegments(columns_, segment_rows_);
       segments_valid_.store(true, std::memory_order_release);
     }
   }

@@ -98,14 +98,13 @@ class Table {
   /// concurrent readers; the first caller computes.
   const std::vector<ColumnStatistics>& stats() const;
 
-  /// Segment granularity for the zone-map / compressed-segment index;
-  /// invalidates any built index. Tests shrink it to get many segments
-  /// over small tables.
+  /// Segment granularity for the zone-map index; invalidates any built
+  /// index. Tests shrink it to get many segments over small tables.
   void set_segment_rows(size_t rows);
   size_t segment_rows() const { return segment_rows_; }
 
-  /// The segment index (zone maps + compressed columns), built on first
-  /// use after a modification. Safe to call from concurrent readers.
+  /// The segment index (per-segment zone maps), built on first use after
+  /// a modification. Safe to call from concurrent readers.
   const TableSegments& segments() const;
 
   /// True when the index is already built and current — a non-building

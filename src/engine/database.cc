@@ -276,7 +276,6 @@ Result<QueryResult> PreparedQuery::ExecuteWith(
   ctx.set_columnar_enabled(run_options.enable_columnar);
   ctx.set_memory(env.memory);
   ctx.set_zone_maps_enabled(run_options.enable_zone_maps);
-  ctx.set_scan_from_segments(run_options.scan_from_segments);
   // One scratch-dir manager per execution: budgeted operators spill into
   // it instead of failing, and its destructor removes every temp file
   // once the query (and any subplan holding a reference) is done.
@@ -306,8 +305,7 @@ Result<QueryResult> PreparedQuery::ExecuteWith(
     subplan->Configure(deadline, &result.stats, ctx.batch_size(),
                        worker_stats, num_worker_slots,
                        run_options.enable_columnar, env.memory, spill,
-                       run_options.enable_zone_maps,
-                       run_options.scan_from_segments);
+                       run_options.enable_zone_maps);
   }
 
   const auto exec_start = std::chrono::steady_clock::now();

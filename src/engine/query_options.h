@@ -3,8 +3,8 @@
 // The four plan-shape knobs (unnest / cost_based / memoize_subqueries /
 // shortcut_disjunctions) interact; most callers want one of the named
 // strategies from the paper's study, so ExecutionStrategy presets them in
-// one step. The individual bools remain public for fine-grained overrides
-// and source compatibility with older code.
+// one step. The individual bools remain public for fine-grained
+// overrides.
 #ifndef BYPASSDB_ENGINE_QUERY_OPTIONS_H_
 #define BYPASSDB_ENGINE_QUERY_OPTIONS_H_
 
@@ -39,35 +39,8 @@ enum class ExecutionStrategy {
   kCostBased,
 };
 
-inline const char* ExecutionStrategyToString(ExecutionStrategy s) {
-  switch (s) {
-    case ExecutionStrategy::kCanonical:
-      return "canonical";
-    case ExecutionStrategy::kCanonicalNoShortcut:
-      return "canonical-noshortcut";
-    case ExecutionStrategy::kCanonicalMemo:
-      return "canonical-memo";
-    case ExecutionStrategy::kUnnested:
-      return "unnested";
-    case ExecutionStrategy::kCostBased:
-      return "cost-based";
-  }
-  return "?";
-}
-
 struct QueryOptions {
-  QueryOptions() = default;
-  /// \deprecated Implicit strategy-to-options conversion predates the
-  /// serving API and hides an options object behind an enum at call
-  /// sites. Use the explicit factory `QueryOptions::With(strategy)`
-  /// instead; this constructor remains only for source compatibility
-  /// with older callers.
-  QueryOptions(ExecutionStrategy strategy) {  // NOLINT(runtime/explicit)
-    set_strategy(strategy);
-  }
-
-  /// Options preset to the given strategy — the explicit replacement for
-  /// the deprecated converting constructor above:
+  /// Options preset to the given strategy:
   ///   db.Query(sql, QueryOptions::With(ExecutionStrategy::kCanonical))
   static QueryOptions With(ExecutionStrategy strategy) {
     QueryOptions options;
@@ -83,21 +56,6 @@ struct QueryOptions {
     cost_based = s == ExecutionStrategy::kCostBased;
     memoize_subqueries = s == ExecutionStrategy::kCanonicalMemo;
     shortcut_disjunctions = s != ExecutionStrategy::kCanonicalNoShortcut;
-  }
-
-  /// Classifies the current knob values back into a strategy name (used
-  /// by benchmark reports; knob combinations outside the presets map to
-  /// the nearest strategy).
-  ExecutionStrategy strategy() const {
-    if (unnest) {
-      return cost_based ? ExecutionStrategy::kCostBased
-                        : ExecutionStrategy::kUnnested;
-    }
-    if (memoize_subqueries) return ExecutionStrategy::kCanonicalMemo;
-    if (!shortcut_disjunctions) {
-      return ExecutionStrategy::kCanonicalNoShortcut;
-    }
-    return ExecutionStrategy::kCanonical;
   }
 
   // --- Plan-shape knobs (fixed at Prepare time). Prefer the
@@ -179,11 +137,6 @@ struct QueryOptions {
   /// Consult per-segment zone maps (min/max/null counts) to skip table
   /// segments that cannot satisfy the scan's pushed-down predicate.
   bool enable_zone_maps = true;
-  /// Read scans through the compressed segment store, decompressing one
-  /// segment per worker at a time, instead of borrowing the table's flat
-  /// in-memory columns — the out-of-core read path. Off by default: flat
-  /// scans stay zero-copy.
-  bool scan_from_segments = false;
 
   // --- Codegen-tier knobs (see src/codegen/, DESIGN.md §12). Only
   //     effective in builds with BYPASS_ENABLE_CODEGEN and a working

@@ -270,12 +270,6 @@ class ExecContext {
   bool zone_maps_enabled() const { return zone_maps_enabled_; }
   void set_zone_maps_enabled(bool v) { zone_maps_enabled_ = v; }
 
-  /// Whether scans read through the compressed segment store (decompress
-  /// per segment) instead of borrowing the table's flat columns — the
-  /// out-of-core read path. Off by default: flat scans stay zero-copy.
-  bool scan_from_segments() const { return scan_from_segments_; }
-  void set_scan_from_segments(bool v) { scan_from_segments_ = v; }
-
   /// Number of per-worker state slots operators must allocate. This is
   /// the *query's* worker count even for (serial) subplan contexts,
   /// because a subplan runs on the worker thread that evaluates it and
@@ -310,7 +304,6 @@ class ExecContext {
   SharedMemoryBudget memory_;
   std::shared_ptr<SpillManager> spill_;
   bool zone_maps_enabled_ = true;
-  bool scan_from_segments_ = false;
   int num_worker_slots_ = 1;
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;

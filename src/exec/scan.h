@@ -5,9 +5,7 @@
 #ifndef BYPASSDB_EXEC_SCAN_H_
 #define BYPASSDB_EXEC_SCAN_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "catalog/table.h"
 #include "exec/phys_op.h"
@@ -18,8 +16,6 @@ namespace bypass {
 class TableScanOp : public UnaryPhysOp {
  public:
   explicit TableScanOp(const Table* table) : table_(table) {}
-
-  Status Prepare(ExecContext* ctx) override;
 
   /// Serial drive: pushes the whole table and finishes the output.
   Status Run();
@@ -69,25 +65,11 @@ class TableScanOp : public UnaryPhysOp {
   const ExprPtr& zone_filter() const { return zone_filter_; }
 
  private:
-  /// One decompressed segment per worker; shared_ptr-owned because
-  /// downstream operators may retain emitted batches after this cache
-  /// moves to the next segment.
-  struct alignas(64) SegmentCache {
-    size_t segment = SIZE_MAX;
-    std::shared_ptr<const ColumnStore> store;
-    std::shared_ptr<const std::vector<Row>> rows;
-  };
-
-  /// The pre-segment flat path: zero-copy borrowed batches over the
-  /// table's columns and row shim.
+  /// Zero-copy borrowed batches over the table's columns and row shim.
   Status EmitFlatRange(size_t begin, size_t end);
-  /// The segment read path: decompress (with per-worker caching) and
-  /// emit shared-ownership batches over the segment's rows.
-  Status EmitSegmentRange(size_t seg, size_t begin, size_t end);
 
   const Table* table_;
   ExprPtr zone_filter_;
-  std::vector<SegmentCache> seg_cache_;
 };
 
 }  // namespace bypass

@@ -12,8 +12,7 @@ void ExecSubplan::Configure(
     std::optional<std::chrono::steady_clock::time_point> deadline,
     ExecStats* stats, size_t batch_size, SharedWorkerStats worker_stats,
     int num_worker_slots, bool enable_columnar, SharedMemoryBudget memory,
-    std::shared_ptr<SpillManager> spill, bool enable_zone_maps,
-    bool scan_from_segments) {
+    std::shared_ptr<SpillManager> spill, bool enable_zone_maps) {
   if (deadline.has_value()) {
     ctx_.set_deadline(*deadline);
   } else {
@@ -29,11 +28,10 @@ void ExecSubplan::Configure(
   ctx_.set_memory(memory);
   ctx_.set_spill(spill);
   ctx_.set_zone_maps_enabled(enable_zone_maps);
-  ctx_.set_scan_from_segments(scan_from_segments);
   for (ExecSubplan* nested : plan_.subplans) {
     nested->Configure(deadline, stats, batch_size, worker_stats,
                       num_worker_slots, enable_columnar, memory, spill,
-                      enable_zone_maps, scan_from_segments);
+                      enable_zone_maps);
   }
 }
 

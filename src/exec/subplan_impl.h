@@ -46,8 +46,8 @@ class ExecSubplan : public CorrelatedSubplan {
 
   /// Propagates the query's deadline, stats sinks, batch size,
   /// worker-slot count, the columnar toggle, the shared memory budget,
-  /// the shared spill manager, and the segment-storage toggles into this
-  /// block's private execution context (called by the engine before
+  /// the shared spill manager, and the zone-map toggle into this block's
+  /// private execution context (called by the engine before
   /// running). `worker_stats`, `memory`, and `spill` may be null;
   /// `num_worker_slots` must cover every worker id that can evaluate
   /// expressions referencing this subplan.
@@ -58,8 +58,7 @@ class ExecSubplan : public CorrelatedSubplan {
                  int num_worker_slots = 1, bool enable_columnar = true,
                  SharedMemoryBudget memory = nullptr,
                  std::shared_ptr<SpillManager> spill = nullptr,
-                 bool enable_zone_maps = true,
-                 bool scan_from_segments = false);
+                 bool enable_zone_maps = true);
 
   /// Drops memoized results (between benchmark repetitions).
   void ClearCache();

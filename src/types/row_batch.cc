@@ -35,27 +35,9 @@ RowBatch RowBatch::BorrowedColumnar(const ColumnStore* columns,
   return batch;
 }
 
-RowBatch RowBatch::SharedColumnar(
-    std::shared_ptr<const ColumnStore> columns,
-    std::shared_ptr<const std::vector<Row>> storage, size_t begin,
-    size_t end) {
-  RowBatch batch;
-  batch.shared_storage_ = std::move(storage);
-  batch.shared_columns_ = std::move(columns);
-  batch.storage_ = batch.shared_storage_.get();
-  batch.columns_ = batch.shared_columns_.get();
-  batch.sel_.resize(end - begin);
-  std::iota(batch.sel_.begin(), batch.sel_.end(),
-            static_cast<uint32_t>(begin));
-  batch.dense_ = true;
-  return batch;
-}
-
 RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   RowBatch view;
   view.owned_ = owned_;
-  view.shared_storage_ = shared_storage_;
-  view.shared_columns_ = shared_columns_;
   view.storage_ = storage_;
   view.columns_ = columns_;
   view.sel_ = std::move(sel);

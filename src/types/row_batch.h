@@ -41,15 +41,6 @@ class RowBatch {
                                    const std::vector<Row>* storage,
                                    size_t begin, size_t end);
 
-  /// Shared-ownership variant of BorrowedColumnar for transient storage
-  /// such as a decompressed segment: the batch keeps the store and row
-  /// shim alive, so downstream operators may retain the batch after the
-  /// producer's cache has moved on. `columns` may be null (row-only).
-  static RowBatch SharedColumnar(
-      std::shared_ptr<const ColumnStore> columns,
-      std::shared_ptr<const std::vector<Row>> storage, size_t begin,
-      size_t end);
-
   /// Typed columns backing this batch, or nullptr for row-only batches.
   /// Selection-vector entries index both columns and row storage.
   const ColumnStore* columns() const { return columns_; }
@@ -117,10 +108,6 @@ class RowBatch {
 
  private:
   std::shared_ptr<std::vector<Row>> owned_;
-  // Shared-ownership anchors for SharedColumnar batches; storage_ /
-  // columns_ point into them when set.
-  std::shared_ptr<const std::vector<Row>> shared_storage_;
-  std::shared_ptr<const ColumnStore> shared_columns_;
   const std::vector<Row>* storage_ = nullptr;
   const ColumnStore* columns_ = nullptr;
   std::vector<uint32_t> sel_;

@@ -337,26 +337,6 @@ TEST(Serving, EmptyPreparedQueryFailsLoudly) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(Serving, DeprecatedImplicitConversionStillWorks) {
-  Database db;
-  LoadSmallRst(&db, 23, 30, 20, 10);
-  // The deprecated implicit conversion and the With factory must build
-  // identical options.
-  QueryOptions implicit = ExecutionStrategy::kCanonicalMemo;
-  QueryOptions factory =
-      QueryOptions::With(ExecutionStrategy::kCanonicalMemo);
-  EXPECT_EQ(implicit.unnest, factory.unnest);
-  EXPECT_EQ(implicit.cost_based, factory.cost_based);
-  EXPECT_EQ(implicit.memoize_subqueries, factory.memoize_subqueries);
-  EXPECT_EQ(implicit.shortcut_disjunctions,
-            factory.shortcut_disjunctions);
-  auto a = db.Query(kServingQueries[0], implicit);
-  auto b = db.Query(kServingQueries[0], factory);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(RowMultisetsEqual(a->rows, b->rows));
-}
-
 // ===================================================== concurrent suite
 
 TEST(ServingParallel, ConcurrentMixedStrategiesMatchSerialOracle) {

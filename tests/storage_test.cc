@@ -1,8 +1,10 @@
 // Segment-storage subsystem tests: zone-map exactness (NULL-heavy and
-// all-equal segments), the segment codec round-trip (FOR/RLE/dict/raw,
-// -0.0 and NaN preserved), spill-file serialization, the zone-skipping
-// scan against the zones-off oracle, the segment read path against the
-// flat path, the shaped LIKE kernel against the row oracle, hash-table
+// all-equal segments), the zone index builder against a brute-force pass
+// (-0.0, NaN, all-NULL, bool, long-string and mixed-mode segments; empty
+// tables; rebuilds after an append or a new granularity), spill-file
+// serialization, the zone-skipping scan against the zones-off oracle
+// (including untracked and long shared-prefix string segments),
+// the shaped LIKE kernel against the row oracle, hash-table
 // footprint accounting, zone-derived selectivity bounds, and the
 // budget-constrained differential suite (Grace hash join + external
 // merge sort at a budget ~10x smaller than the data vs the
@@ -161,31 +163,88 @@ TEST(StorageZoneMap, UntrackedColumnIsConservative) {
             ZoneMatch::kSome);
 }
 
-// --- Segment codec -------------------------------------------------------
+// --- Zone index builder --------------------------------------------------
 
-TEST(StorageSegmentCodec, RoundTripsEveryEncoding) {
-  // One column per encoding family: clustered int64 (FOR), low-NDV
-  // (RLE), doubles with -0.0/NaN (raw, zones untracked), arena strings
-  // (dict), and a declared-double column fed int64s (mixed-mode
-  // fallback). Decode must reproduce the source rows bit-exactly.
+/// Checks every zone of `table`'s segment index against a brute-force pass
+/// over `table.rows()`: NULL count, min/max over the non-NULL values (the
+/// first of equal values kept), and `untracked` for mixed-mode columns and
+/// NaN-bearing double segments.
+void ExpectZonesMatchBruteForce(const Table& table) {
+  const TableSegments& segs = table.segments();
+  const std::vector<Row>& data = table.rows();
+  ASSERT_EQ(segs.num_rows, data.size());
+  size_t next_row = 0;
+  for (size_t s = 0; s < segs.num_segments(); ++s) {
+    const SegmentMeta& meta = segs.segments[s];
+    EXPECT_EQ(meta.row_begin, next_row) << "seg " << s;
+    next_row = meta.row_begin + meta.row_count;
+    ASSERT_EQ(meta.zones.size(), table.columns().columns.size());
+    for (size_t c = 0; c < meta.zones.size(); ++c) {
+      ColumnZone want;
+      want.untracked = !table.columns().columns[c].typed();
+      bool any = false;
+      for (size_t r = meta.row_begin; r < meta.row_begin + meta.row_count;
+           ++r) {
+        const Value& v = data[r][c];
+        if (v.is_null()) {
+          ++want.null_count;
+          continue;
+        }
+        if (v.is_double() && std::isnan(v.double_value())) {
+          want.untracked = true;
+        }
+        if (!any) {
+          want.min = v;
+          want.max = v;
+          any = true;
+        } else if (v.OrderCompare(want.min) < 0) {
+          want.min = v;
+        } else if (v.OrderCompare(want.max) > 0) {
+          want.max = v;
+        }
+      }
+      if (want.untracked) want.min = want.max = Value::Null();
+      const ColumnZone& got = meta.zones[c];
+      EXPECT_EQ(got.null_count, want.null_count) << "seg " << s << " col " << c;
+      EXPECT_EQ(got.untracked, want.untracked) << "seg " << s << " col " << c;
+      // Serialized bytes keep the dynamic type and the sign of -0.0.
+      EXPECT_EQ(SerializeRows({Row{got.min, got.max}}),
+                SerializeRows({Row{want.min, want.max}}))
+          << "seg " << s << " col " << c;
+    }
+  }
+  EXPECT_EQ(next_row, data.size());
+}
+
+TEST(StorageZoneIndex, ZonesMatchBruteForce) {
+  // Clustered int64 with NULLs, low-NDV int64, doubles with -0.0/NaN,
+  // NULL-bearing strings, and a declared-double column fed int64s
+  // (mixed mode). Rows [256, 384) are NULL in every column, and 700 rows
+  // over 128-row segments leave the last segment partial.
   Schema schema;
   schema.AddColumn({"seq", DataType::kInt64, ""});
   schema.AddColumn({"rle", DataType::kInt64, ""});
   schema.AddColumn({"dbl", DataType::kDouble, ""});
   schema.AddColumn({"str", DataType::kString, ""});
   schema.AddColumn({"mix", DataType::kDouble, ""});
-  Table table("codec", std::move(schema));
+  Table table("zones", std::move(schema));
   Rng rng(7);
   std::vector<Row> rows;
   for (int i = 0; i < 700; ++i) {
+    if (i >= 256 && i < 384) {
+      rows.push_back(Row(5, Value::Null()));
+      continue;
+    }
     Row row;
     row.push_back(i % 11 == 0 ? Value::Null()
                               : Value::Int64(1000000 + i));
     row.push_back(Value::Int64(i / 100));
     if (i == 13) {
       row.push_back(Value::Double(std::nan("")));
-    } else if (i == 14) {
+    } else if (i == 14 || i == 140) {
       row.push_back(Value::Double(-0.0));
+    } else if (i == 141) {
+      row.push_back(Value::Double(0.0));  // ties -0.0: the first is kept
     } else {
       row.push_back(Value::Double(rng.UniformDouble()));
     }
@@ -199,57 +258,116 @@ TEST(StorageSegmentCodec, RoundTripsEveryEncoding) {
   table.set_segment_rows(128);
   const TableSegments& segs = table.segments();
   ASSERT_EQ(segs.num_segments(), (700 + 127) / 128);
-
-  std::vector<Row> decoded;
+  EXPECT_EQ(segs.segments.back().row_count, 700u % 128);
   for (size_t s = 0; s < segs.num_segments(); ++s) {
-    ColumnStore store;
-    std::vector<Row> seg_rows;
-    ASSERT_TRUE(SegmentReader::Read(segs, table.schema(), s, &store,
-                                    &seg_rows)
-                    .ok());
-    EXPECT_EQ(seg_rows.size(), segs.segments[s].row_count);
-    for (Row& r : seg_rows) decoded.push_back(std::move(r));
+    EXPECT_EQ(segs.segments[s].row_begin, s * 128);
   }
-  // Serialized-byte comparison keeps NaN payloads and -0.0 signs honest.
-  EXPECT_EQ(SerializeRows(decoded), SerializeRows(table.rows()));
+  ExpectZonesMatchBruteForce(table);
+  // The fixture reaches every case the builder distinguishes.
+  EXPECT_TRUE(segs.segments[0].zones[2].untracked);  // NaN
+  EXPECT_EQ(segs.segments[1].zones[2].min.double_value(), 0.0);
+  EXPECT_TRUE(std::signbit(segs.segments[1].zones[2].min.double_value()));
+  EXPECT_TRUE(segs.segments[0].zones[4].untracked);  // mixed mode
+  EXPECT_EQ(segs.segments[2].zones[3].null_count, 128);
+  EXPECT_TRUE(segs.segments[2].zones[3].min.is_null());
 }
 
-TEST(StorageSegmentCodec, CompressesClusteredData) {
-  Table table("c", IntSchema({"x", "y"}));
+TEST(StorageZoneIndex, BoolZonesMatchBruteForce) {
+  // 64-row segments: all TRUE, all FALSE, mixed, all NULL, NULL + TRUE.
+  Schema schema;
+  schema.AddColumn({"b", DataType::kBool, ""});
+  Table table("flags", std::move(schema));
   std::vector<Row> rows;
-  for (int i = 0; i < 4096; ++i) {
-    rows.push_back(testing_util::IntRow({i, i / 64}));
+  for (int i = 0; i < 5 * 64; ++i) {
+    const int seg = i / 64;
+    Value v = Value::Bool(true);
+    if (seg == 1) v = Value::Bool(false);
+    if (seg == 2) v = Value::Bool(i % 3 == 0);
+    if (seg == 3 || (seg == 4 && i % 2 == 0)) v = Value::Null();
+    rows.push_back(Row{std::move(v)});
   }
   ASSERT_TRUE(table.AppendUnchecked(std::move(rows)).ok());
-  table.set_segment_rows(512);
+  table.set_segment_rows(64);
+  ExpectZonesMatchBruteForce(table);
   const TableSegments& segs = table.segments();
-  // Dense sequences bit-pack to ~9 bits and the runs-of-64 column RLEs
-  // to 8 runs per segment — far below the 16 raw bytes per row. (A
-  // per-segment-constant column would instead FOR-encode at 0 bits,
-  // which beats RLE's per-run overhead.)
-  EXPECT_LT(segs.compressed_bytes(), 4096 * 16 / 2);
-  for (const std::vector<ColumnSegment>& cols : segs.columns) {
-    EXPECT_EQ(cols[0].encoding, SegmentEncoding::kFor);
-    EXPECT_EQ(cols[1].encoding, SegmentEncoding::kRle);
-  }
+  ASSERT_EQ(segs.num_segments(), 5u);
+  EXPECT_TRUE(segs.segments[0].zones[0].min.bool_value());
+  EXPECT_FALSE(segs.segments[1].zones[0].max.bool_value());
+  EXPECT_FALSE(segs.segments[2].zones[0].min.bool_value());
+  EXPECT_TRUE(segs.segments[2].zones[0].max.bool_value());
+  EXPECT_TRUE(segs.segments[3].zones[0].max.is_null());
+  EXPECT_EQ(segs.segments[4].zones[0].null_count, 32);
+  EXPECT_TRUE(segs.segments[4].zones[0].min.bool_value());
 }
 
-TEST(StoragePackBits, RoundTripsAllWidths) {
-  Rng rng(11);
-  for (uint8_t bits : {0, 1, 7, 13, 32, 63, 64}) {
-    std::vector<uint64_t> values;
-    const uint64_t mask =
-        bits >= 64 ? ~0ull : ((1ull << bits) - 1);
-    for (int i = 0; i < 300; ++i) {
-      values.push_back(rng.Next() & mask);
-    }
-    std::vector<uint64_t> packed;
-    PackBits(values.data(), values.size(), bits, &packed);
-    for (size_t i = 0; i < values.size(); ++i) {
-      EXPECT_EQ(UnpackBits(packed, i, bits), values[i])
-          << "bits=" << int(bits) << " i=" << i;
-    }
+/// A 45-character string: a 40-character prefix every key shares, then
+/// `i` zero-padded to five digits, so keys order like their numbers.
+std::string LongKey(int i) {
+  const std::string n = std::to_string(i);
+  return std::string(40, 'p') + std::string(5 - n.size(), '0') + n;
+}
+
+/// 1024 clustered `LongKey` rows (every ninth NULL) in 128-row segments.
+std::vector<Row> LongKeyRows() {
+  std::vector<Row> rows;
+  for (int i = 0; i < 1024; ++i) {
+    rows.push_back(
+        Row{i % 9 == 0 ? Value::Null() : Value::String(LongKey(i))});
   }
+  return rows;
+}
+
+TEST(StorageZoneIndex, StringZonesKeepFullStrings) {
+  // The keys differ only past the shared prefix, so a zone cut short
+  // anywhere inside it would not separate the segments.
+  Schema schema;
+  schema.AddColumn({"s", DataType::kString, ""});
+  Table table("names", std::move(schema));
+  ASSERT_TRUE(table.AppendUnchecked(LongKeyRows()).ok());
+  table.set_segment_rows(128);
+  ExpectZonesMatchBruteForce(table);
+  const TableSegments& segs = table.segments();
+  ASSERT_EQ(segs.num_segments(), 8u);
+  EXPECT_EQ(segs.segments[3].zones[0].min.string_value(), LongKey(384));
+  EXPECT_EQ(segs.segments[3].zones[0].max.string_value(), LongKey(511));
+  EXPECT_EQ(segs.segments[0].zones[0].null_count, 15);
+}
+
+TEST(StorageZoneIndex, EmptyTableHasNoSegments) {
+  Table table("empty", IntSchema({"x", "y"}));
+  const TableSegments& segs = table.segments();
+  EXPECT_TRUE(table.has_segments());
+  EXPECT_EQ(segs.num_rows, 0u);
+  EXPECT_EQ(segs.num_segments(), 0u);
+  EXPECT_EQ(segs.rows_per_segment, kDefaultRowsPerSegment);
+}
+
+TEST(StorageZoneIndex, AppendAndResizeRebuildTheIndex) {
+  // An append or a new granularity invalidates the built index; the next
+  // reader rebuilds it over every row at the current granularity.
+  Table table("grow", IntSchema({"x"}));
+  std::vector<Row> rows;
+  for (int i = 0; i < 250; ++i) rows.push_back(testing_util::IntRow({i}));
+  ASSERT_TRUE(table.AppendUnchecked(std::move(rows)).ok());
+  table.set_segment_rows(100);
+  ASSERT_EQ(table.segments().num_segments(), 3u);
+  EXPECT_EQ(table.segments().segments[2].zones[0].max, Value::Int64(249));
+
+  ASSERT_TRUE(table.Append(testing_util::IntRow({-5})).ok());
+  EXPECT_FALSE(table.has_segments());
+  const TableSegments& grown = table.segments();
+  ASSERT_EQ(grown.num_segments(), 3u);
+  EXPECT_EQ(grown.num_rows, 251u);
+  EXPECT_EQ(grown.segments[2].row_count, 51u);
+  EXPECT_EQ(grown.segments[2].zones[0].min, Value::Int64(-5));
+  ExpectZonesMatchBruteForce(table);
+
+  table.set_segment_rows(50);
+  EXPECT_FALSE(table.has_segments());
+  EXPECT_EQ(table.segments().num_segments(), 6u);
+  EXPECT_EQ(table.segments().rows_per_segment, 50u);
+  EXPECT_EQ(table.segments().segments[5].row_count, 1u);
+  ExpectZonesMatchBruteForce(table);
 }
 
 // --- Spill files ---------------------------------------------------------
@@ -424,28 +542,68 @@ TEST(StorageZoneSkip, SelectiveNegativePredicateSkipsNothingWrong) {
   EXPECT_EQ(on.stats.segments_skipped, 0);
 }
 
-// --- Segment read path ---------------------------------------------------
-
-TEST(StorageSegmentScan, SegmentReadPathMatchesFlatScan) {
+TEST(StorageZoneSkip, LongSharedPrefixStringsSkipByFullValue) {
   Database db;
-  LoadClustered(&db, "big", 5000, 100, 31);
-  const std::vector<std::string> sqls = {
-      "SELECT COUNT(*), SUM(x), SUM(y) FROM big WHERE y < 50",
-      "SELECT x, y FROM big WHERE x >= 4900 ORDER BY x",
-      "SELECT COUNT(*) FROM big WHERE s LIKE 'item_1%'",
+  Schema schema;
+  schema.AddColumn({"s", DataType::kString, ""});
+  auto table = db.CreateTable("names", std::move(schema));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->AppendUnchecked(LongKeyRows()).ok());
+  (*table)->set_segment_rows(128);
+  // Only the last two of eight segments can hold s >= LongKey(800).
+  const std::string sql =
+      "SELECT COUNT(*) FROM names WHERE s >= '" + LongKey(800) + "'";
+  QueryOptions zones_off;
+  zones_off.enable_zone_maps = false;
+  const QueryResult on = RunOk(&db, sql, QueryOptions());
+  const QueryResult off = RunOk(&db, sql, zones_off);
+  EXPECT_EQ(SerializeRows(on.rows), SerializeRows(off.rows));
+  EXPECT_EQ(on.stats.segments_scanned, 8);
+  EXPECT_EQ(on.stats.segments_skipped, 6);
+}
+
+TEST(StorageZoneSkip, UntrackedSegmentsAreNeverSkipped) {
+  // d is clustered: segment k holds doubles in [k, k + 1), and segment 0
+  // opens with a NaN, so its zone is untracked. m is a declared-double
+  // column fed int64s in even rows (mixed mode): every zone untracked.
+  Database db;
+  Schema schema;
+  schema.AddColumn({"d", DataType::kDouble, ""});
+  schema.AddColumn({"m", DataType::kDouble, ""});
+  auto table = db.CreateTable("untracked", std::move(schema));
+  ASSERT_TRUE(table.ok());
+  Rng rng(17);
+  std::vector<Row> rows;
+  for (int i = 0; i < 8 * 128; ++i) {
+    Row row;
+    row.push_back(i == 0 ? Value::Double(std::nan(""))
+                         : Value::Double(i / 128 + rng.UniformDouble()));
+    row.push_back(i % 2 == 0 ? Value::Int64(i % 100)
+                             : Value::Double(0.5 * (i % 100)));
+    rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE((*table)->AppendUnchecked(std::move(rows)).ok());
+  (*table)->set_segment_rows(128);
+  ASSERT_TRUE((*table)->segments().segments[0].zones[0].untracked);
+  ASSERT_FALSE((*table)->segments().segments[1].zones[0].untracked);
+
+  QueryOptions zones_off;
+  zones_off.enable_zone_maps = false;
+  struct Case {
+    std::string where;
+    int64_t skipped;
   };
-  for (const std::string& sql : sqls) {
-    for (bool columnar : {true, false}) {
-      QueryOptions flat;
-      flat.enable_columnar = columnar;
-      QueryOptions seg;
-      seg.enable_columnar = columnar;
-      seg.scan_from_segments = true;
-      const QueryResult a = RunOk(&db, sql, flat);
-      const QueryResult b = RunOk(&db, sql, seg);
-      EXPECT_EQ(SerializeRows(a.rows), SerializeRows(b.rows))
-          << sql << " columnar=" << columnar;
-    }
+  // d < 0.5 may only be true in segment 0, which must still be scanned;
+  // d >= 7.0 scans segment 7 and the untracked segment 0; no zone of m
+  // proves anything.
+  for (const Case& c : {Case{"d < 0.5", 7}, Case{"d >= 7.0", 6},
+                        Case{"m < 10", 0}, Case{"m = 4", 0}}) {
+    const std::string sql =
+        "SELECT COUNT(*), SUM(m) FROM untracked WHERE " + c.where;
+    const QueryResult on = RunOk(&db, sql, QueryOptions());
+    const QueryResult off = RunOk(&db, sql, zones_off);
+    EXPECT_EQ(SerializeRows(on.rows), SerializeRows(off.rows)) << sql;
+    EXPECT_EQ(on.stats.segments_skipped, c.skipped) << sql;
   }
 }
 
@@ -669,20 +827,18 @@ TEST(StorageParallelZoneSkip, ThreadedScanMatchesSerial) {
       "SELECT COUNT(*), SUM(y) FROM big WHERE x < 1000";
   QueryOptions serial_opts;
   const QueryResult serial = RunOk(&db, sql, serial_opts);
-  for (bool from_segments : {false, true}) {
-    QueryOptions threaded;
-    threaded.num_threads = 4;
-    threaded.scan_from_segments = from_segments;
-    const QueryResult parallel = RunOk(&db, sql, threaded);
-    EXPECT_EQ(SerializeRows(parallel.rows), SerializeRows(serial.rows));
-    EXPECT_EQ(parallel.stats.segments_skipped,
-              serial.stats.segments_skipped);
-  }
+  QueryOptions threaded;
+  threaded.num_threads = 4;
+  const QueryResult parallel = RunOk(&db, sql, threaded);
+  EXPECT_EQ(SerializeRows(parallel.rows), SerializeRows(serial.rows));
+  EXPECT_EQ(parallel.stats.segments_skipped,
+            serial.stats.segments_skipped);
 }
 
 TEST(StorageParallelSegmentScan, ConcurrentQueriesShareSegmentIndex) {
   // First queries after load race to build the segment index; the
   // build must be safe and every result identical to the serial oracle.
+  // The oracle runs with zone maps off, so it never builds the index.
   Database db;
   LoadClustered(&db, "big", 6000, 50, 92);
   const std::string sql =
@@ -694,15 +850,14 @@ TEST(StorageParallelSegmentScan, ConcurrentQueriesShareSegmentIndex) {
   std::vector<QueryResult> results(4);
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&db, &results, t, &sql] {
-      QueryOptions options;
-      options.scan_from_segments = t % 2 == 1;
-      auto result = db.Query(sql, options);
+      auto result = db.Query(sql, QueryOptions());
       if (result.ok()) results[static_cast<size_t>(t)] = std::move(*result);
     });
   }
   for (std::thread& t : threads) t.join();
   for (const QueryResult& r : results) {
     EXPECT_EQ(SerializeRows(r.rows), SerializeRows(oracle.rows));
+    EXPECT_GT(r.stats.segments_skipped, 0);
   }
 }
 
