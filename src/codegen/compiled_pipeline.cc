@@ -64,7 +64,7 @@ CompiledPipelineOp::CompiledPipelineOp(CompiledFnSlotPtr slot,
 
 Status CompiledPipelineOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   const size_t ports = static_cast<size_t>(chain_.num_out_ports);
   for (Scratch& s : scratch_) {
     s.streams.resize(ports);
@@ -78,7 +78,7 @@ Status CompiledPipelineOp::Prepare(ExecContext* ctx) {
   // Per-execution signal that this plan's artifact was served from the
   // codegen cache rather than compiled fresh.
   if (slot_ != nullptr && slot_->ready() != nullptr && slot_->from_cache()) {
-    ctx->stats()->codegen_cache_hits += 1;
+    ctx->run().stats().codegen_cache_hits += 1;
   }
   return Status::OK();
 }
@@ -263,7 +263,7 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
                                       const CompiledArtifact* artifact,
                                       const CgBatch& cg, CgJoinView* jv,
                                       CgGroupView* gv) {
-  ExecStats* stats = ctx_->stats();
+  ExecStats& stats = ctx_->run().stats();
   const uint64_t n = cg.n;
   if (s.pair_a.size() < n) {
     s.pair_a.resize(n);
@@ -302,8 +302,8 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
       }
       start = counts[1];
     }
-    stats->compiled_batches += 1;
-    stats->compiled_join_batches += 1;
+    stats.compiled_batches += 1;
+    stats.compiled_join_batches += 1;
     return Status::OK();
   }
 
@@ -347,10 +347,10 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
     }
   }
 
-  stats->compiled_batches += 1;
-  stats->compiled_agg_batches += 1;
+  stats.compiled_batches += 1;
+  stats.compiled_agg_batches += 1;
   if (chain_.terminal.kind == ChainTerminalKind::kJoinGroupBy) {
-    stats->compiled_join_batches += 1;
+    stats.compiled_join_batches += 1;
   }
   return Status::OK();
 }
@@ -407,7 +407,7 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
       // hash structure is not probe-able (unpublished join view, demoted
       // group map): the interpreted chain — whose terminal is that same
       // breaker — handles this batch.
-      ctx_->stats()->compiled_fallback_batches += 1;
+      ctx_->run().stats().compiled_fallback_batches += 1;
       return head_->Consume(0, std::move(batch));
     }
     return RunWidened(std::move(batch), s, artifact, cg, &jv, &gv);
@@ -417,7 +417,7 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
     // Still compiling, compile failed, or guards said no: the original
     // interpreted chain handles this batch and emits to the same
     // consumers.
-    ctx_->stats()->compiled_fallback_batches += 1;
+    ctx_->run().stats().compiled_fallback_batches += 1;
     return head_->Consume(0, std::move(batch));
   }
 
@@ -428,8 +428,8 @@ Status CompiledPipelineOp::Consume(int, RowBatch batch) {
     s.outs[p] = s.streams[p].data();
   }
   artifact->run()(&cg, s.outs.data(), s.counts.data());
-  ExecStats* stats = ctx_->stats();
-  stats->compiled_batches += 1;
+  ExecStats& stats = ctx_->run().stats();
+  stats.compiled_batches += 1;
 
   const bool was_dense = batch.dense();
   if (ports == 2) {

@@ -211,24 +211,13 @@ Result<QueryResult> PreparedQuery::Execute(
         "Execute on an empty PreparedQuery (default-constructed or "
         "moved-from)");
   }
-  // Standalone default env: mirrors the historical behaviour — serial
-  // queries run without a pool, parallel ones on the database's shared
-  // pool grown to the requested width, budget from the run options.
-  QueryExecEnv env;
-  const int num_threads =
-      run_options.num_threads < 1 ? 1 : run_options.num_threads;
-  if (num_threads > 1) {
-    env.pool = db_->EnsurePool(num_threads);
-    env.num_worker_slots = env.pool->num_workers();
-    env.sched.max_workers = num_threads;
-    env.sched.max_worker_id = env.num_worker_slots;
-  }
-  if (run_options.memory_budget_bytes > 0) {
-    env.memory = std::make_shared<MemoryBudget>();
-    env.memory->limit =
-        static_cast<int64_t>(run_options.memory_budget_bytes);
-  }
-  return ExecuteWith(run_options, env);
+  // The embedded server builds the env exactly as for its own queries,
+  // minus admission: its elastic pool grows to the requested width.
+  return ExecuteWith(
+      run_options,
+      db_->server()->MakeEnv(
+          run_options, /*priority=*/0,
+          static_cast<int64_t>(run_options.memory_budget_bytes)));
 }
 
 Result<QueryResult> PreparedQuery::ExecuteWith(
@@ -266,56 +255,40 @@ Result<QueryResult> PreparedQuery::ExecuteWith(
     result.physical_plan = plan_.ToString();
   }
 
-  const int num_worker_slots =
-      env.num_worker_slots < 1 ? 1 : env.num_worker_slots;
-  ExecContext ctx;
-  ctx.set_stats(&result.stats);
-  ctx.set_batch_size(run_options.batch_size);
-  ctx.set_morsel_size(run_options.morsel_size);
-  ctx.set_num_worker_slots(num_worker_slots);
-  ctx.set_columnar_enabled(run_options.enable_columnar);
-  ctx.set_memory(env.memory);
-  ctx.set_zone_maps_enabled(run_options.enable_zone_maps);
+  // One run context per execution, read by the main plan and every
+  // nested subplan. Statistics always go to per-worker slots: one slot
+  // when serial, summed below.
+  auto run = std::make_shared<RunContext>();
+  run->batch_size = std::max<size_t>(run_options.batch_size, 1);
+  if (run_options.morsel_size > 0) run->morsel_size = run_options.morsel_size;
+  run->columnar_enabled = run_options.enable_columnar;
+  run->zone_maps_enabled = run_options.enable_zone_maps;
+  if (run_options.timeout.has_value()) {
+    run->deadline = std::chrono::steady_clock::now() + *run_options.timeout;
+  }
+  run->memory_limit = env.memory_budget_bytes;
   // One scratch-dir manager per execution: budgeted operators spill into
   // it instead of failing, and its destructor removes every temp file
-  // once the query (and any subplan holding a reference) is done.
-  std::shared_ptr<SpillManager> spill;
-  if (env.memory != nullptr && run_options.allow_spill) {
-    spill = std::make_shared<SpillManager>(run_options.spill_directory);
+  // once the query (and any subplan holding the run) is done.
+  if (env.memory_budget_bytes > 0 && run_options.allow_spill) {
+    run->spill = std::make_unique<SpillManager>(run_options.spill_directory);
   }
-  ctx.set_spill(spill);
-  SharedWorkerStats worker_stats;
-  if (env.pool != nullptr) {
-    ctx.set_pool(env.pool);
-    ctx.set_task_group_options(env.sched);
-    // Route statistics to padded per-worker slots; aggregated below.
-    worker_stats = std::make_shared<std::vector<ExecStatsSlot>>(
-        static_cast<size_t>(num_worker_slots));
-    ctx.set_worker_stats(worker_stats);
-  }
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (run_options.timeout.has_value()) {
-    deadline = std::chrono::steady_clock::now() + *run_options.timeout;
-    ctx.set_deadline(*deadline);
-  }
+  run->worker_stats.resize(
+      static_cast<size_t>(std::max(env.num_worker_slots, 1)));
+  ExecContext ctx(run);
+  ctx.set_pool(env.pool);
+  ctx.set_task_group_options(env.sched);
   for (ExecSubplan* subplan : plan_.subplans) {
     // Fresh memo caches per run keep repeated Execute calls independent
     // (benchmark repetitions must not inherit earlier runs' caches).
     subplan->ClearCache();
-    subplan->Configure(deadline, &result.stats, ctx.batch_size(),
-                       worker_stats, num_worker_slots,
-                       run_options.enable_columnar, env.memory, spill,
-                       run_options.enable_zone_maps);
+    subplan->Configure(run);
   }
 
   const auto exec_start = std::chrono::steady_clock::now();
   BYPASS_RETURN_IF_ERROR(RunPlan(&plan_, &ctx));
   result.execution_time = std::chrono::steady_clock::now() - exec_start;
-  if (worker_stats != nullptr) {
-    for (const ExecStatsSlot& slot : *worker_stats) {
-      result.stats.Add(slot.stats);
-    }
-  }
+  result.stats = run->TotalStats();
   if (run_options.collect_plans) {
     result.operator_stats = plan_.StatsString();
     result.operator_feedback = CollectOperatorFeedback(plan_);
@@ -398,12 +371,6 @@ Server* Database::server() {
 Session* Database::default_session() {
   server();  // ensure created
   return default_session_.get();
-}
-
-WorkerPool* Database::EnsurePool(int num_threads) {
-  WorkerPool* pool = server()->pool();
-  pool->EnsureWorkers(num_threads);
-  return pool;
 }
 
 CodegenEngine* Database::codegen_engine() {

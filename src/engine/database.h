@@ -48,10 +48,10 @@ struct ServerOptions;
 
 /// Everything a PreparedQuery execution needs from its surroundings:
 /// which pool drives parallel scans, how its task groups are scheduled
-/// against other queries on that pool, and which memory budget buffering
-/// operators charge. Standalone Execute() builds a default env from the
-/// run options; the serving layer (engine/server.h) builds one per
-/// admitted query from the shared pool and the server's budgets.
+/// against other queries on that pool, and the memory budget buffering
+/// operators charge. Built by Server::MakeEnv for both entry points:
+/// standalone Execute() on the embedded server's pool, and the serving
+/// layer (engine/server.h) once per admitted query.
 struct QueryExecEnv {
   /// Pool for morsel-parallel scans; nullptr = serial execution on the
   /// calling thread regardless of num_threads.
@@ -63,8 +63,9 @@ struct QueryExecEnv {
   /// Priority / intra-query worker cap / worker-id bound for this
   /// query's ParallelFor rounds on a shared pool.
   TaskGroupOptions sched;
-  /// Memory budget charged by buffering operators; nullptr = unbudgeted.
-  SharedMemoryBudget memory;
+  /// Memory budget charged by buffering operators, in bytes; 0 =
+  /// unbudgeted.
+  int64_t memory_budget_bytes = 0;
 };
 
 /// What ANALYZE did for one table.
@@ -225,11 +226,6 @@ class Database {
  private:
   friend class PreparedQuery;
   friend class Server;
-
-  /// Grows the embedded server's shared pool to at least `num_threads`
-  /// workers and returns it (compatibility shim; historically each
-  /// Database owned a private pool rebuilt per thread count).
-  WorkerPool* EnsurePool(int num_threads);
 
   Catalog catalog_;
   /// Declared before the server so in-flight serving work (which may

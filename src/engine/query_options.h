@@ -116,7 +116,7 @@ struct QueryOptions {
   int priority = 0;
   /// Per-query memory budget in bytes for buffering operators (result
   /// collection, join build sides, sorts), enforced through
-  /// ExecContext::ChargeMemory. 0 = the server's default (or unlimited
+  /// RunContext::ChargeMemory. 0 = the server's default (or unlimited
   /// for standalone use). With `allow_spill` (the default) budgeted hash
   /// joins and sorts overflow to temp files and complete with the same
   /// results; operators without a spill path (notably result collection)

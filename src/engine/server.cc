@@ -262,9 +262,9 @@ void Server::Release(const Admission& admission) {
 }
 
 QueryExecEnv Server::MakeEnv(const QueryOptions& options, int priority,
-                             const SharedMemoryBudget& memory) {
+                             int64_t memory_budget_bytes) {
   QueryExecEnv env;
-  env.memory = memory;
+  env.memory_budget_bytes = memory_budget_bytes;
   int num_threads = std::max(1, options.num_threads);
   if (options_.num_workers == 0) {
     // Elastic: honour the query's thread request, as a private pool
@@ -314,13 +314,8 @@ Result<QueryResult> Server::RunQuery(const std::string& sql,
     plan_cache_.Release(std::move(lease));
     return admitted;
   }
-  SharedMemoryBudget memory;
-  if (budget_bytes > 0) {
-    memory = std::make_shared<MemoryBudget>();
-    memory->limit = budget_bytes;
-  }
-  QueryExecEnv env = MakeEnv(options, priority, memory);
-  Result<QueryResult> result = lease.prepared.ExecuteWith(options, env);
+  Result<QueryResult> result = lease.prepared.ExecuteWith(
+      options, MakeEnv(options, priority, budget_bytes));
   Release(admission);
   plan_cache_.Release(std::move(lease));
   {

@@ -4,7 +4,7 @@
 //
 //   client sessions ──▶ admission control ──▶ shared WorkerPool
 //         │                    │                    ▲
-//         │                    ├── memory budgets ──┘ (ExecContext hooks)
+//         │                    ├── memory budgets ──┘ (RunContext hooks)
 //         └── Submit/Query ────┴── plan cache (engine/plan_cache.h)
 //
 // Admission bounds how many queries execute at once
@@ -142,6 +142,7 @@ class Server {
 
  private:
   friend class Database;
+  friend class PreparedQuery;
 
   /// One admission: a slot under max_concurrent_queries plus a memory
   /// reservation under memory_budget_bytes.
@@ -162,9 +163,10 @@ class Server {
                                const QueryOptions& options, int priority);
 
   /// Per-query env on the shared pool (pool growth for elastic servers,
-  /// slots/task-group bounds, memory budget wiring).
+  /// slots/task-group bounds, the memory budget in bytes). The one env
+  /// builder: PreparedQuery::Execute uses it too, without admission.
   QueryExecEnv MakeEnv(const QueryOptions& options, int priority,
-                       const SharedMemoryBudget& memory);
+                       int64_t memory_budget_bytes);
 
   void DispatcherLoop();
   /// Lazily adds a dispatcher thread when queued work outnumbers idle

@@ -21,7 +21,7 @@ Status DriveSource(TableScanOp* source, ExecContext* ctx) {
     return source->Run();
   }
   const size_t num_rows = source->num_rows();
-  const size_t morsel = ctx->morsel_size();
+  const size_t morsel = ctx->run().morsel_size;
   const size_t num_morsels = (num_rows + morsel - 1) / morsel;
   BYPASS_RETURN_IF_ERROR(pool->ParallelFor(
       num_morsels,

@@ -4,7 +4,7 @@ namespace bypass {
 
 Status FilterOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -34,7 +34,7 @@ Status FilterOp::Consume(int, RowBatch batch) {
 
 Status BypassFilterOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 

@@ -52,7 +52,7 @@ HashGroupByOp::HashGroupByOp(std::vector<int> key_slots,
 
 Status HashGroupByOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  partials_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  partials_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   if (scalar_) {
     for (Partial& p : partials_) {
       if (p.scalar == nullptr) {
@@ -214,16 +214,21 @@ Status BinaryGroupByHashOp::BuildFromRight() {
   return Status::OK();
 }
 
-Status BinaryGroupByHashOp::ProcessLeft(Row row) {
-  const Value& key_val = row[static_cast<size_t>(left_key_slot_)];
-  const Row* vals = &empty_group_values_;
-  if (!key_val.is_null()) {
-    const Row* found =
-        group_values_.Find(RowSlotsRef{&row, &left_key_slots_});
-    if (found != nullptr) vals = found;
+Status BinaryGroupByHashOp::ProcessLeftBatch(RowBatch batch) {
+  const size_t n = batch.size();
+  for (size_t i = 0; i < n; ++i) {
+    Row row = batch.TakeRow(i);
+    const Value& key_val = row[static_cast<size_t>(left_key_slot_)];
+    const Row* vals = &empty_group_values_;
+    if (!key_val.is_null()) {
+      const Row* found =
+          group_values_.Find(RowSlotsRef{&row, &left_key_slots_});
+      if (found != nullptr) vals = found;
+    }
+    for (const Value& v : *vals) row.push_back(v);
+    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(row)));
   }
-  for (const Value& v : *vals) row.push_back(v);
-  return EmitRow(kPortOut, std::move(row));
+  return Status::OK();
 }
 
 // ------------------------------------------------------ BinaryGroupBy(nl)
@@ -236,22 +241,28 @@ BinaryGroupByNLOp::BinaryGroupByNLOp(int left_key_slot, CompareOp op,
       right_key_slot_(right_key_slot),
       aggregates_(std::move(aggregates)) {}
 
-Status BinaryGroupByNLOp::ProcessLeft(Row row) {
-  AggregatorSet aggs(&aggregates_);
-  const Value& left_key = row[static_cast<size_t>(left_key_slot_)];
-  int64_t since_check = 0;
-  for (const Row& right : right_rows()) {
-    if (++since_check >= 4096) {
-      since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+Status BinaryGroupByNLOp::ProcessLeftBatch(RowBatch batch) {
+  const size_t n = batch.size();
+  for (size_t i = 0; i < n; ++i) {
+    Row row = batch.TakeRow(i);
+    AggregatorSet aggs(&aggregates_);
+    const Value& left_key = row[static_cast<size_t>(left_key_slot_)];
+    int64_t since_check = 0;
+    for (const Row& right : right_rows()) {
+      if (++since_check >= 4096) {
+        since_check = 0;
+        BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
+      }
+      const Value& right_key =
+          right[static_cast<size_t>(right_key_slot_)];
+      if (left_key.Compare(op_, right_key) != TriBool::kTrue) continue;
+      EvalContext ectx{&right, ctx_->outer_row()};
+      BYPASS_RETURN_IF_ERROR(aggs.Accumulate(ectx));
     }
-    const Value& right_key = right[static_cast<size_t>(right_key_slot_)];
-    if (left_key.Compare(op_, right_key) != TriBool::kTrue) continue;
-    EvalContext ectx{&right, ctx_->outer_row()};
-    BYPASS_RETURN_IF_ERROR(aggs.Accumulate(ectx));
+    BYPASS_RETURN_IF_ERROR(aggs.FinalizeInto(&row));
+    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(row)));
   }
-  BYPASS_RETURN_IF_ERROR(aggs.FinalizeInto(&row));
-  return EmitRow(kPortOut, std::move(row));
+  return Status::OK();
 }
 
 }  // namespace bypass

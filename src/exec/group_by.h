@@ -84,7 +84,7 @@ class BinaryGroupByHashOp : public BinaryPhysOp {
 
  protected:
   Status BuildFromRight() override;
-  Status ProcessLeft(Row row) override;
+  Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 
  private:
@@ -111,7 +111,7 @@ class BinaryGroupByNLOp : public BinaryPhysOp {
   std::string Label() const override { return "BinaryGroupBy(nl)"; }
 
  protected:
-  Status ProcessLeft(Row row) override;
+  Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 
  private:

@@ -326,7 +326,7 @@ int64_t JoinHashTable::RetainedBytes() const {
 
 Status HashJoinOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(BinaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -348,13 +348,13 @@ Status HashJoinOp::BuildFromRight() {
   // The index arrays scale with the build side exactly like the buffered
   // rows (charged on arrival) do, so they pay into the budget too.
   const int64_t bytes = table_.RetainedBytes();
-  if (ctx_->spill() != nullptr && ctx_->memory() != nullptr) {
-    if (!ctx_->TryChargeMemory(bytes)) {
+  if (ctx_->run().spill != nullptr) {
+    if (!ctx_->run().TryChargeMemory(bytes)) {
       table_.Clear();
       return EnterGraceMode();
     }
   } else {
-    BYPASS_RETURN_IF_ERROR(ctx_->ChargeMemory(bytes));
+    BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
   }
   // The build is complete and budgeted: publish the codegen view. The
   // release store pairs with codegen_view()'s acquire load — a compiled
@@ -366,18 +366,14 @@ Status HashJoinOp::BuildFromRight() {
 }
 
 Status HashJoinOp::EnterGraceMode() {
-  ExecStats* stats = ctx_->stats();
+  RunContext& run = ctx_->run();
   right_parts_.resize(kGracePartitions);
   left_parts_.resize(kGracePartitions);
   for (size_t p = 0; p < kGracePartitions; ++p) {
-    BYPASS_ASSIGN_OR_RETURN(right_parts_[p],
-                            ctx_->spill()->NewFile("gracer"));
-    BYPASS_ASSIGN_OR_RETURN(left_parts_[p],
-                            ctx_->spill()->NewFile("gracel"));
+    BYPASS_ASSIGN_OR_RETURN(right_parts_[p], run.spill->NewFile("gracer"));
+    BYPASS_ASSIGN_OR_RETURN(left_parts_[p], run.spill->NewFile("gracel"));
   }
-  if (stats != nullptr) {
-    stats->spill_files += static_cast<int64_t>(2 * kGracePartitions);
-  }
+  run.stats().spill_files += static_cast<int64_t>(2 * kGracePartitions);
   auto route_right = [&](const Row& row) -> Status {
     // NULL-keyed rows can never match an inner join; dropping them here
     // mirrors the in-memory build skipping them.
@@ -393,7 +389,7 @@ Status HashJoinOp::EnterGraceMode() {
       BYPASS_RETURN_IF_ERROR(route_right(row));
     }
   }
-  ctx_->ReleaseMemory(TakeRightCharges());
+  run.ReleaseMemory(TakeRightCharges());
   BYPASS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillFile>> spilled,
                           TakeRightSpillFiles());
   Row row;
@@ -405,16 +401,9 @@ Status HashJoinOp::EnterGraceMode() {
       BYPASS_RETURN_IF_ERROR(route_right(row));
     }
   }
-  int64_t routed_rows = 0;
-  int64_t routed_bytes = 0;
   for (std::unique_ptr<SpillFile>& part : right_parts_) {
     BYPASS_RETURN_IF_ERROR(part->FinishWrite());
-    routed_rows += part->rows_written();
-    routed_bytes += part->bytes_written();
-  }
-  if (stats != nullptr) {
-    stats->spilled_rows += routed_rows;
-    stats->spilled_bytes += routed_bytes;
+    run.stats().spilled_bytes += part->bytes_written();
   }
   grace_ = true;
   return Status::OK();
@@ -428,17 +417,10 @@ Status HashJoinOp::RouteLeftRow(const Row& row) {
 }
 
 Status HashJoinOp::ProbeGracePartitions() {
-  ExecStats* stats = ctx_->stats();
-  int64_t left_spill_rows = 0;
-  int64_t left_spill_bytes = 0;
+  ExecStats& stats = ctx_->run().stats();
   for (std::unique_ptr<SpillFile>& part : left_parts_) {
     BYPASS_RETURN_IF_ERROR(part->FinishWrite());
-    left_spill_rows += part->rows_written();
-    left_spill_bytes += part->bytes_written();
-  }
-  if (stats != nullptr) {
-    stats->spilled_rows += left_spill_rows;
-    stats->spilled_bytes += left_spill_bytes;
+    stats.spilled_bytes += part->bytes_written();
   }
   std::vector<Row> build;
   Row row;
@@ -446,7 +428,7 @@ Status HashJoinOp::ProbeGracePartitions() {
     SpillFile& right = *right_parts_[p];
     SpillFile& left = *left_parts_[p];
     if (right.rows_written() == 0 || left.rows_written() == 0) continue;
-    BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+    BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     build.clear();
     build.reserve(static_cast<size_t>(right.rows_written()));
     BYPASS_RETURN_IF_ERROR(right.OpenRead());
@@ -460,14 +442,14 @@ Status HashJoinOp::ProbeGracePartitions() {
     // overflows the budget (extreme key skew) fails rather than thrash.
     const int64_t row_bytes = ApproxRowsBytes(
         build.size(), build.empty() ? 0 : build[0].size());
-    if (!ctx_->TryChargeMemory(row_bytes)) {
+    if (!ctx_->run().TryChargeMemory(row_bytes)) {
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
     table_.Build(build, right_key_slots_, ctx_->pool());
     const int64_t table_bytes = table_.RetainedBytes();
-    if (!ctx_->TryChargeMemory(table_bytes)) {
-      ctx_->ReleaseMemory(row_bytes);
+    if (!ctx_->run().TryChargeMemory(table_bytes)) {
+      ctx_->run().ReleaseMemory(row_bytes);
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
@@ -483,9 +465,9 @@ Status HashJoinOp::ProbeGracePartitions() {
       st = EmitMatches(row, table_.Probe(row, left_key_slots_), build);
     }
     table_.Clear();
-    ctx_->ReleaseMemory(row_bytes + table_bytes);
+    ctx_->run().ReleaseMemory(row_bytes + table_bytes);
     BYPASS_RETURN_IF_ERROR(st);
-    if (stats != nullptr) ++stats->join_spill_partitions;
+    ++stats.join_spill_partitions;
   }
   right_parts_.clear();
   left_parts_.clear();
@@ -505,12 +487,6 @@ Status HashJoinOp::EmitMatches(const Row& row, JoinMatches matches,
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
   return Status::OK();
-}
-
-Status HashJoinOp::ProcessLeft(Row row) {
-  if (grace_) return RouteLeftRow(row);
-  return EmitMatches(row, table_.Probe(row, left_key_slots_),
-                     right_rows());
 }
 
 // Probes the whole batch through the vectorized hash-then-resolve path:
@@ -549,7 +525,7 @@ Status NLJoinOp::JoinAgainstRight(const Row& row) {
   for (const Row& right : right_rows()) {
     if (++since_check >= 4096) {
       since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     }
     Row joined = gather().Gather(row, right);
     if (predicate_ != nullptr) {
@@ -562,8 +538,6 @@ Status NLJoinOp::JoinAgainstRight(const Row& row) {
   }
   return Status::OK();
 }
-
-Status NLJoinOp::ProcessLeft(Row row) { return JoinAgainstRight(row); }
 
 Status NLJoinOp::ProcessLeftBatch(RowBatch batch) {
   const size_t n = batch.size();

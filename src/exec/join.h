@@ -213,7 +213,6 @@ class HashJoinOp : public BinaryPhysOp {
 
  protected:
   Status BuildFromRight() override;
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override;
   bool CanSpillRight() const override { return true; }
@@ -272,7 +271,6 @@ class NLJoinOp : public BinaryPhysOp {
   }
 
  protected:
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 

@@ -4,7 +4,7 @@ namespace bypass {
 
 Status HashLeftOuterJoinOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(BinaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -18,7 +18,7 @@ Status HashLeftOuterJoinOp::BuildFromRight() {
   // The index arrays scale with the build side like the buffered rows
   // (charged on arrival) do; this operator has no spill path, so an
   // overrun surfaces as ResourceExhausted.
-  return ctx_->ChargeMemory(table_.RetainedBytes());
+  return ctx_->run().ChargeMemory(table_.RetainedBytes());
 }
 
 Status HashLeftOuterJoinOp::EmitPadded(const Row& row,
@@ -31,10 +31,6 @@ Status HashLeftOuterJoinOp::EmitPadded(const Row& row,
         EmitRow(kPortOut, gather().Gather(row, right_rows()[idx])));
   }
   return Status::OK();
-}
-
-Status HashLeftOuterJoinOp::ProcessLeft(Row row) {
-  return EmitPadded(row, table_.Probe(row, left_key_slots_));
 }
 
 Status HashLeftOuterJoinOp::ProcessLeftBatch(RowBatch batch) {
@@ -54,7 +50,7 @@ Status NLLeftOuterJoinOp::JoinOrPad(const Row& row) {
   for (const Row& right : right_rows()) {
     if (++since_check >= 4096) {
       since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     }
     Row joined = gather().Gather(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
@@ -71,8 +67,6 @@ Status NLLeftOuterJoinOp::JoinOrPad(const Row& row) {
   }
   return Status::OK();
 }
-
-Status NLLeftOuterJoinOp::ProcessLeft(Row row) { return JoinOrPad(row); }
 
 Status NLLeftOuterJoinOp::ProcessLeftBatch(RowBatch batch) {
   const size_t n = batch.size();

@@ -33,7 +33,6 @@ class HashLeftOuterJoinOp : public BinaryPhysOp {
 
  protected:
   Status BuildFromRight() override;
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 
@@ -60,7 +59,6 @@ class NLLeftOuterJoinOp : public BinaryPhysOp {
   }
 
  protected:
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 

@@ -32,10 +32,10 @@ void PhysOp::ReplaceConsumers(int out_port, PhysOp* consumer,
 
 Status PhysOp::Prepare(ExecContext* ctx) {
   ctx_ = ctx;
-  batch_size_ = ctx->batch_size();
+  batch_size_ = ctx->run().batch_size;
   // Keep the pending builders' capacity: subplans re-Prepare once per
   // correlated re-execution, and reallocating here would churn.
-  workers_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  workers_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   for (WorkerState& w : workers_) {
     w.ports.resize(static_cast<size_t>(num_out_ports_));
     for (PortState& p : w.ports) {
@@ -174,7 +174,7 @@ Status UnaryPhysOp::FinishPort(int in_port) {
 
 Status BinaryPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(PhysOp::Prepare(ctx));
-  buffers_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  buffers_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -194,23 +194,19 @@ void BinaryPhysOp::Reset() {
 
 Status BinaryPhysOp::SpillRightBuffer(InputBuffers* buffers) {
   if (buffers->right.empty()) return Status::OK();
-  ExecStats* stats = ctx_->stats();
+  RunContext& run = ctx_->run();
   if (buffers->spill == nullptr) {
-    BYPASS_ASSIGN_OR_RETURN(buffers->spill,
-                            ctx_->spill()->NewFile("build"));
-    if (stats != nullptr) ++stats->spill_files;
+    BYPASS_ASSIGN_OR_RETURN(buffers->spill, run.spill->NewFile("build"));
+    ++run.stats().spill_files;
   }
   const int64_t bytes_before = buffers->spill->bytes_written();
   for (const Row& row : buffers->right) {
     BYPASS_RETURN_IF_ERROR(buffers->spill->AppendRow(row));
   }
-  if (stats != nullptr) {
-    stats->spilled_rows += static_cast<int64_t>(buffers->right.size());
-    stats->spilled_bytes +=
-        buffers->spill->bytes_written() - bytes_before;
-  }
+  run.stats().spilled_bytes +=
+      buffers->spill->bytes_written() - bytes_before;
   buffers->right.clear();
-  ctx_->ReleaseMemory(buffers->charged);
+  run.ReleaseMemory(buffers->charged);
   buffers->charged = 0;
   right_spilled_.store(true, std::memory_order_relaxed);
   return Status::OK();
@@ -236,14 +232,6 @@ int64_t BinaryPhysOp::TakeRightCharges() {
   return total;
 }
 
-Status BinaryPhysOp::ProcessLeftBatch(RowBatch batch) {
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    BYPASS_RETURN_IF_ERROR(ProcessLeft(batch.TakeRow(i)));
-  }
-  return Status::OK();
-}
-
 Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
   InputBuffers& buffers =
       buffers_[static_cast<size_t>(CurrentWorkerId())];
@@ -264,9 +252,8 @@ Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
         batch.ConsumeRowsInto(&buffers.right);
       }
     };
-    if (CanSpillRight() && ctx_->spill() != nullptr &&
-        ctx_->memory() != nullptr) {
-      if (ctx_->TryChargeMemory(bytes)) {
+    if (CanSpillRight() && ctx_->run().spill != nullptr) {
+      if (ctx_->run().TryChargeMemory(bytes)) {
         buffers.charged += bytes;
         take();
       } else {
@@ -277,7 +264,7 @@ Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
       }
       return Status::OK();
     }
-    BYPASS_RETURN_IF_ERROR(ctx_->ChargeMemory(bytes));
+    BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
     take();
     return Status::OK();
   }

@@ -129,7 +129,7 @@ class PhysOp {
   /// The execution's configured rows-per-batch.
   size_t batch_size() const { return batch_size_; }
 
-  /// Number of per-worker state slots (ExecContext::num_worker_slots at
+  /// Number of per-worker state slots (RunContext::num_worker_slots at
   /// Prepare time). Subclasses size their own thread-local state by this.
   int num_worker_slots() const {
     return static_cast<int>(workers_.size());
@@ -259,14 +259,10 @@ class BinaryPhysOp : public PhysOp {
   /// ctx_->pool().
   virtual Status BuildFromRight() { return Status::OK(); }
 
-  /// Called for each left row after the right side is built. Outputs go
-  /// through EmitRow so they re-batch on the way out. Concurrent across
-  /// workers; implementations must only read shared build state.
-  virtual Status ProcessLeft(Row row) = 0;
-
-  /// Batch-level hook; the default unpacks the batch into ProcessLeft
-  /// calls (moving rows out when the batch owns them exclusively).
-  virtual Status ProcessLeftBatch(RowBatch batch);
+  /// Called for each left batch after the right side is built. Outputs
+  /// go through Emit/EmitRow so they re-batch on the way out. Concurrent
+  /// across workers; implementations must only read shared build state.
+  virtual Status ProcessLeftBatch(RowBatch batch) = 0;
 
   /// Called when both inputs have finished and all left rows were
   /// processed; must EmitFinish on every output port.
@@ -299,7 +295,7 @@ class BinaryPhysOp : public PhysOp {
   std::vector<Row> TakeRightRows() { return std::move(right_rows_); }
 
   /// Total bytes still charged for buffered right rows, zeroed — the
-  /// caller pairs it with ExecContext::ReleaseMemory after spilling.
+  /// caller pairs it with RunContext::ReleaseMemory after spilling.
   int64_t TakeRightCharges();
 
  private:

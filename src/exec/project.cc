@@ -6,7 +6,7 @@ namespace bypass {
 
 Status ProjectPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -41,7 +41,7 @@ std::string ProjectPhysOp::Label() const {
 
 Status MapPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 

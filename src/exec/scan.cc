@@ -13,15 +13,14 @@ Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
   // operators not yet ported to columns.
   const std::vector<Row>& rows = table_->rows();
   const ColumnStore* columns =
-      ctx_->columnar_enabled() ? &table_->columns() : nullptr;
+      ctx_->run().columnar_enabled ? &table_->columns() : nullptr;
   for (size_t b = begin; b < end; b += batch_size()) {
     if (ctx_->cancelled()) break;
-    BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+    BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     const size_t batch_end = std::min(b + batch_size(), end);
-    if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-      stats->rows_scanned += static_cast<int64_t>(batch_end - b);
-      if (columns != nullptr) ++stats->columnar_batches;
-    }
+    ExecStats& stats = ctx_->run().stats();
+    stats.rows_scanned += static_cast<int64_t>(batch_end - b);
+    if (columns != nullptr) ++stats.columnar_batches;
     RowBatch batch =
         columns != nullptr
             ? RowBatch::BorrowedColumnar(columns, &rows, b, batch_end)
@@ -32,7 +31,7 @@ Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
 }
 
 Status TableScanOp::RunMorsel(size_t begin, size_t end) {
-  if (zone_filter_ == nullptr || !ctx_->zone_maps_enabled()) {
+  if (zone_filter_ == nullptr || !ctx_->run().zone_maps_enabled) {
     return EmitFlatRange(begin, end);
   }
 
@@ -45,16 +44,14 @@ Status TableScanOp::RunMorsel(size_t begin, size_t end) {
     const size_t lo = std::max(begin, meta.row_begin);
     const size_t hi = std::min(end, meta.row_begin + meta.row_count);
     if (lo >= hi) continue;
-    ExecStats* stats = ctx_->stats();
+    ExecStats& stats = ctx_->run().stats();
     // Segment counters attribute to the morsel holding the segment's
     // first row, so they stay exact under any morsel alignment.
     const bool counts_here = lo == meta.row_begin;
-    if (stats != nullptr && counts_here) ++stats->segments_scanned;
+    if (counts_here) ++stats.segments_scanned;
     if (!ZoneMayBeTrue(*zone_filter_, meta)) {
-      if (stats != nullptr) {
-        if (counts_here) ++stats->segments_skipped;
-        stats->zone_skip_rows += static_cast<int64_t>(hi - lo);
-      }
+      if (counts_here) ++stats.segments_skipped;
+      stats.zone_skip_rows += static_cast<int64_t>(hi - lo);
       continue;
     }
     BYPASS_RETURN_IF_ERROR(EmitFlatRange(lo, hi));

@@ -4,7 +4,7 @@ namespace bypass {
 
 Status HashExistenceJoinOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(BinaryPhysOp::Prepare(ctx));
-  scratch_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -18,7 +18,7 @@ Status HashExistenceJoinOp::BuildFromRight() {
   // The index arrays scale with the build side like the buffered rows
   // (charged on arrival) do; this operator has no spill path, so an
   // overrun surfaces as ResourceExhausted.
-  return ctx_->ChargeMemory(table_.RetainedBytes());
+  return ctx_->run().ChargeMemory(table_.RetainedBytes());
 }
 
 std::string HashExistenceJoinOp::Label() const {
@@ -29,17 +29,6 @@ std::string HashExistenceJoinOp::Label() const {
            std::to_string(right_key_slots_[i]);
   }
   return out + "]";
-}
-
-bool HashExistenceJoinOp::Matches(const Row& row) const {
-  return !table_.Probe(row, left_key_slots_).empty();
-}
-
-Status HashExistenceJoinOp::ProcessLeft(Row row) {
-  if (Matches(row) != anti_) {
-    return EmitRow(kPortOut, std::move(row));
-  }
-  return Status::OK();
 }
 
 // Batch-probes in place; the left row is only copied out of the batch
@@ -62,7 +51,7 @@ Result<bool> NLExistenceJoinOp::Matches(const Row& row) const {
   for (const Row& right : right_rows()) {
     if (++since_check >= 4096) {
       since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->CheckBudget());
+      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     }
     const Row joined = gather().Gather(row, right);
     EvalContext ectx{&joined, ctx_->outer_row()};
@@ -70,14 +59,6 @@ Result<bool> NLExistenceJoinOp::Matches(const Row& row) const {
     if (ValueToTriBool(v) == TriBool::kTrue) return true;
   }
   return false;
-}
-
-Status NLExistenceJoinOp::ProcessLeft(Row row) {
-  BYPASS_ASSIGN_OR_RETURN(bool has_match, Matches(row));
-  if (has_match != anti_) {
-    return EmitRow(kPortOut, std::move(row));
-  }
-  return Status::OK();
 }
 
 Status NLExistenceJoinOp::ProcessLeftBatch(RowBatch batch) {

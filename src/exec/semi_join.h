@@ -31,13 +31,10 @@ class HashExistenceJoinOp : public BinaryPhysOp {
 
  protected:
   Status BuildFromRight() override;
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 
  private:
-  bool Matches(const Row& row) const;
-
   bool anti_;
   std::vector<int> left_key_slots_;
   std::vector<int> right_key_slots_;
@@ -59,7 +56,6 @@ class NLExistenceJoinOp : public BinaryPhysOp {
   }
 
  protected:
-  Status ProcessLeft(Row row) override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 

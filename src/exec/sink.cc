@@ -4,7 +4,7 @@ namespace bypass {
 
 Status CollectorSink::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(PhysOp::Prepare(ctx));
-  partials_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  partials_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -23,20 +23,14 @@ Status CollectorSink::Consume(int, RowBatch batch) {
     if (witness_taken_) return Status::OK();
     witness_taken_ = true;
     batch.selection().resize(1);
-    if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-      ++stats->rows_emitted;
-    }
     partials_[static_cast<size_t>(CurrentWorkerId())].rows.push_back(
         batch.TakeRow(0));
     ctx_->set_cancelled(true);
     return Status::OK();
   }
-  if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-    stats->rows_emitted += static_cast<int64_t>(batch.size());
-  }
   // The collector retains every result row until the client takes them —
   // the main place an unbudgeted query grows without bound.
-  BYPASS_RETURN_IF_ERROR(ctx_->ChargeMemory(ApproxRowsBytes(
+  BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(ApproxRowsBytes(
       batch.size(), batch.size() > 0 ? batch.row(0).size() : 0)));
   batch.ConsumeRowsInto(
       &partials_[static_cast<size_t>(CurrentWorkerId())].rows);

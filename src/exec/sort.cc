@@ -12,7 +12,7 @@ using KeyedRows = std::vector<std::pair<Row, size_t>>;
 
 Status SortPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
-  partials_.resize(static_cast<size_t>(ctx->num_worker_slots()));
+  partials_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
@@ -60,21 +60,19 @@ Status SortPhysOp::SpillRun(Partial* partial) {
   if (partial->rows.empty()) return Status::OK();
   BYPASS_ASSIGN_OR_RETURN(KeyedRows keyed, SortKeyed(partial->rows));
   BYPASS_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> run,
-                          ctx_->spill()->NewFile("sortrun"));
+                          ctx_->run().spill->NewFile("sortrun"));
   for (const auto& [key, idx] : keyed) {
     BYPASS_RETURN_IF_ERROR(
         run->AppendRow(ConcatRows(key, partial->rows[idx])));
   }
   BYPASS_RETURN_IF_ERROR(run->FinishWrite());
-  if (ExecStats* stats = ctx_->stats(); stats != nullptr) {
-    ++stats->sort_spill_runs;
-    ++stats->spill_files;
-    stats->spilled_rows += run->rows_written();
-    stats->spilled_bytes += run->bytes_written();
-  }
+  ExecStats& stats = ctx_->run().stats();
+  ++stats.sort_spill_runs;
+  ++stats.spill_files;
+  stats.spilled_bytes += run->bytes_written();
   partial->runs.push_back(std::move(run));
   partial->rows.clear();
-  ctx_->ReleaseMemory(partial->charged);
+  ctx_->run().ReleaseMemory(partial->charged);
   partial->charged = 0;
   return Status::OK();
 }
@@ -85,8 +83,8 @@ Status SortPhysOp::Consume(int, RowBatch batch) {
   // budget like the join build side does.
   const int64_t bytes = ApproxRowsBytes(
       batch.size(), batch.size() > 0 ? batch.row(0).size() : 0);
-  if (ctx_->spill() != nullptr && ctx_->memory() != nullptr) {
-    if (ctx_->TryChargeMemory(bytes)) {
+  if (ctx_->run().spill != nullptr) {
+    if (ctx_->run().TryChargeMemory(bytes)) {
       partial.charged += bytes;
       batch.ConsumeRowsInto(&partial.rows);
       return Status::OK();
@@ -96,7 +94,7 @@ Status SortPhysOp::Consume(int, RowBatch batch) {
     batch.ConsumeRowsInto(&partial.rows);
     return SpillRun(&partial);
   }
-  BYPASS_RETURN_IF_ERROR(ctx_->ChargeMemory(bytes));
+  BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
   batch.ConsumeRowsInto(&partial.rows);
   return Status::OK();
 }
@@ -199,7 +197,7 @@ Status SortPhysOp::FinishPort(int) {
     return EmitFinish(kPortOut);
   }
   BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &keyed));
-  ctx_->ReleaseMemory(charged);
+  ctx_->run().ReleaseMemory(charged);
   return EmitFinish(kPortOut);
 }
 

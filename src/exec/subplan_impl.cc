@@ -8,31 +8,11 @@ ExecSubplan::ExecSubplan(PhysicalPlan plan,
       free_outer_slots_(std::move(free_outer_slots)),
       memoize_(memoize) {}
 
-void ExecSubplan::Configure(
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    ExecStats* stats, size_t batch_size, SharedWorkerStats worker_stats,
-    int num_worker_slots, bool enable_columnar, SharedMemoryBudget memory,
-    std::shared_ptr<SpillManager> spill, bool enable_zone_maps) {
-  if (deadline.has_value()) {
-    ctx_.set_deadline(*deadline);
-  } else {
-    ctx_.clear_deadline();
-  }
-  ctx_.set_stats(stats);
-  ctx_.set_worker_stats(worker_stats);
-  ctx_.set_batch_size(batch_size);
+void ExecSubplan::Configure(const std::shared_ptr<RunContext>& run) {
   // No pool: the subplan runs serially on whichever worker evaluates it,
   // but its operators must have a state slot for that worker's id.
-  ctx_.set_num_worker_slots(num_worker_slots);
-  ctx_.set_columnar_enabled(enable_columnar);
-  ctx_.set_memory(memory);
-  ctx_.set_spill(spill);
-  ctx_.set_zone_maps_enabled(enable_zone_maps);
-  for (ExecSubplan* nested : plan_.subplans) {
-    nested->Configure(deadline, stats, batch_size, worker_stats,
-                      num_worker_slots, enable_columnar, memory, spill,
-                      enable_zone_maps);
-  }
+  ctx_.set_run(run);
+  for (ExecSubplan* nested : plan_.subplans) nested->Configure(run);
 }
 
 void ExecSubplan::ClearCache() {
@@ -82,9 +62,9 @@ Status ExecSubplan::Execute(const Row* outer_row) {
   // The per-row re-execution loop is the canonical plans' hot spot; it is
   // also where a time budget must be enforced even when each individual
   // run is short.
-  BYPASS_RETURN_IF_ERROR(ctx_.CheckBudget());
+  BYPASS_RETURN_IF_ERROR(ctx_.run().CheckBudget());
   num_executions_.fetch_add(1, std::memory_order_relaxed);
-  if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_executions;
+  ++ctx_.run().stats().subquery_executions;
   ctx_.set_cancelled(false);
   ctx_.set_outer_row(outer_row);
   return RunPlan(&plan_, &ctx_);
@@ -99,7 +79,7 @@ Result<Value> ExecSubplan::EvalScalar(const Row* outer_row) {
     stripe = &StripeFor(outer_row, nullptr);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const Value* hit = Lookup(stripe->scalar, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
@@ -109,7 +89,7 @@ Result<Value> ExecSubplan::EvalScalar(const Row* outer_row) {
     // one waited for the exec lock.
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const Value* hit = Lookup(stripe->scalar, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
@@ -144,7 +124,7 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
     stripe = &StripeFor(outer_row, nullptr);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const bool* hit = Lookup(stripe->exists, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
@@ -152,7 +132,7 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const bool* hit = Lookup(stripe->exists, outer_row)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
@@ -183,7 +163,7 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
     stripe = &StripeFor(outer_row, &probe);
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const TriBool* hit = stripe->in.Find(key)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
@@ -191,7 +171,7 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     if (const TriBool* hit = stripe->in.Find(key)) {
-      if (ctx_.stats() != nullptr) ++ctx_.stats()->subquery_cache_hits;
+      ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "common/flat_table.h"
@@ -44,21 +43,11 @@ class ExecSubplan : public CorrelatedSubplan {
     return num_executions_.load(std::memory_order_relaxed);
   }
 
-  /// Propagates the query's deadline, stats sinks, batch size,
-  /// worker-slot count, the columnar toggle, the shared memory budget,
-  /// the shared spill manager, and the zone-map toggle into this block's
-  /// private execution context (called by the engine before
-  /// running). `worker_stats`, `memory`, and `spill` may be null;
-  /// `num_worker_slots` must cover every worker id that can evaluate
+  /// Joins this block, and every block nested in it, to the query's
+  /// run context (called by the engine before running). The run's
+  /// worker slots must cover every worker id that can evaluate
   /// expressions referencing this subplan.
-  void Configure(std::optional<std::chrono::steady_clock::time_point>
-                     deadline,
-                 ExecStats* stats, size_t batch_size,
-                 SharedWorkerStats worker_stats = nullptr,
-                 int num_worker_slots = 1, bool enable_columnar = true,
-                 SharedMemoryBudget memory = nullptr,
-                 std::shared_ptr<SpillManager> spill = nullptr,
-                 bool enable_zone_maps = true);
+  void Configure(const std::shared_ptr<RunContext>& run);
 
   /// Drops memoized results (between benchmark repetitions).
   void ClearCache();

@@ -483,8 +483,8 @@ TEST(TimeoutTest, DeadlineAbortsScans) {
   MiniPlan left_plan = BinaryPlan(
       &big, &big, std::make_unique<NLJoinOp>(nullptr));
   ExecContext ctx;
-  ctx.set_deadline(std::chrono::steady_clock::now() -
-                   std::chrono::milliseconds(1));  // already expired
+  ctx.run().deadline = std::chrono::steady_clock::now() -
+                       std::chrono::milliseconds(1);  // already expired
   Status st = RunPlan(&left_plan.plan, &ctx);
   EXPECT_EQ(st.code(), StatusCode::kTimeout);
 }
