@@ -1,6 +1,8 @@
 #include "algebra/logical_op.h"
 
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -515,28 +517,30 @@ void CollectTopological(const LogicalOp* node,
   out->push_back(node);
 }
 
+/// Shared (bypass) nodes are numbered in first-visit order, so the text
+/// depends only on the plan's shape, never on node addresses.
 struct PrintState {
-  std::unordered_map<const LogicalOp*, int> shared_ids;
-  std::unordered_map<const LogicalOp*, bool> printed;
-  int next_id = 1;
+  std::unordered_set<const LogicalOp*> shared;
+  std::unordered_map<const LogicalOp*, int> ids;  // printed shared nodes
 };
 
 void PrintNode(const LogicalOp* node, StreamPort port, int indent,
                PrintState* state, std::ostringstream* os) {
   for (int i = 0; i < indent; ++i) *os << "  ";
+  const bool shared = state->shared.count(node) > 0;
   if (port == StreamPort::kNegative) {
     *os << "[-] ";
-  } else if (state->shared_ids.count(node) > 0) {
+  } else if (shared) {
     *os << "[+] ";
   }
-  auto id_it = state->shared_ids.find(node);
-  if (id_it != state->shared_ids.end()) {
-    *os << "#" << id_it->second << " ";
-    if (state->printed[node]) {
+  if (shared) {
+    const auto [it, first] = state->ids.emplace(
+        node, static_cast<int>(state->ids.size()) + 1);
+    *os << "#" << it->second << " ";
+    if (!first) {
       *os << "(shared " << node->Label() << ")\n";
       return;
     }
-    state->printed[node] = true;
   }
   *os << node->Label() << "\n";
   for (const LogicalInput& in : node->inputs()) {
@@ -563,7 +567,7 @@ std::string PlanToString(const LogicalOp& root) {
   }
   PrintState state;
   for (const auto& [node, count] : ref_count) {
-    if (count > 1) state.shared_ids[node] = state.next_id++;
+    if (count > 1) state.shared.insert(node);
   }
   std::ostringstream os;
   PrintNode(&root, StreamPort::kOut, 0, &state, &os);

@@ -137,9 +137,9 @@ bool RecognizeGroupBy(HashGroupByOp* group, const std::vector<int>* remap,
   return true;
 }
 
-/// Probes `op` for a fusable generation-2 terminal. A hash join must be
-/// fed on its probe (left) port with a single non-residual int64 key; a
-/// group-by downstream of the join — through identity or pure
+/// Probes `op` for a fusable generation-2 terminal. An inner hash join
+/// must be fed on its probe (left) port with a single non-residual int64
+/// key; a group-by downstream of the join — through identity or pure
 /// column-copy Π layers — upgrades the shape to the fully fused
 /// probe+accumulate loop. Map χ layers decline: physical operators carry
 /// no schemas, so the pass-through width of an append is unknowable
@@ -159,6 +159,8 @@ bool RecognizeWidenedTerminal(PhysOp* op, int in_port, const Schema& schema,
   auto* join = dynamic_cast<HashJoinOp*>(op);
   if (join == nullptr) return false;
   if (in_port != BinaryPhysOp::kLeft) return false;  // build side: never
+  // The compiled probe emits pairs: an inner join's output only.
+  if (join->kind() != JoinKind::kInner) return false;
   if (join->has_residual()) return false;
   if (join->probe_key_slots().size() != 1) return false;
   const int probe_slot = join->probe_key_slots()[0];

@@ -44,7 +44,6 @@ std::string PlanCacheKey(const std::string& sql,
   key.push_back(options.enable_codegen ? 'g' : '-');
   key.push_back(options.codegen_synchronous ? 'y' : '-');
   key.push_back(static_cast<char>('0' + static_cast<int>(r.disjunct_order)));
-  key += std::to_string(static_cast<int64_t>(r.subquery_cost));
   return key;
 }
 

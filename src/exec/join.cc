@@ -340,15 +340,44 @@ void HashJoinOp::Reset() {
   left_parts_.clear();
 }
 
+std::string HashJoinOp::Label() const {
+  const std::string pred =
+      residual_ != nullptr ? " " + residual_->ToString() : std::string();
+  if (existence()) {
+    const std::string name =
+        kind_ == JoinKind::kAnti ? "AntiJoin" : "SemiJoin";
+    if (!keyed()) return "NL" + name + pred;
+    std::string out = "Hash" + name + " [keys ";
+    for (size_t i = 0; i < probe_key_slots_.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += "l" + std::to_string(probe_key_slots_[i]) + "=r" +
+             std::to_string(build_key_slots_[i]);
+    }
+    return out + "]" + pred;
+  }
+  const std::string name =
+      kind_ == JoinKind::kInner ? "Join" : "LeftOuterJoin";
+  std::string out;
+  if (keyed()) {
+    out = "Hash" + name;
+  } else if (kind_ == JoinKind::kInner && residual_ == nullptr) {
+    out = "CrossProduct";
+  } else {
+    out = "NL" + name + pred;
+  }
+  return out + gather().LabelSuffix();
+}
+
 Status HashJoinOp::BuildFromRight() {
   static_assert(kGracePartitions ==
                 size_t{1} << (64 - kGracePartitionShift));
+  if (!keyed()) return Status::OK();  // every build row is a candidate
   if (right_spilled()) return EnterGraceMode();
-  table_.Build(right_rows(), right_key_slots_, ctx_->pool());
+  table_.Build(right_rows(), build_key_slots_, ctx_->pool());
   // The index arrays scale with the build side exactly like the buffered
   // rows (charged on arrival) do, so they pay into the budget too.
   const int64_t bytes = table_.RetainedBytes();
-  if (ctx_->run().spill != nullptr) {
+  if (CanSpillRight() && ctx_->run().spill != nullptr) {
     if (!ctx_->run().TryChargeMemory(bytes)) {
       table_.Clear();
       return EnterGraceMode();
@@ -377,8 +406,8 @@ Status HashJoinOp::EnterGraceMode() {
   auto route_right = [&](const Row& row) -> Status {
     // NULL-keyed rows can never match an inner join; dropping them here
     // mirrors the in-memory build skipping them.
-    if (AnyNull(row, right_key_slots_)) return Status::OK();
-    return right_parts_[GracePartitionOf(row, right_key_slots_)]
+    if (AnyNull(row, build_key_slots_)) return Status::OK();
+    return right_parts_[GracePartitionOf(row, build_key_slots_)]
         ->AppendRow(row);
   };
   // Repartition the in-memory remainder first, releasing its budget
@@ -410,8 +439,8 @@ Status HashJoinOp::EnterGraceMode() {
 }
 
 Status HashJoinOp::RouteLeftRow(const Row& row) {
-  if (AnyNull(row, left_key_slots_)) return Status::OK();
-  const size_t p = GracePartitionOf(row, left_key_slots_);
+  if (AnyNull(row, probe_key_slots_)) return Status::OK();
+  const size_t p = GracePartitionOf(row, probe_key_slots_);
   std::lock_guard<std::mutex> lock(part_mutex_[p]);
   return left_parts_[p]->AppendRow(row);
 }
@@ -446,7 +475,7 @@ Status HashJoinOp::ProbeGracePartitions() {
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
-    table_.Build(build, right_key_slots_, ctx_->pool());
+    table_.Build(build, build_key_slots_, ctx_->pool());
     const int64_t table_bytes = table_.RetainedBytes();
     if (!ctx_->run().TryChargeMemory(table_bytes)) {
       ctx_->run().ReleaseMemory(row_bytes);
@@ -462,7 +491,7 @@ Status HashJoinOp::ProbeGracePartitions() {
         break;
       }
       if (!*more) break;
-      st = EmitMatches(row, table_.Probe(row, left_key_slots_), build);
+      st = JoinRow(row, table_.Probe(row, probe_key_slots_), build).status();
     }
     table_.Clear();
     ctx_->run().ReleaseMemory(row_bytes + table_bytes);
@@ -474,24 +503,37 @@ Status HashJoinOp::ProbeGracePartitions() {
   return Status::OK();
 }
 
-Status HashJoinOp::EmitMatches(const Row& row, JoinMatches matches,
-                               const std::vector<Row>& build_rows) {
-  for (uint32_t idx : matches) {
-    Row joined = gather().Gather(row, build_rows[idx]);
+Result<bool> HashJoinOp::JoinRow(const Row& row, JoinMatches matches,
+                                 const std::vector<Row>& build_rows) {
+  const bool keyed = this->keyed();
+  const bool existence = this->existence();
+  bool matched = false;
+  const size_t candidates = keyed ? matches.count : build_rows.size();
+  int64_t since_check = 0;
+  for (size_t k = 0; k < candidates; ++k) {
+    if (!keyed && ++since_check >= 4096) {
+      since_check = 0;
+      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
+    }
+    Row joined =
+        gather().Gather(row, build_rows[keyed ? matches.data[k] : k]);
     if (residual_ != nullptr) {
       EvalContext ectx{&joined, ctx_->outer_row()};
       BYPASS_ASSIGN_OR_RETURN(Value v, residual_->Eval(ectx));
       if (ValueToTriBool(v) != TriBool::kTrue) continue;
       gather().Trim(&joined);
     }
+    matched = true;
+    if (existence) break;  // the first match decides the probe row
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
   }
-  return Status::OK();
+  return matched;
 }
 
-// Probes the whole batch through the vectorized hash-then-resolve path:
-// left rows are never copied out of the batch, so probe misses cost no
-// allocation at all.
+// A keyed join probes the whole batch through the vectorized
+// hash-then-resolve path: left rows are never copied out of the batch,
+// so probe misses cost no allocation at all, and a semi or anti join
+// copies a row out only when it passes.
 Status HashJoinOp::ProcessLeftBatch(RowBatch batch) {
   const size_t n = batch.size();
   if (grace_) {
@@ -500,13 +542,36 @@ Status HashJoinOp::ProcessLeftBatch(RowBatch batch) {
     }
     return Status::OK();
   }
+  // Per-batch constants: the row loop below runs once per probe row.
+  const bool keyed = this->keyed();
+  const bool existence = this->existence();
+  const bool anti = kind_ == JoinKind::kAnti;
+  const bool pad = kind_ == JoinKind::kLeftOuter;
+  // The key lookup alone decides a keyed miss, which only the left outer
+  // and anti joins emit, and a hit of an existence join without a
+  // residual.
+  const bool skip_misses = keyed && !pad && !anti;
+  const bool walk_hits = !existence || residual_ != nullptr;
   JoinProbeScratch& scratch =
       scratch_[static_cast<size_t>(CurrentWorkerId())];
-  table_.ProbeBatch(batch, left_key_slots_, &scratch);
+  if (keyed) table_.ProbeBatch(batch, probe_key_slots_, &scratch);
   for (size_t i = 0; i < n; ++i) {
-    if (scratch.matches[i].empty()) continue;
-    BYPASS_RETURN_IF_ERROR(EmitMatches(batch.row(i), scratch.matches[i],
-                                       right_rows()));
+    const JoinMatches matches = keyed ? scratch.matches[i] : JoinMatches{};
+    bool matched = !matches.empty();
+    if (!matched && skip_misses) continue;
+    if (!keyed || (matched && walk_hits)) {
+      BYPASS_ASSIGN_OR_RETURN(matched,
+                              JoinRow(batch.row(i), matches, right_rows()));
+    }
+    if (existence) {
+      if (matched != anti) {
+        BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, batch.TakeRow(i)));
+      }
+    } else if (pad && !matched) {
+      Row padded = gather().Gather(batch.row(i), unmatched_right_);
+      gather().Trim(&padded);
+      BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(padded)));
+    }
   }
   return Status::OK();
 }
@@ -516,35 +581,6 @@ Status HashJoinOp::FinishBoth() {
     BYPASS_RETURN_IF_ERROR(ProbeGracePartitions());
   }
   return EmitFinish(kPortOut);
-}
-
-// ----------------------------------------------------------------- NLJoin
-
-Status NLJoinOp::JoinAgainstRight(const Row& row) {
-  int64_t since_check = 0;
-  for (const Row& right : right_rows()) {
-    if (++since_check >= 4096) {
-      since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
-    }
-    Row joined = gather().Gather(row, right);
-    if (predicate_ != nullptr) {
-      EvalContext ectx{&joined, ctx_->outer_row()};
-      BYPASS_ASSIGN_OR_RETURN(Value v, predicate_->Eval(ectx));
-      if (ValueToTriBool(v) != TriBool::kTrue) continue;
-      gather().Trim(&joined);
-    }
-    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
-  }
-  return Status::OK();
-}
-
-Status NLJoinOp::ProcessLeftBatch(RowBatch batch) {
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    BYPASS_RETURN_IF_ERROR(JoinAgainstRight(batch.row(i)));
-  }
-  return Status::OK();
 }
 
 }  // namespace bypass

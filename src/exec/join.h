@@ -1,5 +1,6 @@
-// Inner joins: hash join for equi-predicates, nested-loop join for
-// arbitrary predicates.
+// Joins: one operator for the inner, left outer, semi and anti join,
+// hashing on equi keys when it has any and looping over every build row
+// when it has none.
 #ifndef BYPASSDB_EXEC_JOIN_H_
 #define BYPASSDB_EXEC_JOIN_H_
 
@@ -161,31 +162,55 @@ class JoinHashTable {
   bool int64_mode_ = false;
 };
 
-/// Equi hash join (right = build side). Each match emits the gathered
-/// row (BinaryPhysOp::gather()); the optional residual predicate is
-/// evaluated over the gathered row before its predicate-only tail is
-/// trimmed.
+/// The four join kinds of the paper's plans: θ pairs (Eqv. 5), the
+/// left outer join with default (Eqv. 1/4), and the semi and anti joins
+/// of quantified disjuncts.
+enum class JoinKind : uint8_t { kInner, kLeftOuter, kSemi, kAnti };
+
+/// The one physical join (right = build side). A probe row's candidates
+/// are the build rows whose key values equal its own — every build row
+/// when the join has no keys, the nested-loop join — and a candidate
+/// pair matches when the optional residual is TRUE over its gathered row
+/// (BinaryPhysOp::gather()). Per probe row, by kind:
+///   inner       emits each matching pair;
+///   left outer  emits each matching pair, or the row padded with
+///               `unmatched_right` when there is none;
+///   semi        emits the probe row when some pair matches;
+///   anti        emits the probe row when none does.
+/// Emitted pairs have their predicate-only tail trimmed; semi and anti
+/// joins emit their probe rows unchanged. NULL keys never match.
 ///
-/// Out-of-core: when the context carries a memory budget and a spill
-/// manager, a build side that cannot be charged switches the join into
-/// Grace mode — both inputs are hash-partitioned to temp files by their
-/// join key and each partition pair is joined in memory at finish.
-/// Output order then becomes partition-major (still deterministic for a
-/// fixed partition count); in-memory executions are byte-identical to
-/// the pre-spill behavior.
+/// Out-of-core (keyed inner joins only): when the context carries a
+/// memory budget and a spill manager, a build side that cannot be
+/// charged switches the join into Grace mode — both inputs are
+/// hash-partitioned to temp files by their join key and each partition
+/// pair is joined in memory at finish. Output order then becomes
+/// partition-major (still deterministic for a fixed partition count);
+/// in-memory executions are byte-identical to the pre-spill behavior.
+/// Every other join fails with ResourceExhausted over budget.
 class HashJoinOp : public BinaryPhysOp {
  public:
-  HashJoinOp(std::vector<int> left_key_slots,
-             std::vector<int> right_key_slots, ExprPtr residual)
-      : left_key_slots_(std::move(left_key_slots)),
-        right_key_slots_(std::move(right_key_slots)),
-        residual_(std::move(residual)) {}
+  /// `probe_key_slots` (left) and `build_key_slots` (right) pair up and
+  /// may both be empty. `unmatched_right` is read by the left outer join
+  /// only and must have the buffered right row's arity.
+  HashJoinOp(JoinKind kind, std::vector<int> probe_key_slots,
+             std::vector<int> build_key_slots, ExprPtr residual,
+             Row unmatched_right = {})
+      : kind_(kind),
+        probe_key_slots_(std::move(probe_key_slots)),
+        build_key_slots_(std::move(build_key_slots)),
+        residual_(std::move(residual)),
+        unmatched_right_(std::move(unmatched_right)) {}
 
   Status Prepare(ExecContext* ctx) override;
   void Reset() override;
-  std::string Label() const override {
-    return "HashJoin" + gather().LabelSuffix();
-  }
+  /// "HashJoin", "HashLeftOuterJoin", "HashSemiJoin [keys l0=r1, ...]"
+  /// with keys; "CrossProduct", "NLJoin <pred>", "NLLeftOuterJoin <pred>",
+  /// "NLAntiJoin <pred>" without. Joins that emit pairs append the
+  /// gather's label suffix.
+  std::string Label() const override;
+
+  JoinKind kind() const { return kind_; }
 
   // --- Codegen-tier surface (DESIGN.md §12): a compiled pipeline that
   //     fused this join's probe loop reads the build side through these
@@ -207,7 +232,7 @@ class HashJoinOp : public BinaryPhysOp {
   /// buffered layout the gather addresses).
   const std::vector<Row>& build_rows() const { return right_rows(); }
   const std::vector<int>& probe_key_slots() const {
-    return left_key_slots_;
+    return probe_key_slots_;
   }
   bool has_residual() const { return residual_ != nullptr; }
 
@@ -215,7 +240,9 @@ class HashJoinOp : public BinaryPhysOp {
   Status BuildFromRight() override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override;
-  bool CanSpillRight() const override { return true; }
+  bool CanSpillRight() const override {
+    return kind_ == JoinKind::kInner && keyed();
+  }
 
  private:
   /// Fan-out of the Grace repartitioning; 16 partitions put each pair at
@@ -223,10 +250,19 @@ class HashJoinOp : public BinaryPhysOp {
   /// spilling in the first place.
   static constexpr size_t kGracePartitions = 16;
 
-  /// Joins one probe row against `build_rows` (the rows `matches` indexes
-  /// into: right_rows() in memory, the loaded partition in Grace mode).
-  Status EmitMatches(const Row& row, JoinMatches matches,
-                     const std::vector<Row>& build_rows);
+  bool keyed() const { return !probe_key_slots_.empty(); }
+  bool existence() const {
+    return kind_ == JoinKind::kSemi || kind_ == JoinKind::kAnti;
+  }
+
+  /// Joins one probe row against `build_rows` (right_rows() in memory,
+  /// the loaded partition in Grace mode): the rows `matches` indexes
+  /// when keyed, all of them otherwise. Emits the matching pairs of an
+  /// inner or left outer join; returns whether some pair matched,
+  /// stopping at the first one for semi and anti joins. The caller
+  /// pads an unmatched outer row and emits an existence join's row.
+  Result<bool> JoinRow(const Row& row, JoinMatches matches,
+                       const std::vector<Row>& build_rows);
 
   /// Tears down in-memory build state and repartitions the right side
   /// (spilled files + in-memory remainder) into kGracePartitions temp
@@ -241,9 +277,11 @@ class HashJoinOp : public BinaryPhysOp {
   /// right rows, stream-probe the left file. Single-threaded.
   Status ProbeGracePartitions();
 
-  std::vector<int> left_key_slots_;
-  std::vector<int> right_key_slots_;
+  JoinKind kind_;
+  std::vector<int> probe_key_slots_;
+  std::vector<int> build_key_slots_;
   ExprPtr residual_;
+  Row unmatched_right_;
   JoinHashTable table_;
   std::vector<JoinProbeScratch> scratch_;  // per worker
 
@@ -257,27 +295,6 @@ class HashJoinOp : public BinaryPhysOp {
   std::vector<std::unique_ptr<SpillFile>> right_parts_;
   std::vector<std::unique_ptr<SpillFile>> left_parts_;
   std::array<std::mutex, kGracePartitions> part_mutex_;
-};
-
-/// Nested-loop join; null predicate = cross product.
-class NLJoinOp : public BinaryPhysOp {
- public:
-  explicit NLJoinOp(ExprPtr predicate) : predicate_(std::move(predicate)) {}
-
-  std::string Label() const override {
-    return (predicate_ ? "NLJoin " + predicate_->ToString()
-                       : std::string("CrossProduct")) +
-           gather().LabelSuffix();
-  }
-
- protected:
-  Status ProcessLeftBatch(RowBatch batch) override;
-  Status FinishBoth() override { return EmitFinish(kPortOut); }
-
- private:
-  Status JoinAgainstRight(const Row& row);
-
-  ExprPtr predicate_;
 };
 
 }  // namespace bypass

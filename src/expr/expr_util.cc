@@ -77,6 +77,19 @@ std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred) {
   return out;
 }
 
+bool IsHashKeyConjunct(const Expr& conjunct) {
+  if (conjunct.kind() != ExprKind::kComparison) return false;
+  const auto& cmp = static_cast<const ComparisonExpr&>(conjunct);
+  if (cmp.op() != CompareOp::kEq) return false;
+  for (const Expr* side : {cmp.left().get(), cmp.right().get()}) {
+    if (side->kind() != ExprKind::kColumnRef ||
+        static_cast<const ColumnRefExpr*>(side)->is_outer()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::vector<ExprPtr> SplitDisjuncts(const ExprPtr& pred) {
   std::vector<ExprPtr> out;
   if (pred == nullptr) return out;

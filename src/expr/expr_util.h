@@ -35,6 +35,12 @@ bool ContainsOuterRef(const ExprPtr& expr);
 /// ANDs). A non-AND predicate yields a single conjunct.
 std::vector<ExprPtr> SplitConjuncts(const ExprPtr& pred);
 
+/// True when `conjunct` equates two uncorrelated columns: the one
+/// conjunct shape a join hashes on. The planner takes such conjuncts as
+/// join keys (other conjuncts stay a residual) and the cost model prices
+/// a join with one as a hash join.
+bool IsHashKeyConjunct(const Expr& conjunct);
+
 /// Splits a predicate into its top-level disjuncts (flattening nested
 /// ORs). A non-OR predicate yields a single disjunct.
 std::vector<ExprPtr> SplitDisjuncts(const ExprPtr& pred);

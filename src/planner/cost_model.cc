@@ -209,7 +209,7 @@ class Estimator : public StatsProvider {
           return {l.rows * r.rows, l.cost + r.cost + l.rows * r.rows};
         }
         const double sel = EstimateSelectivity(*join.predicate(), this);
-        if (HasEquiConjunct(*join.predicate())) {
+        if (HasHashKey(*join.predicate())) {
           return {l.rows * r.rows * sel, l.cost + r.cost + l.rows + r.rows};
         }
         // A nested-loop join evaluates the predicate on every pair.
@@ -224,7 +224,7 @@ class Estimator : public StatsProvider {
         const auto& join = static_cast<const LeftOuterJoinOp&>(node);
         const PlanEstimate l = Input(node.inputs()[0]);
         const PlanEstimate r = Input(node.inputs()[1]);
-        const bool hashable = HasEquiConjunct(*join.predicate());
+        const bool hashable = HasHashKey(*join.predicate());
         const double work =
             hashable ? l.rows + r.rows : l.rows * r.rows;
         // Grouped build sides have unique keys → cardinality of the left.
@@ -238,7 +238,7 @@ class Estimator : public StatsProvider {
                 : static_cast<const AntiJoinOp&>(node).predicate();
         const PlanEstimate l = Input(node.inputs()[0]);
         const PlanEstimate r = Input(node.inputs()[1]);
-        const bool hashable = HasEquiConjunct(*pred);
+        const bool hashable = HasHashKey(*pred);
         const double work =
             hashable ? l.rows + r.rows : l.rows * r.rows;
         const double kept = ContainedFraction(node, *pred, l.rows, r.rows);
@@ -400,16 +400,13 @@ class Estimator : public StatsProvider {
     notes_->push_back(std::move(note));
   }
 
-  static bool HasEquiConjunct(const Expr& pred) {
+  /// True when the join predicate `pred` has a hash key conjunct, so
+  /// the planner lowers the join as a hash join.
+  static bool HasHashKey(const Expr& pred) {
     std::vector<const Expr*> conjuncts;
     CollectConjuncts(pred, &conjuncts);
-    for (const Expr* c : conjuncts) {
-      if (c->kind() == ExprKind::kComparison &&
-          static_cast<const ComparisonExpr*>(c)->op() == CompareOp::kEq) {
-        return true;
-      }
-    }
-    return false;
+    return std::any_of(conjuncts.begin(), conjuncts.end(),
+                       [](const Expr* c) { return IsHashKeyConjunct(*c); });
   }
 
   const Catalog* catalog_;

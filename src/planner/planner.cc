@@ -10,9 +10,7 @@
 #include "exec/filter.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
-#include "exec/outer_join.h"
 #include "exec/project.h"
-#include "exec/semi_join.h"
 #include "exec/sort.h"
 #include "exec/union_op.h"
 #include "expr/expr_util.h"
@@ -35,31 +33,24 @@ EquiSplit SplitEquiPred(const ExprPtr& pred, const Schema& left,
   EquiSplit split;
   for (const ExprPtr& c : SplitConjuncts(pred)) {
     bool handled = false;
-    if (c->kind() == ExprKind::kComparison) {
+    if (IsHashKeyConjunct(*c)) {
       const auto* cmp = static_cast<const ComparisonExpr*>(c.get());
-      if (cmp->op() == CompareOp::kEq &&
-          cmp->left()->kind() == ExprKind::kColumnRef &&
-          cmp->right()->kind() == ExprKind::kColumnRef) {
-        const auto* a =
-            static_cast<const ColumnRefExpr*>(cmp->left().get());
-        const auto* b =
-            static_cast<const ColumnRefExpr*>(cmp->right().get());
-        if (!a->is_outer() && !b->is_outer()) {
-          auto la = left.FindColumn(a->qualifier(), a->name());
-          auto rb = right.FindColumn(b->qualifier(), b->name());
-          if (la.ok() && rb.ok()) {
-            split.left_slots.push_back(*la);
-            split.right_slots.push_back(*rb);
-            handled = true;
-          } else {
-            auto lb = left.FindColumn(b->qualifier(), b->name());
-            auto ra = right.FindColumn(a->qualifier(), a->name());
-            if (lb.ok() && ra.ok()) {
-              split.left_slots.push_back(*lb);
-              split.right_slots.push_back(*ra);
-              handled = true;
-            }
-          }
+      const auto* a = static_cast<const ColumnRefExpr*>(cmp->left().get());
+      const auto* b =
+          static_cast<const ColumnRefExpr*>(cmp->right().get());
+      auto la = left.FindColumn(a->qualifier(), a->name());
+      auto rb = right.FindColumn(b->qualifier(), b->name());
+      if (la.ok() && rb.ok()) {
+        split.left_slots.push_back(*la);
+        split.right_slots.push_back(*rb);
+        handled = true;
+      } else {
+        auto lb = left.FindColumn(b->qualifier(), b->name());
+        auto ra = right.FindColumn(a->qualifier(), a->name());
+        if (lb.ok() && ra.ok()) {
+          split.left_slots.push_back(*lb);
+          split.right_slots.push_back(*ra);
+          handled = true;
         }
       }
     }
@@ -79,25 +70,6 @@ int PosOf(const std::vector<int>& cols, int col) {
   const auto it = std::lower_bound(cols.begin(), cols.end(), col);
   if (it == cols.end() || *it != col) return -1;
   return static_cast<int>(it - cols.begin());
-}
-
-/// True when some conjunct of `pred` equates two uncorrelated columns —
-/// the shape SplitEquiPred turns into hash keys.
-bool HasColumnEquality(const ExprPtr& pred) {
-  for (const ExprPtr& c : SplitConjuncts(pred)) {
-    if (c->kind() != ExprKind::kComparison) continue;
-    const auto* cmp = static_cast<const ComparisonExpr*>(c.get());
-    if (cmp->op() != CompareOp::kEq) continue;
-    const Expr* a = cmp->left().get();
-    const Expr* b = cmp->right().get();
-    if (a->kind() == ExprKind::kColumnRef &&
-        b->kind() == ExprKind::kColumnRef &&
-        !static_cast<const ColumnRefExpr*>(a)->is_outer() &&
-        !static_cast<const ColumnRefExpr*>(b)->is_outer()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 /// The right-input columns binary grouping reads — its key and the
@@ -268,11 +240,12 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
   // estimated cardinality (ties keep the right input).
   bool swap = false;
   if (node->kind() == LogicalOpKind::kJoin) {
-    const auto& join = static_cast<const JoinOp&>(*node);
-    swap = join.predicate() != nullptr &&
-           HasColumnEquality(join.predicate()) &&
-           EstimatedInputRows(*ctx->estimates, inputs[0]) <
-               EstimatedInputRows(*ctx->estimates, inputs[1]);
+    const ExprPtr& pred = static_cast<const JoinOp&>(*node).predicate();
+    for (const ExprPtr& c : SplitConjuncts(pred)) {
+      swap = swap || IsHashKeyConjunct(*c);
+    }
+    swap = swap && EstimatedInputRows(*ctx->estimates, inputs[0]) <
+                       EstimatedInputRows(*ctx->estimates, inputs[1]);
   }
   // Lower build sides before probe sides so their source pipelines run
   // first: right-to-left, or left-to-right for a swapped join.
@@ -566,38 +539,35 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
   const bool existence =
       kind == LogicalOpKind::kSemiJoin || kind == LogicalOpKind::kAntiJoin;
   ExprPtr pred;
+  JoinKind join_kind;
   switch (kind) {
     case LogicalOpKind::kJoin:
       pred = static_cast<const JoinOp&>(node).predicate();
+      join_kind = JoinKind::kInner;
       break;
     case LogicalOpKind::kLeftOuterJoin:
       pred = static_cast<const LeftOuterJoinOp&>(node).predicate();
+      join_kind = JoinKind::kLeftOuter;
       break;
     case LogicalOpKind::kSemiJoin:
       pred = static_cast<const SemiJoinOp&>(node).predicate();
+      join_kind = JoinKind::kSemi;
       break;
     default:
       pred = static_cast<const AntiJoinOp&>(node).predicate();
+      join_kind = JoinKind::kAnti;
       break;
   }
 
-  // Hash implementation when the predicate has equi conjuncts; an inner
-  // join evaluates the rest as a residual, the outer and existence joins
-  // only take the hash path without one.
-  EquiSplit split;
-  if (pred != nullptr) {
-    split = SplitEquiPred(pred, *left.schema, *right.schema);
-  }
-  const bool hash =
-      !split.left_slots.empty() &&
-      (kind == LogicalOpKind::kJoin || split.residual_conjuncts.empty());
-  ExprPtr evaluated = pred;
-  if (hash) {
-    evaluated = split.residual_conjuncts.empty()
-                    ? nullptr
-                    : MakeAnd(split.residual_conjuncts);
-  }
-  *build_left = hash && swap;
+  // Keys are the predicate's column equalities and everything else is
+  // the residual, for every kind; only an inner join may build left.
+  EquiSplit split = SplitEquiPred(pred, *left.schema, *right.schema);
+  const bool keyed = !split.left_slots.empty();
+  const ExprPtr evaluated =
+      !keyed ? pred
+      : split.residual_conjuncts.empty() ? nullptr
+                                         : MakeAnd(split.residual_conjuncts);
+  *build_left = keyed && swap;
 
   // The logical schema the join's columns are numbered in, the columns
   // it emits (in logical left-then-right order) and the predicate-only
@@ -662,48 +632,21 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
         bound, BindExpr(evaluated, logical.Select(gathered), ctx));
   }
 
-  std::unique_ptr<BinaryPhysOp> op;
-  switch (kind) {
-    case LogicalOpKind::kJoin:
-      if (hash) {
-        op = std::make_unique<HashJoinOp>(std::move(probe_keys),
-                                          std::move(build_keys),
-                                          std::move(bound));
-      } else {
-        op = std::make_unique<NLJoinOp>(std::move(bound));
-      }
-      break;
-    case LogicalOpKind::kLeftOuterJoin: {
-      // The padding row in the buffered build layout: NULLs except the
-      // kept aggregate columns' f(∅) defaults.
-      const auto& loj = static_cast<const LeftOuterJoinOp&>(node);
-      Row unmatched(build_keep.size(), Value::Null());
-      for (const auto& [name, value] : loj.unmatched_defaults()) {
-        BYPASS_ASSIGN_OR_RETURN(int c, right_logical.FindColumn("", name));
-        const int k = PosOf(build_keep, PosOf(right.cols, c));
-        if (k >= 0) unmatched[static_cast<size_t>(k)] = value;
-      }
-      if (hash) {
-        op = std::make_unique<HashLeftOuterJoinOp>(
-            std::move(probe_keys), std::move(build_keys),
-            std::move(unmatched));
-      } else {
-        op = std::make_unique<NLLeftOuterJoinOp>(std::move(bound),
-                                                 std::move(unmatched));
-      }
-      break;
-    }
-    default: {
-      const bool anti = kind == LogicalOpKind::kAntiJoin;
-      if (hash) {
-        op = std::make_unique<HashExistenceJoinOp>(
-            anti, std::move(probe_keys), std::move(build_keys));
-      } else {
-        op = std::make_unique<NLExistenceJoinOp>(anti, std::move(bound));
-      }
-      break;
+  // The left outer join's padding row in the buffered build layout:
+  // NULLs except the kept aggregate columns' f(∅) defaults.
+  Row unmatched;
+  if (join_kind == JoinKind::kLeftOuter) {
+    const auto& loj = static_cast<const LeftOuterJoinOp&>(node);
+    unmatched = Row(build_keep.size(), Value::Null());
+    for (const auto& [name, value] : loj.unmatched_defaults()) {
+      BYPASS_ASSIGN_OR_RETURN(int c, right_logical.FindColumn("", name));
+      const int k = PosOf(build_keep, PosOf(right.cols, c));
+      if (k >= 0) unmatched[static_cast<size_t>(k)] = value;
     }
   }
+  auto op = std::make_unique<HashJoinOp>(
+      join_kind, std::move(probe_keys), std::move(build_keys),
+      std::move(bound), std::move(unmatched));
   if (build_keep.size() < build_in.cols.size()) {
     op->set_right_keep(build_keep);
   }

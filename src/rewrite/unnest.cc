@@ -18,6 +18,13 @@ namespace bypass {
 
 namespace {
 
+/// Per-tuple cost of a nested block in the rank model when no catalog
+/// is wired in (RewriteOptions::catalog).
+constexpr double kDefaultSubqueryCost = 1000.0;
+
+/// Fixpoint bound (linear queries need one pass per nesting level).
+constexpr int kMaxPasses = 16;
+
 LogicalInput Out(LogicalOpPtr op) {
   return LogicalInput{std::move(op), StreamPort::kOut};
 }
@@ -272,7 +279,7 @@ std::string UnnestingRewriter::FreshName(const char* prefix) {
 
 Result<LogicalOpPtr> UnnestingRewriter::Rewrite(LogicalOpPtr plan) {
   if (!options_.enable_unnesting) return plan;
-  for (int pass = 0; pass < options_.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     changed_ = false;
     std::unordered_map<const LogicalOp*, LogicalOpPtr> memo;
     BYPASS_ASSIGN_OR_RETURN(plan, RewriteNode(plan, &memo));
@@ -491,7 +498,7 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
     } else {
       return LogicalOpPtr(nullptr);  // unsupported disjunct shape
     }
-    double sub_cost = options_.subquery_cost;
+    double sub_cost = kDefaultSubqueryCost;
     if (options_.catalog != nullptr && item.kind != CascadeItem::kSimple) {
       // Average the blocks' estimated costs (almost always one block per
       // disjunct) since EstimateCost charges `sub_cost` per occurrence.

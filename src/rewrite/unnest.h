@@ -52,19 +52,16 @@ struct RewriteOptions {
   bool enable_quantified = true;
   /// Branch ordering within a disjunct cascade.
   DisjunctOrder disjunct_order = DisjunctOrder::kByRank;
-  /// Per-tuple cost charged to a nested block in the rank model. The
-  /// default keeps subqueries last (Eqv. 2) unless a simple predicate is
-  /// extremely expensive (Eqv. 3), mirroring the paper's remark. Only
-  /// used when no catalog is wired in (below).
-  double subquery_cost = 1000.0;
   /// When set, disjunct ranks are computed from data: selectivities from
   /// the referenced tables' statistics (ANALYZE histograms when present,
   /// lazy min/max/NDV otherwise) and nested-block costs from the blocks'
   /// estimated plans — so the Eqv. 2 vs Eqv. 3 choice reacts to the
   /// actual data distribution instead of textbook constants.
+  /// Without one, the rank model charges a nested block a fixed
+  /// per-tuple cost that keeps subqueries last (Eqv. 2) unless a simple
+  /// predicate is extremely expensive (Eqv. 3), mirroring the paper's
+  /// remark.
   const Catalog* catalog = nullptr;
-  /// Fixpoint bound (linear queries need one pass per nesting level).
-  int max_passes = 16;
 };
 
 /// Applies the unnesting equivalences bottom-up until fixpoint. Returns

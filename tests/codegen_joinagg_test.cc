@@ -244,6 +244,34 @@ TEST(CodegenJoinAgg, MultiKeyGroupByStaysInterpreted) {
   EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
 }
 
+// A semi join's probe emits probe rows, not pairs: the probe terminal
+// must decline it (only inner joins fuse) and the filter chain feeding
+// it keep its interpreted semi join.
+TEST(CodegenJoinAgg, SemiJoinProbeStaysInterpreted) {
+  Database db;
+  LoadSmallRst(&db, 120, 60, 30, 15, 0.3);
+  REQUIRE_CODEGEN(db);
+  QueryOptions opts = JoinAggOptions(1024);
+  const std::string sql =
+      "SELECT * FROM r WHERE a2 > 1 AND a1 IN (SELECT b1 FROM s)";
+  auto prepared = db.Prepare(sql, opts);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_NE(prepared->physical_plan().find("HashSemiJoin [keys l0=r0]"),
+            std::string::npos)
+      << prepared->physical_plan();
+  auto res = prepared->Execute(opts);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->stats.compiled_join_batches, 0)
+      << "semi join probe was fused into compiled code";
+
+  QueryOptions interp = opts;
+  interp.enable_codegen = false;
+  auto oracle = db.Query(sql, interp);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_FALSE(oracle->rows.empty());
+  EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
+}
+
 // ------------------------------------------------- async swap-in
 
 // Mid-stream swap-in for the probe pipeline: the first execution may

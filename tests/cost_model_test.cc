@@ -3,6 +3,8 @@
 #include "planner/cost_model.h"
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +73,40 @@ TEST_F(CostModelTest, HashJoinCheaperThanCrossProduct) {
   const double equi = Cost("SELECT * FROM r, s WHERE a1 = b1", false);
   const double cross = Cost("SELECT * FROM r, s", false);
   EXPECT_LT(equi, cross);
+}
+
+// Only an uncorrelated column = column conjunct is a hash key. A join
+// whose only `=` is against a literal or an outer reference loops over
+// every pair, so it is priced as a nested-loop join.
+TEST_F(CostModelTest, OnlyColumnEqualitiesPriceAsHashJoins) {
+  auto get = [&](const std::string& table) {
+    LogicalOpPtr plan = Translate("SELECT * FROM " + table);
+    while (!plan->inputs().empty()) plan = plan->inputs()[0].op;
+    return LogicalInput{plan, StreamPort::kOut};
+  };
+  const ExprPtr residual = MakeComparison(
+      CompareOp::kLt, MakeColumnRef("r", "a2"), MakeColumnRef("s", "b2"));
+  auto with_eq = [&](ExprPtr other) {
+    return MakeAnd({MakeComparison(CompareOp::kEq, MakeColumnRef("r", "a1"),
+                                   std::move(other)),
+                    residual});
+  };
+  const std::vector<std::pair<ExprPtr, bool>> cases = {
+      {with_eq(MakeColumnRef("s", "b1")), true},
+      {with_eq(MakeLiteral(Value::Int64(5))), false},
+      {with_eq(MakeColumnRef("x", "c1", /*is_outer=*/true)), false},
+  };
+  const double pairs = 1000.0 * 1000.0;
+  for (const auto& [pred, hashed] : cases) {
+    const JoinOp join(get("r"), get("s"), pred);
+    const SemiJoinOp semi(get("r"), get("s"), pred);
+    for (const LogicalOp* op : {static_cast<const LogicalOp*>(&join),
+                                static_cast<const LogicalOp*>(&semi)}) {
+      const double cost = EstimatePlan(*op, db_.catalog()).cost;
+      EXPECT_EQ(cost < pairs, hashed)
+          << op->Label() << " costs " << cost;
+    }
+  }
 }
 
 TEST_F(CostModelTest, CorrelatedBlockChargedPerOuterRow) {

@@ -16,6 +16,36 @@ constexpr const char* kQ1 =
     "SELECT DISTINCT * FROM r "
     "WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2) OR a4 > 3";
 
+// Shared DAG nodes are numbered in first-visit order: the optimized
+// plan of Fig. 7's q4 linear shares several nodes, prints #1 … #n in
+// ascending order of first appearance, and prints the same text on
+// every Prepare (node addresses differ from one Prepare to the next).
+TEST(EngineTest, SharedNodeIdsFollowFirstVisitOrder) {
+  Database db;
+  LoadSmallRst(&db, 7, 30, 30, 30);
+  const std::string sql =
+      "SELECT DISTINCT * FROM r "
+      "WHERE a1 = (SELECT COUNT(DISTINCT *) FROM s WHERE a2 = b2 "
+      "OR b3 = (SELECT COUNT(DISTINCT *) FROM t WHERE b4 = c2))";
+  std::string first;
+  for (int i = 0; i < 20; ++i) {
+    auto prepared = db.Prepare(sql);
+    ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+    if (i == 0) first = prepared->optimized_plan();
+    EXPECT_EQ(prepared->optimized_plan(), first) << "Prepare " << i;
+  }
+  int highest = 0;
+  for (size_t pos = first.find('#'); pos != std::string::npos;
+       pos = first.find('#', pos + 1)) {
+    const int id = std::stoi(first.substr(pos + 1));
+    if (id > highest) {
+      EXPECT_EQ(id, highest + 1) << first;
+      highest = id;
+    }
+  }
+  EXPECT_GE(highest, 2) << first;
+}
+
 TEST(EngineTest, ParseErrorsSurface) {
   Database db;
   auto result = db.Query("SELEKT * FROM r");

@@ -11,9 +11,7 @@
 #include "exec/filter.h"
 #include "exec/group_by.h"
 #include "exec/join.h"
-#include "exec/outer_join.h"
 #include "exec/project.h"
-#include "exec/semi_join.h"
 #include "exec/sort.h"
 #include "exec/union_op.h"
 #include "test_util.h"
@@ -187,11 +185,12 @@ TEST(HashJoinOpTest, MatchesNLJoinOnEquiPredicate) {
       "r", 2, {IntRow({2, 200}), IntRow({2, 201}), IntRow({4, 400})});
   MiniPlan hash = BinaryPlan(
       &left, &right,
-      std::make_unique<HashJoinOp>(std::vector<int>{0},
+      std::make_unique<HashJoinOp>(JoinKind::kInner, std::vector<int>{0},
                                    std::vector<int>{0}, nullptr));
   MiniPlan nl = BinaryPlan(
       &left, &right,
-      std::make_unique<NLJoinOp>(
+      std::make_unique<HashJoinOp>(
+          JoinKind::kInner, std::vector<int>{}, std::vector<int>{},
           MakeComparison(CompareOp::kEq, Slot(0), Slot(2))));
   EXPECT_TRUE(RowMultisetsEqual(hash.Run(), nl.Run()));
 }
@@ -205,7 +204,7 @@ TEST(HashJoinOpTest, NullKeysNeverMatch) {
   ASSERT_TRUE(right.Append(Row{Value::Int64(1)}).ok());
   MiniPlan hash = BinaryPlan(
       &left, &right,
-      std::make_unique<HashJoinOp>(std::vector<int>{0},
+      std::make_unique<HashJoinOp>(JoinKind::kInner, std::vector<int>{0},
                                    std::vector<int>{0}, nullptr));
   auto rows = hash.Run();
   ASSERT_EQ(rows.size(), 1u);  // only 1=1; NULL=NULL is unknown
@@ -219,19 +218,20 @@ TEST(HashJoinOpTest, ResidualPredicateFilters) {
   MiniPlan hash = BinaryPlan(
       &left, &right,
       std::make_unique<HashJoinOp>(
-          std::vector<int>{0}, std::vector<int>{0},
+          JoinKind::kInner, std::vector<int>{0}, std::vector<int>{0},
           MakeComparison(CompareOp::kGt, Slot(1), Slot(3))));
   auto rows = hash.Run();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][1].int64_value(), 5);
 }
 
-TEST(NLJoinOpTest, NullPredicateIsCrossProduct) {
+TEST(KeylessJoinTest, NullPredicateIsCrossProduct) {
   Table left = MakeTable("l", 1, {IntRow({1}), IntRow({2})});
   Table right = MakeTable("r", 1, {IntRow({10}), IntRow({20}),
                                    IntRow({30})});
   MiniPlan plan =
-      BinaryPlan(&left, &right, std::make_unique<NLJoinOp>(nullptr));
+      BinaryPlan(&left, &right, std::make_unique<HashJoinOp>(
+          JoinKind::kInner, std::vector<int>{}, std::vector<int>{}, nullptr));
   EXPECT_EQ(plan.Run().size(), 6u);
 }
 
@@ -242,7 +242,7 @@ TEST(BinaryPhysOpTest, BuffersLeftWhenLeftSourceRunsFirst) {
   Table right = MakeTable("r", 1, {IntRow({1})});
   MiniPlan plan = BinaryPlan(
       &left, &right,
-      std::make_unique<HashJoinOp>(std::vector<int>{0},
+      std::make_unique<HashJoinOp>(JoinKind::kInner, std::vector<int>{0},
                                    std::vector<int>{0}, nullptr),
       /*left_source_first=*/true);
   EXPECT_EQ(plan.Run().size(), 1u);
@@ -254,9 +254,9 @@ TEST(OuterJoinTest, UnmatchedRowsGetDefaults) {
   Row unmatched{Value::Null(), Value::Int64(0)};  // the count-bug fix
   MiniPlan plan = BinaryPlan(
       &left, &right,
-      std::make_unique<HashLeftOuterJoinOp>(std::vector<int>{0},
-                                            std::vector<int>{0},
-                                            unmatched));
+      std::make_unique<HashJoinOp>(JoinKind::kLeftOuter,
+                                   std::vector<int>{0}, std::vector<int>{0},
+                                   nullptr, unmatched));
   auto rows = plan.Run();
   EXPECT_TRUE(RowMultisetsEqual(
       rows, {IntRow({1, 1, 100}),
@@ -271,12 +271,13 @@ TEST(OuterJoinTest, HashMatchesNLVariant) {
   Row unmatched{Value::Null(), Value::Int64(0)};
   MiniPlan hash = BinaryPlan(
       &left, &right,
-      std::make_unique<HashLeftOuterJoinOp>(std::vector<int>{0},
-                                            std::vector<int>{0},
-                                            unmatched));
+      std::make_unique<HashJoinOp>(JoinKind::kLeftOuter,
+                                   std::vector<int>{0}, std::vector<int>{0},
+                                   nullptr, unmatched));
   MiniPlan nl = BinaryPlan(
       &left, &right,
-      std::make_unique<NLLeftOuterJoinOp>(
+      std::make_unique<HashJoinOp>(
+          JoinKind::kLeftOuter, std::vector<int>{}, std::vector<int>{},
           MakeComparison(CompareOp::kEq, Slot(0), Slot(1)), unmatched));
   EXPECT_TRUE(RowMultisetsEqual(hash.Run(), nl.Run()));
 }
@@ -288,12 +289,12 @@ TEST(SemiAntiJoinTest, PartitionTheLeftInput) {
                                    IntRow({4})});
   MiniPlan semi = BinaryPlan(
       &left, &right,
-      std::make_unique<HashExistenceJoinOp>(false, std::vector<int>{0},
-                                            std::vector<int>{0}));
+      std::make_unique<HashJoinOp>(JoinKind::kSemi, std::vector<int>{0},
+                                   std::vector<int>{0}, nullptr));
   MiniPlan anti = BinaryPlan(
       &left, &right,
-      std::make_unique<HashExistenceJoinOp>(true, std::vector<int>{0},
-                                            std::vector<int>{0}));
+      std::make_unique<HashJoinOp>(JoinKind::kAnti, std::vector<int>{0},
+                                   std::vector<int>{0}, nullptr));
   auto semi_rows = semi.Run();
   auto anti_rows = anti.Run();
   EXPECT_TRUE(
@@ -313,12 +314,54 @@ TEST(SemiAntiJoinTest, HashMatchesNLVariant) {
   for (bool anti : {false, true}) {
     MiniPlan hash = BinaryPlan(
         &left, &right,
-        std::make_unique<HashExistenceJoinOp>(anti, std::vector<int>{0},
-                                              std::vector<int>{0}));
+        std::make_unique<HashJoinOp>(anti ? JoinKind::kAnti
+                                          : JoinKind::kSemi,
+                                     std::vector<int>{0},
+                                     std::vector<int>{0}, nullptr));
     MiniPlan nl = BinaryPlan(
         &left, &right,
-        std::make_unique<NLExistenceJoinOp>(anti, pred->Clone()));
+        std::make_unique<HashJoinOp>(anti ? JoinKind::kAnti
+                                          : JoinKind::kSemi,
+                                     std::vector<int>{}, std::vector<int>{},
+                                     pred->Clone()));
     EXPECT_TRUE(RowMultisetsEqual(hash.Run(), nl.Run())) << anti;
+  }
+}
+
+// Every join kind: keys plus a residual must agree with the keyless join
+// over the whole predicate, on NULL keys and NULL residual operands too.
+TEST(JoinKindsTest, KeyedWithResidualMatchesKeyless) {
+  const Value null = Value::Null();
+  auto v = [](int64_t x) { return Value::Int64(x); };
+  Table left = MakeTable(
+      "l", 2, {Row{v(1), v(5)}, Row{v(1), null}, Row{null, v(3)},
+               Row{v(2), v(1)}, Row{v(3), v(3)}, Row{v(2), v(9)}});
+  Table right = MakeTable(
+      "r", 2, {Row{v(1), v(3)}, Row{v(1), v(7)}, Row{null, v(1)},
+               Row{v(2), null}, Row{v(2), v(0)}, Row{v(4), v(4)}});
+  // l.c0 = r.c0 AND l.c1 > r.c1 over the concatenated pair.
+  auto residual = [] {
+    return MakeComparison(CompareOp::kGt, Slot(1), Slot(3));
+  };
+  const Row unmatched{null, v(0)};
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                        JoinKind::kSemi, JoinKind::kAnti}) {
+    MiniPlan keyed = BinaryPlan(
+        &left, &right,
+        std::make_unique<HashJoinOp>(kind, std::vector<int>{0},
+                                     std::vector<int>{0}, residual(),
+                                     unmatched));
+    MiniPlan keyless = BinaryPlan(
+        &left, &right,
+        std::make_unique<HashJoinOp>(
+            kind, std::vector<int>{}, std::vector<int>{},
+            MakeAnd({MakeComparison(CompareOp::kEq, Slot(0), Slot(2)),
+                     residual()}),
+            unmatched));
+    const std::vector<Row> got = keyed.Run();
+    EXPECT_FALSE(got.empty()) << static_cast<int>(kind);
+    EXPECT_TRUE(RowMultisetsEqual(got, keyless.Run()))
+        << static_cast<int>(kind);
   }
 }
 
@@ -449,7 +492,7 @@ TEST(HashJoinOpTest, IntAndDoubleKeysMatchNumerically) {
   ASSERT_TRUE(right.Append(Row{Value::Double(2.5)}).ok());
   MiniPlan plan = BinaryPlan(
       &left, &right,
-      std::make_unique<HashJoinOp>(std::vector<int>{0},
+      std::make_unique<HashJoinOp>(JoinKind::kInner, std::vector<int>{0},
                                    std::vector<int>{0}, nullptr));
   auto rows = plan.Run();
   ASSERT_EQ(rows.size(), 1u);
@@ -481,7 +524,8 @@ TEST(TimeoutTest, DeadlineAbortsScans) {
   for (int i = 0; i < 200000; ++i) rows.push_back(IntRow({i}));
   Table big = MakeTable("big", 1, std::move(rows));
   MiniPlan left_plan = BinaryPlan(
-      &big, &big, std::make_unique<NLJoinOp>(nullptr));
+      &big, &big, std::make_unique<HashJoinOp>(
+          JoinKind::kInner, std::vector<int>{}, std::vector<int>{}, nullptr));
   ExecContext ctx;
   ctx.run().deadline = std::chrono::steady_clock::now() -
                        std::chrono::milliseconds(1);  // already expired

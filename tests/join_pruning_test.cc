@@ -99,6 +99,14 @@ std::vector<std::string> PruningQueries() {
       "WHERE p_partkey = ps_partkey GROUP BY p_size",
       "SELECT p_size, COUNT(*) FROM part, partsupp WHERE p_partkey = "
       "ps_partkey AND p_retailprice > ps_supplycost GROUP BY p_size",
+      // Semi and anti joins keyed on a2 = b2 with a residual, and the
+      // correlated NOT IN's NULL-aware residual OR.
+      "SELECT * FROM r WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 "
+      "AND a3 < b3) OR a4 > 3",
+      "SELECT a1, a3 FROM r WHERE NOT EXISTS (SELECT * FROM s "
+      "WHERE a2 = b2 AND a3 < b3) OR a4 > 3",
+      "SELECT a1 FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2) "
+      "OR a4 > 5",
   };
   queries.insert(queries.end(), shapes.begin(), shapes.end());
   for (const std::string& q : KeyReductionQueries()) queries.push_back(q);

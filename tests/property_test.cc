@@ -147,6 +147,11 @@ enum class NullShape {
   /// Run on a NULL-heavy instance full of duplicate rows; every grouping
   /// must count over a δ (COUNT(DISTINCT *) as COUNT(*)).
   kCountsOverDelta,
+  /// Every semi and anti join hashes on its correlation keys, whatever
+  /// residual it also checks.
+  kHashedExistence,
+  /// Every semi and anti join is keyless (nested-loop).
+  kKeylessExistence,
 };
 
 struct NullCase {
@@ -213,6 +218,8 @@ TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
                    /*max_value=*/2);
       break;
     case NullShape::kAny:
+    case NullShape::kHashedExistence:
+    case NullShape::kKeylessExistence:
       LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
       break;
   }
@@ -226,6 +233,18 @@ TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
         << got.optimized_plan;
     EXPECT_TRUE(EveryGroupingReadsDistinct(got.optimized_plan))
         << "a grouping does not count over δ\n" << got.optimized_plan;
+  }
+  if (c.shape == NullShape::kHashedExistence ||
+      c.shape == NullShape::kKeylessExistence) {
+    const std::string& plan = got.physical_plan;
+    const bool hashed =
+        plan.find("HashSemiJoin [keys") != std::string::npos ||
+        plan.find("HashAntiJoin [keys") != std::string::npos;
+    const bool keyless = plan.find("NLSemiJoin") != std::string::npos ||
+                         plan.find("NLAntiJoin") != std::string::npos;
+    const bool want_hashed = c.shape == NullShape::kHashedExistence;
+    EXPECT_EQ(hashed, want_hashed) << plan;
+    EXPECT_EQ(keyless, !want_hashed) << plan;
   }
 }
 
@@ -275,11 +294,27 @@ INSTANTIATE_TEST_SUITE_P(
         // subquery values with no match, is UNKNOWN and must reach the
         // remainder; an empty qualifying set is TRUE even for a NULL
         // probe. Correlated, uncorrelated, conjunctive, and mixed with IN.
-        kNotInRepro,
-        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s) OR a4 > 5",
-        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2)",
-        "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2) "
-        "OR a3 IN (SELECT c3 FROM t WHERE a4 = c2) OR a4 > 5"));
+        // The correlated texts hash on a2 = b2 with the NULL-aware OR as
+        // the residual; the uncorrelated one has no key to hash on.
+        NullCase{kNotInRepro, NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s) "
+                 "OR a4 > 5",
+                 NullShape::kKeylessExistence},
+        NullCase{"SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s "
+                 "WHERE a2 = b2)",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s "
+                 "WHERE a2 = b2) OR a3 IN (SELECT c3 FROM t "
+                 "WHERE a4 = c2) OR a4 > 5",
+                 NullShape::kHashedExistence},
+        // EXISTS / NOT EXISTS with a key and a residual: a NULL a3 or b3
+        // makes the pair UNKNOWN, so it neither qualifies nor refutes.
+        NullCase{"SELECT * FROM r WHERE EXISTS (SELECT * FROM s "
+                 "WHERE a2 = b2 AND a3 < b3) OR a4 > 3",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE NOT EXISTS (SELECT * FROM s "
+                 "WHERE a2 = b2 AND a3 < b3) OR a4 > 3",
+                 NullShape::kHashedExistence}));
 
 // The pinned NOT IN repro: 20 % NULLs in every column of a 35/45/30-row
 // RST instance, seeds 1–20, each agreeing with the canonical evaluator.
