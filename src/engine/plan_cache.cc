@@ -39,11 +39,10 @@ std::string PlanCacheKey(const std::string& sql,
   key.push_back(options.memoize_subqueries ? 'm' : '-');
   key.push_back(options.shortcut_disjunctions ? 's' : '-');
   key.push_back(options.collect_plans ? 'p' : '-');
-  const RewriteOptions& r = options.rewrite;
-  key.push_back(r.enable_quantified ? 'q' : '-');
   key.push_back(options.enable_codegen ? 'g' : '-');
   key.push_back(options.codegen_synchronous ? 'y' : '-');
-  key.push_back(static_cast<char>('0' + static_cast<int>(r.disjunct_order)));
+  key.push_back(static_cast<char>(
+      '0' + static_cast<int>(options.rewrite.disjunct_order)));
   return key;
 }
 

@@ -21,7 +21,7 @@ void ExecSubplan::ClearCache() {
     std::lock_guard<std::mutex> lock(s.mu);
     s.scalar.Clear();
     s.exists.Clear();
-    s.in.Clear();
+    s.some.Clear();
   }
   num_executions_.store(0, std::memory_order_relaxed);
   for (ExecSubplan* nested : plan_.subplans) {
@@ -37,7 +37,7 @@ Row ExecSubplan::MemoKey(const Row* outer_row) const {
 ExecSubplan::CacheStripe& ExecSubplan::StripeFor(const Row* outer_row,
                                                  const Value* probe) {
   // Mirrors HashRow over the materialized memo key (free attributes,
-  // plus the probe value for IN) so equal keys always pick the same
+  // plus the probe value for SOME) so equal keys always pick the same
   // stripe; the table inside the stripe re-hashes with its own scheme.
   size_t h = 0x345678;
   if (HasKeySlots(outer_row)) {
@@ -149,20 +149,20 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
   return found;
 }
 
-Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
-                                    const Row* outer_row) {
+Result<TriBool> ExecSubplan::EvalSome(CompareOp op, const Value& probe,
+                                      const Row* outer_row) {
   const bool use_cache = UseCache();
   CacheStripe* stripe = nullptr;
   Row key;
   if (use_cache) {
-    // The IN key appends the probe value to the free attributes, so the
+    // The SOME key appends the probe value to the free attributes, so the
     // transparent slot-based probe does not apply; materialize once and
     // reuse the row for the lookups and the insert.
     key = MemoKey(outer_row);
     key.push_back(probe);
     stripe = &StripeFor(outer_row, &probe);
     std::lock_guard<std::mutex> lock(stripe->mu);
-    if (const TriBool* hit = stripe->in.Find(key)) {
+    if (const TriBool* hit = stripe->some.Find(key)) {
       ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
@@ -170,22 +170,20 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
   std::lock_guard<std::mutex> exec_lock(exec_mu_);
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
-    if (const TriBool* hit = stripe->in.Find(key)) {
+    if (const TriBool* hit = stripe->some.Find(key)) {
       ++ctx_.run().stats().subquery_cache_hits;
       return *hit;
     }
   }
   BYPASS_RETURN_IF_ERROR(Execute(outer_row));
   const std::vector<Row>& rows = plan_.sink->rows();
-  // SQL three-valued IN: true on some equal row; unknown if no match but
-  // a NULL is involved; false otherwise.
   TriBool result = TriBool::kFalse;
   for (const Row& r : rows) {
     if (r.size() != 1) {
       return Status::ExecutionError(
-          "IN subquery must return a single column");
+          "quantified subquery must return a single column");
     }
-    const TriBool c = probe.Compare(CompareOp::kEq, r[0]);
+    const TriBool c = probe.Compare(op, r[0]);
     if (c == TriBool::kTrue) {
       result = TriBool::kTrue;
       break;
@@ -194,7 +192,7 @@ Result<TriBool> ExecSubplan::EvalIn(const Value& probe,
   }
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
-    stripe->in.FindOrEmplace(std::move(key), [&] { return result; });
+    stripe->some.FindOrEmplace(std::move(key), [&] { return result; });
   }
   return result;
 }

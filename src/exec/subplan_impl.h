@@ -36,8 +36,8 @@ class ExecSubplan : public CorrelatedSubplan {
 
   Result<Value> EvalScalar(const Row* outer_row) override;
   Result<bool> EvalExists(const Row* outer_row) override;
-  Result<TriBool> EvalIn(const Value& probe,
-                         const Row* outer_row) override;
+  Result<TriBool> EvalSome(CompareOp op, const Value& probe,
+                           const Row* outer_row) override;
 
   int64_t num_executions() const override {
     return num_executions_.load(std::memory_order_relaxed);
@@ -63,7 +63,7 @@ class ExecSubplan : public CorrelatedSubplan {
     std::mutex mu;
     FlatRowMap<Value> scalar;
     FlatRowMap<bool> exists;
-    FlatRowMap<TriBool> in;
+    FlatRowMap<TriBool> some;
   };
 
   /// Runs the plan for `outer_row` and leaves the rows in the sink.
@@ -77,7 +77,7 @@ class ExecSubplan : public CorrelatedSubplan {
   bool HasKeySlots(const Row* outer_row) const {
     return outer_row != nullptr && !free_outer_slots_.empty();
   }
-  /// Stripe owning the memo key of `outer_row` (+ optional IN probe).
+  /// Stripe owning the memo key of `outer_row` (+ optional SOME probe).
   CacheStripe& StripeFor(const Row* outer_row, const Value* probe);
   /// Looks up `cache` under the caller-held stripe lock via a transparent
   /// probe (no key materialization on the hit path).

@@ -748,20 +748,15 @@ Result<Value> SubqueryExpr::Eval(const EvalContext& ctx) const {
       BYPASS_ASSIGN_OR_RETURN(bool exists, subplan_->EvalExists(ctx.row));
       return Value::Bool(negated_ ? !exists : exists);
     }
-    case SubqueryKind::kIn: {
+    case SubqueryKind::kQuantified: {
       BYPASS_ASSIGN_OR_RETURN(Value probe, probe_->Eval(ctx));
-      BYPASS_ASSIGN_OR_RETURN(TriBool in,
-                              subplan_->EvalIn(probe, ctx.row));
-      if (negated_) in = TriNot(in);
-      switch (in) {
-        case TriBool::kTrue:
-          return Value::Bool(true);
-        case TriBool::kFalse:
-          return Value::Bool(false);
-        case TriBool::kUnknown:
-          return Value::Null();
-      }
-      BYPASS_UNREACHABLE("bad TriBool");
+      // 3VL: x θ ALL S is NOT (x θ̄ SOME S).
+      const bool all = quantifier_ == Quantifier::kAll;
+      BYPASS_ASSIGN_OR_RETURN(
+          TriBool some,
+          subplan_->EvalSome(all ? NegateCompareOp(compare_op_) : compare_op_,
+                             probe, ctx.row));
+      return TriBoolToValue(all ? TriNot(some) : some);
     }
   }
   BYPASS_UNREACHABLE("bad SubqueryKind");
@@ -771,6 +766,7 @@ ExprPtr SubqueryExpr::Clone() const {
   auto copy = std::make_shared<SubqueryExpr>(
       subquery_kind_, plan_ ? CloneLogicalPlan(plan_) : nullptr);
   copy->set_negated(negated_);
+  copy->set_quantified(compare_op_, quantifier_);
   if (probe_) copy->set_probe(probe_->Clone());
   copy->set_subplan(subplan_);  // executable subplans are shareable
   return copy;
@@ -785,9 +781,19 @@ std::string SubqueryExpr::ToString() const {
     case SubqueryKind::kExists:
       return std::string(negated_ ? "NOT " : "") + "EXISTS(" + plan_str +
              ")";
-    case SubqueryKind::kIn:
-      return probe_->ToString() + (negated_ ? " NOT IN (" : " IN (") +
-             plan_str + ")";
+    case SubqueryKind::kQuantified: {
+      const bool all = quantifier_ == Quantifier::kAll;
+      std::string link;
+      if (compare_op_ == CompareOp::kEq && !all) {
+        link = " IN (";
+      } else if (compare_op_ == CompareOp::kNe && all) {
+        link = " NOT IN (";
+      } else {
+        link = std::string(" ") + CompareOpToString(compare_op_) +
+               (all ? " ALL (" : " SOME (");
+      }
+      return probe_->ToString() + link + plan_str + ")";
+    }
   }
   BYPASS_UNREACHABLE("bad SubqueryKind");
 }

@@ -67,10 +67,14 @@ enum class BuiltinFunc {
 };
 
 enum class SubqueryKind {
-  kScalar,  ///< scalar (aggregate) subquery: yields one value
-  kExists,  ///< EXISTS / NOT EXISTS
-  kIn,      ///< probe IN / NOT IN (single-column subquery)
+  kScalar,      ///< scalar (aggregate) subquery: yields one value
+  kExists,      ///< EXISTS / NOT EXISTS
+  kQuantified,  ///< probe θ SOME|ALL (single-column subquery)
 };
+
+/// Quantifier of a kQuantified subquery. IN is `= SOME` and NOT IN is
+/// `<> ALL`.
+enum class Quantifier { kSome, kAll };
 
 /// Abstract expression node. Immutable after construction except for
 /// binder-owned binding state in ColumnRefExpr.
@@ -349,10 +353,19 @@ class SubqueryExpr : public Expr {
 
   ExprKind kind() const override { return ExprKind::kSubquery; }
   SubqueryKind subquery_kind() const { return subquery_kind_; }
+  /// NOT EXISTS (kExists only).
   bool negated() const { return negated_; }
   void set_negated(bool negated) { negated_ = negated; }
 
-  /// The probe expression of `probe IN (...)`; null otherwise.
+  /// θ and the quantifier of `probe θ SOME|ALL (...)` (kQuantified only).
+  CompareOp compare_op() const { return compare_op_; }
+  Quantifier quantifier() const { return quantifier_; }
+  void set_quantified(CompareOp op, Quantifier quantifier) {
+    compare_op_ = op;
+    quantifier_ = quantifier;
+  }
+
+  /// The probe expression of `probe θ SOME|ALL (...)`; null otherwise.
   const ExprPtr& probe() const { return probe_; }
   void set_probe(ExprPtr probe) { probe_ = std::move(probe); }
 
@@ -375,6 +388,8 @@ class SubqueryExpr : public Expr {
  private:
   SubqueryKind subquery_kind_;
   bool negated_ = false;
+  CompareOp compare_op_ = CompareOp::kEq;
+  Quantifier quantifier_ = Quantifier::kSome;
   ExprPtr probe_;
   LogicalOpPtr plan_;
   CorrelatedSubplanPtr subplan_;

@@ -30,11 +30,13 @@ class CorrelatedSubplan {
   /// EXISTS semantics: true iff the block produces at least one row.
   virtual Result<bool> EvalExists(const Row* outer_row) = 0;
 
-  /// `probe IN (block)` under SQL three-valued logic: kTrue if some row
-  /// equals probe; kFalse if the block is empty or all rows are non-NULL
-  /// and unequal; kUnknown otherwise (NULLs present, no match).
-  virtual Result<TriBool> EvalIn(const Value& probe,
-                                 const Row* outer_row) = 0;
+  /// `probe θ SOME (block)` under SQL three-valued logic: kTrue if some
+  /// row y makes probe θ y TRUE; else kUnknown if some pair is UNKNOWN
+  /// (a NULL on either side); else kFalse (the empty block included).
+  /// A subplan is always asked with the same θ, so its memo is keyed on
+  /// (outer row, probe) alone.
+  virtual Result<TriBool> EvalSome(CompareOp op, const Value& probe,
+                                   const Row* outer_row) = 0;
 
   /// Number of times the block was (re-)executed; reported by benchmarks.
   virtual int64_t num_executions() const = 0;

@@ -320,12 +320,21 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
     case AstExprKind::kNot: {
       BYPASS_ASSIGN_OR_RETURN(ExprPtr inner,
                               TranslateExpr(*ast.children[0], local, outer));
-      // Fold NOT (EXISTS ...) / NOT (x IN ...) into the subquery node
-      // itself so the unnesting rewriter sees the quantifier directly.
+      // Fold NOT (EXISTS ...) / NOT (x θ SOME|ALL ...) into the subquery
+      // node itself so the unnesting rewriter sees the quantifier
+      // directly. NOT (x θ SOME S) is x θ̄ ALL S and vice versa, in 3VL
+      // too.
       if (inner->kind() == ExprKind::kSubquery) {
         auto* sq = static_cast<SubqueryExpr*>(inner.get());
-        if (sq->subquery_kind() != SubqueryKind::kScalar) {
+        if (sq->subquery_kind() == SubqueryKind::kExists) {
           sq->set_negated(!sq->negated());
+          return inner;
+        }
+        if (sq->subquery_kind() == SubqueryKind::kQuantified) {
+          sq->set_quantified(NegateCompareOp(sq->compare_op()),
+                             sq->quantifier() == Quantifier::kAll
+                                 ? Quantifier::kSome
+                                 : Quantifier::kAll);
           return inner;
         }
       }
@@ -396,7 +405,16 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
       sq->set_negated(ast.negated);
       return ExprPtr(sq);
     }
-    case AstExprKind::kInSubquery: {
+    case AstExprKind::kInSubquery:
+    case AstExprKind::kQuantified: {
+      // Paper outlook item (3): x θ SOME|ALL (S), kept as one 3VL node.
+      // x IN S is x = SOME S and x NOT IN S is x <> ALL S.
+      CompareOp op = ast.compare_op;
+      bool all = ast.quantifier == AstQuantifier::kAll;
+      if (ast.kind == AstExprKind::kInSubquery) {
+        op = ast.negated ? CompareOp::kNe : CompareOp::kEq;
+        all = ast.negated;
+      }
       BYPASS_ASSIGN_OR_RETURN(ExprPtr probe,
                               TranslateExpr(*ast.children[0], local, outer));
       BYPASS_ASSIGN_OR_RETURN(
@@ -404,62 +422,12 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
           TranslateBlock(*ast.subquery, &local, /*for_subquery=*/true));
       if (plan->schema().num_columns() != 1) {
         return Status::BindError(
-            "IN subquery must produce exactly one column");
-      }
-      auto sq = std::make_shared<SubqueryExpr>(SubqueryKind::kIn,
-                                               std::move(plan));
-      sq->set_negated(ast.negated);
-      sq->set_probe(std::move(probe));
-      return ExprPtr(sq);
-    }
-    case AstExprKind::kQuantified: {
-      // Paper outlook item (3): θ SOME/ANY and θ ALL. Desugared into
-      // existential blocks that the bypass semi-/anti-join rewrites then
-      // unnest:
-      //   x θ SOME (SELECT e FROM F WHERE p)
-      //     ≡ EXISTS (SELECT * FROM F WHERE p AND x θ e)
-      //   x θ ALL (SELECT e FROM F WHERE p)
-      //     ≡ NOT EXISTS (SELECT * FROM F WHERE p AND NOT (x θ e))
-      // (The ALL form assumes two-valued comparisons, i.e. NULL-free
-      // columns; see DESIGN.md.)
-      if (ast.subquery->items.size() != 1 ||
-          ast.subquery->items[0].is_star) {
-        return Status::BindError(
             "quantified subquery must produce exactly one column");
       }
-      if (ContainsAggCall(*ast.subquery->items[0].expr)) {
-        return Status::Unsupported(
-            "aggregates in quantified subqueries are not supported");
-      }
-      const bool all = ast.quantifier == AstQuantifier::kAll;
-      auto membership = std::make_shared<AstExpr>();
-      membership->kind = AstExprKind::kCompare;
-      // ALL negates the comparison operator directly (two-valued logic)
-      // so the witness predicate stays a plain correlated comparison the
-      // rewriter can turn into a join condition.
-      membership->compare_op =
-          all ? NegateCompareOp(ast.compare_op) : ast.compare_op;
-      membership->children.push_back(ast.children[0]);
-      membership->children.push_back(ast.subquery->items[0].expr);
-      AstExprPtr added = membership;
-      auto block = std::make_shared<SelectStmt>();
-      block->items.push_back(SelectItem{/*is_star=*/true, nullptr, ""});
-      block->from = ast.subquery->from;
-      if (ast.subquery->where != nullptr) {
-        auto conj = std::make_shared<AstExpr>();
-        conj->kind = AstExprKind::kAnd;
-        conj->children.push_back(ast.subquery->where);
-        conj->children.push_back(std::move(added));
-        block->where = std::move(conj);
-      } else {
-        block->where = std::move(added);
-      }
-      BYPASS_ASSIGN_OR_RETURN(
-          LogicalOpPtr plan,
-          TranslateBlock(*block, &local, /*for_subquery=*/true));
-      auto sq = std::make_shared<SubqueryExpr>(SubqueryKind::kExists,
+      auto sq = std::make_shared<SubqueryExpr>(SubqueryKind::kQuantified,
                                                std::move(plan));
-      sq->set_negated(all);
+      sq->set_quantified(op, all ? Quantifier::kAll : Quantifier::kSome);
+      sq->set_probe(std::move(probe));
       return ExprPtr(sq);
     }
     case AstExprKind::kInList: {

@@ -493,7 +493,6 @@ Result<LogicalOpPtr> UnnestingRewriter::RewriteConjunct(
     } else if (d->kind() == ExprKind::kSubquery &&
                static_cast<const SubqueryExpr*>(d.get())
                        ->subquery_kind() != SubqueryKind::kScalar) {
-      if (!options_.enable_quantified) return LogicalOpPtr(nullptr);
       item.kind = CascadeItem::kQuantified;
     } else {
       return LogicalOpPtr(nullptr);  // unsupported disjunct shape
@@ -967,9 +966,11 @@ UnnestingRewriter::SplitQuantified(LogicalInput stream,
   LogicalOpPtr block = CloneLogicalPlan(subquery.plan());
   if (block == nullptr) return kUnsupported;
 
-  // Peel Distinct/Project above the block's relation; for IN remember the
-  // produced column's expression as the membership probe target.
-  ExprPtr in_column;
+  // Peel Distinct/Project above the block's relation; for θ SOME|ALL
+  // remember the produced column's expression as the comparison target.
+  const bool quantified =
+      subquery.subquery_kind() == SubqueryKind::kQuantified;
+  ExprPtr column;
   while (true) {
     if (block->kind() == LogicalOpKind::kDistinct) {
       block = block->inputs()[0].op;
@@ -978,19 +979,18 @@ UnnestingRewriter::SplitQuantified(LogicalInput stream,
     if (block->kind() == LogicalOpKind::kProject) {
       const auto* proj = static_cast<const ProjectOp*>(block.get());
       if (proj->items().size() == 1) {
-        in_column = proj->items()[0].expr->Clone();
+        column = proj->items()[0].expr->Clone();
       }
       block = block->inputs()[0].op;
       continue;
     }
     break;
   }
-  if (subquery.subquery_kind() == SubqueryKind::kIn &&
-      in_column == nullptr) {
+  if (quantified && column == nullptr) {
     // SELECT * single-column table would also work, but keep it simple.
     if (block->schema().num_columns() == 1) {
       const ColumnDef& c = block->schema().column(0);
-      in_column = MakeColumnRef(c.qualifier, c.name);
+      column = MakeColumnRef(c.qualifier, c.name);
     } else {
       return kUnsupported;
     }
@@ -1004,21 +1004,26 @@ UnnestingRewriter::SplitQuantified(LogicalInput stream,
     if (ContainsSubquery(c)) return kUnsupported;
     pred_conjuncts.push_back(LocalizeOuterRefs(c));
   }
-  if (subquery.subquery_kind() == SubqueryKind::kIn) {
-    if (ContainsOuterRef(in_column) || ContainsSubquery(in_column)) {
+  const bool all =
+      quantified && subquery.quantifier() == Quantifier::kAll;
+  if (quantified) {
+    if (ContainsOuterRef(column) || ContainsSubquery(column)) {
       return kUnsupported;
     }
-    ExprPtr member = MakeComparison(
-        CompareOp::kEq, subquery.probe()->Clone(), in_column->Clone());
-    if (subquery.negated()) {
-      // 3VL: x NOT IN S is TRUE exactly when no qualifying y makes
-      // x = y OR x IS NULL OR y IS NULL TRUE (empty S included), so the
-      // anti join on this two-valued predicate is the TRUE stream and
-      // the semi join the FALSE ∪ UNKNOWN one.
+    // SOME qualifies on x θ y. ALL is refuted by any qualifying y that
+    // makes x θ y FALSE or UNKNOWN, i.e. x θ̄ y OR x IS NULL OR y IS NULL
+    // TRUE (empty S included), so the anti join on this two-valued
+    // predicate is the TRUE stream and the semi join the FALSE ∪ UNKNOWN
+    // one.
+    const CompareOp op = all ? NegateCompareOp(subquery.compare_op())
+                             : subquery.compare_op();
+    ExprPtr member =
+        MakeComparison(op, subquery.probe()->Clone(), column->Clone());
+    if (all) {
       member = MakeOr({std::move(member),
                        std::make_shared<IsNullExpr>(
                            subquery.probe()->Clone(), /*negated=*/false),
-                       std::make_shared<IsNullExpr>(std::move(in_column),
+                       std::make_shared<IsNullExpr>(std::move(column),
                                                     /*negated=*/false)});
     }
     pred_conjuncts.push_back(std::move(member));
@@ -1037,7 +1042,7 @@ UnnestingRewriter::SplitQuantified(LogicalInput stream,
     }
   }
 
-  const bool anti = subquery.negated();
+  const bool anti = quantified ? all : subquery.negated();
   LogicalOpPtr right = analysis.stripped;  // shared by both joins (DAG)
   QuantifiedSplit split;
   if (anti) {

@@ -48,8 +48,6 @@ enum class DisjunctOrder {
 struct RewriteOptions {
   /// Master switch; off reproduces the canonical (nested-loop) plans.
   bool enable_unnesting = true;
-  /// Unnest quantified table subqueries (EXISTS/IN; TR extension).
-  bool enable_quantified = true;
   /// Branch ordering within a disjunct cascade.
   DisjunctOrder disjunct_order = DisjunctOrder::kByRank;
   /// When set, disjunct ranks are computed from data: selectivities from

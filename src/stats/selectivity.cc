@@ -316,7 +316,7 @@ double EstimateSelectivity(const Expr& pred, const StatsProvider* stats) {
     case ExprKind::kSubquery: {
       const auto& sq = static_cast<const SubqueryExpr&>(pred);
       if (sq.subquery_kind() == SubqueryKind::kExists) return 0.5;
-      return 0.25;
+      return 0.25;  // θ SOME|ALL, IN and NOT IN included
     }
     case ExprKind::kFunction: {
       // COALESCE(x, <literal>) passes where x does; the literal only

@@ -244,9 +244,7 @@ class ParallelDifferentialRandom : public ::testing::TestWithParam<int> {};
 TEST_P(ParallelDifferentialRandom, CorpusIsThreadCountInvariant) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Database db;
-  // NULL-free data: the random grammar includes IN/EXISTS shapes whose
-  // rewrites assume two-valued comparisons (see DESIGN.md).
-  LoadSmallRst(&db, seed, 25, 30, 20);
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
   QueryGenerator generator(seed * 151 + 9);
   for (int i = 0; i < 2; ++i) {
     const std::string sql = generator.Generate();
@@ -264,9 +262,7 @@ class BatchDifferentialRandom : public ::testing::TestWithParam<int> {};
 TEST_P(BatchDifferentialRandom, CorpusIsBatchSizeInvariant) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Database db;
-  // NULL-free data: the random grammar includes IN/EXISTS shapes whose
-  // rewrites assume two-valued comparisons (see DESIGN.md).
-  LoadSmallRst(&db, seed, 25, 30, 20);
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
   QueryGenerator generator(seed * 131 + 3);
   for (int i = 0; i < 3; ++i) {
     const std::string sql = generator.Generate();

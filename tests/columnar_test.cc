@@ -389,9 +389,7 @@ class ColumnarDifferentialRandom : public ::testing::TestWithParam<int> {};
 TEST_P(ColumnarDifferentialRandom, CorpusMatchesRowOracle) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Database db;
-  // NULL-free data: the random grammar includes IN/EXISTS shapes whose
-  // rewrites assume two-valued comparisons (see DESIGN.md).
-  LoadSmallRst(&db, seed, 25, 30, 20);
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
   QueryGenerator generator(seed * 173 + 5);
   for (int i = 0; i < 3; ++i) {
     const std::string sql = generator.Generate();

@@ -64,6 +64,59 @@ TEST(QuantifiedCompareTest, EmptySubquerySemantics) {
   EXPECT_TRUE(some->rows.empty());
 }
 
+// r = (5, 1, 0, 0) and s = {(NULL, 1, 0, 0), (3, 1, 0, 0)}: for the one
+// outer row the correlated block yields {NULL, 3}. 5 > 3 is TRUE and
+// 5 θ NULL is UNKNOWN, so every ALL and every negated SOME below is
+// UNKNOWN (0 rows), while 5 > SOME {NULL, 3} is TRUE (1 row). The
+// expected rows are computed by hand, not by another evaluator.
+TEST(QuantifiedCompareTest, NullReproHandComputedRows) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("r", RstTableSchema('a')).ok());
+  ASSERT_TRUE(db.CreateTable("s", RstTableSchema('b')).ok());
+  ASSERT_TRUE((*db.catalog()->GetTable("r"))
+                  ->Append(testing_util::IntRow({5, 1, 0, 0}))
+                  .ok());
+  Table* s = *db.catalog()->GetTable("s");
+  ASSERT_TRUE(s->Append(Row{Value::Null(), Value::Int64(1),
+                            Value::Int64(0), Value::Int64(0)})
+                  .ok());
+  ASSERT_TRUE(s->Append(testing_util::IntRow({3, 1, 0, 0})).ok());
+  const struct {
+    const char* where;
+    size_t rows;
+  } kCases[] = {
+      {"a1 > ALL (SELECT b1 FROM s WHERE a2 = b2)", 0},
+      {"a1 <> ALL (SELECT b1 FROM s WHERE a2 = b2)", 0},
+      {"NOT (a1 = SOME (SELECT b1 FROM s WHERE a2 = b2))", 0},
+      {"NOT (a1 < SOME (SELECT b1 FROM s WHERE a2 = b2))", 0},
+      {"a1 > SOME (SELECT b1 FROM s WHERE a2 = b2)", 1},
+      {"a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2)", 0},
+      // The UNKNOWN row reaches the next disjunct, and only through it.
+      {"a1 > ALL (SELECT b1 FROM s WHERE a2 = b2) OR a4 = 0", 1},
+      {"a1 > ALL (SELECT b1 FROM s WHERE a2 = b2) OR a4 = 1", 0},
+      // MAX ignores the NULL: 5 > ALL {3}.
+      {"a1 > ALL (SELECT MAX(b1) FROM s)", 1},
+      {"a1 <= ALL (SELECT MAX(b1) FROM s)", 0},
+      // MAX(∅) is one NULL row, not an empty set: UNKNOWN.
+      {"a1 > ALL (SELECT MAX(b1) FROM s WHERE b2 = 9)", 0},
+  };
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kCanonical, ExecutionStrategy::kCanonicalMemo,
+        ExecutionStrategy::kUnnested}) {
+    for (const auto& c : kCases) {
+      const std::string sql = std::string("SELECT * FROM r WHERE ") + c.where;
+      SCOPED_TRACE(sql + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      auto result = db.Query(sql, QueryOptions::With(strategy));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->rows.size(), c.rows);
+      if (strategy == ExecutionStrategy::kUnnested) {
+        EXPECT_FALSE(result->applied_rules.empty()) << result->optimized_plan;
+      }
+    }
+  }
+}
+
 // Outlook item (1): linking and correlation predicate both disjunctive —
 // the composition of Eqv. 2/3 (outer) with Eqv. 4/5 (inner).
 class DoubleDisjunctionProperty

@@ -314,7 +314,32 @@ INSTANTIATE_TEST_SUITE_P(
                  NullShape::kHashedExistence},
         NullCase{"SELECT * FROM r WHERE NOT EXISTS (SELECT * FROM s "
                  "WHERE a2 = b2 AND a3 < b3) OR a4 > 3",
-                 NullShape::kHashedExistence}));
+                 NullShape::kHashedExistence},
+        // θ SOME / θ ALL under 3VL: ALL is refuted by a qualifying y with
+        // x θ̄ y OR x IS NULL OR y IS NULL; NOT swaps the quantifier and
+        // negates θ. Correlated texts hash on a2 = b2, uncorrelated ones
+        // have no key.
+        NullCase{"SELECT * FROM r WHERE a1 > ALL (SELECT b1 FROM s "
+                 "WHERE a2 = b2) OR a4 > 5",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE a1 <= SOME (SELECT b1 FROM s "
+                 "WHERE a2 = b2) OR a4 > 5",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE NOT (a1 < SOME (SELECT b1 FROM s "
+                 "WHERE a2 = b2)) OR a4 > 5",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE a3 <> ALL (SELECT b3 FROM s "
+                 "WHERE a2 = b2 AND b4 > 2)",
+                 NullShape::kHashedExistence},
+        NullCase{"SELECT * FROM r WHERE a1 >= ALL (SELECT b1 FROM s) "
+                 "OR a4 > 5",
+                 NullShape::kKeylessExistence},
+        NullCase{"SELECT * FROM r WHERE NOT (a1 = ALL (SELECT b1 FROM s)) "
+                 "OR a4 > 5",
+                 NullShape::kKeylessExistence},
+        NullCase{"SELECT * FROM r WHERE a1 < SOME (SELECT c1 FROM t) "
+                 "OR a3 > ALL (SELECT b3 FROM s WHERE a2 < b2)",
+                 NullShape::kKeylessExistence}));
 
 // The pinned NOT IN repro: 20 % NULLs in every column of a 35/45/30-row
 // RST instance, seeds 1–20, each agreeing with the canonical evaluator.
@@ -425,8 +450,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // Quantified table subqueries in disjunctions (TR extension), on
-// NULL-free data; NullSemanticsProperty runs the NOT IN texts under
-// NULLs, where membership is three-valued.
+// NULL-free data; NullSemanticsProperty runs the NOT IN and θ SOME|ALL
+// texts under NULLs, where membership is three-valued.
 // ---------------------------------------------------------------------
 class QuantifiedProperty : public ::testing::TestWithParam<const char*> {};
 

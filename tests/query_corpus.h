@@ -11,9 +11,30 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "types/value.h"
 
 namespace bypass {
 namespace testing_util {
+
+/// One quantified comparison `probe θ SOME|ALL (SELECT column FROM from
+/// [WHERE where])`, kept in parts so that a test can restate it.
+struct QuantifiedParts {
+  std::string probe;
+  CompareOp op = CompareOp::kEq;
+  bool all = false;
+  std::string column;
+  std::string from;
+  std::string where;  ///< empty: uncorrelated and unfiltered
+
+  std::string Block() const {
+    return "(SELECT " + column + " FROM " + from +
+           (where.empty() ? "" : " WHERE " + where) + ")";
+  }
+  std::string Text() const {
+    return probe + " " + CompareOpToString(op) + (all ? " ALL " : " SOME ") +
+           Block();
+  }
+};
 
 /// Generates random nested queries over the RST schema: random linking
 /// operators, aggregates, disjunct mixtures, correlation shapes, and two
@@ -35,6 +56,49 @@ class QueryGenerator {
                       " AS g FROM r WHERE ";
     sql += Disjunction(/*allow_nested=*/false);
     return sql;
+  }
+
+  /// A random disjunction of 1–3 simple, scalar-block, EXISTS and
+  /// quantified predicates over r.
+  std::string Disjunction(bool allow_nested) {
+    const int n = static_cast<int>(rng_.UniformInt(1, 3));
+    std::string out;
+    for (int i = 0; i < n; ++i) {
+      if (i > 0) out += " OR ";
+      out += Disjunct(allow_nested);
+    }
+    return out;
+  }
+
+  /// A random quantified comparison of r against a block over s or t:
+  /// equi or non-equi correlation, an extra filter, or none at all.
+  QuantifiedParts Quantified() {
+    QuantifiedParts q;
+    q.probe = rng_.Bernoulli(0.5) ? "a1" : "a3";
+    static const CompareOp kOps[] = {CompareOp::kEq, CompareOp::kNe,
+                                     CompareOp::kLt, CompareOp::kLe,
+                                     CompareOp::kGt, CompareOp::kGe};
+    q.op = kOps[rng_.UniformInt(0, 5)];
+    q.all = rng_.Bernoulli(0.5);
+    const bool over_s = rng_.Bernoulli(0.7);
+    const char p = over_s ? 'b' : 'c';
+    q.from = over_s ? "s" : "t";
+    q.column = std::string(1, p) + (rng_.Bernoulli(0.5) ? "1" : "3");
+    const std::string key = std::string(1, p) + "2";
+    switch (rng_.UniformInt(0, 3)) {
+      case 0:
+        break;  // uncorrelated
+      case 1:
+        q.where = "a2 = " + key;
+        break;
+      case 2:
+        q.where = "a2 " + Theta() + " " + key;
+        break;
+      default:
+        q.where = "a2 = " + key + " AND " + SimplePredicate(p);
+        break;
+    }
+    return q;
   }
 
  private:
@@ -87,7 +151,7 @@ class QueryGenerator {
   }
 
   std::string Disjunct(bool allow_nested) {
-    switch (rng_.UniformInt(0, 3)) {
+    switch (rng_.UniformInt(0, 7)) {
       case 0:
         return SimplePredicate('a');
       case 1:
@@ -96,19 +160,18 @@ class QueryGenerator {
       case 2:
         return "EXISTS (SELECT * FROM t WHERE a3 = c2 AND " +
                SimplePredicate('c') + ")";
-      default:
+      case 3:
         return "a1 IN (SELECT b1 FROM s WHERE a2 = b2)";
+      case 4:
+        return "a1 NOT IN (SELECT b1 FROM s WHERE a2 " + Theta() + " b2)";
+      case 5:
+        return "NOT EXISTS (SELECT * FROM t WHERE a3 " + Theta() +
+               " c2 AND " + SimplePredicate('c') + ")";
+      case 6:
+        return Quantified().Text();
+      default:
+        return "NOT (" + Quantified().Text() + ")";
     }
-  }
-
-  std::string Disjunction(bool allow_nested) {
-    const int n = static_cast<int>(rng_.UniformInt(1, 3));
-    std::string out;
-    for (int i = 0; i < n; ++i) {
-      if (i > 0) out += " OR ";
-      out += Disjunct(allow_nested);
-    }
-    return out;
   }
 
   Rng rng_;

@@ -21,9 +21,7 @@ class RandomQueryProperty : public ::testing::TestWithParam<int> {};
 TEST_P(RandomQueryProperty, CanonicalEqualsUnnested) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Database db;
-  // NULL-free data: random shapes include IN/EXISTS rewrites whose
-  // membership semantics assume two-valued comparisons (see DESIGN.md).
-  LoadSmallRst(&db, seed, 25, 30, 20);
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
   QueryGenerator generator(seed * 31 + 7);
   for (int i = 0; i < 4; ++i) {
     const std::string sql = generator.Generate();

@@ -279,17 +279,6 @@ TEST_F(RewriteTest, QuantifiedNotExistsUsesAntiJoinBranch) {
   EXPECT_EQ(census[LogicalOpKind::kSemiJoin], 1);  // the remainder
 }
 
-TEST_F(RewriteTest, QuantifiedDisabledKeepsCanonical) {
-  RewriteOptions options;
-  options.enable_quantified = false;
-  LogicalOpPtr plan = Rewrite(
-      "SELECT DISTINCT * FROM r "
-      "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 1500",
-      options);
-  EXPECT_TRUE(rules_.empty());
-  EXPECT_TRUE(PlanHasNestedSubquery(*plan));
-}
-
 TEST_F(RewriteTest, UnnestingDisabledIsIdentity) {
   RewriteOptions options;
   options.enable_unnesting = false;

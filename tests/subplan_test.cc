@@ -149,11 +149,13 @@ TEST(SubplanTest, EvalInThreeValuedLogic) {
   plan.ops.push_back(std::move(sink));
   ExecSubplan subplan(std::move(plan), {}, false);
 
-  EXPECT_EQ(*subplan.EvalIn(Value::Int64(1), nullptr), TriBool::kTrue);
+  EXPECT_EQ(*subplan.EvalSome(CompareOp::kEq, Value::Int64(1), nullptr),
+            TriBool::kTrue);
   // No match, but NULL present → unknown.
-  EXPECT_EQ(*subplan.EvalIn(Value::Int64(7), nullptr),
+  EXPECT_EQ(*subplan.EvalSome(CompareOp::kEq, Value::Int64(7), nullptr),
             TriBool::kUnknown);
-  EXPECT_EQ(*subplan.EvalIn(Value::Null(), nullptr), TriBool::kUnknown);
+  EXPECT_EQ(*subplan.EvalSome(CompareOp::kEq, Value::Null(), nullptr),
+            TriBool::kUnknown);
 }
 
 TEST(SubplanTest, EvalInEmptySetIsFalse) {
@@ -168,7 +170,8 @@ TEST(SubplanTest, EvalInEmptySetIsFalse) {
   plan.ops.push_back(std::move(sink));
   ExecSubplan subplan(std::move(plan), {}, false);
   // Even for a NULL probe: x IN (∅) is false, not unknown.
-  EXPECT_EQ(*subplan.EvalIn(Value::Null(), nullptr), TriBool::kFalse);
+  EXPECT_EQ(*subplan.EvalSome(CompareOp::kEq, Value::Null(), nullptr),
+            TriBool::kFalse);
 }
 
 }  // namespace

@@ -34,9 +34,9 @@ inline Row IntRow(std::initializer_list<int64_t> values) {
 
 /// Loads small random R/S/T tables with duplicates and tight domains so
 /// that empty groups, multi-row groups, and duplicate outer rows all
-/// occur. `null_fraction` injects NULLs into a2/b2/b3/b4 columns.
-/// Values are drawn from [0, max_value]; `suffix` renames the tables
-/// (r<suffix>, s<suffix>, t<suffix>).
+/// occur. `null_fraction` is the chance that any one value, in any of the
+/// four columns, is NULL. Values are drawn from [0, max_value]; `suffix`
+/// renames the tables (r<suffix>, s<suffix>, t<suffix>).
 inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
                          int rows_s, int rows_t,
                          double null_fraction = 0.0,
