@@ -199,7 +199,7 @@ void JoinHashTable::Build(const std::vector<Row>& rows,
 }
 
 uint32_t JoinHashTable::FindKey(uint64_t hash, int64_t i64,
-                                const Row& row,
+                                const Row* row,
                                 const std::vector<int>& probe_slots)
     const {
   size_t pos = hash & mask_;
@@ -210,7 +210,7 @@ uint32_t JoinHashTable::FindKey(uint64_t hash, int64_t i64,
       const bool equal =
           int64_mode_
               ? key_int64_[s.key_id] == i64
-              : RowSlotsEqual(row, (*build_rows_)[key_repr_[s.key_id]],
+              : RowSlotsEqual(*row, (*build_rows_)[key_repr_[s.key_id]],
                               probe_slots, *build_key_slots_);
       if (equal) return s.key_id;
     }
@@ -235,7 +235,7 @@ JoinMatches JoinHashTable::Probe(const Row& row,
     if (AnyNull(row, probe_slots)) return JoinMatches{};
     h = HashRowSlots(row, probe_slots);
   }
-  const uint32_t key_id = FindKey(h, i64, row, probe_slots);
+  const uint32_t key_id = FindKey(h, i64, &row, probe_slots);
   if (key_id == kEmpty) return JoinMatches{};
   return MatchesOf(key_id);
 }
@@ -302,10 +302,13 @@ void JoinHashTable::ProbeBatch(const RowBatch& batch,
       __builtin_prefetch(&slots_[scratch->hashes[ahead] & mask_]);
     }
     if (!scratch->valid[i]) continue;
+    // Int64 mode never reads the row, so a column-only batch is never
+    // materialized for it.
     const uint32_t key_id =
-        FindKey(scratch->hashes[i],
-                int64_mode_ ? scratch->int64_keys[i] : 0, batch.row(i),
-                probe_slots);
+        int64_mode_
+            ? FindKey(scratch->hashes[i], scratch->int64_keys[i], nullptr,
+                      probe_slots)
+            : FindKey(scratch->hashes[i], 0, &batch.row(i), probe_slots);
     if (key_id != kEmpty) scratch->matches[i] = MatchesOf(key_id);
   }
 }
@@ -482,16 +485,26 @@ Status HashJoinOp::ProbeGracePartitions() {
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
+    // The partition's left rows stream through the in-memory path a
+    // batch at a time.
     BYPASS_RETURN_IF_ERROR(left.OpenRead());
     Status st = Status::OK();
-    while (st.ok()) {
-      Result<bool> more = left.ReadRow(&row);
-      if (!more.ok()) {
-        st = more.status();
-        break;
+    bool more = true;
+    while (st.ok() && more) {
+      std::vector<Row> rows;
+      while (rows.size() < batch_size()) {
+        Result<bool> read = left.ReadRow(&row);
+        if (!read.ok()) {
+          st = read.status();
+          break;
+        }
+        more = *read;
+        if (!more) break;
+        rows.push_back(std::move(row));
       }
-      if (!*more) break;
-      st = JoinRow(row, table_.Probe(row, probe_key_slots_), build).status();
+      if (st.ok() && !rows.empty()) {
+        st = JoinBatch(RowBatch::FromRows(std::move(rows)), build);
+      }
     }
     table_.Clear();
     ctx_->run().ReleaseMemory(row_bytes + table_bytes);
@@ -503,77 +516,258 @@ Status HashJoinOp::ProbeGracePartitions() {
   return Status::OK();
 }
 
-Result<bool> HashJoinOp::JoinRow(const Row& row, JoinMatches matches,
-                                 const std::vector<Row>& build_rows) {
-  const bool keyed = this->keyed();
-  const bool existence = this->existence();
-  bool matched = false;
-  const size_t candidates = keyed ? matches.count : build_rows.size();
-  int64_t since_check = 0;
-  for (size_t k = 0; k < candidates; ++k) {
-    if (!keyed && ++since_check >= 4096) {
-      since_check = 0;
-      BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
-    }
-    Row joined =
-        gather().Gather(row, build_rows[keyed ? matches.data[k] : k]);
-    if (residual_ != nullptr) {
-      EvalContext ectx{&joined, ctx_->outer_row()};
-      BYPASS_ASSIGN_OR_RETURN(Value v, residual_->Eval(ectx));
-      if (ValueToTriBool(v) != TriBool::kTrue) continue;
-      gather().Trim(&joined);
-    }
-    matched = true;
-    if (existence) break;  // the first match decides the probe row
-    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(joined)));
-  }
-  return matched;
-}
-
-// A keyed join probes the whole batch through the vectorized
-// hash-then-resolve path: left rows are never copied out of the batch,
-// so probe misses cost no allocation at all, and a semi or anti join
-// copies a row out only when it passes.
 Status HashJoinOp::ProcessLeftBatch(RowBatch batch) {
-  const size_t n = batch.size();
   if (grace_) {
+    const size_t n = batch.size();
     for (size_t i = 0; i < n; ++i) {
       BYPASS_RETURN_IF_ERROR(RouteLeftRow(batch.row(i)));
     }
     return Status::OK();
   }
-  // Per-batch constants: the row loop below runs once per probe row.
-  const bool keyed = this->keyed();
-  const bool existence = this->existence();
+  return JoinBatch(std::move(batch), right_rows());
+}
+
+// A keyed join probes the whole batch through the vectorized
+// hash-then-resolve path; a keyless one takes every build row as a
+// candidate of every probe row.
+Status HashJoinOp::JoinBatch(RowBatch batch,
+                             const std::vector<Row>& build_rows) {
+  PairScratch& s = scratch_[static_cast<size_t>(CurrentWorkerId())];
+  const JoinMatches* matches = nullptr;
+  if (keyed()) {
+    table_.ProbeBatch(batch, probe_key_slots_, &s.probe);
+    matches = s.probe.matches.data();
+  }
+  if (existence()) {
+    return EmitExistence(std::move(batch), matches, build_rows, &s);
+  }
+  return EmitPairs(batch, matches, build_rows, &s);
+}
+
+Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
+                                 const std::vector<Row>& build_rows,
+                                 PairScratch* s) {
+  const size_t n = batch.size();
   const bool anti = kind_ == JoinKind::kAnti;
-  const bool pad = kind_ == JoinKind::kLeftOuter;
-  // The key lookup alone decides a keyed miss, which only the left outer
-  // and anti joins emit, and a hit of an existence join without a
-  // residual.
-  const bool skip_misses = keyed && !pad && !anti;
-  const bool walk_hits = !existence || residual_ != nullptr;
-  JoinProbeScratch& scratch =
-      scratch_[static_cast<size_t>(CurrentWorkerId())];
-  if (keyed) table_.ProbeBatch(batch, probe_key_slots_, &scratch);
-  for (size_t i = 0; i < n; ++i) {
-    const JoinMatches matches = keyed ? scratch.matches[i] : JoinMatches{};
-    bool matched = !matches.empty();
-    if (!matched && skip_misses) continue;
-    if (!keyed || (matched && walk_hits)) {
-      BYPASS_ASSIGN_OR_RETURN(matched,
-                              JoinRow(batch.row(i), matches, right_rows()));
+  auto count = [&](size_t i) -> size_t {
+    return matches != nullptr ? matches[i].count : build_rows.size();
+  };
+  s->matched.resize(n);
+  if (residual_ == nullptr) {
+    for (size_t i = 0; i < n; ++i) s->matched[i] = count(i) > 0;
+  } else {
+    std::fill(s->matched.begin(), s->matched.end(), 0);
+    s->undecided.clear();
+    s->next.assign(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      if (count(i) > 0) s->undecided.push_back(static_cast<uint32_t>(i));
     }
-    if (existence) {
-      if (matched != anti) {
-        BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, batch.TakeRow(i)));
+    int64_t since_check = 0;
+    while (!s->undecided.empty()) {
+      if (matches == nullptr) {
+        since_check += static_cast<int64_t>(s->undecided.size());
+        if (since_check >= 4096) {
+          since_check = 0;
+          BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
+        }
       }
-    } else if (pad && !matched) {
-      Row padded = gather().Gather(batch.row(i), unmatched_right_);
-      gather().Trim(&padded);
-      BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(padded)));
+      // Round: the next candidate of every undecided row.
+      s->pair_probe.assign(s->undecided.begin(), s->undecided.end());
+      s->pair_build.clear();
+      for (uint32_t i : s->undecided) {
+        const uint32_t k = s->next[i];
+        s->pair_build.push_back(matches != nullptr ? matches[i].data[k] : k);
+      }
+      const RowBatch pairs =
+          RowBatch::FromColumns(GatherPairs(batch, build_rows, s));
+      s->sel_true.clear();
+      BYPASS_RETURN_IF_ERROR(residual_->PartitionBatch(
+          pairs, ctx_->outer_row(), &s->sel_true, nullptr, nullptr));
+      size_t t = 0;
+      size_t kept = 0;
+      for (size_t p = 0; p < s->pair_probe.size(); ++p) {
+        const uint32_t i = s->pair_probe[p];
+        if (t < s->sel_true.size() && s->sel_true[t] == p) {
+          ++t;
+          s->matched[i] = 1;
+        } else if (++s->next[i] < count(i)) {
+          s->undecided[kept++] = i;
+        }
+      }
+      s->undecided.resize(kept);
     }
   }
-  return Status::OK();
+  s->keep.clear();
+  const std::vector<uint32_t>& sel = batch.selection();
+  for (size_t i = 0; i < n; ++i) {
+    if ((s->matched[i] != 0) != anti) s->keep.push_back(sel[i]);
+  }
+  if (s->keep.size() == n) return Emit(kPortOut, std::move(batch));
+  return Emit(kPortOut, batch.ShareWithSelection(s->keep));
+}
+
+Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
+                             const std::vector<Row>& build_rows,
+                             PairScratch* s) {
+  const size_t n = batch.size();
+  const bool pad = kind_ == JoinKind::kLeftOuter;
+  const size_t chunk = batch_size();
+  s->pair_probe.clear();
+  s->pair_build.clear();
+  s->pair_probe.reserve(chunk);
+  s->pair_build.reserve(chunk);
+  if (residual_ != nullptr) s->matched.assign(n, 0);
+  int64_t since_check = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t probe = static_cast<uint32_t>(i);
+    const size_t count =
+        matches != nullptr ? matches[i].count : build_rows.size();
+    for (size_t k = 0; k < count; ++k) {
+      if (matches == nullptr && ++since_check >= 4096) {
+        since_check = 0;
+        BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
+      }
+      s->pair_probe.push_back(probe);
+      s->pair_build.push_back(matches != nullptr
+                                  ? matches[i].data[k]
+                                  : static_cast<uint32_t>(k));
+      if (s->pair_probe.size() >= chunk) {
+        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build_rows, s));
+      }
+    }
+    // Without a residual a row is padded exactly when it has no
+    // candidate; with one, the pad is decided at the flush, after the
+    // row's candidates were evaluated.
+    if (pad && (residual_ != nullptr || count == 0)) {
+      s->pair_probe.push_back(probe);
+      s->pair_build.push_back(kPad);
+      if (s->pair_probe.size() >= chunk) {
+        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build_rows, s));
+      }
+    }
+  }
+  if (s->pair_probe.empty()) return Status::OK();
+  return FlushPairs(batch, build_rows, s);
+}
+
+Status HashJoinOp::FlushPairs(const RowBatch& batch,
+                              const std::vector<Row>& build_rows,
+                              PairScratch* s) {
+  ColumnStore gathered = GatherPairs(batch, build_rows, s);
+  const size_t num_pairs = s->pair_probe.size();
+  if (residual_ == nullptr) {
+    s->pair_probe.clear();
+    s->pair_build.clear();
+    return Emit(kPortOut, RowBatch::FromColumns(std::move(gathered)));
+  }
+  s->candidates.clear();
+  for (size_t p = 0; p < num_pairs; ++p) {
+    if (s->pair_build[p] != kPad) {
+      s->candidates.push_back(static_cast<uint32_t>(p));
+    }
+  }
+  RowBatch pairs = RowBatch::FromColumns(std::move(gathered));
+  s->sel_true.clear();
+  if (!s->candidates.empty()) {
+    // Padding rows are never evaluated: a pad is not a candidate pair.
+    const RowBatch view = pairs.ShareWithSelection(s->candidates);
+    BYPASS_RETURN_IF_ERROR(residual_->PartitionBatch(
+        view, ctx_->outer_row(), &s->sel_true, nullptr, nullptr));
+  }
+  // A pad follows its row's candidates, so its row is decided by then.
+  s->keep.clear();
+  size_t t = 0;
+  for (size_t p = 0; p < num_pairs; ++p) {
+    const uint32_t i = s->pair_probe[p];
+    if (s->pair_build[p] != kPad) {
+      if (t < s->sel_true.size() && s->sel_true[t] == p) {
+        ++t;
+        s->matched[i] = 1;
+        s->keep.push_back(static_cast<uint32_t>(p));
+      }
+    } else if (s->matched[i] == 0) {
+      s->keep.push_back(static_cast<uint32_t>(p));
+    }
+  }
+  s->pair_probe.clear();
+  s->pair_build.clear();
+  if (s->keep.empty()) return Status::OK();
+  // Drop the predicate-only tail.
+  ColumnStore out = pairs.TakeColumns();
+  const size_t out_width = gather().out_width();
+  if (!gather().is_concat() && out.columns.size() > out_width) {
+    out.columns.erase(
+        out.columns.begin() + static_cast<ptrdiff_t>(out_width),
+        out.columns.end());
+  }
+  if (s->keep.size() == num_pairs) {
+    return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
+  }
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out), s->keep));
+}
+
+ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
+                                    const std::vector<Row>& build_rows,
+                                    PairScratch* s) const {
+  const size_t num_pairs = s->pair_probe.size();
+  const std::vector<uint32_t>& sel = batch.selection();
+  s->storage.resize(num_pairs);
+  for (size_t p = 0; p < num_pairs; ++p) {
+    s->storage[p] = sel[s->pair_probe[p]];
+  }
+  const std::vector<GatherCol>* cols = &gather().cols();
+  if (gather().is_concat()) {
+    // Every probe column, then every build column.
+    s->concat.clear();
+    const size_t build_width =
+        build_rows.empty() ? unmatched_right_.size() : build_rows[0].size();
+    for (size_t c = 0; c < batch.width(); ++c) {
+      s->concat.push_back(GatherCol{JoinSide::kProbe, static_cast<int>(c)});
+    }
+    for (size_t c = 0; c < build_width; ++c) {
+      s->concat.push_back(GatherCol{JoinSide::kBuild, static_cast<int>(c)});
+    }
+    cols = &s->concat;
+  }
+  const std::vector<DataType>& types = gather().types();
+  ColumnStore out;
+  out.num_rows = num_pairs;
+  out.columns.reserve(cols->size());
+  for (size_t j = 0; j < cols->size(); ++j) {
+    const GatherCol& c = (*cols)[j];
+    const size_t slot = static_cast<size_t>(c.slot);
+    if (c.side == JoinSide::kProbe && batch.columns() != nullptr) {
+      const ColumnVector& src = batch.columns()->columns[slot];
+      ColumnVector col(src.type());
+      col.AppendGather(src, s->storage.data(), num_pairs);
+      out.columns.push_back(std::move(col));
+      continue;
+    }
+    auto value = [&](size_t p) -> const Value& {
+      if (c.side == JoinSide::kProbe) {
+        return batch.storage_row(s->storage[p])[slot];
+      }
+      const uint32_t b = s->pair_build[p];
+      return (b == kPad ? unmatched_right_ : build_rows[b])[slot];
+    };
+    DataType type = DataType::kInt64;
+    if (j < types.size()) {
+      type = types[j];
+    } else {
+      // The default gather knows no types: take the first non-NULL's.
+      for (size_t p = 0; p < num_pairs; ++p) {
+        if (!value(p).is_null()) {
+          type = value(p).type();
+          break;
+        }
+      }
+    }
+    ColumnVector col(type);
+    col.Reserve(num_pairs);
+    for (size_t p = 0; p < num_pairs; ++p) col.Append(value(p));
+    out.columns.push_back(std::move(col));
+  }
+  return out;
 }
 
 Status HashJoinOp::FinishBoth() {

@@ -140,8 +140,9 @@ class JoinHashTable {
   }
 
   /// Resolves one probe hash to a key id (kEmpty on miss). `row` backs
-  /// the generic-mode equality compare; int64 mode compares `i64`.
-  uint32_t FindKey(uint64_t hash, int64_t i64, const Row& row,
+  /// the generic-mode equality compare; int64 mode compares `i64` and
+  /// never reads `row` (null there).
+  uint32_t FindKey(uint64_t hash, int64_t i64, const Row* row,
                    const std::vector<int>& probe_slots) const;
 
   // Slot array (power-of-two) and per-key metadata.
@@ -177,8 +178,18 @@ enum class JoinKind : uint8_t { kInner, kLeftOuter, kSemi, kAnti };
 ///               `unmatched_right` when there is none;
 ///   semi        emits the probe row when some pair matches;
 ///   anti        emits the probe row when none does.
-/// Emitted pairs have their predicate-only tail trimmed; semi and anti
-/// joins emit their probe rows unchanged. NULL keys never match.
+/// NULL keys never match.
+///
+/// Work is per probe batch. The inner and left outer joins record
+/// (probe, build-or-pad) pairs, gather them column by column into one
+/// column-only batch (probe columns from the probe batch's columns when
+/// it has them, build and pad columns from the buffered build rows,
+/// types from the gather), evaluate the residual over it with the column
+/// kernels and emit it without its predicate-only tail. Semi and anti
+/// joins emit the probe batch itself with a narrowed selection; their
+/// residual is evaluated in rounds — round r holds the r-th candidate
+/// of every probe row still undecided — so no pair after a row's first
+/// TRUE one is ever evaluated.
 ///
 /// Out-of-core (keyed inner joins only): when the context carries a
 /// memory budget and a spill manager, a build side that cannot be
@@ -255,14 +266,42 @@ class HashJoinOp : public BinaryPhysOp {
     return kind_ == JoinKind::kSemi || kind_ == JoinKind::kAnti;
   }
 
-  /// Joins one probe row against `build_rows` (right_rows() in memory,
-  /// the loaded partition in Grace mode): the rows `matches` indexes
-  /// when keyed, all of them otherwise. Emits the matching pairs of an
-  /// inner or left outer join; returns whether some pair matched,
-  /// stopping at the first one for semi and anti joins. The caller
-  /// pads an unmatched outer row and emits an existence join's row.
-  Result<bool> JoinRow(const Row& row, JoinMatches matches,
-                       const std::vector<Row>& build_rows);
+  /// Pad marker in PairScratch::build: the left outer join's
+  /// `unmatched_right_` row instead of a build row.
+  static constexpr uint32_t kPad = 0xffffffffu;
+
+  /// Per-worker pair buffers, reused across batches.
+  struct alignas(64) PairScratch {
+    JoinProbeScratch probe;
+    std::vector<GatherCol> concat;  // the default gather's columns
+    std::vector<uint32_t> pair_probe;  // pair → position in the batch
+    std::vector<uint32_t> pair_build;  // pair → build row or kPad
+    std::vector<uint32_t> storage;     // pair → probe storage index
+    std::vector<uint8_t> matched;      // per batch position
+    std::vector<uint32_t> next;        // per position: next candidate
+    std::vector<uint32_t> undecided;   // positions still undecided
+    std::vector<uint32_t> candidates;  // pairs with a build row
+    std::vector<uint32_t> sel_true;
+    std::vector<uint32_t> keep;
+  };
+
+  /// Joins one probe batch against `build_rows` (right_rows() in memory,
+  /// the loaded partition in Grace mode, indexed by table_ when keyed).
+  Status JoinBatch(RowBatch batch, const std::vector<Row>& build_rows);
+  /// Semi and anti joins: emits the batch narrowed to its passing rows.
+  Status EmitExistence(RowBatch batch, const JoinMatches* matches,
+                       const std::vector<Row>& build_rows, PairScratch* s);
+  /// Inner and left outer joins: records the batch's pairs and emits
+  /// them in chunks of batch_size().
+  Status EmitPairs(const RowBatch& batch, const JoinMatches* matches,
+                   const std::vector<Row>& build_rows, PairScratch* s);
+  /// Gathers, filters and emits the recorded pairs, then clears them.
+  Status FlushPairs(const RowBatch& batch, const std::vector<Row>& build_rows,
+                    PairScratch* s);
+  /// The recorded pairs' gathered columns, predicate-only tail included.
+  ColumnStore GatherPairs(const RowBatch& batch,
+                          const std::vector<Row>& build_rows,
+                          PairScratch* s) const;
 
   /// Tears down in-memory build state and repartitions the right side
   /// (spilled files + in-memory remainder) into kGracePartitions temp
@@ -283,7 +322,7 @@ class HashJoinOp : public BinaryPhysOp {
   ExprPtr residual_;
   Row unmatched_right_;
   JoinHashTable table_;
-  std::vector<JoinProbeScratch> scratch_;  // per worker
+  std::vector<PairScratch> scratch_;  // per worker
 
   /// Set by BuildFromRight (single-threaded) before any left row flows
   /// in Grace mode; workers only read it, under the same phase ordering

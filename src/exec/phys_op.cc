@@ -129,10 +129,12 @@ Status PhysOp::EmitFinish(int out_port) {
   return Status::OK();
 }
 
-JoinGather::JoinGather(std::vector<GatherCol> cols, size_t out_width,
+JoinGather::JoinGather(std::vector<GatherCol> cols,
+                       std::vector<DataType> types, size_t out_width,
                        int logical_width, bool build_is_logical_left)
     : concat_(false),
       cols_(std::move(cols)),
+      types_(std::move(types)),
       out_width_(out_width),
       logical_width_(logical_width),
       build_is_logical_left_(build_is_logical_left) {}
@@ -145,11 +147,10 @@ Row JoinGather::Gather(const Row& probe, const Row& build) const {
     out.insert(out.end(), build.begin(), build.end());
     return out;
   }
-  // Per-column copies with the side picked by index rather than by a
-  // branch keep hot NL-join pair streams as fast as a concatenation.
-  out.reserve(cols_.size());
+  out.reserve(out_width_);
   const Row* const src[2] = {&probe, &build};
-  for (const GatherCol& c : cols_) {
+  for (size_t j = 0; j < out_width_; ++j) {
+    const GatherCol& c = cols_[j];
     out.push_back(
         (*src[static_cast<size_t>(c.side)])[static_cast<size_t>(c.slot)]);
   }
@@ -241,9 +242,7 @@ Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
     // place a query's footprint scales with an input, so it pays into
     // the memory budget alongside the collector sink.
     // Narrowed rows are charged at their buffered width.
-    const size_t width = narrow_right_ ? right_keep_.size()
-                         : batch.size() > 0 ? batch.row(0).size()
-                                            : 0;
+    const size_t width = narrow_right_ ? right_keep_.size() : batch.width();
     const int64_t bytes = ApproxRowsBytes(batch.size(), width);
     auto take = [&] {
       if (narrow_right_) {

@@ -176,30 +176,33 @@ struct GatherCol {
 };
 
 /// A join's output layout, replacing the concatenation x ◦ y: an ordered
-/// list of (side, slot) naming the columns some consumer reads. Columns
-/// at and past `out_width` are read only by the join's own predicate and
-/// are trimmed before the row is emitted. A default-constructed gather is
-/// the full concatenation (every probe column, then every build column).
+/// list of (side, slot) naming the columns some consumer reads, with the
+/// declared type of each. Columns at and past `out_width` are read only
+/// by the join's own predicate and are dropped before the pairs are
+/// emitted. A default-constructed gather is the full concatenation
+/// (every probe column, then every build column) with no declared types.
 class JoinGather {
  public:
   JoinGather() = default;
+  /// `types` holds one declared type per column of `cols`: the planner's
+  /// layout schema, which the join's gathered columns are built with.
   /// `logical_width` is the width of the unpruned logical join output and
   /// `build_is_logical_left` records a swapped hash join; both only feed
   /// the label.
-  JoinGather(std::vector<GatherCol> cols, size_t out_width,
-             int logical_width, bool build_is_logical_left);
+  JoinGather(std::vector<GatherCol> cols, std::vector<DataType> types,
+             size_t out_width, int logical_width,
+             bool build_is_logical_left);
 
-  /// The gathered row of the pair, predicate-only tail included.
+  /// The gathered row of the pair with its predicate-only tail dropped
+  /// (the codegen tier's compiled probe emits rows through it).
   Row Gather(const Row& probe, const Row& build) const;
-
-  /// Drops the predicate-only tail of a gathered row.
-  void Trim(Row* row) const {
-    if (!concat_ && row->size() > out_width_) row->resize(out_width_);
-  }
 
   /// True for the default full concatenation (cols() is then empty).
   bool is_concat() const { return concat_; }
   const std::vector<GatherCol>& cols() const { return cols_; }
+  const std::vector<DataType>& types() const { return types_; }
+  /// Columns emitted (the rest is the predicate-only tail).
+  size_t out_width() const { return out_width_; }
 
   /// " [build=left|right, keep k/n]"; empty for the default concatenation.
   std::string LabelSuffix() const;
@@ -207,6 +210,7 @@ class JoinGather {
  private:
   bool concat_ = true;
   std::vector<GatherCol> cols_;
+  std::vector<DataType> types_;
   size_t out_width_ = 0;
   int logical_width_ = 0;
   bool build_is_logical_left_ = false;

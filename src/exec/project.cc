@@ -1,35 +1,88 @@
 #include "exec/project.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace bypass {
 
+namespace {
+
+/// The batch's selected rows as a dense column store: its own columns
+/// when it owns all of them, a gather otherwise. `batch` is consumed.
+ColumnStore InputColumns(RowBatch* batch) {
+  if (batch->OwnsAllColumns()) return batch->TakeColumns();
+  return batch->GatherColumns(nullptr);
+}
+
+/// The input slot a Π expression copies, or -1 when it computes a value.
+int InputSlot(const Expr& e) {
+  if (e.kind() != ExprKind::kColumnRef) return -1;
+  const auto& ref = static_cast<const ColumnRefExpr&>(e);
+  return ref.is_outer() ? -1 : ref.slot();
+}
+
+}  // namespace
+
 Status ProjectPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
+  slots_.clear();
+  for (const ExprPtr& e : exprs_) slots_.push_back(InputSlot(*e));
   scratch_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   return Status::OK();
 }
 
 Status ProjectPhysOp::Consume(int, RowBatch batch) {
   if (identity_) return Emit(kPortOut, std::move(batch));
-  const size_t n = batch.size();
-  std::vector<std::vector<Value>>& columns =
+  // Column references select input columns — taken when the batch owns
+  // all of its columns, gathered at the selection otherwise; every other
+  // expression is evaluated over the batch into a new column.
+  std::vector<std::vector<Value>>& computed =
       scratch_[static_cast<size_t>(CurrentWorkerId())].columns;
-  columns.resize(exprs_.size());
+  computed.resize(exprs_.size());
+  std::vector<int> refs;
   for (size_t c = 0; c < exprs_.size(); ++c) {
-    columns[c].clear();
-    columns[c].reserve(n);
-    BYPASS_RETURN_IF_ERROR(
-        exprs_[c]->EvalBatch(batch, ctx_->outer_row(), &columns[c]));
-  }
-  std::vector<Row> rows(n);
-  for (size_t i = 0; i < n; ++i) {
-    rows[i].reserve(exprs_.size());
-    for (size_t c = 0; c < exprs_.size(); ++c) {
-      rows[i].push_back(std::move(columns[c][i]));
+    computed[c].clear();
+    if (slots_[c] >= 0) {
+      refs.push_back(slots_[c]);
+    } else {
+      BYPASS_RETURN_IF_ERROR(
+          exprs_[c]->EvalBatch(batch, ctx_->outer_row(), &computed[c]));
     }
   }
-  return Emit(kPortOut, RowBatch::FromRows(std::move(rows)));
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  const size_t n = batch.size();
+  const bool take = batch.OwnsAllColumns();
+  ColumnStore in = take ? batch.TakeColumns() : batch.GatherColumns(&refs);
+  // A column referenced more than once is copied for all but its last
+  // reference, which moves it.
+  std::vector<size_t> uses(in.columns.size(), 0);
+  auto pos = [&](int slot) {
+    return take ? static_cast<size_t>(slot)
+                : static_cast<size_t>(
+                      std::lower_bound(refs.begin(), refs.end(), slot) -
+                      refs.begin());
+  };
+  for (int slot : slots_) {
+    if (slot >= 0) ++uses[pos(slot)];
+  }
+  ColumnStore out;
+  out.num_rows = n;
+  out.columns.reserve(exprs_.size());
+  for (size_t c = 0; c < exprs_.size(); ++c) {
+    if (slots_[c] < 0) {
+      out.columns.push_back(ColumnFromValues(computed[c]));
+      continue;
+    }
+    const size_t p = pos(slots_[c]);
+    if (--uses[p] == 0) {
+      out.columns.push_back(std::move(in.columns[p]));
+    } else {
+      out.columns.push_back(in.columns[p]);
+    }
+  }
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
 }
 
 std::string ProjectPhysOp::Label() const {
@@ -46,40 +99,19 @@ Status MapPhysOp::Prepare(ExecContext* ctx) {
 }
 
 Status MapPhysOp::Consume(int, RowBatch batch) {
-  const size_t n = batch.size();
-  std::vector<std::vector<Value>>& columns =
+  std::vector<std::vector<Value>>& computed =
       scratch_[static_cast<size_t>(CurrentWorkerId())].columns;
-  columns.resize(exprs_.size());
+  computed.resize(exprs_.size());
   for (size_t c = 0; c < exprs_.size(); ++c) {
-    columns[c].clear();
-    columns[c].reserve(n);
+    computed[c].clear();
     BYPASS_RETURN_IF_ERROR(
-        exprs_[c]->EvalBatch(batch, ctx_->outer_row(), &columns[c]));
+        exprs_[c]->EvalBatch(batch, ctx_->outer_row(), &computed[c]));
   }
-  if (batch.ExclusivelyOwned()) {
-    for (size_t i = 0; i < n; ++i) {
-      Row& row = batch.MutableRow(i);
-      for (size_t c = 0; c < exprs_.size(); ++c) {
-        row.push_back(std::move(columns[c][i]));
-      }
-    }
-    return Emit(kPortOut, std::move(batch));
+  ColumnStore out = InputColumns(&batch);
+  for (const std::vector<Value>& values : computed) {
+    out.columns.push_back(ColumnFromValues(values));
   }
-  std::vector<Row> rows;
-  rows.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const Row& src = batch.row(i);
-    // Build the widened row in one allocation; copy-then-reserve would
-    // allocate twice per row.
-    Row row;
-    row.reserve(src.size() + exprs_.size());
-    row.insert(row.end(), src.begin(), src.end());
-    for (size_t c = 0; c < exprs_.size(); ++c) {
-      row.push_back(std::move(columns[c][i]));
-    }
-    rows.push_back(std::move(row));
-  }
-  return Emit(kPortOut, RowBatch::FromRows(std::move(rows)));
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
 }
 
 std::string MapPhysOp::Label() const {
@@ -95,24 +127,14 @@ Status NumberingPhysOp::Consume(int, RowBatch batch) {
   // consecutive ids, batches get scheduling-dependent ranges.
   const int64_t base = next_id_.fetch_add(static_cast<int64_t>(n),
                                           std::memory_order_relaxed);
-  if (batch.ExclusivelyOwned()) {
-    for (size_t i = 0; i < n; ++i) {
-      batch.MutableRow(i).push_back(
-          Value::Int64(base + static_cast<int64_t>(i)));
-    }
-    return Emit(kPortOut, std::move(batch));
-  }
-  std::vector<Row> rows;
-  rows.reserve(n);
+  ColumnStore out = InputColumns(&batch);
+  ColumnVector ids(DataType::kInt64);
+  ids.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const Row& src = batch.row(i);
-    Row row;
-    row.reserve(src.size() + 1);
-    row.insert(row.end(), src.begin(), src.end());
-    row.push_back(Value::Int64(base + static_cast<int64_t>(i)));
-    rows.push_back(std::move(row));
+    ids.Append(Value::Int64(base + static_cast<int64_t>(i)));
   }
-  return Emit(kPortOut, RowBatch::FromRows(std::move(rows)));
+  out.columns.push_back(std::move(ids));
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
 }
 
 Status LimitPhysOp::Consume(int, RowBatch batch) {

@@ -1,5 +1,6 @@
 // Streaming row-shaping operators: projection Π, map χ (append computed
-// columns), and numbering ν (append a unique tuple id). All are
+// columns), and numbering ν (append a unique tuple id). Π, χ and ν emit
+// column-only batches (RowBatch::FromColumns). All are
 // morsel-parallel: Π/χ use per-worker scratch, ν draws ids from one
 // atomic counter (ids stay unique and dense overall, but their
 // assignment to rows is scheduling-dependent — only equality matters to
@@ -18,9 +19,10 @@
 
 namespace bypass {
 
-/// Π: output = one value per expression. When the planner detects that
-/// the projection is the identity over its input schema it sets
-/// `identity` and batches flow through untouched.
+/// Π: output = one column per expression. Column references select
+/// input columns; other expressions are evaluated into new columns. When
+/// the planner detects that the projection is the identity over its
+/// input schema it sets `identity` and batches flow through untouched.
 class ProjectPhysOp : public UnaryPhysOp {
  public:
   explicit ProjectPhysOp(std::vector<ExprPtr> exprs, bool identity = false)
@@ -43,10 +45,11 @@ class ProjectPhysOp : public UnaryPhysOp {
 
   std::vector<ExprPtr> exprs_;
   bool identity_;
+  std::vector<int> slots_;  // per expression: the input slot it copies, or -1
   std::vector<Scratch> scratch_;  // per-worker per-batch scratch
 };
 
-/// χ: output = input row ++ one value per expression.
+/// χ: output = input columns ++ one column per expression.
 class MapPhysOp : public UnaryPhysOp {
  public:
   explicit MapPhysOp(std::vector<ExprPtr> exprs)
@@ -65,7 +68,7 @@ class MapPhysOp : public UnaryPhysOp {
   std::vector<Scratch> scratch_;  // per-worker per-batch scratch
 };
 
-/// ν: output = input row ++ [unique int64 id starting at 0].
+/// ν: output = input columns ++ [unique int64 id starting at 0].
 class NumberingPhysOp : public UnaryPhysOp {
  public:
   NumberingPhysOp() = default;

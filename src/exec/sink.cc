@@ -31,7 +31,7 @@ Status CollectorSink::Consume(int, RowBatch batch) {
   // The collector retains every result row until the client takes them —
   // the main place an unbudgeted query grows without bound.
   BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(ApproxRowsBytes(
-      batch.size(), batch.size() > 0 ? batch.row(0).size() : 0)));
+      batch.size(), batch.width())));
   batch.ConsumeRowsInto(
       &partials_[static_cast<size_t>(CurrentWorkerId())].rows);
   return Status::OK();

@@ -82,7 +82,7 @@ Status SortPhysOp::Consume(int, RowBatch batch) {
   // The buffered input is the sort's whole footprint; it pays into the
   // budget like the join build side does.
   const int64_t bytes = ApproxRowsBytes(
-      batch.size(), batch.size() > 0 ? batch.row(0).size() : 0);
+      batch.size(), batch.width());
   if (ctx_->run().spill != nullptr) {
     if (ctx_->run().TryChargeMemory(bytes)) {
       partial.charged += bytes;

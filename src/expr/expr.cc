@@ -116,6 +116,14 @@ Status ColumnRefExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
     out->insert(out->end(), n, (*outer_row)[slot]);
     return Status::OK();
   }
+  if (batch.columns() != nullptr) {
+    if (slot >= batch.columns()->columns.size()) {
+      return Status::Internal("slot out of range for " + ToString());
+    }
+    batch.columns()->columns[slot].GetValues(batch.selection().data(), n,
+                                             out);
+    return Status::OK();
+  }
   for (size_t i = 0; i < n; ++i) {
     const Row& row = batch.row(i);
     if (slot >= row.size()) {
@@ -638,10 +646,89 @@ Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
     BYPASS_ASSIGN_OR_RETURN(Value v, a->Eval(ctx));
     vals.push_back(std::move(v));
   }
+  return Apply(vals.data(), vals.size());
+}
+
+Status FunctionExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
+                               std::vector<Value>* out) const {
+  if (batch.columns() != nullptr &&
+      (func_ == BuiltinFunc::kAddIgnoreNull ||
+       func_ == BuiltinFunc::kCoalesce) &&
+      EvalInt64Batch(batch, outer_row, out)) {
+    return Status::OK();
+  }
+  // Arguments column at a time (column references read the batch's
+  // columns), then one combine per row. Eval evaluates every argument
+  // of every row too, so no short-circuit is lost.
+  const size_t n = batch.size();
+  const size_t k = args_.size();
+  std::vector<Value> args;  // row-major: args[i * k + j]
+  args.resize(n * k);
+  std::vector<Value> column;
+  for (size_t j = 0; j < k; ++j) {
+    column.clear();
+    BYPASS_RETURN_IF_ERROR(args_[j]->EvalBatch(batch, outer_row, &column));
+    for (size_t i = 0; i < n; ++i) args[i * k + j] = std::move(column[i]);
+  }
+  out->reserve(out->size() + n);
+  for (size_t i = 0; i < n; ++i) {
+    BYPASS_ASSIGN_OR_RETURN(Value v, Apply(args.data() + i * k, k));
+    out->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
+bool FunctionExpr::EvalInt64Batch(const RowBatch& batch,
+                                  const Row* outer_row,
+                                  std::vector<Value>* out) const {
+  // Eqv. 4's combine over int64 inputs: every argument a typed int64
+  // column or an int64 / NULL constant. Both functions then yield an
+  // int64 or NULL, exactly as Apply does.
+  std::vector<ColumnOperand> ops(args_.size());
+  for (size_t j = 0; j < args_.size(); ++j) {
+    if (!ResolveColumnOperand(*args_[j], batch, outer_row, &ops[j])) {
+      return false;
+    }
+    const bool ok = ops[j].column != nullptr
+                        ? ops[j].column->type() == DataType::kInt64
+                        : ops[j].constant->is_null() ||
+                              ops[j].constant->is_int64();
+    if (!ok) return false;
+  }
+  const bool add = func_ == BuiltinFunc::kAddIgnoreNull;
+  const std::vector<uint32_t>& sel = batch.selection();
+  out->reserve(out->size() + sel.size());
+  for (uint32_t idx : sel) {
+    bool any = false;
+    int64_t acc = 0;
+    for (const ColumnOperand& op : ops) {
+      int64_t v;
+      if (op.column != nullptr) {
+        if (op.column->IsNull(idx)) continue;
+        v = op.column->i64_data()[idx];
+      } else {
+        if (op.constant->is_null()) continue;
+        v = op.constant->int64_value();
+      }
+      if (!add) {
+        acc = v;
+        any = true;
+        break;
+      }
+      acc += v;
+      any = true;
+    }
+    out->push_back(any ? Value::Int64(acc) : Value::Null());
+  }
+  return true;
+}
+
+Result<Value> FunctionExpr::Apply(const Value* vals, size_t n) const {
+  auto arg = [&](size_t j) -> const Value& { return vals[j]; };
   switch (func_) {
     case BuiltinFunc::kCoalesce: {
-      for (const Value& v : vals) {
-        if (!v.is_null()) return v;
+      for (size_t j = 0; j < n; ++j) {
+        if (!arg(j).is_null()) return arg(j);
       }
       return Value::Null();
     }
@@ -650,7 +737,8 @@ Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
       bool all_int = true;
       double dsum = 0;
       int64_t isum = 0;
-      for (const Value& v : vals) {
+      for (size_t j = 0; j < n; ++j) {
+        const Value& v = arg(j);
         if (v.is_null()) continue;
         if (!v.is_numeric()) {
           return Status::ExecutionError("ADD_IGNORE_NULL on non-numeric");
@@ -669,7 +757,8 @@ Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
     case BuiltinFunc::kLeastIgnoreNull:
     case BuiltinFunc::kGreatestIgnoreNull: {
       Value best;
-      for (const Value& v : vals) {
+      for (size_t j = 0; j < n; ++j) {
+        const Value& v = arg(j);
         if (v.is_null()) continue;
         if (best.is_null()) {
           best = v;
@@ -684,11 +773,11 @@ Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
       return best;
     }
     case BuiltinFunc::kDivOrNullIfZero: {
-      if (vals.size() != 2) {
+      if (n != 2) {
         return Status::Internal("DIV_OR_NULL expects 2 arguments");
       }
-      const Value& num = vals[0];
-      const Value& den = vals[1];
+      const Value& num = arg(0);
+      const Value& den = arg(1);
       if (num.is_null() || den.is_null()) return Value::Null();
       if (!num.is_numeric() || !den.is_numeric()) {
         return Status::ExecutionError("DIV_OR_NULL on non-numeric");

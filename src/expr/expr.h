@@ -333,11 +333,20 @@ class FunctionExpr : public Expr {
   BuiltinFunc func() const { return func_; }
   const std::vector<ExprPtr>& args() const { return args_; }
   Result<Value> Eval(const EvalContext& ctx) const override;
+  Status EvalBatch(const RowBatch& batch, const Row* outer_row,
+                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   std::vector<ExprPtr> children() const override { return args_; }
 
  private:
+  /// The function over one row's argument values vals[0, n).
+  Result<Value> Apply(const Value* vals, size_t n) const;
+  /// Typed ADD_IGNORE_NULL / COALESCE over int64 argument columns and
+  /// constants; false (nothing appended) when some argument is not one.
+  bool EvalInt64Batch(const RowBatch& batch, const Row* outer_row,
+                      std::vector<Value>* out) const;
+
   BuiltinFunc func_;
   std::vector<ExprPtr> args_;
 };

@@ -25,6 +25,15 @@ bool ContainsAggCall(const AstExpr& ast) {
   return false;
 }
 
+/// True for a block that yields exactly one row: a single aggregate
+/// select item with no GROUP BY, HAVING, set operation or LIMIT 0.
+bool IsUngroupedAggregateBlock(const SelectStmt& block) {
+  return block.items.size() == 1 && !block.items[0].is_star &&
+         ContainsAggCall(*block.items[0].expr) && block.group_by.empty() &&
+         block.having == nullptr && block.union_next == nullptr &&
+         block.limit != 0;
+}
+
 /// Qualifiers referenced by a translated expression (outer refs excluded).
 void CollectLocalQualifiers(const ExprPtr& expr,
                             std::unordered_set<std::string>* out) {
@@ -423,6 +432,14 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
       if (plan->schema().num_columns() != 1) {
         return Status::BindError(
             "quantified subquery must produce exactly one column");
+      }
+      if (IsUngroupedAggregateBlock(*ast.subquery)) {
+        // The block yields exactly one row v, and x θ SOME|ALL {v} is
+        // x θ v in 3VL: a scalar comparison, which Eqv. 1 unnests.
+        return MakeComparison(
+            op, std::move(probe),
+            std::make_shared<SubqueryExpr>(SubqueryKind::kScalar,
+                                           std::move(plan)));
       }
       auto sq = std::make_shared<SubqueryExpr>(SubqueryKind::kQuantified,
                                                std::move(plan));

@@ -23,7 +23,6 @@ void ColumnVector::Reserve(size_t n) {
       offsets_.reserve(n + 1);
       break;
   }
-  null_words_.reserve((n + 63) / 64);
 }
 
 void ColumnVector::Clear() {
@@ -40,6 +39,9 @@ void ColumnVector::Clear() {
 }
 
 void ColumnVector::SetNullBit(size_t i) {
+  // The bitmap is allocated at the first NULL; from then on it covers
+  // every row (Append adds a word per 64 rows).
+  if (null_words_.size() <= (i >> 6)) null_words_.resize((i >> 6) + 1, 0);
   null_words_[i >> 6] |= uint64_t{1} << (i & 63);
   ++null_count_;
 }
@@ -65,7 +67,7 @@ void ColumnVector::Append(const Value& v) {
     Append(v);
     return;
   }
-  if ((i & 63) == 0) null_words_.push_back(0);
+  if (null_count_ > 0 && (i & 63) == 0) null_words_.push_back(0);
   switch (type_) {
     case DataType::kInt64:
       i64_.push_back(v.is_null() ? 0 : v.int64_value());
@@ -102,6 +104,91 @@ Value ColumnVector::GetValue(size_t i) const {
   return Value::Null();
 }
 
+namespace {
+
+/// Calls fn(i, value at idx[i]) for i < n, with the type dispatch
+/// hoisted out of the loop for int64 and double columns.
+template <typename Fn>
+void ForEachValue(const ColumnVector& col, const uint32_t* idx, size_t n,
+                  Fn&& fn) {
+  const bool nulls = col.has_nulls();
+  if (col.typed() && col.type() == DataType::kInt64) {
+    const int64_t* data = col.i64_data();
+    for (size_t i = 0; i < n; ++i) {
+      fn(i, nulls && col.IsNull(idx[i]) ? Value::Null()
+                                        : Value::Int64(data[idx[i]]));
+    }
+  } else if (col.typed() && col.type() == DataType::kDouble) {
+    const double* data = col.f64_data();
+    for (size_t i = 0; i < n; ++i) {
+      fn(i, nulls && col.IsNull(idx[i]) ? Value::Null()
+                                        : Value::Double(data[idx[i]]));
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) fn(i, col.GetValue(idx[i]));
+  }
+}
+
+}  // namespace
+
+void ColumnVector::GetValues(const uint32_t* idx, size_t n,
+                             std::vector<Value>* out) const {
+  out->reserve(out->size() + n);
+  ForEachValue(*this, idx, n,
+               [out](size_t, Value v) { out->push_back(std::move(v)); });
+}
+
+void ColumnVector::AppendToRows(const uint32_t* idx, size_t n,
+                                Row* rows) const {
+  ForEachValue(*this, idx, n, [rows](size_t i, Value v) {
+    rows[i].push_back(std::move(v));
+  });
+}
+
+void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* idx,
+                                size_t n) {
+  if (mixed_mode_ || src.mixed_mode_ || src.type_ != type_) {
+    for (size_t i = 0; i < n; ++i) Append(src.GetValue(idx[i]));
+    return;
+  }
+  // One typed copy loop per column; NULL placeholders copy along.
+  switch (type_) {
+    case DataType::kInt64: {
+      i64_.resize(size_ + n);
+      int64_t* out = i64_.data() + size_;
+      for (size_t i = 0; i < n; ++i) out[i] = src.i64_[idx[i]];
+      break;
+    }
+    case DataType::kDouble: {
+      f64_.resize(size_ + n);
+      double* out = f64_.data() + size_;
+      for (size_t i = 0; i < n; ++i) out[i] = src.f64_[idx[i]];
+      break;
+    }
+    case DataType::kBool: {
+      bool_.resize(size_ + n);
+      uint8_t* out = bool_.data() + size_;
+      for (size_t i = 0; i < n; ++i) out[i] = src.bool_[idx[i]];
+      break;
+    }
+    case DataType::kString:
+      if (offsets_.empty()) offsets_.push_back(0);
+      offsets_.reserve(offsets_.size() + n);
+      for (size_t i = 0; i < n; ++i) {
+        chars_.append(src.string_at(idx[i]));
+        offsets_.push_back(chars_.size());
+      }
+      break;
+  }
+  if (src.null_count_ > 0) {
+    for (size_t i = 0; i < n; ++i) {
+      if (src.IsNull(idx[i])) SetNullBit(size_ + i);
+    }
+  }
+  size_ += n;
+  if (null_count_ > 0) null_words_.resize((size_ + 63) / 64, 0);
+}
+
 void ColumnVector::DemoteToMixed() {
   std::vector<Value> values;
   values.reserve(size_ + 1);
@@ -133,6 +220,36 @@ Row ColumnStore::MaterializeRow(size_t i) const {
   row.reserve(columns.size());
   for (const ColumnVector& c : columns) row.push_back(c.GetValue(i));
   return row;
+}
+
+void ColumnStore::MaterializeRows(const uint32_t* idx, size_t n,
+                                  const std::vector<int>* slots,
+                                  std::vector<Row>* out) const {
+  const size_t base = out->size();
+  const size_t width = slots != nullptr ? slots->size() : columns.size();
+  out->resize(base + n);
+  Row* rows = out->data() + base;
+  for (size_t i = 0; i < n; ++i) rows[i].reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    const size_t col =
+        slots != nullptr ? static_cast<size_t>((*slots)[c]) : c;
+    columns[col].AppendToRows(idx, n, rows);
+  }
+}
+
+DataType FirstValueType(const std::vector<Value>& values,
+                        DataType fallback) {
+  for (const Value& v : values) {
+    if (!v.is_null()) return v.type();
+  }
+  return fallback;
+}
+
+ColumnVector ColumnFromValues(const std::vector<Value>& values) {
+  ColumnVector col(FirstValueType(values, DataType::kInt64));
+  col.Reserve(values.size());
+  for (const Value& v : values) col.Append(v);
+  return col;
 }
 
 }  // namespace bypass

@@ -52,6 +52,20 @@ class ColumnVector {
   /// Exact round-trip of the appended Value (type included).
   Value GetValue(size_t i) const;
 
+  /// Appends the values at storage indices idx[0, n) to `out`, in order
+  /// (GetValue per index, with the type dispatch hoisted out of the loop).
+  void GetValues(const uint32_t* idx, size_t n,
+                 std::vector<Value>* out) const;
+
+  /// Appends the value at storage index idx[i] to rows[i], for i < n —
+  /// one column of a row materialization.
+  void AppendToRows(const uint32_t* idx, size_t n, Row* rows) const;
+
+  /// Appends src's entries at storage indices idx[0, n): a typed copy
+  /// when both columns are typed with one declared type, an exact
+  /// per-Value append otherwise.
+  void AppendGather(const ColumnVector& src, const uint32_t* idx, size_t n);
+
   bool IsNull(size_t i) const {
     if (mixed_mode_) return mixed_[i].is_null();
     return null_count_ > 0 &&
@@ -72,8 +86,8 @@ class ColumnVector {
   const uint64_t* string_offsets() const { return offsets_.data(); }
   const char* string_chars() const { return chars_.data(); }
 
-  /// Null bitmap words (bit set = NULL); ceil(size/64) entries, valid in
-  /// typed mode.
+  /// Null bitmap words (bit set = NULL); ceil(size/64) entries in typed
+  /// mode once has_nulls(), none before the first NULL.
   const uint64_t* null_words() const { return null_words_.data(); }
 
  private:
@@ -89,7 +103,7 @@ class ColumnVector {
   std::string chars_;               // string arena
   std::vector<uint64_t> offsets_;   // size_+1 entries for kString columns
 
-  std::vector<uint64_t> null_words_;  // bit set = NULL
+  std::vector<uint64_t> null_words_;  // bit set = NULL; empty until one
   size_t null_count_ = 0;
 
   bool mixed_mode_ = false;
@@ -97,8 +111,9 @@ class ColumnVector {
 };
 
 /// A table's worth of columns plus the shared row count. RowBatch carries
-/// a pointer to one of these alongside its row-storage shim, so columnar
-/// kernels and row-at-a-time operators coexist over the same batch.
+/// a pointer to one of these — a table's, alongside its row shim, or the
+/// batch's own (RowBatch::FromColumns) — so columnar kernels and
+/// row-at-a-time operators coexist over the same batch.
 struct ColumnStore {
   std::vector<ColumnVector> columns;
   size_t num_rows = 0;
@@ -112,9 +127,23 @@ struct ColumnStore {
   }
   /// Appends one row; row arity must match the column count.
   void AppendRow(const Row& row);
-  /// Materializes row i (exact Values, satellite of the row-API shim).
+  /// Materializes row i (exact Values).
   Row MaterializeRow(size_t i) const;
+  /// Appends rows idx[0, n), narrowed to `slots` when non-null, to `out`
+  /// — built column by column.
+  void MaterializeRows(const uint32_t* idx, size_t n,
+                       const std::vector<int>* slots,
+                       std::vector<Row>* out) const;
 };
+
+/// The type of the first non-NULL value in `values`, or `fallback` when
+/// every value is NULL: the declared type of a column built from
+/// computed values, so that it stays typed whenever the values agree.
+DataType FirstValueType(const std::vector<Value>& values, DataType fallback);
+
+/// A column holding `values` (exact round trip), typed as
+/// FirstValueType(values, kInt64).
+ColumnVector ColumnFromValues(const std::vector<Value>& values);
 
 }  // namespace bypass
 

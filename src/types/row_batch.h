@@ -1,15 +1,24 @@
 // RowBatch: the unit of data flow between physical operators. A batch is
-// a selection vector over shared row storage, so selections narrow and
-// bypass operators split streams without touching the rows themselves —
-// the paper's σ± stream partition is a partition of the selection
-// vector. Storage is either owned (shared among the views produced by a
-// bypass split / fan-out edge) or borrowed from longer-lived memory such
-// as a catalog table, which makes scans zero-copy.
+// a selection vector over shared storage, so selections narrow and
+// bypass operators split streams without touching the data itself — the
+// paper's σ± stream partition is a partition of the selection vector.
+// Storage is rows, columns, or both:
+//   - owned rows (FromRows), shared among the views produced by a bypass
+//     split / fan-out edge;
+//   - rows borrowed from longer-lived memory such as a catalog table
+//     (Borrowed), optionally with the table's typed columns alongside
+//     (BorrowedColumnar) — zero-copy scans;
+//   - owned columns only (FromColumns): the output of joins, χ and Π.
+//     Column kernels read them directly; a consumer that still reads
+//     rows (row(i)) materializes every row of the storage from the
+//     columns once, shared by all views of it.
 #ifndef BYPASSDB_TYPES_ROW_BATCH_H_
 #define BYPASSDB_TYPES_ROW_BATCH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "types/column_vector.h"
@@ -41,6 +50,12 @@ class RowBatch {
                                    const std::vector<Row>* storage,
                                    size_t begin, size_t end);
 
+  /// Owning column-only batch. The first form selects every row of the
+  /// store (dense); the second selects `sel` (storage indices).
+  static RowBatch FromColumns(ColumnStore columns);
+  static RowBatch FromColumns(ColumnStore columns,
+                              std::vector<uint32_t> sel);
+
   /// Typed columns backing this batch, or nullptr for row-only batches.
   /// Selection-vector entries index both columns and row storage.
   const ColumnStore* columns() const { return columns_; }
@@ -49,8 +64,25 @@ class RowBatch {
   size_t size() const { return sel_.size(); }
   bool empty() const { return sel_.empty(); }
 
+  /// Values per row: the column count when the batch has columns, else
+  /// the first selected row's width (0 when empty). Never materializes.
+  size_t width() const;
+
   /// The i-th selected row (i indexes the selection vector, not storage).
-  const Row& row(size_t i) const { return (*storage_)[sel_[i]]; }
+  /// On a column-only batch the first call materializes the storage's
+  /// rows from its columns.
+  const Row& row(size_t i) const {
+    if (storage_ == nullptr) MaterializeRows();
+    return (*storage_)[sel_[i]];
+  }
+
+  /// True when row storage exists: owned or borrowed rows, or the rows a
+  /// column-only batch materialized on demand.
+  bool has_rows() const {
+    return storage_ != nullptr ||
+           (col_data_ != nullptr && col_data_->rows_ready.load(
+                                        std::memory_order_acquire));
+  }
 
   /// The selection vector: indices into the shared storage. Operators
   /// that only drop rows (filter, limit, distinct) narrow it in place.
@@ -74,41 +106,68 @@ class RowBatch {
 
   /// Storage row by storage index (an entry of selection()).
   const Row& storage_row(uint32_t storage_idx) const {
+    if (storage_ == nullptr) MaterializeRows();
     return (*storage_)[storage_idx];
   }
 
-  /// True when this batch owns its storage and no other live view shares
-  /// it — the prerequisite for mutating or moving rows out.
+  /// True when this batch owns its row storage and no other live view
+  /// shares it — the prerequisite for moving rows out.
   bool ExclusivelyOwned() const {
     return owned_ != nullptr && owned_.use_count() == 1;
   }
 
-  /// Mutable access to the i-th selected row; only valid when
-  /// ExclusivelyOwned().
-  Row& MutableRow(size_t i) { return (*owned_)[sel_[i]]; }
+  /// True when this batch owns its columns, no other live view shares
+  /// them and its selection is every storage row in order: the columns
+  /// can then be taken (TakeColumns) instead of gathered.
+  bool OwnsAllColumns() const;
+
+  /// Moves the owned columns out; requires OwnsAllColumns(). The batch
+  /// is empty afterwards.
+  ColumnStore TakeColumns();
+
+  /// The selected rows as a dense column store, one column per entry of
+  /// `slots` (every column when null): typed gathers from the batch's
+  /// columns, or a transpose of its rows typed by their values.
+  ColumnStore GatherColumns(const std::vector<int>* slots) const;
 
   /// A new view over the same storage with its own selection vector —
   /// the zero-copy output of a bypass split.
   RowBatch ShareWithSelection(std::vector<uint32_t> sel) const;
 
-  /// The i-th selected row, moved out when exclusively owned, copied
-  /// otherwise. Each selected row may be taken at most once.
+  /// The i-th selected row: built from the columns when the batch has
+  /// them, else moved out when exclusively owned and copied otherwise.
+  /// Each selected row may be taken at most once.
   Row TakeRow(size_t i);
 
-  /// Appends all selected rows to `out` (moving when exclusively owned).
-  /// The batch is empty afterwards.
+  /// Appends all selected rows to `out`, built from the columns when the
+  /// batch has them (column by column), else moved when exclusively owned
+  /// and copied otherwise. The batch is empty afterwards.
   void ConsumeRowsInto(std::vector<Row>* out);
 
   /// Like ConsumeRowsInto, but appends each row narrowed to `slots`
-  /// (distinct), moving the kept values when exclusively owned.
+  /// (distinct).
   void ConsumeRowsInto(std::vector<Row>* out, const std::vector<int>& slots);
 
   /// Materializes the selected rows (convenience for tests).
   std::vector<Row> ToRows();
 
  private:
+  /// Storage of a column-only batch, shared by its views: the columns
+  /// and the rows materialized from them on first demand.
+  struct ColumnData {
+    ColumnStore columns;
+    std::once_flag rows_once;
+    std::atomic<bool> rows_ready{false};
+    std::vector<Row> rows;
+  };
+
+  void MaterializeRows() const;
+  void ReserveFor(std::vector<Row>* out) const;
+
   std::shared_ptr<std::vector<Row>> owned_;
-  const std::vector<Row>* storage_ = nullptr;
+  std::shared_ptr<ColumnData> col_data_;
+  /// Row storage; null on a column-only batch until row() materializes.
+  mutable const std::vector<Row>* storage_ = nullptr;
   const ColumnStore* columns_ = nullptr;
   std::vector<uint32_t> sel_;
   bool dense_ = false;

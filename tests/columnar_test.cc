@@ -449,5 +449,84 @@ TEST(ColumnarParallel, AllDataTypesThreads4) {
   }
 }
 
+// Join output is column-only (DESIGN.md §16): every join kind, keyed and
+// keyless, with and without a residual, feeds σ±, χ, Π and δ through the
+// column kernels. Each text's plan must contain its join's label, and
+// its result must equal the canonical evaluator's at every batch size
+// and thread count, on 20 % NULLs.
+TEST(ColumnarParallelJoins, EveryJoinKindMatchesCanonical) {
+  struct JoinText {
+    const char* label;  // a physical-plan substring the text must produce
+    const char* sql;
+  };
+  const JoinText texts[] = {
+      // Eqv. 1: keyed left outer join, no residual.
+      {"HashLeftOuterJoin",
+       "SELECT DISTINCT * FROM r "
+       "WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)"},
+      // ... keyed with a residual (the computed second key).
+      {"HashLeftOuterJoin",
+       "SELECT * FROM r "
+       "WHERE a1 = (SELECT COUNT(*) FROM s WHERE b2 = a2 AND b4 = a4 + 1)"},
+      // ... keyless: the whole predicate is the residual.
+      {"NLLeftOuterJoin",
+       "SELECT * FROM r "
+       "WHERE a1 = (SELECT COUNT(*) FROM s WHERE b2 = a2 + 15)"},
+      // Eqv. 4 (q2corr's shape): the one-row keyless CrossProduct.
+      {"CrossProduct",
+       "SELECT DISTINCT * FROM r "
+       "WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 OR b4 > 3)"},
+      // Eqv. 5: the keyed inner join and the keyless residual one.
+      {"NLJoin (NOT",
+       "SELECT DISTINCT * FROM r WHERE a1 = (SELECT COUNT(DISTINCT b3) "
+       "FROM s WHERE a2 = b2 OR b4 > 3)"},
+      // A plain keyed inner join with a residual.
+      {"HashJoin",
+       "SELECT a1, a3, b1, b3 FROM r, s WHERE a2 = b2 AND a3 < b3"},
+      // Semi and anti joins, keyed and keyless, with and without a
+      // residual.
+      {"HashSemiJoin [keys",
+       "SELECT * FROM r "
+       "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2) OR a4 > 3"},
+      {"HashAntiJoin [keys",
+       "SELECT * FROM r WHERE NOT EXISTS (SELECT * FROM s "
+       "WHERE a2 = b2 AND a3 < b3) OR a4 > 3"},
+      {"NLSemiJoin (",
+       "SELECT * FROM r "
+       "WHERE EXISTS (SELECT * FROM s WHERE a3 < b3) OR a4 > 3"},
+      {"HashAntiJoin [keys",
+       "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s "
+       "WHERE a2 = b2) OR a4 > 5"},
+      {"NLAntiJoin",
+       "SELECT * FROM r WHERE a1 >= ALL (SELECT b1 FROM s) OR a4 > 5"},
+  };
+  Database db;
+  LoadSmallRst(&db, /*seed=*/23, 70, 90, 40, /*null_fraction=*/0.2);
+  for (const JoinText& t : texts) {
+    SCOPED_TRACE(t.sql);
+    QueryOptions canonical;
+    canonical.unnest = false;
+    auto want = db.Query(t.sql, canonical);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      for (int threads : {1, 4}) {
+        QueryOptions opts;
+        opts.batch_size = batch_size;
+        opts.num_threads = threads;
+        if (threads > 1) opts.morsel_size = 5;
+        auto got = db.Query(t.sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_NE(got->physical_plan.find(t.label), std::string::npos)
+            << got->physical_plan;
+        EXPECT_TRUE(RowMultisetsEqual(want->rows, got->rows))
+            << "batch_size " << batch_size << ", threads " << threads
+            << "\nwant rows: " << want->rows.size()
+            << "\ngot rows: " << got->rows.size() << "\nplan:\n"
+            << got->physical_plan;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bypass

@@ -3,6 +3,8 @@
 // property, the count-bug-safe outer join defaults, agreement of hash and
 // nested-loop implementations, buffering correctness under adverse source
 // orders.
+#include <mutex>
+
 #include <gtest/gtest.h>
 
 #include "catalog/table.h"
@@ -362,6 +364,121 @@ TEST(JoinKindsTest, KeyedWithResidualMatchesKeyless) {
     EXPECT_FALSE(got.empty()) << static_cast<int>(kind);
     EXPECT_TRUE(RowMultisetsEqual(got, keyless.Run()))
         << static_cast<int>(kind);
+  }
+}
+
+/// Records what each batch reaching it carries, then collects its rows
+/// (built from the columns, so recording materializes nothing).
+class BatchRecorder : public PhysOp {
+ public:
+  Status Consume(int, RowBatch batch) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++batches;
+    if (batch.columns() == nullptr) ++row_only;
+    if (batch.has_rows()) ++with_rows;
+    batch.ConsumeRowsInto(&rows);
+    return Status::OK();
+  }
+  Status FinishPort(int) override { return Status::OK(); }
+  std::string Label() const override { return "BatchRecorder"; }
+
+  int batches = 0;
+  int row_only = 0;   // batches without columns
+  int with_rows = 0;  // batches with row storage
+  std::vector<Row> rows;
+
+ private:
+  std::mutex mu_;
+};
+
+/// 3VL truth of l.c1 > r.c1.
+TriBool Greater(const Row& l, const Row& r) {
+  return l[1].Compare(CompareOp::kGt, r[1]);
+}
+
+// Every join kind, keyed or keyless, with or without a residual, over a
+// column-only probe input (Π's output): the join emits column-only
+// batches and builds no Row storage, and its rows are the brute-force
+// join's.
+TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
+  const Value null = Value::Null();
+  auto v = [](int64_t x) { return Value::Int64(x); };
+  const std::vector<Row> left_rows = {
+      Row{v(1), v(5)}, Row{v(1), null}, Row{null, v(3)},
+      Row{v(2), v(1)}, Row{v(3), v(3)}, Row{v(2), v(9)}};
+  const std::vector<Row> right_rows = {
+      Row{v(1), v(3)}, Row{v(1), v(7)}, Row{null, v(1)},
+      Row{v(2), null}, Row{v(2), v(0)}, Row{v(4), v(4)}};
+  Table left = MakeTable("l", 2, left_rows);
+  Table right = MakeTable("r", 2, right_rows);
+  const Row unmatched{null, v(0)};
+  for (JoinKind kind : {JoinKind::kInner, JoinKind::kLeftOuter,
+                        JoinKind::kSemi, JoinKind::kAnti}) {
+    for (bool keyed : {true, false}) {
+      for (bool residual : {true, false}) {
+        SCOPED_TRACE(std::to_string(static_cast<int>(kind)) +
+                     (keyed ? " keyed" : " keyless") +
+                     (residual ? " residual" : ""));
+        // The pair predicate: l.c0 = r.c0 when keyed, AND l.c1 > r.c1
+        // with the residual (over the concatenated pair).
+        auto pred = [&](const Row& l, const Row& r) {
+          TriBool t = TriBool::kTrue;
+          if (keyed) t = l[0].Compare(CompareOp::kEq, r[0]);
+          if (residual) t = TriAnd(t, Greater(l, r));
+          return t == TriBool::kTrue;
+        };
+        std::vector<Row> want;
+        for (const Row& l : left_rows) {
+          bool any = false;
+          for (const Row& r : right_rows) {
+            if (!pred(l, r)) continue;
+            any = true;
+            if (kind == JoinKind::kInner || kind == JoinKind::kLeftOuter) {
+              want.push_back(ConcatRows(l, r));
+            }
+          }
+          if (kind == JoinKind::kLeftOuter && !any) {
+            want.push_back(ConcatRows(l, unmatched));
+          }
+          if ((kind == JoinKind::kSemi && any) ||
+              (kind == JoinKind::kAnti && !any)) {
+            want.push_back(l);
+          }
+        }
+
+        PhysicalPlan plan;
+        auto left_scan = std::make_unique<TableScanOp>(&left);
+        auto right_scan = std::make_unique<TableScanOp>(&right);
+        auto project = std::make_unique<ProjectPhysOp>(
+            std::vector<ExprPtr>{Slot(0), Slot(1)});
+        auto join = std::make_unique<HashJoinOp>(
+            kind, keyed ? std::vector<int>{0} : std::vector<int>{},
+            keyed ? std::vector<int>{0} : std::vector<int>{},
+            residual ? MakeComparison(CompareOp::kGt, Slot(1), Slot(3))
+                     : nullptr,
+            unmatched);
+        auto recorder = std::make_unique<BatchRecorder>();
+        BatchRecorder* rec = recorder.get();
+        left_scan->AddConsumer(kPortOut, project.get(), 0);
+        project->AddConsumer(kPortOut, join.get(), BinaryPhysOp::kLeft);
+        right_scan->AddConsumer(kPortOut, join.get(), BinaryPhysOp::kRight);
+        join->AddConsumer(kPortOut, recorder.get(), 0);
+        plan.sources.push_back(right_scan.get());
+        plan.sources.push_back(left_scan.get());
+        plan.ops.push_back(std::move(left_scan));
+        plan.ops.push_back(std::move(right_scan));
+        plan.ops.push_back(std::move(project));
+        plan.ops.push_back(std::move(join));
+        plan.ops.push_back(std::move(recorder));
+        ExecContext ctx;
+        ASSERT_TRUE(RunPlan(&plan, &ctx).ok());
+
+        EXPECT_EQ(rec->batches > 0, !want.empty());
+        EXPECT_EQ(rec->row_only, 0);
+        EXPECT_EQ(rec->with_rows, 0);
+        EXPECT_TRUE(RowMultisetsEqual(rec->rows, want));
+      }
+    }
   }
 }
 

@@ -64,6 +64,66 @@ TEST(QuantifiedCompareTest, EmptySubquerySemantics) {
   EXPECT_TRUE(some->rows.empty());
 }
 
+// A semi or anti join decides a probe row on its first TRUE pair and
+// never evaluates a later one. Here r = {(1, 1), (2, 2), (3, 3)} (a1, a2)
+// and s = {(b2 1, b3 1), (b2 1, b3 0), (b2 2, b3 4)}: a1 / b3 divides by
+// zero only on s's second row, which r's first row reaches after its
+// TRUE pair with s's first row. Every run returns its hand-computed
+// rows; none fails with a division by zero. The canonical evaluator runs
+// a row at a time, where EXISTS stops at the first qualifying row too.
+TEST(ExistenceEarlyExitTest, NoPairAfterTheFirstTrueOneIsEvaluated) {
+  Database db;
+  ASSERT_TRUE(db.CreateTable("r", RstTableSchema('a')).ok());
+  ASSERT_TRUE(db.CreateTable("s", RstTableSchema('b')).ok());
+  Table* r = *db.catalog()->GetTable("r");
+  Table* s = *db.catalog()->GetTable("s");
+  for (int64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(r->Append(testing_util::IntRow({i, i, 0, 0})).ok());
+  }
+  ASSERT_TRUE(s->Append(testing_util::IntRow({0, 1, 1, 0})).ok());
+  ASSERT_TRUE(s->Append(testing_util::IntRow({0, 1, 0, 0})).ok());
+  ASSERT_TRUE(s->Append(testing_util::IntRow({0, 2, 4, 0})).ok());
+  const struct {
+    const char* where;
+    const char* join;  // the unnested plan's join
+    std::vector<int64_t> a1;
+  } kCases[] = {
+      {"EXISTS (SELECT * FROM s WHERE a2 = b2 AND a1 / b3 > 0)",
+       "HashSemiJoin", {1, 2}},
+      {"NOT EXISTS (SELECT * FROM s WHERE a2 = b2 AND a1 / b3 > 0)",
+       "HashAntiJoin", {3}},
+      // Keyless: s's first row is every r row's first candidate.
+      {"EXISTS (SELECT * FROM s WHERE a1 / b3 > 0)", "NLSemiJoin",
+       {1, 2, 3}},
+      {"NOT EXISTS (SELECT * FROM s WHERE a1 / b3 > 0) OR a4 = 0",
+       "NLAntiJoin", {1, 2, 3}},
+  };
+  for (const auto& c : kCases) {
+    const std::string sql =
+        std::string("SELECT a1 FROM r WHERE ") + c.where;
+    SCOPED_TRACE(sql);
+    std::vector<Row> want;
+    for (int64_t a1 : c.a1) want.push_back(testing_util::IntRow({a1}));
+    QueryOptions canonical;
+    canonical.unnest = false;
+    canonical.batch_size = 1;
+    auto base = db.Query(sql, canonical);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_TRUE(RowMultisetsEqual(base->rows, want));
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      QueryOptions unnested;
+      unnested.batch_size = batch_size;
+      auto got = db.Query(sql, unnested);
+      ASSERT_TRUE(got.ok()) << got.status().ToString() << "\nbatch_size "
+                            << batch_size;
+      EXPECT_NE(got->physical_plan.find(c.join), std::string::npos)
+          << got->physical_plan;
+      EXPECT_TRUE(RowMultisetsEqual(got->rows, want))
+          << "batch_size " << batch_size;
+    }
+  }
+}
+
 // r = (5, 1, 0, 0) and s = {(NULL, 1, 0, 0), (3, 1, 0, 0)}: for the one
 // outer row the correlated block yields {NULL, 3}. 5 > 3 is TRUE and
 // 5 θ NULL is UNKNOWN, so every ALL and every negated SOME below is

@@ -4,6 +4,7 @@
 // (including the non-decomposable DISTINCT variants), duplicates, empty
 // groups, NULLs, and forced orderings. This is the executable form of the
 // paper's correctness claims (Sec. 3.3–3.7).
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -152,6 +153,9 @@ enum class NullShape {
   kHashedExistence,
   /// Every semi and anti join is keyless (nested-loop).
   kKeylessExistence,
+  /// A θ SOME|ALL over an ungrouped aggregate block: the one-row block
+  /// makes it a scalar comparison, which Eqv. 1 unnests.
+  kScalarQuantified,
 };
 
 struct NullCase {
@@ -220,6 +224,7 @@ TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
     case NullShape::kAny:
     case NullShape::kHashedExistence:
     case NullShape::kKeylessExistence:
+    case NullShape::kScalarQuantified:
       LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
       break;
   }
@@ -233,6 +238,12 @@ TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
         << got.optimized_plan;
     EXPECT_TRUE(EveryGroupingReadsDistinct(got.optimized_plan))
         << "a grouping does not count over δ\n" << got.optimized_plan;
+  }
+  if (c.shape == NullShape::kScalarQuantified) {
+    const std::vector<std::string>& rules = got.applied_rules;
+    EXPECT_NE(std::find(rules.begin(), rules.end(), "Eqv.1"), rules.end())
+        << "Eqv. 1 did not unnest the quantified block\n"
+        << got.optimized_plan;
   }
   if (c.shape == NullShape::kHashedExistence ||
       c.shape == NullShape::kKeylessExistence) {
@@ -339,7 +350,25 @@ INSTANTIATE_TEST_SUITE_P(
                  NullShape::kKeylessExistence},
         NullCase{"SELECT * FROM r WHERE a1 < SOME (SELECT c1 FROM t) "
                  "OR a3 > ALL (SELECT b3 FROM s WHERE a2 < b2)",
-                 NullShape::kKeylessExistence}));
+                 NullShape::kKeylessExistence},
+        // θ SOME|ALL over a correlated ungrouped aggregate: the block
+        // yields one row v, so x θ SOME|ALL (…) is x θ v — NULL when v
+        // is (MIN of an empty or all-NULL group), never for COUNT(*).
+        NullCase{"SELECT * FROM r WHERE a1 = SOME (SELECT MIN(b1) FROM s "
+                 "WHERE a2 = b2)",
+                 NullShape::kScalarQuantified},
+        NullCase{"SELECT * FROM r WHERE a1 < ALL (SELECT MIN(b1) FROM s "
+                 "WHERE a2 = b2) OR a4 > 5",
+                 NullShape::kScalarQuantified},
+        NullCase{"SELECT * FROM r WHERE a1 >= SOME (SELECT COUNT(*) FROM s "
+                 "WHERE a2 = b2) OR a4 > 5",
+                 NullShape::kScalarQuantified},
+        NullCase{"SELECT * FROM r WHERE a1 <> ALL (SELECT COUNT(*) FROM s "
+                 "WHERE a2 = b2)",
+                 NullShape::kScalarQuantified},
+        NullCase{"SELECT * FROM r WHERE a3 NOT IN (SELECT MIN(b3) FROM s "
+                 "WHERE a2 = b2)",
+                 NullShape::kScalarQuantified}));
 
 // The pinned NOT IN repro: 20 % NULLs in every column of a 35/45/30-row
 // RST instance, seeds 1–20, each agreeing with the canonical evaluator.

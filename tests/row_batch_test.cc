@@ -1,5 +1,8 @@
 // Unit tests for RowBatch: ownership vs. borrowing, selection-vector
-// views, the dense flag, and move-out semantics.
+// views, the dense flag, move-out semantics, and column-only batches
+// (exact Value round trips, rows built from columns).
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +116,154 @@ TEST(RowBatchTest, TakeRowMovesOrCopies) {
   Row copied = view.TakeRow(0);
   EXPECT_EQ(copied[0].int64_value(), 1);
   EXPECT_EQ(batch.row(0)[0].int64_value(), 1);
+}
+
+// ------------------------------------------------- column-only batches
+
+/// Bit-exact Value identity: type, NaN-ness and the sign of zero, which
+/// structural equality (NaN = NaN, -0.0 = 0.0) would not tell apart.
+void ExpectSameValue(const Value& got, const Value& want) {
+  ASSERT_EQ(got.is_null(), want.is_null()) << got.ToString();
+  if (want.is_null()) return;
+  ASSERT_EQ(got.type(), want.type()) << got.ToString();
+  if (want.is_double()) {
+    const double g = got.double_value(), w = want.double_value();
+    EXPECT_EQ(std::isnan(g), std::isnan(w));
+    EXPECT_EQ(std::signbit(g), std::signbit(w));
+    if (!std::isnan(w)) EXPECT_EQ(g, w);
+    return;
+  }
+  EXPECT_TRUE(got.StructurallyEquals(want)) << got.ToString();
+}
+
+/// Five rows over (int64, double, string, mixed): NULLs in every column,
+/// NaN and -0.0 in the doubles, an empty string, and an int64 column that
+/// a double demotes to mixed mode.
+std::vector<Row> TrickyRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {
+      Row{Value::Int64(1), Value::Double(-0.0), Value::String("a"),
+          Value::Int64(7)},
+      Row{Value::Null(), Value::Double(nan), Value::String(""),
+          Value::Double(2.5)},
+      Row{Value::Int64(-3), Value::Null(), Value::Null(), Value::Null()},
+      Row{Value::Int64(4), Value::Double(0.0), Value::String("long string"),
+          Value::Int64(-1)},
+      Row{Value::Int64(5), Value::Double(1e300), Value::String("b"),
+          Value::String("x")},
+  };
+}
+
+ColumnStore TrickyColumns() {
+  ColumnStore store;
+  store.columns.emplace_back(DataType::kInt64);
+  store.columns.emplace_back(DataType::kDouble);
+  store.columns.emplace_back(DataType::kString);
+  store.columns.emplace_back(DataType::kInt64);
+  for (const Row& row : TrickyRows()) store.AppendRow(row);
+  return store;
+}
+
+TEST(RowBatchTest, ColumnOnlyBatchRoundTripsExactValues) {
+  const std::vector<Row> want = TrickyRows();
+  RowBatch batch = RowBatch::FromColumns(TrickyColumns());
+  ASSERT_NE(batch.columns(), nullptr);
+  EXPECT_FALSE(batch.columns()->columns[3].typed());  // demoted to mixed
+  EXPECT_TRUE(batch.dense());
+  EXPECT_EQ(batch.width(), 4u);
+  EXPECT_FALSE(batch.has_rows());
+  ASSERT_EQ(batch.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t c = 0; c < 4; ++c) {
+      SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
+      ExpectSameValue(batch.row(i)[c], want[i][c]);
+    }
+  }
+  // row() materialized the storage's rows once.
+  EXPECT_TRUE(batch.has_rows());
+}
+
+TEST(RowBatchTest, ColumnOnlyViewsShareStorageAndMaterializeOnce) {
+  RowBatch batch = RowBatch::FromColumns(TrickyColumns());
+  RowBatch view = batch.ShareWithSelection({4, 1});
+  ASSERT_EQ(view.size(), 2u);
+  EXPECT_EQ(view.columns(), batch.columns());
+  EXPECT_FALSE(view.dense());
+  EXPECT_FALSE(batch.OwnsAllColumns());  // the view shares them
+  EXPECT_EQ(view.row(0)[0].int64_value(), 5);
+  EXPECT_TRUE(std::isnan(view.row(1)[1].double_value()));
+  // The view's materialization is the batch's too: one row vector.
+  EXPECT_TRUE(batch.has_rows());
+  EXPECT_EQ(&batch.storage_row(4), &view.row(0));
+}
+
+TEST(RowBatchTest, ColumnOnlyTakeRowAndConsumeRowsBuildFromColumns) {
+  const std::vector<Row> want = TrickyRows();
+  RowBatch batch = RowBatch::FromColumns(TrickyColumns(), {3, 1, 0});
+  const Row taken = batch.TakeRow(1);
+  ASSERT_EQ(taken.size(), 4u);
+  for (size_t c = 0; c < 4; ++c) ExpectSameValue(taken[c], want[1][c]);
+
+  RowBatch narrowed = RowBatch::FromColumns(TrickyColumns(), {3, 1, 0});
+  std::vector<Row> out{Row{Value::Int64(99)}};  // appended after
+  narrowed.ConsumeRowsInto(&out, {3, 1});
+  EXPECT_TRUE(narrowed.empty());
+  ASSERT_EQ(out.size(), 4u);
+  const size_t order[] = {3, 1, 0};
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(out[i + 1].size(), 2u);
+    ExpectSameValue(out[i + 1][0], want[order[i]][3]);
+    ExpectSameValue(out[i + 1][1], want[order[i]][1]);
+  }
+
+  RowBatch whole = RowBatch::FromColumns(TrickyColumns());
+  std::vector<Row> rows;
+  whole.ConsumeRowsInto(&rows);
+  ASSERT_EQ(rows.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t c = 0; c < 4; ++c) ExpectSameValue(rows[i][c], want[i][c]);
+  }
+  // Rows were built column by column; no row storage was materialized.
+  EXPECT_FALSE(whole.has_rows());
+}
+
+TEST(RowBatchTest, BorrowedColumnarBuildsRowsFromItsColumns) {
+  const ColumnStore columns = TrickyColumns();
+  const std::vector<Row> shim = TrickyRows();
+  RowBatch batch = RowBatch::BorrowedColumnar(&columns, &shim, 1, 4);
+  std::vector<Row> out;
+  batch.ConsumeRowsInto(&out, {1});
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_TRUE(std::isnan(out[0][0].double_value()));
+  EXPECT_TRUE(out[1][0].is_null());
+  ExpectSameValue(out[2][0], Value::Double(0.0));
+}
+
+TEST(RowBatchTest, GatherAndTakeColumns) {
+  RowBatch batch = RowBatch::FromColumns(TrickyColumns(), {4, 2});
+  EXPECT_FALSE(batch.OwnsAllColumns());  // not every row selected
+  const std::vector<int> slots{2, 0};
+  const ColumnStore gathered = batch.GatherColumns(&slots);
+  ASSERT_EQ(gathered.num_rows, 2u);
+  ASSERT_EQ(gathered.columns.size(), 2u);
+  EXPECT_TRUE(gathered.columns[0].typed());
+  EXPECT_EQ(gathered.columns[0].GetValue(0).string_value(), "b");
+  EXPECT_TRUE(gathered.columns[0].IsNull(1));
+  EXPECT_EQ(gathered.columns[1].GetValue(1).int64_value(), -3);
+
+  RowBatch all = RowBatch::FromColumns(TrickyColumns());
+  ASSERT_TRUE(all.OwnsAllColumns());
+  const ColumnStore taken = all.TakeColumns();
+  EXPECT_EQ(taken.num_rows, 5u);
+  EXPECT_TRUE(all.empty());
+
+  // A row-only batch transposes into columns typed by its values.
+  RowBatch rows = RowBatch::FromRows(ThreeRows());
+  const ColumnStore transposed = rows.GatherColumns(nullptr);
+  ASSERT_EQ(transposed.columns.size(), 2u);
+  EXPECT_TRUE(transposed.columns[1].typed());
+  EXPECT_EQ(transposed.columns[1].type(), DataType::kInt64);
+  EXPECT_EQ(transposed.columns[1].GetValue(2).int64_value(), 30);
 }
 
 }  // namespace
