@@ -131,10 +131,17 @@ void BM_JoinProbeFlat(benchmark::State& state) {
   table.Build(rows, KeySlots());
   const std::vector<Row> probes =
       MakeProbeRows(static_cast<int>(state.range(0)));
+  // Row-at-a-time probing: each probe is a one-row batch.
+  std::vector<RowBatch> batches;
+  for (const Row& probe : probes) {
+    batches.push_back(RowBatch::FromRows({probe}));
+  }
+  JoinProbeScratch scratch;
   int64_t matches = 0;
   for (auto _ : state) {
-    for (const Row& probe : probes) {
-      matches += table.Probe(probe, KeySlots()).count;
+    for (const RowBatch& batch : batches) {
+      table.ProbeBatch(batch, KeySlots(), &scratch);
+      matches += scratch.matches[0].count;
     }
   }
   benchmark::DoNotOptimize(matches);

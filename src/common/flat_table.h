@@ -49,6 +49,17 @@ inline uint64_t HashInt64Key(int64_t key) {
   return h ^ (h >> 31);
 }
 
+/// Mix of `n` raw int64 words (a packed multi-column key): each word is
+/// folded in turn, then the result takes the splitmix64 finalizer.
+inline uint64_t HashInt64Words(const int64_t* words, size_t n) {
+  uint64_t h = 0x6a09e667f3bcc909ULL;
+  for (size_t j = 0; j < n; ++j) {
+    h = (h ^ static_cast<uint64_t>(words[j])) * 0x9e3779b97f4a7c15ULL;
+    h ^= h >> 29;
+  }
+  return HashInt64Key(static_cast<int64_t>(h));
+}
+
 /// Hash reserved for NULL keys in int64 mode (NULL == NULL structurally).
 inline constexpr uint64_t kNullKeyHash = 0x7b4a5c8d9e2f1a6bULL;
 
@@ -728,12 +739,7 @@ class FlatRowSet {
   }
 
   uint64_t HashPacked(const int64_t* key) const {
-    uint64_t h = 0x6a09e667f3bcc909ULL;
-    for (size_t j = 0; j < stride_; ++j) {
-      h = (h ^ static_cast<uint64_t>(key[j])) * 0x9e3779b97f4a7c15ULL;
-      h ^= h >> 29;
-    }
-    return flat_internal::HashInt64Key(static_cast<int64_t>(h));
+    return flat_internal::HashInt64Words(key, stride_);
   }
 
   /// HashRow's formula over a value span.

@@ -73,43 +73,42 @@ void HashGroupByOp::Reset() {
 Status HashGroupByOp::Consume(int, RowBatch batch) {
   Partial& partial = partials_[static_cast<size_t>(CurrentWorkerId())];
   if (scalar_) {
-    // Scalar aggregation folds the whole batch: columnar-capable
-    // aggregators read raw columns, the rest run row-at-a-time.
     return partial.scalar->AccumulateBatch(batch, ctx_->outer_row());
   }
+  // Resolve every selected row's group first — straight off a typed
+  // int64 key column when the grouping has one key, else through the
+  // rows — then fold the aggregates over the batch.
   const size_t n = batch.size();
-  // Single-key grouping over a typed int64 column probes the group map
-  // with the raw key (no Value access on the hit path).
+  std::vector<AggregatorSet*>& sets = partial.sets;
+  sets.resize(n);
+  auto make = [&] { return std::make_unique<AggregatorSet>(&aggregates_); };
+  const ColumnVector* key_col = nullptr;
   if (key_slots_.size() == 1 && batch.columns() != nullptr) {
     const size_t slot = static_cast<size_t>(key_slots_[0]);
     if (slot < batch.columns()->columns.size()) {
       const ColumnVector& col = batch.columns()->columns[slot];
-      if (col.typed() && col.type() == DataType::kInt64) {
-        const int64_t* keys = col.i64_data();
-        const std::vector<uint32_t>& sel = batch.selection();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = sel[i];
-          auto& aggs = partial.groups.FindOrEmplaceInt64(
-              keys[idx], col.IsNull(idx), [&] {
-                return std::make_unique<AggregatorSet>(&aggregates_);
-              });
-          const Row& row = batch.row(i);
-          EvalContext ectx{&row, ctx_->outer_row()};
-          BYPASS_RETURN_IF_ERROR(aggs->Accumulate(ectx));
-        }
-        return Status::OK();
-      }
+      if (col.typed() && col.type() == DataType::kInt64) key_col = &col;
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = batch.row(i);
-    EvalContext ectx{&row, ctx_->outer_row()};
-    auto& aggs = partial.groups.FindOrEmplace(
-        RowSlotsRef{&row, &key_slots_},
-        [&] { return std::make_unique<AggregatorSet>(&aggregates_); });
-    BYPASS_RETURN_IF_ERROR(aggs->Accumulate(ectx));
+  if (key_col != nullptr) {
+    const int64_t* keys = key_col->i64_data();
+    const std::vector<uint32_t>& sel = batch.selection();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t idx = sel[i];
+      sets[i] = partial.groups
+                    .FindOrEmplaceInt64(keys[idx], key_col->IsNull(idx), make)
+                    .get();
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      sets[i] = partial.groups
+                    .FindOrEmplace(RowSlotsRef{&batch.row(i), &key_slots_},
+                                   make)
+                    .get();
+    }
   }
-  return Status::OK();
+  return AggregatorSet::AccumulateGrouped(batch, sets.data(),
+                                          ctx_->outer_row());
 }
 
 Status HashGroupByOp::FinishPort(int) {

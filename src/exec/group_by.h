@@ -63,6 +63,7 @@ class HashGroupByOp : public UnaryPhysOp {
   struct alignas(64) Partial {
     GroupMap groups;
     std::unique_ptr<AggregatorSet> scalar;
+    std::vector<AggregatorSet*> sets;  // Consume: each row's group
   };
 
   std::vector<int> key_slots_;

@@ -24,6 +24,39 @@ constexpr size_t kParallelBuildThreshold = 4096;
 /// batch's working window.
 constexpr size_t kPrefetchDistance = 8;
 
+/// Packs the key at `slots` of `row` into `words` as int64s; false when
+/// some value can equal no int64. `*has_null` reports a NULL key value.
+bool PackKey(const Row& row, const std::vector<int>& slots, int64_t* words,
+             bool* has_null) {
+  *has_null = false;
+  for (size_t j = 0; j < slots.size(); ++j) {
+    bool is_null;
+    if (!flat_internal::Int64KeyOf(row[static_cast<size_t>(slots[j])],
+                                   &words[j], &is_null)) {
+      return false;
+    }
+    *has_null = *has_null || is_null;
+  }
+  return true;
+}
+
+/// The batch's typed int64 column at `slot`, or null.
+const ColumnVector* TypedInt64Column(const RowBatch& batch, size_t slot) {
+  const ColumnStore* store = batch.columns();
+  if (store == nullptr || slot >= store->columns.size()) return nullptr;
+  const ColumnVector& col = store->columns[slot];
+  return col.typed() && col.type() == DataType::kInt64 ? &col : nullptr;
+}
+
+/// The value at `slot` of the batch's i-th row, read from its column when
+/// the batch is column-only, so a probe never materializes its rows.
+Value ProbeValue(const RowBatch& batch, size_t i, size_t slot) {
+  if (batch.has_rows() || batch.columns() == nullptr) {
+    return batch.row(i)[slot];
+  }
+  return batch.columns()->columns[slot].GetValue(batch.selection()[i]);
+}
+
 /// Value-determined Grace partition hash: equal join keys must land in
 /// the same partition no matter which side or representation they come
 /// from. Single-column keys structurally equal to an int64 (int64, or a
@@ -56,44 +89,135 @@ size_t GracePartitionOf(const Row& row, const std::vector<int>& slots) {
 void JoinHashTable::Clear() {
   slots_.clear();
   mask_ = 0;
+  num_keys_ = 0;
+  key_words_.clear();
   key_repr_.clear();
-  key_int64_.clear();
   offsets_.clear();
   payload_.clear();
   build_rows_ = nullptr;
   build_key_slots_ = nullptr;
-  int64_mode_ = false;
+  shape_ = KeyShape::kGeneric;
+  width_ = 0;
 }
 
-bool JoinHashTable::HashRange(const std::vector<Row>& rows,
+void JoinHashTable::HashRange(const std::vector<Row>& rows,
                               const std::vector<int>& key_slots,
-                              size_t begin, size_t end, bool use_int64) {
-  if (use_int64) {
-    const size_t slot = static_cast<size_t>(key_slots[0]);
-    for (size_t i = begin; i < end; ++i) {
-      const Value& v = rows[i][slot];
-      if (v.is_null()) {
-        row_key_[i] = kSkip;
-        continue;
-      }
-      int64_t k;
-      bool is_null;
-      if (!flat_internal::Int64KeyOf(v, &k, &is_null)) return false;
-      int64_keys_[i] = k;
-      hashes_[i] = flat_internal::HashInt64Key(k);
-      row_key_[i] = 0;  // participates; key id assigned by insert pass
-    }
-    return true;
-  }
+                              size_t begin, size_t end) {
   for (size_t i = begin; i < end; ++i) {
     if (AnyNull(rows[i], key_slots)) {
       row_key_[i] = kSkip;
       continue;
     }
     hashes_[i] = HashRowSlots(rows[i], key_slots);
-    row_key_[i] = 0;
+    row_key_[i] = 0;  // participates; key id assigned by insert pass
+  }
+}
+
+void JoinHashTable::ResetSlots() {
+  slots_.assign(16, Slot{0, kEmpty});
+  mask_ = slots_.size() - 1;
+  num_keys_ = 0;
+}
+
+uint32_t JoinHashTable::NewKey(Slot* slot, uint64_t hash,
+                               std::vector<uint32_t>* counts) {
+  const uint32_t key_id = static_cast<uint32_t>(num_keys_++);
+  *slot = Slot{hash, key_id};
+  counts->push_back(0);
+  // Keep the load at or below 1/4.
+  if (num_keys_ * 4 > slots_.size()) {
+    std::vector<Slot> old(slots_.size() * 2, Slot{0, kEmpty});
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.key_id == kEmpty) continue;
+      size_t pos = s.hash & mask_;
+      while (slots_[pos].key_id != kEmpty) pos = (pos + 1) & mask_;
+      slots_[pos] = s;
+    }
+  }
+  return key_id;
+}
+
+bool JoinHashTable::InsertWords(const std::vector<Row>& rows,
+                                const std::vector<int>& key_slots,
+                                std::vector<uint32_t>* counts) {
+  const size_t w = width_;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    int64_t words[kMaxPackedWidth];
+    bool has_null;
+    if (!PackKey(rows[i], key_slots, words, &has_null)) return false;
+    if (has_null) {
+      row_key_[i] = kSkip;
+      continue;
+    }
+    // Equal int64 hashes mean equal keys (see FindInt64).
+    const uint64_t h = w == 1 ? flat_internal::HashInt64Key(words[0])
+                              : flat_internal::HashInt64Words(words, w);
+    uint32_t key_id;
+    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
+      Slot& s = slots_[pos];
+      if (s.key_id == kEmpty) {
+        key_words_.insert(key_words_.end(), words, words + w);
+        key_id = NewKey(&s, h, counts);
+        break;
+      }
+      if (s.hash == h &&
+          (w == 1 || std::equal(words, words + w,
+                                key_words_.data() + size_t{s.key_id} * w))) {
+        key_id = s.key_id;
+        break;
+      }
+    }
+    row_key_[i] = key_id;
+    ++(*counts)[key_id];
   }
   return true;
+}
+
+void JoinHashTable::InsertGeneric(const std::vector<Row>& rows,
+                                  const std::vector<int>& key_slots,
+                                  WorkerPool* pool,
+                                  std::vector<uint32_t>* counts) {
+  const size_t n = rows.size();
+  hashes_.resize(n);
+  if (pool != nullptr && pool->num_workers() > 1 &&
+      n >= kParallelBuildThreshold) {
+    // Tasks write disjoint ranges of the per-row arrays, so the pass is
+    // deterministic regardless of scheduling; the insert/fill passes
+    // stay serial, keeping the final layout byte-identical to the serial
+    // build (the PR 2 merge contract).
+    const size_t num_tasks = static_cast<size_t>(pool->num_workers());
+    const size_t chunk = (n + num_tasks - 1) / num_tasks;
+    const Status st = pool->ParallelFor(num_tasks, [&](size_t t) {
+      const size_t begin = t * chunk;
+      HashRange(rows, key_slots, begin, std::min(begin + chunk, n));
+      return Status::OK();
+    });
+    BYPASS_CHECK_MSG(st.ok(), "parallel hash pass cannot fail");
+  } else {
+    HashRange(rows, key_slots, 0, n);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (row_key_[i] == kSkip) continue;
+    const uint64_t h = hashes_[i];
+    uint32_t key_id;
+    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
+      Slot& s = slots_[pos];
+      if (s.key_id == kEmpty) {
+        key_repr_.push_back(static_cast<uint32_t>(i));
+        key_id = NewKey(&s, h, counts);
+        break;
+      }
+      if (s.hash == h && RowSlotsEqual(rows[i], rows[key_repr_[s.key_id]],
+                                       key_slots, key_slots)) {
+        key_id = s.key_id;
+        break;
+      }
+    }
+    row_key_[i] = key_id;
+    ++(*counts)[key_id];
+  }
 }
 
 void JoinHashTable::Build(const std::vector<Row>& rows,
@@ -105,81 +229,26 @@ void JoinHashTable::Build(const std::vector<Row>& rows,
   const size_t n = rows.size();
   if (n == 0) return;
 
-  hashes_.resize(n);
+  // Insert pass, serial in ascending row order: assigns key ids and
+  // counts rows per key. One int64 key column elects the int64 shape, up
+  // to kMaxPackedWidth the packed one; a key value that equals no int64
+  // starts the build over with generic keys.
   row_key_.resize(n);
-  // Fast-path election: single int64 key column. The hashing pass
-  // verifies every non-null key (a mixed column falls back to generic
-  // hashing so probe hashes stay consistent with build hashes).
-  int64_mode_ = key_slots.size() == 1;
-  if (int64_mode_) int64_keys_.resize(n);
-
-  const bool parallel = pool != nullptr && pool->num_workers() > 1 &&
-                        n >= kParallelBuildThreshold;
-  auto run_hash_pass = [&](bool use_int64) -> bool {
-    if (!parallel) return HashRange(rows, key_slots, 0, n, use_int64);
-    // Tasks write disjoint ranges of the per-row arrays, so the pass is
-    // deterministic regardless of scheduling; the insert/fill passes
-    // below stay serial, keeping the final layout byte-identical to the
-    // serial build (the PR 2 merge contract).
-    const size_t num_tasks = static_cast<size_t>(pool->num_workers());
-    const size_t chunk = (n + num_tasks - 1) / num_tasks;
-    std::atomic<bool> compatible{true};
-    const Status st = pool->ParallelFor(num_tasks, [&](size_t t) {
-      const size_t begin = t * chunk;
-      const size_t end = std::min(begin + chunk, n);
-      if (begin < end &&
-          !HashRange(rows, key_slots, begin, end, use_int64)) {
-        compatible.store(false, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    });
-    BYPASS_CHECK_MSG(st.ok(), "parallel hash pass cannot fail");
-    return compatible.load(std::memory_order_relaxed);
-  };
-  if (!run_hash_pass(int64_mode_) && int64_mode_) {
-    int64_mode_ = false;
-    run_hash_pass(false);
-  }
-
-  // Insert pass (serial, ascending row index): assign key ids and count
-  // rows per key. Capacity is pre-sized below 0.7 load even if all n
-  // keys are distinct, so no mid-build rehash can occur.
-  size_t capacity = 16;
-  while (capacity * 7 < n * 10) capacity <<= 1;
-  slots_.assign(capacity, Slot{0, kEmpty});
-  mask_ = capacity - 1;
+  width_ = key_slots.size();
   std::vector<uint32_t> counts;
-  for (size_t i = 0; i < n; ++i) {
-    if (row_key_[i] == kSkip) continue;
-    const uint64_t h = hashes_[i];
-    size_t pos = h & mask_;
-    uint32_t key_id = kEmpty;
-    while (true) {
-      Slot& s = slots_[pos];
-      if (s.key_id == kEmpty) {
-        key_id = static_cast<uint32_t>(key_repr_.size());
-        s = Slot{h, key_id};
-        key_repr_.push_back(static_cast<uint32_t>(i));
-        if (int64_mode_) key_int64_.push_back(int64_keys_[i]);
-        counts.push_back(0);
-        break;
-      }
-      if (s.hash == h) {
-        const uint32_t cand = s.key_id;
-        const bool equal =
-            int64_mode_
-                ? key_int64_[cand] == int64_keys_[i]
-                : RowSlotsEqual(rows[i], rows[key_repr_[cand]], key_slots,
-                                key_slots);
-        if (equal) {
-          key_id = cand;
-          break;
-        }
-      }
-      pos = (pos + 1) & mask_;
-    }
-    row_key_[i] = key_id;
-    ++counts[key_id];
+  ResetSlots();
+  shape_ = width_ == 0 || width_ > kMaxPackedWidth ? KeyShape::kGeneric
+           : width_ == 1                           ? KeyShape::kInt64
+                                                   : KeyShape::kPacked;
+  if (shape_ != KeyShape::kGeneric &&
+      !InsertWords(rows, key_slots, &counts)) {
+    shape_ = KeyShape::kGeneric;
+    key_words_.clear();
+    counts.clear();
+    ResetSlots();
+  }
+  if (shape_ == KeyShape::kGeneric) {
+    InsertGeneric(rows, key_slots, pool, &counts);
   }
 
   // Fill pass: prefix sums, then ascending row indices per key.
@@ -198,129 +267,157 @@ void JoinHashTable::Build(const std::vector<Row>& rows,
   }
 }
 
-uint32_t JoinHashTable::FindKey(uint64_t hash, int64_t i64,
-                                const Row* row,
-                                const std::vector<int>& probe_slots)
-    const {
-  size_t pos = hash & mask_;
-  while (true) {
-    const Slot& s = slots_[pos];
-    if (s.key_id == kEmpty) return kEmpty;
-    if (s.hash == hash) {
-      const bool equal =
-          int64_mode_
-              ? key_int64_[s.key_id] == i64
-              : RowSlotsEqual(*row, (*build_rows_)[key_repr_[s.key_id]],
-                              probe_slots, *build_key_slots_);
-      if (equal) return s.key_id;
-    }
-    pos = (pos + 1) & mask_;
-  }
-}
-
-JoinMatches JoinHashTable::Probe(const Row& row,
-                                 const std::vector<int>& probe_slots)
-    const {
-  if (key_repr_.empty()) return JoinMatches{};
-  uint64_t h;
-  int64_t i64 = 0;
-  if (int64_mode_) {
-    const Value& v = row[static_cast<size_t>(probe_slots[0])];
-    bool is_null;
-    if (v.is_null() || !flat_internal::Int64KeyOf(v, &i64, &is_null)) {
-      return JoinMatches{};
-    }
-    h = flat_internal::HashInt64Key(i64);
-  } else {
-    if (AnyNull(row, probe_slots)) return JoinMatches{};
-    h = HashRowSlots(row, probe_slots);
-  }
-  const uint32_t key_id = FindKey(h, i64, &row, probe_slots);
-  if (key_id == kEmpty) return JoinMatches{};
-  return MatchesOf(key_id);
-}
-
 void JoinHashTable::ProbeBatch(const RowBatch& batch,
                                const std::vector<int>& probe_slots,
                                JoinProbeScratch* scratch) const {
   const size_t n = batch.size();
   scratch->matches.assign(n, JoinMatches{});
-  if (key_repr_.empty() || n == 0) return;
-  scratch->hashes.resize(n);
-  scratch->valid.assign(n, 0);
-  if (int64_mode_) scratch->int64_keys.resize(n);
+  if (num_keys_ == 0 || n == 0) return;
+  switch (shape_) {
+    case KeyShape::kInt64:
+      ProbeInt64(batch, static_cast<size_t>(probe_slots[0]),
+                 scratch->matches.data());
+      return;
+    case KeyShape::kPacked:
+      ProbePacked(batch, probe_slots, scratch);
+      return;
+    case KeyShape::kGeneric:
+      ProbeGeneric(batch, probe_slots, scratch);
+      return;
+  }
+}
 
-  // Pass 1: hash every probe key. When the batch carries typed columns
-  // and the single probe slot is a typed int64 column, hash straight off
-  // the raw array + null bitmap — no Value access at all.
-  if (int64_mode_) {
-    const size_t slot = static_cast<size_t>(probe_slots[0]);
-    const ColumnVector* col = nullptr;
-    if (batch.columns() != nullptr &&
-        slot < batch.columns()->columns.size()) {
-      const ColumnVector& c = batch.columns()->columns[slot];
-      if (c.typed() && c.type() == DataType::kInt64) col = &c;
+// Hashes and resolves in one pass; at 1/4 load a miss — the common case
+// of the paper's selective joins — reads about one slot.
+void JoinHashTable::ProbeInt64(const RowBatch& batch, size_t slot,
+                               JoinMatches* matches) const {
+  const size_t n = batch.size();
+  const std::vector<uint32_t>& sel = batch.selection();
+  const ColumnVector* col = TypedInt64Column(batch, slot);
+  if (col != nullptr) {
+    const int64_t* data = col->i64_data();
+    if (!col->has_nulls()) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t key_id = FindInt64(data[sel[i]]);
+        if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
+      }
+      return;
     }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t idx = sel[i];
+      if (col->IsNull(idx)) continue;
+      const uint32_t key_id = FindInt64(data[idx]);
+      if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    int64_t k;
+    bool is_null;
+    if (!flat_internal::Int64KeyOf(ProbeValue(batch, i, slot), &k,
+                                   &is_null) ||
+        is_null) {
+      continue;
+    }
+    const uint32_t key_id = FindInt64(k);
+    if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
+  }
+}
+
+// Packs the probe keys column by column into scratch->keys, then hashes
+// and resolves each row against the key arena.
+void JoinHashTable::ProbePacked(const RowBatch& batch,
+                                const std::vector<int>& probe_slots,
+                                JoinProbeScratch* scratch) const {
+  const size_t n = batch.size();
+  const size_t w = width_;
+  const std::vector<uint32_t>& sel = batch.selection();
+  scratch->keys.resize(n * w);
+  scratch->valid.assign(n, 1);
+  int64_t* keys = scratch->keys.data();
+  uint8_t* valid = scratch->valid.data();
+  for (size_t j = 0; j < w; ++j) {
+    const size_t slot = static_cast<size_t>(probe_slots[j]);
+    const ColumnVector* col = TypedInt64Column(batch, slot);
     if (col != nullptr) {
       const int64_t* data = col->i64_data();
-      const std::vector<uint32_t>& sel = batch.selection();
       for (size_t i = 0; i < n; ++i) {
         const uint32_t idx = sel[i];
-        if (col->IsNull(idx)) continue;
-        const int64_t k = data[idx];
-        scratch->int64_keys[i] = k;
-        scratch->hashes[i] = flat_internal::HashInt64Key(k);
-        scratch->valid[i] = 1;
+        keys[i * w + j] = data[idx];
+        if (col->IsNull(idx)) valid[i] = 0;
       }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = batch.row(i)[slot];
-        int64_t k;
-        bool is_null;
-        if (v.is_null() || !flat_internal::Int64KeyOf(v, &k, &is_null)) {
-          continue;
-        }
-        scratch->int64_keys[i] = k;
-        scratch->hashes[i] = flat_internal::HashInt64Key(k);
-        scratch->valid[i] = 1;
-      }
+      continue;
     }
-  } else {
     for (size_t i = 0; i < n; ++i) {
-      const Row& row = batch.row(i);
-      if (AnyNull(row, probe_slots)) continue;
-      scratch->hashes[i] = HashRowSlots(row, probe_slots);
-      scratch->valid[i] = 1;
+      if (valid[i] == 0) continue;
+      bool is_null;
+      if (!flat_internal::Int64KeyOf(ProbeValue(batch, i, slot),
+                                     &keys[i * w + j], &is_null) ||
+          is_null) {
+        valid[i] = 0;
+      }
     }
   }
+  const int64_t* arena = key_words_.data();
+  for (size_t i = 0; i < n; ++i) {
+    if (valid[i] == 0) continue;
+    const int64_t* key = keys + i * w;
+    const uint64_t h = flat_internal::HashInt64Words(key, w);
+    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.key_id == kEmpty) break;
+      if (s.hash == h &&
+          std::equal(key, key + w, arena + size_t{s.key_id} * w)) {
+        scratch->matches[i] = MatchesOf(s.key_id);
+        break;
+      }
+    }
+  }
+}
 
-  // Pass 2: resolve with the slot line for row i + d prefetched while
-  // row i resolves, hiding the dependent load behind the current probe.
+// Two passes: hash every probe key, then resolve with the slot line for
+// row i + d prefetched while row i resolves.
+void JoinHashTable::ProbeGeneric(const RowBatch& batch,
+                                 const std::vector<int>& probe_slots,
+                                 JoinProbeScratch* scratch) const {
+  const size_t n = batch.size();
+  scratch->hashes.resize(n);
+  scratch->valid.assign(n, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const Row& row = batch.row(i);
+    if (AnyNull(row, probe_slots)) continue;
+    scratch->hashes[i] = HashRowSlots(row, probe_slots);
+    scratch->valid[i] = 1;
+  }
+  const std::vector<Row>& build_rows = *build_rows_;
   for (size_t i = 0; i < n; ++i) {
     const size_t ahead = i + kPrefetchDistance;
     if (ahead < n && scratch->valid[ahead]) {
       __builtin_prefetch(&slots_[scratch->hashes[ahead] & mask_]);
     }
     if (!scratch->valid[i]) continue;
-    // Int64 mode never reads the row, so a column-only batch is never
-    // materialized for it.
-    const uint32_t key_id =
-        int64_mode_
-            ? FindKey(scratch->hashes[i], scratch->int64_keys[i], nullptr,
-                      probe_slots)
-            : FindKey(scratch->hashes[i], 0, &batch.row(i), probe_slots);
-    if (key_id != kEmpty) scratch->matches[i] = MatchesOf(key_id);
+    const uint64_t h = scratch->hashes[i];
+    const Row& row = batch.row(i);
+    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.key_id == kEmpty) break;
+      if (s.hash == h &&
+          RowSlotsEqual(row, build_rows[key_repr_[s.key_id]], probe_slots,
+                        *build_key_slots_)) {
+        scratch->matches[i] = MatchesOf(s.key_id);
+        break;
+      }
+    }
   }
 }
 
 int64_t JoinHashTable::RetainedBytes() const {
   const size_t bytes = slots_.capacity() * sizeof(Slot) +
+                       key_words_.capacity() * sizeof(int64_t) +
                        key_repr_.capacity() * sizeof(uint32_t) +
-                       key_int64_.capacity() * sizeof(int64_t) +
                        offsets_.capacity() * sizeof(uint32_t) +
                        payload_.capacity() * sizeof(uint32_t) +
                        hashes_.capacity() * sizeof(uint64_t) +
-                       int64_keys_.capacity() * sizeof(int64_t) +
                        row_key_.capacity() * sizeof(uint32_t);
   return static_cast<int64_t>(bytes);
 }
@@ -387,6 +484,12 @@ Status HashJoinOp::BuildFromRight() {
     }
   } else {
     BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
+  }
+  // A semi or anti join without a residual reads only match counts, so
+  // a table that holds its own keys lets the buffered build rows go.
+  if (existence() && residual_ == nullptr && table_.owns_keys()) {
+    TakeRightRows();
+    ctx_->run().ReleaseMemory(TakeRightCharges());
   }
   // The build is complete and budgeted: publish the codegen view. The
   // release store pairs with codegen_view()'s acquire load — a compiled

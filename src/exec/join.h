@@ -32,11 +32,10 @@ struct JoinMatches {
   const uint32_t* end() const { return data + count; }
 };
 
-/// Per-worker scratch for JoinHashTable::ProbeBatch: the batch's hashes
-/// computed in one pass, then resolved with software prefetching.
+/// Per-worker scratch for JoinHashTable::ProbeBatch.
 struct JoinProbeScratch {
   std::vector<uint64_t> hashes;
-  std::vector<int64_t> int64_keys;
+  std::vector<int64_t> keys;       // packed probe keys, width words per row
   std::vector<uint8_t> valid;      // 0 = NULL / non-matchable probe key
   std::vector<JoinMatches> matches;  // aligned with the batch's rows
 };
@@ -46,16 +45,31 @@ struct JoinProbeScratch {
 ///
 /// Layout: a power-of-two slot array of {cached hash, key id} probed
 /// linearly; per key an (offset, count) range into one contiguous payload
-/// array of ascending row indices. Keys are never materialized — equality
-/// compares against a representative build row (or, on the single-column
-/// int64 fast path, against a cached raw int64 per key).
+/// array of ascending row indices. The slot array follows the number of
+/// distinct keys, never the number of build rows: it doubles during the
+/// insert pass whenever the load would pass 1/4, so a probe that misses
+/// ends at about its first slot.
+///
+/// The build's keys pick one of three shapes, each with its own build
+/// and probe kernel:
+///   int64    one column whose non-NULL keys are all int64 (or doubles
+///            equal to one, 1 = 1.0): the raw key per key id, hashed with
+///            the splitmix64 finalizer; the probe reads a typed int64
+///            column directly.
+///   packed   two to eight such columns: each key packed into `width`
+///            int64 words of one fixed-stride arena, compared word by
+///            word; probes pack column by column.
+///   generic  anything else: keys are compared against a representative
+///            build row, Value by Value.
+/// A probe value that can equal no int64 (a string, a bool, a fractional
+/// double) misses an int64 or packed table without touching it.
 class JoinHashTable {
  public:
   void Clear();
 
   /// Indexes `rows` by the values at `key_slots` (NULL-keyed rows are
-  /// skipped). `rows` and `key_slots` must outlive the table. With a
-  /// non-null `pool` and enough rows the hashing pass runs over
+  /// skipped). `rows` and `key_slots` must outlive a generic-shape table.
+  /// With a non-null `pool` and enough rows, generic keys are hashed over
   /// contiguous row ranges in parallel; the insert/fill passes are serial
   /// over ascending row indices, so each key's index list is ascending —
   /// byte-identical to the serial build.
@@ -63,31 +77,28 @@ class JoinHashTable {
              const std::vector<int>& key_slots,
              WorkerPool* pool = nullptr);
 
-  /// Matching build-row indices for the probe key taken from `row` at
-  /// `probe_slots`; empty when the key has NULLs. Allocation-free: the
-  /// probe key is hashed in place, never materialized.
-  JoinMatches Probe(const Row& row,
-                    const std::vector<int>& probe_slots) const;
-
-  /// Probes every selected row of `batch` in two passes: hash all keys
-  /// into `scratch`, then resolve with the slot line for row i+d
-  /// prefetched while row i resolves. `scratch->matches` ends up aligned
-  /// with the batch's selected rows. Safe to call concurrently from
+  /// Resolves every selected row of `batch` through the kernel of the
+  /// table's key shape; `scratch->matches` ends up aligned with the
+  /// batch's selected rows. A column-only batch is never materialized
+  /// unless the table is generic. Safe to call concurrently from
   /// multiple workers with distinct scratches.
   void ProbeBatch(const RowBatch& batch,
                   const std::vector<int>& probe_slots,
                   JoinProbeScratch* scratch) const;
 
-  size_t num_keys() const { return key_repr_.size(); }
+  size_t num_keys() const { return num_keys_; }
+  /// True when the table holds its own keys (int64 and packed shapes):
+  /// probes then never read the build rows.
+  bool owns_keys() const { return shape_ != KeyShape::kGeneric; }
 
   /// Raw-slot view for the codegen tier: the emitted probe loop walks
   /// the slot array with the cached-hash compare and resolves matches
-  /// through the offsets/payload pair, exactly like FindKey/MatchesOf
-  /// (DESIGN.md §12). Valid for an int64-mode table or an empty one
+  /// through the offsets/payload pair, exactly like FindInt64/MatchesOf
+  /// (DESIGN.md §12). Valid for an int64-shape table or an empty one
   /// (null `slots`, every compiled probe misses — matching the empty
-  /// table's behavior); a generic-mode table returns an invalid view
-  /// and the batch falls back to the interpreter. Pointers stay stable
-  /// until the next Build/Clear.
+  /// table's behavior); any other shape returns an invalid view and the
+  /// batch falls back to the interpreter. Pointers stay stable until the
+  /// next Build/Clear.
   struct JoinInt64View {
     const void* slots = nullptr;   ///< Slot{u64 hash, u32 key_id} array
     uint64_t mask = 0;
@@ -100,15 +111,15 @@ class JoinHashTable {
     static_assert(sizeof(Slot) == 16 && offsetof(Slot, key_id) == 8,
                   "emitted CgJSlot mirrors this layout");
     JoinInt64View v;
-    if (key_repr_.empty()) {
+    if (num_keys_ == 0) {
       v.valid = true;  // empty build side: all-miss, no slot array
       return v;
     }
-    if (!int64_mode_) return v;
+    if (shape_ != KeyShape::kInt64) return v;
     v.valid = true;
     v.slots = slots_.data();
     v.mask = mask_;
-    v.keys = key_int64_.data();
+    v.keys = key_words_.data();
     v.offsets = offsets_.data();
     v.payload = payload_.data();
     return v;
@@ -120,47 +131,82 @@ class JoinHashTable {
   int64_t RetainedBytes() const;
 
  private:
+  enum class KeyShape : uint8_t { kInt64, kPacked, kGeneric };
+
   struct Slot {
     uint64_t hash;
     uint32_t key_id;
   };
   static constexpr uint32_t kEmpty = 0xffffffffu;
   static constexpr uint32_t kSkip = 0xffffffffu;
+  /// Widest packed key; wider keys take the generic shape.
+  static constexpr size_t kMaxPackedWidth = 8;
 
-  /// Hashing pass over [begin, end): fills hashes_/row_key_ skip marks
-  /// (and int64_keys_ in int64 mode). Returns false when a non-null key
-  /// incompatible with the int64 fast path was seen.
-  bool HashRange(const std::vector<Row>& rows,
+  /// Generic keys' hashing pass over [begin, end): fills hashes_ and the
+  /// row_key_ skip marks.
+  void HashRange(const std::vector<Row>& rows,
                  const std::vector<int>& key_slots, size_t begin,
-                 size_t end, bool use_int64);
+                 size_t end);
+
+  /// Empties the slot array down to 16 slots and forgets every key.
+  void ResetSlots();
+  /// Claims the empty `slot` for a new key of hash `hash`, growing the
+  /// slot array when the load passes 1/4; returns the key's id.
+  uint32_t NewKey(Slot* slot, uint64_t hash, std::vector<uint32_t>* counts);
+
+  /// Insert passes, serial in ascending row order: assign each row its
+  /// key id and count rows per key. InsertWords packs, hashes and
+  /// inserts int64/packed keys in one pass, and returns false when a key
+  /// value equals no int64. InsertGeneric hashes first (in parallel on
+  /// `pool` for large builds).
+  bool InsertWords(const std::vector<Row>& rows,
+                   const std::vector<int>& key_slots,
+                   std::vector<uint32_t>* counts);
+  void InsertGeneric(const std::vector<Row>& rows,
+                     const std::vector<int>& key_slots, WorkerPool* pool,
+                     std::vector<uint32_t>* counts);
+
+  void ProbeInt64(const RowBatch& batch, size_t slot,
+                  JoinMatches* matches) const;
+  void ProbePacked(const RowBatch& batch,
+                   const std::vector<int>& probe_slots,
+                   JoinProbeScratch* scratch) const;
+  void ProbeGeneric(const RowBatch& batch,
+                    const std::vector<int>& probe_slots,
+                    JoinProbeScratch* scratch) const;
 
   JoinMatches MatchesOf(uint32_t key_id) const {
     return JoinMatches{payload_.data() + offsets_[key_id],
                        offsets_[key_id + 1] - offsets_[key_id]};
   }
 
-  /// Resolves one probe hash to a key id (kEmpty on miss). `row` backs
-  /// the generic-mode equality compare; int64 mode compares `i64` and
-  /// never reads `row` (null there).
-  uint32_t FindKey(uint64_t hash, int64_t i64, const Row* row,
-                   const std::vector<int>& probe_slots) const;
+  /// Key id of an int64 key, or kEmpty. The splitmix64 finalizer is a
+  /// bijection, so equal hashes mean equal keys.
+  uint32_t FindInt64(int64_t key) const {
+    const uint64_t h = flat_internal::HashInt64Key(key);
+    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
+      const Slot& s = slots_[pos];
+      if (s.key_id == kEmpty || s.hash == h) return s.key_id;
+    }
+  }
 
   // Slot array (power-of-two) and per-key metadata.
   std::vector<Slot> slots_;
   size_t mask_ = 0;
-  std::vector<uint32_t> key_repr_;   // representative build-row per key
-  std::vector<int64_t> key_int64_;   // int64 mode: raw key per key id
+  size_t num_keys_ = 0;
+  std::vector<int64_t> key_words_;   // int64/packed: width_ words per key
+  std::vector<uint32_t> key_repr_;   // generic: representative build row
   std::vector<uint32_t> offsets_;    // num_keys + 1 prefix sums
   std::vector<uint32_t> payload_;    // row indices grouped by key, asc
 
   // Build-time scratch (kept for reuse across Reset/Build cycles).
   std::vector<uint64_t> hashes_;
-  std::vector<int64_t> int64_keys_;
   std::vector<uint32_t> row_key_;
 
   const std::vector<Row>* build_rows_ = nullptr;
   const std::vector<int>* build_key_slots_ = nullptr;
-  bool int64_mode_ = false;
+  KeyShape shape_ = KeyShape::kGeneric;
+  size_t width_ = 0;  // key columns
 };
 
 /// The four join kinds of the paper's plans: θ pairs (Eqv. 5), the

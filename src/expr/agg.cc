@@ -70,108 +70,99 @@ Status Aggregator::Accumulate(const EvalContext& ctx) {
   return AccumulateValue(v, *ctx.row);
 }
 
-bool Aggregator::AccumulateColumnar(const RowBatch& batch) {
-  if (spec_->distinct) return false;
-  if (spec_->arg == nullptr) {
-    // COUNT(*): every selected row counts; no data access at all.
-    count_ += static_cast<int64_t>(batch.size());
+bool Aggregator::AccumulateColumnarGrouped(size_t index,
+                                           const RowBatch& batch,
+                                           AggregatorSet* const* sets) {
+  const size_t n = batch.size();
+  if (n == 0) return true;
+  const AggregateSpec& spec = *sets[0]->aggs_[index].spec_;
+  if (spec.distinct) return false;
+  if (spec.arg == nullptr) {
+    for (size_t i = 0; i < n; ++i) ++sets[i]->aggs_[index].count_;
     return true;
   }
   ColumnOperand operand;
-  if (!ResolveColumnOperand(*spec_->arg, batch, /*outer_row=*/nullptr,
+  if (!ResolveColumnOperand(*spec.arg, batch, /*outer_row=*/nullptr,
                             &operand) ||
       operand.column == nullptr) {
     return false;
   }
   const ColumnVector& col = *operand.column;
   const std::vector<uint32_t>& sel = batch.selection();
-  const size_t n = sel.size();
-  switch (spec_->func) {
-    case AggFunc::kCount: {
-      if (!col.has_nulls()) {
-        count_ += static_cast<int64_t>(n);
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          if (!col.IsNull(sel[i])) ++count_;
-        }
-      }
-      return true;
+  if (spec.func == AggFunc::kCount) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!col.IsNull(sel[i])) ++sets[i]->aggs_[index].count_;
     }
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      if (col.type() == DataType::kInt64) {
-        const int64_t* data = col.i64_data();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = sel[i];
-          if (col.IsNull(idx)) continue;
-          ++count_;
-          int_sum_ += data[idx];
-          double_sum_ += static_cast<double>(data[idx]);
-        }
-        return true;
-      }
-      if (col.type() == DataType::kDouble) {
-        const double* data = col.f64_data();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = sel[i];
-          if (col.IsNull(idx)) continue;
-          ++count_;
-          sum_is_double_ = true;
-          double_sum_ += data[idx];
-        }
-        return true;
-      }
-      // bool/string columns: let the row path raise the SQL type error.
-      return false;
-    }
-    case AggFunc::kMin:
-    case AggFunc::kMax: {
-      const bool is_min = spec_->func == AggFunc::kMin;
-      if (col.type() == DataType::kInt64) {
-        if (!extreme_.is_null() && !extreme_.is_int64()) return false;
-        const int64_t* data = col.i64_data();
-        bool has = !extreme_.is_null();
-        int64_t best = has ? extreme_.int64_value() : 0;
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = sel[i];
-          if (col.IsNull(idx)) continue;
-          const int64_t v = data[idx];
-          if (!has) {
-            has = true;
-            best = v;
-          } else if (is_min ? v < best : v > best) {
-            best = v;
-          }
-        }
-        if (has) extreme_ = Value::Int64(best);
-        return true;
-      }
-      if (col.type() == DataType::kDouble) {
-        if (!extreme_.is_null() && !extreme_.is_double()) return false;
-        const double* data = col.f64_data();
-        bool has = !extreme_.is_null();
-        double best = has ? extreme_.double_value() : 0;
-        // Raw </> replicates OrderCompare's CompareDoubles fold exactly,
-        // including its NaN-compares-equal behaviour, because the
-        // elements are visited in the same sequential order.
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = sel[i];
-          if (col.IsNull(idx)) continue;
-          const double v = data[idx];
-          if (!has) {
-            has = true;
-            best = v;
-          } else if (is_min ? v < best : v > best) {
-            best = v;
-          }
-        }
-        if (has) extreme_ = Value::Double(best);
-        return true;
-      }
-      return false;
-    }
+    return true;
   }
+  if (col.type() == DataType::kInt64) {
+    const int64_t* data = col.i64_data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t idx = sel[i];
+      if (!col.IsNull(idx)) sets[i]->aggs_[index].FoldInt64(data[idx]);
+    }
+    return true;
+  }
+  if (col.type() == DataType::kDouble) {
+    const double* data = col.f64_data();
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t idx = sel[i];
+      if (!col.IsNull(idx)) sets[i]->aggs_[index].FoldDouble(data[idx]);
+    }
+    return true;
+  }
+  // bool/string columns: let the row path raise the SQL type error.
   return false;
+}
+
+void Aggregator::FoldInt64(int64_t v) {
+  switch (spec_->func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      ++count_;
+      int_sum_ += v;
+      double_sum_ += static_cast<double>(v);
+      return;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      if (extreme_.is_int64()) {
+        const int64_t best = extreme_.int64_value();
+        if (spec_->func == AggFunc::kMin ? v < best : v > best) {
+          extreme_ = Value::Int64(v);
+        }
+        return;
+      }
+      break;
+    case AggFunc::kCount:
+      break;
+  }
+  (void)AccumulateValue(Value::Int64(v), Row());
+}
+
+void Aggregator::FoldDouble(double v) {
+  switch (spec_->func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      ++count_;
+      sum_is_double_ = true;
+      double_sum_ += v;
+      return;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      // Raw </> replicates OrderCompare's double fold exactly, NaN
+      // comparing equal included, because values arrive in row order.
+      if (extreme_.is_double()) {
+        const double best = extreme_.double_value();
+        if (spec_->func == AggFunc::kMin ? v < best : v > best) {
+          extreme_ = Value::Double(v);
+        }
+        return;
+      }
+      break;
+    case AggFunc::kCount:
+      break;
+  }
+  (void)AccumulateValue(Value::Double(v), Row());
 }
 
 Status Aggregator::AccumulateValue(const Value& v, const Row&) {
@@ -301,17 +292,27 @@ Status AggregatorSet::Accumulate(const EvalContext& ctx) {
 
 Status AggregatorSet::AccumulateBatch(const RowBatch& batch,
                                       const Row* outer_row) {
-  std::vector<Aggregator*> fallback;
-  for (Aggregator& a : aggs_) {
-    if (!a.AccumulateColumnar(batch)) fallback.push_back(&a);
+  const std::vector<AggregatorSet*> sets(batch.size(), this);
+  return AccumulateGrouped(batch, sets.data(), outer_row);
+}
+
+Status AggregatorSet::AccumulateGrouped(const RowBatch& batch,
+                                        AggregatorSet* const* sets,
+                                        const Row* outer_row) {
+  const size_t n = batch.size();
+  if (n == 0) return Status::OK();
+  std::vector<size_t> fallback;
+  for (size_t j = 0; j < sets[0]->aggs_.size(); ++j) {
+    if (!Aggregator::AccumulateColumnarGrouped(j, batch, sets)) {
+      fallback.push_back(j);
+    }
   }
   if (fallback.empty()) return Status::OK();
-  const size_t n = batch.size();
   for (size_t i = 0; i < n; ++i) {
     const Row& row = batch.row(i);
     EvalContext ectx{&row, outer_row};
-    for (Aggregator* a : fallback) {
-      BYPASS_RETURN_IF_ERROR(a->Accumulate(ectx));
+    for (size_t j : fallback) {
+      BYPASS_RETURN_IF_ERROR(sets[i]->aggs_[j].Accumulate(ectx));
     }
   }
   return Status::OK();

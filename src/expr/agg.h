@@ -44,6 +44,8 @@ bool IsAggDecomposable(const AggregateSpec& spec);
 /// bug" fix), NULL for sum/avg/min/max.
 Value AggEmptyValue(AggFunc func);
 
+class AggregatorSet;
+
 /// Streaming accumulator for one aggregate over one group.
 class Aggregator {
  public:
@@ -54,13 +56,15 @@ class Aggregator {
   /// Folds in one input tuple; evaluates the argument against `ctx`.
   Status Accumulate(const EvalContext& ctx);
 
-  /// Columnar batch fold: consumes the whole batch off the raw column
-  /// when the spec is a non-DISTINCT aggregate whose argument is a typed
-  /// column of the batch (COUNT over any type, SUM/AVG/MIN/MAX over
-  /// numeric columns). Returns false when the fast path does not apply —
-  /// the caller then uses per-row Accumulate for this batch. Element
-  /// order is preserved, so float sums are bit-identical to the row path.
-  bool AccumulateColumnar(const RowBatch& batch);
+  /// Grouped columnar fold of aggregate `index`: selected row i of
+  /// `batch` folds into `sets[i]`'s aggregator `index`, straight from the
+  /// batch's typed column when the aggregate is a non-DISTINCT COUNT(*),
+  /// COUNT over any typed column, or SUM/AVG/MIN/MAX over an int64 or
+  /// double column. Returns false when none applies, and the caller folds
+  /// this aggregate row by row. Each group sees its rows in batch order,
+  /// so float sums are bit-identical to the row path.
+  static bool AccumulateColumnarGrouped(size_t index, const RowBatch& batch,
+                                        AggregatorSet* const* sets);
 
   /// Folds another accumulator for the same spec into this one. Used to
   /// combine per-worker partial aggregates; for DISTINCT aggregates only
@@ -81,6 +85,9 @@ class Aggregator {
 
  private:
   Status AccumulateValue(const Value& v, const Row& full_row);
+  /// Accumulate of one non-NULL typed SUM/AVG/MIN/MAX input.
+  void FoldInt64(int64_t v);
+  void FoldDouble(double v);
 
   const AggregateSpec* spec_;
   int64_t count_ = 0;        // non-null inputs folded (rows for COUNT(*))
@@ -97,10 +104,17 @@ class AggregatorSet {
   explicit AggregatorSet(const std::vector<AggregateSpec>* specs);
   void Reset();
   Status Accumulate(const EvalContext& ctx);
-  /// Folds a whole batch: aggregators with a columnar fast path consume
-  /// the raw columns; the rest share one row-at-a-time pass. Equivalent
-  /// to calling Accumulate per selected row.
+  /// Folds a whole batch into this set; equivalent to calling
+  /// Accumulate per selected row.
   Status AccumulateBatch(const RowBatch& batch, const Row* outer_row);
+  /// Grouped batch fold over sets built from one spec list: selected row
+  /// i of `batch` folds into `sets[i]`. Aggregates with a columnar fast
+  /// path fold straight from their columns; the rest share one
+  /// row-at-a-time pass. Equivalent to sets[i]->Accumulate per selected
+  /// row.
+  static Status AccumulateGrouped(const RowBatch& batch,
+                                  AggregatorSet* const* sets,
+                                  const Row* outer_row);
   /// Merges a partial AggregatorSet built from the same spec list.
   Status Merge(const AggregatorSet& other);
   /// Appends one finalized value per spec to `out`.
@@ -109,6 +123,8 @@ class AggregatorSet {
   Aggregator& mutable_agg(size_t i) { return aggs_[i]; }
 
  private:
+  friend class Aggregator;  // the grouped column folds
+
   std::vector<Aggregator> aggs_;
 };
 

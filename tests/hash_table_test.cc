@@ -6,10 +6,19 @@
 // int64/double/string keys), collision-heavy tight key domains,
 // transparent RowSlotsRef probes, and growth across many rehashes.
 //
+// The join table's three key shapes (int64, packed multi-int64, generic)
+// are checked against the same oracle through row-backed, column-only
+// and borrowed columnar probe batches; the grouped aggregate folds from
+// columns are checked bit for bit against the row path.
+//
 // HashTableParallel* additionally exercises the parallel build path under
-// a real WorkerPool and runs in the TSan label sweep (ctest -L parallel).
+// a real WorkerPool, the two-key joins and the grouping end to end at 1
+// and 4 threads, and runs in the TSan label sweep (ctest -L parallel).
 #include <cstdint>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -18,8 +27,12 @@
 
 #include "common/flat_table.h"
 #include "common/rng.h"
+#include "engine/database.h"
 #include "exec/join.h"
 #include "exec/worker_pool.h"
+#include "expr/agg.h"
+#include "expr/expr.h"
+#include "test_util.h"
 #include "types/row.h"
 #include "types/row_batch.h"
 
@@ -444,6 +457,14 @@ TEST(HashTableSetTest, ClearReelectsTheMode) {
 using JoinOracle = std::unordered_map<Row, std::vector<uint32_t>,
                                       RowKeyHash, RowKeyEq>;
 
+/// One row's matches, probed through ProbeBatch over a one-row batch.
+JoinMatches ProbeOne(const JoinHashTable& table, const Row& row,
+                     const std::vector<int>& slots) {
+  JoinProbeScratch scratch;
+  table.ProbeBatch(RowBatch::FromRows({row}), slots, &scratch);
+  return scratch.matches[0];
+}
+
 /// Builds the oracle: key row -> ascending build-row indices, skipping
 /// NULL-keyed rows (SQL '=' semantics).
 JoinOracle BuildJoinOracle(const std::vector<Row>& rows,
@@ -472,7 +493,7 @@ void CheckProbesAgainstOracle(const JoinHashTable& table,
     for (int s : probe_slots) {
       if (probe[static_cast<size_t>(s)].is_null()) has_null = true;
     }
-    const JoinMatches m = table.Probe(probe, probe_slots);
+    const JoinMatches m = ProbeOne(table, probe, probe_slots);
     if (has_null) {
       ASSERT_TRUE(m.empty());
       continue;
@@ -488,13 +509,14 @@ void CheckProbesAgainstOracle(const JoinHashTable& table,
       }
     }
   }
-  // ProbeBatch must agree bit-for-bit with the per-row probes.
+  // A whole-batch probe must agree bit-for-bit with the one-row probes.
   RowBatch batch = RowBatch::FromRows(std::vector<Row>(probe_rows));
   JoinProbeScratch scratch;
   table.ProbeBatch(batch, probe_slots, &scratch);
   ASSERT_EQ(scratch.matches.size(), probe_rows.size());
   for (size_t i = 0; i < probe_rows.size(); ++i) {
-    const JoinMatches single = table.Probe(probe_rows[i], probe_slots);
+    const JoinMatches single =
+        ProbeOne(table, probe_rows[i], probe_slots);
     ASSERT_EQ(scratch.matches[i].count, single.count) << i;
     ASSERT_EQ(scratch.matches[i].data, single.data) << i;
   }
@@ -550,7 +572,7 @@ TEST(HashTableJoinTest, EmptyBuildSide) {
   table.Build(none, slots);
   EXPECT_EQ(table.num_keys(), 0u);
   const Row probe{Value::Int64(1)};
-  EXPECT_TRUE(table.Probe(probe, slots).empty());
+  EXPECT_TRUE(ProbeOne(table, probe, slots).empty());
 }
 
 TEST(HashTableJoinTest, RebuildAfterClearAndModeFlip) {
@@ -568,10 +590,259 @@ TEST(HashTableJoinTest, RebuildAfterClearAndModeFlip) {
   table.Build(strs, slots);
   EXPECT_EQ(table.num_keys(), 50u);
   const Row probe{Value::String("7")};
-  EXPECT_EQ(table.Probe(probe, slots).count, 1u);
+  EXPECT_EQ(ProbeOne(table, probe, slots).count, 1u);
+}
+
+// ------------------------------------------- JoinHashTable: key shapes
+
+/// The three probe batch forms an operator sees: rows, a column-only
+/// batch (join output), and a borrowed columnar batch (a scan) — each
+/// whole and narrowed to its odd positions.
+std::vector<RowBatch> ProbeForms(const std::vector<Row>* rows,
+                                 const std::vector<DataType>& types,
+                                 ColumnStore* borrowed) {
+  auto make_store = [&] {
+    ColumnStore store;
+    for (DataType t : types) store.columns.emplace_back(t);
+    for (const Row& row : *rows) store.AppendRow(row);
+    return store;
+  };
+  *borrowed = make_store();
+  std::vector<RowBatch> forms;
+  forms.push_back(RowBatch::FromRows(std::vector<Row>(*rows)));
+  forms.push_back(RowBatch::FromColumns(make_store()));
+  forms.push_back(RowBatch::BorrowedColumnar(borrowed, rows, 0, rows->size()));
+  std::vector<uint32_t> odd;
+  for (uint32_t i = 1; i < rows->size(); i += 2) odd.push_back(i);
+  for (size_t f = 0; f < 3; ++f) {
+    forms.push_back(forms[f].ShareWithSelection(odd));
+  }
+  return forms;
+}
+
+/// Probes `probe_rows` in every batch form and checks each verdict —
+/// matched build rows, in ascending order — against the oracle.
+void CheckProbeForms(const JoinHashTable& table,
+                     const std::vector<Row>& probe_rows,
+                     const std::vector<DataType>& probe_types,
+                     const std::vector<int>& probe_slots,
+                     const JoinOracle& oracle) {
+  ColumnStore borrowed;
+  const std::vector<RowBatch> forms =
+      ProbeForms(&probe_rows, probe_types, &borrowed);
+  for (size_t f = 0; f < forms.size(); ++f) {
+    SCOPED_TRACE("probe form " + std::to_string(f));
+    const RowBatch& batch = forms[f];
+    JoinProbeScratch scratch;
+    table.ProbeBatch(batch, probe_slots, &scratch);
+    ASSERT_EQ(scratch.matches.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Row& probe = probe_rows[batch.selection()[i]];
+      bool has_null = false;
+      for (int s : probe_slots) {
+        has_null = has_null || probe[static_cast<size_t>(s)].is_null();
+      }
+      const auto it =
+          has_null ? oracle.end() : oracle.find(ProjectRow(probe, probe_slots));
+      const JoinMatches m = scratch.matches[i];
+      if (it == oracle.end()) {
+        ASSERT_TRUE(m.empty()) << RowToString(probe);
+        continue;
+      }
+      ASSERT_EQ(std::vector<uint32_t>(m.begin(), m.end()), it->second)
+          << RowToString(probe);
+    }
+  }
+}
+
+/// Rows of four int64 columns over [0, 6], each value NULL with
+/// probability 0.2, so NULL lands in every key position.
+std::vector<Row> NullableIntRows(Rng* rng, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    Row row;
+    for (int c = 0; c < 4; ++c) {
+      row.push_back(rng->Bernoulli(0.2) ? Value::Null()
+                                        : Value::Int64(rng->UniformInt(0, 6)));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+bool IsPacked(const JoinHashTable& table) {
+  return table.owns_keys() && !table.ExportInt64View().valid;
+}
+
+const std::vector<DataType> kFourInts(4, DataType::kInt64);
+
+TEST(HashTableJoinTest, PackedKeysMatchOracle) {
+  Rng rng(61);
+  const std::vector<Row> build = NullableIntRows(&rng, 1500);
+  const std::vector<Row> probe = NullableIntRows(&rng, 700);
+  for (const std::vector<int>& slots :
+       {std::vector<int>{0, 1}, std::vector<int>{1, 0},
+        std::vector<int>{0, 2, 3}, std::vector<int>{3, 1, 2, 0}}) {
+    SCOPED_TRACE("key width " + std::to_string(slots.size()));
+    JoinHashTable table;
+    table.Build(build, slots);
+    EXPECT_TRUE(IsPacked(table));
+    const JoinOracle oracle = BuildJoinOracle(build, slots);
+    ASSERT_EQ(table.num_keys(), oracle.size());
+    CheckProbeForms(table, probe, kFourInts, slots, oracle);
+    // The build rows themselves all find their own key.
+    CheckProbeForms(table, build, kFourInts, slots, oracle);
+  }
+}
+
+TEST(HashTableJoinTest, SingleInt64KeyMatchesOracleInEveryProbeForm) {
+  Rng rng(62);
+  const std::vector<Row> build = NullableIntRows(&rng, 900);
+  const std::vector<Row> probe = NullableIntRows(&rng, 500);
+  const std::vector<int> slots{2};
+  JoinHashTable table;
+  table.Build(build, slots);
+  EXPECT_TRUE(table.owns_keys());
+  EXPECT_TRUE(table.ExportInt64View().valid);
+  CheckProbeForms(table, probe, kFourInts, slots,
+                  BuildJoinOracle(build, slots));
+}
+
+TEST(HashTableJoinTest, IntegralDoublesMatchInt64Keys) {
+  // 1 = 1.0: int64 build keys must match integral double probes (a typed
+  // double column, or doubles in rows) and the other way round.
+  Rng rng(63);
+  const std::vector<Row> ints = NullableIntRows(&rng, 800);
+  std::vector<Row> doubles = ints;
+  for (Row& row : doubles) {
+    for (Value& v : row) {
+      if (!v.is_null()) v = Value::Double(static_cast<double>(v.int64_value()));
+    }
+  }
+  const std::vector<DataType> four_doubles(4, DataType::kDouble);
+  for (const std::vector<int>& slots :
+       {std::vector<int>{1}, std::vector<int>{0, 3}}) {
+    SCOPED_TRACE("key width " + std::to_string(slots.size()));
+    JoinHashTable int_table;
+    int_table.Build(ints, slots);
+    EXPECT_TRUE(int_table.owns_keys());
+    const JoinOracle oracle = BuildJoinOracle(ints, slots);
+    CheckProbeForms(int_table, doubles, four_doubles, slots, oracle);
+
+    JoinHashTable double_table;
+    double_table.Build(doubles, slots);
+    EXPECT_TRUE(double_table.owns_keys()) << "integral doubles pack";
+    CheckProbeForms(double_table, ints, kFourInts, slots,
+                    BuildJoinOracle(doubles, slots));
+  }
+}
+
+TEST(HashTableJoinTest, NonIntegralOrStringKeysFallBackToGeneric) {
+  Rng rng(64);
+  const std::vector<Row> probe = NullableIntRows(&rng, 400);
+  for (const Value& odd : {Value::Double(2.5), Value::String("2")}) {
+    SCOPED_TRACE(odd.ToString());
+    std::vector<Row> build = NullableIntRows(&rng, 600);
+    build[431][1] = odd;
+    for (const std::vector<int>& slots :
+         {std::vector<int>{1}, std::vector<int>{0, 1}}) {
+      JoinHashTable table;
+      table.Build(build, slots);
+      EXPECT_FALSE(table.owns_keys());
+      EXPECT_FALSE(table.ExportInt64View().valid);
+      const JoinOracle oracle = BuildJoinOracle(build, slots);
+      ASSERT_EQ(table.num_keys(), oracle.size());
+      CheckProbeForms(table, probe, kFourInts, slots, oracle);
+      CheckProbeForms(table, build, std::vector<DataType>(4, DataType::kInt64),
+                      slots, oracle);
+    }
+    // A packed table probed with such a value misses without a fault.
+    const std::vector<Row> ints = NullableIntRows(&rng, 300);
+    JoinHashTable packed;
+    packed.Build(ints, {0, 1});
+    ASSERT_TRUE(IsPacked(packed));
+    std::vector<Row> odd_probe = NullableIntRows(&rng, 50);
+    for (Row& row : odd_probe) row[1] = odd;
+    CheckProbeForms(packed, odd_probe, kFourInts, {0, 1},
+                    BuildJoinOracle(ints, {0, 1}));
+  }
+}
+
+/// Checks that every key's payload is ascending and that `a` and `b`
+/// resolve every key to identical spans.
+void ExpectSameIndex(const JoinHashTable& a, const JoinHashTable& b,
+                     const std::vector<Row>& rows,
+                     const std::vector<int>& slots) {
+  ASSERT_EQ(a.num_keys(), b.num_keys());
+  EXPECT_EQ(a.RetainedBytes(), b.RetainedBytes());
+  const JoinOracle oracle = BuildJoinOracle(rows, slots);
+  for (const auto& [key, span] : oracle) {
+    std::vector<int> key_slots;
+    for (size_t j = 0; j < key.size(); ++j) {
+      key_slots.push_back(static_cast<int>(j));
+    }
+    const JoinMatches ma = ProbeOne(a, key, key_slots);
+    const JoinMatches mb = ProbeOne(b, key, key_slots);
+    ASSERT_EQ(std::vector<uint32_t>(ma.begin(), ma.end()), span);
+    ASSERT_EQ(std::vector<uint32_t>(mb.begin(), mb.end()), span);
+  }
+}
+
+TEST(HashTableJoinTest, SlotArrayFollowsKeyCountNotRows) {
+  // 30k build rows over 1k keys: the slot array holds 4x the keys
+  // rounded up to a power of two (4096 slots of 16 bytes), not 4x — or
+  // 1/0.7x — the rows. Everything else the table keeps is per row
+  // (payload and row-key ids, 4 bytes each) or a few words per key.
+  constexpr size_t kRows = 30000;
+  constexpr size_t kKeys = 1000;
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    rows.push_back(Row{Value::Int64(static_cast<int64_t>((i * 7919) % kKeys)),
+                       Value::Int64(static_cast<int64_t>(i))});
+  }
+  JoinHashTable table;
+  table.Build(rows, {0});
+  ASSERT_EQ(table.num_keys(), kKeys);
+  const int64_t per_row = static_cast<int64_t>(kRows * 2 * sizeof(uint32_t));
+  const int64_t index = table.RetainedBytes() - per_row;
+  EXPECT_GE(index, int64_t{16 * 4 * kKeys});
+  EXPECT_LE(index, int64_t{16 * 4096 + 32 * kKeys});
+  // Rows over as many keys: the slot array grows with the keys.
+  std::vector<Row> unique;
+  for (size_t i = 0; i < kRows; ++i) {
+    unique.push_back(Row{Value::Int64(static_cast<int64_t>(i))});
+  }
+  JoinHashTable wide;
+  wide.Build(unique, {0});
+  EXPECT_GE(wide.RetainedBytes() - per_row, int64_t{16 * 4 * kRows});
 }
 
 // -------------------------------------------------- parallel build paths
+
+TEST(HashTableParallelTest, SlotSizedBuildsMatchSerialByteForByte) {
+  // Over 1k keys: int64, packed and generic (string) keys; the parallel
+  // hashing pass must not change a byte of the index.
+  constexpr size_t kRows = 30000;
+  std::vector<Row> rows;
+  for (size_t i = 0; i < kRows; ++i) {
+    const int64_t k = static_cast<int64_t>((i * 7919) % 1000);
+    rows.push_back(Row{Value::Int64(k), Value::Int64(k % 7),
+                       Value::String("k" + std::to_string(k))});
+  }
+  WorkerPool pool(4);
+  for (const std::vector<int>& slots :
+       {std::vector<int>{0}, std::vector<int>{0, 1}, std::vector<int>{2},
+        std::vector<int>{2, 1}}) {
+    SCOPED_TRACE("slots " + std::to_string(slots[0]) + " width " +
+                 std::to_string(slots.size()));
+    JoinHashTable serial;
+    serial.Build(rows, slots, nullptr);
+    JoinHashTable parallel;
+    parallel.Build(rows, slots, &pool);
+    EXPECT_EQ(serial.owns_keys(), slots[0] != 2);
+    ExpectSameIndex(serial, parallel, rows, slots);
+  }
+}
 
 TEST(HashTableParallelTest, ParallelBuildMatchesSerialBuild) {
   Rng rng(55);
@@ -594,8 +865,8 @@ TEST(HashTableParallelTest, ParallelBuildMatchesSerialBuild) {
   ASSERT_EQ(serial.num_keys(), parallel.num_keys());
   for (int64_t k = -5; k <= 2005; ++k) {
     const Row probe{Value::Int64(k)};
-    const JoinMatches a = serial.Probe(probe, slots);
-    const JoinMatches b = parallel.Probe(probe, slots);
+    const JoinMatches a = ProbeOne(serial, probe, slots);
+    const JoinMatches b = ProbeOne(parallel, probe, slots);
     ASSERT_EQ(a.count, b.count) << k;
     for (uint32_t i = 0; i < a.count; ++i) {
       ASSERT_EQ(a.data[i], b.data[i]) << k;  // identical ascending spans
@@ -625,7 +896,7 @@ TEST(HashTableParallelTest, ParallelBuildGenericFallback) {
   ASSERT_EQ(serial.num_keys(), parallel.num_keys());
   const JoinOracle oracle = BuildJoinOracle(rows, slots);
   for (const auto& [key, span] : oracle) {
-    const JoinMatches m = parallel.Probe(key, {0});
+    const JoinMatches m = ProbeOne(parallel, key, {0});
     ASSERT_EQ(m.count, span.size());
     for (uint32_t i = 0; i < m.count; ++i) ASSERT_EQ(m.data[i], span[i]);
   }
@@ -663,6 +934,356 @@ TEST(HashTableParallelTest, ConcurrentProbesWithDistinctScratches) {
   EXPECT_EQ(total.load() % static_cast<int64_t>(num_tasks), 0);
   EXPECT_EQ(total.load() / static_cast<int64_t>(num_tasks),
             static_cast<int64_t>(n));
+}
+
+// ---------------------------------------- two-key joins, end to end
+
+// fig7's `in`, the two- and three-key (NOT) EXISTS shapes and a two-key
+// Eqv. 1 outer join hash on packed keys; on 20 % NULLs every one must
+// equal the canonical evaluator at every batch size and thread count.
+TEST(HashTableParallelJoinKeys, PackedKeyJoinsMatchCanonical) {
+  struct KeyedText {
+    const char* label;  // a physical-plan substring the text must produce
+    const char* sql;
+  };
+  const KeyedText texts[] = {
+      {"HashSemiJoin [keys l1=r1, l0=r0]",
+       "SELECT DISTINCT * FROM r "
+       "WHERE a1 IN (SELECT b1 FROM s WHERE a2 = b2) OR a4 > 5"},
+      {"HashAntiJoin [keys l1=r1, l0=r0]",
+       "SELECT DISTINCT * FROM r WHERE NOT EXISTS "
+       "(SELECT * FROM s WHERE a2 = b2 AND a1 = b1) OR a4 > 5"},
+      {"HashSemiJoin [keys l1=r1, l0=r0]",
+       "SELECT * FROM r "
+       "WHERE EXISTS (SELECT * FROM s WHERE a2 = b2 AND a1 = b1) OR a4 > 5"},
+      {"HashAntiJoin [keys l1=r0, l2=r1, l3=r2]",
+       "SELECT * FROM r WHERE NOT EXISTS (SELECT * FROM s "
+       "WHERE a2 = b2 AND a3 = b3 AND a4 = b4)"},
+      {"HashLeftOuterJoin",
+       "SELECT * FROM r "
+       "WHERE a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2 AND a3 = b3)"},
+  };
+  Database db;
+  testing_util::LoadSmallRst(&db, /*seed=*/29, 80, 90, 40,
+                             /*null_fraction=*/0.2);
+  for (const KeyedText& t : texts) {
+    SCOPED_TRACE(t.sql);
+    QueryOptions canonical;
+    canonical.unnest = false;
+    auto want = db.Query(t.sql, canonical);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      for (int threads : {1, 4}) {
+        QueryOptions opts;
+        opts.batch_size = batch_size;
+        opts.num_threads = threads;
+        if (threads > 1) opts.morsel_size = 5;
+        auto got = db.Query(t.sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_NE(got->physical_plan.find(t.label), std::string::npos)
+            << got->physical_plan;
+        EXPECT_TRUE(RowMultisetsEqual(want->rows, got->rows))
+            << "batch_size " << batch_size << ", threads " << threads
+            << "\nwant rows: " << want->rows.size()
+            << "\ngot rows: " << got->rows.size();
+      }
+    }
+  }
+}
+
+// -------------------------------------------- grouped column folds
+
+ExprPtr SlotRef(int slot) {
+  auto ref = std::make_shared<ColumnRefExpr>("", "c" + std::to_string(slot),
+                                             false);
+  ref->set_slot(slot);
+  return ref;
+}
+
+AggregateSpec Agg(AggFunc func, int slot, bool distinct = false) {
+  AggregateSpec spec;
+  spec.func = func;
+  spec.distinct = distinct;
+  if (slot >= 0) spec.arg = SlotRef(slot);
+  return spec;
+}
+
+/// Every fast-path aggregate over (k, x int64, d double): COUNT(*),
+/// COUNT(x), SUM/AVG/MIN/MAX over x and d, plus a DISTINCT aggregate
+/// that keeps the row path.
+std::vector<AggregateSpec> FoldSpecs() {
+  std::vector<AggregateSpec> specs;
+  specs.push_back(Agg(AggFunc::kCount, -1));
+  specs.push_back(Agg(AggFunc::kCount, 1));
+  for (int slot : {1, 2}) {
+    for (AggFunc f :
+         {AggFunc::kSum, AggFunc::kAvg, AggFunc::kMin, AggFunc::kMax}) {
+      specs.push_back(Agg(f, slot));
+    }
+  }
+  specs.push_back(Agg(AggFunc::kSum, 1, /*distinct=*/true));
+  specs.push_back(Agg(AggFunc::kCount, 2, /*distinct=*/true));
+  return specs;
+}
+
+/// Rows (k, x, d): k over [0, 9] or NULL, x int64 or NULL, d a
+/// non-dyadic double or NULL, so float sums depend on fold order.
+std::vector<Row> GroupRows(Rng* rng, size_t n) {
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(
+        Row{rng->Bernoulli(0.1) ? Value::Null()
+                                : Value::Int64(rng->UniformInt(0, 9)),
+            rng->Bernoulli(0.2) ? Value::Null()
+                                : Value::Int64(rng->UniformInt(-50, 50)),
+            rng->Bernoulli(0.2)
+                ? Value::Null()
+                : Value::Double(rng->UniformInt(-1000, 1000) / 7.0)});
+  }
+  return rows;
+}
+
+/// Same type and same bits (doubles compared by representation).
+void ExpectBitIdentical(const Value& a, const Value& b) {
+  ASSERT_EQ(a.type(), b.type()) << a.ToString() << " vs " << b.ToString();
+  if (a.is_double()) {
+    const double x = a.double_value();
+    const double y = b.double_value();
+    ASSERT_EQ(std::memcmp(&x, &y, sizeof x), 0)
+        << a.ToString() << " vs " << b.ToString();
+  } else {
+    ASSERT_TRUE(a.StructurallyEquals(b))
+        << a.ToString() << " vs " << b.ToString();
+  }
+}
+
+TEST(HashTableGroupByTest, ColumnFoldsMatchRowPathBitForBit) {
+  Rng rng(71);
+  const std::vector<Row> rows = GroupRows(&rng, 3000);
+  const std::vector<AggregateSpec> specs = FoldSpecs();
+  const std::vector<DataType> types{DataType::kInt64, DataType::kInt64,
+                                    DataType::kDouble};
+  // Reference: the row path, one Accumulate per row per group. The NULL
+  // key is a group of its own.
+  std::map<int64_t, std::unique_ptr<AggregatorSet>> want;
+  auto group_of = [](const Row& row) {
+    return row[0].is_null() ? int64_t{-1} : row[0].int64_value();
+  };
+  for (const Row& row : rows) {
+    auto& set = want[group_of(row)];
+    if (set == nullptr) set = std::make_unique<AggregatorSet>(&specs);
+    ASSERT_TRUE(set->Accumulate(EvalContext{&row, nullptr}).ok());
+  }
+  // Grouped folds over every batch form, fed in chunks of 100 rows so
+  // each group spans batches.
+  ColumnStore borrowed;
+  const std::vector<RowBatch> forms = ProbeForms(&rows, types, &borrowed);
+  for (size_t f = 0; f < 3; ++f) {
+    SCOPED_TRACE("batch form " + std::to_string(f));
+    std::map<int64_t, std::unique_ptr<AggregatorSet>> got;
+    for (uint32_t begin = 0; begin < rows.size(); begin += 100) {
+      std::vector<uint32_t> sel;
+      for (uint32_t i = begin; i < begin + 100 && i < rows.size(); ++i) {
+        sel.push_back(i);
+      }
+      const RowBatch batch = forms[f].ShareWithSelection(sel);
+      std::vector<AggregatorSet*> sets;
+      for (uint32_t i : sel) {
+        auto& set = got[group_of(rows[i])];
+        if (set == nullptr) set = std::make_unique<AggregatorSet>(&specs);
+        sets.push_back(set.get());
+      }
+      ASSERT_TRUE(
+          AggregatorSet::AccumulateGrouped(batch, sets.data(), nullptr)
+              .ok());
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [key, set] : want) {
+      Row a, b;
+      ASSERT_TRUE(set->FinalizeInto(&a).ok());
+      ASSERT_TRUE(got.at(key)->FinalizeInto(&b).ok());
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t j = 0; j < a.size(); ++j) {
+        SCOPED_TRACE("group " + std::to_string(key) + ", " +
+                     specs[j].ToString());
+        ExpectBitIdentical(a[j], b[j]);
+      }
+    }
+  }
+}
+
+TEST(HashTableGroupByTest, MixedExtremeTypesKeepOrderCompare) {
+  // A MIN over int64 that later meets a double column (or the reverse)
+  // must fold exactly like the row path's OrderCompare.
+  std::vector<AggregateSpec> specs{Agg(AggFunc::kMin, 0),
+                                   Agg(AggFunc::kMax, 0)};
+  AggregatorSet row_path(&specs);
+  AggregatorSet columns(&specs);
+  const std::vector<std::vector<Row>> chunks{
+      {Row{Value::Int64(5)}, Row{Value::Int64(-2)}},
+      {Row{Value::Double(-2.5)}, Row{Value::Double(7.25)}},
+      {Row{Value::Int64(-3)}, Row{Value::Int64(9)}}};
+  for (const std::vector<Row>& chunk : chunks) {
+    ColumnStore store;
+    store.columns.emplace_back(chunk[0][0].type());
+    for (const Row& row : chunk) {
+      store.AppendRow(row);
+      ASSERT_TRUE(row_path.Accumulate(EvalContext{&row, nullptr}).ok());
+    }
+    const RowBatch batch = RowBatch::FromColumns(std::move(store));
+    std::vector<AggregatorSet*> sets(chunk.size(), &columns);
+    ASSERT_TRUE(
+        AggregatorSet::AccumulateGrouped(batch, sets.data(), nullptr)
+            .ok());
+  }
+  Row a, b;
+  ASSERT_TRUE(row_path.FinalizeInto(&a).ok());
+  ASSERT_TRUE(columns.FinalizeInto(&b).ok());
+  ExpectBitIdentical(a[0], b[0]);
+  ExpectBitIdentical(a[1], b[1]);
+}
+
+/// Loads g(k, x, d) and h(x, d): dyadic doubles (multiples of 1/4), so
+/// every sum is exact in any fold order and a brute-force reference can
+/// check the 4-thread partial merge exactly.
+void LoadGroupTables(Database* db, uint64_t seed) {
+  Rng rng(seed);
+  auto load = [&](const std::string& name, bool with_key, int rows) {
+    Schema schema;
+    if (with_key) schema.AddColumn({"k", DataType::kInt64, ""});
+    schema.AddColumn({name + "x", DataType::kInt64, ""});
+    schema.AddColumn({name + "d", DataType::kDouble, ""});
+    auto table = db->CreateTable(name, std::move(schema));
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    std::vector<Row> data;
+    for (int i = 0; i < rows; ++i) {
+      Row row;
+      if (with_key) {
+        row.push_back(rng.Bernoulli(0.1)
+                          ? Value::Null()
+                          : Value::Int64(rng.UniformInt(0, 12)));
+      }
+      row.push_back(rng.Bernoulli(0.2) ? Value::Null()
+                                       : Value::Int64(rng.UniformInt(0, 30)));
+      row.push_back(rng.Bernoulli(0.2)
+                        ? Value::Null()
+                        : Value::Double(rng.UniformInt(-400, 400) / 4.0));
+      data.push_back(std::move(row));
+    }
+    ASSERT_TRUE((*table)->AppendUnchecked(std::move(data)).ok());
+  };
+  load("g", /*with_key=*/true, 2000);
+  load("h", /*with_key=*/false, 150);
+}
+
+/// Brute-force reference for `SELECT k, FoldSelect(x, d)` over `rows`
+/// of (k, x, d).
+std::vector<Row> BruteForceGroups(const std::vector<Row>& rows) {
+  std::map<int64_t, std::vector<Row>> groups;
+  std::map<int64_t, Value> key_of;
+  for (const Row& row : rows) {
+    const int64_t g = row[0].is_null() ? INT64_MIN : row[0].int64_value();
+    groups[g].push_back(row);
+    key_of.emplace(g, row[0]);
+  }
+  std::vector<Row> out;
+  for (const auto& [g, members] : groups) {
+    Row result{key_of.at(g), Value::Int64(static_cast<int64_t>(members.size()))};
+    int64_t count_x = 0;
+    for (const Row& r : members) count_x += r[1].is_null() ? 0 : 1;
+    result.push_back(Value::Int64(count_x));
+    for (size_t c : {size_t{1}, size_t{2}}) {
+      int64_t n = 0;
+      int64_t isum = 0;
+      double dsum = 0;
+      Value lo, hi;
+      for (const Row& r : members) {
+        const Value& v = r[c];
+        if (v.is_null()) continue;
+        ++n;
+        if (v.is_int64()) isum += v.int64_value();
+        dsum += v.AsDouble();
+        if (lo.is_null() || v.OrderCompare(lo) < 0) lo = v;
+        if (hi.is_null() || v.OrderCompare(hi) > 0) hi = v;
+      }
+      result.push_back(n == 0 ? Value::Null()
+                              : c == 1 ? Value::Int64(isum)
+                                       : Value::Double(dsum));
+      result.push_back(n == 0 ? Value::Null()
+                              : Value::Double(dsum / static_cast<double>(n)));
+      result.push_back(lo);
+      result.push_back(hi);
+    }
+    std::set<int64_t> xs;
+    std::set<double> ds;
+    for (const Row& r : members) {
+      if (!r[1].is_null()) xs.insert(r[1].int64_value());
+      if (!r[2].is_null()) ds.insert(r[2].double_value());
+    }
+    int64_t xs_sum = 0;
+    for (int64_t x : xs) xs_sum += x;
+    result.push_back(xs.empty() ? Value::Null() : Value::Int64(xs_sum));
+    result.push_back(Value::Int64(static_cast<int64_t>(ds.size())));
+    out.push_back(std::move(result));
+  }
+  return out;
+}
+
+/// The select list BruteForceGroups() computes, over columns `x`, `d`.
+std::string FoldSelect(const std::string& x, const std::string& d) {
+  return "COUNT(*), COUNT(" + x + "), SUM(" + x + "), AVG(" + x +
+         "), MIN(" + x + "), MAX(" + x + "), SUM(" + d + "), AVG(" + d +
+         "), MIN(" + d + "), MAX(" + d + "), SUM(DISTINCT " + x +
+         "), COUNT(DISTINCT " + d + ")";
+}
+
+// The grouping of a borrowed scan and of column-only join output, at 1
+// and 4 threads (the per-worker partials merged at finish), equals a
+// brute-force reference exactly.
+TEST(HashTableParallelGroupBy, ScanAndJoinOutputMatchBruteForce) {
+  Database db;
+  LoadGroupTables(&db, /*seed=*/73);
+  const Table* g = *db.catalog()->GetTable("g");
+  const Table* h = *db.catalog()->GetTable("h");
+  std::vector<Row> scan_rows = g->rows();
+  std::vector<Row> join_rows;
+  for (const Row& gr : g->rows()) {
+    for (const Row& hr : h->rows()) {
+      if (!gr[1].is_null() && gr[1].StructurallyEquals(hr[0])) {
+        join_rows.push_back(Row{gr[0], hr[0], hr[1]});
+      }
+    }
+  }
+  struct GroupText {
+    std::string sql;
+    const std::vector<Row>* rows;
+  };
+  const GroupText texts[] = {
+      {"SELECT k, " + FoldSelect("gx", "gd") + " FROM g GROUP BY k",
+       &scan_rows},
+      {"SELECT k, " + FoldSelect("hx", "hd") +
+           " FROM g, h WHERE gx = hx GROUP BY k",
+       &join_rows},
+  };
+  for (const GroupText& t : texts) {
+    SCOPED_TRACE(t.sql);
+    const std::vector<Row> want = BruteForceGroups(*t.rows);
+    for (int threads : {1, 4}) {
+      for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+        QueryOptions opts;
+        opts.num_threads = threads;
+        opts.batch_size = batch_size;
+        if (threads > 1) opts.morsel_size = 64;
+        auto got = db.Query(t.sql, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_NE(got->physical_plan.find("HashGroupBy"), std::string::npos)
+            << got->physical_plan;
+        EXPECT_TRUE(RowMultisetsEqual(want, got->rows))
+            << "threads " << threads << ", batch " << batch_size
+            << "\nplan:\n" << got->physical_plan;
+      }
+    }
+  }
 }
 
 }  // namespace
