@@ -78,18 +78,19 @@ inline constexpr long long kCgAbiVersion = 1;
 
 // --- ABI generation 2: the widened compiled region (DESIGN.md §12).
 //     Chains may terminate in a fused hash-join probe and/or group-by
-//     accumulate loop; the emitted TU probes the interpreter's own hash
-//     structures through the read-only slot views below (layouts
-//     static_assert-pinned at the export sites) and folds aggregates
-//     into caller-provided SoA accumulator arrays.
+//     accumulate loop; the emitted TU probes the interpreter's own key
+//     indexes through KeyIndex::Int64View (its one layout,
+//     static_assert-pinned at the export site) and folds aggregates into
+//     caller-provided SoA accumulator arrays. `slots == nullptr` means an
+//     empty index: every probe misses. `keys` holds a {null word, value}
+//     record per key id.
 
-/// JoinHashTable exposed to emitted code (JoinHashTable::JoinInt64View
-/// plus per-worker probe scratch sized to the batch by the caller).
-/// `slots == nullptr` means an empty build side: every probe misses.
+/// A join's key index plus its payload multimap and per-worker probe
+/// scratch sized to the batch by the caller.
 struct CgJoinView {
-  const void* slots;        ///< {u64 hash, u32 key_id} pairs, 16-byte
+  const void* slots;        ///< {u64 hash, u32 id} pairs, 16-byte
   uint64_t mask;
-  const int64_t* keys;      ///< raw int64 key per key id
+  const int64_t* keys;      ///< {null word, value} per key id
   const uint32_t* offsets;  ///< num_keys + 1 prefix sums into payload
   const uint32_t* payload;  ///< build-row indices grouped by key, asc
   uint64_t* hash_scratch;   ///< [n] probe hashes (pass 1 → pass 2)
@@ -97,13 +98,12 @@ struct CgJoinView {
   uint8_t* valid_scratch;   ///< [n] 1 = row passed filters, key non-NULL
 };
 
-/// One worker's FlatRowMap partial, snapshotted before the batch runs
-/// (phase-B inserts grow the arrays, so the view is per batch). `slots
-/// == nullptr` means an empty map: every group probe misses.
+/// One worker's group map, snapshotted before the batch runs (phase-B
+/// inserts grow the arrays, so the view is per batch).
 struct CgGroupView {
-  const void* slots;   ///< {u64 hash, u32 idx} pairs, 16-byte
+  const void* slots;   ///< {u64 hash, u32 id} pairs, 16-byte
   uint64_t mask;
-  const void* keys;    ///< {int64 key, u8 null} entries, 16-byte
+  const int64_t* keys; ///< {null word, value} per key id
   uint64_t num_entries;
 };
 

@@ -128,10 +128,12 @@ bool CompiledPipelineOp::PrepareViews(Scratch* s, size_t n, CgJoinView* jv,
                                       CgGroupView* gv) {
   if (join_ != nullptr) {
     if (jk_col_ < 0) return false;
-    JoinHashTable::JoinInt64View v;
     // Unpublished (still building, failed budget charge, Grace mode) or
-    // generic-keyed tables keep the batch on the interpreted path.
-    if (!join_->codegen_view(&v) || !v.valid) return false;
+    // non-int64 tables keep the batch on the interpreted path.
+    const JoinHashTable* table = join_->codegen_table();
+    if (table == nullptr) return false;
+    const KeyIndex::Int64View v = table->index().ExportInt64View();
+    if (!v.valid) return false;
     if (s->jhash.size() < n) {
       s->jhash.resize(n);
       s->jkey.resize(n);
@@ -140,25 +142,25 @@ bool CompiledPipelineOp::PrepareViews(Scratch* s, size_t n, CgJoinView* jv,
     jv->slots = v.slots;
     jv->mask = v.mask;
     jv->keys = v.keys;
-    jv->offsets = v.offsets;
-    jv->payload = v.payload;
+    jv->offsets = table->offsets();
+    jv->payload = table->payload();
     jv->hash_scratch = s->jhash.data();
     jv->key_scratch = s->jkey.data();
     jv->valid_scratch = s->jvalid.data();
   }
   if (group_ != nullptr) {
     if (gk_col_ < 0) return false;
-    const FlatRowMap<std::unique_ptr<AggregatorSet>>::Int64SlotView v =
-        group_->worker_groups(static_cast<size_t>(CurrentWorkerId()))
-            ->ExportInt64View();
+    const HashGroupByOp::GroupMap& groups =
+        *group_->worker_groups(static_cast<size_t>(CurrentWorkerId()));
+    const KeyIndex::Int64View v = groups.index().ExportInt64View();
     // A map downgraded to generic keys (an interpreted fallback batch saw
     // a non-int64 key) can no longer be probed by the emitted loop.
     if (!v.valid) return false;
     gv->slots = v.slots;
     gv->mask = v.mask;
     gv->keys = v.keys;
-    gv->num_entries = v.num_entries;
-    EnsureSoA(s, v.num_entries);
+    gv->num_entries = groups.size();
+    EnsureSoA(s, groups.size());
     const std::vector<CgAggFold>& aggs = chain_.terminal.aggs;
     s->acc_ptrs.resize(aggs.size() * 5);
     for (size_t j = 0; j < aggs.size(); ++j) {
@@ -331,9 +333,9 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
       const bool knull = NullAt(kc, rr);
       const int64_t kv =
           knull ? 0 : static_cast<const int64_t*>(kc.data)[rr];
-      const uint32_t idx = gm->FindOrEmplaceInt64Idx(kv, knull, [&] {
-        return std::make_unique<AggregatorSet>(specs);
-      });
+      const uint32_t idx = gm->FindOrEmplaceId(
+          knull ? Value::Null() : Value::Int64(kv),
+          [&] { return std::make_unique<AggregatorSet>(specs); });
       if (!aggs.empty() &&
           static_cast<size_t>(idx) >= s.soa[0].count.size()) {
         EnsureSoA(&s, static_cast<size_t>(idx) + 1);
@@ -361,11 +363,11 @@ void CompiledPipelineOp::AbsorbSoA() {
   for (size_t w = 0; w < workers; ++w) {
     Scratch& s = scratch_[w];
     if (s.soa.empty()) continue;
-    std::vector<HashGroupByOp::GroupMap::Entry>& entries =
-        group_->worker_groups(w)->mutable_entries();
+    std::vector<std::unique_ptr<AggregatorSet>>& sets =
+        group_->worker_groups(w)->values();
     for (size_t j = 0; j < aggs.size(); ++j) {
       const AggSoA& a = s.soa[j];
-      const size_t m = std::min(a.count.size(), entries.size());
+      const size_t m = std::min(a.count.size(), sets.size());
       for (size_t idx = 0; idx < m; ++idx) {
         const int64_t cnt = a.count[idx];
         const bool has = a.has[idx] != 0;
@@ -383,7 +385,7 @@ void CompiledPipelineOp::AbsorbSoA() {
             (aggs[j].func == AggFunc::kSum ||
              aggs[j].func == AggFunc::kAvg) &&
             cnt > 0;
-        entries[idx].value->mutable_agg(j).MergeCompiledPartial(
+        sets[idx]->mutable_agg(j).MergeCompiledPartial(
             cnt, a.isum[idx], a.dsum[idx], sum_is_double, extreme);
       }
     }

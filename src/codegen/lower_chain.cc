@@ -594,9 +594,9 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
 
   // --- Reusable snippets over the registered columns.
 
-  // Group-key hash + slot probe; leaves the dense entry index in `g`
-  // (4294967295u = missed the snapshot). Mirrors FindOrEmplaceInt64's
-  // probe loop: cached-hash compare, then key/null equality.
+  // Group-key hash + slot probe; leaves the key id in `g` (4294967295u =
+  // missed the snapshot). Mirrors KeyIndex's width-1 probe: cached-hash
+  // compare, then the {null word, value} record.
   auto group_key_and_probe = [&](std::ostringstream& os) {
     const std::string c = "c" + std::to_string(gk);
     os << "      const long long gkv = " << c << "[r];\n"
@@ -607,13 +607,11 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
        << "      if (gs) {\n"
        << "        u64 gp = gh & gm;\n"
        << "        for (;;) {\n"
-       << "          const CgGSlot s = gs[gp];\n"
-       << "          if (s.idx == 4294967295u) break;\n"
-       << "          if (s.hash == gh) {\n"
-       << "            const CgGKey e = gke[s.idx];\n"
-       << "            if ((int)e.null == gnl && (gnl || e.key == gkv)) { "
-          "g = s.idx; break; }\n"
-       << "          }\n"
+       << "          const CgSlot s = gs[gp];\n"
+       << "          if (s.id == 4294967295u) break;\n"
+       << "          const long long* e = gke + 2 * (u64)s.id;\n"
+       << "          if (s.hash == gh && e[0] == gnl && (gnl || e[1] == gkv)) "
+          "{ g = s.id; break; }\n"
        << "          gp = (gp + 1) & gm;\n"
        << "        }\n"
        << "      }\n";
@@ -696,17 +694,18 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
        << "  }\n";
   };
   // Join slot probe for the row at loop index i (hash/key from scratch);
-  // leaves the key id in `kid`. Mirrors JoinHashTable::FindKey.
+  // leaves the key id in `kid`. Mirrors KeyIndex's width-1 probe; a join
+  // stores no NULL key, so the value word decides.
   auto join_probe = [&](std::ostringstream& os) {
     os << "      const u64 h = hs[i];\n"
        << "      const long long kv = ks[i];\n"
        << "      u32 kid = 4294967295u;\n"
        << "      u64 p = h & jm;\n"
        << "      for (;;) {\n"
-       << "        const CgJSlot s = js[p];\n"
-       << "        if (s.key_id == 4294967295u) break;\n"
-       << "        if (s.hash == h && jke[s.key_id] == kv) { kid = "
-          "s.key_id; break; }\n"
+       << "        const CgSlot s = js[p];\n"
+       << "        if (s.id == 4294967295u) break;\n"
+       << "        if (s.hash == h && jke[2 * (u64)s.id + 1] == kv) { kid = "
+          "s.id; break; }\n"
        << "        p = (p + 1) & jm;\n"
        << "      }\n";
   };
@@ -728,11 +727,9 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
          "long* keys; const u32* offsets; const u32* payload; u64* "
          "hash_scratch; long long* key_scratch; unsigned char* "
          "valid_scratch; };\n"
-      << "struct CgGroupView { const void* slots; u64 mask; const void* "
-         "keys; u64 num_entries; };\n"
-      << "struct CgJSlot { u64 hash; u32 key_id; };\n"
-      << "struct CgGSlot { u64 hash; u32 idx; };\n"
-      << "struct CgGKey { long long key; unsigned char null; };\n"
+      << "struct CgGroupView { const void* slots; u64 mask; const long "
+         "long* keys; u64 num_entries; };\n"
+      << "struct CgSlot { u64 hash; u32 id; };\n"
       << "static u64 cg_mix(u64 h) {\n"  // splitmix64 == HashInt64Key
       << "  h += 0x9e3779b97f4a7c15ull;\n"
       << "  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
@@ -746,7 +743,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
          "out_a, u32* out_b, u64 out_cap, u64 start_row, u64* counts) {\n";
   EmitColumnDecls(src, em);
   if (join) {
-    src << "  const CgJSlot* js = (const CgJSlot*)jv->slots;\n"
+    src << "  const CgSlot* js = (const CgSlot*)jv->slots;\n"
         << "  const u64 jm = jv->mask;\n"
         << "  const long long* jke = jv->keys;\n"
         << "  const u32* jof = jv->offsets;\n"
@@ -756,9 +753,9 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
         << "  unsigned char* vs = jv->valid_scratch;\n";
   }
   if (group) {
-    src << "  const CgGSlot* gs = (const CgGSlot*)gv->slots;\n"
+    src << "  const CgSlot* gs = (const CgSlot*)gv->slots;\n"
         << "  const u64 gm = gv->mask;\n"
-        << "  const CgGKey* gke = (const CgGKey*)gv->keys;\n";
+        << "  const long long* gke = gv->keys;\n";
     for (size_t j = 0; j < terminal.aggs.size(); ++j) {
       const CgAggFold& a = terminal.aggs[j];
       const std::string J = std::to_string(j);

@@ -10,8 +10,9 @@
 #include <cstddef>
 #include <mutex>
 #include <string>
+#include <vector>
 
-#include "common/flat_table.h"
+#include "common/key_index.h"
 #include "exec/phys_op.h"
 
 namespace bypass {
@@ -37,7 +38,9 @@ class DistinctPhysOp : public UnaryPhysOp {
  private:
   std::mutex mu_;
   const size_t reserve_;
-  FlatRowSet seen_;  // packed keys; Rows only for non-int64 shapes
+  KeyIndex seen_;  // packed keys; Rows only for non-int64 shapes
+  std::vector<int> slots_;  // every column: the whole row is the key
+  std::vector<uint32_t> ids_;
 };
 
 }  // namespace bypass

@@ -20,13 +20,13 @@ Status MergeGroupMaps(GroupMap* dst, GroupMap* src) {
     src->Clear();
     return Status::OK();
   }
-  for (auto& entry : src->mutable_entries()) {
-    auto* existing = dst->Find(entry.key);
-    if (existing == nullptr) {
-      dst->EmplaceNew(std::move(entry.key), std::move(entry.value));
-    } else {
-      BYPASS_RETURN_IF_ERROR((*existing)->Merge(*entry.value));
-    }
+  for (uint32_t id = 0; id < src->size(); ++id) {
+    bool moved = false;
+    auto& value = dst->FindOrEmplace(src->key(id), [&] {
+      moved = true;
+      return std::move(src->values()[id]);
+    });
+    if (!moved) BYPASS_RETURN_IF_ERROR(value->Merge(*src->values()[id]));
   }
   src->Clear();
   return Status::OK();
@@ -75,37 +75,18 @@ Status HashGroupByOp::Consume(int, RowBatch batch) {
   if (scalar_) {
     return partial.scalar->AccumulateBatch(batch, ctx_->outer_row());
   }
-  // Resolve every selected row's group first — straight off a typed
-  // int64 key column when the grouping has one key, else through the
-  // rows — then fold the aggregates over the batch.
+  // Resolve every selected row's group in one batch call — packed keys
+  // straight off the typed key columns — then fold the aggregates over
+  // the batch.
   const size_t n = batch.size();
+  partial.groups.FindOrEmplaceBatch(
+      batch, key_slots_,
+      [&] { return std::make_unique<AggregatorSet>(&aggregates_); },
+      &partial.ids);
   std::vector<AggregatorSet*>& sets = partial.sets;
   sets.resize(n);
-  auto make = [&] { return std::make_unique<AggregatorSet>(&aggregates_); };
-  const ColumnVector* key_col = nullptr;
-  if (key_slots_.size() == 1 && batch.columns() != nullptr) {
-    const size_t slot = static_cast<size_t>(key_slots_[0]);
-    if (slot < batch.columns()->columns.size()) {
-      const ColumnVector& col = batch.columns()->columns[slot];
-      if (col.typed() && col.type() == DataType::kInt64) key_col = &col;
-    }
-  }
-  if (key_col != nullptr) {
-    const int64_t* keys = key_col->i64_data();
-    const std::vector<uint32_t>& sel = batch.selection();
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t idx = sel[i];
-      sets[i] = partial.groups
-                    .FindOrEmplaceInt64(keys[idx], key_col->IsNull(idx), make)
-                    .get();
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      sets[i] = partial.groups
-                    .FindOrEmplace(RowSlotsRef{&batch.row(i), &key_slots_},
-                                   make)
-                    .get();
-    }
+  for (size_t i = 0; i < n; ++i) {
+    sets[i] = partial.groups.values()[partial.ids[i]].get();
   }
   return AggregatorSet::AccumulateGrouped(batch, sets.data(),
                                           ctx_->outer_row());
@@ -129,9 +110,9 @@ Status HashGroupByOp::FinishPort(int) {
     BYPASS_RETURN_IF_ERROR(merged.scalar->FinalizeInto(&out));
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(out)));
   } else {
-    for (const auto& entry : merged.groups.entries()) {
-      Row out = entry.key;
-      BYPASS_RETURN_IF_ERROR(entry.value->FinalizeInto(&out));
+    for (uint32_t id = 0; id < merged.groups.size(); ++id) {
+      Row out = merged.groups.key(id);
+      BYPASS_RETURN_IF_ERROR(merged.groups.values()[id]->FinalizeInto(&out));
       BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(out)));
     }
   }
@@ -151,7 +132,8 @@ BinaryGroupByHashOp::BinaryGroupByHashOp(
 
 void BinaryGroupByHashOp::Reset() {
   BinaryPhysOp::Reset();
-  group_values_.Clear();
+  group_keys_.Clear();
+  group_values_.clear();
   empty_group_values_.clear();
 }
 
@@ -197,14 +179,15 @@ Status BinaryGroupByHashOp::BuildFromRight() {
   } else {
     BYPASS_RETURN_IF_ERROR(AccumulateRange(0, n, &groups));
   }
-  // Phase 2: finalize into value rows probed per left tuple.
-  group_values_.Clear();
-  group_values_.Reserve(groups.size());
-  for (auto& entry : groups.mutable_entries()) {
+  // Phase 2: finalize into value rows, by key id, probed per left tuple.
+  group_values_.clear();
+  group_values_.reserve(groups.size());
+  for (const std::unique_ptr<AggregatorSet>& aggs : groups.values()) {
     Row vals;
-    BYPASS_RETURN_IF_ERROR(entry.value->FinalizeInto(&vals));
-    group_values_.EmplaceNew(std::move(entry.key), std::move(vals));
+    BYPASS_RETURN_IF_ERROR(aggs->FinalizeInto(&vals));
+    group_values_.push_back(std::move(vals));
   }
+  group_keys_ = std::move(groups.index());
   // f(∅) for empty groups.
   empty_group_values_.clear();
   for (const AggregateSpec& a : aggregates_) {
@@ -220,9 +203,9 @@ Status BinaryGroupByHashOp::ProcessLeftBatch(RowBatch batch) {
     const Value& key_val = row[static_cast<size_t>(left_key_slot_)];
     const Row* vals = &empty_group_values_;
     if (!key_val.is_null()) {
-      const Row* found =
-          group_values_.Find(RowSlotsRef{&row, &left_key_slots_});
-      if (found != nullptr) vals = found;
+      const uint32_t id =
+          group_keys_.Find(RowSlotsRef{&row, &left_key_slots_});
+      if (id != KeyIndex::kNone) vals = &group_values_[id];
     }
     for (const Value& v : *vals) row.push_back(v);
     BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(row)));

@@ -37,17 +37,11 @@ class HashGroupByOp : public UnaryPhysOp {
     return scalar_ ? "ScalarAgg" : "HashGroupBy";
   }
 
-  // Flat table with transparent probes: group lookup hashes a
-  // RowSlotsRef over the input row, so only new groups project a key row
-  // (single-column int64 keys skip Value hashing entirely).
+  // Per worker: group ids from one KeyIndex, an AggregatorSet per id.
   using GroupMap = FlatRowMap<std::unique_ptr<AggregatorSet>>;
 
-  // --- Codegen-tier surface (DESIGN.md §12): a compiled pipeline that
-  //     fused this operator's accumulate loop folds straight into the
-  //     owning worker's partial map (the same per-worker discipline as
-  //     Consume); the merged finish path below is untouched.
-
-  /// Worker `w`'s partial group map.
+  /// Worker `w`'s partial group map: a compiled pipeline that fused this
+  /// operator's accumulate loop folds straight into it (DESIGN.md §12).
   GroupMap* worker_groups(size_t w) { return &partials_[w].groups; }
   size_t num_partials() const { return partials_.size(); }
   /// Spec list backing every AggregatorSet of this operator — phase-B
@@ -63,6 +57,7 @@ class HashGroupByOp : public UnaryPhysOp {
   struct alignas(64) Partial {
     GroupMap groups;
     std::unique_ptr<AggregatorSet> scalar;
+    std::vector<uint32_t> ids;         // Consume: each row's group id
     std::vector<AggregatorSet*> sets;  // Consume: each row's group
   };
 
@@ -99,7 +94,8 @@ class BinaryGroupByHashOp : public BinaryPhysOp {
   std::vector<int> left_key_slots_;
   std::vector<int> right_key_slots_;
   std::vector<AggregateSpec> aggregates_;
-  FlatRowMap<Row> group_values_;
+  KeyIndex group_keys_;
+  std::vector<Row> group_values_;  // by key id
   Row empty_group_values_;
 };
 

@@ -16,47 +16,6 @@ bool AnyNull(const Row& row, const std::vector<int>& slots) {
   return false;
 }
 
-/// Rows at or above which the hashing pass is parallelized.
-constexpr size_t kParallelBuildThreshold = 4096;
-
-/// Probe-ahead distance for the batched probe's software prefetch: far
-/// enough to cover one memory round-trip, close enough to stay in the
-/// batch's working window.
-constexpr size_t kPrefetchDistance = 8;
-
-/// Packs the key at `slots` of `row` into `words` as int64s; false when
-/// some value can equal no int64. `*has_null` reports a NULL key value.
-bool PackKey(const Row& row, const std::vector<int>& slots, int64_t* words,
-             bool* has_null) {
-  *has_null = false;
-  for (size_t j = 0; j < slots.size(); ++j) {
-    bool is_null;
-    if (!flat_internal::Int64KeyOf(row[static_cast<size_t>(slots[j])],
-                                   &words[j], &is_null)) {
-      return false;
-    }
-    *has_null = *has_null || is_null;
-  }
-  return true;
-}
-
-/// The batch's typed int64 column at `slot`, or null.
-const ColumnVector* TypedInt64Column(const RowBatch& batch, size_t slot) {
-  const ColumnStore* store = batch.columns();
-  if (store == nullptr || slot >= store->columns.size()) return nullptr;
-  const ColumnVector& col = store->columns[slot];
-  return col.typed() && col.type() == DataType::kInt64 ? &col : nullptr;
-}
-
-/// The value at `slot` of the batch's i-th row, read from its column when
-/// the batch is column-only, so a probe never materializes its rows.
-Value ProbeValue(const RowBatch& batch, size_t i, size_t slot) {
-  if (batch.has_rows() || batch.columns() == nullptr) {
-    return batch.row(i)[slot];
-  }
-  return batch.columns()->columns[slot].GetValue(batch.selection()[i]);
-}
-
 /// Value-determined Grace partition hash: equal join keys must land in
 /// the same partition no matter which side or representation they come
 /// from. Single-column keys structurally equal to an int64 (int64, or a
@@ -67,9 +26,8 @@ uint64_t GracePartitionHash(const Row& row, const std::vector<int>& slots) {
   if (slots.size() == 1) {
     int64_t k;
     bool is_null;
-    if (flat_internal::Int64KeyOf(row[static_cast<size_t>(slots[0])], &k,
-                                  &is_null)) {
-      return flat_internal::HashInt64Key(k);
+    if (Int64KeyOf(row[static_cast<size_t>(slots[0])], &k, &is_null)) {
+      return HashInt64Key(k);
     }
   }
   return HashRowSlots(row, slots);
@@ -87,182 +45,35 @@ size_t GracePartitionOf(const Row& row, const std::vector<int>& slots) {
 }  // namespace
 
 void JoinHashTable::Clear() {
-  slots_.clear();
-  mask_ = 0;
-  num_keys_ = 0;
-  key_words_.clear();
-  key_repr_.clear();
+  index_.Clear();
   offsets_.clear();
   payload_.clear();
-  build_rows_ = nullptr;
-  build_key_slots_ = nullptr;
-  shape_ = KeyShape::kGeneric;
-  width_ = 0;
-}
-
-void JoinHashTable::HashRange(const std::vector<Row>& rows,
-                              const std::vector<int>& key_slots,
-                              size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    if (AnyNull(rows[i], key_slots)) {
-      row_key_[i] = kSkip;
-      continue;
-    }
-    hashes_[i] = HashRowSlots(rows[i], key_slots);
-    row_key_[i] = 0;  // participates; key id assigned by insert pass
-  }
-}
-
-void JoinHashTable::ResetSlots() {
-  slots_.assign(16, Slot{0, kEmpty});
-  mask_ = slots_.size() - 1;
-  num_keys_ = 0;
-}
-
-uint32_t JoinHashTable::NewKey(Slot* slot, uint64_t hash,
-                               std::vector<uint32_t>* counts) {
-  const uint32_t key_id = static_cast<uint32_t>(num_keys_++);
-  *slot = Slot{hash, key_id};
-  counts->push_back(0);
-  // Keep the load at or below 1/4.
-  if (num_keys_ * 4 > slots_.size()) {
-    std::vector<Slot> old(slots_.size() * 2, Slot{0, kEmpty});
-    old.swap(slots_);
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.key_id == kEmpty) continue;
-      size_t pos = s.hash & mask_;
-      while (slots_[pos].key_id != kEmpty) pos = (pos + 1) & mask_;
-      slots_[pos] = s;
-    }
-  }
-  return key_id;
-}
-
-bool JoinHashTable::InsertWords(const std::vector<Row>& rows,
-                                const std::vector<int>& key_slots,
-                                std::vector<uint32_t>* counts) {
-  const size_t w = width_;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    int64_t words[kMaxPackedWidth];
-    bool has_null;
-    if (!PackKey(rows[i], key_slots, words, &has_null)) return false;
-    if (has_null) {
-      row_key_[i] = kSkip;
-      continue;
-    }
-    // Equal int64 hashes mean equal keys (see FindInt64).
-    const uint64_t h = w == 1 ? flat_internal::HashInt64Key(words[0])
-                              : flat_internal::HashInt64Words(words, w);
-    uint32_t key_id;
-    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
-      Slot& s = slots_[pos];
-      if (s.key_id == kEmpty) {
-        key_words_.insert(key_words_.end(), words, words + w);
-        key_id = NewKey(&s, h, counts);
-        break;
-      }
-      if (s.hash == h &&
-          (w == 1 || std::equal(words, words + w,
-                                key_words_.data() + size_t{s.key_id} * w))) {
-        key_id = s.key_id;
-        break;
-      }
-    }
-    row_key_[i] = key_id;
-    ++(*counts)[key_id];
-  }
-  return true;
-}
-
-void JoinHashTable::InsertGeneric(const std::vector<Row>& rows,
-                                  const std::vector<int>& key_slots,
-                                  WorkerPool* pool,
-                                  std::vector<uint32_t>* counts) {
-  const size_t n = rows.size();
-  hashes_.resize(n);
-  if (pool != nullptr && pool->num_workers() > 1 &&
-      n >= kParallelBuildThreshold) {
-    // Tasks write disjoint ranges of the per-row arrays, so the pass is
-    // deterministic regardless of scheduling; the insert/fill passes
-    // stay serial, keeping the final layout byte-identical to the serial
-    // build (the PR 2 merge contract).
-    const size_t num_tasks = static_cast<size_t>(pool->num_workers());
-    const size_t chunk = (n + num_tasks - 1) / num_tasks;
-    const Status st = pool->ParallelFor(num_tasks, [&](size_t t) {
-      const size_t begin = t * chunk;
-      HashRange(rows, key_slots, begin, std::min(begin + chunk, n));
-      return Status::OK();
-    });
-    BYPASS_CHECK_MSG(st.ok(), "parallel hash pass cannot fail");
-  } else {
-    HashRange(rows, key_slots, 0, n);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (row_key_[i] == kSkip) continue;
-    const uint64_t h = hashes_[i];
-    uint32_t key_id;
-    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
-      Slot& s = slots_[pos];
-      if (s.key_id == kEmpty) {
-        key_repr_.push_back(static_cast<uint32_t>(i));
-        key_id = NewKey(&s, h, counts);
-        break;
-      }
-      if (s.hash == h && RowSlotsEqual(rows[i], rows[key_repr_[s.key_id]],
-                                       key_slots, key_slots)) {
-        key_id = s.key_id;
-        break;
-      }
-    }
-    row_key_[i] = key_id;
-    ++(*counts)[key_id];
-  }
 }
 
 void JoinHashTable::Build(const std::vector<Row>& rows,
-                          const std::vector<int>& key_slots,
-                          WorkerPool* pool) {
+                          const std::vector<int>& key_slots) {
   Clear();
-  build_rows_ = &rows;
-  build_key_slots_ = &key_slots;
   const size_t n = rows.size();
-  if (n == 0) return;
-
-  // Insert pass, serial in ascending row order: assigns key ids and
-  // counts rows per key. One int64 key column elects the int64 shape, up
-  // to kMaxPackedWidth the packed one; a key value that equals no int64
-  // starts the build over with generic keys.
   row_key_.resize(n);
-  width_ = key_slots.size();
-  std::vector<uint32_t> counts;
-  ResetSlots();
-  shape_ = width_ == 0 || width_ > kMaxPackedWidth ? KeyShape::kGeneric
-           : width_ == 1                           ? KeyShape::kInt64
-                                                   : KeyShape::kPacked;
-  if (shape_ != KeyShape::kGeneric &&
-      !InsertWords(rows, key_slots, &counts)) {
-    shape_ = KeyShape::kGeneric;
-    key_words_.clear();
-    counts.clear();
-    ResetSlots();
+  // A batch of rows at a time, so the inserts run with slots prefetched
+  // and the index's scratch stays one batch long.
+  for (size_t begin = 0; begin < n; begin += kDefaultBatchSize) {
+    const size_t end = std::min(n, begin + kDefaultBatchSize);
+    index_.FindOrInsertBatch(RowBatch::Borrowed(&rows, begin, end), key_slots,
+                             row_key_.data() + begin,
+                             KeyIndex::Equality::kJoin);
   }
-  if (shape_ == KeyShape::kGeneric) {
-    InsertGeneric(rows, key_slots, pool, &counts);
+  // Fill pass: prefix sums of the rows per key, then ascending row
+  // indices per key.
+  offsets_.assign(index_.size() + 1, 0);
+  for (uint32_t id : row_key_) {
+    if (id != KeyIndex::kNone) ++offsets_[id + 1];
   }
-
-  // Fill pass: prefix sums, then ascending row indices per key.
-  offsets_.resize(counts.size() + 1);
-  uint32_t total = 0;
-  for (size_t k = 0; k < counts.size(); ++k) {
-    offsets_[k] = total;
-    total += counts[k];
-  }
-  offsets_[counts.size()] = total;
-  payload_.resize(total);
+  for (size_t k = 0; k < index_.size(); ++k) offsets_[k + 1] += offsets_[k];
+  payload_.resize(offsets_.back());
   std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (size_t i = 0; i < n; ++i) {
-    if (row_key_[i] == kSkip) continue;
+    if (row_key_[i] == KeyIndex::kNone) continue;
     payload_[cursor[row_key_[i]]++] = static_cast<uint32_t>(i);
   }
 }
@@ -270,156 +81,20 @@ void JoinHashTable::Build(const std::vector<Row>& rows,
 void JoinHashTable::ProbeBatch(const RowBatch& batch,
                                const std::vector<int>& probe_slots,
                                JoinProbeScratch* scratch) const {
-  const size_t n = batch.size();
-  scratch->matches.assign(n, JoinMatches{});
-  if (num_keys_ == 0 || n == 0) return;
-  switch (shape_) {
-    case KeyShape::kInt64:
-      ProbeInt64(batch, static_cast<size_t>(probe_slots[0]),
-                 scratch->matches.data());
-      return;
-    case KeyShape::kPacked:
-      ProbePacked(batch, probe_slots, scratch);
-      return;
-    case KeyShape::kGeneric:
-      ProbeGeneric(batch, probe_slots, scratch);
-      return;
-  }
-}
-
-// Hashes and resolves in one pass; at 1/4 load a miss — the common case
-// of the paper's selective joins — reads about one slot.
-void JoinHashTable::ProbeInt64(const RowBatch& batch, size_t slot,
-                               JoinMatches* matches) const {
-  const size_t n = batch.size();
-  const std::vector<uint32_t>& sel = batch.selection();
-  const ColumnVector* col = TypedInt64Column(batch, slot);
-  if (col != nullptr) {
-    const int64_t* data = col->i64_data();
-    if (!col->has_nulls()) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t key_id = FindInt64(data[sel[i]]);
-        if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t idx = sel[i];
-      if (col->IsNull(idx)) continue;
-      const uint32_t key_id = FindInt64(data[idx]);
-      if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    int64_t k;
-    bool is_null;
-    if (!flat_internal::Int64KeyOf(ProbeValue(batch, i, slot), &k,
-                                   &is_null) ||
-        is_null) {
-      continue;
-    }
-    const uint32_t key_id = FindInt64(k);
-    if (key_id != kEmpty) matches[i] = MatchesOf(key_id);
-  }
-}
-
-// Packs the probe keys column by column into scratch->keys, then hashes
-// and resolves each row against the key arena.
-void JoinHashTable::ProbePacked(const RowBatch& batch,
-                                const std::vector<int>& probe_slots,
-                                JoinProbeScratch* scratch) const {
-  const size_t n = batch.size();
-  const size_t w = width_;
-  const std::vector<uint32_t>& sel = batch.selection();
-  scratch->keys.resize(n * w);
-  scratch->valid.assign(n, 1);
-  int64_t* keys = scratch->keys.data();
-  uint8_t* valid = scratch->valid.data();
-  for (size_t j = 0; j < w; ++j) {
-    const size_t slot = static_cast<size_t>(probe_slots[j]);
-    const ColumnVector* col = TypedInt64Column(batch, slot);
-    if (col != nullptr) {
-      const int64_t* data = col->i64_data();
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t idx = sel[i];
-        keys[i * w + j] = data[idx];
-        if (col->IsNull(idx)) valid[i] = 0;
-      }
-      continue;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (valid[i] == 0) continue;
-      bool is_null;
-      if (!flat_internal::Int64KeyOf(ProbeValue(batch, i, slot),
-                                     &keys[i * w + j], &is_null) ||
-          is_null) {
-        valid[i] = 0;
-      }
-    }
-  }
-  const int64_t* arena = key_words_.data();
-  for (size_t i = 0; i < n; ++i) {
-    if (valid[i] == 0) continue;
-    const int64_t* key = keys + i * w;
-    const uint64_t h = flat_internal::HashInt64Words(key, w);
-    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
-      const Slot& s = slots_[pos];
-      if (s.key_id == kEmpty) break;
-      if (s.hash == h &&
-          std::equal(key, key + w, arena + size_t{s.key_id} * w)) {
-        scratch->matches[i] = MatchesOf(s.key_id);
-        break;
-      }
-    }
-  }
-}
-
-// Two passes: hash every probe key, then resolve with the slot line for
-// row i + d prefetched while row i resolves.
-void JoinHashTable::ProbeGeneric(const RowBatch& batch,
-                                 const std::vector<int>& probe_slots,
-                                 JoinProbeScratch* scratch) const {
-  const size_t n = batch.size();
-  scratch->hashes.resize(n);
-  scratch->valid.assign(n, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = batch.row(i);
-    if (AnyNull(row, probe_slots)) continue;
-    scratch->hashes[i] = HashRowSlots(row, probe_slots);
-    scratch->valid[i] = 1;
-  }
-  const std::vector<Row>& build_rows = *build_rows_;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t ahead = i + kPrefetchDistance;
-    if (ahead < n && scratch->valid[ahead]) {
-      __builtin_prefetch(&slots_[scratch->hashes[ahead] & mask_]);
-    }
-    if (!scratch->valid[i]) continue;
-    const uint64_t h = scratch->hashes[i];
-    const Row& row = batch.row(i);
-    for (size_t pos = h & mask_;; pos = (pos + 1) & mask_) {
-      const Slot& s = slots_[pos];
-      if (s.key_id == kEmpty) break;
-      if (s.hash == h &&
-          RowSlotsEqual(row, build_rows[key_repr_[s.key_id]], probe_slots,
-                        *build_key_slots_)) {
-        scratch->matches[i] = MatchesOf(s.key_id);
-        break;
-      }
-    }
-  }
+  scratch->matches.assign(batch.size(), JoinMatches{});
+  JoinMatches* matches = scratch->matches.data();
+  index_.FindBatch(batch, probe_slots, &scratch->keys,
+                   [&](size_t i, uint32_t id) {
+                     matches[i] = JoinMatches{payload_.data() + offsets_[id],
+                                              offsets_[id + 1] - offsets_[id]};
+                   });
 }
 
 int64_t JoinHashTable::RetainedBytes() const {
-  const size_t bytes = slots_.capacity() * sizeof(Slot) +
-                       key_words_.capacity() * sizeof(int64_t) +
-                       key_repr_.capacity() * sizeof(uint32_t) +
-                       offsets_.capacity() * sizeof(uint32_t) +
+  const size_t bytes = offsets_.capacity() * sizeof(uint32_t) +
                        payload_.capacity() * sizeof(uint32_t) +
-                       hashes_.capacity() * sizeof(uint64_t) +
                        row_key_.capacity() * sizeof(uint32_t);
-  return static_cast<int64_t>(bytes);
+  return index_.RetainedBytes() + static_cast<int64_t>(bytes);
 }
 
 // --------------------------------------------------------------- HashJoin
@@ -432,8 +107,7 @@ Status HashJoinOp::Prepare(ExecContext* ctx) {
 
 void HashJoinOp::Reset() {
   BinaryPhysOp::Reset();
-  view_published_.store(false, std::memory_order_release);
-  view_ = JoinHashTable::JoinInt64View{};
+  table_published_.store(false, std::memory_order_release);
   table_.Clear();
   grace_ = false;
   right_parts_.clear();
@@ -473,7 +147,7 @@ Status HashJoinOp::BuildFromRight() {
                 size_t{1} << (64 - kGracePartitionShift));
   if (!keyed()) return Status::OK();  // every build row is a candidate
   if (right_spilled()) return EnterGraceMode();
-  table_.Build(right_rows(), build_key_slots_, ctx_->pool());
+  table_.Build(right_rows(), build_key_slots_);
   // The index arrays scale with the build side exactly like the buffered
   // rows (charged on arrival) do, so they pay into the budget too.
   const int64_t bytes = table_.RetainedBytes();
@@ -485,18 +159,17 @@ Status HashJoinOp::BuildFromRight() {
   } else {
     BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
   }
-  // A semi or anti join without a residual reads only match counts, so
-  // a table that holds its own keys lets the buffered build rows go.
-  if (existence() && residual_ == nullptr && table_.owns_keys()) {
+  // A semi or anti join without a residual reads only match counts, and
+  // the table holds its own keys, so the buffered build rows can go.
+  if (existence() && residual_ == nullptr) {
     TakeRightRows();
     ctx_->run().ReleaseMemory(TakeRightCharges());
   }
-  // The build is complete and budgeted: publish the codegen view. The
-  // release store pairs with codegen_view()'s acquire load — a compiled
-  // probe bypasses this operator's internal phase ordering, so it needs
-  // its own happens-before edge to the table's arrays.
-  view_ = table_.ExportInt64View();
-  view_published_.store(view_.valid, std::memory_order_release);
+  // The build is complete and budgeted: publish the table. The release
+  // store pairs with codegen_table()'s acquire load — a compiled probe
+  // bypasses this operator's internal phase ordering, so it needs its own
+  // happens-before edge to the table's arrays.
+  table_published_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -581,7 +254,7 @@ Status HashJoinOp::ProbeGracePartitions() {
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
-    table_.Build(build, build_key_slots_, ctx_->pool());
+    table_.Build(build, build_key_slots_);
     const int64_t table_bytes = table_.RetainedBytes();
     if (!ctx_->run().TryChargeMemory(table_bytes)) {
       ctx_->run().ReleaseMemory(row_bytes);

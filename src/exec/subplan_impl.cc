@@ -123,17 +123,17 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
   if (use_cache) {
     stripe = &StripeFor(outer_row, nullptr);
     std::lock_guard<std::mutex> lock(stripe->mu);
-    if (const bool* hit = Lookup(stripe->exists, outer_row)) {
+    if (const uint8_t* hit = Lookup(stripe->exists, outer_row)) {
       ++ctx_.run().stats().subquery_cache_hits;
-      return *hit;
+      return *hit != 0;
     }
   }
   std::lock_guard<std::mutex> exec_lock(exec_mu_);
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
-    if (const bool* hit = Lookup(stripe->exists, outer_row)) {
+    if (const uint8_t* hit = Lookup(stripe->exists, outer_row)) {
       ++ctx_.run().stats().subquery_cache_hits;
-      return *hit;
+      return *hit != 0;
     }
   }
   ctx_.set_limit_one(true);
@@ -144,7 +144,7 @@ Result<bool> ExecSubplan::EvalExists(const Row* outer_row) {
   if (use_cache) {
     std::lock_guard<std::mutex> lock(stripe->mu);
     stripe->exists.FindOrEmplace(MemoKey(outer_row),
-                                 [&] { return found; });
+                                 [&] { return uint8_t{found}; });
   }
   return found;
 }

@@ -62,7 +62,7 @@ class ExecSubplan : public CorrelatedSubplan {
   struct alignas(64) CacheStripe {
     std::mutex mu;
     FlatRowMap<Value> scalar;
-    FlatRowMap<bool> exists;
+    FlatRowMap<uint8_t> exists;  // 0 or 1
     FlatRowMap<TriBool> some;
   };
 

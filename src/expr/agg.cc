@@ -57,7 +57,7 @@ Status Aggregator::Accumulate(const EvalContext& ctx) {
     // COUNT(DISTINCT *) counts distinct rows. Other functions cannot take
     // '*' (rejected at bind time).
     if (spec_->distinct) {
-      if (!distinct_.Insert(*ctx.row)) return Status::OK();
+      if (!distinct_.FindOrInsert(*ctx.row).second) return Status::OK();
     }
     ++count_;
     return Status::OK();
@@ -65,7 +65,7 @@ Status Aggregator::Accumulate(const EvalContext& ctx) {
   BYPASS_ASSIGN_OR_RETURN(Value v, spec_->arg->Eval(ctx));
   if (v.is_null()) return Status::OK();  // aggregates skip NULL inputs
   if (spec_->distinct) {
-    if (!distinct_.Insert(v)) return Status::OK();
+    if (!distinct_.FindOrInsert(v).second) return Status::OK();
   }
   return AccumulateValue(v, *ctx.row);
 }
@@ -204,17 +204,16 @@ Status Aggregator::Merge(const Aggregator& other) {
     // Re-apply only the entries this accumulator has not seen; the other
     // side's sums/counts cannot be added directly because the two dedup
     // sets may overlap.
-    Status st = Status::OK();
-    other.distinct_.ForEach([&](const Row& key) {
-      if (!st.ok()) return;
-      if (!distinct_.Insert(key)) return;
+    for (uint32_t id = 0; id < other.distinct_.size(); ++id) {
+      const Row key = other.distinct_.Key(id);
+      if (!distinct_.FindOrInsert(key).second) continue;
       if (spec_->arg == nullptr) {
         ++count_;
       } else {
-        st = AccumulateValue(key[0], key);
+        BYPASS_RETURN_IF_ERROR(AccumulateValue(key[0], key));
       }
-    });
-    return st;
+    }
+    return Status::OK();
   }
   count_ += other.count_;
   sum_is_double_ = sum_is_double_ || other.sum_is_double_;

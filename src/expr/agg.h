@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_table.h"
+#include "common/key_index.h"
 #include "expr/expr.h"
 #include "types/row.h"
 #include "types/row_batch.h"
@@ -95,7 +95,7 @@ class Aggregator {
   int64_t int_sum_ = 0;
   double double_sum_ = 0;
   Value extreme_;            // running MIN/MAX
-  FlatRowSet distinct_;      // DISTINCT dedup
+  KeyIndex distinct_;        // DISTINCT dedup
 };
 
 /// A bundle of aggregators evaluated over the same group.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "catalog/table.h"
+#include "common/rng.h"
 #include "exec/distinct.h"
 #include "exec/executor.h"
 #include "exec/filter.h"
@@ -581,6 +582,128 @@ TEST(DistinctOpTest, NullsDeduplicateStructurally) {
   ASSERT_TRUE(t.Append(Row{Value::Null()}).ok());
   MiniPlan plan = UnaryPlan(&t, std::make_unique<DistinctPhysOp>());
   EXPECT_EQ(plan.Run().size(), 1u);
+}
+
+/// Rows of `cols` int64 columns over [0, 2], each NULL at 20 %: many
+/// duplicate keys, NULL in every position.
+std::vector<Row> NullableKeyRows(int cols, int n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Row> rows;
+  for (int i = 0; i < n; ++i) {
+    Row row;
+    for (int c = 0; c < cols; ++c) {
+      row.push_back(rng.Bernoulli(0.2) ? Value::Null()
+                                       : Value::Int64(rng.UniformInt(0, 2)));
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// scan → Π (every column, so the batches are column-only) → `op`, with
+/// a BatchRecorder after `op` on Π's output when `tee`, else on `op`'s.
+struct ColumnOnlyPlan {
+  PhysicalPlan plan;
+  BatchRecorder* recorder = nullptr;
+  CollectorSink* sink = nullptr;
+};
+ColumnOnlyPlan ColumnOnlyInput(const Table* table, int cols, PhysOpPtr op,
+                               bool tee) {
+  ColumnOnlyPlan out;
+  std::vector<ExprPtr> exprs;
+  for (int c = 0; c < cols; ++c) exprs.push_back(Slot(c));
+  auto scan = std::make_unique<TableScanOp>(table);
+  auto project = std::make_unique<ProjectPhysOp>(std::move(exprs));
+  auto recorder = std::make_unique<BatchRecorder>();
+  auto sink = std::make_unique<CollectorSink>();
+  out.recorder = recorder.get();
+  out.sink = sink.get();
+  scan->AddConsumer(kPortOut, project.get(), 0);
+  project->AddConsumer(kPortOut, op.get(), 0);
+  if (tee) {
+    // Fan-out runs in edge order: the recorder sees each batch after op.
+    project->AddConsumer(kPortOut, recorder.get(), 0);
+    op->AddConsumer(kPortOut, sink.get(), 0);
+  } else {
+    op->AddConsumer(kPortOut, recorder.get(), 0);
+  }
+  out.plan.sources.push_back(scan.get());
+  out.plan.ops.push_back(std::move(scan));
+  out.plan.ops.push_back(std::move(project));
+  out.plan.ops.push_back(std::move(op));
+  out.plan.ops.push_back(std::move(recorder));
+  out.plan.ops.push_back(std::move(sink));
+  return out;
+}
+
+// A fresh DISTINCT elects its key shape from the typed columns: column-only
+// int64 batches pass through without Row storage and keep the first
+// occurrence of each row.
+TEST(DistinctOpTest, ColumnOnlyInt64BatchesStayRowFree) {
+  const std::vector<Row> rows = NullableKeyRows(3, 500, 31);
+  Table t = MakeTable("t", 3, rows);
+  ColumnOnlyPlan p = ColumnOnlyInput(
+      &t, 3, std::make_unique<DistinctPhysOp>(), /*tee=*/false);
+  ExecContext ctx;
+  ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
+  std::vector<Row> want;
+  for (const Row& row : rows) {
+    bool seen = false;
+    for (const Row& w : want) seen = seen || RowsStructurallyEqual(w, row);
+    if (!seen) want.push_back(row);
+  }
+  EXPECT_GT(p.recorder->batches, 0);
+  EXPECT_EQ(p.recorder->row_only, 0);
+  EXPECT_EQ(p.recorder->with_rows, 0);
+  ASSERT_EQ(p.recorder->rows.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(RowsStructurallyEqual(p.recorder->rows[i], want[i])) << i;
+  }
+}
+
+// Two- and three-column int64 group keys resolve from the typed columns:
+// the grouping never materializes its column-only input batches, and
+// NULL keys group structurally.
+TEST(GroupByOpTest, MultiColumnInt64KeysResolveFromColumns) {
+  const std::vector<Row> rows = NullableKeyRows(4, 600, 32);
+  Table t = MakeTable("t", 4, rows);
+  for (int width : {2, 3}) {
+    SCOPED_TRACE("key width " + std::to_string(width));
+    std::vector<int> keys;
+    for (int c = 0; c < width; ++c) keys.push_back(c);
+    ColumnOnlyPlan p = ColumnOnlyInput(
+        &t, 4,
+        std::make_unique<HashGroupByOp>(keys, CountAndSum(3), false),
+        /*tee=*/true);
+    ExecContext ctx;
+    ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
+    EXPECT_EQ(p.recorder->row_only, 0);
+    EXPECT_EQ(p.recorder->with_rows, 0);
+    std::vector<Row> want;  // (keys..., COUNT(*), SUM(c3))
+    for (const Row& row : rows) {
+      const Row key(row.begin(), row.begin() + width);
+      Row* group = nullptr;
+      for (Row& w : want) {
+        if (RowsStructurallyEqual(Row(w.begin(), w.begin() + width), key)) {
+          group = &w;
+        }
+      }
+      if (group == nullptr) {
+        want.push_back(key);
+        want.back().push_back(Value::Int64(0));
+        want.back().push_back(Value::Null());
+        group = &want.back();
+      }
+      Value& cnt = (*group)[static_cast<size_t>(width)];
+      Value& sum = (*group)[static_cast<size_t>(width) + 1];
+      cnt = Value::Int64(cnt.int64_value() + 1);
+      if (!row[3].is_null()) {
+        sum = Value::Int64((sum.is_null() ? 0 : sum.int64_value()) +
+                           row[3].int64_value());
+      }
+    }
+    EXPECT_TRUE(RowMultisetsEqual(p.sink->TakeRows(), want));
+  }
 }
 
 TEST(SortOpTest, SortsByKeysWithDirections) {
