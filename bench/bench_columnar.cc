@@ -70,7 +70,7 @@ struct Fixture {
     return RowBatch::Borrowed(&rows, 0, rows.size());
   }
   RowBatch Columnar() const {
-    return RowBatch::BorrowedColumnar(&store, &rows, 0, rows.size());
+    return RowBatch::BorrowedColumns(&store, 0, rows.size());
   }
 };
 

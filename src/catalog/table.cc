@@ -163,7 +163,6 @@ Table::Table(std::string name, Schema schema)
 }
 
 void Table::Invalidate() {
-  rows_valid_.store(false, std::memory_order_release);
   stats_valid_.store(false, std::memory_order_release);
   segments_valid_.store(false, std::memory_order_release);
 }
@@ -210,27 +209,8 @@ Status Table::AppendUnchecked(std::vector<Row> rows) {
 
 void Table::Clear() {
   columns_.Clear();
-  row_shim_.clear();
   stats_.clear();
   Invalidate();
-}
-
-const std::vector<Row>& Table::rows() const {
-  // Double-checked init, same discipline as stats(): the release store
-  // below pairs with this acquire load, so a reader that sees the flag
-  // also sees the materialized rows.
-  if (!rows_valid_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(rows_mutex_);
-    if (!rows_valid_.load(std::memory_order_relaxed)) {
-      row_shim_.clear();
-      row_shim_.reserve(columns_.num_rows);
-      for (size_t i = 0; i < columns_.num_rows; ++i) {
-        row_shim_.push_back(columns_.MaterializeRow(i));
-      }
-      rows_valid_.store(true, std::memory_order_release);
-    }
-  }
-  return row_shim_;
 }
 
 void Table::AnalyzeStats() const {
@@ -255,7 +235,7 @@ void Table::set_segment_rows(size_t rows) {
 }
 
 const TableSegments& Table::segments() const {
-  // Double-checked init, same discipline as rows()/stats().
+  // Double-checked init, same discipline as stats().
   if (!segments_valid_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(segments_mutex_);
     if (!segments_valid_.load(std::memory_order_relaxed)) {

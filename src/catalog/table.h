@@ -18,13 +18,12 @@
 
 namespace bypass {
 
-/// A columnar heap with a schema. Ground truth is the ColumnStore (typed
-/// contiguous columns + null bitmaps); scans borrow the columns directly.
-/// The row API (rows()) survives as a lazily materialized shim for
-/// operators not yet ported to columns. Row mutation is not thread-safe
-/// (loads never race queries by contract), but the lazily computed
-/// statistics and the row shim may be demanded by concurrent planning /
-/// execution threads, so their initialization is guarded.
+/// A columnar heap with a schema. The ColumnStore (typed contiguous
+/// columns + null bitmaps) is the table's only copy of its values; scans
+/// borrow windows of it. Row mutation is not thread-safe (loads never
+/// race queries by contract), but the lazily computed statistics and
+/// segment index may be demanded by concurrent planning / execution
+/// threads, so their initialization is guarded.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -35,8 +34,6 @@ class Table {
       : name_(std::move(other.name_)),
         schema_(std::move(other.schema_)),
         columns_(std::move(other.columns_)),
-        row_shim_(std::move(other.row_shim_)),
-        rows_valid_(other.rows_valid_.load(std::memory_order_relaxed)),
         stats_(std::move(other.stats_)),
         stats_valid_(other.stats_valid_.load(std::memory_order_relaxed)),
         segment_rows_(other.segment_rows_),
@@ -47,9 +44,6 @@ class Table {
     name_ = std::move(other.name_);
     schema_ = std::move(other.schema_);
     columns_ = std::move(other.columns_);
-    row_shim_ = std::move(other.row_shim_);
-    rows_valid_.store(other.rows_valid_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
     stats_ = std::move(other.stats_);
     stats_valid_.store(other.stats_valid_.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
@@ -66,13 +60,8 @@ class Table {
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
 
-  /// Column-major ground truth.
+  /// The table's values, column-major.
   const ColumnStore& columns() const { return columns_; }
-
-  /// Row-major view, materialized lazily from the columns on first use
-  /// after a modification (the compatibility shim for row-at-a-time
-  /// consumers). Safe to call from concurrent readers.
-  const std::vector<Row>& rows() const;
 
   int64_t num_rows() const {
     return static_cast<int64_t>(columns_.num_rows);
@@ -120,9 +109,6 @@ class Table {
   std::string name_;
   Schema schema_;
   ColumnStore columns_;
-  mutable std::mutex rows_mutex_;
-  mutable std::vector<Row> row_shim_;
-  mutable std::atomic<bool> rows_valid_{false};
   mutable std::mutex stats_mutex_;
   mutable std::vector<ColumnStatistics> stats_;
   mutable std::atomic<bool> stats_valid_{false};

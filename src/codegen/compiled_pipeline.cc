@@ -277,9 +277,10 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
     // next row's matches would overflow the pair cursor; drain what it
     // wrote and re-enter at counts[1]. Zero progress means a single row
     // outgrew the cursor — double and retry (pass 1 only re-runs in the
-    // start_row == 0 retry, where it is idempotent).
-    const std::vector<Row>& build = join_->build_rows();
-    const JoinGather& gather = join_->gather();
+    // start_row == 0 retry, where it is idempotent). The pairs go through
+    // the interpreted join's gather, so the output is the column-only
+    // batch the interpreter emits (a compiled join has no residual, hence
+    // no predicate-only tail to drop).
     const uint32_t* sel = cg.sel;
     uint64_t start = 0;
     for (;;) {
@@ -287,14 +288,13 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
       artifact->run2()(&cg, jv, gv, nullptr, s.pair_a.data(),
                        s.pair_b.data(), s.pair_a.size(), start, counts);
       if (counts[0] > 0) {
-        std::vector<Row> rows;
-        rows.reserve(counts[0]);
         for (uint64_t k = 0; k < counts[0]; ++k) {
-          rows.push_back(gather.Gather(batch.storage_row(sel[s.pair_a[k]]),
-                                       build[s.pair_b[k]]));
+          s.pair_a[k] = sel[s.pair_a[k]];  // position → storage index
         }
-        BYPASS_RETURN_IF_ERROR(
-            Emit(kPortOut, RowBatch::FromRows(std::move(rows))));
+        BYPASS_RETURN_IF_ERROR(Emit(
+            kPortOut, RowBatch::FromColumns(join_->GatherPairs(
+                          batch, join_->build_rows(), s.pair_a.data(),
+                          s.pair_b.data(), counts[0]))));
       }
       if (counts[1] >= n) break;
       if (counts[1] == start) {

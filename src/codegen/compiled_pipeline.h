@@ -13,9 +13,10 @@
 // terminal pipeline breaker into the emitted function:
 //   * hash-join probe: the compiled loop probes the interpreted
 //     HashJoinOp's published slot view and returns (position, build row)
-//     pairs; this operator materializes the rows through the join's
-//     gather spec and emits them to the join's consumers. A full pair
-//     cursor resumes at a row boundary with a doubled buffer.
+//     pairs; this operator gathers them into columns through the join's
+//     own HashJoinOp::GatherPairs and emits the column-only batch to the
+//     join's consumers. A full pair cursor resumes at a row boundary with
+//     a doubled buffer.
 //   * group-by accumulate: hits against the owning worker's group-map
 //     snapshot fold into per-worker SoA accumulators inside the emitted
 //     loop; missed rows come back as (position, multiplicity) pairs and

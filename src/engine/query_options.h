@@ -95,10 +95,12 @@ struct QueryOptions {
   int num_threads = 1;
   /// Rows per morsel handed to a worker in one dispatch (num_threads>1).
   size_t morsel_size = kDefaultMorselSize;
-  /// Attach typed columns to scan batches so the columnar predicate /
-  /// aggregate kernels engage (on by default). Off forces the row-at-a-
-  /// time Value paths everywhere — the oracle side of the columnar
-  /// differential tests and the "row" side of the paired benches.
+  /// Scans emit windows of the tables' typed columns so the columnar
+  /// predicate / aggregate kernels engage (on by default). Off makes
+  /// scans build each batch's rows from the columns and forces the
+  /// row-at-a-time Value paths everywhere — the oracle side of the
+  /// columnar differential tests and the "row" side of the paired
+  /// benches.
   bool enable_columnar = true;
   /// After execution, write actual base-table cardinalities back to the
   /// catalog when they drifted from the ANALYZE row counts (runtime

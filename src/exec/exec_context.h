@@ -123,9 +123,10 @@ struct RunContext {
   size_t batch_size = kDefaultBatchSize;
   /// Rows per morsel handed to a worker in one dispatch.
   size_t morsel_size = kDefaultMorselSize;
-  /// Whether scans attach typed columns to emitted batches, enabling the
-  /// columnar predicate/aggregate kernels. Off = the row-oracle mode the
-  /// columnar differential tests compare against.
+  /// Whether scans emit windows of the table's typed columns, enabling
+  /// the columnar predicate/aggregate kernels. Off = the row-oracle mode
+  /// the columnar differential tests compare against: scans build each
+  /// batch's rows from the columns.
   bool columnar_enabled = true;
   /// Whether scans consult table zone maps to skip segments their
   /// pushed-down predicate cannot match.

@@ -491,19 +491,28 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
   for (size_t p = 0; p < num_pairs; ++p) {
     s->storage[p] = sel[s->pair_probe[p]];
   }
+  return GatherPairs(batch, build_rows, s->storage.data(),
+                     s->pair_build.data(), num_pairs);
+}
+
+ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
+                                    const std::vector<Row>& build_rows,
+                                    const uint32_t* probe,
+                                    const uint32_t* build,
+                                    size_t num_pairs) const {
   const std::vector<GatherCol>* cols = &gather().cols();
+  std::vector<GatherCol> concat;
   if (gather().is_concat()) {
     // Every probe column, then every build column.
-    s->concat.clear();
     const size_t build_width =
         build_rows.empty() ? unmatched_right_.size() : build_rows[0].size();
     for (size_t c = 0; c < batch.width(); ++c) {
-      s->concat.push_back(GatherCol{JoinSide::kProbe, static_cast<int>(c)});
+      concat.push_back(GatherCol{JoinSide::kProbe, static_cast<int>(c)});
     }
     for (size_t c = 0; c < build_width; ++c) {
-      s->concat.push_back(GatherCol{JoinSide::kBuild, static_cast<int>(c)});
+      concat.push_back(GatherCol{JoinSide::kBuild, static_cast<int>(c)});
     }
-    cols = &s->concat;
+    cols = &concat;
   }
   const std::vector<DataType>& types = gather().types();
   ColumnStore out;
@@ -515,15 +524,15 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
     if (c.side == JoinSide::kProbe && batch.columns() != nullptr) {
       const ColumnVector& src = batch.columns()->columns[slot];
       ColumnVector col(src.type());
-      col.AppendGather(src, s->storage.data(), num_pairs);
+      col.AppendGather(src, probe, num_pairs);
       out.columns.push_back(std::move(col));
       continue;
     }
     auto value = [&](size_t p) -> const Value& {
       if (c.side == JoinSide::kProbe) {
-        return batch.storage_row(s->storage[p])[slot];
+        return batch.storage_row(probe[p])[slot];
       }
-      const uint32_t b = s->pair_build[p];
+      const uint32_t b = build[p];
       return (b == kPad ? unmatched_right_ : build_rows[b])[slot];
     };
     DataType type = DataType::kInt64;

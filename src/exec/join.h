@@ -163,6 +163,18 @@ class HashJoinOp : public BinaryPhysOp {
   }
   bool has_residual() const { return residual_ != nullptr; }
 
+  /// The gathered columns (predicate-only tail included) of `num_pairs`
+  /// pairs: pair p joins the batch's storage row `probe[p]` (an entry of
+  /// its selection) with `build_rows[build[p]]`, or with the left outer
+  /// join's pad row when `build[p]` is the pad marker. Probe columns are
+  /// gathered from the batch's columns when it has them. Also the output
+  /// path of a compiled pipeline that fused this join's probe, which
+  /// passes build_rows().
+  ColumnStore GatherPairs(const RowBatch& batch,
+                          const std::vector<Row>& build_rows,
+                          const uint32_t* probe, const uint32_t* build,
+                          size_t num_pairs) const;
+
  protected:
   Status BuildFromRight() override;
   Status ProcessLeftBatch(RowBatch batch) override;
@@ -189,7 +201,6 @@ class HashJoinOp : public BinaryPhysOp {
   /// Per-worker pair buffers, reused across batches.
   struct alignas(64) PairScratch {
     JoinProbeScratch probe;
-    std::vector<GatherCol> concat;  // the default gather's columns
     std::vector<uint32_t> pair_probe;  // pair → position in the batch
     std::vector<uint32_t> pair_build;  // pair → build row or kPad
     std::vector<uint32_t> storage;     // pair → probe storage index
@@ -214,7 +225,7 @@ class HashJoinOp : public BinaryPhysOp {
   /// Gathers, filters and emits the recorded pairs, then clears them.
   Status FlushPairs(const RowBatch& batch, const std::vector<Row>& build_rows,
                     PairScratch* s);
-  /// The recorded pairs' gathered columns, predicate-only tail included.
+  /// GatherPairs over the recorded pairs.
   ColumnStore GatherPairs(const RowBatch& batch,
                           const std::vector<Row>& build_rows,
                           PairScratch* s) const;

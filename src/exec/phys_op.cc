@@ -139,24 +139,6 @@ JoinGather::JoinGather(std::vector<GatherCol> cols,
       logical_width_(logical_width),
       build_is_logical_left_(build_is_logical_left) {}
 
-Row JoinGather::Gather(const Row& probe, const Row& build) const {
-  Row out;
-  if (concat_) {
-    out.reserve(probe.size() + build.size());
-    out.insert(out.end(), probe.begin(), probe.end());
-    out.insert(out.end(), build.begin(), build.end());
-    return out;
-  }
-  out.reserve(out_width_);
-  const Row* const src[2] = {&probe, &build};
-  for (size_t j = 0; j < out_width_; ++j) {
-    const GatherCol& c = cols_[j];
-    out.push_back(
-        (*src[static_cast<size_t>(c.side)])[static_cast<size_t>(c.slot)]);
-  }
-  return out;
-}
-
 std::string JoinGather::LabelSuffix() const {
   if (concat_) return "";
   return std::string(" [build=") +

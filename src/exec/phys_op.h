@@ -193,10 +193,6 @@ class JoinGather {
              size_t out_width, int logical_width,
              bool build_is_logical_left);
 
-  /// The gathered row of the pair with its predicate-only tail dropped
-  /// (the codegen tier's compiled probe emits rows through it).
-  Row Gather(const Row& probe, const Row& build) const;
-
   /// True for the default full concatenation (cols() is then empty).
   bool is_concat() const { return concat_; }
   const std::vector<GatherCol>& cols() const { return cols_; }

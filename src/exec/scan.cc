@@ -8,23 +8,22 @@
 namespace bypass {
 
 Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
-  // Columnar scans attach the table's typed columns to every emitted
-  // batch; the materialized row shim still backs the row(i) API for
-  // operators not yet ported to columns.
-  const std::vector<Row>& rows = table_->rows();
-  const ColumnStore* columns =
-      ctx_->run().columnar_enabled ? &table_->columns() : nullptr;
+  // Columnar scans borrow windows of the table's columns; the row oracle
+  // builds each window's rows.
+  const bool columnar = ctx_->run().columnar_enabled;
   for (size_t b = begin; b < end; b += batch_size()) {
     if (ctx_->cancelled()) break;
     BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
     const size_t batch_end = std::min(b + batch_size(), end);
     ExecStats& stats = ctx_->run().stats();
     stats.rows_scanned += static_cast<int64_t>(batch_end - b);
-    if (columns != nullptr) ++stats.columnar_batches;
     RowBatch batch =
-        columns != nullptr
-            ? RowBatch::BorrowedColumnar(columns, &rows, b, batch_end)
-            : RowBatch::Borrowed(&rows, b, batch_end);
+        RowBatch::BorrowedColumns(&table_->columns(), b, batch_end);
+    if (columnar) {
+      ++stats.columnar_batches;
+    } else {
+      batch = RowBatch::FromRows(batch.ToRows());
+    }
     BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
   }
   return Status::OK();

@@ -20,9 +20,11 @@ class TableScanOp : public UnaryPhysOp {
   /// Serial drive: pushes the whole table and finishes the output.
   Status Run();
 
-  /// Pushes rows [begin, end) of the table to the consumers in zero-copy
-  /// borrowed batches, polling cancellation and the time budget between
-  /// batches. Safe to call concurrently for disjoint morsels.
+  /// Pushes rows [begin, end) of the table to the consumers in batches
+  /// (zero-copy windows of its columns, or rows built from them when
+  /// columnar execution is off), polling cancellation and the time
+  /// budget between batches. Safe to call concurrently for disjoint
+  /// morsels.
   Status RunMorsel(size_t begin, size_t end);
 
   /// Propagates end-of-stream after every morsel completed. Driver-only.
@@ -65,7 +67,7 @@ class TableScanOp : public UnaryPhysOp {
   const ExprPtr& zone_filter() const { return zone_filter_; }
 
  private:
-  /// Zero-copy borrowed batches over the table's columns and row shim.
+  /// The batches of rows [begin, end), zone maps not consulted.
   Status EmitFlatRange(size_t begin, size_t end);
 
   const Table* table_;

@@ -111,8 +111,8 @@ class ColumnVector {
 };
 
 /// A table's worth of columns plus the shared row count. RowBatch carries
-/// a pointer to one of these — a table's, alongside its row shim, or the
-/// batch's own (RowBatch::FromColumns) — so columnar kernels and
+/// a pointer to one of these — a table's (RowBatch::BorrowedColumns) or
+/// the batch's own (RowBatch::FromColumns) — so columnar kernels and
 /// row-at-a-time operators coexist over the same batch.
 struct ColumnStore {
   std::vector<ColumnVector> columns;

@@ -27,11 +27,17 @@ RowBatch RowBatch::Borrowed(const std::vector<Row>* storage, size_t begin,
   return batch;
 }
 
-RowBatch RowBatch::BorrowedColumnar(const ColumnStore* columns,
-                                    const std::vector<Row>* storage,
-                                    size_t begin, size_t end) {
-  RowBatch batch = Borrowed(storage, begin, end);
+RowBatch RowBatch::BorrowedColumns(const ColumnStore* columns,
+                                   size_t begin, size_t end) {
+  RowBatch batch;
+  batch.col_data_ = std::make_shared<ColumnData>();
+  batch.col_data_->rows_begin = begin;
+  batch.col_data_->rows_end = end;
   batch.columns_ = columns;
+  batch.sel_.resize(end - begin);
+  std::iota(batch.sel_.begin(), batch.sel_.end(),
+            static_cast<uint32_t>(begin));
+  batch.dense_ = true;
   return batch;
 }
 
@@ -48,6 +54,7 @@ RowBatch RowBatch::FromColumns(ColumnStore columns,
   RowBatch batch;
   batch.col_data_ = std::make_shared<ColumnData>();
   batch.col_data_->columns = std::move(columns);
+  batch.col_data_->rows_end = batch.col_data_->columns.num_rows;
   batch.columns_ = &batch.col_data_->columns;
   batch.sel_ = std::move(sel);
   return batch;
@@ -60,19 +67,22 @@ size_t RowBatch::width() const {
 
 void RowBatch::MaterializeRows() const {
   ColumnData& data = *col_data_;
-  std::call_once(data.rows_once, [&data] {
-    std::vector<uint32_t> all(data.columns.num_rows);
-    std::iota(all.begin(), all.end(), 0);
-    data.columns.MaterializeRows(all.data(), all.size(), nullptr,
-                                 &data.rows);
+  const ColumnStore& columns = *columns_;
+  std::call_once(data.rows_once, [&data, &columns] {
+    std::vector<uint32_t> window(data.rows_end - data.rows_begin);
+    std::iota(window.begin(), window.end(),
+              static_cast<uint32_t>(data.rows_begin));
+    columns.MaterializeRows(window.data(), window.size(), nullptr,
+                            &data.rows);
     data.rows_ready.store(true, std::memory_order_release);
   });
+  row_base_ = static_cast<uint32_t>(data.rows_begin);
   storage_ = &data.rows;
 }
 
 bool RowBatch::OwnsAllColumns() const {
-  if (col_data_ == nullptr || col_data_.use_count() != 1 ||
-      sel_.size() != columns_->num_rows) {
+  if (col_data_ == nullptr || columns_ != &col_data_->columns ||
+      col_data_.use_count() != 1 || sel_.size() != columns_->num_rows) {
     return false;
   }
   if (dense_) return sel_.empty() || sel_[0] == 0;
@@ -118,6 +128,7 @@ RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   view.owned_ = owned_;
   view.col_data_ = col_data_;
   view.storage_ = storage_;
+  view.row_base_ = row_base_;
   view.columns_ = columns_;
   view.sel_ = std::move(sel);
   return view;

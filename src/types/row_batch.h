@@ -2,16 +2,19 @@
 // a selection vector over shared storage, so selections narrow and
 // bypass operators split streams without touching the data itself — the
 // paper's σ± stream partition is a partition of the selection vector.
-// Storage is rows, columns, or both:
+// Storage is rows or columns:
 //   - owned rows (FromRows), shared among the views produced by a bypass
-//     split / fan-out edge;
-//   - rows borrowed from longer-lived memory such as a catalog table
-//     (Borrowed), optionally with the table's typed columns alongside
-//     (BorrowedColumnar) — zero-copy scans;
+//     split / fan-out edge; the row-oracle scan and operators that build
+//     new rows emit them;
+//   - rows borrowed from longer-lived memory (Borrowed), e.g. a join's
+//     buffered build rows;
+//   - a window [begin, end) of a longer-lived column store such as a
+//     catalog table's (BorrowedColumns) — zero-copy scans;
 //   - owned columns only (FromColumns): the output of joins, χ and Π.
-//     Column kernels read them directly; a consumer that still reads
-//     rows (row(i)) materializes every row of the storage from the
-//     columns once, shared by all views of it.
+// Column kernels read the columns directly. On a column batch, a consumer
+// that still reads rows (row(i)) materializes the rows of the storage it
+// covers — the whole owned store, or the borrowed window only — from the
+// columns once, shared by all views of it.
 #ifndef BYPASSDB_TYPES_ROW_BATCH_H_
 #define BYPASSDB_TYPES_ROW_BATCH_H_
 
@@ -36,19 +39,17 @@ class RowBatch {
   /// Owning batch over freshly materialized rows; every row selected.
   static RowBatch FromRows(std::vector<Row> rows);
 
-  /// Zero-copy view over external storage that outlives the execution
-  /// (e.g. a table's row vector); rows [begin, end) selected.
+  /// Zero-copy view over external rows that outlive the execution (e.g.
+  /// a join's buffered build rows); rows [begin, end) selected.
   static RowBatch Borrowed(const std::vector<Row>* storage, size_t begin,
                            size_t end);
 
-  /// Zero-copy columnar view: like Borrowed, but additionally carries the
-  /// table's typed columns so predicate/aggregate kernels can read raw
-  /// column data. `storage` is the table's materialized row shim backing
-  /// the row(i) API for operators not yet ported; selection indices are
-  /// shared between the two representations.
-  static RowBatch BorrowedColumnar(const ColumnStore* columns,
-                                   const std::vector<Row>* storage,
-                                   size_t begin, size_t end);
+  /// Zero-copy view of rows [begin, end) of `columns`, which outlive the
+  /// execution (a table's column store); selection entries index
+  /// `columns`. The first row(i)/storage_row call on it or any of its
+  /// views builds the rows of this window, not of the whole store.
+  static RowBatch BorrowedColumns(const ColumnStore* columns, size_t begin,
+                                  size_t end);
 
   /// Owning column-only batch. The first form selects every row of the
   /// store (dense); the second selects `sel` (storage indices).
@@ -69,15 +70,13 @@ class RowBatch {
   size_t width() const;
 
   /// The i-th selected row (i indexes the selection vector, not storage).
-  /// On a column-only batch the first call materializes the storage's
-  /// rows from its columns.
-  const Row& row(size_t i) const {
-    if (storage_ == nullptr) MaterializeRows();
-    return (*storage_)[sel_[i]];
-  }
+  /// On a column batch the first call materializes its rows from the
+  /// columns. Views of one batch may call it from different threads; one
+  /// batch object is read by one thread at a time.
+  const Row& row(size_t i) const { return storage_row(sel_[i]); }
 
   /// True when row storage exists: owned or borrowed rows, or the rows a
-  /// column-only batch materialized on demand.
+  /// column batch materialized on demand.
   bool has_rows() const {
     return storage_ != nullptr ||
            (col_data_ != nullptr && col_data_->rows_ready.load(
@@ -107,7 +106,7 @@ class RowBatch {
   /// Storage row by storage index (an entry of selection()).
   const Row& storage_row(uint32_t storage_idx) const {
     if (storage_ == nullptr) MaterializeRows();
-    return (*storage_)[storage_idx];
+    return (*storage_)[storage_idx - row_base_];
   }
 
   /// True when this batch owns its row storage and no other live view
@@ -152,10 +151,13 @@ class RowBatch {
   std::vector<Row> ToRows();
 
  private:
-  /// Storage of a column-only batch, shared by its views: the columns
-  /// and the rows materialized from them on first demand.
+  /// Storage of a column batch, shared by its views: the owned columns
+  /// (empty on a borrowed window) and the rows of storage indices
+  /// [rows_begin, rows_end) materialized from the columns on first demand.
   struct ColumnData {
     ColumnStore columns;
+    size_t rows_begin = 0;
+    size_t rows_end = 0;
     std::once_flag rows_once;
     std::atomic<bool> rows_ready{false};
     std::vector<Row> rows;
@@ -166,8 +168,10 @@ class RowBatch {
 
   std::shared_ptr<std::vector<Row>> owned_;
   std::shared_ptr<ColumnData> col_data_;
-  /// Row storage; null on a column-only batch until row() materializes.
+  /// Row storage; null on a column batch until row() materializes.
   mutable const std::vector<Row>* storage_ = nullptr;
+  /// Storage index of (*storage_)[0]: a borrowed window's begin.
+  mutable uint32_t row_base_ = 0;
   const ColumnStore* columns_ = nullptr;
   std::vector<uint32_t> sel_;
   bool dense_ = false;

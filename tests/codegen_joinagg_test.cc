@@ -15,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "codegen/codegen_engine.h"
+#include "codegen/install.h"
 #include "engine/database.h"
+#include "exec/filter.h"
+#include "exec/join.h"
 #include "test_util.h"
+#include "workload/tpch.h"
 
 namespace bypass {
 namespace {
@@ -270,6 +274,102 @@ TEST(CodegenJoinAgg, SemiJoinProbeStaysInterpreted) {
   ASSERT_TRUE(oracle.ok());
   EXPECT_FALSE(oracle->rows.empty());
   EXPECT_TRUE(RowMultisetsEqual(res->rows, oracle->rows));
+}
+
+// ------------------------------------------------- q2d's probe output
+
+/// q2d's compiled probe, wired by hand so a recorder sees its output:
+/// Scan(partsupp) probes HashJoin [build=left, keep 5/14] on
+/// ps_partkey = p_partkey, whose build side is Scan(part) under
+/// Filter(p_size = 15). The join keeps (p_partkey, p_mfgr) of part and
+/// gathers four partsupp columns plus the string p_mfgr.
+struct Q2dProbePlan {
+  PhysicalPlan plan;
+  testing_util::BatchRecorder* recorder = nullptr;
+};
+
+Q2dProbePlan MakeQ2dProbePlan(const Table* part, const Table* partsupp) {
+  auto slot = [](const Table* t, const char* name) {
+    return *t->schema().FindColumn("", name);
+  };
+  auto ref = [](int s) {
+    auto r = std::make_shared<ColumnRefExpr>("", "c", /*is_outer=*/false);
+    r->set_slot(s);
+    return r;
+  };
+  Q2dProbePlan q;
+  auto part_scan = std::make_unique<TableScanOp>(part);
+  auto filter = std::make_unique<FilterOp>(
+      MakeComparison(CompareOp::kEq, ref(slot(part, "p_size")),
+                     MakeLiteral(Value::Int64(15))));
+  auto ps_scan = std::make_unique<TableScanOp>(partsupp);
+  auto join = std::make_unique<HashJoinOp>(
+      JoinKind::kInner, std::vector<int>{slot(partsupp, "ps_partkey")},
+      std::vector<int>{0}, nullptr);
+  join->set_right_keep({slot(part, "p_partkey"), slot(part, "p_mfgr")});
+  join->set_gather(JoinGather(
+      {{JoinSide::kProbe, slot(partsupp, "ps_partkey")},
+       {JoinSide::kProbe, slot(partsupp, "ps_suppkey")},
+       {JoinSide::kProbe, slot(partsupp, "ps_supplycost")},
+       {JoinSide::kProbe, slot(partsupp, "ps_availqty")},
+       {JoinSide::kBuild, 1}},
+      {DataType::kInt64, DataType::kInt64, DataType::kDouble,
+       DataType::kInt64, DataType::kString},
+      /*out_width=*/5, /*logical_width=*/14,
+      /*build_is_logical_left=*/true));
+  auto recorder = std::make_unique<testing_util::BatchRecorder>();
+  q.recorder = recorder.get();
+  part_scan->AddConsumer(kPortOut, filter.get(), 0);
+  filter->AddConsumer(kPortOut, join.get(), BinaryPhysOp::kRight);
+  ps_scan->AddConsumer(kPortOut, join.get(), BinaryPhysOp::kLeft);
+  join->AddConsumer(kPortOut, recorder.get(), 0);
+  q.plan.sources = {part_scan.get(), ps_scan.get()};
+  q.plan.ops.push_back(std::move(part_scan));
+  q.plan.ops.push_back(std::move(filter));
+  q.plan.ops.push_back(std::move(ps_scan));
+  q.plan.ops.push_back(std::move(join));
+  q.plan.ops.push_back(std::move(recorder));
+  return q;
+}
+
+// The compiled probe gathers its pairs through the join's own
+// GatherPairs: its output batches carry columns and no Row storage, and
+// they hold the interpreted join's rows.
+TEST(CodegenJoinAgg, Q2dProbeEmitsColumnOnlyBatches) {
+  Database db;
+  ASSERT_TRUE(LoadTpch(&db).ok());
+  REQUIRE_CODEGEN(db);
+  const Table* part = *db.catalog()->GetTable("part");
+  const Table* partsupp = *db.catalog()->GetTable("partsupp");
+  for (size_t batch_size : {size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch_size));
+    std::vector<Row> want;
+    for (bool compiled : {false, true}) {
+      Q2dProbePlan q = MakeQ2dProbePlan(part, partsupp);
+      if (compiled) {
+        ASSERT_EQ(InstallCompiledPipelines(&q.plan, db.codegen_engine(),
+                                           JoinAggOptions(batch_size),
+                                           /*stats_epoch=*/0),
+                  2);  // the build side's filter and the probe
+      }
+      auto run = std::make_shared<RunContext>();
+      run->batch_size = batch_size;
+      ExecContext ctx(run);
+      ASSERT_TRUE(RunPlan(&q.plan, &ctx).ok());
+      const ExecStats stats = run->TotalStats();
+      EXPECT_GT(q.recorder->batches, 0);
+      EXPECT_EQ(q.recorder->row_only, 0);
+      EXPECT_EQ(q.recorder->with_rows, 0);
+      if (!compiled) {
+        want = std::move(q.recorder->rows);
+        EXPECT_FALSE(want.empty());
+        continue;
+      }
+      EXPECT_GT(stats.compiled_join_batches, 0);
+      EXPECT_EQ(stats.compiled_fallback_batches, 0);
+      EXPECT_TRUE(RowMultisetsEqual(q.recorder->rows, want));
+    }
+  }
 }
 
 // ------------------------------------------------- async swap-in

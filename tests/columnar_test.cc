@@ -143,7 +143,7 @@ struct KernelFixture {
   }
 
   RowBatch Columnar() const {
-    return RowBatch::BorrowedColumnar(&store, &rows, 0, rows.size());
+    return RowBatch::BorrowedColumns(&store, 0, rows.size());
   }
   RowBatch RowOnly() const {
     return RowBatch::Borrowed(&rows, 0, rows.size());

@@ -3,7 +3,7 @@
 // property, the count-bug-safe outer join defaults, agreement of hash and
 // nested-loop implementations, buffering correctness under adverse source
 // orders.
-#include <mutex>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -17,13 +17,16 @@
 #include "exec/project.h"
 #include "exec/sort.h"
 #include "exec/union_op.h"
+#include "exec/worker_pool.h"
 #include "test_util.h"
 
 namespace bypass {
 namespace {
 
+using testing_util::BatchRecorder;
 using testing_util::IntRow;
 using testing_util::IntSchema;
+using testing_util::TableRows;
 
 ExprPtr Slot(int slot) {
   auto ref = std::make_shared<ColumnRefExpr>("", "c", false);
@@ -133,7 +136,7 @@ TEST(BypassFilterOpTest, PartitionIsCompleteAndDisjoint) {
   mini.plan.ops.push_back(std::move(uni));
   mini.plan.ops.push_back(std::move(sink));
   auto rows = mini.Run();
-  EXPECT_TRUE(RowMultisetsEqual(rows, t.rows()));
+  EXPECT_TRUE(RowMultisetsEqual(rows, TableRows(t)));
 }
 
 TEST(BypassFilterOpTest, NegativeStreamGetsFalseAndUnknown) {
@@ -307,7 +310,7 @@ TEST(SemiAntiJoinTest, PartitionTheLeftInput) {
   // Semi + anti must partition the left multiset exactly.
   std::vector<Row> all = semi_rows;
   all.insert(all.end(), anti_rows.begin(), anti_rows.end());
-  EXPECT_TRUE(RowMultisetsEqual(all, left.rows()));
+  EXPECT_TRUE(RowMultisetsEqual(all, TableRows(left)));
 }
 
 TEST(SemiAntiJoinTest, HashMatchesNLVariant) {
@@ -367,30 +370,6 @@ TEST(JoinKindsTest, KeyedWithResidualMatchesKeyless) {
         << static_cast<int>(kind);
   }
 }
-
-/// Records what each batch reaching it carries, then collects its rows
-/// (built from the columns, so recording materializes nothing).
-class BatchRecorder : public PhysOp {
- public:
-  Status Consume(int, RowBatch batch) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++batches;
-    if (batch.columns() == nullptr) ++row_only;
-    if (batch.has_rows()) ++with_rows;
-    batch.ConsumeRowsInto(&rows);
-    return Status::OK();
-  }
-  Status FinishPort(int) override { return Status::OK(); }
-  std::string Label() const override { return "BatchRecorder"; }
-
-  int batches = 0;
-  int row_only = 0;   // batches without columns
-  int with_rows = 0;  // batches with row storage
-  std::vector<Row> rows;
-
- private:
-  std::mutex mu_;
-};
 
 /// 3VL truth of l.c1 > r.c1.
 TriBool Greater(const Row& l, const Row& r) {
@@ -478,6 +457,75 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
         EXPECT_EQ(rec->row_only, 0);
         EXPECT_EQ(rec->with_rows, 0);
         EXPECT_TRUE(RowMultisetsEqual(rec->rows, want));
+      }
+    }
+  }
+}
+
+// Columnar scans emit zero-copy windows of the table's columns: at 1 and
+// 4 threads, with zone maps on and off, no scan batch carries Row
+// storage and together they hold the table's rows. With columnar
+// execution off (the row oracle) every batch is row-only, with the same
+// rows.
+TEST(ScanOpTest, ColumnarScansBorrowColumnsOnly) {
+  Schema schema;
+  schema.AddColumn({"k", DataType::kInt64, ""});
+  schema.AddColumn({"d", DataType::kDouble, ""});
+  schema.AddColumn({"s", DataType::kString, ""});
+  Table t("t", schema);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 5000; ++i) {
+    const Value d = i % 7 == 0    ? Value::Null()
+                    : i % 11 == 0 ? Value::Double(std::nan(""))
+                    : i % 13 == 0 ? Value::Double(-0.0)
+                                  : Value::Double(0.25 * i);
+    // k is unique, so RowMultisetsEqual's sort never orders NaNs.
+    rows.push_back(Row{Value::Int64(i), d,
+                       i % 5 == 0 ? Value::Null()
+                                  : Value::String(std::to_string(i))});
+  }
+  ASSERT_TRUE(t.AppendUnchecked(rows).ok());
+  t.set_segment_rows(512);
+  WorkerPool pool(4);
+  for (int threads : {1, 4}) {
+    for (bool zone_maps : {false, true}) {
+      for (bool columnar : {true, false}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads, zone maps " +
+                     (zone_maps ? "on" : "off") +
+                     (columnar ? ", columnar" : ", row oracle"));
+        PhysicalPlan plan;
+        auto scan = std::make_unique<TableScanOp>(&t);
+        // Keeps every segment, so the zone path emits every row.
+        scan->set_zone_filter(GtLit(0, -1));
+        auto recorder = std::make_unique<BatchRecorder>();
+        BatchRecorder* rec = recorder.get();
+        scan->AddConsumer(kPortOut, recorder.get(), 0);
+        plan.sources.push_back(scan.get());
+        plan.ops.push_back(std::move(scan));
+        plan.ops.push_back(std::move(recorder));
+        auto run = std::make_shared<RunContext>();
+        run->batch_size = 100;
+        run->morsel_size = 700;  // morsels straddle segments
+        run->columnar_enabled = columnar;
+        run->zone_maps_enabled = zone_maps;
+        run->worker_stats.resize(static_cast<size_t>(threads));
+        ExecContext ctx(run);
+        TaskGroupOptions sched;
+        sched.max_workers = threads;
+        sched.max_worker_id = threads;
+        ctx.set_task_group_options(sched);
+        if (threads > 1) ctx.set_pool(&pool);
+        ASSERT_TRUE(RunPlan(&plan, &ctx).ok());
+
+        EXPECT_GE(rec->batches, 50);
+        if (columnar) {
+          EXPECT_EQ(rec->row_only, 0);
+          EXPECT_EQ(rec->with_rows, 0);
+        } else {
+          EXPECT_EQ(rec->row_only, rec->batches);
+        }
+        EXPECT_EQ(run->TotalStats().segments_scanned, zone_maps ? 10 : 0);
+        EXPECT_TRUE(RowMultisetsEqual(rec->rows, rows));
       }
     }
   }

@@ -11,6 +11,7 @@ namespace {
 
 using testing_util::IntRow;
 using testing_util::LoadSmallRst;
+using testing_util::TableRows;
 
 class GroupByTest : public ::testing::Test {
  protected:
@@ -96,7 +97,7 @@ TEST_F(GroupByTest, GroupedQueryMatchesManualAggregation) {
   // Recompute from the base table.
   std::map<int64_t, std::tuple<int64_t, int64_t, int64_t>> expected;
   const Table* r = *db.catalog()->GetTable("r");
-  for (const Row& row : r->rows()) {
+  for (const Row& row : TableRows(*r)) {
     if (row[1].is_null()) {
       // NULL group key groups structurally; skip detailed check.
       continue;

@@ -367,7 +367,7 @@ void PackedDifferentialRound(uint64_t seed, size_t width, bool expect_packed) {
       for (const Row& row : rows) store.AppendRow(row);
       RowBatch batch =
           round % 4 == 0
-              ? RowBatch::BorrowedColumnar(&store, &rows, 0, rows.size())
+              ? RowBatch::BorrowedColumns(&store, 0, rows.size())
               : RowBatch::FromRows(std::vector<Row>(rows));
       InsertBatch(&set, &batch);
       std::vector<uint32_t> want;
@@ -644,7 +644,7 @@ std::vector<RowBatch> ProbeForms(const std::vector<Row>* rows,
   std::vector<RowBatch> forms;
   forms.push_back(RowBatch::FromRows(std::vector<Row>(*rows)));
   forms.push_back(RowBatch::FromColumns(make_store()));
-  forms.push_back(RowBatch::BorrowedColumnar(borrowed, rows, 0, rows->size()));
+  forms.push_back(RowBatch::BorrowedColumns(borrowed, 0, rows->size()));
   std::vector<uint32_t> odd;
   for (uint32_t i = 1; i < rows->size(); i += 2) odd.push_back(i);
   for (size_t f = 0; f < 3; ++f) {
@@ -1284,13 +1284,14 @@ TEST(HashTableParallelGroupBy, ScanAndJoinOutputMatchBruteForce) {
   const Table* g = *db.catalog()->GetTable("g");
   const Table* h = *db.catalog()->GetTable("h");
   const Table* m = *db.catalog()->GetTable("m");
-  std::vector<Row> scan_rows = g->rows();
-  std::vector<Row> m3_rows = m->rows();
+  std::vector<Row> scan_rows = testing_util::TableRows(*g);
+  std::vector<Row> m3_rows = testing_util::TableRows(*m);
+  const std::vector<Row> h_rows = testing_util::TableRows(*h);
   std::vector<Row> m2_rows;
   for (const Row& r : m3_rows) m2_rows.push_back(Row{r[0], r[1], r[3], r[4]});
   std::vector<Row> join_rows;
-  for (const Row& gr : g->rows()) {
-    for (const Row& hr : h->rows()) {
+  for (const Row& gr : scan_rows) {
+    for (const Row& hr : h_rows) {
       if (!gr[1].is_null() && gr[1].StructurallyEquals(hr[0])) {
         join_rows.push_back(Row{gr[0], hr[0], hr[1]});
       }

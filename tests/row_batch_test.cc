@@ -1,8 +1,12 @@
 // Unit tests for RowBatch: ownership vs. borrowing, selection-vector
-// views, the dense flag, move-out semantics, and column-only batches
-// (exact Value round trips, rows built from columns).
+// views, the dense flag, move-out semantics, column-only batches (exact
+// Value round trips, rows built from columns) and borrowed windows of a
+// column store (rows built for the window only, once).
+#include <malloc.h>
+
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,16 +231,142 @@ TEST(RowBatchTest, ColumnOnlyTakeRowAndConsumeRowsBuildFromColumns) {
   EXPECT_FALSE(whole.has_rows());
 }
 
-TEST(RowBatchTest, BorrowedColumnarBuildsRowsFromItsColumns) {
-  const ColumnStore columns = TrickyColumns();
-  const std::vector<Row> shim = TrickyRows();
-  RowBatch batch = RowBatch::BorrowedColumnar(&columns, &shim, 1, 4);
-  std::vector<Row> out;
-  batch.ConsumeRowsInto(&out, {1});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_TRUE(std::isnan(out[0][0].double_value()));
-  EXPECT_TRUE(out[1][0].is_null());
-  ExpectSameValue(out[2][0], Value::Double(0.0));
+// ------------------------------------------- borrowed column windows
+
+constexpr size_t kWindowBegin = 200000;  // TrickyRows() start here
+
+/// A table-sized store: filler rows, TrickyRows() at kWindowBegin, then
+/// more filler.
+const ColumnStore& WideStore() {
+  static const ColumnStore* store = [] {
+    auto* s = new ColumnStore;
+    for (DataType t : {DataType::kInt64, DataType::kDouble,
+                       DataType::kString, DataType::kInt64}) {
+      s->columns.emplace_back(t);
+    }
+    auto filler = [s](size_t i) {
+      s->AppendRow(Row{Value::Int64(static_cast<int64_t>(i)),
+                       Value::Double(0.5), Value::String("filler"),
+                       Value::Int64(0)});
+    };
+    for (size_t i = 0; i < kWindowBegin; ++i) filler(i);
+    for (const Row& row : TrickyRows()) s->AppendRow(row);
+    for (size_t i = 0; i < 100; ++i) filler(i);
+    return s;
+  }();
+  return *store;
+}
+
+RowBatch TrickyWindow() {
+  return RowBatch::BorrowedColumns(&WideStore(), kWindowBegin,
+                                   kWindowBegin + 5);
+}
+
+/// Heap bytes in use, mmapped blocks included (0 where the allocator
+/// does not report them).
+size_t HeapInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(ColumnarBorrowedWindow, RoundTripsAtAHighOffset) {
+  const std::vector<Row> want = TrickyRows();
+  RowBatch batch = TrickyWindow();
+  ASSERT_EQ(batch.columns(), &WideStore());
+  ASSERT_EQ(batch.size(), 5u);
+  EXPECT_EQ(batch.width(), 4u);
+  EXPECT_TRUE(batch.dense());
+  EXPECT_EQ(batch.selection()[0], kWindowBegin);
+  EXPECT_FALSE(batch.OwnsAllColumns());  // borrowed, never taken
+
+  // Column reads build no rows.
+  const ColumnStore gathered = batch.GatherColumns(nullptr);
+  ASSERT_EQ(gathered.num_rows, 5u);
+  const Row taken = TrickyWindow().TakeRow(1);
+  std::vector<Row> consumed;
+  TrickyWindow().ConsumeRowsInto(&consumed);
+  std::vector<Row> narrowed;
+  RowBatch narrow = TrickyWindow();
+  narrow.ConsumeRowsInto(&narrowed, {3, 1});
+  EXPECT_TRUE(narrow.empty());
+  EXPECT_FALSE(batch.has_rows());
+  ASSERT_EQ(consumed.size(), 5u);
+  ASSERT_EQ(narrowed.size(), 5u);
+  for (size_t c = 0; c < 4; ++c) ExpectSameValue(taken[c], want[1][c]);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t c = 0; c < 4; ++c) {
+      SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
+      ExpectSameValue(gathered.columns[c].GetValue(i), want[i][c]);
+      ExpectSameValue(consumed[i][c], want[i][c]);
+    }
+    ExpectSameValue(narrowed[i][0], want[i][3]);
+    ExpectSameValue(narrowed[i][1], want[i][1]);
+  }
+
+  // Views taken before and after the first row() share one
+  // materialization, and it holds the window's five rows, not the
+  // store's 200k.
+  RowBatch early = batch.ShareWithSelection({kWindowBegin + 4,
+                                             kWindowBegin + 1});
+  const size_t heap_before = HeapInUse();
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t c = 0; c < 4; ++c) {
+      SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
+      ExpectSameValue(batch.row(i)[c], want[i][c]);
+      ExpectSameValue(
+          batch.storage_row(static_cast<uint32_t>(kWindowBegin + i))[c],
+          want[i][c]);
+    }
+  }
+  const size_t heap_after = HeapInUse();
+  EXPECT_LT(heap_after > heap_before ? heap_after - heap_before : 0,
+            size_t{64} << 10);
+  EXPECT_TRUE(batch.has_rows());
+  EXPECT_TRUE(early.has_rows());
+  RowBatch late = batch.ShareWithSelection({kWindowBegin + 2});
+  EXPECT_EQ(&early.row(0), &batch.row(4));
+  EXPECT_EQ(&early.row(1), &batch.row(1));
+  EXPECT_EQ(&late.row(0), &batch.row(2));
+  EXPECT_EQ(&batch.row(4) - &batch.row(0), 4);
+  // Another window of the same store has its own rows.
+  RowBatch other = RowBatch::BorrowedColumns(&WideStore(), 7, 9);
+  EXPECT_FALSE(other.has_rows());
+  EXPECT_EQ(other.row(1)[0].int64_value(), 8);
+  EXPECT_NE(&other.row(0), &batch.row(0));
+}
+
+// Four threads read one window through their own views: the first row()
+// builds the window's rows once, the others wait for it and read the
+// same rows.
+TEST(ColumnarParallelBorrowedWindow, FourThreadsShareOneBuild) {
+  const std::vector<Row> want = TrickyRows();
+  for (int round = 0; round < 20; ++round) {
+    const RowBatch batch = TrickyWindow();
+    std::vector<RowBatch> views;
+    for (int t = 0; t < 4; ++t) {
+      views.push_back(batch.ShareWithSelection(batch.selection()));
+    }
+    std::vector<const Row*> first(4, nullptr);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        const RowBatch& view = views[static_cast<size_t>(t)];
+        for (size_t i = 0; i < view.size(); ++i) {
+          for (size_t c = 0; c < 4; ++c) {
+            ExpectSameValue(view.row(i)[c], want[i][c]);
+          }
+        }
+        first[static_cast<size_t>(t)] = &view.row(0);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (size_t t = 1; t < 4; ++t) EXPECT_EQ(first[t], first[0]);
+    EXPECT_TRUE(batch.has_rows());
+  }
 }
 
 TEST(RowBatchTest, GatherAndTakeColumns) {

@@ -35,6 +35,7 @@ namespace {
 using testing_util::IntRow;
 using testing_util::IntSchema;
 using testing_util::LoadSmallRst;
+using testing_util::TableRows;
 
 // --- Shared builders -----------------------------------------------------
 
@@ -382,13 +383,14 @@ TEST(StatsSubsystemProperty, QErrorBoundedOnRandomDataAndPredicates) {
     }
     const Table* ut = *table;
     ASSERT_TRUE((*table)->AppendUnchecked(std::move(rows)).ok());
+    const std::vector<Row> u_rows = TableRows(*ut);
     ASSERT_TRUE(db.Analyze("u").ok());
     PlanStatsProvider provider(db.catalog(),
                                std::make_shared<GetOp>("u", "u", Schema()));
 
     auto true_count = [&](int col, CompareOp op, int64_t lit) {
       int64_t n = 0;
-      for (const Row& row : ut->rows()) {
+      for (const Row& row : u_rows) {
         const Value& v = row[static_cast<size_t>(col)];
         if (v.is_null()) continue;
         const int64_t x = v.int64_value();
@@ -407,7 +409,7 @@ TEST(StatsSubsystemProperty, QErrorBoundedOnRandomDataAndPredicates) {
       // degenerate zero-match.
       for (;;) {
         const Value& v =
-            ut->rows()[static_cast<size_t>(rng.UniformInt(0, kRows - 1))]
+            u_rows[static_cast<size_t>(rng.UniformInt(0, kRows - 1))]
                       [static_cast<size_t>(col)];
         if (!v.is_null()) return v.int64_value();
       }
@@ -435,7 +437,7 @@ TEST(StatsSubsystemProperty, QErrorBoundedOnRandomDataAndPredicates) {
                                    Cmp(op2, Col("u", "y"), Lit(l2))});
       const double est = EstimateSelectivity(*pred, &provider) * kRows;
       int64_t actual = 0;
-      for (const Row& row : ut->rows()) {
+      for (const Row& row : u_rows) {
         const Value& x = row[0];
         const Value& y = row[1];
         const bool p1 = !x.is_null() && [&] {

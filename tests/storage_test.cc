@@ -37,6 +37,7 @@ namespace bypass {
 namespace {
 
 using testing_util::IntSchema;
+using testing_util::TableRows;
 
 // --- Expression builders (bound against the scanned table's slots) ------
 
@@ -166,12 +167,12 @@ TEST(StorageZoneMap, UntrackedColumnIsConservative) {
 // --- Zone index builder --------------------------------------------------
 
 /// Checks every zone of `table`'s segment index against a brute-force pass
-/// over `table.rows()`: NULL count, min/max over the non-NULL values (the
+/// over the table's rows: NULL count, min/max over the non-NULL values (the
 /// first of equal values kept), and `untracked` for mixed-mode columns and
 /// NaN-bearing double segments.
 void ExpectZonesMatchBruteForce(const Table& table) {
   const TableSegments& segs = table.segments();
-  const std::vector<Row>& data = table.rows();
+  const std::vector<Row> data = TableRows(table);
   ASSERT_EQ(segs.num_rows, data.size());
   size_t next_row = 0;
   for (size_t s = 0; s < segs.num_segments(); ++s) {

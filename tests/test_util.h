@@ -4,6 +4,7 @@
 #define BYPASSDB_TESTS_TEST_UTIL_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 
 #include "common/rng.h"
 #include "engine/database.h"
+#include "exec/phys_op.h"
 #include "workload/rst.h"
 
 namespace bypass {
@@ -30,6 +32,36 @@ inline Row IntRow(std::initializer_list<int64_t> values) {
   Row row;
   for (int64_t v : values) row.push_back(Value::Int64(v));
   return row;
+}
+
+/// Records what each batch reaching it carries, then collects its rows
+/// (built from the columns, so recording materializes nothing).
+class BatchRecorder : public PhysOp {
+ public:
+  Status Consume(int, RowBatch batch) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++batches;
+    if (batch.columns() == nullptr) ++row_only;
+    if (batch.has_rows()) ++with_rows;
+    batch.ConsumeRowsInto(&rows);
+    return Status::OK();
+  }
+  Status FinishPort(int) override { return Status::OK(); }
+  std::string Label() const override { return "BatchRecorder"; }
+
+  int batches = 0;
+  int row_only = 0;   // batches without columns
+  int with_rows = 0;  // batches with row storage
+  std::vector<Row> rows;
+
+ private:
+  std::mutex mu_;
+};
+
+/// The table's rows, built from its columns.
+inline std::vector<Row> TableRows(const Table& table) {
+  const ColumnStore& columns = table.columns();
+  return RowBatch::BorrowedColumns(&columns, 0, columns.num_rows).ToRows();
 }
 
 /// Loads small random R/S/T tables with duplicates and tight domains so

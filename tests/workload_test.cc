@@ -4,11 +4,14 @@
 
 #include <set>
 
+#include "test_util.h"
 #include "workload/rst.h"
 #include "workload/tpch.h"
 
 namespace bypass {
 namespace {
+
+using testing_util::TableRows;
 
 TEST(RstGeneratorTest, CardinalitiesFollowScaleFactors) {
   Database db;
@@ -38,7 +41,7 @@ TEST(RstGeneratorTest, DomainsMatchDocumentedRanges) {
   opts.filter_domain = 100;
   ASSERT_TRUE(LoadRst(&db, 1, 1, 1, opts).ok());
   const Table* s = *db.catalog()->GetTable("s");
-  for (const Row& row : s->rows()) {
+  for (const Row& row : TableRows(*s)) {
     EXPECT_GE(row[1].int64_value(), 0);
     EXPECT_LT(row[1].int64_value(), 50);   // *2 ∈ [0, group_domain)
     EXPECT_GE(row[3].int64_value(), 0);
@@ -52,8 +55,8 @@ TEST(RstGeneratorTest, DeterministicAcrossRuns) {
   opts.rows_per_sf = 50;
   ASSERT_TRUE(LoadRst(&a, 1, 1, 1, opts).ok());
   ASSERT_TRUE(LoadRst(&b, 1, 1, 1, opts).ok());
-  EXPECT_TRUE(RowMultisetsEqual((*a.catalog()->GetTable("r"))->rows(),
-                                (*b.catalog()->GetTable("r"))->rows()));
+  EXPECT_TRUE(RowMultisetsEqual(TableRows(**a.catalog()->GetTable("r")),
+                                TableRows(**b.catalog()->GetTable("r"))));
 }
 
 TEST(RstGeneratorTest, ReloadReplacesTables) {
@@ -89,7 +92,7 @@ TEST_F(TpchGeneratorTest, ScaledCardinalities) {
 TEST_F(TpchGeneratorTest, PartsuppHasFourDistinctSuppliersPerPart) {
   const Table* ps = *db_.catalog()->GetTable("partsupp");
   std::map<int64_t, std::set<int64_t>> suppliers_by_part;
-  for (const Row& row : ps->rows()) {
+  for (const Row& row : TableRows(*ps)) {
     suppliers_by_part[row[0].int64_value()].insert(row[1].int64_value());
   }
   EXPECT_EQ(suppliers_by_part.size(), 400u);
@@ -122,7 +125,7 @@ TEST_F(TpchGeneratorTest, PartTypesComeFromTheSpecVocabulary) {
   const Table* part = *db_.catalog()->GetTable("part");
   const int type_slot = *part->schema().FindColumn("", "p_type");
   int brass = 0;
-  for (const Row& row : part->rows()) {
+  for (const Row& row : TableRows(*part)) {
     const std::string& type = row[type_slot].string_value();
     // "<S1> <S2> <S3>" with three space-separated syllables.
     EXPECT_EQ(std::count(type.begin(), type.end(), ' '), 2) << type;
@@ -139,7 +142,7 @@ TEST_F(TpchGeneratorTest, PartTypesComeFromTheSpecVocabulary) {
 TEST_F(TpchGeneratorTest, PartSizeInRange) {
   const Table* part = *db_.catalog()->GetTable("part");
   const int size_slot = *part->schema().FindColumn("", "p_size");
-  for (const Row& row : part->rows()) {
+  for (const Row& row : TableRows(*part)) {
     EXPECT_GE(row[size_slot].int64_value(), 1);
     EXPECT_LE(row[size_slot].int64_value(), 50);
   }
@@ -148,7 +151,7 @@ TEST_F(TpchGeneratorTest, PartSizeInRange) {
 TEST_F(TpchGeneratorTest, SupplyCostInSpecRange) {
   const Table* ps = *db_.catalog()->GetTable("partsupp");
   const int cost_slot = *ps->schema().FindColumn("", "ps_supplycost");
-  for (const Row& row : ps->rows()) {
+  for (const Row& row : TableRows(*ps)) {
     EXPECT_GE(row[cost_slot].double_value(), 1.0);
     EXPECT_LE(row[cost_slot].double_value(), 1000.0);
   }
