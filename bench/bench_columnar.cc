@@ -66,8 +66,9 @@ struct Fixture {
     }
   }
 
-  RowBatch RowOnly() const {
-    return RowBatch::Borrowed(&rows, 0, rows.size());
+  /// The same rows in untyped columns: every kernel takes its Value path.
+  RowBatch Untyped() const {
+    return RowBatch::FromRows(rows, /*typed=*/false);
   }
   RowBatch Columnar() const {
     return RowBatch::BorrowedColumns(&store, 0, rows.size());
@@ -120,7 +121,7 @@ void RunPartition(benchmark::State& state, const RowBatch& batch,
 }
 
 void BM_RowPartitionInt64(benchmark::State& state) {
-  RowBatch batch = SharedFixture().RowOnly();
+  RowBatch batch = SharedFixture().Untyped();
   RunPartition(state, batch, *GtThreshold(0, Value::Int64(kI64Threshold)));
 }
 BENCHMARK(BM_RowPartitionInt64);
@@ -132,7 +133,7 @@ void BM_ColumnarPartitionInt64(benchmark::State& state) {
 BENCHMARK(BM_ColumnarPartitionInt64);
 
 void BM_RowPartitionDouble(benchmark::State& state) {
-  RowBatch batch = SharedFixture().RowOnly();
+  RowBatch batch = SharedFixture().Untyped();
   RunPartition(state, batch,
                *GtThreshold(1, Value::Double(kF64Threshold)));
 }
@@ -187,7 +188,7 @@ void RunAggregate(benchmark::State& state, const RowBatch& batch) {
 }
 
 void BM_RowAggregate(benchmark::State& state) {
-  RowBatch batch = SharedFixture().RowOnly();
+  RowBatch batch = SharedFixture().Untyped();
   RunAggregate(state, batch);
 }
 BENCHMARK(BM_RowAggregate);

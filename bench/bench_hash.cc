@@ -20,6 +20,7 @@
 
 namespace {
 
+using bypass::ColumnStore;
 using bypass::FlatRowMap;
 using bypass::JoinHashTable;
 using bypass::JoinMatches;
@@ -101,10 +102,11 @@ UnorderedJoinIndex BuildUnorderedIndex(const std::vector<Row>& rows) {
 
 void BM_JoinBuildFlat(benchmark::State& state) {
   const std::vector<Row>& rows = BuildRows();
+  const ColumnStore build = RowBatch::FromRows(rows).TakeColumns();
   JoinHashTable table;
   for (auto _ : state) {
     table.Clear();
-    table.Build(rows, KeySlots());
+    table.Build(build, KeySlots());
     benchmark::DoNotOptimize(table.num_keys());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -128,13 +130,13 @@ BENCHMARK(BM_JoinBuildUnordered);
 void BM_JoinProbeFlat(benchmark::State& state) {
   const std::vector<Row>& rows = BuildRows();
   JoinHashTable table;
-  table.Build(rows, KeySlots());
+  table.Build(RowBatch::FromRows(rows).TakeColumns(), KeySlots());
   const std::vector<Row> probes =
       MakeProbeRows(static_cast<int>(state.range(0)));
   // Row-at-a-time probing: each probe is a one-row batch.
   std::vector<RowBatch> batches;
   for (const Row& probe : probes) {
-    batches.push_back(RowBatch::FromRows({probe}));
+    batches.push_back(RowBatch::FromRows({probe}, /*typed=*/false));
   }
   JoinProbeScratch scratch;
   int64_t matches = 0;
@@ -154,9 +156,9 @@ BENCHMARK(BM_JoinProbeFlat)->Arg(1)->Arg(5)->Arg(10)->Arg(25)->Arg(50)
 void BM_JoinProbeBatchFlat(benchmark::State& state) {
   const std::vector<Row>& rows = BuildRows();
   JoinHashTable table;
-  table.Build(rows, KeySlots());
+  table.Build(RowBatch::FromRows(rows).TakeColumns(), KeySlots());
   RowBatch batch = RowBatch::FromRows(
-      MakeProbeRows(static_cast<int>(state.range(0))));
+      MakeProbeRows(static_cast<int>(state.range(0))), /*typed=*/false);
   JoinProbeScratch scratch;
   int64_t matches = 0;
   for (auto _ : state) {

@@ -86,7 +86,6 @@ Status CompiledPipelineOp::Prepare(ExecContext* ctx) {
 bool CompiledPipelineOp::FillBatch(const RowBatch& batch, Scratch* s,
                                    CgBatch* cg) {
   const ColumnStore* store = batch.columns();
-  if (store == nullptr) return false;
   for (size_t i = 0; i < chain_.slots.size(); ++i) {
     const CgSlotUse& use = chain_.slots[i];
     if (use.slot < 0 ||
@@ -293,7 +292,7 @@ Status CompiledPipelineOp::RunWidened(RowBatch batch, Scratch& s,
         }
         BYPASS_RETURN_IF_ERROR(Emit(
             kPortOut, RowBatch::FromColumns(join_->GatherPairs(
-                          batch, join_->build_rows(), s.pair_a.data(),
+                          batch, join_->build_columns(), s.pair_a.data(),
                           s.pair_b.data(), counts[0]))));
       }
       if (counts[1] >= n) break;

@@ -14,7 +14,7 @@
 //   * hash-join probe: the compiled loop probes the interpreted
 //     HashJoinOp's published slot view and returns (position, build row)
 //     pairs; this operator gathers them into columns through the join's
-//     own HashJoinOp::GatherPairs and emits the column-only batch to the
+//     own HashJoinOp::GatherPairs and emits the gathered batch to the
 //     join's consumers. A full pair cursor resumes at a row boundary with
 //     a doubled buffer.
 //   * group-by accumulate: hits against the owning worker's group-map

@@ -49,9 +49,7 @@ bool KeyIndex::PackBatch(const RowBatch& batch, const std::vector<int>& slots,
   if (slots.size() != w) return false;
   int64_t* keys = s->keys.data();
   for (size_t i = 0; i < n; ++i) keys[i * stride_] = 0;  // null bitmaps
-  const bool rows = batch.has_rows() || batch.columns() == nullptr;
   bool all = true;
-  Value scratch;
   for (size_t j = 0; j < w; ++j) {
     const size_t slot = static_cast<size_t>(slots[j]);
     const int64_t bit = static_cast<int64_t>(uint64_t{1} << j);
@@ -67,8 +65,7 @@ bool KeyIndex::PackBatch(const RowBatch& batch, const std::vector<int>& slots,
     }
     for (size_t i = 0; i < n; ++i) {
       if (s->packed[i] == 0) continue;
-      const Value& v =
-          rows ? batch.row(i)[slot] : BatchValue(batch, i, slot, &scratch);
+      const Value v = BatchValue(batch, i, slot);
       bool is_null;
       if ((exact && !v.is_int64() && !v.is_null()) ||
           !Int64KeyOf(v, &keys[i * stride_ + j + 1], &is_null)) {
@@ -147,10 +144,8 @@ void KeyIndex::FindOrInsertBatch(const RowBatch& batch,
   if (shape_ == Shape::kUnset) {
     // Elect from the first row's values, read without materializing rows.
     Row first;
-    Value scratch;
     for (int slot : slots) {
-      first.push_back(
-          BatchValue(batch, 0, static_cast<size_t>(slot), &scratch));
+      first.push_back(BatchValue(batch, 0, static_cast<size_t>(slot)));
     }
     Elect(first, /*exact=*/!join);
   }

@@ -164,8 +164,9 @@ class KeyIndex {
 
   /// Resolves the key at `slots` of every selected row of `batch`,
   /// calling `hit(i, id)` for each row i whose key is present. Packed
-  /// keys pack column at a time from the batch's typed columns, else
-  /// value by value, so a column-only batch keeps no rows; a width-1
+  /// keys pack column at a time from the batch's typed int64 columns,
+  /// else value by value from its columns, so the batch keeps no rows;
+  /// generic keys read its rows. A width-1
   /// index with no NULL key reads a typed int64 probe column in one pass
   /// with a hash-only resolve. Safe concurrently with distinct scratches.
   template <typename Hit>
@@ -275,23 +276,17 @@ class KeyIndex {
   KeyScratch batch_;            // FindOrInsertBatch scratch
 };
 
-/// The value at `slot` of the batch's i-th row: in its row when the batch
-/// has rows, else read from its column into `*scratch`, so a key read
-/// never materializes rows.
-inline const Value& BatchValue(const RowBatch& batch, size_t i, size_t slot,
-                               Value* scratch) {
-  if (batch.has_rows() || batch.columns() == nullptr) {
-    return batch.row(i)[slot];
-  }
-  *scratch = batch.columns()->columns[slot].GetValue(batch.selection()[i]);
-  return *scratch;
+/// The value at `slot` of the batch's i-th row, read from its column, so
+/// a key read never materializes rows.
+inline Value BatchValue(const RowBatch& batch, size_t i, size_t slot) {
+  return batch.columns()->columns[slot].GetValue(batch.selection()[i]);
 }
 
 /// The batch's typed int64 column at `slot`, or null.
 inline const ColumnVector* TypedInt64Column(const RowBatch& batch,
                                             size_t slot) {
   const ColumnStore* store = batch.columns();
-  if (store == nullptr || slot >= store->columns.size()) return nullptr;
+  if (slot >= store->columns.size()) return nullptr;
   const ColumnVector& col = store->columns[slot];
   return col.typed() && col.type() == DataType::kInt64 ? &col : nullptr;
 }

@@ -97,10 +97,10 @@ struct QueryOptions {
   size_t morsel_size = kDefaultMorselSize;
   /// Scans emit windows of the tables' typed columns so the columnar
   /// predicate / aggregate kernels engage (on by default). Off makes
-  /// scans build each batch's rows from the columns and forces the
-  /// row-at-a-time Value paths everywhere — the oracle side of the
-  /// columnar differential tests and the "row" side of the paired
-  /// benches.
+  /// scans copy each batch into untyped columns (a Value per entry), so
+  /// every typed kernel, and codegen's typed() check, declines and the
+  /// Value paths run — the oracle side of the columnar differential
+  /// tests and the "row" side of the paired benches.
   bool enable_columnar = true;
   /// After execution, write actual base-table cardinalities back to the
   /// catalog when they drifted from the ANALYZE row counts (runtime

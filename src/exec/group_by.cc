@@ -137,47 +137,36 @@ void BinaryGroupByHashOp::Reset() {
   empty_group_values_.clear();
 }
 
-Status BinaryGroupByHashOp::AccumulateRange(size_t begin, size_t end,
-                                            GroupMap* groups) const {
-  const std::vector<Row>& rows = right_rows();
-  for (size_t r = begin; r < end; ++r) {
-    const Row& row = rows[r];
-    const Value& key_val = row[static_cast<size_t>(right_key_slot_)];
-    if (key_val.is_null()) continue;  // SQL '=' never matches NULL
-    auto& aggs = groups->FindOrEmplace(
-        RowSlotsRef{&row, &right_key_slots_},
-        [&] { return std::make_unique<AggregatorSet>(&aggregates_); });
-    EvalContext ectx{&row, ctx_->outer_row()};
-    BYPASS_RETURN_IF_ERROR(aggs->Accumulate(ectx));
-  }
-  return Status::OK();
-}
-
 Status BinaryGroupByHashOp::BuildFromRight() {
-  // Phase 1: accumulate one AggregatorSet per distinct right key. Right
-  // finish runs on the driver after the pool drained, so the pool is free
-  // to parallelize the build over contiguous row ranges.
-  const size_t n = right_rows().size();
+  // Phase 1: one AggregatorSet per distinct right key, folded a window of
+  // the right columns at a time. NULL keys never match (SQL '='), so they
+  // leave the window's selection first.
+  const ColumnStore& right = right_columns();
   GroupMap groups;
-  WorkerPool* pool = ctx_->pool();
-  constexpr size_t kParallelBuildThreshold = 4096;
-  if (pool != nullptr && pool->num_workers() > 1 &&
-      n >= kParallelBuildThreshold) {
-    const size_t num_tasks = static_cast<size_t>(pool->num_workers());
-    const size_t chunk = (n + num_tasks - 1) / num_tasks;
-    std::vector<GroupMap> task_groups(num_tasks);
-    BYPASS_RETURN_IF_ERROR(pool->ParallelFor(
-        num_tasks, [&](size_t t) -> Status {
-          const size_t begin = t * chunk;
-          const size_t end = std::min(begin + chunk, n);
-          if (begin >= end) return Status::OK();
-          return AccumulateRange(begin, end, &task_groups[t]);
-        }));
-    for (GroupMap& tg : task_groups) {
-      BYPASS_RETURN_IF_ERROR(MergeGroupMaps(&groups, &tg));
+  std::vector<uint32_t> ids;
+  std::vector<AggregatorSet*> sets;
+  for (size_t begin = 0; begin < right.num_rows; begin += batch_size()) {
+    RowBatch window = RowBatch::BorrowedColumns(
+        &right, begin, std::min(right.num_rows, begin + batch_size()));
+    const ColumnVector& key =
+        right.columns[static_cast<size_t>(right_key_slot_)];
+    if (key.has_nulls()) {
+      std::vector<uint32_t> keyed;
+      for (uint32_t idx : window.selection()) {
+        if (!key.IsNull(idx)) keyed.push_back(idx);
+      }
+      window = window.ShareWithSelection(std::move(keyed));
     }
-  } else {
-    BYPASS_RETURN_IF_ERROR(AccumulateRange(0, n, &groups));
+    if (window.empty()) continue;
+    groups.FindOrEmplaceBatch(
+        window, right_key_slots_,
+        [&] { return std::make_unique<AggregatorSet>(&aggregates_); }, &ids);
+    sets.resize(window.size());
+    for (size_t i = 0; i < sets.size(); ++i) {
+      sets[i] = groups.values()[ids[i]].get();
+    }
+    BYPASS_RETURN_IF_ERROR(AggregatorSet::AccumulateGrouped(
+        window, sets.data(), ctx_->outer_row()));
   }
   // Phase 2: finalize into value rows, by key id, probed per left tuple.
   group_values_.clear();
@@ -223,22 +212,37 @@ BinaryGroupByNLOp::BinaryGroupByNLOp(int left_key_slot, CompareOp op,
       right_key_slot_(right_key_slot),
       aggregates_(std::move(aggregates)) {}
 
+void BinaryGroupByNLOp::Reset() {
+  BinaryPhysOp::Reset();
+  right_window_ = RowBatch();
+}
+
+Status BinaryGroupByNLOp::BuildFromRight() {
+  right_window_ = RowBatch::BorrowedColumns(&right_columns(), 0,
+                                            right_columns().num_rows);
+  return Status::OK();
+}
+
 Status BinaryGroupByNLOp::ProcessLeftBatch(RowBatch batch) {
+  // A view per call: concurrent workers share one build of the rows.
+  const RowBatch& window = right_window_;
+  const RowBatch right = window.ShareWithSelection(window.selection());
   const size_t n = batch.size();
   for (size_t i = 0; i < n; ++i) {
     Row row = batch.TakeRow(i);
     AggregatorSet aggs(&aggregates_);
     const Value& left_key = row[static_cast<size_t>(left_key_slot_)];
     int64_t since_check = 0;
-    for (const Row& right : right_rows()) {
+    for (size_t r = 0; r < right.size(); ++r) {
       if (++since_check >= 4096) {
         since_check = 0;
         BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
       }
+      const Row& right_row = right.row(r);
       const Value& right_key =
-          right[static_cast<size_t>(right_key_slot_)];
+          right_row[static_cast<size_t>(right_key_slot_)];
       if (left_key.Compare(op_, right_key) != TriBool::kTrue) continue;
-      EvalContext ectx{&right, ctx_->outer_row()};
+      EvalContext ectx{&right_row, ctx_->outer_row()};
       BYPASS_RETURN_IF_ERROR(aggs.Accumulate(ectx));
     }
     BYPASS_RETURN_IF_ERROR(aggs.FinalizeInto(&row));

@@ -6,8 +6,8 @@
 // Parallelism: HashGroupByOp accumulates into per-worker partial hash
 // tables (no shared mutable state during Consume) merged via
 // AggregatorSet::Merge at finish, which runs single-threaded on the
-// driver. BinaryGroupByHashOp builds its right-side aggregate table with
-// the context's worker pool when the right input is large.
+// driver. The binary groupings buffer their right input as columns
+// (BinaryPhysOp) and build from it at right finish.
 #ifndef BYPASSDB_EXEC_GROUP_BY_H_
 #define BYPASSDB_EXEC_GROUP_BY_H_
 
@@ -69,7 +69,8 @@ class HashGroupByOp : public UnaryPhysOp {
 
 /// Binary grouping, hash variant (θ = '='): every left tuple is extended
 /// with the aggregates over its group of right tuples; empty groups yield
-/// f(∅). Aggregate arguments are evaluated against right-side rows.
+/// f(∅). The right columns fold as HashGroupByOp::Consume folds its
+/// input, a window at a time.
 class BinaryGroupByHashOp : public BinaryPhysOp {
  public:
   BinaryGroupByHashOp(int left_key_slot, int right_key_slot,
@@ -86,11 +87,10 @@ class BinaryGroupByHashOp : public BinaryPhysOp {
  private:
   using GroupMap = FlatRowMap<std::unique_ptr<AggregatorSet>>;
 
-  Status AccumulateRange(size_t begin, size_t end, GroupMap* groups) const;
-
   int left_key_slot_;
   int right_key_slot_;
-  // Single-element slot vectors backing the RowSlotsRef probes below.
+  // Single-element slot vectors: the key of a right window and of a left
+  // row's RowSlotsRef probe.
   std::vector<int> left_key_slots_;
   std::vector<int> right_key_slots_;
   std::vector<AggregateSpec> aggregates_;
@@ -99,15 +99,19 @@ class BinaryGroupByHashOp : public BinaryPhysOp {
   Row empty_group_values_;
 };
 
-/// Binary grouping, nested-loop variant for arbitrary θ.
+/// Binary grouping, nested-loop variant for arbitrary θ. Each left tuple
+/// reads the right rows from one window over the right columns, whose
+/// rows are built once and shared by every worker's view.
 class BinaryGroupByNLOp : public BinaryPhysOp {
  public:
   BinaryGroupByNLOp(int left_key_slot, CompareOp op, int right_key_slot,
                     std::vector<AggregateSpec> aggregates);
 
+  void Reset() override;
   std::string Label() const override { return "BinaryGroupBy(nl)"; }
 
  protected:
+  Status BuildFromRight() override;
   Status ProcessLeftBatch(RowBatch batch) override;
   Status FinishBoth() override { return EmitFinish(kPortOut); }
 
@@ -116,6 +120,7 @@ class BinaryGroupByNLOp : public BinaryPhysOp {
   CompareOp op_;
   int right_key_slot_;
   std::vector<AggregateSpec> aggregates_;
+  RowBatch right_window_;
 };
 
 }  // namespace bypass

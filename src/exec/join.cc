@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -9,37 +10,45 @@ namespace bypass {
 
 namespace {
 
-bool AnyNull(const Row& row, const std::vector<int>& slots) {
-  for (int s : slots) {
-    if (row[static_cast<size_t>(s)].is_null()) return true;
-  }
-  return false;
-}
-
-/// Value-determined Grace partition hash: equal join keys must land in
-/// the same partition no matter which side or representation they come
-/// from. Single-column keys structurally equal to an int64 (int64, or a
-/// double representing one exactly — the classes Int64KeyOf unifies)
-/// take the int64 finalizer on both sides; everything else takes the
-/// generic row-slot hash, which is itself equality-consistent.
-uint64_t GracePartitionHash(const Row& row, const std::vector<int>& slots) {
-  if (slots.size() == 1) {
-    int64_t k;
-    bool is_null;
-    if (Int64KeyOf(row[static_cast<size_t>(slots[0])], &k, &is_null)) {
-      return HashInt64Key(k);
-    }
-  }
-  return HashRowSlots(row, slots);
-}
-
 /// Partitions come from the hash's top bits so they stay independent of
 /// the low bits the per-partition hash tables mask with.
 constexpr int kGracePartitionShift = 60;
 
-size_t GracePartitionOf(const Row& row, const std::vector<int>& slots) {
-  return static_cast<size_t>(GracePartitionHash(row, slots) >>
-                             kGracePartitionShift);
+/// Value-determined Grace partition of a join key without NULLs: equal
+/// keys must land in the same partition no matter which side or column
+/// type they come from. Single-column keys structurally equal to an int64
+/// (int64, or a double representing one exactly — the classes Int64KeyOf
+/// unifies) take the int64 finalizer on both sides; everything else takes
+/// the generic row hash, which is itself equality-consistent.
+size_t GracePartitionOf(const Row& key) {
+  uint64_t hash;
+  int64_t k;
+  bool is_null;
+  if (key.size() == 1 && Int64KeyOf(key[0], &k, &is_null)) {
+    hash = HashInt64Key(k);
+  } else {
+    hash = HashRow(key);
+  }
+  return static_cast<size_t>(hash >> kGracePartitionShift);
+}
+
+/// Appends rows of `file` to `out` until it holds `max_rows`; false once
+/// the file is exhausted.
+Result<bool> ReadRowsInto(SpillFile* file, size_t max_rows,
+                          ColumnStore* out) {
+  Row row;
+  while (out->num_rows < max_rows) {
+    BYPASS_ASSIGN_OR_RETURN(bool more, file->ReadRow(&row));
+    if (!more) return false;
+    out->AppendRow(row);
+  }
+  return true;
+}
+
+std::vector<uint32_t> AllRows(const ColumnStore& store) {
+  std::vector<uint32_t> all(store.num_rows);
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 }  // namespace
@@ -50,17 +59,17 @@ void JoinHashTable::Clear() {
   payload_.clear();
 }
 
-void JoinHashTable::Build(const std::vector<Row>& rows,
+void JoinHashTable::Build(const ColumnStore& build,
                           const std::vector<int>& key_slots) {
   Clear();
-  const size_t n = rows.size();
+  const size_t n = build.num_rows;
   row_key_.resize(n);
-  // A batch of rows at a time, so the inserts run with slots prefetched
+  // A window of rows at a time, so the inserts run with slots prefetched
   // and the index's scratch stays one batch long.
   for (size_t begin = 0; begin < n; begin += kDefaultBatchSize) {
     const size_t end = std::min(n, begin + kDefaultBatchSize);
-    index_.FindOrInsertBatch(RowBatch::Borrowed(&rows, begin, end), key_slots,
-                             row_key_.data() + begin,
+    index_.FindOrInsertBatch(RowBatch::BorrowedColumns(&build, begin, end),
+                             key_slots, row_key_.data() + begin,
                              KeyIndex::Equality::kJoin);
   }
   // Fill pass: prefix sums of the rows per key, then ascending row
@@ -147,22 +156,24 @@ Status HashJoinOp::BuildFromRight() {
                 size_t{1} << (64 - kGracePartitionShift));
   if (!keyed()) return Status::OK();  // every build row is a candidate
   if (right_spilled()) return EnterGraceMode();
-  table_.Build(right_rows(), build_key_slots_);
+  table_.Build(right_columns(), build_key_slots_);
   // The index arrays scale with the build side exactly like the buffered
   // rows (charged on arrival) do, so they pay into the budget too.
   const int64_t bytes = table_.RetainedBytes();
   if (CanSpillRight() && ctx_->run().spill != nullptr) {
     if (!ctx_->run().TryChargeMemory(bytes)) {
-      table_.Clear();
+      // Drop the arrays, not just the keys: each partition's table
+      // reports its capacity to the budget.
+      table_ = JoinHashTable();
       return EnterGraceMode();
     }
   } else {
     BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
   }
   // A semi or anti join without a residual reads only match counts, and
-  // the table holds its own keys, so the buffered build rows can go.
+  // the table holds its own keys, so the buffered build columns can go.
   if (existence() && residual_ == nullptr) {
-    TakeRightRows();
+    TakeRightColumns();
     ctx_->run().ReleaseMemory(TakeRightCharges());
   }
   // The build is complete and budgeted: publish the table. The release
@@ -182,31 +193,28 @@ Status HashJoinOp::EnterGraceMode() {
     BYPASS_ASSIGN_OR_RETURN(left_parts_[p], run.spill->NewFile("gracel"));
   }
   run.stats().spill_files += static_cast<int64_t>(2 * kGracePartitions);
-  auto route_right = [&](const Row& row) -> Status {
-    // NULL-keyed rows can never match an inner join; dropping them here
-    // mirrors the in-memory build skipping them.
-    if (AnyNull(row, build_key_slots_)) return Status::OK();
-    return right_parts_[GracePartitionOf(row, build_key_slots_)]
-        ->AppendRow(row);
-  };
   // Repartition the in-memory remainder first, releasing its budget
-  // charges, then replay the workers' overflow files.
+  // charges, then replay the workers' overflow files a batch at a time.
   {
-    std::vector<Row> mem = TakeRightRows();
-    for (const Row& row : mem) {
-      BYPASS_RETURN_IF_ERROR(route_right(row));
-    }
+    const ColumnStore mem = TakeRightColumns();
+    const std::vector<uint32_t> all = AllRows(mem);
+    BYPASS_RETURN_IF_ERROR(RouteRows(mem, all.data(), all.size(),
+                                     build_key_slots_, &right_parts_,
+                                     /*lock=*/false));
   }
   run.ReleaseMemory(TakeRightCharges());
   BYPASS_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<SpillFile>> spilled,
                           TakeRightSpillFiles());
-  Row row;
   for (const std::unique_ptr<SpillFile>& file : spilled) {
     BYPASS_RETURN_IF_ERROR(file->OpenRead());
-    while (true) {
-      BYPASS_ASSIGN_OR_RETURN(bool more, file->ReadRow(&row));
-      if (!more) break;
-      BYPASS_RETURN_IF_ERROR(route_right(row));
+    for (bool more = true; more;) {
+      ColumnStore chunk;
+      BYPASS_ASSIGN_OR_RETURN(more,
+                              ReadRowsInto(file.get(), batch_size(), &chunk));
+      const std::vector<uint32_t> all = AllRows(chunk);
+      BYPASS_RETURN_IF_ERROR(RouteRows(chunk, all.data(), all.size(),
+                                       build_key_slots_, &right_parts_,
+                                       /*lock=*/false));
     }
   }
   for (std::unique_ptr<SpillFile>& part : right_parts_) {
@@ -217,11 +225,26 @@ Status HashJoinOp::EnterGraceMode() {
   return Status::OK();
 }
 
-Status HashJoinOp::RouteLeftRow(const Row& row) {
-  if (AnyNull(row, probe_key_slots_)) return Status::OK();
-  const size_t p = GracePartitionOf(row, probe_key_slots_);
-  std::lock_guard<std::mutex> lock(part_mutex_[p]);
-  return left_parts_[p]->AppendRow(row);
+Status HashJoinOp::RouteRows(const ColumnStore& store, const uint32_t* idx,
+                             size_t n, const std::vector<int>& key_slots,
+                             std::vector<std::unique_ptr<SpillFile>>* parts,
+                             bool lock) {
+  Row key(key_slots.size());
+  for (size_t i = 0; i < n; ++i) {
+    bool null_key = false;
+    for (size_t j = 0; j < key_slots.size(); ++j) {
+      key[j] = store.columns[static_cast<size_t>(key_slots[j])].GetValue(
+          idx[i]);
+      null_key = null_key || key[j].is_null();
+    }
+    if (null_key) continue;
+    const size_t p = GracePartitionOf(key);
+    const Row row = store.MaterializeRow(idx[i]);
+    std::unique_lock<std::mutex> guard(part_mutex_[p], std::defer_lock);
+    if (lock) guard.lock();
+    BYPASS_RETURN_IF_ERROR((*parts)[p]->AppendRow(row));
+  }
+  return Status::OK();
 }
 
 Status HashJoinOp::ProbeGracePartitions() {
@@ -230,34 +253,27 @@ Status HashJoinOp::ProbeGracePartitions() {
     BYPASS_RETURN_IF_ERROR(part->FinishWrite());
     stats.spilled_bytes += part->bytes_written();
   }
-  std::vector<Row> build;
-  Row row;
   for (size_t p = 0; p < kGracePartitions; ++p) {
     SpillFile& right = *right_parts_[p];
     SpillFile& left = *left_parts_[p];
     if (right.rows_written() == 0 || left.rows_written() == 0) continue;
     BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
-    build.clear();
-    build.reserve(static_cast<size_t>(right.rows_written()));
+    ColumnStore build;
     BYPASS_RETURN_IF_ERROR(right.OpenRead());
-    while (true) {
-      BYPASS_ASSIGN_OR_RETURN(bool more, right.ReadRow(&row));
-      if (!more) break;
-      build.push_back(std::move(row));
-    }
+    BYPASS_RETURN_IF_ERROR(
+        ReadRowsInto(&right, right.rows_written(), &build).status());
     // One partition pair is resident at a time; its charges are released
     // before the next partition loads. A single partition that still
     // overflows the budget (extreme key skew) fails rather than thrash.
-    const int64_t row_bytes = ApproxRowsBytes(
-        build.size(), build.empty() ? 0 : build[0].size());
-    if (!ctx_->run().TryChargeMemory(row_bytes)) {
+    const int64_t build_bytes = build.ApproxBytes();
+    if (!ctx_->run().TryChargeMemory(build_bytes)) {
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
     table_.Build(build, build_key_slots_);
     const int64_t table_bytes = table_.RetainedBytes();
     if (!ctx_->run().TryChargeMemory(table_bytes)) {
-      ctx_->run().ReleaseMemory(row_bytes);
+      ctx_->run().ReleaseMemory(build_bytes);
       return Status::ResourceExhausted(
           "grace-join partition exceeds the memory budget");
     }
@@ -265,25 +281,20 @@ Status HashJoinOp::ProbeGracePartitions() {
     // batch at a time.
     BYPASS_RETURN_IF_ERROR(left.OpenRead());
     Status st = Status::OK();
-    bool more = true;
-    while (st.ok() && more) {
-      std::vector<Row> rows;
-      while (rows.size() < batch_size()) {
-        Result<bool> read = left.ReadRow(&row);
-        if (!read.ok()) {
-          st = read.status();
-          break;
-        }
-        more = *read;
-        if (!more) break;
-        rows.push_back(std::move(row));
+    for (bool more = true; st.ok() && more;) {
+      ColumnStore rows;
+      Result<bool> read = ReadRowsInto(&left, batch_size(), &rows);
+      if (!read.ok()) {
+        st = read.status();
+        break;
       }
-      if (st.ok() && !rows.empty()) {
-        st = JoinBatch(RowBatch::FromRows(std::move(rows)), build);
+      more = *read;
+      if (rows.num_rows > 0) {
+        st = JoinBatch(RowBatch::FromColumns(std::move(rows)), build);
       }
     }
     table_.Clear();
-    ctx_->run().ReleaseMemory(row_bytes + table_bytes);
+    ctx_->run().ReleaseMemory(build_bytes + table_bytes);
     BYPASS_RETURN_IF_ERROR(st);
     ++stats.join_spill_partitions;
   }
@@ -294,20 +305,16 @@ Status HashJoinOp::ProbeGracePartitions() {
 
 Status HashJoinOp::ProcessLeftBatch(RowBatch batch) {
   if (grace_) {
-    const size_t n = batch.size();
-    for (size_t i = 0; i < n; ++i) {
-      BYPASS_RETURN_IF_ERROR(RouteLeftRow(batch.row(i)));
-    }
-    return Status::OK();
+    return RouteRows(*batch.columns(), batch.selection().data(), batch.size(),
+                     probe_key_slots_, &left_parts_, /*lock=*/true);
   }
-  return JoinBatch(std::move(batch), right_rows());
+  return JoinBatch(std::move(batch), right_columns());
 }
 
 // A keyed join probes the whole batch through the vectorized
 // hash-then-resolve path; a keyless one takes every build row as a
 // candidate of every probe row.
-Status HashJoinOp::JoinBatch(RowBatch batch,
-                             const std::vector<Row>& build_rows) {
+Status HashJoinOp::JoinBatch(RowBatch batch, const ColumnStore& build) {
   PairScratch& s = scratch_[static_cast<size_t>(CurrentWorkerId())];
   const JoinMatches* matches = nullptr;
   if (keyed()) {
@@ -315,18 +322,17 @@ Status HashJoinOp::JoinBatch(RowBatch batch,
     matches = s.probe.matches.data();
   }
   if (existence()) {
-    return EmitExistence(std::move(batch), matches, build_rows, &s);
+    return EmitExistence(std::move(batch), matches, build, &s);
   }
-  return EmitPairs(batch, matches, build_rows, &s);
+  return EmitPairs(batch, matches, build, &s);
 }
 
 Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
-                                 const std::vector<Row>& build_rows,
-                                 PairScratch* s) {
+                                 const ColumnStore& build, PairScratch* s) {
   const size_t n = batch.size();
   const bool anti = kind_ == JoinKind::kAnti;
   auto count = [&](size_t i) -> size_t {
-    return matches != nullptr ? matches[i].count : build_rows.size();
+    return matches != nullptr ? matches[i].count : build.num_rows;
   };
   s->matched.resize(n);
   if (residual_ == nullptr) {
@@ -355,7 +361,7 @@ Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
         s->pair_build.push_back(matches != nullptr ? matches[i].data[k] : k);
       }
       const RowBatch pairs =
-          RowBatch::FromColumns(GatherPairs(batch, build_rows, s));
+          RowBatch::FromColumns(GatherPairs(batch, build, s));
       s->sel_true.clear();
       BYPASS_RETURN_IF_ERROR(residual_->PartitionBatch(
           pairs, ctx_->outer_row(), &s->sel_true, nullptr, nullptr));
@@ -383,8 +389,7 @@ Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
 }
 
 Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
-                             const std::vector<Row>& build_rows,
-                             PairScratch* s) {
+                             const ColumnStore& build, PairScratch* s) {
   const size_t n = batch.size();
   const bool pad = kind_ == JoinKind::kLeftOuter;
   const size_t chunk = batch_size();
@@ -397,7 +402,7 @@ Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
   for (size_t i = 0; i < n; ++i) {
     const uint32_t probe = static_cast<uint32_t>(i);
     const size_t count =
-        matches != nullptr ? matches[i].count : build_rows.size();
+        matches != nullptr ? matches[i].count : build.num_rows;
     for (size_t k = 0; k < count; ++k) {
       if (matches == nullptr && ++since_check >= 4096) {
         since_check = 0;
@@ -408,7 +413,7 @@ Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
                                   ? matches[i].data[k]
                                   : static_cast<uint32_t>(k));
       if (s->pair_probe.size() >= chunk) {
-        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build_rows, s));
+        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
       }
     }
     // Without a residual a row is padded exactly when it has no
@@ -418,18 +423,17 @@ Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
       s->pair_probe.push_back(probe);
       s->pair_build.push_back(kPad);
       if (s->pair_probe.size() >= chunk) {
-        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build_rows, s));
+        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
       }
     }
   }
   if (s->pair_probe.empty()) return Status::OK();
-  return FlushPairs(batch, build_rows, s);
+  return FlushPairs(batch, build, s);
 }
 
-Status HashJoinOp::FlushPairs(const RowBatch& batch,
-                              const std::vector<Row>& build_rows,
+Status HashJoinOp::FlushPairs(const RowBatch& batch, const ColumnStore& build,
                               PairScratch* s) {
-  ColumnStore gathered = GatherPairs(batch, build_rows, s);
+  ColumnStore gathered = GatherPairs(batch, build, s);
   const size_t num_pairs = s->pair_probe.size();
   if (residual_ == nullptr) {
     s->pair_probe.clear();
@@ -483,7 +487,7 @@ Status HashJoinOp::FlushPairs(const RowBatch& batch,
 }
 
 ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
-                                    const std::vector<Row>& build_rows,
+                                    const ColumnStore& build,
                                     PairScratch* s) const {
   const size_t num_pairs = s->pair_probe.size();
   const std::vector<uint32_t>& sel = batch.selection();
@@ -491,12 +495,12 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
   for (size_t p = 0; p < num_pairs; ++p) {
     s->storage[p] = sel[s->pair_probe[p]];
   }
-  return GatherPairs(batch, build_rows, s->storage.data(),
-                     s->pair_build.data(), num_pairs);
+  return GatherPairs(batch, build, s->storage.data(), s->pair_build.data(),
+                     num_pairs);
 }
 
 ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
-                                    const std::vector<Row>& build_rows,
+                                    const ColumnStore& build_columns,
                                     const uint32_t* probe,
                                     const uint32_t* build,
                                     size_t num_pairs) const {
@@ -504,8 +508,9 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
   std::vector<GatherCol> concat;
   if (gather().is_concat()) {
     // Every probe column, then every build column.
-    const size_t build_width =
-        build_rows.empty() ? unmatched_right_.size() : build_rows[0].size();
+    const size_t build_width = build_columns.columns.empty()
+                                   ? unmatched_right_.size()
+                                   : build_columns.columns.size();
     for (size_t c = 0; c < batch.width(); ++c) {
       concat.push_back(GatherCol{JoinSide::kProbe, static_cast<int>(c)});
     }
@@ -514,42 +519,33 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
     }
     cols = &concat;
   }
-  const std::vector<DataType>& types = gather().types();
   ColumnStore out;
   out.num_rows = num_pairs;
   out.columns.reserve(cols->size());
-  for (size_t j = 0; j < cols->size(); ++j) {
-    const GatherCol& c = (*cols)[j];
+  for (const GatherCol& c : *cols) {
     const size_t slot = static_cast<size_t>(c.slot);
-    if (c.side == JoinSide::kProbe && batch.columns() != nullptr) {
+    if (c.side == JoinSide::kProbe) {
       const ColumnVector& src = batch.columns()->columns[slot];
-      ColumnVector col(src.type());
+      ColumnVector col = src.EmptyLike();
       col.AppendGather(src, probe, num_pairs);
       out.columns.push_back(std::move(col));
       continue;
     }
-    auto value = [&](size_t p) -> const Value& {
-      if (c.side == JoinSide::kProbe) {
-        return batch.storage_row(probe[p])[slot];
-      }
-      const uint32_t b = build[p];
-      return (b == kPad ? unmatched_right_ : build_rows[b])[slot];
-    };
-    DataType type = DataType::kInt64;
-    if (j < types.size()) {
-      type = types[j];
-    } else {
-      // The default gather knows no types: take the first non-NULL's.
-      for (size_t p = 0; p < num_pairs; ++p) {
-        if (!value(p).is_null()) {
-          type = value(p).type();
-          break;
-        }
-      }
+    // A build column gathers each run of build rows in one call and
+    // appends the pad row's value at each pad. Without build rows (no
+    // column to read) every pair is a pad.
+    const ColumnVector* src = slot < build_columns.columns.size()
+                                  ? &build_columns.columns[slot]
+                                  : nullptr;
+    ColumnVector col =
+        src != nullptr ? src->EmptyLike() : ColumnVector(DataType::kInt64);
+    size_t run = 0;
+    for (size_t p = 0; p <= num_pairs; ++p) {
+      if (p < num_pairs && build[p] != kPad) continue;
+      if (p > run) col.AppendGather(*src, build + run, p - run);
+      if (p < num_pairs) col.Append(unmatched_right_[slot]);
+      run = p + 1;
     }
-    ColumnVector col(type);
-    col.Reserve(num_pairs);
-    for (size_t p = 0; p < num_pairs; ++p) col.Append(value(p));
     out.columns.push_back(std::move(col));
   }
   return out;

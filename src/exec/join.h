@@ -54,15 +54,15 @@ class JoinHashTable {
  public:
   void Clear();
 
-  /// Indexes `rows` by the values at `key_slots` (NULL-keyed rows are
-  /// skipped). One serial pass in ascending row order assigns key ids,
-  /// so each key's index list is ascending.
-  void Build(const std::vector<Row>& rows,
-             const std::vector<int>& key_slots);
+  /// Indexes the rows of `build` by the values at `key_slots` (NULL-keyed
+  /// rows are skipped), inserting a borrowed window of its columns at a
+  /// time. One serial pass in ascending row order assigns key ids, so
+  /// each key's index list is ascending.
+  void Build(const ColumnStore& build, const std::vector<int>& key_slots);
 
   /// Resolves every selected row of `batch` (KeyIndex::FindBatch);
   /// `scratch->matches` ends up aligned with the batch's selected rows.
-  /// A column-only batch is never materialized unless the keys are
+  /// The batch's rows are never materialized unless the keys are
   /// generic. Safe to call concurrently from multiple workers with
   /// distinct scratches.
   void ProbeBatch(const RowBatch& batch,
@@ -77,7 +77,7 @@ class JoinHashTable {
   const uint32_t* payload() const { return payload_.data(); }
 
   /// Bytes retained by the index itself — key index, offsets, payload
-  /// and the build's per-row key ids — excluding the build rows (their
+  /// and the build's per-row key ids — excluding the build columns (their
   /// owner charges them separately). Feeds the memory budget.
   int64_t RetainedBytes() const;
 
@@ -105,12 +105,13 @@ enum class JoinKind : uint8_t { kInner, kLeftOuter, kSemi, kAnti };
 ///   anti        emits the probe row when none does.
 /// NULL keys never match.
 ///
-/// Work is per probe batch. The inner and left outer joins record
-/// (probe, build-or-pad) pairs, gather them column by column into one
-/// column-only batch (probe columns from the probe batch's columns when
-/// it has them, build and pad columns from the buffered build rows,
-/// types from the gather), evaluate the residual over it with the column
-/// kernels and emit it without its predicate-only tail. Semi and anti
+/// The build side is buffered as columns (BinaryPhysOp). Work is per
+/// probe batch. The inner and left outer joins record (probe,
+/// build-or-pad) pairs, gather them column by column into one batch
+/// (probe columns from the probe batch's, build columns from the buffered
+/// build columns, pads from `unmatched_right`), evaluate the residual
+/// over it with the column kernels and emit it without its
+/// predicate-only tail. Semi and anti
 /// joins emit the probe batch itself with a narrowed selection; their
 /// residual is evaluated in rounds — round r holds the r-th candidate
 /// of every probe row still undecided — so no pair after a row's first
@@ -155,9 +156,9 @@ class HashJoinOp : public BinaryPhysOp {
     return table_published_.load(std::memory_order_acquire) ? &table_
                                                             : nullptr;
   }
-  /// Build rows the payload indices point into (narrowed to the
+  /// Build columns the payload indices point into (narrowed to the
   /// buffered layout the gather addresses).
-  const std::vector<Row>& build_rows() const { return right_rows(); }
+  const ColumnStore& build_columns() const { return right_columns(); }
   const std::vector<int>& probe_key_slots() const {
     return probe_key_slots_;
   }
@@ -165,13 +166,12 @@ class HashJoinOp : public BinaryPhysOp {
 
   /// The gathered columns (predicate-only tail included) of `num_pairs`
   /// pairs: pair p joins the batch's storage row `probe[p]` (an entry of
-  /// its selection) with `build_rows[build[p]]`, or with the left outer
-  /// join's pad row when `build[p]` is the pad marker. Probe columns are
-  /// gathered from the batch's columns when it has them. Also the output
-  /// path of a compiled pipeline that fused this join's probe, which
-  /// passes build_rows().
+  /// its selection) with row `build[p]` of `build_columns`, or with the
+  /// left outer join's pad row when `build[p]` is the pad marker. Also
+  /// the output path of a compiled pipeline that fused this join's probe,
+  /// which passes build_columns().
   ColumnStore GatherPairs(const RowBatch& batch,
-                          const std::vector<Row>& build_rows,
+                          const ColumnStore& build_columns,
                           const uint32_t* probe, const uint32_t* build,
                           size_t num_pairs) const;
 
@@ -212,22 +212,21 @@ class HashJoinOp : public BinaryPhysOp {
     std::vector<uint32_t> keep;
   };
 
-  /// Joins one probe batch against `build_rows` (right_rows() in memory,
+  /// Joins one probe batch against `build` (right_columns() in memory,
   /// the loaded partition in Grace mode, indexed by table_ when keyed).
-  Status JoinBatch(RowBatch batch, const std::vector<Row>& build_rows);
+  Status JoinBatch(RowBatch batch, const ColumnStore& build);
   /// Semi and anti joins: emits the batch narrowed to its passing rows.
   Status EmitExistence(RowBatch batch, const JoinMatches* matches,
-                       const std::vector<Row>& build_rows, PairScratch* s);
+                       const ColumnStore& build, PairScratch* s);
   /// Inner and left outer joins: records the batch's pairs and emits
   /// them in chunks of batch_size().
   Status EmitPairs(const RowBatch& batch, const JoinMatches* matches,
-                   const std::vector<Row>& build_rows, PairScratch* s);
+                   const ColumnStore& build, PairScratch* s);
   /// Gathers, filters and emits the recorded pairs, then clears them.
-  Status FlushPairs(const RowBatch& batch, const std::vector<Row>& build_rows,
+  Status FlushPairs(const RowBatch& batch, const ColumnStore& build,
                     PairScratch* s);
   /// GatherPairs over the recorded pairs.
-  ColumnStore GatherPairs(const RowBatch& batch,
-                          const std::vector<Row>& build_rows,
+  ColumnStore GatherPairs(const RowBatch& batch, const ColumnStore& build,
                           PairScratch* s) const;
 
   /// Tears down in-memory build state and repartitions the right side
@@ -235,12 +234,16 @@ class HashJoinOp : public BinaryPhysOp {
   /// files. Single-threaded (right-finish phase).
   Status EnterGraceMode();
 
-  /// Appends a left row to its key partition's temp file; NULL-keyed rows
-  /// are dropped (they can never match an inner join). Thread-safe.
-  Status RouteLeftRow(const Row& row);
+  /// Appends rows idx[0, n) of `store` to their key partitions' files in
+  /// `parts`, read from the columns; NULL-keyed rows are dropped (they can
+  /// never match an inner join). Locks each partition's mutex when
+  /// `lock` (the left side, routed by concurrent workers).
+  Status RouteRows(const ColumnStore& store, const uint32_t* idx, size_t n,
+                   const std::vector<int>& key_slots,
+                   std::vector<std::unique_ptr<SpillFile>>* parts, bool lock);
 
   /// Partition-wise join at finish: per partition, load + index the
-  /// right rows, stream-probe the left file. Single-threaded.
+  /// right columns, stream-probe the left file. Single-threaded.
   Status ProbeGracePartitions();
 
   JoinKind kind_;

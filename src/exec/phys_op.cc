@@ -1,5 +1,8 @@
 #include "exec/phys_op.h"
 
+#include <numeric>
+#include <utility>
+
 #include "common/check.h"
 
 namespace bypass {
@@ -129,12 +132,10 @@ Status PhysOp::EmitFinish(int out_port) {
   return Status::OK();
 }
 
-JoinGather::JoinGather(std::vector<GatherCol> cols,
-                       std::vector<DataType> types, size_t out_width,
+JoinGather::JoinGather(std::vector<GatherCol> cols, size_t out_width,
                        int logical_width, bool build_is_logical_left)
     : concat_(false),
       cols_(std::move(cols)),
-      types_(std::move(types)),
       out_width_(out_width),
       logical_width_(logical_width),
       build_is_logical_left_(build_is_logical_left) {}
@@ -163,12 +164,12 @@ Status BinaryPhysOp::Prepare(ExecContext* ctx) {
 
 void BinaryPhysOp::Reset() {
   for (InputBuffers& b : buffers_) {
-    b.right.clear();
+    b.right = ColumnStore();
     b.pending_left.clear();
     b.charged = 0;
     b.spill.reset();
   }
-  right_rows_.clear();
+  right_ = ColumnStore();
   right_spilled_.store(false, std::memory_order_relaxed);
   right_done_ = false;
   left_done_ = false;
@@ -176,19 +177,20 @@ void BinaryPhysOp::Reset() {
 }
 
 Status BinaryPhysOp::SpillRightBuffer(InputBuffers* buffers) {
-  if (buffers->right.empty()) return Status::OK();
+  if (buffers->right.num_rows == 0) return Status::OK();
   RunContext& run = ctx_->run();
   if (buffers->spill == nullptr) {
     BYPASS_ASSIGN_OR_RETURN(buffers->spill, run.spill->NewFile("build"));
     ++run.stats().spill_files;
   }
   const int64_t bytes_before = buffers->spill->bytes_written();
-  for (const Row& row : buffers->right) {
-    BYPASS_RETURN_IF_ERROR(buffers->spill->AppendRow(row));
+  for (size_t i = 0; i < buffers->right.num_rows; ++i) {
+    BYPASS_RETURN_IF_ERROR(
+        buffers->spill->AppendRow(buffers->right.MaterializeRow(i)));
   }
   run.stats().spilled_bytes +=
       buffers->spill->bytes_written() - bytes_before;
-  buffers->right.clear();
+  buffers->right = ColumnStore();
   run.ReleaseMemory(buffers->charged);
   buffers->charged = 0;
   right_spilled_.store(true, std::memory_order_relaxed);
@@ -222,31 +224,28 @@ Status BinaryPhysOp::Consume(int in_port, RowBatch batch) {
     BYPASS_CHECK_MSG(!right_done_, "batch after right-side finish");
     // The build side is retained until the join finishes — the other
     // place a query's footprint scales with an input, so it pays into
-    // the memory budget alongside the collector sink.
-    // Narrowed rows are charged at their buffered width.
-    const size_t width = narrow_right_ ? right_keep_.size() : batch.width();
-    const int64_t bytes = ApproxRowsBytes(batch.size(), width);
-    auto take = [&] {
-      if (narrow_right_) {
-        batch.ConsumeRowsInto(&buffers.right, right_keep_);
-      } else {
-        batch.ConsumeRowsInto(&buffers.right);
-      }
-    };
+    // the memory budget alongside the collector sink, by the bytes its
+    // columns grow by.
+    ColumnStore& right = buffers.right;
+    const int64_t before = right.ApproxBytes();
+    if (right.num_rows == 0 && !narrow_right_ && batch.OwnsAllColumns()) {
+      right = batch.TakeColumns();
+    } else {
+      right.AppendGather(*batch.columns(), batch.selection().data(),
+                         batch.size(), narrow_right_ ? &right_keep_ : nullptr);
+    }
+    const int64_t bytes = right.ApproxBytes() - before;
     if (CanSpillRight() && ctx_->run().spill != nullptr) {
       if (ctx_->run().TryChargeMemory(bytes)) {
         buffers.charged += bytes;
-        take();
-      } else {
-        // Over budget: take the batch uncharged and spill the worker's
-        // whole buffer (batch included) to release its charges.
-        take();
-        BYPASS_RETURN_IF_ERROR(SpillRightBuffer(&buffers));
+        return Status::OK();
       }
-      return Status::OK();
+      // Over budget: spill the worker's whole buffer (batch included)
+      // to release its charges.
+      return SpillRightBuffer(&buffers);
     }
     BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
-    take();
+    buffers.charged += bytes;
     return Status::OK();
   }
   BYPASS_CHECK(in_port == kLeft);
@@ -264,15 +263,16 @@ Status BinaryPhysOp::FinishPort(int in_port) {
     right_done_ = true;
     // Merge the workers' thread-local buffers in worker order — with one
     // worker this is exactly the serial arrival order.
+    std::vector<uint32_t> all;
     for (InputBuffers& b : buffers_) {
-      if (right_rows_.empty()) {
-        right_rows_ = std::move(b.right);
-      } else {
-        right_rows_.insert(right_rows_.end(),
-                           std::make_move_iterator(b.right.begin()),
-                           std::make_move_iterator(b.right.end()));
+      if (right_.num_rows == 0) {
+        right_ = std::exchange(b.right, {});
+        continue;
       }
-      b.right.clear();
+      all.resize(b.right.num_rows);
+      std::iota(all.begin(), all.end(), 0);
+      right_.AppendGather(b.right, all.data(), all.size(), nullptr);
+      b.right = ColumnStore();
     }
     BYPASS_RETURN_IF_ERROR(BuildFromRight());
     for (InputBuffers& b : buffers_) {

@@ -3,8 +3,8 @@
 // FinishPort(port) at end-of-stream. Push style makes the paper's
 // DAG-structured bypass plans natural — a bypass operator simply emits on
 // two output ports, and the re-uniting union consumes on two input ports.
-// Batches carry a selection vector over shared row storage, so selections
-// and bypass splits are zero-copy (see types/row_batch.h).
+// Batches carry a selection vector over shared column storage, so
+// selections and bypass splits are zero-copy (see types/row_batch.h).
 //
 // Threading contract (morsel-driven parallelism, DESIGN.md §5): during a
 // source's parallel phase, Consume may be called concurrently by several
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -176,27 +177,23 @@ struct GatherCol {
 };
 
 /// A join's output layout, replacing the concatenation x ◦ y: an ordered
-/// list of (side, slot) naming the columns some consumer reads, with the
-/// declared type of each. Columns at and past `out_width` are read only
-/// by the join's own predicate and are dropped before the pairs are
-/// emitted. A default-constructed gather is the full concatenation
-/// (every probe column, then every build column) with no declared types.
+/// list of (side, slot) naming the columns some consumer reads. Columns
+/// at and past `out_width` are read only by the join's own predicate and
+/// are dropped before the pairs are emitted. A default-constructed gather
+/// is the full concatenation (every probe column, then every build
+/// column).
 class JoinGather {
  public:
   JoinGather() = default;
-  /// `types` holds one declared type per column of `cols`: the planner's
-  /// layout schema, which the join's gathered columns are built with.
   /// `logical_width` is the width of the unpruned logical join output and
   /// `build_is_logical_left` records a swapped hash join; both only feed
   /// the label.
-  JoinGather(std::vector<GatherCol> cols, std::vector<DataType> types,
-             size_t out_width, int logical_width,
-             bool build_is_logical_left);
+  JoinGather(std::vector<GatherCol> cols, size_t out_width,
+             int logical_width, bool build_is_logical_left);
 
   /// True for the default full concatenation (cols() is then empty).
   bool is_concat() const { return concat_; }
   const std::vector<GatherCol>& cols() const { return cols_; }
-  const std::vector<DataType>& types() const { return types_; }
   /// Columns emitted (the rest is the predicate-only tail).
   size_t out_width() const { return out_width_; }
 
@@ -206,7 +203,6 @@ class JoinGather {
  private:
   bool concat_ = true;
   std::vector<GatherCol> cols_;
-  std::vector<DataType> types_;
   size_t out_width_ = 0;
   int logical_width_ = 0;
   bool build_is_logical_left_ = false;
@@ -223,10 +219,11 @@ class UnaryPhysOp : public PhysOp {
 
 /// Base for binary operators that logically build from the right input and
 /// stream the left one. Buffering rules make execution correct regardless
-/// of the order source pipelines run in: right rows are always buffered;
-/// left batches are buffered only while the right input is still open,
-/// then replayed. Buffers are thread-local per worker and merged (in
-/// worker order) when the corresponding port finishes.
+/// of the order source pipelines run in: the right input is always
+/// buffered, as columns; left batches are buffered only while the right
+/// input is still open, then replayed. Buffers are thread-local per
+/// worker and merged (in worker order) when the corresponding port
+/// finishes.
 class BinaryPhysOp : public PhysOp {
  public:
   BinaryPhysOp() = default;
@@ -239,10 +236,10 @@ class BinaryPhysOp : public PhysOp {
   Status Consume(int in_port, RowBatch batch) final;
   Status FinishPort(int in_port) final;
 
-  /// Buffers right rows narrowed to `slots` (ascending, distinct) of the
-  /// right input's row: the subclass's build keys, predicates and gather
-  /// then address the narrowed layout. Plan-build-time only; without it
-  /// right rows are buffered whole.
+  /// Buffers the right input narrowed to its columns `slots` (ascending,
+  /// distinct): the subclass's build keys, predicates and gather then
+  /// address the narrowed layout. Plan-build-time only; without it the
+  /// right input is buffered whole.
   void set_right_keep(std::vector<int> slots) {
     right_keep_ = std::move(slots);
     narrow_right_ = true;
@@ -254,7 +251,7 @@ class BinaryPhysOp : public PhysOp {
 
  protected:
   /// Called once when the right input finished, before any left row is
-  /// processed; `right_rows()` is complete at this point. Single-threaded
+  /// processed; `right_columns()` is complete at this point. Single-threaded
   /// (finish phase); implementations may parallelize internally via
   /// ctx_->pool().
   virtual Status BuildFromRight() { return Status::OK(); }
@@ -269,7 +266,7 @@ class BinaryPhysOp : public PhysOp {
   virtual Status FinishBoth() = 0;
 
   /// The merged right input; complete once BuildFromRight runs.
-  const std::vector<Row>& right_rows() const { return right_rows_; }
+  const ColumnStore& right_columns() const { return right_; }
 
   /// Opt-in for budget-driven spilling of the buffered right side: when
   /// true and the context carries both a memory budget and a spill
@@ -290,18 +287,18 @@ class BinaryPhysOp : public PhysOp {
   /// order, nulls omitted); files are finished for writing.
   Result<std::vector<std::unique_ptr<SpillFile>>> TakeRightSpillFiles();
 
-  /// Moves the merged in-memory right rows out (grace repartitioning
-  /// consumes them); right_rows() is empty afterwards.
-  std::vector<Row> TakeRightRows() { return std::move(right_rows_); }
+  /// Moves the merged in-memory right input out (grace repartitioning
+  /// consumes it); right_columns() is empty afterwards.
+  ColumnStore TakeRightColumns() { return std::exchange(right_, {}); }
 
-  /// Total bytes still charged for buffered right rows, zeroed — the
+  /// Total bytes still charged for the buffered right input, zeroed — the
   /// caller pairs it with RunContext::ReleaseMemory after spilling.
   int64_t TakeRightCharges();
 
  private:
   /// Per-worker input buffers, padded against false sharing.
   struct alignas(64) InputBuffers {
-    std::vector<Row> right;
+    ColumnStore right;
     std::vector<RowBatch> pending_left;
     int64_t charged = 0;                ///< bytes charged for `right`
     std::unique_ptr<SpillFile> spill;   ///< spilled right rows, if any
@@ -313,7 +310,7 @@ class BinaryPhysOp : public PhysOp {
   std::vector<int> right_keep_;
   bool narrow_right_ = false;
   std::vector<InputBuffers> buffers_;
-  std::vector<Row> right_rows_;  // merged at right finish
+  ColumnStore right_;  // merged at right finish
   std::atomic<bool> right_spilled_{false};
   bool right_done_ = false;
   bool left_done_ = false;

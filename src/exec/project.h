@@ -1,6 +1,6 @@
 // Streaming row-shaping operators: projection Π, map χ (append computed
 // columns), and numbering ν (append a unique tuple id). Π, χ and ν emit
-// column-only batches (RowBatch::FromColumns). All are
+// owned-column batches (RowBatch::FromColumns). All are
 // morsel-parallel: Π/χ use per-worker scratch, ν draws ids from one
 // atomic counter (ids stay unique and dense overall, but their
 // assignment to rows is scheduling-dependent — only equality matters to

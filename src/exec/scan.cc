@@ -9,7 +9,8 @@ namespace bypass {
 
 Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
   // Columnar scans borrow windows of the table's columns; the row oracle
-  // builds each window's rows.
+  // copies each window into untyped columns, which every typed kernel
+  // declines.
   const bool columnar = ctx_->run().columnar_enabled;
   for (size_t b = begin; b < end; b += batch_size()) {
     if (ctx_->cancelled()) break;
@@ -22,7 +23,7 @@ Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
     if (columnar) {
       ++stats.columnar_batches;
     } else {
-      batch = RowBatch::FromRows(batch.ToRows());
+      batch = RowBatch::FromRows(batch.ToRows(), /*typed=*/false);
     }
     BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
   }

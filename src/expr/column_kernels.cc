@@ -555,7 +555,6 @@ Status DispatchArith(SrcTag lt, const ColumnOperand& l, SrcTag rt,
 bool ResolveColumnOperand(const Expr& e, const RowBatch& batch,
                           const Row* outer_row, ColumnOperand* out) {
   const ColumnStore* store = batch.columns();
-  if (store == nullptr) return false;
   if (e.kind() == ExprKind::kLiteral) {
     out->column = nullptr;
     out->constant = &static_cast<const LiteralExpr&>(e).value();

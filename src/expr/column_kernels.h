@@ -8,10 +8,10 @@
 // comparison by std::string::compare, bool as 0/1 ints, and mismatched
 // non-numeric types → Unknown.
 //
-// Every kernel is a *try*: it applies only when the batch carries typed
-// columns (RowBatch::columns()) and both operands resolve to a typed
-// column or a batch-constant. Mixed-mode columns, unbound references and
-// row-only batches fall back to the row paths in expr.cc.
+// Every kernel is a *try*: it applies only when both operands resolve to
+// a typed column of the batch (RowBatch::columns()) or a batch-constant.
+// Untyped (mixed-mode) columns and unbound references fall back to the
+// Value paths in expr.cc.
 #ifndef BYPASSDB_EXPR_COLUMN_KERNELS_H_
 #define BYPASSDB_EXPR_COLUMN_KERNELS_H_
 
@@ -37,9 +37,9 @@ struct ColumnOperand {
   const Value* constant = nullptr;
 };
 
-/// Resolves `e` to a ColumnOperand. False when the batch has no typed
-/// columns, the expression is not a literal / bound column reference, the
-/// slot is out of range, or the column is in mixed mode.
+/// Resolves `e` to a ColumnOperand. False when the expression is not a
+/// literal / bound column reference, the slot is out of range, or the
+/// column is in mixed mode.
 bool ResolveColumnOperand(const Expr& e, const RowBatch& batch,
                           const Row* outer_row, ColumnOperand* out);
 

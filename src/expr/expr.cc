@@ -116,21 +116,10 @@ Status ColumnRefExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
     out->insert(out->end(), n, (*outer_row)[slot]);
     return Status::OK();
   }
-  if (batch.columns() != nullptr) {
-    if (slot >= batch.columns()->columns.size()) {
-      return Status::Internal("slot out of range for " + ToString());
-    }
-    batch.columns()->columns[slot].GetValues(batch.selection().data(), n,
-                                             out);
-    return Status::OK();
+  if (slot >= batch.width()) {
+    return Status::Internal("slot out of range for " + ToString());
   }
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = batch.row(i);
-    if (slot >= row.size()) {
-      return Status::Internal("slot out of range for " + ToString());
-    }
-    out->push_back(row[slot]);
-  }
+  batch.columns()->columns[slot].GetValues(batch.selection().data(), n, out);
   return Status::OK();
 }
 
@@ -159,69 +148,16 @@ Result<Value> ComparisonExpr::Eval(const EvalContext& ctx) const {
   return TriBoolToValue(l.Compare(op_, r));
 }
 
-namespace {
-
-/// Batch-constant or per-row operand of a comparison fast path. Literals
-/// and correlated references resolve to one Value for the whole batch;
-/// bound input references resolve to a slot read per row.
-struct FastOperand {
-  const Value* constant = nullptr;
-  size_t slot = 0;
-};
-
-bool ResolveFastOperand(const Expr& e, const Row* outer_row,
-                        FastOperand* out) {
-  if (e.kind() == ExprKind::kLiteral) {
-    out->constant = &static_cast<const LiteralExpr&>(e).value();
-    return true;
-  }
-  if (e.kind() == ExprKind::kColumnRef) {
-    const auto& ref = static_cast<const ColumnRefExpr&>(e);
-    if (ref.slot() < 0) return false;
-    const size_t slot = static_cast<size_t>(ref.slot());
-    if (ref.is_outer()) {
-      if (outer_row == nullptr || slot >= outer_row->size()) return false;
-      out->constant = &(*outer_row)[slot];
-      return true;
-    }
-    out->slot = slot;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 Status ComparisonExpr::EvalBatch(const RowBatch& batch,
                                  const Row* outer_row,
                                  std::vector<Value>* out) const {
   // Columnar kernel: one branch on (op, column type) per batch, raw
-  // column data + null bitmaps per element.
-  if (batch.columns() != nullptr) {
-    ColumnOperand cl, cr;
-    if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
-        ResolveColumnOperand(*right_, batch, outer_row, &cr) &&
-        ColumnarCompareEval(op_, cl, cr, batch, out)) {
-      return Status::OK();
-    }
-  }
-  const size_t n = batch.size();
-  FastOperand lop, rop;
-  if (ResolveFastOperand(*left_, outer_row, &lop) &&
-      ResolveFastOperand(*right_, outer_row, &rop)) {
-    out->reserve(out->size() + n);
-    for (size_t i = 0; i < n; ++i) {
-      const Row& row = batch.row(i);
-      if ((lop.constant == nullptr && lop.slot >= row.size()) ||
-          (rop.constant == nullptr && rop.slot >= row.size())) {
-        return Status::Internal("slot out of range for " + ToString());
-      }
-      const Value& l = lop.constant != nullptr ? *lop.constant
-                                               : row[lop.slot];
-      const Value& r = rop.constant != nullptr ? *rop.constant
-                                               : row[rop.slot];
-      out->push_back(TriBoolToValue(l.Compare(op_, r)));
-    }
+  // column data + null bitmaps per element. Untyped columns and
+  // constant pairs compare Value by Value.
+  ColumnOperand cl, cr;
+  if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
+      ResolveColumnOperand(*right_, batch, outer_row, &cr) &&
+      ColumnarCompareEval(op_, cl, cr, batch, out)) {
     return Status::OK();
   }
   std::vector<Value> l, r;
@@ -241,63 +177,15 @@ Status ComparisonExpr::PartitionBatch(const RowBatch& batch,
                                       std::vector<uint32_t>* sel_null) const {
   // Fused columnar bypass-partition kernel: typed comparison and σ± split
   // in one pass over raw column data, no Value materialization.
-  if (batch.columns() != nullptr) {
-    ColumnOperand cl, cr;
-    if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
-        ResolveColumnOperand(*right_, batch, outer_row, &cr) &&
-        ColumnarComparePartition(op_, cl, cr, batch, sel_true, sel_false,
-                                 sel_null)) {
-      return Status::OK();
-    }
-  }
-  FastOperand lop, rop;
-  if (!ResolveFastOperand(*left_, outer_row, &lop) ||
-      !ResolveFastOperand(*right_, outer_row, &rop)) {
-    return Expr::PartitionBatch(batch, outer_row, sel_true, sel_false,
-                                sel_null);
-  }
-  const size_t n = batch.size();
-  const std::vector<uint32_t>& sel = batch.selection();
-  // Indexed by TriBool (kFalse=0, kTrue=1, kUnknown=2): replaces the
-  // per-row switch + null checks with one load in the hottest loop of
-  // the engine.
-  std::vector<uint32_t>* const outs[3] = {sel_false, sel_true, sel_null};
-  if (batch.dense() && n > 0) {
-    // Scan output: selection is a contiguous storage run, so index
-    // storage directly and skip the selection load per row.
-    const uint32_t base = sel[0];
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t idx = base + static_cast<uint32_t>(i);
-      const Row& row = batch.storage_row(idx);
-      if ((lop.constant == nullptr && lop.slot >= row.size()) ||
-          (rop.constant == nullptr && rop.slot >= row.size())) {
-        return Status::Internal("slot out of range for " + ToString());
-      }
-      const Value& l = lop.constant != nullptr ? *lop.constant
-                                               : row[lop.slot];
-      const Value& r = rop.constant != nullptr ? *rop.constant
-                                               : row[rop.slot];
-      std::vector<uint32_t>* out =
-          outs[static_cast<int>(l.Compare(op_, r))];
-      if (out != nullptr) out->push_back(idx);
-    }
+  ColumnOperand cl, cr;
+  if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
+      ResolveColumnOperand(*right_, batch, outer_row, &cr) &&
+      ColumnarComparePartition(op_, cl, cr, batch, sel_true, sel_false,
+                               sel_null)) {
     return Status::OK();
   }
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = batch.row(i);
-    if ((lop.constant == nullptr && lop.slot >= row.size()) ||
-        (rop.constant == nullptr && rop.slot >= row.size())) {
-      return Status::Internal("slot out of range for " + ToString());
-    }
-    const Value& l = lop.constant != nullptr ? *lop.constant
-                                             : row[lop.slot];
-    const Value& r = rop.constant != nullptr ? *rop.constant
-                                             : row[rop.slot];
-    std::vector<uint32_t>* out =
-        outs[static_cast<int>(l.Compare(op_, r))];
-    if (out != nullptr) out->push_back(sel[i]);
-  }
-  return Status::OK();
+  return Expr::PartitionBatch(batch, outer_row, sel_true, sel_false,
+                              sel_null);
 }
 
 ExprPtr ComparisonExpr::Clone() const {
@@ -449,14 +337,12 @@ Result<Value> ArithmeticExpr::Eval(const EvalContext& ctx) const {
 Status ArithmeticExpr::EvalBatch(const RowBatch& batch,
                                  const Row* outer_row,
                                  std::vector<Value>* out) const {
-  if (batch.columns() != nullptr) {
-    ColumnOperand cl, cr;
-    if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
-        ResolveColumnOperand(*right_, batch, outer_row, &cr)) {
-      if (auto st = ColumnarArithmeticEval(op_, cl, cr, batch, ToString(),
-                                           out)) {
-        return *st;
-      }
+  ColumnOperand cl, cr;
+  if (ResolveColumnOperand(*left_, batch, outer_row, &cl) &&
+      ResolveColumnOperand(*right_, batch, outer_row, &cr)) {
+    if (auto st = ColumnarArithmeticEval(op_, cl, cr, batch, ToString(),
+                                         out)) {
+      return *st;
     }
   }
   std::vector<Value> l, r;
@@ -553,12 +439,10 @@ Status LikeExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
   // Typed string kernel: one matcher loop over raw column data. Falls
   // back to the per-row path (and its non-string execution error) when
   // the input is not a typed string column / string constant.
-  if (batch.columns() != nullptr) {
-    ColumnOperand in;
-    if (ResolveColumnOperand(*input_, batch, outer_row, &in) &&
-        ColumnarLikeEval(in, pattern_, negated_, batch, out)) {
-      return Status::OK();
-    }
+  ColumnOperand in;
+  if (ResolveColumnOperand(*input_, batch, outer_row, &in) &&
+      ColumnarLikeEval(in, pattern_, negated_, batch, out)) {
+    return Status::OK();
   }
   return Expr::EvalBatch(batch, outer_row, out);
 }
@@ -568,13 +452,11 @@ Status LikeExpr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
                                 std::vector<uint32_t>* sel_false,
                                 std::vector<uint32_t>* sel_null) const {
   // Fused LIKE σ± split, mirroring ComparisonExpr::PartitionBatch.
-  if (batch.columns() != nullptr) {
-    ColumnOperand in;
-    if (ResolveColumnOperand(*input_, batch, outer_row, &in) &&
-        ColumnarLikePartition(in, pattern_, negated_, batch, sel_true,
-                              sel_false, sel_null)) {
-      return Status::OK();
-    }
+  ColumnOperand in;
+  if (ResolveColumnOperand(*input_, batch, outer_row, &in) &&
+      ColumnarLikePartition(in, pattern_, negated_, batch, sel_true,
+                            sel_false, sel_null)) {
+    return Status::OK();
   }
   return Expr::PartitionBatch(batch, outer_row, sel_true, sel_false,
                               sel_null);
@@ -602,8 +484,7 @@ Status IsNullExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
   // Columnar path: IS [NOT] NULL over a typed column is a pure bitmap
   // read; over a batch-constant it is one test for the whole batch.
   ColumnOperand operand;
-  if (batch.columns() != nullptr &&
-      ResolveColumnOperand(*input_, batch, outer_row, &operand)) {
+  if (ResolveColumnOperand(*input_, batch, outer_row, &operand)) {
     const size_t n = batch.size();
     out->reserve(out->size() + n);
     if (operand.column == nullptr) {
@@ -651,8 +532,7 @@ Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
 
 Status FunctionExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                                std::vector<Value>* out) const {
-  if (batch.columns() != nullptr &&
-      (func_ == BuiltinFunc::kAddIgnoreNull ||
+  if ((func_ == BuiltinFunc::kAddIgnoreNull ||
        func_ == BuiltinFunc::kCoalesce) &&
       EvalInt64Batch(batch, outer_row, out)) {
     return Status::OK();

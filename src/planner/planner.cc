@@ -627,11 +627,6 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
   for (int& k : build_keys) k = PosOf(build_keep, k);
 
   const Schema gathered_schema = logical.Select(gathered);
-  std::vector<DataType> types;
-  types.reserve(gathered.size());
-  for (const ColumnDef& c : gathered_schema.columns()) {
-    types.push_back(c.type);
-  }
   ExprPtr bound;
   if (evaluated != nullptr) {
     BYPASS_ASSIGN_OR_RETURN(bound,
@@ -656,7 +651,7 @@ Result<Planner::Lowered> Planner::LowerJoin(const LogicalOp& node,
   if (build_keep.size() < build_in.cols.size()) {
     op->set_right_keep(build_keep);
   }
-  op->set_gather(JoinGather(std::move(cols), std::move(types), out_width,
+  op->set_gather(JoinGather(std::move(cols), out_width,
                             existence ? 0 : logical.num_columns(),
                             *build_left));
   BinaryPhysOp* raw = Register(ctx, std::move(op));

@@ -1,6 +1,7 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 namespace bypass {
@@ -8,6 +9,12 @@ namespace bypass {
 EquiDepthHistogram EquiDepthHistogram::Build(std::vector<double> values,
                                              int max_buckets) {
   EquiDepthHistogram h;
+  // NaN has no place in the order (and breaks std::sort's): count it
+  // apart and bucket the rest.
+  const auto nans = std::remove_if(values.begin(), values.end(),
+                                   [](double v) { return std::isnan(v); });
+  h.nan_count_ = values.end() - nans;
+  values.erase(nans, values.end());
   if (values.empty() || max_buckets < 1) return h;
   std::sort(values.begin(), values.end());
   const int64_t n = static_cast<int64_t>(values.size());

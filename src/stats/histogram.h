@@ -20,13 +20,15 @@ class EquiDepthHistogram {
 
   /// Builds from the column's non-NULL numeric values (consumed; order
   /// irrelevant). At most `max_buckets` buckets; fewer when the column
-  /// has fewer distinct values.
+  /// has fewer distinct values. NaNs are counted apart (nan_count) and
+  /// take no part in the buckets, total_count or the fractions.
   static EquiDepthHistogram Build(std::vector<double> values,
                                   int max_buckets = 64);
 
   bool empty() const { return buckets_.empty(); }
   int num_buckets() const { return static_cast<int>(buckets_.size()); }
   int64_t total_count() const { return total_count_; }
+  int64_t nan_count() const { return nan_count_; }
   double min_value() const { return min_; }
   double max_value() const { return buckets_.empty() ? min_ : buckets_.back().upper; }
 
@@ -56,6 +58,7 @@ class EquiDepthHistogram {
   double min_ = 0;          ///< global minimum (lower bound of bucket 0)
   int64_t min_count_ = 0;   ///< values exactly equal to `min_`
   int64_t total_count_ = 0;
+  int64_t nan_count_ = 0;
   std::vector<Bucket> buckets_;
 };
 

@@ -61,9 +61,14 @@ void ColumnVector::Append(const Value& v) {
        (type_ == DataType::kBool && v.is_bool()) ||
        (type_ == DataType::kString && v.is_string()));
   if (!v.is_null() && !matches) {
-    // Cross-typed datum (e.g. int64 in a kDouble column): demote the
-    // whole column rather than coerce — GetValue must round-trip exactly.
-    DemoteToMixed();
+    // The first non-NULL datum types the column. A later cross-typed one
+    // (e.g. int64 in a kDouble column) demotes the whole column rather
+    // than coerce — GetValue must round-trip exactly.
+    if (null_count_ == size_) {
+      Retype(v.type());
+    } else {
+      DemoteToMixed();
+    }
     Append(v);
     return;
   }
@@ -85,6 +90,13 @@ void ColumnVector::Append(const Value& v) {
       break;
   }
   if (v.is_null()) SetNullBit(i);
+  ++size_;
+}
+
+void ColumnVector::Append(Value&& v) {
+  if (!mixed_mode_) return Append(static_cast<const Value&>(v));
+  if (v.is_null()) ++null_count_;
+  mixed_.push_back(std::move(v));
   ++size_;
 }
 
@@ -147,6 +159,10 @@ void ColumnVector::AppendToRows(const uint32_t* idx, size_t n,
 
 void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* idx,
                                 size_t n) {
+  if (!mixed_mode_ && !src.mixed_mode_ && src.type_ != type_ &&
+      null_count_ == size_) {
+    Retype(src.type_);
+  }
   if (mixed_mode_ || src.mixed_mode_ || src.type_ != type_) {
     for (size_t i = 0; i < n; ++i) Append(src.GetValue(idx[i]));
     return;
@@ -189,6 +205,36 @@ void ColumnVector::AppendGather(const ColumnVector& src, const uint32_t* idx,
   if (null_count_ > 0) null_words_.resize((size_ + 63) / 64, 0);
 }
 
+int64_t ColumnVector::ApproxBytes() const {
+  const size_t words = i64_.size() + f64_.size() + offsets_.size() +
+                       null_words_.size();
+  return static_cast<int64_t>(words * 8 + bool_.size() + chars_.size() +
+                              mixed_.size() * sizeof(Value));
+}
+
+void ColumnVector::Retype(DataType type) {
+  type_ = type;
+  i64_.clear();
+  f64_.clear();
+  bool_.clear();
+  chars_.clear();
+  offsets_.clear();
+  switch (type) {
+    case DataType::kInt64:
+      i64_.resize(size_);
+      break;
+    case DataType::kDouble:
+      f64_.resize(size_);
+      break;
+    case DataType::kBool:
+      bool_.resize(size_);
+      break;
+    case DataType::kString:
+      offsets_.assign(size_ + 1, 0);
+      break;
+  }
+}
+
 void ColumnVector::DemoteToMixed() {
   std::vector<Value> values;
   values.reserve(size_ + 1);
@@ -210,9 +256,38 @@ void ColumnVector::DemoteToMixed() {
 }
 
 void ColumnStore::AppendRow(const Row& row) {
+  if (columns.empty() && num_rows == 0) {
+    for (const Value& v : row) {
+      columns.emplace_back(v.is_null() ? DataType::kInt64 : v.type());
+    }
+  }
   assert(row.size() == columns.size());
   for (size_t c = 0; c < columns.size(); ++c) columns[c].Append(row[c]);
   ++num_rows;
+}
+
+void ColumnStore::AppendGather(const ColumnStore& src, const uint32_t* idx,
+                               size_t n, const std::vector<int>* slots) {
+  const size_t width = slots != nullptr ? slots->size() : src.columns.size();
+  auto source = [&](size_t c) -> const ColumnVector& {
+    return src.columns[slots != nullptr ? static_cast<size_t>((*slots)[c])
+                                        : c];
+  };
+  if (columns.empty() && num_rows == 0) {
+    columns.reserve(width);
+    for (size_t c = 0; c < width; ++c) columns.push_back(source(c).EmptyLike());
+  }
+  assert(columns.size() == width);
+  for (size_t c = 0; c < width; ++c) {
+    columns[c].AppendGather(source(c), idx, n);
+  }
+  num_rows += n;
+}
+
+int64_t ColumnStore::ApproxBytes() const {
+  int64_t bytes = 0;
+  for (const ColumnVector& c : columns) bytes += c.ApproxBytes();
+  return bytes;
 }
 
 Row ColumnStore::MaterializeRow(size_t i) const {
@@ -237,16 +312,8 @@ void ColumnStore::MaterializeRows(const uint32_t* idx, size_t n,
   }
 }
 
-DataType FirstValueType(const std::vector<Value>& values,
-                        DataType fallback) {
-  for (const Value& v : values) {
-    if (!v.is_null()) return v.type();
-  }
-  return fallback;
-}
-
 ColumnVector ColumnFromValues(const std::vector<Value>& values) {
-  ColumnVector col(FirstValueType(values, DataType::kInt64));
+  ColumnVector col(DataType::kInt64);  // the first non-NULL value retypes it
   col.Reserve(values.size());
   for (const Value& v : values) col.Append(v);
   return col;

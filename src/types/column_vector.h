@@ -7,13 +7,16 @@
 // bitmap only when null_count() > 0.
 //
 // Values are stored losslessly: GetValue(i) round-trips the exact Value
-// that was appended, including its dynamic type. The catalog permits
-// cross-typed numeric loads (an int64 datum in a kDouble column and vice
-// versa); coercing those on append would change observable result types
-// downstream (e.g. SUM's int-vs-double output), so a type-mismatched
-// append demotes the whole column to a mixed-mode std::vector<Value>
-// fallback instead. typed() distinguishes the two representations; every
-// kernel checks it and falls back to the row path for mixed columns.
+// that was appended, including its dynamic type. A column is typed by its
+// first non-NULL value: while it holds only NULLs its declared type is a
+// placeholder that the first non-NULL datum replaces. After that, the
+// catalog's cross-typed numeric loads (an int64 datum in a kDouble column
+// and vice versa) would change observable result types downstream if
+// coerced (e.g. SUM's int-vs-double output), so a type-mismatched append
+// demotes the whole column to a mixed-mode std::vector<Value> fallback
+// instead. An untyped column (Untyped()) is mixed from the start — the
+// row oracle's form. typed() distinguishes the two representations;
+// every kernel checks it and takes its Value path for mixed columns.
 #ifndef BYPASSDB_TYPES_COLUMN_VECTOR_H_
 #define BYPASSDB_TYPES_COLUMN_VECTOR_H_
 
@@ -29,6 +32,19 @@ namespace bypass {
 class ColumnVector {
  public:
   explicit ColumnVector(DataType type) : type_(type) {}
+
+  /// A mixed-mode column from the start: a Value per entry, which every
+  /// typed kernel declines.
+  static ColumnVector Untyped() {
+    ColumnVector col(DataType::kInt64);
+    col.mixed_mode_ = true;
+    return col;
+  }
+  /// An empty column of this one's form: untyped when it is mixed, else
+  /// of its type.
+  ColumnVector EmptyLike() const {
+    return mixed_mode_ ? Untyped() : ColumnVector(type_);
+  }
 
   DataType type() const { return type_; }
   size_t size() const { return size_; }
@@ -48,6 +64,8 @@ class ColumnVector {
   /// a non-NULL datum whose dynamic type differs from the declared type
   /// demotes the column to mixed mode (exact round-trip preserved).
   void Append(const Value& v);
+  /// As Append, moving the datum into a mixed-mode column.
+  void Append(Value&& v);
 
   /// Exact round-trip of the appended Value (type included).
   Value GetValue(size_t i) const;
@@ -62,9 +80,13 @@ class ColumnVector {
   void AppendToRows(const uint32_t* idx, size_t n, Row* rows) const;
 
   /// Appends src's entries at storage indices idx[0, n): a typed copy
-  /// when both columns are typed with one declared type, an exact
-  /// per-Value append otherwise.
+  /// when both columns are typed with one type (a column of NULLs only
+  /// takes src's), an exact per-Value append otherwise.
   void AppendGather(const ColumnVector& src, const uint32_t* idx, size_t n);
+
+  /// Bytes of the entries' storage: typed arrays, string chars and
+  /// offsets, the null bitmap, and sizeof(Value) per mixed entry.
+  int64_t ApproxBytes() const;
 
   bool IsNull(size_t i) const {
     if (mixed_mode_) return mixed_[i].is_null();
@@ -93,6 +115,8 @@ class ColumnVector {
  private:
   void SetNullBit(size_t i);
   void DemoteToMixed();
+  /// Replaces the placeholder type of a column that holds only NULLs.
+  void Retype(DataType type);
 
   DataType type_;
   size_t size_ = 0;
@@ -110,10 +134,10 @@ class ColumnVector {
   std::vector<Value> mixed_;
 };
 
-/// A table's worth of columns plus the shared row count. RowBatch carries
-/// a pointer to one of these — a table's (RowBatch::BorrowedColumns) or
-/// the batch's own (RowBatch::FromColumns) — so columnar kernels and
-/// row-at-a-time operators coexist over the same batch.
+/// A table's worth of columns plus the shared row count (which holds
+/// even with no columns). Every RowBatch reads one of these — a table's
+/// (RowBatch::BorrowedColumns) or the batch's own — and so does every
+/// buffered join or grouping build side.
 struct ColumnStore {
   std::vector<ColumnVector> columns;
   size_t num_rows = 0;
@@ -125,8 +149,16 @@ struct ColumnStore {
     for (ColumnVector& c : columns) c.Clear();
     num_rows = 0;
   }
-  /// Appends one row; row arity must match the column count.
+  /// Appends one row; row arity must match the column count. A store
+  /// with neither columns nor rows first takes one column per value.
   void AppendRow(const Row& row);
+  /// Appends rows idx[0, n) of `src`, narrowed to `slots` when non-null.
+  /// A store with neither columns nor rows first takes an EmptyLike
+  /// column per source column.
+  void AppendGather(const ColumnStore& src, const uint32_t* idx, size_t n,
+                    const std::vector<int>* slots);
+  /// Sum of the columns' ApproxBytes.
+  int64_t ApproxBytes() const;
   /// Materializes row i (exact Values).
   Row MaterializeRow(size_t i) const;
   /// Appends rows idx[0, n), narrowed to `slots` when non-null, to `out`
@@ -136,13 +168,8 @@ struct ColumnStore {
                        std::vector<Row>* out) const;
 };
 
-/// The type of the first non-NULL value in `values`, or `fallback` when
-/// every value is NULL: the declared type of a column built from
-/// computed values, so that it stays typed whenever the values agree.
-DataType FirstValueType(const std::vector<Value>& values, DataType fallback);
-
-/// A column holding `values` (exact round trip), typed as
-/// FirstValueType(values, kInt64).
+/// A column holding `values` (exact round trip), typed by the first
+/// non-NULL one.
 ColumnVector ColumnFromValues(const std::vector<Value>& values);
 
 }  // namespace bypass

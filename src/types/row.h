@@ -37,7 +37,9 @@ bool RowSlotsEqual(const Row& a, const Row& b,
                    const std::vector<int>& slots_b);
 
 /// True iff `a` and `b` contain the same rows with the same multiplicities
-/// (order-insensitive). The workhorse assertion of the equivalence tests.
+/// (order-insensitive), rows compared with RowsStructurallyEqual after
+/// sorting both in a strict weak order (NaN above every other number).
+/// The workhorse assertion of the equivalence tests.
 bool RowMultisetsEqual(std::vector<Row> a, std::vector<Row> b);
 
 /// "(v1, v2, ...)".

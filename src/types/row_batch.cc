@@ -6,25 +6,26 @@
 
 namespace bypass {
 
-RowBatch RowBatch::FromRows(std::vector<Row> rows) {
-  RowBatch batch;
-  batch.owned_ = std::make_shared<std::vector<Row>>(std::move(rows));
-  batch.storage_ = batch.owned_.get();
-  batch.sel_.resize(batch.storage_->size());
-  std::iota(batch.sel_.begin(), batch.sel_.end(), 0);
-  batch.dense_ = true;
-  return batch;
+const ColumnStore* RowBatch::EmptyColumns() {
+  static const ColumnStore empty;
+  return &empty;
 }
 
-RowBatch RowBatch::Borrowed(const std::vector<Row>* storage, size_t begin,
-                            size_t end) {
-  RowBatch batch;
-  batch.storage_ = storage;
-  batch.sel_.resize(end - begin);
-  std::iota(batch.sel_.begin(), batch.sel_.end(),
-            static_cast<uint32_t>(begin));
-  batch.dense_ = true;
-  return batch;
+RowBatch RowBatch::FromRows(std::vector<Row> rows, bool typed) {
+  ColumnStore store;
+  store.num_rows = rows.size();
+  const size_t width = rows.empty() ? 0 : rows[0].size();
+  store.columns.reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    // A typed column's placeholder type gives way to its first non-NULL
+    // value's.
+    ColumnVector col =
+        typed ? ColumnVector(DataType::kInt64) : ColumnVector::Untyped();
+    col.Reserve(rows.size());
+    for (Row& row : rows) col.Append(std::move(row[c]));
+    store.columns.push_back(std::move(col));
+  }
+  return FromColumns(std::move(store));
 }
 
 RowBatch RowBatch::BorrowedColumns(const ColumnStore* columns,
@@ -58,11 +59,6 @@ RowBatch RowBatch::FromColumns(ColumnStore columns,
   batch.columns_ = &batch.col_data_->columns;
   batch.sel_ = std::move(sel);
   return batch;
-}
-
-size_t RowBatch::width() const {
-  if (columns_ != nullptr) return columns_->columns.size();
-  return sel_.empty() ? 0 : row(0).size();
 }
 
 void RowBatch::MaterializeRows() const {
@@ -99,33 +95,13 @@ ColumnStore RowBatch::TakeColumns() {
 }
 
 ColumnStore RowBatch::GatherColumns(const std::vector<int>* slots) const {
-  const size_t n = sel_.size();
-  const size_t width = slots != nullptr ? slots->size() : this->width();
   ColumnStore out;
-  out.num_rows = n;
-  out.columns.reserve(width);
-  std::vector<Value> values;
-  for (size_t c = 0; c < width; ++c) {
-    const size_t slot =
-        slots != nullptr ? static_cast<size_t>((*slots)[c]) : c;
-    if (columns_ != nullptr) {
-      const ColumnVector& src = columns_->columns[slot];
-      ColumnVector col(src.type());
-      col.AppendGather(src, sel_.data(), n);
-      out.columns.push_back(std::move(col));
-      continue;
-    }
-    values.clear();
-    values.reserve(n);
-    for (size_t i = 0; i < n; ++i) values.push_back(row(i)[slot]);
-    out.columns.push_back(ColumnFromValues(values));
-  }
+  out.AppendGather(*columns_, sel_.data(), sel_.size(), slots);
   return out;
 }
 
 RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   RowBatch view;
-  view.owned_ = owned_;
   view.col_data_ = col_data_;
   view.storage_ = storage_;
   view.row_base_ = row_base_;
@@ -134,56 +110,14 @@ RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   return view;
 }
 
-Row RowBatch::TakeRow(size_t i) {
-  if (columns_ != nullptr) return columns_->MaterializeRow(sel_[i]);
-  if (ExclusivelyOwned()) return std::move((*owned_)[sel_[i]]);
-  return (*storage_)[sel_[i]];
-}
-
-void RowBatch::ReserveFor(std::vector<Row>* out) const {
+void RowBatch::ConsumeRowsInto(std::vector<Row>* out) {
   // Grow geometrically: an exact reserve per batch would reallocate (and
   // move every accumulated row) once per appended batch.
   const size_t need = out->size() + sel_.size();
   if (out->capacity() < need) {
     out->reserve(std::max(need, out->capacity() * 2));
   }
-}
-
-void RowBatch::ConsumeRowsInto(std::vector<Row>* out) {
-  ReserveFor(out);
-  if (columns_ != nullptr) {
-    columns_->MaterializeRows(sel_.data(), sel_.size(), nullptr, out);
-  } else if (ExclusivelyOwned()) {
-    for (uint32_t idx : sel_) out->push_back(std::move((*owned_)[idx]));
-  } else {
-    for (uint32_t idx : sel_) out->push_back((*storage_)[idx]);
-  }
-  sel_.clear();
-}
-
-void RowBatch::ConsumeRowsInto(std::vector<Row>* out,
-                               const std::vector<int>& slots) {
-  ReserveFor(out);
-  if (columns_ != nullptr) {
-    columns_->MaterializeRows(sel_.data(), sel_.size(), &slots, out);
-    sel_.clear();
-    return;
-  }
-  const bool owned = ExclusivelyOwned();
-  for (uint32_t idx : sel_) {
-    Row narrowed;
-    narrowed.reserve(slots.size());
-    if (owned) {
-      Row& src = (*owned_)[idx];
-      for (int s : slots) {
-        narrowed.push_back(std::move(src[static_cast<size_t>(s)]));
-      }
-    } else {
-      const Row& src = (*storage_)[idx];
-      for (int s : slots) narrowed.push_back(src[static_cast<size_t>(s)]);
-    }
-    out->push_back(std::move(narrowed));
-  }
+  columns_->MaterializeRows(sel_.data(), sel_.size(), nullptr, out);
   sel_.clear();
 }
 

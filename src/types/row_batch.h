@@ -2,19 +2,17 @@
 // a selection vector over shared storage, so selections narrow and
 // bypass operators split streams without touching the data itself — the
 // paper's σ± stream partition is a partition of the selection vector.
-// Storage is rows or columns:
-//   - owned rows (FromRows), shared among the views produced by a bypass
-//     split / fan-out edge; the row-oracle scan and operators that build
-//     new rows emit them;
-//   - rows borrowed from longer-lived memory (Borrowed), e.g. a join's
-//     buffered build rows;
-//   - a window [begin, end) of a longer-lived column store such as a
-//     catalog table's (BorrowedColumns) — zero-copy scans;
-//   - owned columns only (FromColumns): the output of joins, χ and Π.
-// Column kernels read the columns directly. On a column batch, a consumer
-// that still reads rows (row(i)) materializes the rows of the storage it
-// covers — the whole owned store, or the borrowed window only — from the
-// columns once, shared by all views of it.
+// Storage is always a ColumnStore, in one of two forms:
+//   - a window [begin, end) of a longer-lived store such as a catalog
+//     table's (BorrowedColumns) — zero-copy scans and build-side windows;
+//   - owned columns (FromColumns), shared among the views produced by a
+//     bypass split / fan-out edge: the output of joins, χ and Π, and of
+//     operators that build new rows (FromRows transposes them).
+// A column is typed (raw arrays) or untyped (a Value per entry, the row
+// oracle's form, which every typed kernel declines). Column kernels read
+// the columns directly; a consumer that still reads rows (row(i)) builds
+// the rows of the storage it covers — the whole owned store, or the
+// borrowed window only — from the columns once, shared by all views.
 #ifndef BYPASSDB_TYPES_ROW_BATCH_H_
 #define BYPASSDB_TYPES_ROW_BATCH_H_
 
@@ -36,13 +34,10 @@ class RowBatch {
  public:
   RowBatch() = default;
 
-  /// Owning batch over freshly materialized rows; every row selected.
-  static RowBatch FromRows(std::vector<Row> rows);
-
-  /// Zero-copy view over external rows that outlive the execution (e.g.
-  /// a join's buffered build rows); rows [begin, end) selected.
-  static RowBatch Borrowed(const std::vector<Row>* storage, size_t begin,
-                           size_t end);
+  /// Owning batch over `rows` transposed into columns, every row
+  /// selected: typed by each column's first non-NULL value, or untyped
+  /// (a Value per entry) when `typed` is false — the row oracle's form.
+  static RowBatch FromRows(std::vector<Row> rows, bool typed = true);
 
   /// Zero-copy view of rows [begin, end) of `columns`, which outlive the
   /// execution (a table's column store); selection entries index
@@ -51,32 +46,31 @@ class RowBatch {
   static RowBatch BorrowedColumns(const ColumnStore* columns, size_t begin,
                                   size_t end);
 
-  /// Owning column-only batch. The first form selects every row of the
+  /// Owning column batch. The first form selects every row of the
   /// store (dense); the second selects `sel` (storage indices).
   static RowBatch FromColumns(ColumnStore columns);
   static RowBatch FromColumns(ColumnStore columns,
                               std::vector<uint32_t> sel);
 
-  /// Typed columns backing this batch, or nullptr for row-only batches.
-  /// Selection-vector entries index both columns and row storage.
+  /// The columns backing this batch; never null. Selection-vector
+  /// entries index them (and the rows built from them).
   const ColumnStore* columns() const { return columns_; }
 
   /// Number of selected rows.
   size_t size() const { return sel_.size(); }
   bool empty() const { return sel_.empty(); }
 
-  /// Values per row: the column count when the batch has columns, else
-  /// the first selected row's width (0 when empty). Never materializes.
-  size_t width() const;
+  /// Values per row: the column count.
+  size_t width() const { return columns_->columns.size(); }
 
   /// The i-th selected row (i indexes the selection vector, not storage).
-  /// On a column batch the first call materializes its rows from the
-  /// columns. Views of one batch may call it from different threads; one
-  /// batch object is read by one thread at a time.
+  /// The first call materializes the batch's rows from the columns.
+  /// Views of one batch may call it from different threads; one batch
+  /// object is read by one thread at a time.
   const Row& row(size_t i) const { return storage_row(sel_[i]); }
 
-  /// True when row storage exists: owned or borrowed rows, or the rows a
-  /// column batch materialized on demand.
+  /// True once some row(i)/storage_row call on this batch or a view of
+  /// it materialized rows from the columns.
   bool has_rows() const {
     return storage_ != nullptr ||
            (col_data_ != nullptr && col_data_->rows_ready.load(
@@ -109,12 +103,6 @@ class RowBatch {
     return (*storage_)[storage_idx - row_base_];
   }
 
-  /// True when this batch owns its row storage and no other live view
-  /// shares it — the prerequisite for moving rows out.
-  bool ExclusivelyOwned() const {
-    return owned_ != nullptr && owned_.use_count() == 1;
-  }
-
   /// True when this batch owns its columns, no other live view shares
   /// them and its selection is every storage row in order: the columns
   /// can then be taken (TakeColumns) instead of gathered.
@@ -125,34 +113,26 @@ class RowBatch {
   ColumnStore TakeColumns();
 
   /// The selected rows as a dense column store, one column per entry of
-  /// `slots` (every column when null): typed gathers from the batch's
-  /// columns, or a transpose of its rows typed by their values.
+  /// `slots` (every column when null), gathered from the batch's columns.
   ColumnStore GatherColumns(const std::vector<int>* slots) const;
 
   /// A new view over the same storage with its own selection vector —
   /// the zero-copy output of a bypass split.
   RowBatch ShareWithSelection(std::vector<uint32_t> sel) const;
 
-  /// The i-th selected row: built from the columns when the batch has
-  /// them, else moved out when exclusively owned and copied otherwise.
-  /// Each selected row may be taken at most once.
-  Row TakeRow(size_t i);
+  /// The i-th selected row, built from the columns.
+  Row TakeRow(size_t i) const { return columns_->MaterializeRow(sel_[i]); }
 
-  /// Appends all selected rows to `out`, built from the columns when the
-  /// batch has them (column by column), else moved when exclusively owned
-  /// and copied otherwise. The batch is empty afterwards.
+  /// Appends all selected rows to `out`, built column by column. The
+  /// batch is empty afterwards.
   void ConsumeRowsInto(std::vector<Row>* out);
-
-  /// Like ConsumeRowsInto, but appends each row narrowed to `slots`
-  /// (distinct).
-  void ConsumeRowsInto(std::vector<Row>* out, const std::vector<int>& slots);
 
   /// Materializes the selected rows (convenience for tests).
   std::vector<Row> ToRows();
 
  private:
-  /// Storage of a column batch, shared by its views: the owned columns
-  /// (empty on a borrowed window) and the rows of storage indices
+  /// Storage shared by a batch and its views: the owned columns (empty
+  /// on a borrowed window) and the rows of storage indices
   /// [rows_begin, rows_end) materialized from the columns on first demand.
   struct ColumnData {
     ColumnStore columns;
@@ -163,16 +143,17 @@ class RowBatch {
     std::vector<Row> rows;
   };
 
-  void MaterializeRows() const;
-  void ReserveFor(std::vector<Row>* out) const;
+  /// A store with no columns and no rows: the default batch's.
+  static const ColumnStore* EmptyColumns();
 
-  std::shared_ptr<std::vector<Row>> owned_;
+  void MaterializeRows() const;
+
   std::shared_ptr<ColumnData> col_data_;
-  /// Row storage; null on a column batch until row() materializes.
+  /// Row storage; null until row() materializes.
   mutable const std::vector<Row>* storage_ = nullptr;
   /// Storage index of (*storage_)[0]: a borrowed window's begin.
   mutable uint32_t row_base_ = 0;
-  const ColumnStore* columns_ = nullptr;
+  const ColumnStore* columns_ = EmptyColumns();
   std::vector<uint32_t> sel_;
   bool dense_ = false;
 };

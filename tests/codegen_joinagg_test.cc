@@ -313,8 +313,6 @@ Q2dProbePlan MakeQ2dProbePlan(const Table* part, const Table* partsupp) {
        {JoinSide::kProbe, slot(partsupp, "ps_supplycost")},
        {JoinSide::kProbe, slot(partsupp, "ps_availqty")},
        {JoinSide::kBuild, 1}},
-      {DataType::kInt64, DataType::kInt64, DataType::kDouble,
-       DataType::kInt64, DataType::kString},
       /*out_width=*/5, /*logical_width=*/14,
       /*build_is_logical_left=*/true));
   auto recorder = std::make_unique<testing_util::BatchRecorder>();
@@ -358,7 +356,7 @@ TEST(CodegenJoinAgg, Q2dProbeEmitsColumnOnlyBatches) {
       ASSERT_TRUE(RunPlan(&q.plan, &ctx).ok());
       const ExecStats stats = run->TotalStats();
       EXPECT_GT(q.recorder->batches, 0);
-      EXPECT_EQ(q.recorder->row_only, 0);
+      EXPECT_EQ(q.recorder->untyped, 0);
       EXPECT_EQ(q.recorder->with_rows, 0);
       if (!compiled) {
         want = std::move(q.recorder->rows);

@@ -145,8 +145,9 @@ struct KernelFixture {
   RowBatch Columnar() const {
     return RowBatch::BorrowedColumns(&store, 0, rows.size());
   }
-  RowBatch RowOnly() const {
-    return RowBatch::Borrowed(&rows, 0, rows.size());
+  /// The same rows in untyped columns: every kernel takes its Value path.
+  RowBatch Untyped() const {
+    return RowBatch::FromRows(rows, /*typed=*/false);
   }
 };
 
@@ -161,9 +162,9 @@ ExprPtr Lit(Value v) { return std::make_unique<LiteralExpr>(std::move(v)); }
 void ExpectPartitionsAgree(const Expr& pred, const KernelFixture& fix) {
   std::vector<uint32_t> ct, cf, cn, rt, rf, rn;
   const RowBatch columnar = fix.Columnar();
-  const RowBatch rowonly = fix.RowOnly();
+  const RowBatch untyped = fix.Untyped();
   ASSERT_TRUE(pred.PartitionBatch(columnar, nullptr, &ct, &cf, &cn).ok());
-  ASSERT_TRUE(pred.PartitionBatch(rowonly, nullptr, &rt, &rf, &rn).ok());
+  ASSERT_TRUE(pred.PartitionBatch(untyped, nullptr, &rt, &rf, &rn).ok());
   EXPECT_EQ(ct, rt) << pred.ToString();
   EXPECT_EQ(cf, rf) << pred.ToString();
   EXPECT_EQ(cn, rn) << pred.ToString();
@@ -175,7 +176,7 @@ void ExpectPartitionsAgree(const Expr& pred, const KernelFixture& fix) {
   ASSERT_TRUE(pred.PartitionBatch(columnar.ShareWithSelection(odd), nullptr,
                                   &ct, &cf, &cn)
                   .ok());
-  ASSERT_TRUE(pred.PartitionBatch(rowonly.ShareWithSelection(odd), nullptr,
+  ASSERT_TRUE(pred.PartitionBatch(untyped.ShareWithSelection(odd), nullptr,
                                   &rt, &rf, &rn)
                   .ok());
   EXPECT_EQ(ct, rt) << pred.ToString() << " (sparse)";

@@ -4,6 +4,8 @@
 // nested-loop implementations, buffering correctness under adverse source
 // orders.
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -454,7 +456,7 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
         ASSERT_TRUE(RunPlan(&plan, &ctx).ok());
 
         EXPECT_EQ(rec->batches > 0, !want.empty());
-        EXPECT_EQ(rec->row_only, 0);
+        EXPECT_EQ(rec->untyped, 0);
         EXPECT_EQ(rec->with_rows, 0);
         EXPECT_TRUE(RowMultisetsEqual(rec->rows, want));
       }
@@ -465,8 +467,8 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
 // Columnar scans emit zero-copy windows of the table's columns: at 1 and
 // 4 threads, with zone maps on and off, no scan batch carries Row
 // storage and together they hold the table's rows. With columnar
-// execution off (the row oracle) every batch is row-only, with the same
-// rows.
+// execution off (the row oracle) every batch holds untyped columns, with
+// the same rows.
 TEST(ScanOpTest, ColumnarScansBorrowColumnsOnly) {
   Schema schema;
   schema.AddColumn({"k", DataType::kInt64, ""});
@@ -519,10 +521,10 @@ TEST(ScanOpTest, ColumnarScansBorrowColumnsOnly) {
 
         EXPECT_GE(rec->batches, 50);
         if (columnar) {
-          EXPECT_EQ(rec->row_only, 0);
+          EXPECT_EQ(rec->untyped, 0);
           EXPECT_EQ(rec->with_rows, 0);
         } else {
-          EXPECT_EQ(rec->row_only, rec->batches);
+          EXPECT_EQ(rec->untyped, rec->batches);
         }
         EXPECT_EQ(run->TotalStats().segments_scanned, zone_maps ? 10 : 0);
         EXPECT_TRUE(RowMultisetsEqual(rec->rows, rows));
@@ -701,7 +703,7 @@ TEST(DistinctOpTest, ColumnOnlyInt64BatchesStayRowFree) {
     if (!seen) want.push_back(row);
   }
   EXPECT_GT(p.recorder->batches, 0);
-  EXPECT_EQ(p.recorder->row_only, 0);
+  EXPECT_EQ(p.recorder->untyped, 0);
   EXPECT_EQ(p.recorder->with_rows, 0);
   ASSERT_EQ(p.recorder->rows.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
@@ -725,7 +727,7 @@ TEST(GroupByOpTest, MultiColumnInt64KeysResolveFromColumns) {
         /*tee=*/true);
     ExecContext ctx;
     ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
-    EXPECT_EQ(p.recorder->row_only, 0);
+    EXPECT_EQ(p.recorder->untyped, 0);
     EXPECT_EQ(p.recorder->with_rows, 0);
     std::vector<Row> want;  // (keys..., COUNT(*), SUM(c3))
     for (const Row& row : rows) {
@@ -819,6 +821,192 @@ TEST(TimeoutTest, DeadlineAbortsScans) {
                        std::chrono::milliseconds(1);  // already expired
   Status st = RunPlan(&left_plan.plan, &ctx);
   EXPECT_EQ(st.code(), StatusCode::kTimeout);
+}
+
+// --- Column build sides ---------------------------------------------------
+
+/// Π over every column of `cols`, so the batches it emits own columns.
+PhysOpPtr ProjectAll(int cols) {
+  std::vector<ExprPtr> exprs;
+  for (int c = 0; c < cols; ++c) exprs.push_back(Slot(c));
+  return std::make_unique<ProjectPhysOp>(std::move(exprs));
+}
+
+/// left scan → Π → `op` (left port); right scan → Π → `op` (right port),
+/// then a recorder on the right Π's output, which sees each build batch
+/// after `op` buffered it; `op` → a recorder of the output.
+struct BuildSidePlan {
+  PhysicalPlan plan;
+  BatchRecorder* build_input = nullptr;
+  BatchRecorder* out = nullptr;
+};
+BuildSidePlan BuildSideInput(const Table* left, const Table* right,
+                             PhysOpPtr op) {
+  BuildSidePlan p;
+  auto left_scan = std::make_unique<TableScanOp>(left);
+  auto right_scan = std::make_unique<TableScanOp>(right);
+  PhysOpPtr left_project = ProjectAll(left->schema().num_columns());
+  PhysOpPtr right_project = ProjectAll(right->schema().num_columns());
+  auto build_input = std::make_unique<BatchRecorder>();
+  auto out = std::make_unique<BatchRecorder>();
+  p.build_input = build_input.get();
+  p.out = out.get();
+  left_scan->AddConsumer(kPortOut, left_project.get(), 0);
+  left_project->AddConsumer(kPortOut, op.get(), BinaryPhysOp::kLeft);
+  right_scan->AddConsumer(kPortOut, right_project.get(), 0);
+  right_project->AddConsumer(kPortOut, op.get(), BinaryPhysOp::kRight);
+  right_project->AddConsumer(kPortOut, build_input.get(), 0);
+  op->AddConsumer(kPortOut, out.get(), 0);
+  p.plan.sources.push_back(right_scan.get());
+  p.plan.sources.push_back(left_scan.get());
+  p.plan.ops.push_back(std::move(left_scan));
+  p.plan.ops.push_back(std::move(right_scan));
+  p.plan.ops.push_back(std::move(left_project));
+  p.plan.ops.push_back(std::move(right_project));
+  p.plan.ops.push_back(std::move(op));
+  p.plan.ops.push_back(std::move(build_input));
+  p.plan.ops.push_back(std::move(out));
+  return p;
+}
+
+Row Concat(const Row& a, const Row& b) {
+  Row out = a;
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+/// Brute-force binary grouping: `l` extended with COUNT(*) and SUM(r[2])
+/// over the rows r with `matches(l, r)` (f(∅) = 0 and NULL).
+std::vector<Row> GroupOracle(
+    const std::vector<Row>& left, const std::vector<Row>& right,
+    const std::function<bool(const Row&, const Row&)>& matches) {
+  std::vector<Row> want;
+  for (const Row& l : left) {
+    int64_t count = 0;
+    Value sum = Value::Null();
+    for (const Row& r : right) {
+      if (!matches(l, r)) continue;
+      ++count;
+      if (!r[2].is_null()) {
+        sum = Value::Int64((sum.is_null() ? 0 : sum.int64_value()) +
+                           r[2].int64_value());
+      }
+    }
+    Row row = l;
+    row.push_back(Value::Int64(count));
+    row.push_back(sum);
+    want.push_back(std::move(row));
+  }
+  return want;
+}
+
+// Every join kind and both binary groupings buffer their build side as
+// columns: fed column batches, they build no Row on them, the budget is
+// charged the columns' bytes (below what the rows would take), and the
+// output equals a brute-force oracle at batch {1, 7, 1024} × threads
+// {1, 4} on 20 % NULLs.
+TEST(ColumnarParallelBuildSides, EveryBinaryOperatorBuildsFromColumns) {
+  const std::vector<Row> left_rows = NullableKeyRows(3, 300, 41);
+  const std::vector<Row> right_rows = NullableKeyRows(3, 200, 42);
+  const std::vector<Row> small_rows = NullableKeyRows(3, 40, 43);
+  Table left = MakeTable("l", 3, left_rows);
+  Table right = MakeTable("r", 3, right_rows);
+  Table small = MakeTable("s", 3, small_rows);
+  auto key_eq = [](const Row& l, const Row& r) {
+    return l[0].Compare(CompareOp::kEq, r[0]) == TriBool::kTrue;
+  };
+  auto residual = [](const Row& l, const Row& r) {
+    return l[1].Compare(CompareOp::kLt, r[1]) == TriBool::kTrue;
+  };
+  // Residual l1 < r1 over the concatenated pair (left width 3).
+  auto make_residual = [] {
+    return MakeComparison(CompareOp::kLt, Slot(1), Slot(4));
+  };
+  const Row pad{Value::Null(), Value::Int64(0), Value::Null()};
+
+  struct Case {
+    std::string name;
+    const Table* build;
+    std::function<PhysOpPtr()> make;
+    std::vector<Row> want;
+  };
+  std::vector<Case> cases;
+  {
+    std::vector<Row> inner, outer, semi, anti, cross;
+    for (const Row& l : left_rows) {
+      bool matched = false, passed = false;
+      for (const Row& r : right_rows) {
+        if (!key_eq(l, r)) continue;
+        inner.push_back(Concat(l, r));
+        outer.push_back(Concat(l, r));
+        matched = true;
+        passed = passed || residual(l, r);
+      }
+      if (!matched) outer.push_back(Concat(l, pad));
+      (passed ? semi : anti).push_back(l);
+      for (const Row& r : small_rows) cross.push_back(Concat(l, r));
+    }
+    cases.push_back({"inner", &right, [] {
+      return std::make_unique<HashJoinOp>(JoinKind::kInner,
+                                          std::vector<int>{0},
+                                          std::vector<int>{0}, nullptr);
+    }, inner});
+    cases.push_back({"left outer", &right, [pad] {
+      return std::make_unique<HashJoinOp>(
+          JoinKind::kLeftOuter, std::vector<int>{0}, std::vector<int>{0},
+          nullptr, pad);
+    }, outer});
+    cases.push_back({"semi", &right, [&] {
+      return std::make_unique<HashJoinOp>(
+          JoinKind::kSemi, std::vector<int>{0}, std::vector<int>{0},
+          make_residual());
+    }, semi});
+    cases.push_back({"anti", &right, [&] {
+      return std::make_unique<HashJoinOp>(
+          JoinKind::kAnti, std::vector<int>{0}, std::vector<int>{0},
+          make_residual());
+    }, anti});
+    cases.push_back({"cross product", &small, [] {
+      return std::make_unique<HashJoinOp>(
+          JoinKind::kInner, std::vector<int>{}, std::vector<int>{}, nullptr);
+    }, cross});
+  }
+  cases.push_back({"binary group by (hash)", &right, [] {
+    return std::make_unique<BinaryGroupByHashOp>(0, 0, CountAndSum(2));
+  }, GroupOracle(left_rows, right_rows, key_eq)});
+  cases.push_back({"binary group by (nl)", &right, [] {
+    return std::make_unique<BinaryGroupByNLOp>(1, CompareOp::kLt, 1,
+                                               CountAndSum(2));
+  }, GroupOracle(left_rows, right_rows, residual)});
+
+  WorkerPool pool(4);
+  for (const Case& c : cases) {
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(c.name + ", batch " + std::to_string(batch_size) +
+                     ", " + std::to_string(threads) + " threads");
+        BuildSidePlan p = BuildSideInput(&left, c.build, c.make());
+        auto run = std::make_shared<RunContext>();
+        run->batch_size = batch_size;
+        run->morsel_size = 64;
+        run->memory_limit = int64_t{1} << 40;  // counts every charge
+        run->worker_stats.resize(static_cast<size_t>(threads));
+        ExecContext ctx(run);
+        TaskGroupOptions sched;
+        sched.max_workers = threads;
+        sched.max_worker_id = threads;
+        ctx.set_task_group_options(sched);
+        if (threads > 1) ctx.set_pool(&pool);
+        ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
+        EXPECT_GT(p.build_input->batches, 0);
+        EXPECT_EQ(p.build_input->with_rows, 0);
+        const size_t build_rows = c.build->columns().num_rows;
+        EXPECT_LT(run->memory_used.load(), ApproxRowsBytes(build_rows, 3));
+        EXPECT_TRUE(RowMultisetsEqual(p.out->rows, c.want))
+            << p.out->rows.size() << " rows vs " << c.want.size();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -40,6 +40,8 @@
 namespace bypass {
 namespace {
 
+using testing_util::ToColumns;
+
 // ---------------------------------------------------------------- helpers
 
 /// Random key value drawn from a deliberately nasty domain: a tight int64
@@ -578,7 +580,7 @@ void JoinFuzzRound(uint64_t seed, size_t num_build, size_t num_probe,
   for (size_t i = 0; i < num_probe; ++i) probe_rows.push_back(random_row());
 
   JoinHashTable table;
-  table.Build(build_rows, key_slots);
+  table.Build(ToColumns(build_rows), key_slots);
   const JoinOracle oracle = BuildJoinOracle(build_rows, key_slots);
   ASSERT_EQ(table.num_keys(), oracle.size());
   CheckProbesAgainstOracle(table, build_rows, key_slots, probe_rows,
@@ -602,7 +604,7 @@ TEST(HashTableJoinTest, EmptyBuildSide) {
   std::vector<Row> none;
   std::vector<int> slots{0};
   JoinHashTable table;
-  table.Build(none, slots);
+  table.Build(ToColumns(none), slots);
   EXPECT_EQ(table.num_keys(), 0u);
   const Row probe{Value::Int64(1)};
   EXPECT_TRUE(ProbeOne(table, probe, slots).empty());
@@ -613,14 +615,14 @@ TEST(HashTableJoinTest, RebuildAfterClearAndModeFlip) {
   JoinHashTable table;
   std::vector<Row> ints;
   for (int64_t i = 0; i < 100; ++i) ints.push_back(Row{Value::Int64(i)});
-  table.Build(ints, slots);
+  table.Build(ToColumns(ints), slots);
   EXPECT_EQ(table.num_keys(), 100u);
   table.Clear();
   std::vector<Row> strs;
   for (int64_t i = 0; i < 50; ++i) {
     strs.push_back(Row{Value::String(std::to_string(i))});
   }
-  table.Build(strs, slots);
+  table.Build(ToColumns(strs), slots);
   EXPECT_EQ(table.num_keys(), 50u);
   const Row probe{Value::String("7")};
   EXPECT_EQ(ProbeOne(table, probe, slots).count, 1u);
@@ -718,7 +720,7 @@ TEST(HashTableJoinTest, PackedKeysMatchOracle) {
         std::vector<int>{0, 2, 3}, std::vector<int>{3, 1, 2, 0}}) {
     SCOPED_TRACE("key width " + std::to_string(slots.size()));
     JoinHashTable table;
-    table.Build(build, slots);
+    table.Build(ToColumns(build), slots);
     EXPECT_TRUE(IsPacked(table));
     const JoinOracle oracle = BuildJoinOracle(build, slots);
     ASSERT_EQ(table.num_keys(), oracle.size());
@@ -734,7 +736,7 @@ TEST(HashTableJoinTest, SingleInt64KeyMatchesOracleInEveryProbeForm) {
   const std::vector<Row> probe = NullableIntRows(&rng, 500);
   const std::vector<int> slots{2};
   JoinHashTable table;
-  table.Build(build, slots);
+  table.Build(ToColumns(build), slots);
   EXPECT_TRUE(table.index().packed());
   EXPECT_TRUE(table.index().ExportInt64View().valid);
   CheckProbeForms(table, probe, kFourInts, slots,
@@ -757,13 +759,13 @@ TEST(HashTableJoinTest, IntegralDoublesMatchInt64Keys) {
        {std::vector<int>{1}, std::vector<int>{0, 3}}) {
     SCOPED_TRACE("key width " + std::to_string(slots.size()));
     JoinHashTable int_table;
-    int_table.Build(ints, slots);
+    int_table.Build(ToColumns(ints), slots);
     EXPECT_TRUE(int_table.index().packed());
     const JoinOracle oracle = BuildJoinOracle(ints, slots);
     CheckProbeForms(int_table, doubles, four_doubles, slots, oracle);
 
     JoinHashTable double_table;
-    double_table.Build(doubles, slots);
+    double_table.Build(ToColumns(doubles), slots);
     EXPECT_TRUE(double_table.index().packed()) << "integral doubles pack";
     CheckProbeForms(double_table, ints, kFourInts, slots,
                     BuildJoinOracle(doubles, slots));
@@ -780,7 +782,7 @@ TEST(HashTableJoinTest, NonIntegralOrStringKeysFallBackToGeneric) {
     for (const std::vector<int>& slots :
          {std::vector<int>{1}, std::vector<int>{0, 1}}) {
       JoinHashTable table;
-      table.Build(build, slots);
+      table.Build(ToColumns(build), slots);
       EXPECT_FALSE(table.index().packed());
       EXPECT_FALSE(table.index().ExportInt64View().valid);
       const JoinOracle oracle = BuildJoinOracle(build, slots);
@@ -792,7 +794,7 @@ TEST(HashTableJoinTest, NonIntegralOrStringKeysFallBackToGeneric) {
     // A packed table probed with such a value misses without a fault.
     const std::vector<Row> ints = NullableIntRows(&rng, 300);
     JoinHashTable packed;
-    packed.Build(ints, {0, 1});
+    packed.Build(ToColumns(ints), {0, 1});
     ASSERT_TRUE(IsPacked(packed));
     std::vector<Row> odd_probe = NullableIntRows(&rng, 50);
     for (Row& row : odd_probe) row[1] = odd;
@@ -833,7 +835,7 @@ TEST(HashTableJoinTest, SlotArrayFollowsKeyCountNotRows) {
                        Value::Int64(static_cast<int64_t>(i))});
   }
   JoinHashTable table;
-  table.Build(rows, {0});
+  table.Build(ToColumns(rows), {0});
   ASSERT_EQ(table.num_keys(), kKeys);
   const int64_t per_row = static_cast<int64_t>(kRows * 2 * sizeof(uint32_t));
   const int64_t index = table.RetainedBytes() - per_row;
@@ -845,7 +847,7 @@ TEST(HashTableJoinTest, SlotArrayFollowsKeyCountNotRows) {
     unique.push_back(Row{Value::Int64(static_cast<int64_t>(i))});
   }
   JoinHashTable wide;
-  wide.Build(unique, {0});
+  wide.Build(ToColumns(unique), {0});
   EXPECT_GE(wide.RetainedBytes() - per_row, int64_t{16 * 4 * kRows});
 }
 
@@ -860,7 +862,7 @@ TEST(HashTableJoinTest, RetainedBytesCountsStringKeyChars) {
                                      std::string(kChars, 'x'))});
   }
   JoinHashTable table;
-  table.Build(rows, {0});
+  table.Build(ToColumns(rows), {0});
   ASSERT_EQ(table.num_keys(), kKeys);
   EXPECT_GE(table.index().RetainedBytes(), int64_t{kKeys * kChars});
 }
@@ -880,16 +882,16 @@ TEST(HashTableParallelTest, ReusedTableMatchesFreshBuild) {
                        Value::String("k" + std::to_string(k))});
   }
   JoinHashTable reused;
-  reused.Build({Row{Value::String("x")}}, {0});
+  reused.Build(ToColumns({Row{Value::String("x")}}), {0});
   for (const std::vector<int>& slots :
        {std::vector<int>{0}, std::vector<int>{0, 1}, std::vector<int>{2},
         std::vector<int>{2, 1}}) {
     SCOPED_TRACE("slots " + std::to_string(slots[0]) + " width " +
                  std::to_string(slots.size()));
     JoinHashTable fresh;
-    fresh.Build(rows, slots);
+    fresh.Build(ToColumns(rows), slots);
     reused.Clear();
-    reused.Build(rows, slots);
+    reused.Build(ToColumns(rows), slots);
     EXPECT_EQ(fresh.index().packed(), slots[0] != 2);
     EXPECT_EQ(reused.index().packed(), slots[0] != 2);
     ExpectSameIndex(fresh, reused, rows, slots);
@@ -915,10 +917,10 @@ TEST(HashTableParallelTest, ParallelBuildGenericFallback) {
   }
   std::vector<int> slots{0};
   JoinHashTable serial;
-  serial.Build(rows, slots);
+  serial.Build(ToColumns(rows), slots);
   JoinHashTable parallel;
-  parallel.Build({Row{Value::Int64(1)}}, slots);
-  parallel.Build(rows, slots);
+  parallel.Build(ToColumns({Row{Value::Int64(1)}}), slots);
+  parallel.Build(ToColumns(rows), slots);
   ASSERT_FALSE(parallel.index().packed());
   ASSERT_EQ(serial.num_keys(), parallel.num_keys());
   const JoinOracle oracle = BuildJoinOracle(rows, slots);
@@ -940,7 +942,7 @@ TEST(HashTableParallelTest, ConcurrentProbesWithDistinctScratches) {
   }
   std::vector<int> slots{0};
   JoinHashTable table;
-  table.Build(rows, slots);
+  table.Build(ToColumns(rows), slots);
 
   WorkerPool pool(4);
   const size_t num_tasks = 8;
@@ -1427,7 +1429,7 @@ TEST(HashTableNullHashTest, NullAndItsHashTwinStayTwoKeys) {
   // The join table itself, probed in every batch form.
   const std::vector<Row> build{Row{kv}};
   JoinHashTable table;
-  table.Build(build, {0});
+  table.Build(ToColumns(build), {0});
   const std::vector<Row> probe{Row{null}, Row{kv}, Row{null}, Row{kv}};
   CheckProbeForms(table, probe, {DataType::kInt64}, {0},
                   BuildJoinOracle(build, {0}));

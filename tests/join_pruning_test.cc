@@ -31,7 +31,8 @@ using testing_util::LoadSmallRst;
 /// A budget at which every query below still completes (result
 /// collection, grouping and the outer/existence joins cannot spill)
 /// while the part ⋈ partsupp build sides overflow into Grace partitions.
-constexpr size_t kTightBudget = 256 * 1024;
+/// Build sides charge the bytes of their buffered columns.
+constexpr size_t kTightBudget = 128 * 1024;
 
 /// Eqv. 1 texts whose Γ groups S ⋉ K (K: the stream's correlation
 /// values), over the wide-domain rw/sw/tw tables with NULLs on both

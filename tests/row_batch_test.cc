@@ -1,5 +1,5 @@
-// Unit tests for RowBatch: ownership vs. borrowing, selection-vector
-// views, the dense flag, move-out semantics, column-only batches (exact
+// Unit tests for RowBatch: FromRows' transposition, selection-vector
+// views, the dense flag, column ownership, owned column batches (exact
 // Value round trips, rows built from columns) and borrowed windows of a
 // column store (rows built for the window only, once).
 #include <malloc.h>
@@ -33,23 +33,36 @@ TEST(RowBatchTest, FromRowsSelectsEverything) {
   EXPECT_FALSE(batch.empty());
   EXPECT_EQ(batch.row(0)[0].int64_value(), 1);
   EXPECT_EQ(batch.row(2)[1].int64_value(), 30);
-  EXPECT_TRUE(batch.ExclusivelyOwned());
 }
 
-TEST(RowBatchTest, BorrowedIsZeroCopyWindow) {
-  const std::vector<Row> storage = ThreeRows();
-  RowBatch batch = RowBatch::Borrowed(&storage, 1, 3);
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch.row(0)[0].int64_value(), 2);
-  EXPECT_EQ(batch.row(1)[0].int64_value(), 3);
-  EXPECT_FALSE(batch.ExclusivelyOwned());
-  // Selected indices address the backing storage, not the window.
-  EXPECT_EQ(batch.selection()[0], 1u);
+// Each column is typed by its first non-NULL value; a later value of
+// another type demotes it, and the untyped form holds a Value per entry.
+TEST(RowBatchTest, FromRowsTypesEachColumnByItsFirstNonNullValue) {
+  std::vector<Row> rows;
+  rows.push_back(Row{Value::Null(), Value::Int64(1), Value::Null()});
+  rows.push_back(Row{Value::Double(2.5), Value::Double(3.0), Value::Null()});
+  const RowBatch typed = RowBatch::FromRows(rows);
+  const std::vector<ColumnVector>& cols = typed.columns()->columns;
+  ASSERT_EQ(cols.size(), 3u);
+  EXPECT_TRUE(cols[0].typed());
+  EXPECT_EQ(cols[0].type(), DataType::kDouble);
+  EXPECT_FALSE(cols[1].typed());  // int64, then a double
+  EXPECT_TRUE(cols[2].typed());   // NULLs only
+  const RowBatch untyped = RowBatch::FromRows(rows, /*typed=*/false);
+  for (const ColumnVector& col : untyped.columns()->columns) {
+    EXPECT_FALSE(col.typed());
+  }
+  for (const RowBatch* batch : {&typed, &untyped}) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(RowsStructurallyEqual(batch->row(i), rows[i]));
+      EXPECT_EQ(batch->row(i)[1].type(), rows[i][1].type());
+    }
+  }
 }
 
 TEST(RowBatchTest, DenseOnConstructionDroppedOnMutation) {
-  const std::vector<Row> storage = ThreeRows();
-  RowBatch borrowed = RowBatch::Borrowed(&storage, 1, 3);
+  const ColumnStore storage = testing_util::ToColumns(ThreeRows());
+  RowBatch borrowed = RowBatch::BorrowedColumns(&storage, 1, 3);
   EXPECT_TRUE(borrowed.dense());
   // Dense means sel[i] == sel[0] + i, so storage_row(sel[0] + i) is
   // the i-th selected row.
@@ -71,38 +84,20 @@ TEST(RowBatchTest, ShareWithSelectionIsNotDenseAndSharesStorage) {
   EXPECT_EQ(view.row(0)[0].int64_value(), 3);
   EXPECT_EQ(view.row(1)[0].int64_value(), 1);
   EXPECT_FALSE(view.dense());
-  // Two live views over the same storage: neither is exclusive.
-  EXPECT_FALSE(batch.ExclusivelyOwned());
-  EXPECT_FALSE(view.ExclusivelyOwned());
-}
-
-TEST(RowBatchTest, ExclusiveOwnershipReturnsWhenViewsDie) {
-  RowBatch batch = RowBatch::FromRows(ThreeRows());
-  {
-    RowBatch view = batch.ShareWithSelection({1});
-    EXPECT_FALSE(batch.ExclusivelyOwned());
-  }
-  EXPECT_TRUE(batch.ExclusivelyOwned());
+  // Two live views over the same storage: neither owns it.
+  EXPECT_FALSE(batch.OwnsAllColumns());
+  EXPECT_FALSE(view.OwnsAllColumns());
 }
 
 TEST(RowBatchTest, ConsumeRowsIntoCopiesWhenShared) {
-  const std::vector<Row> storage = ThreeRows();
-  RowBatch batch = RowBatch::Borrowed(&storage, 0, 3);
+  const ColumnStore storage = testing_util::ToColumns(ThreeRows());
+  RowBatch batch = RowBatch::BorrowedColumns(&storage, 0, 3);
   std::vector<Row> out;
   batch.ConsumeRowsInto(&out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(batch.empty());
   // Borrowed storage is untouched.
-  EXPECT_EQ(storage[0][0].int64_value(), 1);
-}
-
-TEST(RowBatchTest, ConsumeRowsIntoMovesWhenExclusive) {
-  RowBatch batch = RowBatch::FromRows(ThreeRows());
-  std::vector<Row> out;
-  batch.ConsumeRowsInto(&out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[2][1].int64_value(), 30);
-  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(storage.MaterializeRow(0)[0].int64_value(), 1);
 }
 
 TEST(RowBatchTest, ConsumeRowsIntoAppends) {
@@ -111,15 +106,6 @@ TEST(RowBatchTest, ConsumeRowsIntoAppends) {
   RowBatch::FromRows(ThreeRows()).ConsumeRowsInto(&out);
   ASSERT_EQ(out.size(), 6u);
   EXPECT_EQ(out[3][0].int64_value(), 1);
-}
-
-TEST(RowBatchTest, TakeRowMovesOrCopies) {
-  // Shared: TakeRow copies, storage intact.
-  RowBatch batch = RowBatch::FromRows(ThreeRows());
-  RowBatch view = batch.ShareWithSelection({0});
-  Row copied = view.TakeRow(0);
-  EXPECT_EQ(copied[0].int64_value(), 1);
-  EXPECT_EQ(batch.row(0)[0].int64_value(), 1);
 }
 
 // ------------------------------------------------- column-only batches
@@ -208,9 +194,11 @@ TEST(RowBatchTest, ColumnOnlyTakeRowAndConsumeRowsBuildFromColumns) {
   ASSERT_EQ(taken.size(), 4u);
   for (size_t c = 0; c < 4; ++c) ExpectSameValue(taken[c], want[1][c]);
 
-  RowBatch narrowed = RowBatch::FromColumns(TrickyColumns(), {3, 1, 0});
+  const RowBatch selected = RowBatch::FromColumns(TrickyColumns(), {3, 1, 0});
+  const std::vector<int> slots{3, 1};
+  RowBatch narrowed = RowBatch::FromColumns(selected.GatherColumns(&slots));
   std::vector<Row> out{Row{Value::Int64(99)}};  // appended after
-  narrowed.ConsumeRowsInto(&out, {3, 1});
+  narrowed.ConsumeRowsInto(&out);
   EXPECT_TRUE(narrowed.empty());
   ASSERT_EQ(out.size(), 4u);
   const size_t order[] = {3, 1, 0};
@@ -290,8 +278,9 @@ TEST(ColumnarBorrowedWindow, RoundTripsAtAHighOffset) {
   std::vector<Row> consumed;
   TrickyWindow().ConsumeRowsInto(&consumed);
   std::vector<Row> narrowed;
-  RowBatch narrow = TrickyWindow();
-  narrow.ConsumeRowsInto(&narrowed, {3, 1});
+  const std::vector<int> slots{3, 1};
+  RowBatch narrow = RowBatch::FromColumns(TrickyWindow().GatherColumns(&slots));
+  narrow.ConsumeRowsInto(&narrowed);
   EXPECT_TRUE(narrow.empty());
   EXPECT_FALSE(batch.has_rows());
   ASSERT_EQ(consumed.size(), 5u);
@@ -387,7 +376,7 @@ TEST(RowBatchTest, GatherAndTakeColumns) {
   EXPECT_EQ(taken.num_rows, 5u);
   EXPECT_TRUE(all.empty());
 
-  // A row-only batch transposes into columns typed by its values.
+  // A FromRows batch holds columns typed by its values.
   RowBatch rows = RowBatch::FromRows(ThreeRows());
   const ColumnStore transposed = rows.GatherColumns(nullptr);
   ASSERT_EQ(transposed.columns.size(), 2u);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "types/row.h"
 #include "types/schema.h"
 
@@ -58,6 +63,26 @@ TEST(RowTest, MultisetEqualityWithNulls) {
   std::vector<Row> a = {Row{Value::Null()}, Row{Value::Int64(1)}};
   std::vector<Row> b = {Row{Value::Int64(1)}, Row{Value::Null()}};
   EXPECT_TRUE(RowMultisetsEqual(a, b));
+}
+
+// OrderCompare ties NaN with every double, which is not a strict weak
+// order; the multiset sort puts NaN above every other number, so every
+// permutation of NaN-bearing rows compares equal to the original.
+TEST(RowTest, MultisetEqualityHoldsForPermutedNaNRows) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  for (int i = 0; i < 24; ++i) {
+    const double first[] = {nan, 0.5, 2.0, -1.0};
+    Row row{Value::Double(first[i % 4]), Value::Int64(i % 5)};
+    if (i % 7 == 3) row[1] = Value::Double(nan);
+    rows.push_back(std::move(row));
+  }
+  std::mt19937 rng(11);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<Row> permuted = rows;
+    std::shuffle(permuted.begin(), permuted.end(), rng);
+    EXPECT_TRUE(RowMultisetsEqual(rows, permuted)) << "round " << round;
+  }
 }
 
 TEST(RowTest, RowSlotsEqualComparesTheGivenSlots) {

@@ -7,7 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -249,6 +254,44 @@ TEST(StatsSubsystemAnalyzer, AnalyzeAllCoversEveryTableAndBumpsTheEpoch) {
     EXPECT_NE(db.catalog()->GetTableStatistics(name), nullptr) << name;
     EXPECT_GT(db.catalog()->TableStatsVersion(name), 0u) << name;
   }
+}
+
+// A double column holding NaN, NULL, -0.0 and duplicates: ANALYZE returns
+// (a NaN once made the histogram's run scan loop forever), the NaNs are
+// counted apart and the buckets hold every other non-NULL value.
+TEST(StatsSubsystemAnalyzer, NaNBearingDoubleColumnAnalyzes) {
+  Database db;
+  Schema schema;
+  schema.AddColumn({"d", DataType::kDouble, ""});
+  auto table = db.CreateTable("f", schema);
+  ASSERT_TRUE(table.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  for (double v : {nan, 1.5, -0.0, nan, 1.5, 0.0, 2.5, 1.5, nan, 1.5}) {
+    rows.push_back(Row{Value::Double(v)});
+  }
+  rows.push_back(Row{Value::Null()});
+  rows.push_back(Row{Value::Null()});
+  ASSERT_TRUE((*table)->AppendUnchecked(std::move(rows)).ok());
+  auto analyzed = std::async(std::launch::async,
+                             [&db] { return db.AnalyzeAll().ok(); });
+  if (analyzed.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "ANALYZE did not return on a NaN-bearing column";
+    std::_Exit(1);  // the analysis thread can be neither joined nor stopped
+  }
+  ASSERT_TRUE(analyzed.get());
+  const auto stats = db.catalog()->GetTableStatistics("f");
+  ASSERT_NE(stats, nullptr);
+  const ColumnStatistics& d = stats->columns[0];
+  EXPECT_EQ(d.null_count, 2);
+  EXPECT_EQ(d.histogram.nan_count(), 3);
+  EXPECT_EQ(d.histogram.total_count(), 7);
+  EXPECT_EQ(d.histogram.min_value(), 0.0);
+  EXPECT_EQ(d.histogram.max_value(), 2.5);
+  EXPECT_DOUBLE_EQ(d.histogram.FractionEq(0.0), 2.0 / 7);  // -0.0 = 0.0
+  EXPECT_DOUBLE_EQ(d.histogram.FractionEq(1.5), 4.0 / 7);
+  EXPECT_DOUBLE_EQ(d.histogram.FractionLE(2.5), 1.0);
 }
 
 // --- Selectivity estimation over analyzed data ---------------------------

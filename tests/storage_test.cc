@@ -38,6 +38,7 @@ namespace {
 
 using testing_util::IntSchema;
 using testing_util::TableRows;
+using testing_util::ToColumns;
 
 // --- Expression builders (bound against the scanned table's slots) ------
 
@@ -436,11 +437,11 @@ TEST(StorageJoinHashTable, RetainedBytesTracksFootprint) {
   }
   const std::vector<int> key{0};
   JoinHashTable table;
-  table.Build(small, key);
+  table.Build(ToColumns(small), key);
   const int64_t small_bytes = table.RetainedBytes();
   EXPECT_GT(small_bytes, 0);
   table.Clear();
-  table.Build(large, key);
+  table.Build(ToColumns(large), key);
   // The slot array alone is 12 bytes x >= 8192/0.7 slots; the charge
   // must reflect that footprint, not just the build rows.
   EXPECT_GT(table.RetainedBytes(), small_bytes * 16);
@@ -680,6 +681,14 @@ int64_t TableApproxBytes(Database* db, const std::string& name) {
                          (*table)->schema().num_columns());
 }
 
+/// Bytes of one table's columns: what a join charges for buffering the
+/// whole table as its build side.
+int64_t TableColumnBytes(Database* db, const std::string& name) {
+  auto table = db->catalog()->GetTable(name);
+  EXPECT_TRUE(table.ok());
+  return (*table)->columns().ApproxBytes();
+}
+
 void LoadJoinPair(Database* db, uint64_t seed, int rows) {
   LoadClustered(db, "r1", rows, 500, seed);
   LoadClustered(db, "s1", rows, 500, seed + 1);
@@ -697,7 +706,7 @@ TEST(StorageBudget, GraceJoinMatchesUnlimitedOracle) {
 
   QueryOptions budgeted;
   budgeted.memory_budget_bytes = static_cast<size_t>(
-      (TableApproxBytes(&db, "r1") + TableApproxBytes(&db, "s1")) / 10);
+      (TableColumnBytes(&db, "r1") + TableColumnBytes(&db, "s1")) / 10);
   const QueryResult spilled = RunOk(&db, sql, budgeted);
   EXPECT_EQ(SerializeRows(spilled.rows), SerializeRows(unlimited.rows));
   EXPECT_GT(spilled.stats.spilled_bytes, 0);
@@ -722,7 +731,7 @@ TEST(StorageBudget, NarrowGraceJoinSpillsFewerBytes) {
 
   QueryOptions budgeted;
   budgeted.memory_budget_bytes = static_cast<size_t>(
-      (TableApproxBytes(&db, "r1") + TableApproxBytes(&db, "s1")) / 10);
+      (TableColumnBytes(&db, "r1") + TableColumnBytes(&db, "s1")) / 10);
   int64_t spilled[2] = {0, 0};
   const std::string* sqls[2] = {&narrow, &full};
   for (int i = 0; i < 2; ++i) {
@@ -735,6 +744,47 @@ TEST(StorageBudget, NarrowGraceJoinSpillsFewerBytes) {
   EXPECT_GT(spilled[0], 0);
   EXPECT_LT(spilled[0], spilled[1])
       << "the narrowed join spilled no fewer bytes than the full-width one";
+}
+
+// Grace routing reads the key columns and hashes by value: an int64 key
+// and an integral double key land in one partition, so a join between
+// them spills and still matches the unlimited run.
+TEST(StorageBudget, GraceJoinRoutesInt64AndDoubleKeysAlike) {
+  Database db;
+  Schema ints;
+  ints.AddColumn({"k", DataType::kInt64, ""});
+  ints.AddColumn({"v", DataType::kInt64, ""});
+  Schema doubles;
+  doubles.AddColumn({"k", DataType::kDouble, ""});
+  doubles.AddColumn({"w", DataType::kInt64, ""});
+  auto a = db.CreateTable("ia", ints);
+  auto b = db.CreateTable("db", doubles);
+  ASSERT_TRUE(a.ok() && b.ok());
+  Rng rng(57);
+  std::vector<Row> a_rows, b_rows;
+  for (int i = 0; i < 4000; ++i) {
+    a_rows.push_back(Row{Value::Int64(rng.UniformInt(0, 799)),
+                         Value::Int64(i)});
+    b_rows.push_back(Row{rng.Bernoulli(0.1)
+                             ? Value::Null()
+                             : Value::Double(static_cast<double>(
+                                   rng.UniformInt(0, 799))),
+                         Value::Int64(i)});
+  }
+  ASSERT_TRUE((*a)->AppendUnchecked(std::move(a_rows)).ok());
+  ASSERT_TRUE((*b)->AppendUnchecked(std::move(b_rows)).ok());
+  const std::string sql =
+      "SELECT COUNT(*), SUM(ia.v), SUM(db.w) FROM ia, db WHERE ia.k = db.k";
+  const QueryResult unlimited = RunOk(&db, sql, QueryOptions());
+  ASSERT_EQ(unlimited.rows.size(), 1u);
+  EXPECT_GT(unlimited.rows[0][0].int64_value(), 0);
+
+  QueryOptions budgeted;
+  budgeted.memory_budget_bytes = static_cast<size_t>(
+      (TableColumnBytes(&db, "ia") + TableColumnBytes(&db, "db")) / 4);
+  const QueryResult spilled = RunOk(&db, sql, budgeted);
+  EXPECT_EQ(SerializeRows(spilled.rows), SerializeRows(unlimited.rows));
+  EXPECT_GT(spilled.stats.join_spill_partitions, 0);
 }
 
 TEST(StorageBudget, ExternalSortMatchesUnlimitedOracle) {
@@ -813,7 +863,7 @@ TEST(StorageParallelBudget, ThreadedSpillMatchesSerialOracle) {
     QueryOptions budgeted;
     budgeted.num_threads = threads;
     budgeted.memory_budget_bytes = static_cast<size_t>(
-        (TableApproxBytes(&db, "r1") + TableApproxBytes(&db, "s1")) / 10);
+        (TableColumnBytes(&db, "r1") + TableColumnBytes(&db, "s1")) / 10);
     const QueryResult constrained = RunOk(&db, sql, budgeted);
     EXPECT_TRUE(RowMultisetsEqual(constrained.rows, serial.rows))
         << "threads=" << threads;

@@ -41,7 +41,12 @@ class BatchRecorder : public PhysOp {
   Status Consume(int, RowBatch batch) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++batches;
-    if (batch.columns() == nullptr) ++row_only;
+    for (const ColumnVector& col : batch.columns()->columns) {
+      if (!col.typed()) {
+        ++untyped;
+        break;
+      }
+    }
     if (batch.has_rows()) ++with_rows;
     batch.ConsumeRowsInto(&rows);
     return Status::OK();
@@ -50,13 +55,19 @@ class BatchRecorder : public PhysOp {
   std::string Label() const override { return "BatchRecorder"; }
 
   int batches = 0;
-  int row_only = 0;   // batches without columns
+  int untyped = 0;    // batches with an untyped column
   int with_rows = 0;  // batches with row storage
   std::vector<Row> rows;
 
  private:
   std::mutex mu_;
 };
+
+/// `rows` transposed into a column store (each column typed by its first
+/// non-NULL value), e.g. a join build side.
+inline ColumnStore ToColumns(const std::vector<Row>& rows) {
+  return RowBatch::FromRows(rows).TakeColumns();
+}
 
 /// The table's rows, built from its columns.
 inline std::vector<Row> TableRows(const Table& table) {
