@@ -175,8 +175,8 @@ void RunAggregate(benchmark::State& state, const RowBatch& batch) {
       state.SkipWithError(st.ToString().c_str());
       return;
     }
-    Row out;
-    st = aggs.FinalizeInto(&out);
+    std::vector<ColumnVector> out(specs.size(), ColumnVector::Untyped());
+    st = aggs.FinalizeInto(out.data());
     if (!st.ok()) {
       state.SkipWithError(st.ToString().c_str());
       return;

@@ -142,11 +142,8 @@ void KeyIndex::FindOrInsertBatch(const RowBatch& batch,
   if (n == 0) return;
   const bool join = equality == Equality::kJoin;
   if (shape_ == Shape::kUnset) {
-    // Elect from the first row's values, read without materializing rows.
-    Row first;
-    for (int slot : slots) {
-      first.push_back(BatchValue(batch, 0, static_cast<size_t>(slot)));
-    }
+    Row first;  // elects from the first row's key
+    BatchKey(batch, 0, slots, &first);
     Elect(first, /*exact=*/!join);
   }
   EnsureSlots();
@@ -166,8 +163,10 @@ void KeyIndex::FindOrInsertBatch(const RowBatch& batch,
     }
     Downgrade();
   }
+  Row key;
   for (size_t i = 0; i < n; ++i) {
-    ids[i] = FindOrInsert(RowSlotsRef{&batch.row(i), &slots}, equality).first;
+    BatchKey(batch, i, slots, &key);
+    ids[i] = FindOrInsert(key, equality).first;
   }
 }
 
@@ -232,6 +231,26 @@ Row KeyIndex::Key(uint32_t id) const {
                                           : Value::Int64(rec[j + 1]));
   }
   return row;
+}
+
+void KeyIndex::AppendKeyColumns(uint32_t begin, uint32_t end,
+                                std::vector<ColumnVector>* out) const {
+  const bool packed = shape_ == Shape::kPacked;
+  const size_t width = packed ? width_ : rows_.empty() ? 0 : rows_[0].size();
+  for (size_t j = 0; j < width; ++j) {
+    ColumnVector col(DataType::kInt64);  // the first non-NULL key retypes it
+    for (uint32_t id = begin; id < end; ++id) {
+      if (!packed) {
+        col.Append(rows_[id][j]);
+        continue;
+      }
+      const int64_t* rec = arena_.data() + size_t{id} * stride_;
+      col.Append(((static_cast<uint64_t>(rec[0]) >> j) & 1) != 0
+                     ? Value::Null()
+                     : Value::Int64(rec[j + 1]));
+    }
+    out->push_back(std::move(col));
+  }
 }
 
 KeyIndex::Int64View KeyIndex::ExportInt64View() const {

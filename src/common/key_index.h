@@ -165,8 +165,8 @@ class KeyIndex {
   /// Resolves the key at `slots` of every selected row of `batch`,
   /// calling `hit(i, id)` for each row i whose key is present. Packed
   /// keys pack column at a time from the batch's typed int64 columns,
-  /// else value by value from its columns, so the batch keeps no rows;
-  /// generic keys read its rows. A width-1
+  /// else value by value from its columns; a generic key is built from
+  /// its columns row by row (BatchKey). A width-1
   /// index with no NULL key reads a typed int64 probe column in one pass
   /// with a hash-only resolve. Safe concurrently with distinct scratches.
   template <typename Hit>
@@ -183,6 +183,11 @@ class KeyIndex {
 
   /// The key of `id`: packed records unpack to int64/NULL Values.
   Row Key(uint32_t id) const;
+  /// Appends one column per key value holding the keys of ids
+  /// [begin, end) in id order, each typed by its first non-NULL value
+  /// (exact round trip, as Key). The key layout stays private.
+  void AppendKeyColumns(uint32_t begin, uint32_t end,
+                        std::vector<ColumnVector>* out) const;
 
   /// The one layout emitted code reads (DESIGN.md §12). Valid while the
   /// index is empty (null `slots`: every probe misses) or packed at width
@@ -276,10 +281,18 @@ class KeyIndex {
   KeyScratch batch_;            // FindOrInsertBatch scratch
 };
 
-/// The value at `slot` of the batch's i-th row, read from its column, so
-/// a key read never materializes rows.
+/// The value at `slot` of the batch's i-th row, read from its column.
 inline Value BatchValue(const RowBatch& batch, size_t i, size_t slot) {
   return batch.columns()->columns[slot].GetValue(batch.selection()[i]);
+}
+
+/// The key at `slots` of the batch's i-th row, built into `key`.
+inline void BatchKey(const RowBatch& batch, size_t i,
+                     const std::vector<int>& slots, Row* key) {
+  key->resize(slots.size());
+  for (size_t j = 0; j < slots.size(); ++j) {
+    (*key)[j] = BatchValue(batch, i, static_cast<size_t>(slots[j]));
+  }
 }
 
 /// The batch's typed int64 column at `slot`, or null.
@@ -375,17 +388,10 @@ void KeyIndex::FindBatch(const RowBatch& batch, const std::vector<int>& slots,
     }
     return;
   }
-  scratch->hashes.resize(n);
+  Row key;
   for (size_t i = 0; i < n; ++i) {
-    scratch->hashes[i] = HashGeneric(RowSlotsRef{&batch.row(i), &slots});
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (i + kPrefetchDistance < n) {
-      __builtin_prefetch(
-          &slots_[scratch->hashes[i + kPrefetchDistance] & mask_]);
-    }
-    const uint32_t id = FindGeneric(RowSlotsRef{&batch.row(i), &slots},
-                                    scratch->hashes[i]);
+    BatchKey(batch, i, slots, &key);
+    const uint32_t id = FindGeneric(key, HashGeneric(key));
     if (id != kNone) hit(i, id);
   }
 }

@@ -32,6 +32,9 @@ Status MergeGroupMaps(GroupMap* dst, GroupMap* src) {
   return Status::OK();
 }
 
+/// An empty aggregate value column, typed by its first non-NULL value.
+ColumnVector ValueColumn() { return ColumnVector(DataType::kInt64); }
+
 }  // namespace
 
 // ------------------------------------------------------------ HashGroupBy
@@ -105,16 +108,28 @@ Status HashGroupByOp::FinishPort(int) {
           MergeGroupMaps(&merged.groups, &partials_[w].groups));
     }
   }
-  if (scalar_) {
-    Row out;
-    BYPASS_RETURN_IF_ERROR(merged.scalar->FinalizeInto(&out));
-    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(out)));
-  } else {
-    for (uint32_t id = 0; id < merged.groups.size(); ++id) {
-      Row out = merged.groups.key(id);
-      BYPASS_RETURN_IF_ERROR(merged.groups.values()[id]->FinalizeInto(&out));
-      BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(out)));
+  // Keys and finalized aggregates go straight into dense column stores of
+  // at most batch_size groups each; scalar mode emits one keyless group.
+  const GroupMap& groups = merged.groups;
+  const size_t num_groups = scalar_ ? 1 : groups.size();
+  for (size_t begin = 0; begin < num_groups; begin += batch_size()) {
+    const size_t end = std::min(num_groups, begin + batch_size());
+    ColumnStore out;
+    if (!scalar_) {
+      groups.index().AppendKeyColumns(static_cast<uint32_t>(begin),
+                                      static_cast<uint32_t>(end),
+                                      &out.columns);
     }
+    const size_t num_keys = out.columns.size();
+    out.columns.resize(num_keys + aggregates_.size(), ValueColumn());
+    for (size_t id = begin; id < end; ++id) {
+      const AggregatorSet& set =
+          scalar_ ? *merged.scalar : *groups.values()[id];
+      BYPASS_RETURN_IF_ERROR(set.FinalizeInto(&out.columns[num_keys]));
+    }
+    out.num_rows = end - begin;
+    BYPASS_RETURN_IF_ERROR(
+        Emit(kPortOut, RowBatch::FromColumns(std::move(out))));
   }
   return EmitFinish(kPortOut);
 }
@@ -124,17 +139,14 @@ Status HashGroupByOp::FinishPort(int) {
 BinaryGroupByHashOp::BinaryGroupByHashOp(
     int left_key_slot, int right_key_slot,
     std::vector<AggregateSpec> aggregates)
-    : left_key_slot_(left_key_slot),
-      right_key_slot_(right_key_slot),
-      left_key_slots_{left_key_slot},
+    : left_key_slots_{left_key_slot},
       right_key_slots_{right_key_slot},
       aggregates_(std::move(aggregates)) {}
 
 void BinaryGroupByHashOp::Reset() {
   BinaryPhysOp::Reset();
   group_keys_.Clear();
-  group_values_.clear();
-  empty_group_values_.clear();
+  group_values_ = ColumnStore();
 }
 
 Status BinaryGroupByHashOp::BuildFromRight() {
@@ -149,7 +161,7 @@ Status BinaryGroupByHashOp::BuildFromRight() {
     RowBatch window = RowBatch::BorrowedColumns(
         &right, begin, std::min(right.num_rows, begin + batch_size()));
     const ColumnVector& key =
-        right.columns[static_cast<size_t>(right_key_slot_)];
+        right.columns[static_cast<size_t>(right_key_slots_[0])];
     if (key.has_nulls()) {
       std::vector<uint32_t> keyed;
       for (uint32_t idx : window.selection()) {
@@ -168,38 +180,36 @@ Status BinaryGroupByHashOp::BuildFromRight() {
     BYPASS_RETURN_IF_ERROR(AggregatorSet::AccumulateGrouped(
         window, sets.data(), ctx_->outer_row()));
   }
-  // Phase 2: finalize into value rows, by key id, probed per left tuple.
-  group_values_.clear();
-  group_values_.reserve(groups.size());
+  // Phase 2: finalize into columns by key id, then f(∅) — an empty set's
+  // values — as the last row.
+  group_values_ = ColumnStore();
+  group_values_.columns.assign(aggregates_.size(), ValueColumn());
   for (const std::unique_ptr<AggregatorSet>& aggs : groups.values()) {
-    Row vals;
-    BYPASS_RETURN_IF_ERROR(aggs->FinalizeInto(&vals));
-    group_values_.push_back(std::move(vals));
+    BYPASS_RETURN_IF_ERROR(aggs->FinalizeInto(group_values_.columns.data()));
   }
+  BYPASS_RETURN_IF_ERROR(AggregatorSet(&aggregates_).FinalizeInto(
+      group_values_.columns.data()));
+  group_values_.num_rows = groups.size() + 1;
   group_keys_ = std::move(groups.index());
-  // f(∅) for empty groups.
-  empty_group_values_.clear();
-  for (const AggregateSpec& a : aggregates_) {
-    empty_group_values_.push_back(AggEmptyValue(a.func));
-  }
   return Status::OK();
 }
 
 Status BinaryGroupByHashOp::ProcessLeftBatch(RowBatch batch) {
+  // Each left row reads its group's row of the value columns, or the
+  // f(∅) row when its key has no group (a NULL key never has one).
   const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    Row row = batch.TakeRow(i);
-    const Value& key_val = row[static_cast<size_t>(left_key_slot_)];
-    const Row* vals = &empty_group_values_;
-    if (!key_val.is_null()) {
-      const uint32_t id =
-          group_keys_.Find(RowSlotsRef{&row, &left_key_slots_});
-      if (id != KeyIndex::kNone) vals = &group_values_[id];
-    }
-    for (const Value& v : *vals) row.push_back(v);
-    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(row)));
+  std::vector<uint32_t> rows(n,
+                             static_cast<uint32_t>(group_values_.num_rows - 1));
+  KeyScratch scratch;
+  group_keys_.FindBatch(batch, left_key_slots_, &scratch,
+                        [&rows](size_t i, uint32_t id) { rows[i] = id; });
+  ColumnStore out = batch.ConsumeColumns();
+  for (const ColumnVector& values : group_values_.columns) {
+    ColumnVector col = values.EmptyLike();
+    col.AppendGather(values, rows.data(), n);
+    out.columns.push_back(std::move(col));
   }
-  return Status::OK();
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
 }
 
 // ------------------------------------------------------ BinaryGroupBy(nl)
@@ -212,43 +222,48 @@ BinaryGroupByNLOp::BinaryGroupByNLOp(int left_key_slot, CompareOp op,
       right_key_slot_(right_key_slot),
       aggregates_(std::move(aggregates)) {}
 
-void BinaryGroupByNLOp::Reset() {
-  BinaryPhysOp::Reset();
-  right_window_ = RowBatch();
-}
-
 Status BinaryGroupByNLOp::BuildFromRight() {
-  right_window_ = RowBatch::BorrowedColumns(&right_columns(), 0,
-                                            right_columns().num_rows);
+  const ColumnStore& right_store = right_columns();
+  const ColumnVector& keys =
+      right_store.columns[static_cast<size_t>(right_key_slot_)];
+  right_keys_.clear();
+  right_keys_.reserve(right_store.num_rows);
+  for (size_t r = 0; r < right_store.num_rows; ++r) {
+    right_keys_.push_back(keys.GetValue(r));
+  }
   return Status::OK();
 }
 
 Status BinaryGroupByNLOp::ProcessLeftBatch(RowBatch batch) {
-  // A view per call: concurrent workers share one build of the rows.
-  const RowBatch& window = right_window_;
-  const RowBatch right = window.ShareWithSelection(window.selection());
-  const size_t n = batch.size();
-  for (size_t i = 0; i < n; ++i) {
-    Row row = batch.TakeRow(i);
-    AggregatorSet aggs(&aggregates_);
-    const Value& left_key = row[static_cast<size_t>(left_key_slot_)];
-    int64_t since_check = 0;
-    for (size_t r = 0; r < right.size(); ++r) {
+  // Each left row selects the right rows its key matches under θ and
+  // folds them as one batch over the right columns.
+  ColumnStore out = batch.ConsumeColumns();
+  const size_t width = out.columns.size();
+  out.columns.resize(width + aggregates_.size(), ValueColumn());
+  const ColumnVector& left_keys =
+      out.columns[static_cast<size_t>(left_key_slot_)];
+  const RowBatch right = RowBatch::BorrowedColumns(&right_columns(), 0, 0);
+  AggregatorSet aggs(&aggregates_);
+  std::vector<uint32_t> matches;
+  int64_t since_check = 0;
+  for (size_t i = 0; i < out.num_rows; ++i) {
+    const Value left_key = left_keys.GetValue(i);
+    matches.clear();
+    for (uint32_t r = 0; r < right_keys_.size(); ++r) {
       if (++since_check >= 4096) {
         since_check = 0;
         BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
       }
-      const Row& right_row = right.row(r);
-      const Value& right_key =
-          right_row[static_cast<size_t>(right_key_slot_)];
-      if (left_key.Compare(op_, right_key) != TriBool::kTrue) continue;
-      EvalContext ectx{&right_row, ctx_->outer_row()};
-      BYPASS_RETURN_IF_ERROR(aggs.Accumulate(ectx));
+      if (left_key.Compare(op_, right_keys_[r]) == TriBool::kTrue) {
+        matches.push_back(r);
+      }
     }
-    BYPASS_RETURN_IF_ERROR(aggs.FinalizeInto(&row));
-    BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(row)));
+    aggs.Reset();
+    BYPASS_RETURN_IF_ERROR(aggs.AccumulateBatch(
+        right.ShareWithSelection(matches), ctx_->outer_row()));
+    BYPASS_RETURN_IF_ERROR(aggs.FinalizeInto(&out.columns[width]));
   }
-  return Status::OK();
+  return Emit(kPortOut, RowBatch::FromColumns(std::move(out)));
 }
 
 }  // namespace bypass

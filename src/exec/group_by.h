@@ -7,7 +7,8 @@
 // tables (no shared mutable state during Consume) merged via
 // AggregatorSet::Merge at finish, which runs single-threaded on the
 // driver. The binary groupings buffer their right input as columns
-// (BinaryPhysOp) and build from it at right finish.
+// (BinaryPhysOp), build from it at right finish and append aggregate
+// columns to each left batch's gathered columns, as χ does.
 #ifndef BYPASSDB_EXEC_GROUP_BY_H_
 #define BYPASSDB_EXEC_GROUP_BY_H_
 
@@ -70,7 +71,7 @@ class HashGroupByOp : public UnaryPhysOp {
 /// Binary grouping, hash variant (θ = '='): every left tuple is extended
 /// with the aggregates over its group of right tuples; empty groups yield
 /// f(∅). The right columns fold as HashGroupByOp::Consume folds its
-/// input, a window at a time.
+/// input, a window at a time; a left batch probes with FindBatch.
 class BinaryGroupByHashOp : public BinaryPhysOp {
  public:
   BinaryGroupByHashOp(int left_key_slot, int right_key_slot,
@@ -87,27 +88,26 @@ class BinaryGroupByHashOp : public BinaryPhysOp {
  private:
   using GroupMap = FlatRowMap<std::unique_ptr<AggregatorSet>>;
 
-  int left_key_slot_;
-  int right_key_slot_;
-  // Single-element slot vectors: the key of a right window and of a left
-  // row's RowSlotsRef probe.
+  // Single-element slot vectors: the key of a right window and of a
+  // left batch's probe.
   std::vector<int> left_key_slots_;
   std::vector<int> right_key_slots_;
   std::vector<AggregateSpec> aggregates_;
   KeyIndex group_keys_;
-  std::vector<Row> group_values_;  // by key id
-  Row empty_group_values_;
+  /// One column per aggregate: row `id` holds group id's values, and the
+  /// last row f(∅), which a left row without a group reads.
+  ColumnStore group_values_;
 };
 
 /// Binary grouping, nested-loop variant for arbitrary θ. Each left tuple
-/// reads the right rows from one window over the right columns, whose
-/// rows are built once and shared by every worker's view.
+/// selects the right rows whose key satisfies θ and folds them with
+/// AccumulateBatch. The right keys are read out of their column once,
+/// when the right side finishes.
 class BinaryGroupByNLOp : public BinaryPhysOp {
  public:
   BinaryGroupByNLOp(int left_key_slot, CompareOp op, int right_key_slot,
                     std::vector<AggregateSpec> aggregates);
 
-  void Reset() override;
   std::string Label() const override { return "BinaryGroupBy(nl)"; }
 
  protected:
@@ -120,7 +120,7 @@ class BinaryGroupByNLOp : public BinaryPhysOp {
   CompareOp op_;
   int right_key_slot_;
   std::vector<AggregateSpec> aggregates_;
-  RowBatch right_window_;
+  std::vector<Value> right_keys_;  // right row r's key, read by every probe
 };
 
 }  // namespace bypass

@@ -36,13 +36,10 @@ void PhysOp::ReplaceConsumers(int out_port, PhysOp* consumer,
 Status PhysOp::Prepare(ExecContext* ctx) {
   ctx_ = ctx;
   batch_size_ = ctx->run().batch_size;
-  // Keep the pending builders' capacity: subplans re-Prepare once per
-  // correlated re-execution, and reallocating here would churn.
   workers_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
   for (WorkerState& w : workers_) {
     w.ports.resize(static_cast<size_t>(num_out_ports_));
     for (PortState& p : w.ports) {
-      p.pending.clear();
       p.rows_emitted = 0;
       p.batches_emitted = 0;
     }
@@ -68,7 +65,7 @@ int64_t PhysOp::batches_emitted(int out_port) const {
   return total;
 }
 
-Status PhysOp::EmitBatch(int out_port, RowBatch batch) {
+Status PhysOp::Emit(int out_port, RowBatch batch) {
   if (batch.empty()) return Status::OK();
   const size_t port = static_cast<size_t>(out_port);
   PortState& counters =
@@ -90,42 +87,7 @@ Status PhysOp::EmitBatch(int out_port, RowBatch batch) {
                                         std::move(batch));
 }
 
-Status PhysOp::FlushPending(int out_port, WorkerState* worker) {
-  std::vector<Row>& pending =
-      worker->ports[static_cast<size_t>(out_port)].pending;
-  if (pending.empty()) return Status::OK();
-  std::vector<Row> rows;
-  rows.swap(pending);
-  return EmitBatch(out_port, RowBatch::FromRows(std::move(rows)));
-}
-
-Status PhysOp::Emit(int out_port, RowBatch batch) {
-  WorkerState& worker = workers_[static_cast<size_t>(CurrentWorkerId())];
-  BYPASS_RETURN_IF_ERROR(FlushPending(out_port, &worker));
-  return EmitBatch(out_port, std::move(batch));
-}
-
-Status PhysOp::EmitRow(int out_port, Row row) {
-  WorkerState& worker = workers_[static_cast<size_t>(CurrentWorkerId())];
-  std::vector<Row>& pending =
-      worker.ports[static_cast<size_t>(out_port)].pending;
-  // FlushPending swaps the buffer away, so after every flush the builder
-  // restarts at capacity 0; reserve the full batch up front instead of
-  // growing through the doubling sequence batch after batch.
-  if (pending.empty()) pending.reserve(batch_size_);
-  pending.push_back(std::move(row));
-  if (pending.size() >= batch_size_) {
-    return FlushPending(out_port, &worker);
-  }
-  return Status::OK();
-}
-
 Status PhysOp::EmitFinish(int out_port) {
-  // Single-threaded by contract; drains every worker's leftover pending
-  // rows (only the finishing thread's slot is non-empty in serial runs).
-  for (WorkerState& w : workers_) {
-    BYPASS_RETURN_IF_ERROR(FlushPending(out_port, &w));
-  }
   for (const Edge& e : out_edges_[static_cast<size_t>(out_port)]) {
     BYPASS_RETURN_IF_ERROR(e.consumer->FinishPort(e.in_port));
   }
@@ -265,6 +227,7 @@ Status BinaryPhysOp::FinishPort(int in_port) {
     // worker this is exactly the serial arrival order.
     std::vector<uint32_t> all;
     for (InputBuffers& b : buffers_) {
+      if (b.right.num_rows == 0) continue;  // a worker that saw no batch
       if (right_.num_rows == 0) {
         right_ = std::exchange(b.right, {});
         continue;

@@ -8,13 +8,14 @@
 //
 // Threading contract (morsel-driven parallelism, DESIGN.md §5): during a
 // source's parallel phase, Consume may be called concurrently by several
-// workers, each identified by CurrentWorkerId(). The base class keeps all
-// its mutable state — pending output rows and emitted-row accounting —
-// in per-worker slots, so Emit/EmitRow are safe without locks. FinishPort
-// and EmitFinish run single-threaded (on the driver, after the pool
-// joined the phase): that is where pipeline breakers merge their
-// thread-local partials. A query with num_threads=1 never leaves worker
-// slot 0 and reproduces serial execution exactly.
+// workers, each identified by CurrentWorkerId(). The base class keeps its
+// only mutable state, the emitted-row accounting, in per-worker slots, so
+// Emit is safe without locks; it forwards the batch on the calling
+// worker and buffers nothing. FinishPort and EmitFinish run
+// single-threaded (on the driver, after the pool joined the phase): that
+// is where pipeline breakers merge their thread-local partials and emit
+// their output. A query with num_threads=1 never leaves worker slot 0 and
+// reproduces serial execution exactly.
 #ifndef BYPASSDB_EXEC_PHYS_OP_H_
 #define BYPASSDB_EXEC_PHYS_OP_H_
 
@@ -28,7 +29,6 @@
 #include "common/status.h"
 #include "exec/exec_context.h"
 #include "storage/spill.h"
-#include "types/row.h"
 #include "types/row_batch.h"
 
 namespace bypass {
@@ -109,25 +109,18 @@ class PhysOp {
         out_edges_(static_cast<size_t>(num_out_ports)),
         est_rows_(static_cast<size_t>(num_out_ports), -1.0) {}
 
-  /// Forwards a batch to all consumers of `out_port`. Empty batches are
-  /// dropped — consumers never see them. The last consumer receives the
-  /// moved batch; earlier consumers get shared-storage views (cheap: a
-  /// shared_ptr plus a selection-vector copy, never a row copy). Any rows
-  /// pending from EmitRow on this worker are flushed first to preserve
-  /// per-worker arrival order.
+  /// Forwards a batch to all consumers of `out_port` — the one way out of
+  /// an operator. Empty batches are dropped — consumers never see them.
+  /// The last consumer receives the moved batch; earlier consumers get
+  /// shared-storage views (cheap: a shared_ptr plus a selection-vector
+  /// copy, never a row copy).
   Status Emit(int out_port, RowBatch batch);
 
-  /// Appends one produced row to the calling worker's pending output
-  /// batch of `out_port`, forwarding it once batch_size rows accumulated.
-  /// Used by operators that materialize new rows (joins, group-by, sort
-  /// replay).
-  Status EmitRow(int out_port, Row row);
-
-  /// Forwards end-of-stream on `out_port`, flushing every worker's
-  /// pending rows first (in worker order). Single-threaded.
+  /// Forwards end-of-stream on `out_port`. Single-threaded.
   Status EmitFinish(int out_port);
 
-  /// The execution's configured rows-per-batch.
+  /// The execution's configured rows-per-batch: operators that build
+  /// their output emit batches of at most this many rows.
   size_t batch_size() const { return batch_size_; }
 
   /// Number of per-worker state slots (RunContext::num_worker_slots at
@@ -144,7 +137,6 @@ class PhysOp {
     int in_port;
   };
   struct PortState {
-    std::vector<Row> pending;
     int64_t rows_emitted = 0;
     int64_t batches_emitted = 0;
   };
@@ -152,10 +144,6 @@ class PhysOp {
   struct alignas(64) WorkerState {
     std::vector<PortState> ports;
   };
-
-  /// Emit without flushing pending rows (internal fast path).
-  Status EmitBatch(int out_port, RowBatch batch);
-  Status FlushPending(int out_port, WorkerState* worker);
 
   const int num_out_ports_;
   std::vector<std::vector<Edge>> out_edges_;
@@ -257,8 +245,8 @@ class BinaryPhysOp : public PhysOp {
   virtual Status BuildFromRight() { return Status::OK(); }
 
   /// Called for each left batch after the right side is built. Outputs
-  /// go through Emit/EmitRow so they re-batch on the way out. Concurrent
-  /// across workers; implementations must only read shared build state.
+  /// go through Emit. Concurrent across workers; implementations must
+  /// only read shared build state.
   virtual Status ProcessLeftBatch(RowBatch batch) = 0;
 
   /// Called when both inputs have finished and all left rows were

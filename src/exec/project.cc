@@ -8,13 +8,6 @@ namespace bypass {
 
 namespace {
 
-/// The batch's selected rows as a dense column store: its own columns
-/// when it owns all of them, a gather otherwise. `batch` is consumed.
-ColumnStore InputColumns(RowBatch* batch) {
-  if (batch->OwnsAllColumns()) return batch->TakeColumns();
-  return batch->GatherColumns(nullptr);
-}
-
 /// The input slot a Π expression copies, or -1 when it computes a value.
 int InputSlot(const Expr& e) {
   if (e.kind() != ExprKind::kColumnRef) return -1;
@@ -107,7 +100,7 @@ Status MapPhysOp::Consume(int, RowBatch batch) {
     BYPASS_RETURN_IF_ERROR(
         exprs_[c]->EvalBatch(batch, ctx_->outer_row(), &computed[c]));
   }
-  ColumnStore out = InputColumns(&batch);
+  ColumnStore out = batch.ConsumeColumns();
   for (const std::vector<Value>& values : computed) {
     out.columns.push_back(ColumnFromValues(values));
   }
@@ -127,7 +120,7 @@ Status NumberingPhysOp::Consume(int, RowBatch batch) {
   // consecutive ids, batches get scheduling-dependent ranges.
   const int64_t base = next_id_.fetch_add(static_cast<int64_t>(n),
                                           std::memory_order_relaxed);
-  ColumnStore out = InputColumns(&batch);
+  ColumnStore out = batch.ConsumeColumns();
   ColumnVector ids(DataType::kInt64);
   ids.Reserve(n);
   for (size_t i = 0; i < n; ++i) {

@@ -23,7 +23,11 @@ Status TableScanOp::EmitFlatRange(size_t begin, size_t end) {
     if (columnar) {
       ++stats.columnar_batches;
     } else {
-      batch = RowBatch::FromRows(batch.ToRows(), /*typed=*/false);
+      ColumnStore copy;
+      copy.columns.assign(batch.width(), ColumnVector::Untyped());
+      copy.AppendGather(*batch.columns(), batch.selection().data(),
+                        batch.size(), nullptr);
+      batch = RowBatch::FromColumns(std::move(copy));
     }
     BYPASS_RETURN_IF_ERROR(Emit(kPortOut, std::move(batch)));
   }

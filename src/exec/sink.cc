@@ -23,8 +23,8 @@ Status CollectorSink::Consume(int, RowBatch batch) {
     if (witness_taken_) return Status::OK();
     witness_taken_ = true;
     batch.selection().resize(1);
-    partials_[static_cast<size_t>(CurrentWorkerId())].rows.push_back(
-        batch.TakeRow(0));
+    batch.ConsumeRowsInto(
+        &partials_[static_cast<size_t>(CurrentWorkerId())].rows);
     ctx_->set_cancelled(true);
     return Status::OK();
   }

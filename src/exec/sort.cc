@@ -1,6 +1,7 @@
 #include "exec/sort.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace bypass {
 
@@ -95,14 +96,23 @@ Status SortPhysOp::Consume(int, RowBatch batch) {
     return SpillRun(&partial);
   }
   BYPASS_RETURN_IF_ERROR(ctx_->run().ChargeMemory(bytes));
+  partial.charged += bytes;
   batch.ConsumeRowsInto(&partial.rows);
   return Status::OK();
+}
+
+Status SortPhysOp::EmitSorted(Row row, std::vector<Row>* chunk) {
+  if (chunk->empty()) chunk->reserve(batch_size());
+  chunk->push_back(std::move(row));
+  if (chunk->size() < batch_size()) return Status::OK();
+  return Emit(kPortOut, RowBatch::FromRows(std::exchange(*chunk, {})));
 }
 
 Status SortPhysOp::MergeRuns(
     std::vector<std::unique_ptr<SpillFile>> runs,
     std::vector<Row>* buffer,
-    std::vector<std::pair<Row, size_t>>* keyed) {
+    std::vector<std::pair<Row, size_t>>* keyed,
+    std::vector<Row>* chunk) {
   // One cursor per run holding its current key ++ payload record; the
   // sorted in-memory remainder joins the merge as the last stream, so
   // cross-stream key ties resolve run-first in spill order.
@@ -146,12 +156,12 @@ Status SortPhysOp::MergeRuns(
       for (size_t i = key_width; i < c.current.size(); ++i) {
         out.push_back(std::move(c.current[i]));
       }
-      BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(out)));
+      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move(out), chunk));
       BYPASS_ASSIGN_OR_RETURN(bool more, c.file->ReadRow(&c.current));
       c.done = !more;
     } else {
-      BYPASS_RETURN_IF_ERROR(EmitRow(
-          kPortOut, std::move((*buffer)[(*keyed)[rest].second])));
+      BYPASS_RETURN_IF_ERROR(
+          EmitSorted(std::move((*buffer)[(*keyed)[rest].second]), chunk));
       ++rest;
     }
   }
@@ -190,14 +200,12 @@ Status SortPhysOp::FinishPort(int) {
     p.rows.clear();
   }
   BYPASS_ASSIGN_OR_RETURN(KeyedRows keyed, SortKeyed(buffer));
-  if (runs.empty()) {
-    for (const auto& [key, idx] : keyed) {
-      BYPASS_RETURN_IF_ERROR(EmitRow(kPortOut, std::move(buffer[idx])));
-    }
-    return EmitFinish(kPortOut);
-  }
-  BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &keyed));
+  // Without runs the merge streams the sorted remainder alone. Every
+  // buffered row has left once it returns, so the buffer's charge goes.
+  std::vector<Row> chunk;
+  BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &keyed, &chunk));
   ctx_->run().ReleaseMemory(charged);
+  BYPASS_RETURN_IF_ERROR(Emit(kPortOut, RowBatch::FromRows(std::move(chunk))));
   return EmitFinish(kPortOut);
 }
 

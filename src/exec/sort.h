@@ -11,6 +11,9 @@
 // sorted in-memory remainder. Ties across streams break by run ordinal
 // (worker, then spill order) before the remainder, so serial spilled
 // runs reproduce arrival-order stability exactly.
+// The buffer holds rows (charged by ApproxRowsBytes); the output leaves
+// in FromRows chunks of at most batch_size rows, and the charge goes once
+// the last row has left.
 #ifndef BYPASSDB_EXEC_SORT_H_
 #define BYPASSDB_EXEC_SORT_H_
 
@@ -62,11 +65,16 @@ class SortPhysOp : public UnaryPhysOp {
   /// budget charges.
   Status SpillRun(Partial* partial);
 
-  /// Streams the merge of the sorted run files and the sorted in-memory
-  /// remainder.
+  /// Streams the merge of the sorted run files (if any) and the sorted
+  /// in-memory remainder through EmitSorted.
   Status MergeRuns(std::vector<std::unique_ptr<SpillFile>> runs,
                    std::vector<Row>* buffer,
-                   std::vector<std::pair<Row, size_t>>* keyed);
+                   std::vector<std::pair<Row, size_t>>* keyed,
+                   std::vector<Row>* chunk);
+
+  /// Appends the next output row to `chunk`, emitting the chunk once it
+  /// holds batch_size rows.
+  Status EmitSorted(Row row, std::vector<Row>* chunk);
 
   std::vector<PhysSortKey> keys_;
   std::vector<Partial> partials_;  // per-worker input buffers

@@ -1,5 +1,7 @@
 #include "expr/agg.h"
 
+#include <numeric>
+
 #include "common/check.h"
 #include "expr/column_kernels.h"
 
@@ -63,11 +65,34 @@ Status Aggregator::Accumulate(const EvalContext& ctx) {
     return Status::OK();
   }
   BYPASS_ASSIGN_OR_RETURN(Value v, spec_->arg->Eval(ctx));
+  return AccumulateArg(v);
+}
+
+Status Aggregator::AccumulateArg(const Value& v) {
   if (v.is_null()) return Status::OK();  // aggregates skip NULL inputs
-  if (spec_->distinct) {
-    if (!distinct_.FindOrInsert(v).second) return Status::OK();
+  if (spec_->distinct && !distinct_.FindOrInsert(v).second) {
+    return Status::OK();
   }
-  return AccumulateValue(v, *ctx.row);
+  return AccumulateValue(v);
+}
+
+void Aggregator::CountDistinctRows(size_t index, const RowBatch& batch,
+                                   AggregatorSet* const* sets) {
+  std::vector<int> slots(batch.width());
+  std::iota(slots.begin(), slots.end(), 0);
+  const std::vector<uint32_t>& sel = batch.selection();
+  std::vector<uint32_t> ids;
+  for (size_t i = 0, end = 0; i < batch.size(); i = end) {
+    end = i + 1;
+    while (end < batch.size() && sets[end] == sets[i]) ++end;
+    Aggregator& agg = sets[i]->aggs_[index];
+    const size_t before = agg.distinct_.size();
+    ids.resize(end - i);
+    agg.distinct_.FindOrInsertBatch(
+        batch.ShareWithSelection({sel.begin() + i, sel.begin() + end}), slots,
+        ids.data());
+    agg.count_ += static_cast<int64_t>(agg.distinct_.size() - before);
+  }
 }
 
 bool Aggregator::AccumulateColumnarGrouped(size_t index,
@@ -111,7 +136,7 @@ bool Aggregator::AccumulateColumnarGrouped(size_t index,
     }
     return true;
   }
-  // bool/string columns: let the row path raise the SQL type error.
+  // bool/string columns: let the fallback raise the SQL type error.
   return false;
 }
 
@@ -136,7 +161,7 @@ void Aggregator::FoldInt64(int64_t v) {
     case AggFunc::kCount:
       break;
   }
-  (void)AccumulateValue(Value::Int64(v), Row());
+  (void)AccumulateValue(Value::Int64(v));
 }
 
 void Aggregator::FoldDouble(double v) {
@@ -162,10 +187,10 @@ void Aggregator::FoldDouble(double v) {
     case AggFunc::kCount:
       break;
   }
-  (void)AccumulateValue(Value::Double(v), Row());
+  (void)AccumulateValue(Value::Double(v));
 }
 
-Status Aggregator::AccumulateValue(const Value& v, const Row&) {
+Status Aggregator::AccumulateValue(const Value& v) {
   switch (spec_->func) {
     case AggFunc::kCount:
       ++count_;
@@ -210,7 +235,7 @@ Status Aggregator::Merge(const Aggregator& other) {
       if (spec_->arg == nullptr) {
         ++count_;
       } else {
-        BYPASS_RETURN_IF_ERROR(AccumulateValue(key[0], key));
+        BYPASS_RETURN_IF_ERROR(AccumulateValue(key[0]));
       }
     }
     return Status::OK();
@@ -300,18 +325,18 @@ Status AggregatorSet::AccumulateGrouped(const RowBatch& batch,
                                         const Row* outer_row) {
   const size_t n = batch.size();
   if (n == 0) return Status::OK();
-  std::vector<size_t> fallback;
+  std::vector<Value> args;
   for (size_t j = 0; j < sets[0]->aggs_.size(); ++j) {
-    if (!Aggregator::AccumulateColumnarGrouped(j, batch, sets)) {
-      fallback.push_back(j);
+    if (Aggregator::AccumulateColumnarGrouped(j, batch, sets)) continue;
+    const ExprPtr& arg = sets[0]->aggs_[j].spec_->arg;
+    if (arg == nullptr) {  // COUNT(DISTINCT *)
+      Aggregator::CountDistinctRows(j, batch, sets);
+      continue;
     }
-  }
-  if (fallback.empty()) return Status::OK();
-  for (size_t i = 0; i < n; ++i) {
-    const Row& row = batch.row(i);
-    EvalContext ectx{&row, outer_row};
-    for (size_t j : fallback) {
-      BYPASS_RETURN_IF_ERROR(sets[i]->aggs_[j].Accumulate(ectx));
+    args.clear();
+    BYPASS_RETURN_IF_ERROR(arg->EvalBatch(batch, outer_row, &args));
+    for (size_t i = 0; i < n; ++i) {
+      BYPASS_RETURN_IF_ERROR(sets[i]->aggs_[j].AccumulateArg(args[i]));
     }
   }
   return Status::OK();
@@ -326,10 +351,10 @@ Status AggregatorSet::Merge(const AggregatorSet& other) {
   return Status::OK();
 }
 
-Status AggregatorSet::FinalizeInto(Row* out) const {
-  for (const Aggregator& a : aggs_) {
-    BYPASS_ASSIGN_OR_RETURN(Value v, a.Finalize());
-    out->push_back(std::move(v));
+Status AggregatorSet::FinalizeInto(ColumnVector* columns) const {
+  for (size_t i = 0; i < aggs_.size(); ++i) {
+    BYPASS_ASSIGN_OR_RETURN(Value v, aggs_[i].Finalize());
+    columns[i].Append(std::move(v));
   }
   return Status::OK();
 }

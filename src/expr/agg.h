@@ -54,6 +54,7 @@ class Aggregator {
   void Reset();
 
   /// Folds in one input tuple; evaluates the argument against `ctx`.
+  /// The row path: the reference the batch folds are tested against.
   Status Accumulate(const EvalContext& ctx);
 
   /// Grouped columnar fold of aggregate `index`: selected row i of
@@ -61,8 +62,8 @@ class Aggregator {
   /// batch's typed column when the aggregate is a non-DISTINCT COUNT(*),
   /// COUNT over any typed column, or SUM/AVG/MIN/MAX over an int64 or
   /// double column. Returns false when none applies, and the caller folds
-  /// this aggregate row by row. Each group sees its rows in batch order,
-  /// so float sums are bit-identical to the row path.
+  /// this aggregate from its evaluated argument. Each group sees its rows
+  /// in batch order, so float sums are bit-identical to the row path.
   static bool AccumulateColumnarGrouped(size_t index, const RowBatch& batch,
                                         AggregatorSet* const* sets);
 
@@ -84,7 +85,16 @@ class Aggregator {
   Result<Value> Finalize() const;
 
  private:
-  Status AccumulateValue(const Value& v, const Row& full_row);
+  friend class AggregatorSet;  // the grouped fallback folds
+
+  /// Folds one evaluated argument: skips NULL, deduplicates DISTINCT.
+  Status AccumulateArg(const Value& v);
+  /// Folds one non-NULL, already deduplicated input.
+  Status AccumulateValue(const Value& v);
+  /// COUNT(DISTINCT *) of aggregate `index`: each run of rows that fold
+  /// into one set inserts their whole rows as keys in one batch call.
+  static void CountDistinctRows(size_t index, const RowBatch& batch,
+                                AggregatorSet* const* sets);
   /// Accumulate of one non-NULL typed SUM/AVG/MIN/MAX input.
   void FoldInt64(int64_t v);
   void FoldDouble(double v);
@@ -109,16 +119,16 @@ class AggregatorSet {
   Status AccumulateBatch(const RowBatch& batch, const Row* outer_row);
   /// Grouped batch fold over sets built from one spec list: selected row
   /// i of `batch` folds into `sets[i]`. Aggregates with a columnar fast
-  /// path fold straight from their columns; the rest share one
-  /// row-at-a-time pass. Equivalent to sets[i]->Accumulate per selected
-  /// row.
+  /// path fold straight from their columns; the rest evaluate their
+  /// argument once over the batch (EvalBatch) and fold the values.
+  /// Equivalent to sets[i]->Accumulate per selected row.
   static Status AccumulateGrouped(const RowBatch& batch,
                                   AggregatorSet* const* sets,
                                   const Row* outer_row);
   /// Merges a partial AggregatorSet built from the same spec list.
   Status Merge(const AggregatorSet& other);
-  /// Appends one finalized value per spec to `out`.
-  Status FinalizeInto(Row* out) const;
+  /// Appends spec i's finalized value to `columns[i]`, for every spec.
+  Status FinalizeInto(ColumnVector* columns) const;
   /// The i-th aggregator — the compiled operator's SoA absorb target.
   Aggregator& mutable_agg(size_t i) { return aggs_[i]; }
 

@@ -35,10 +35,14 @@ TriBool ValueToTriBool(const Value& v) {
 
 Status Expr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                        std::vector<Value>* out) const {
-  const size_t n = batch.size();
-  out->reserve(out->size() + n);
-  for (size_t i = 0; i < n; ++i) {
-    EvalContext ectx{&batch.row(i), outer_row};
+  // Every row evaluated is built into one scratch row from the columns.
+  const std::vector<ColumnVector>& columns = batch.columns()->columns;
+  out->reserve(out->size() + batch.size());
+  Row row;
+  const EvalContext ectx{&row, outer_row};
+  for (uint32_t idx : batch.selection()) {
+    row.clear();
+    for (const ColumnVector& col : columns) row.push_back(col.GetValue(idx));
     BYPASS_ASSIGN_OR_RETURN(Value v, Eval(ectx));
     out->push_back(std::move(v));
   }
@@ -425,6 +429,10 @@ std::string ArithmeticExpr::ToString() const {
 
 Result<Value> LikeExpr::Eval(const EvalContext& ctx) const {
   BYPASS_ASSIGN_OR_RETURN(Value v, input_->Eval(ctx));
+  return Match(v);
+}
+
+Result<Value> LikeExpr::Match(const Value& v) const {
   if (v.is_null()) return Value::Null();
   if (!v.is_string()) {
     return Status::ExecutionError("LIKE on non-string value: " +
@@ -437,14 +445,22 @@ Result<Value> LikeExpr::Eval(const EvalContext& ctx) const {
 Status LikeExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                            std::vector<Value>* out) const {
   // Typed string kernel: one matcher loop over raw column data. Falls
-  // back to the per-row path (and its non-string execution error) when
-  // the input is not a typed string column / string constant.
+  // back to matching the input's evaluated values (and their non-string
+  // execution error) when the input is not a typed string column /
+  // string constant.
   ColumnOperand in;
   if (ResolveColumnOperand(*input_, batch, outer_row, &in) &&
       ColumnarLikeEval(in, pattern_, negated_, batch, out)) {
     return Status::OK();
   }
-  return Expr::EvalBatch(batch, outer_row, out);
+  std::vector<Value> vals;
+  BYPASS_RETURN_IF_ERROR(input_->EvalBatch(batch, outer_row, &vals));
+  out->reserve(out->size() + vals.size());
+  for (const Value& v : vals) {
+    BYPASS_ASSIGN_OR_RETURN(Value match, Match(v));
+    out->push_back(std::move(match));
+  }
+  return Status::OK();
 }
 
 Status LikeExpr::PartitionBatch(const RowBatch& batch, const Row* outer_row,

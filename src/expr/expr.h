@@ -90,9 +90,10 @@ class Expr {
 
   /// Evaluates the expression for every selected row of `batch`, appending
   /// one value per row (in selection order) to `out`. `outer_row` is the
-  /// correlation row shared by the whole batch. The base implementation
-  /// loops Eval; hot node kinds override it with vectorized versions that
-  /// preserve per-row short-circuit semantics.
+  /// correlation row shared by the whole batch. The base implementation,
+  /// which only subqueries take, loops Eval over each row built into one
+  /// scratch row; the other node kinds read columns, preserving per-row
+  /// short-circuit semantics.
   virtual Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                            std::vector<Value>* out) const;
 
@@ -299,6 +300,9 @@ class LikeExpr : public Expr {
   std::vector<ExprPtr> children() const override { return {input_}; }
 
  private:
+  /// The result for one input value (NULL, a match, or an error).
+  Result<Value> Match(const Value& v) const;
+
   ExprPtr input_;
   std::string pattern_;
   bool negated_;

@@ -298,18 +298,12 @@ Row ColumnStore::MaterializeRow(size_t i) const {
 }
 
 void ColumnStore::MaterializeRows(const uint32_t* idx, size_t n,
-                                  const std::vector<int>* slots,
                                   std::vector<Row>* out) const {
   const size_t base = out->size();
-  const size_t width = slots != nullptr ? slots->size() : columns.size();
   out->resize(base + n);
   Row* rows = out->data() + base;
-  for (size_t i = 0; i < n; ++i) rows[i].reserve(width);
-  for (size_t c = 0; c < width; ++c) {
-    const size_t col =
-        slots != nullptr ? static_cast<size_t>((*slots)[c]) : c;
-    columns[col].AppendToRows(idx, n, rows);
-  }
+  for (size_t i = 0; i < n; ++i) rows[i].reserve(columns.size());
+  for (const ColumnVector& col : columns) col.AppendToRows(idx, n, rows);
 }
 
 ColumnVector ColumnFromValues(const std::vector<Value>& values) {

@@ -161,10 +161,8 @@ struct ColumnStore {
   int64_t ApproxBytes() const;
   /// Materializes row i (exact Values).
   Row MaterializeRow(size_t i) const;
-  /// Appends rows idx[0, n), narrowed to `slots` when non-null, to `out`
-  /// — built column by column.
+  /// Appends rows idx[0, n) to `out`, built column by column.
   void MaterializeRows(const uint32_t* idx, size_t n,
-                       const std::vector<int>* slots,
                        std::vector<Row>* out) const;
 };
 

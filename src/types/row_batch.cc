@@ -31,9 +31,6 @@ RowBatch RowBatch::FromRows(std::vector<Row> rows, bool typed) {
 RowBatch RowBatch::BorrowedColumns(const ColumnStore* columns,
                                    size_t begin, size_t end) {
   RowBatch batch;
-  batch.col_data_ = std::make_shared<ColumnData>();
-  batch.col_data_->rows_begin = begin;
-  batch.col_data_->rows_end = end;
   batch.columns_ = columns;
   batch.sel_.resize(end - begin);
   std::iota(batch.sel_.begin(), batch.sel_.end(),
@@ -53,32 +50,15 @@ RowBatch RowBatch::FromColumns(ColumnStore columns) {
 RowBatch RowBatch::FromColumns(ColumnStore columns,
                                std::vector<uint32_t> sel) {
   RowBatch batch;
-  batch.col_data_ = std::make_shared<ColumnData>();
-  batch.col_data_->columns = std::move(columns);
-  batch.col_data_->rows_end = batch.col_data_->columns.num_rows;
-  batch.columns_ = &batch.col_data_->columns;
+  batch.owned_ = std::make_shared<ColumnStore>(std::move(columns));
+  batch.columns_ = batch.owned_.get();
   batch.sel_ = std::move(sel);
   return batch;
 }
 
-void RowBatch::MaterializeRows() const {
-  ColumnData& data = *col_data_;
-  const ColumnStore& columns = *columns_;
-  std::call_once(data.rows_once, [&data, &columns] {
-    std::vector<uint32_t> window(data.rows_end - data.rows_begin);
-    std::iota(window.begin(), window.end(),
-              static_cast<uint32_t>(data.rows_begin));
-    columns.MaterializeRows(window.data(), window.size(), nullptr,
-                            &data.rows);
-    data.rows_ready.store(true, std::memory_order_release);
-  });
-  row_base_ = static_cast<uint32_t>(data.rows_begin);
-  storage_ = &data.rows;
-}
-
 bool RowBatch::OwnsAllColumns() const {
-  if (col_data_ == nullptr || columns_ != &col_data_->columns ||
-      col_data_.use_count() != 1 || sel_.size() != columns_->num_rows) {
+  if (owned_ == nullptr || owned_.use_count() != 1 ||
+      sel_.size() != columns_->num_rows) {
     return false;
   }
   if (dense_) return sel_.empty() || sel_[0] == 0;
@@ -89,9 +69,14 @@ bool RowBatch::OwnsAllColumns() const {
 }
 
 ColumnStore RowBatch::TakeColumns() {
-  ColumnStore out = std::move(col_data_->columns);
+  ColumnStore out = std::move(*owned_);
   *this = RowBatch();
   return out;
+}
+
+ColumnStore RowBatch::ConsumeColumns() {
+  if (OwnsAllColumns()) return TakeColumns();
+  return GatherColumns(nullptr);
 }
 
 ColumnStore RowBatch::GatherColumns(const std::vector<int>* slots) const {
@@ -102,9 +87,7 @@ ColumnStore RowBatch::GatherColumns(const std::vector<int>* slots) const {
 
 RowBatch RowBatch::ShareWithSelection(std::vector<uint32_t> sel) const {
   RowBatch view;
-  view.col_data_ = col_data_;
-  view.storage_ = storage_;
-  view.row_base_ = row_base_;
+  view.owned_ = owned_;
   view.columns_ = columns_;
   view.sel_ = std::move(sel);
   return view;
@@ -117,13 +100,13 @@ void RowBatch::ConsumeRowsInto(std::vector<Row>* out) {
   if (out->capacity() < need) {
     out->reserve(std::max(need, out->capacity() * 2));
   }
-  columns_->MaterializeRows(sel_.data(), sel_.size(), nullptr, out);
+  columns_->MaterializeRows(sel_.data(), sel_.size(), out);
   sel_.clear();
 }
 
-std::vector<Row> RowBatch::ToRows() {
+std::vector<Row> RowBatch::ToRows() const {
   std::vector<Row> rows;
-  ConsumeRowsInto(&rows);
+  columns_->MaterializeRows(sel_.data(), sel_.size(), &rows);
   return rows;
 }
 

@@ -1,25 +1,22 @@
 // RowBatch: the unit of data flow between physical operators. A batch is
-// a selection vector over shared storage, so selections narrow and
-// bypass operators split streams without touching the data itself — the
-// paper's σ± stream partition is a partition of the selection vector.
-// Storage is always a ColumnStore, in one of two forms:
+// exactly three things: a column store, a selection vector over it and a
+// dense flag. Selections narrow and bypass operators split streams
+// without touching the data itself — the paper's σ± stream partition is
+// a partition of the selection vector. The store takes one of two forms:
 //   - a window [begin, end) of a longer-lived store such as a catalog
 //     table's (BorrowedColumns) — zero-copy scans and build-side windows;
 //   - owned columns (FromColumns), shared among the views produced by a
-//     bypass split / fan-out edge: the output of joins, χ and Π, and of
-//     operators that build new rows (FromRows transposes them).
+//     bypass split / fan-out edge: the output of joins, groupings, χ and
+//     Π, and of the sort (FromRows transposes its rows).
 // A column is typed (raw arrays) or untyped (a Value per entry, the row
-// oracle's form, which every typed kernel declines). Column kernels read
-// the columns directly; a consumer that still reads rows (row(i)) builds
-// the rows of the storage it covers — the whole owned store, or the
-// borrowed window only — from the columns once, shared by all views.
+// oracle's form, which every typed kernel declines). Every reader reads
+// the columns; rows are built only for the consumers that keep them (the
+// collector sink, the sort's buffer) by ConsumeRowsInto.
 #ifndef BYPASSDB_TYPES_ROW_BATCH_H_
 #define BYPASSDB_TYPES_ROW_BATCH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "types/column_vector.h"
@@ -36,13 +33,12 @@ class RowBatch {
 
   /// Owning batch over `rows` transposed into columns, every row
   /// selected: typed by each column's first non-NULL value, or untyped
-  /// (a Value per entry) when `typed` is false — the row oracle's form.
+  /// (a Value per entry) when `typed` is false.
   static RowBatch FromRows(std::vector<Row> rows, bool typed = true);
 
   /// Zero-copy view of rows [begin, end) of `columns`, which outlive the
   /// execution (a table's column store); selection entries index
-  /// `columns`. The first row(i)/storage_row call on it or any of its
-  /// views builds the rows of this window, not of the whole store.
+  /// `columns`.
   static RowBatch BorrowedColumns(const ColumnStore* columns, size_t begin,
                                   size_t end);
 
@@ -53,7 +49,7 @@ class RowBatch {
                               std::vector<uint32_t> sel);
 
   /// The columns backing this batch; never null. Selection-vector
-  /// entries index them (and the rows built from them).
+  /// entries index them.
   const ColumnStore* columns() const { return columns_; }
 
   /// Number of selected rows.
@@ -62,20 +58,6 @@ class RowBatch {
 
   /// Values per row: the column count.
   size_t width() const { return columns_->columns.size(); }
-
-  /// The i-th selected row (i indexes the selection vector, not storage).
-  /// The first call materializes the batch's rows from the columns.
-  /// Views of one batch may call it from different threads; one batch
-  /// object is read by one thread at a time.
-  const Row& row(size_t i) const { return storage_row(sel_[i]); }
-
-  /// True once some row(i)/storage_row call on this batch or a view of
-  /// it materialized rows from the columns.
-  bool has_rows() const {
-    return storage_ != nullptr ||
-           (col_data_ != nullptr && col_data_->rows_ready.load(
-                                        std::memory_order_acquire));
-  }
 
   /// The selection vector: indices into the shared storage. Operators
   /// that only drop rows (filter, limit, distinct) narrow it in place.
@@ -97,12 +79,6 @@ class RowBatch {
   /// preserved contiguity restore the fast path with this.
   void MarkDense() { dense_ = true; }
 
-  /// Storage row by storage index (an entry of selection()).
-  const Row& storage_row(uint32_t storage_idx) const {
-    if (storage_ == nullptr) MaterializeRows();
-    return (*storage_)[storage_idx - row_base_];
-  }
-
   /// True when this batch owns its columns, no other live view shares
   /// them and its selection is every storage row in order: the columns
   /// can then be taken (TakeColumns) instead of gathered.
@@ -112,6 +88,11 @@ class RowBatch {
   /// is empty afterwards.
   ColumnStore TakeColumns();
 
+  /// The selected rows as a dense column store: the batch's own columns
+  /// when it owns all of them (TakeColumns), a gather otherwise. The
+  /// batch is consumed.
+  ColumnStore ConsumeColumns();
+
   /// The selected rows as a dense column store, one column per entry of
   /// `slots` (every column when null), gathered from the batch's columns.
   ColumnStore GatherColumns(const std::vector<int>* slots) const;
@@ -120,39 +101,20 @@ class RowBatch {
   /// the zero-copy output of a bypass split.
   RowBatch ShareWithSelection(std::vector<uint32_t> sel) const;
 
-  /// The i-th selected row, built from the columns.
-  Row TakeRow(size_t i) const { return columns_->MaterializeRow(sel_[i]); }
-
   /// Appends all selected rows to `out`, built column by column. The
   /// batch is empty afterwards.
   void ConsumeRowsInto(std::vector<Row>* out);
 
-  /// Materializes the selected rows (convenience for tests).
-  std::vector<Row> ToRows();
+  /// The selected rows, built column by column (convenience for tests).
+  std::vector<Row> ToRows() const;
 
  private:
-  /// Storage shared by a batch and its views: the owned columns (empty
-  /// on a borrowed window) and the rows of storage indices
-  /// [rows_begin, rows_end) materialized from the columns on first demand.
-  struct ColumnData {
-    ColumnStore columns;
-    size_t rows_begin = 0;
-    size_t rows_end = 0;
-    std::once_flag rows_once;
-    std::atomic<bool> rows_ready{false};
-    std::vector<Row> rows;
-  };
-
   /// A store with no columns and no rows: the default batch's.
   static const ColumnStore* EmptyColumns();
 
-  void MaterializeRows() const;
-
-  std::shared_ptr<ColumnData> col_data_;
-  /// Row storage; null until row() materializes.
-  mutable const std::vector<Row>* storage_ = nullptr;
-  /// Storage index of (*storage_)[0]: a borrowed window's begin.
-  mutable uint32_t row_base_ = 0;
+  /// The owned columns, shared by a batch and its views; null on a
+  /// borrowed window.
+  std::shared_ptr<ColumnStore> owned_;
   const ColumnStore* columns_ = EmptyColumns();
   std::vector<uint32_t> sel_;
   bool dense_ = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "types/column_vector.h"
+
 namespace bypass {
 namespace {
 
@@ -166,12 +168,12 @@ TEST(AggTest, AggregatorSetEvaluatesAllSpecs) {
     EvalContext ctx{&row, nullptr};
     ASSERT_TRUE(set.Accumulate(ctx).ok());
   }
-  Row out;
-  ASSERT_TRUE(set.FinalizeInto(&out).ok());
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].int64_value(), 3);
-  EXPECT_EQ(out[1].int64_value(), 6);
-  EXPECT_EQ(out[2].int64_value(), 3);
+  std::vector<ColumnVector> out(specs.size(), ColumnVector::Untyped());
+  ASSERT_TRUE(set.FinalizeInto(out.data()).ok());
+  for (const ColumnVector& col : out) ASSERT_EQ(col.size(), 1u);
+  EXPECT_EQ(out[0].GetValue(0).int64_value(), 3);
+  EXPECT_EQ(out[1].GetValue(0).int64_value(), 6);
+  EXPECT_EQ(out[2].GetValue(0).int64_value(), 3);
 }
 
 TEST(AggTest, SumOnStringsIsExecutionError) {

@@ -101,6 +101,35 @@ Table MakeTable(const char* name, int cols, std::vector<Row> rows) {
   return table;
 }
 
+/// scan(table) → op → a recorder, run serially at `batch_size` rows per
+/// batch: the rows `op` emitted, in order, after checking that none of
+/// its batches exceeds batch_size. The run counts every memory charge;
+/// `memory_used`, when given, receives what is still charged at the end.
+std::vector<Row> RunRecorded(const Table* table, PhysOpPtr op,
+                             size_t batch_size,
+                             int64_t* memory_used = nullptr) {
+  PhysicalPlan plan;
+  auto scan = std::make_unique<TableScanOp>(table);
+  auto recorder = std::make_unique<BatchRecorder>();
+  BatchRecorder* rec = recorder.get();
+  scan->AddConsumer(kPortOut, op.get(), 0);
+  op->AddConsumer(kPortOut, recorder.get(), 0);
+  plan.sources.push_back(scan.get());
+  plan.ops.push_back(std::move(scan));
+  plan.ops.push_back(std::move(op));
+  plan.ops.push_back(std::move(recorder));
+  auto run = std::make_shared<RunContext>();
+  run->batch_size = batch_size;
+  run->memory_limit = int64_t{1} << 40;
+  ExecContext ctx(run);
+  const Status st = RunPlan(&plan, &ctx);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  if (memory_used != nullptr) *memory_used = run->memory_used.load();
+  EXPECT_GT(rec->batches, 1);
+  EXPECT_LE(rec->max_batch, batch_size);
+  return std::move(rec->rows);
+}
+
 TEST(FilterOpTest, KeepsOnlyTrueRows) {
   Table t = MakeTable("t", 1, {IntRow({1}), IntRow({5}), IntRow({3})});
   MiniPlan plan =
@@ -380,8 +409,7 @@ TriBool Greater(const Row& l, const Row& r) {
 
 // Every join kind, keyed or keyless, with or without a residual, over a
 // column-only probe input (Π's output): the join emits column-only
-// batches and builds no Row storage, and its rows are the brute-force
-// join's.
+// batches of typed columns, and its rows are the brute-force join's.
 TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
   const Value null = Value::Null();
   auto v = [](int64_t x) { return Value::Int64(x); };
@@ -457,7 +485,6 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
 
         EXPECT_EQ(rec->batches > 0, !want.empty());
         EXPECT_EQ(rec->untyped, 0);
-        EXPECT_EQ(rec->with_rows, 0);
         EXPECT_TRUE(RowMultisetsEqual(rec->rows, want));
       }
     }
@@ -465,8 +492,8 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
 }
 
 // Columnar scans emit zero-copy windows of the table's columns: at 1 and
-// 4 threads, with zone maps on and off, no scan batch carries Row
-// storage and together they hold the table's rows. With columnar
+// 4 threads, with zone maps on and off, every scan batch holds typed
+// columns and together they hold the table's rows. With columnar
 // execution off (the row oracle) every batch holds untyped columns, with
 // the same rows.
 TEST(ScanOpTest, ColumnarScansBorrowColumnsOnly) {
@@ -522,7 +549,6 @@ TEST(ScanOpTest, ColumnarScansBorrowColumnsOnly) {
         EXPECT_GE(rec->batches, 50);
         if (columnar) {
           EXPECT_EQ(rec->untyped, 0);
-          EXPECT_EQ(rec->with_rows, 0);
         } else {
           EXPECT_EQ(rec->untyped, rec->batches);
         }
@@ -552,6 +578,24 @@ TEST(GroupByOpTest, GroupsAndAggregates) {
   auto rows = plan.Run();
   EXPECT_TRUE(RowMultisetsEqual(
       rows, {IntRow({1, 2, 30}), IntRow({2, 1, 5})}));
+
+  // 20 groups at batch 7: the output leaves in batches of at most 7.
+  std::vector<Row> input;
+  std::vector<Row> want;
+  for (int64_t k = 0; k < 20; ++k) want.push_back(IntRow({k, 0, 0}));
+  for (int64_t i = 0; i < 50; ++i) {
+    input.push_back(IntRow({i % 20, i}));
+    Row& group = want[static_cast<size_t>(i % 20)];
+    group[1] = Value::Int64(group[1].int64_value() + 1);
+    group[2] = Value::Int64(group[2].int64_value() + i);
+  }
+  Table many = MakeTable("many", 2, input);
+  EXPECT_TRUE(RowMultisetsEqual(
+      RunRecorded(&many,
+                  std::make_unique<HashGroupByOp>(std::vector<int>{0},
+                                                  CountAndSum(1), false),
+                  7),
+      want));
 }
 
 TEST(GroupByOpTest, ScalarModeEmitsOneRowOnEmptyInput) {
@@ -573,33 +617,72 @@ TEST(GroupByOpTest, NonScalarModeEmitsNothingOnEmptyInput) {
   EXPECT_TRUE(plan.Run().empty());
 }
 
+// Int64 keys on both sides, integral-double probe keys against int64
+// build keys (1.0 = 1; a NULL probe key has no group), and string keys
+// (the generic key shape).
 TEST(BinaryGroupByTest, HashAndNLAgreeOnEquality) {
-  Table left = MakeTable("l", 1, {IntRow({1}), IntRow({2}), IntRow({9})});
-  Table right = MakeTable("r", 2, {IntRow({1, 10}), IntRow({1, 30}),
-                                   IntRow({2, 7})});
+  auto i = [](int64_t x) { return Value::Int64(x); };
+  auto d = [](double x) { return Value::Double(x); };
+  auto str = [](const char* x) { return Value::String(x); };
+  struct Case {
+    DataType key_type;
+    std::vector<Row> left;
+    std::vector<Row> right;
+    Value grouped;  // the left key of the group {10, 30}
+  };
+  const std::vector<Row> int_right = {Row{i(1), i(10)}, Row{i(1), i(30)},
+                                      Row{i(2), i(7)}};
+  const std::vector<Case> cases = {
+      {DataType::kInt64, {Row{i(1)}, Row{i(2)}, Row{i(9)}}, int_right, i(1)},
+      {DataType::kDouble,
+       {Row{d(1.0)}, Row{d(2.0)}, Row{d(2.5)}, Row{Value::Null()},
+        Row{d(9.0)}},
+       int_right,
+       d(1.0)},
+      {DataType::kString,
+       {Row{str("a")}, Row{str("b")}, Row{str("z")}},
+       {Row{str("a"), i(10)}, Row{str("a"), i(30)}, Row{str("b"), i(7)}},
+       str("a")},
+  };
   std::vector<AggregateSpec> aggs = CountAndSum(1);
-  MiniPlan hash = BinaryPlan(&left, &right,
-                             std::make_unique<BinaryGroupByHashOp>(
-                                 0, 0, std::vector<AggregateSpec>{
-                                           aggs[0].Clone(),
-                                           aggs[1].Clone()}));
-  MiniPlan nl = BinaryPlan(
-      &left, &right,
-      std::make_unique<BinaryGroupByNLOp>(
-          0, CompareOp::kEq, 0,
-          std::vector<AggregateSpec>{aggs[0].Clone(), aggs[1].Clone()}));
-  auto hash_rows = hash.Run();
-  EXPECT_TRUE(RowMultisetsEqual(hash_rows, nl.Run()));
-  // Empty groups must receive f(∅).
-  bool found_nine = false;
-  for (const Row& row : hash_rows) {
-    if (row[0].int64_value() == 9) {
-      found_nine = true;
-      EXPECT_EQ(row[1].int64_value(), 0);
-      EXPECT_TRUE(row[2].is_null());
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.grouped.ToString());
+    Schema left_schema;
+    left_schema.AddColumn({"c0", c.key_type, ""});
+    Table left("l", left_schema);
+    ASSERT_TRUE(left.AppendUnchecked(c.left).ok());
+    Schema right_schema;
+    right_schema.AddColumn({"c0", c.right[0][0].type(), ""});
+    right_schema.AddColumn({"c1", DataType::kInt64, ""});
+    Table right("r", right_schema);
+    ASSERT_TRUE(right.AppendUnchecked(c.right).ok());
+    MiniPlan hash = BinaryPlan(&left, &right,
+                               std::make_unique<BinaryGroupByHashOp>(
+                                   0, 0, std::vector<AggregateSpec>{
+                                             aggs[0].Clone(),
+                                             aggs[1].Clone()}));
+    MiniPlan nl = BinaryPlan(
+        &left, &right,
+        std::make_unique<BinaryGroupByNLOp>(
+            0, CompareOp::kEq, 0,
+            std::vector<AggregateSpec>{aggs[0].Clone(), aggs[1].Clone()}));
+    auto hash_rows = hash.Run();
+    ASSERT_EQ(hash_rows.size(), c.left.size());
+    EXPECT_TRUE(RowMultisetsEqual(hash_rows, nl.Run()));
+    int empty_groups = 0;
+    for (const Row& row : hash_rows) {
+      if (row[0].StructurallyEquals(c.grouped)) {
+        EXPECT_EQ(row[1].int64_value(), 2);
+        EXPECT_EQ(row[2].int64_value(), 40);
+      } else if (row[1].int64_value() == 0) {
+        // Empty groups must receive f(∅).
+        ++empty_groups;
+        EXPECT_TRUE(row[2].is_null());
+      }
     }
+    // 9 (and 2.5 and NULL) have no group; 2 and "b" have one.
+    EXPECT_EQ(empty_groups, static_cast<int>(c.left.size()) - 2);
   }
-  EXPECT_TRUE(found_nine);
 }
 
 TEST(BinaryGroupByTest, NonEqualityGrouping) {
@@ -687,7 +770,7 @@ ColumnOnlyPlan ColumnOnlyInput(const Table* table, int cols, PhysOpPtr op,
 }
 
 // A fresh DISTINCT elects its key shape from the typed columns: column-only
-// int64 batches pass through without Row storage and keep the first
+// int64 batches pass through as typed columns and keep the first
 // occurrence of each row.
 TEST(DistinctOpTest, ColumnOnlyInt64BatchesStayRowFree) {
   const std::vector<Row> rows = NullableKeyRows(3, 500, 31);
@@ -704,7 +787,6 @@ TEST(DistinctOpTest, ColumnOnlyInt64BatchesStayRowFree) {
   }
   EXPECT_GT(p.recorder->batches, 0);
   EXPECT_EQ(p.recorder->untyped, 0);
-  EXPECT_EQ(p.recorder->with_rows, 0);
   ASSERT_EQ(p.recorder->rows.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(RowsStructurallyEqual(p.recorder->rows[i], want[i])) << i;
@@ -712,8 +794,8 @@ TEST(DistinctOpTest, ColumnOnlyInt64BatchesStayRowFree) {
 }
 
 // Two- and three-column int64 group keys resolve from the typed columns:
-// the grouping never materializes its column-only input batches, and
-// NULL keys group structurally.
+// its column-only input batches stay typed, and NULL keys group
+// structurally.
 TEST(GroupByOpTest, MultiColumnInt64KeysResolveFromColumns) {
   const std::vector<Row> rows = NullableKeyRows(4, 600, 32);
   Table t = MakeTable("t", 4, rows);
@@ -728,7 +810,6 @@ TEST(GroupByOpTest, MultiColumnInt64KeysResolveFromColumns) {
     ExecContext ctx;
     ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
     EXPECT_EQ(p.recorder->untyped, 0);
-    EXPECT_EQ(p.recorder->with_rows, 0);
     std::vector<Row> want;  // (keys..., COUNT(*), SUM(c3))
     for (const Row& row : rows) {
       const Row key(row.begin(), row.begin() + width);
@@ -769,6 +850,28 @@ TEST(SortOpTest, SortsByKeysWithDirections) {
   EXPECT_EQ(rows[0][0].int64_value(), 0);  // 7 first (desc)
   EXPECT_EQ(rows[1][0].int64_value(), 1);  // then 5s by c0 asc
   EXPECT_EQ(rows[2][0].int64_value(), 2);
+
+  // 30 rows at batch 7: sorted, in batches of at most 7, and the sort
+  // (which did not spill) holds no charge once it has emitted every row.
+  std::vector<Row> input;
+  for (int64_t i = 0; i < 30; ++i) input.push_back(IntRow({i, i % 4}));
+  Table many = MakeTable("many", 2, input);
+  std::vector<PhysSortKey> many_keys;
+  many_keys.push_back(PhysSortKey{Slot(1), /*descending=*/true});
+  many_keys.push_back(PhysSortKey{Slot(0), /*descending=*/false});
+  int64_t memory_used = -1;
+  const std::vector<Row> sorted = RunRecorded(
+      &many, std::make_unique<SortPhysOp>(std::move(many_keys)), 7,
+      &memory_used);
+  EXPECT_EQ(memory_used, 0);
+  ASSERT_EQ(sorted.size(), 30u);
+  for (size_t r = 1; r < sorted.size(); ++r) {
+    const int64_t prev = sorted[r - 1][1].int64_value();
+    const int64_t cur = sorted[r][1].int64_value();
+    EXPECT_TRUE(prev > cur || (prev == cur && sorted[r - 1][0].int64_value() <
+                                                  sorted[r][0].int64_value()))
+        << r;
+  }
 }
 
 TEST(HashJoinOpTest, IntAndDoubleKeysMatchNumerically) {
@@ -901,10 +1004,10 @@ std::vector<Row> GroupOracle(
 }
 
 // Every join kind and both binary groupings buffer their build side as
-// columns: fed column batches, they build no Row on them, the budget is
-// charged the columns' bytes (below what the rows would take), and the
-// output equals a brute-force oracle at batch {1, 7, 1024} × threads
-// {1, 4} on 20 % NULLs.
+// columns: the budget is charged the columns' bytes (below what the rows
+// would take), no output batch exceeds batch_size, and the output equals
+// a brute-force oracle at batch {1, 7, 1024} × threads {1, 4} on 20 %
+// NULLs.
 TEST(ColumnarParallelBuildSides, EveryBinaryOperatorBuildsFromColumns) {
   const std::vector<Row> left_rows = NullableKeyRows(3, 300, 41);
   const std::vector<Row> right_rows = NullableKeyRows(3, 200, 42);
@@ -999,7 +1102,7 @@ TEST(ColumnarParallelBuildSides, EveryBinaryOperatorBuildsFromColumns) {
         if (threads > 1) ctx.set_pool(&pool);
         ASSERT_TRUE(RunPlan(&p.plan, &ctx).ok());
         EXPECT_GT(p.build_input->batches, 0);
-        EXPECT_EQ(p.build_input->with_rows, 0);
+        EXPECT_LE(p.out->max_batch, batch_size);
         const size_t build_rows = c.build->columns().num_rows;
         EXPECT_LT(run->memory_used.load(), ApproxRowsBytes(build_rows, 3));
         EXPECT_TRUE(RowMultisetsEqual(p.out->rows, c.want))

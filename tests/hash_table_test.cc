@@ -34,6 +34,7 @@
 #include "expr/agg.h"
 #include "expr/expr.h"
 #include "test_util.h"
+#include "types/column_vector.h"
 #include "types/row.h"
 #include "types/row_batch.h"
 
@@ -429,17 +430,38 @@ TEST(HashTableSetTest, NullPositionIsPartOfTheKey) {
   EXPECT_EQ(set.size(), 3u);
 }
 
+// 1 and 1.0 are one key in either insertion order, and the stored key —
+// read back as a Row and as an exported key column — keeps the first
+// occurrence's type.
 TEST(HashTableSetTest, IntThenIntegralDoubleIsOneKey) {
-  KeyIndex set;
-  EXPECT_TRUE(set.FindOrInsert(Value::Int64(1)).second);
-  EXPECT_NE(set.Find(Row{Value::Double(1.0)}), KeyIndex::kNone);
-  EXPECT_FALSE(set.FindOrInsert(Value::Double(1.0)).second);
-  EXPECT_FALSE(set.packed()) << "a double downgrades the set";
-  EXPECT_EQ(set.size(), 1u);
-  std::vector<Row> stored;
-  for (const Row& row : Keys(set)) stored.push_back(row);
-  ASSERT_EQ(stored.size(), 1u);
-  EXPECT_TRUE(stored[0][0].is_int64()) << "the first occurrence is kept";
+  for (bool int_first : {true, false}) {
+    SCOPED_TRACE(int_first ? "int64 first" : "double first");
+    const Value first = int_first ? Value::Int64(1) : Value::Double(1.0);
+    const Value second = int_first ? Value::Double(1.0) : Value::Int64(1);
+    KeyIndex set;
+    EXPECT_TRUE(set.FindOrInsert(first).second);
+    std::vector<ColumnVector> before;
+    set.AppendKeyColumns(0, 1, &before);
+    EXPECT_EQ(set.packed(), int_first);
+    EXPECT_NE(set.Find(Row{second}), KeyIndex::kNone);
+    EXPECT_FALSE(set.FindOrInsert(second).second);
+    EXPECT_FALSE(set.packed()) << "a double downgrades or never packs";
+    EXPECT_EQ(set.size(), 1u);
+    std::vector<Row> stored;
+    for (const Row& row : Keys(set)) stored.push_back(row);
+    ASSERT_EQ(stored.size(), 1u);
+    EXPECT_EQ(stored[0][0].type(), first.type())
+        << "the first occurrence is kept";
+    std::vector<ColumnVector> after;
+    set.AppendKeyColumns(0, 1, &after);
+    for (const std::vector<ColumnVector>* cols : {&before, &after}) {
+      ASSERT_EQ(cols->size(), 1u);
+      ASSERT_EQ((*cols)[0].size(), 1u);
+      EXPECT_TRUE((*cols)[0].typed());
+      EXPECT_EQ((*cols)[0].type(), first.type());
+      EXPECT_EQ((*cols)[0].GetValue(0).type(), first.type());
+    }
+  }
 }
 
 TEST(HashTableSetTest, DowngradeAfterManyIntKeysLosesNothing) {
@@ -1038,8 +1060,9 @@ AggregateSpec Agg(AggFunc func, int slot, bool distinct = false) {
 }
 
 /// Every fast-path aggregate over (k, x int64, d double): COUNT(*),
-/// COUNT(x), SUM/AVG/MIN/MAX over x and d, plus a DISTINCT aggregate
-/// that keeps the row path.
+/// COUNT(x), SUM/AVG/MIN/MAX over x and d, plus the DISTINCT aggregates
+/// that take the fallback: over a column, and COUNT(DISTINCT *) over
+/// whole rows.
 std::vector<AggregateSpec> FoldSpecs() {
   std::vector<AggregateSpec> specs;
   specs.push_back(Agg(AggFunc::kCount, -1));
@@ -1052,6 +1075,7 @@ std::vector<AggregateSpec> FoldSpecs() {
   }
   specs.push_back(Agg(AggFunc::kSum, 1, /*distinct=*/true));
   specs.push_back(Agg(AggFunc::kCount, 2, /*distinct=*/true));
+  specs.push_back(Agg(AggFunc::kCount, -1, /*distinct=*/true));
   return specs;
 }
 
@@ -1128,14 +1152,16 @@ TEST(HashTableGroupByTest, ColumnFoldsMatchRowPathBitForBit) {
     }
     ASSERT_EQ(got.size(), want.size());
     for (const auto& [key, set] : want) {
-      Row a, b;
-      ASSERT_TRUE(set->FinalizeInto(&a).ok());
-      ASSERT_TRUE(got.at(key)->FinalizeInto(&b).ok());
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t j = 0; j < a.size(); ++j) {
+      std::vector<ColumnVector> a(specs.size(), ColumnVector::Untyped());
+      std::vector<ColumnVector> b(specs.size(), ColumnVector::Untyped());
+      ASSERT_TRUE(set->FinalizeInto(a.data()).ok());
+      ASSERT_TRUE(got.at(key)->FinalizeInto(b.data()).ok());
+      for (size_t j = 0; j < specs.size(); ++j) {
         SCOPED_TRACE("group " + std::to_string(key) + ", " +
                      specs[j].ToString());
-        ExpectBitIdentical(a[j], b[j]);
+        ASSERT_EQ(a[j].size(), 1u);
+        ASSERT_EQ(b[j].size(), 1u);
+        ExpectBitIdentical(a[j].GetValue(0), b[j].GetValue(0));
       }
     }
   }
@@ -1165,11 +1191,12 @@ TEST(HashTableGroupByTest, MixedExtremeTypesKeepOrderCompare) {
         AggregatorSet::AccumulateGrouped(batch, sets.data(), nullptr)
             .ok());
   }
-  Row a, b;
-  ASSERT_TRUE(row_path.FinalizeInto(&a).ok());
-  ASSERT_TRUE(columns.FinalizeInto(&b).ok());
-  ExpectBitIdentical(a[0], b[0]);
-  ExpectBitIdentical(a[1], b[1]);
+  std::vector<ColumnVector> a(specs.size(), ColumnVector::Untyped());
+  std::vector<ColumnVector> b(specs.size(), ColumnVector::Untyped());
+  ASSERT_TRUE(row_path.FinalizeInto(a.data()).ok());
+  ASSERT_TRUE(columns.FinalizeInto(b.data()).ok());
+  ExpectBitIdentical(a[0].GetValue(0), b[0].GetValue(0));
+  ExpectBitIdentical(a[1].GetValue(0), b[1].GetValue(0));
 }
 
 /// Loads g(k, x, d), h(x, d) and m(k1, k2, k3, x, d): dyadic doubles

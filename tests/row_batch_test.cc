@@ -1,7 +1,8 @@
 // Unit tests for RowBatch: FromRows' transposition, selection-vector
 // views, the dense flag, column ownership, owned column batches (exact
 // Value round trips, rows built from columns) and borrowed windows of a
-// column store (rows built for the window only, once).
+// column store (rows built for the selection only), read by four threads
+// at once.
 #include <malloc.h>
 
 #include <cmath>
@@ -31,8 +32,9 @@ TEST(RowBatchTest, FromRowsSelectsEverything) {
   RowBatch batch = RowBatch::FromRows(ThreeRows());
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_FALSE(batch.empty());
-  EXPECT_EQ(batch.row(0)[0].int64_value(), 1);
-  EXPECT_EQ(batch.row(2)[1].int64_value(), 30);
+  const std::vector<Row> rows = batch.ToRows();
+  EXPECT_EQ(rows[0][0].int64_value(), 1);
+  EXPECT_EQ(rows[2][1].int64_value(), 30);
 }
 
 // Each column is typed by its first non-NULL value; a later value of
@@ -53,9 +55,11 @@ TEST(RowBatchTest, FromRowsTypesEachColumnByItsFirstNonNullValue) {
     EXPECT_FALSE(col.typed());
   }
   for (const RowBatch* batch : {&typed, &untyped}) {
+    const std::vector<Row> got = batch->ToRows();
+    ASSERT_EQ(got.size(), rows.size());
     for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_TRUE(RowsStructurallyEqual(batch->row(i), rows[i]));
-      EXPECT_EQ(batch->row(i)[1].type(), rows[i][1].type());
+      EXPECT_TRUE(RowsStructurallyEqual(got[i], rows[i]));
+      EXPECT_EQ(got[i][1].type(), rows[i][1].type());
     }
   }
 }
@@ -64,9 +68,13 @@ TEST(RowBatchTest, DenseOnConstructionDroppedOnMutation) {
   const ColumnStore storage = testing_util::ToColumns(ThreeRows());
   RowBatch borrowed = RowBatch::BorrowedColumns(&storage, 1, 3);
   EXPECT_TRUE(borrowed.dense());
-  // Dense means sel[i] == sel[0] + i, so storage_row(sel[0] + i) is
+  // Dense means sel[i] == sel[0] + i, so storage index sel[0] + i holds
   // the i-th selected row.
-  EXPECT_EQ(borrowed.storage_row(borrowed.selection()[0])[0].int64_value(), 2);
+  EXPECT_EQ(borrowed.columns()
+                ->columns[0]
+                .GetValue(borrowed.selection()[0] + 1)
+                .int64_value(),
+            3);
 
   RowBatch owned = RowBatch::FromRows(ThreeRows());
   EXPECT_TRUE(owned.dense());
@@ -81,8 +89,9 @@ TEST(RowBatchTest, ShareWithSelectionIsNotDenseAndSharesStorage) {
   RowBatch batch = RowBatch::FromRows(ThreeRows());
   RowBatch view = batch.ShareWithSelection({2, 0});
   ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view.row(0)[0].int64_value(), 3);
-  EXPECT_EQ(view.row(1)[0].int64_value(), 1);
+  const std::vector<Row> rows = view.ToRows();
+  EXPECT_EQ(rows[0][0].int64_value(), 3);
+  EXPECT_EQ(rows[1][0].int64_value(), 1);
   EXPECT_FALSE(view.dense());
   // Two live views over the same storage: neither owns it.
   EXPECT_FALSE(batch.OwnsAllColumns());
@@ -161,36 +170,45 @@ TEST(RowBatchTest, ColumnOnlyBatchRoundTripsExactValues) {
   EXPECT_FALSE(batch.columns()->columns[3].typed());  // demoted to mixed
   EXPECT_TRUE(batch.dense());
   EXPECT_EQ(batch.width(), 4u);
-  EXPECT_FALSE(batch.has_rows());
   ASSERT_EQ(batch.size(), want.size());
+  const std::vector<Row> rows = batch.ToRows();
   for (size_t i = 0; i < want.size(); ++i) {
     for (size_t c = 0; c < 4; ++c) {
       SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
-      ExpectSameValue(batch.row(i)[c], want[i][c]);
+      ExpectSameValue(rows[i][c], want[i][c]);
     }
   }
-  // row() materialized the storage's rows once.
-  EXPECT_TRUE(batch.has_rows());
 }
 
-TEST(RowBatchTest, ColumnOnlyViewsShareStorageAndMaterializeOnce) {
+TEST(RowBatchTest, ColumnOnlyViewsShareStorage) {
   RowBatch batch = RowBatch::FromColumns(TrickyColumns());
-  RowBatch view = batch.ShareWithSelection({4, 1});
-  ASSERT_EQ(view.size(), 2u);
-  EXPECT_EQ(view.columns(), batch.columns());
-  EXPECT_FALSE(view.dense());
-  EXPECT_FALSE(batch.OwnsAllColumns());  // the view shares them
-  EXPECT_EQ(view.row(0)[0].int64_value(), 5);
-  EXPECT_TRUE(std::isnan(view.row(1)[1].double_value()));
-  // The view's materialization is the batch's too: one row vector.
-  EXPECT_TRUE(batch.has_rows());
-  EXPECT_EQ(&batch.storage_row(4), &view.row(0));
+  EXPECT_TRUE(batch.OwnsAllColumns());
+  {
+    // A view shares the columns and reads its own selection of them.
+    RowBatch view = batch.ShareWithSelection({4, 1});
+    ASSERT_EQ(view.size(), 2u);
+    EXPECT_EQ(view.columns(), batch.columns());
+    EXPECT_FALSE(view.dense());
+    EXPECT_FALSE(batch.OwnsAllColumns());  // the view shares them
+    const std::vector<Row> view_rows = view.ToRows();
+    EXPECT_EQ(view_rows[0][0].int64_value(), 5);
+    EXPECT_TRUE(std::isnan(view_rows[1][1].double_value()));
+    // Consuming the view builds its two rows; the batch still reads all
+    // five.
+    std::vector<Row> consumed;
+    view.ConsumeRowsInto(&consumed);
+    ASSERT_EQ(consumed.size(), 2u);
+    EXPECT_EQ(consumed[0][0].int64_value(), 5);
+    EXPECT_EQ(batch.ToRows().size(), 5u);
+  }
+  // With the view gone the batch owns its columns again.
+  EXPECT_TRUE(batch.OwnsAllColumns());
 }
 
 TEST(RowBatchTest, ColumnOnlyTakeRowAndConsumeRowsBuildFromColumns) {
   const std::vector<Row> want = TrickyRows();
   RowBatch batch = RowBatch::FromColumns(TrickyColumns(), {3, 1, 0});
-  const Row taken = batch.TakeRow(1);
+  const Row taken = batch.ToRows()[1];
   ASSERT_EQ(taken.size(), 4u);
   for (size_t c = 0; c < 4; ++c) ExpectSameValue(taken[c], want[1][c]);
 
@@ -215,8 +233,6 @@ TEST(RowBatchTest, ColumnOnlyTakeRowAndConsumeRowsBuildFromColumns) {
   for (size_t i = 0; i < want.size(); ++i) {
     for (size_t c = 0; c < 4; ++c) ExpectSameValue(rows[i][c], want[i][c]);
   }
-  // Rows were built column by column; no row storage was materialized.
-  EXPECT_FALSE(whole.has_rows());
 }
 
 // ------------------------------------------- borrowed column windows
@@ -271,10 +287,9 @@ TEST(ColumnarBorrowedWindow, RoundTripsAtAHighOffset) {
   EXPECT_EQ(batch.selection()[0], kWindowBegin);
   EXPECT_FALSE(batch.OwnsAllColumns());  // borrowed, never taken
 
-  // Column reads build no rows.
   const ColumnStore gathered = batch.GatherColumns(nullptr);
   ASSERT_EQ(gathered.num_rows, 5u);
-  const Row taken = TrickyWindow().TakeRow(1);
+  const Row taken = TrickyWindow().ToRows()[1];
   std::vector<Row> consumed;
   TrickyWindow().ConsumeRowsInto(&consumed);
   std::vector<Row> narrowed;
@@ -282,7 +297,6 @@ TEST(ColumnarBorrowedWindow, RoundTripsAtAHighOffset) {
   RowBatch narrow = RowBatch::FromColumns(TrickyWindow().GatherColumns(&slots));
   narrow.ConsumeRowsInto(&narrowed);
   EXPECT_TRUE(narrow.empty());
-  EXPECT_FALSE(batch.has_rows());
   ASSERT_EQ(consumed.size(), 5u);
   ASSERT_EQ(narrowed.size(), 5u);
   for (size_t c = 0; c < 4; ++c) ExpectSameValue(taken[c], want[1][c]);
@@ -296,65 +310,70 @@ TEST(ColumnarBorrowedWindow, RoundTripsAtAHighOffset) {
     ExpectSameValue(narrowed[i][1], want[i][1]);
   }
 
-  // Views taken before and after the first row() share one
-  // materialization, and it holds the window's five rows, not the
-  // store's 200k.
-  RowBatch early = batch.ShareWithSelection({kWindowBegin + 4,
-                                             kWindowBegin + 1});
+  // Reading the window's rows builds its five rows, not the store's 200k,
+  // and views read their own selections of the window.
   const size_t heap_before = HeapInUse();
-  for (size_t i = 0; i < 5; ++i) {
-    for (size_t c = 0; c < 4; ++c) {
-      SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
-      ExpectSameValue(batch.row(i)[c], want[i][c]);
-      ExpectSameValue(
-          batch.storage_row(static_cast<uint32_t>(kWindowBegin + i))[c],
-          want[i][c]);
-    }
-  }
+  const std::vector<Row> rows = batch.ToRows();
   const size_t heap_after = HeapInUse();
   EXPECT_LT(heap_after > heap_before ? heap_after - heap_before : 0,
             size_t{64} << 10);
-  EXPECT_TRUE(batch.has_rows());
-  EXPECT_TRUE(early.has_rows());
-  RowBatch late = batch.ShareWithSelection({kWindowBegin + 2});
-  EXPECT_EQ(&early.row(0), &batch.row(4));
-  EXPECT_EQ(&early.row(1), &batch.row(1));
-  EXPECT_EQ(&late.row(0), &batch.row(2));
-  EXPECT_EQ(&batch.row(4) - &batch.row(0), 4);
-  // Another window of the same store has its own rows.
-  RowBatch other = RowBatch::BorrowedColumns(&WideStore(), 7, 9);
-  EXPECT_FALSE(other.has_rows());
-  EXPECT_EQ(other.row(1)[0].int64_value(), 8);
-  EXPECT_NE(&other.row(0), &batch.row(0));
+  ASSERT_EQ(rows.size(), 5u);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t c = 0; c < 4; ++c) {
+      SCOPED_TRACE(std::to_string(i) + "," + std::to_string(c));
+      ExpectSameValue(rows[i][c], want[i][c]);
+    }
+  }
+  const std::vector<Row> early =
+      batch.ShareWithSelection({kWindowBegin + 4, kWindowBegin + 1}).ToRows();
+  const std::vector<Row> late =
+      batch.ShareWithSelection({kWindowBegin + 2}).ToRows();
+  for (size_t c = 0; c < 4; ++c) {
+    ExpectSameValue(early[0][c], want[4][c]);
+    ExpectSameValue(early[1][c], want[1][c]);
+    ExpectSameValue(late[0][c], want[2][c]);
+  }
+  // Another window of the same store reads its own rows.
+  const std::vector<Row> other =
+      RowBatch::BorrowedColumns(&WideStore(), 7, 9).ToRows();
+  ASSERT_EQ(other.size(), 2u);
+  EXPECT_EQ(other[1][0].int64_value(), 8);
 }
 
-// Four threads read one window through their own views: the first row()
-// builds the window's rows once, the others wait for it and read the
-// same rows.
-TEST(ColumnarParallelBorrowedWindow, FourThreadsShareOneBuild) {
+// Four threads read one borrowed window and one owned store through views
+// they make, read and drop themselves: each reads the same values, the
+// shared store is never written, and the owned store's last holder owns
+// its columns again once every thread's view is gone.
+TEST(ColumnarParallelBorrowedWindow, FourThreadsReadOneWindow) {
   const std::vector<Row> want = TrickyRows();
   for (int round = 0; round < 20; ++round) {
-    const RowBatch batch = TrickyWindow();
-    std::vector<RowBatch> views;
-    for (int t = 0; t < 4; ++t) {
-      views.push_back(batch.ShareWithSelection(batch.selection()));
-    }
-    std::vector<const Row*> first(4, nullptr);
+    const RowBatch window = TrickyWindow();
+    const RowBatch owned = RowBatch::FromColumns(TrickyColumns());
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
-      threads.emplace_back([&, t] {
-        const RowBatch& view = views[static_cast<size_t>(t)];
-        for (size_t i = 0; i < view.size(); ++i) {
-          for (size_t c = 0; c < 4; ++c) {
-            ExpectSameValue(view.row(i)[c], want[i][c]);
+      threads.emplace_back([&] {
+        for (const RowBatch* batch : {&window, &owned}) {
+          RowBatch view = batch->ShareWithSelection(batch->selection());
+          const std::vector<Row> rows = view.ToRows();
+          const ColumnStore gathered = view.GatherColumns(nullptr);
+          std::vector<Row> consumed;
+          view.ConsumeRowsInto(&consumed);
+          ASSERT_EQ(rows.size(), want.size());
+          ASSERT_EQ(gathered.num_rows, want.size());
+          ASSERT_EQ(consumed.size(), want.size());
+          for (size_t i = 0; i < want.size(); ++i) {
+            for (size_t c = 0; c < 4; ++c) {
+              ExpectSameValue(rows[i][c], want[i][c]);
+              ExpectSameValue(gathered.columns[c].GetValue(i), want[i][c]);
+              ExpectSameValue(consumed[i][c], want[i][c]);
+            }
           }
         }
-        first[static_cast<size_t>(t)] = &view.row(0);
       });
     }
     for (std::thread& t : threads) t.join();
-    for (size_t t = 1; t < 4; ++t) EXPECT_EQ(first[t], first[0]);
-    EXPECT_TRUE(batch.has_rows());
+    EXPECT_EQ(WideStore().num_rows, kWindowBegin + 105);
+    EXPECT_TRUE(owned.OwnsAllColumns());
   }
 }
 

@@ -3,6 +3,7 @@
 #ifndef BYPASSDB_TESTS_TEST_UTIL_H_
 #define BYPASSDB_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,19 +36,19 @@ inline Row IntRow(std::initializer_list<int64_t> values) {
 }
 
 /// Records what each batch reaching it carries, then collects its rows
-/// (built from the columns, so recording materializes nothing).
+/// (built from the columns).
 class BatchRecorder : public PhysOp {
  public:
   Status Consume(int, RowBatch batch) override {
     std::lock_guard<std::mutex> lock(mu_);
     ++batches;
+    max_batch = std::max(max_batch, batch.size());
     for (const ColumnVector& col : batch.columns()->columns) {
       if (!col.typed()) {
         ++untyped;
         break;
       }
     }
-    if (batch.has_rows()) ++with_rows;
     batch.ConsumeRowsInto(&rows);
     return Status::OK();
   }
@@ -55,8 +56,8 @@ class BatchRecorder : public PhysOp {
   std::string Label() const override { return "BatchRecorder"; }
 
   int batches = 0;
-  int untyped = 0;    // batches with an untyped column
-  int with_rows = 0;  // batches with row storage
+  int untyped = 0;        // batches with an untyped column
+  size_t max_batch = 0;   // rows in the largest batch
   std::vector<Row> rows;
 
  private:
