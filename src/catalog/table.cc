@@ -8,17 +8,10 @@ namespace bypass {
 
 namespace {
 
-// Total-order comparator matching Value::OrderCompare on two doubles
-// (NaN compares equal to everything, so min/max folds keep the first
-// element seen, exactly like the Value-based fold did).
-int CompareDoublesTotal(double a, double b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
 // Lazy-tier stats for one typed column without materializing Values:
-// null count from the bitmap, min/max folded over raw data with the same
-// ordering Value::OrderCompare induces for a single-typed column, and an
-// exact NDV over raw values.
+// null count from the bitmap, min/max folded over raw data in the order
+// Value::OrderCompare induces for a single-typed column (CompareNumeric
+// for numbers), and an exact NDV over raw values.
 ColumnStatistics TypedColumnStats(const ColumnVector& col) {
   ColumnStatistics st;
   const size_t n = col.size();
@@ -38,8 +31,8 @@ ColumnStatistics TypedColumnStats(const ColumnVector& col) {
           lo = hi = data[i];
           have = true;
         } else {
-          if (data[i] < lo) lo = data[i];
-          if (data[i] > hi) hi = data[i];
+          if (CompareNumeric(data[i], lo) < 0) lo = data[i];
+          if (CompareNumeric(data[i], hi) > 0) hi = data[i];
         }
       }
       if (have) {
@@ -51,8 +44,8 @@ ColumnStatistics TypedColumnStats(const ColumnVector& col) {
     }
     case DataType::kDouble: {
       const double* data = col.f64_data();
-      // Hash-identity NDV (±0.0 normalized, NaNs collapse to one value),
-      // matching what the Value::Hash-based loop counted.
+      // Hash-identity NDV (HashNumeric, as Value::Hash: ±0.0 and every
+      // NaN are one value each).
       std::unordered_set<size_t> seen;
       bool have = false;
       double lo = 0, hi = 0;
@@ -61,14 +54,13 @@ ColumnStatistics TypedColumnStats(const ColumnVector& col) {
           ++st.null_count;
           continue;
         }
-        seen.insert(
-            std::hash<double>()(data[i] == 0.0 ? 0.0 : data[i]));
+        seen.insert(HashNumeric(data[i]));
         if (!have) {
           lo = hi = data[i];
           have = true;
         } else {
-          if (CompareDoublesTotal(data[i], lo) < 0) lo = data[i];
-          if (CompareDoublesTotal(data[i], hi) > 0) hi = data[i];
+          if (CompareNumeric(data[i], lo) < 0) lo = data[i];
+          if (CompareNumeric(data[i], hi) > 0) hi = data[i];
         }
       }
       if (have) {

@@ -235,25 +235,21 @@ void CompiledPipelineOp::FoldInto(Scratch* s, size_t j, uint32_t idx,
       break;
     case AggFunc::kMin:
     case AggFunc::kMax:
-      // Idempotent under multiplicity; adopt-then-raw-compare matches
-      // OrderCompare (a NaN never replaces an adopted extreme).
+      // Idempotent under multiplicity; adopt-then-compare in the numeric
+      // order, as OrderCompare (a NaN is the largest).
       if (a.type == DataType::kInt64) {
         const int64_t v = static_cast<const int64_t*>(col.data)[rr];
-        if (soa.has[idx] == 0) {
+        const int c = CompareNumeric(v, soa.ibest[idx]);
+        if (soa.has[idx] == 0 || (a.func == AggFunc::kMin ? c < 0 : c > 0)) {
           soa.ibest[idx] = v;
           soa.has[idx] = 1;
-        } else if (a.func == AggFunc::kMin ? v < soa.ibest[idx]
-                                           : v > soa.ibest[idx]) {
-          soa.ibest[idx] = v;
         }
       } else {
         const double v = static_cast<const double*>(col.data)[rr];
-        if (soa.has[idx] == 0) {
+        const int c = CompareNumeric(v, soa.dbest[idx]);
+        if (soa.has[idx] == 0 || (a.func == AggFunc::kMin ? c < 0 : c > 0)) {
           soa.dbest[idx] = v;
           soa.has[idx] = 1;
-        } else if (a.func == AggFunc::kMin ? v < soa.dbest[idx]
-                                           : v > soa.dbest[idx]) {
-          soa.dbest[idx] = v;
         }
       }
       break;

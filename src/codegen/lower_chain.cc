@@ -253,17 +253,19 @@ std::string Emitter::EmitCompare(CompareOp op, const Operand& l,
   body_ << "      int " << t << " = 2;\n"
         << "      if (!((" << l.null << ") || (" << r.null << "))) {\n";
   if (l_num) {
-    if (l.kind == Operand::kI64 && r.kind == Operand::kI64) {
-      // Exact int64 ordering (Value::Compare fast path).
-      body_ << "        const long long a = (" << l.val << ");\n"
-            << "        const long long bv = (" << r.val << ");\n";
+    // The numeric order (CompareNumeric): exact int64, cg_cmp_f64 on two
+    // doubles, cg_cmp_i64_f64 (flipped when the double is on the left).
+    const bool li = l.kind == Operand::kI64, ri = r.kind == Operand::kI64;
+    body_ << "        const int c = ";
+    if (li && ri) {
+      body_ << "cg_cmp_i64(" << l.val << ", " << r.val << ");\n";
+    } else if (li || ri) {
+      body_ << (li ? "" : "-") << "cg_cmp_i64_f64("
+            << (li ? l.val : r.val) << ", " << (li ? r.val : l.val)
+            << ");\n";
     } else {
-      // Mixed numerics widen to double; the explicit three-way ordering
-      // reproduces CompareDoubles, where NaN compares equal to anything.
-      body_ << "        const double a = (double)(" << l.val << ");\n"
-            << "        const double bv = (double)(" << r.val << ");\n";
+      body_ << "cg_cmp_f64(" << l.val << ", " << r.val << ");\n";
     }
-    body_ << "        const int c = (a < bv) ? -1 : ((a > bv) ? 1 : 0);\n";
   } else if (l.kind == Operand::kStr) {
     need_strcmp_ = true;
     body_ << "        const int c = cg_strcmp(" << l.ptr << ", " << l.len
@@ -387,6 +389,25 @@ std::string Emitter::EmitPredicate(const Expr& e, int depth) {
 
 std::string Emitter::HelperSection() const {
   std::ostringstream out;
+  // CompareNumeric (types/value.h) verbatim: the numeric order of the
+  // compares and of the MIN/MAX folds.
+  out << "static inline int cg_cmp_i64(long long a, long long b) {\n"
+      << "  return a < b ? -1 : (a > b ? 1 : 0);\n"
+      << "}\n"
+      << "static inline int cg_cmp_f64(double a, double b) {\n"
+      << "  if (a < b) return -1;\n"
+      << "  if (a > b) return 1;\n"
+      << "  if (a == b) return 0;\n"
+      << "  return __builtin_isnan(a) - __builtin_isnan(b);\n"
+      << "}\n"
+      << "static inline int cg_cmp_i64_f64(long long a, double b) {\n"
+      << "  if (!(b >= -9223372036854775808.0)) return __builtin_isnan(b) "
+         "? -1 : 1;\n"
+      << "  if (b >= 9223372036854775808.0) return -1;\n"
+      << "  const long long t = (long long)b;\n"
+      << "  if (a != t) return a < t ? -1 : 1;\n"
+      << "  return cg_cmp_f64((double)t, b);\n"
+      << "}\n";
   if (need_strcmp_) {
     // std::string::compare semantics: memcmp over the common prefix,
     // then the length difference decides.
@@ -634,7 +655,7 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
   // bodies replicate Aggregator::AccumulateValue exactly: COUNT counts
   // non-null inputs (every row for '*'), SUM/AVG accumulate count +
   // int-sum + double-sum (int64) or count + double-sum (double), MIN/MAX
-  // adopt-then-raw-compare (NaN never replaces, matching OrderCompare).
+  // adopt-then-compare in the numeric order (a NaN is the largest).
   auto folds = [&](std::ostringstream& os, const std::string& ind) {
     for (size_t j = 0; j < terminal.aggs.size(); ++j) {
       const CgAggFold& a = terminal.aggs[j];
@@ -663,10 +684,13 @@ bool LowerChainWidened(const std::vector<ChainStage>& stages,
         case AggFunc::kMin:
         case AggFunc::kMax: {
           const char* cmp = a.func == AggFunc::kMin ? "<" : ">";
+          const char* order =
+              a.type == DataType::kDouble ? "cg_cmp_f64" : "cg_cmp_i64";
           os << ind << "if (!" << xn << ") { if (!a" << J
              << "h[g]) { a" << J << "b[g] = " << x << "; a" << J
-             << "h[g] = 1; } else if (" << x << " " << cmp << " a" << J
-             << "b[g]) a" << J << "b[g] = " << x << "; }\n";
+             << "h[g] = 1; } else if (" << order << "(" << x << ", a" << J
+             << "b[g]) " << cmp << " 0) a" << J << "b[g] = " << x
+             << "; }\n";
           break;
         }
       }

@@ -7,12 +7,12 @@
 //   * SQL 3VL encoded as int {0 = false, 1 = true, 2 = unknown}, with
 //     AND/OR short-circuiting per row exactly like TriAnd/TriOr folds
 //     (OR exits on the first TRUE disjunct).
-//   * Comparisons monomorphized on the columns' declared types: int64 ×
-//     int64 compares exactly; mixed numeric widens to double through the
-//     same ordering function as Value::CompareSlow (NaN compares equal
-//     to everything); strings via memcmp-then-length (std::string::
-//     compare); bool × bool as 0/1 ints; any other pairing — and any
-//     NULL operand — yields unknown.
+//   * Comparisons monomorphized on the columns' declared types: numbers
+//     in the numeric order, through emitted copies of CompareNumeric
+//     (types/value.h; exact int64 × double, NaN the largest number);
+//     strings via memcmp-then-length (std::string::compare); bool × bool
+//     as 0/1 ints; any other pairing — and any NULL operand — yields
+//     unknown.
 //   * LIKE mirrors LikeMatch's iterative '%'-backtracking byte for byte.
 //   * Arithmetic (+,-,*) preserves int64 on int64 × int64 and widens to
 //     double otherwise, NULL propagating. Division is deliberately NOT

@@ -64,9 +64,9 @@ inline uint64_t HashInt64Words(const int64_t* words, size_t n) {
 inline constexpr uint64_t kNullKeyHash = 0x7b4a5c8d9e2f1a6bULL;
 
 /// Converts `v` to its int64 key representation when it can structurally
-/// equal an int64 (int64 itself, or a double exactly representable as
-/// int64). Returns false for values that can never equal an int64 key;
-/// `*is_null` is set for NULL (`*key` is then 0).
+/// equal an int64: int64 itself, or a double with an Int64TwinOf. Returns
+/// false for values that can never equal an int64 key; `*is_null` is set
+/// for NULL (`*key` is then 0).
 inline bool Int64KeyOf(const Value& v, int64_t* key, bool* is_null) {
   *is_null = false;
   if (v.is_int64()) {
@@ -78,19 +78,7 @@ inline bool Int64KeyOf(const Value& v, int64_t* key, bool* is_null) {
     *key = 0;
     return true;
   }
-  if (v.is_double()) {
-    const double d = v.double_value();
-    // Guard the cast: int64 range is [-2^63, 2^63); 2^63 itself is not
-    // representable, so compare against the exact double bounds.
-    if (d >= -9223372036854775808.0 && d < 9223372036854775808.0) {
-      const int64_t i = static_cast<int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        *key = i;
-        return true;
-      }
-    }
-  }
-  return false;
+  return v.is_double() && Int64TwinOf(v.double_value(), key);
 }
 
 /// A key's values: `width` values of `vals`, read at `slots` when given.

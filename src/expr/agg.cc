@@ -151,8 +151,8 @@ void Aggregator::FoldInt64(int64_t v) {
     case AggFunc::kMin:
     case AggFunc::kMax:
       if (extreme_.is_int64()) {
-        const int64_t best = extreme_.int64_value();
-        if (spec_->func == AggFunc::kMin ? v < best : v > best) {
+        const int c = CompareNumeric(v, extreme_.int64_value());
+        if (spec_->func == AggFunc::kMin ? c < 0 : c > 0) {
           extreme_ = Value::Int64(v);
         }
         return;
@@ -174,11 +174,11 @@ void Aggregator::FoldDouble(double v) {
       return;
     case AggFunc::kMin:
     case AggFunc::kMax:
-      // Raw </> replicates OrderCompare's double fold exactly, NaN
-      // comparing equal included, because values arrive in row order.
+      // The numeric order, as AccumulateValue's OrderCompare: a NaN is
+      // the largest value, whatever the arrival order.
       if (extreme_.is_double()) {
-        const double best = extreme_.double_value();
-        if (spec_->func == AggFunc::kMin ? v < best : v > best) {
+        const int c = CompareNumeric(v, extreme_.double_value());
+        if (spec_->func == AggFunc::kMin ? c < 0 : c > 0) {
           extreme_ = Value::Double(v);
         }
         return;

@@ -105,20 +105,11 @@ struct StrConst {
 
 // ----------------------------------------------------------- compare
 // Normalized three-way comparison (-1/0/1) matching Value semantics:
-// exact on int64×int64, total-order double comparison after widening
-// (NaN compares equal to everything), lexicographic on strings.
+// numbers in the numeric order (CompareNumeric), strings lexicographic.
 
-inline int CmpElem(double a, double b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-inline int CmpElem(int64_t a, int64_t b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-inline int CmpElem(int64_t a, double b) {
-  return CmpElem(static_cast<double>(a), b);
-}
-inline int CmpElem(double a, int64_t b) {
-  return CmpElem(a, static_cast<double>(b));
+template <typename A, typename B>
+inline int CmpElem(A a, B b) {
+  return CompareNumeric(a, b);
 }
 inline int CmpElem(std::string_view a, std::string_view b) {
   const int c = a.compare(b);

@@ -2,11 +2,10 @@
 // once per batch on (operator, column type) and then run tight loops over
 // raw column data + null bitmaps, instead of per-value std::variant
 // dispatch through Value::Compare. Semantics replicate the Value paths
-// bit for bit: SQL 3VL (NULL operand → Unknown), exact int64×int64
-// comparison, cross-numeric comparison after widening to double with the
-// engine's total-order double comparator (NaN compares equal), string
-// comparison by std::string::compare, bool as 0/1 ints, and mismatched
-// non-numeric types → Unknown.
+// bit for bit: SQL 3VL (NULL operand → Unknown), numbers in the numeric
+// order (CompareNumeric, types/value.h), string comparison by
+// std::string::compare, bool as 0/1 ints, and mismatched non-numeric
+// types → Unknown.
 //
 // Every kernel is a *try*: it applies only when both operands resolve to
 // a typed column of the batch (RowBatch::columns()) or a batch-constant.

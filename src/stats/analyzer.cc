@@ -14,11 +14,10 @@ namespace bypass {
 namespace {
 
 // One-pass statistics over a typed column: raw data + null bitmap, no Row
-// or Value materialization. The per-type hash expressions replicate
-// Value::Hash exactly (int64 via its double representation, doubles with
-// ±0 normalized) so the HLL estimates are identical to a row-based pass,
-// and the sequential raw min/max folds replicate OrderCompare (including
-// its NaN-compares-equal double behaviour).
+// or Value materialization. Numbers hash with HashNumeric, as Value::Hash
+// does, so the HLL estimates are identical to a row-based pass, and the
+// min/max folds use the numeric order, as OrderCompare does (a NaN is the
+// max).
 void AnalyzeTypedColumn(const ColumnVector& col, HyperLogLog* sketch,
                         std::vector<double>* numeric_values,
                         ColumnStatistics* out) {
@@ -34,14 +33,13 @@ void AnalyzeTypedColumn(const ColumnVector& col, HyperLogLog* sketch,
           continue;
         }
         const int64_t v = data[i];
-        sketch->Add(static_cast<uint64_t>(
-            std::hash<double>()(static_cast<double>(v))));
+        sketch->Add(static_cast<uint64_t>(HashNumeric(v)));
         if (!has) {
           has = true;
           mn = mx = v;
         } else {
-          if (v < mn) mn = v;
-          if (v > mx) mx = v;
+          if (CompareNumeric(v, mn) < 0) mn = v;
+          if (CompareNumeric(v, mx) > 0) mx = v;
         }
         numeric_values->push_back(static_cast<double>(v));
       }
@@ -61,14 +59,13 @@ void AnalyzeTypedColumn(const ColumnVector& col, HyperLogLog* sketch,
           continue;
         }
         const double v = data[i];
-        sketch->Add(static_cast<uint64_t>(
-            std::hash<double>()(v == 0.0 ? 0.0 : v)));
+        sketch->Add(static_cast<uint64_t>(HashNumeric(v)));
         if (!has) {
           has = true;
           mn = mx = v;
         } else {
-          if (v < mn) mn = v;
-          if (v > mx) mx = v;
+          if (CompareNumeric(v, mn) < 0) mn = v;
+          if (CompareNumeric(v, mx) > 0) mx = v;
         }
         numeric_values->push_back(v);
       }

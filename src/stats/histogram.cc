@@ -9,8 +9,9 @@ namespace bypass {
 EquiDepthHistogram EquiDepthHistogram::Build(std::vector<double> values,
                                              int max_buckets) {
   EquiDepthHistogram h;
-  // NaN has no place in the order (and breaks std::sort's): count it
-  // apart and bucket the rest.
+  // NaN, the largest number, would leave the last bucket with no finite
+  // bound to interpolate on: count it apart and bucket the rest. Without
+  // NaN, `<` and `==` are the numeric order (-0.0 ties 0.0).
   const auto nans = std::remove_if(values.begin(), values.end(),
                                    [](double v) { return std::isnan(v); });
   h.nan_count_ = values.end() - nans;

@@ -97,7 +97,7 @@ std::optional<double> LazySelectivity(const ColumnStatistics& column,
   }
   const double lo = column.min.AsDouble();
   const double hi = column.max.AsDouble();
-  if (hi <= lo) return std::nullopt;
+  if (!(hi > lo)) return std::nullopt;  // also a NaN bound: no range
   const double below =
       std::clamp((value.AsDouble() - lo) / (hi - lo), 0.0, 1.0);
   switch (op) {

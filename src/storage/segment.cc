@@ -1,7 +1,6 @@
 #include "storage/segment.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <string_view>
 
@@ -9,9 +8,17 @@ namespace bypass {
 
 namespace {
 
+/// Value::OrderCompare within one dynamic type: native `<` (for int64 it
+/// is the numeric order), and the numeric order for doubles.
+template <typename T>
+bool Below(T a, T b) {
+  return a < b;
+}
+bool Below(double a, double b) { return CompareNumeric(a, b) < 0; }
+
 /// Folds the non-NULL values of rows [begin, end) into `zone`'s min/max.
-/// T's native `<` matches Value::OrderCompare within one dynamic type, and
-/// the first of equal values is kept (so -0.0 and 0.0 stay as stored).
+/// The first of equal values is kept (so -0.0 and 0.0 stay as stored); a
+/// NaN, the largest number, is the max of any segment holding one.
 template <typename T, typename At, typename Make>
 void TrackRange(const ColumnVector& col, size_t begin, size_t end, At at,
                 Make make, ColumnZone* zone) {
@@ -23,9 +30,9 @@ void TrackRange(const ColumnVector& col, size_t begin, size_t end, At at,
     if (!any) {
       lo = hi = v;
       any = true;
-    } else if (v < lo) {
+    } else if (Below(v, lo)) {
       lo = v;
-    } else if (hi < v) {
+    } else if (Below(hi, v)) {
       hi = v;
     }
   }
@@ -53,13 +60,6 @@ ColumnZone BuildZone(const ColumnVector& col, size_t begin, size_t end) {
           Value::Int64, &zone);
       break;
     case DataType::kDouble:
-      // NaN makes double min/max ordering unreliable for range proofs.
-      for (size_t i = begin; i < end; ++i) {
-        if (!col.IsNull(i) && std::isnan(col.f64_data()[i])) {
-          zone.untracked = true;
-          return zone;
-        }
-      }
       TrackRange<double>(
           col, begin, end, [&](size_t i) { return col.f64_data()[i]; },
           Value::Double, &zone);

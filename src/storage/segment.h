@@ -30,8 +30,8 @@ struct TableSegments {
 };
 
 /// Builds the zone maps of every `rows_per_segment`-row range of `store`.
-/// Zones of mixed-mode columns, and of double segments holding a NaN, are
-/// `untracked`: they carry a null count but no min/max.
+/// Zones of mixed-mode columns are `untracked`: they carry a null count
+/// but no min/max.
 TableSegments BuildTableSegments(const ColumnStore& store,
                                  size_t rows_per_segment);
 

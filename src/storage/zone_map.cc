@@ -68,7 +68,7 @@ ZoneMatch TestIsNull(const IsNullExpr& expr, const SegmentMeta& meta) {
   if (col->is_outer()) return ZoneMatch::kSome;
   const ColumnZone* zone = ZoneForSlot(meta, col->slot());
   if (zone == nullptr) return ZoneMatch::kSome;
-  // null_count is exact even for untracked (mixed-mode / NaN) columns;
+  // null_count is exact even for untracked (mixed-mode) columns;
   // only min/max claims are suspended there.
   const int64_t rows = static_cast<int64_t>(meta.row_count);
   const int64_t nulls =

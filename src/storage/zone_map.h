@@ -21,9 +21,10 @@ class Expr;
 
 /// Zone of one column over one segment. `min`/`max` summarize the
 /// non-NULL values (NULL Values when the segment has none). `untracked`
-/// marks columns the builder makes no claims about (mixed-mode storage,
-/// or double segments containing NaN, whose min/max ordering is partial);
-/// every zone test treats an untracked column as "may be anything".
+/// marks columns the builder makes no claims about (mixed-mode storage);
+/// every zone test treats an untracked column as "may be anything". The
+/// bounds are in Value::Compare's order, so a NaN is a double segment's
+/// max.
 struct ColumnZone {
   Value min;
   Value max;

@@ -1,7 +1,6 @@
 #include "types/row.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace bypass {
 
@@ -77,34 +76,9 @@ bool RowKeyEq::RowSlotsEqualKey(const RowSlotsRef& ref, const Row& key) {
   return true;
 }
 
-namespace {
-
-bool IsNaN(const Value& v) {
-  return v.is_double() && std::isnan(v.double_value());
-}
-
-/// OrderCompare with NaN above every other number and all NaNs tied:
-/// unlike OrderCompare (NaN ties every double), a strict weak order.
-int SortCompare(const Value& a, const Value& b) {
-  const bool a_nan = IsNaN(a), b_nan = IsNaN(b);
-  if (a_nan && b_nan) return 0;
-  if (a_nan && b.is_numeric()) return 1;
-  if (b_nan && a.is_numeric()) return -1;
-  return a.OrderCompare(b);
-}
-
-}  // namespace
-
 bool RowMultisetsEqual(std::vector<Row> a, std::vector<Row> b) {
   if (a.size() != b.size()) return false;
-  auto cmp = [](const Row& x, const Row& y) {
-    const size_t n = std::min(x.size(), y.size());
-    for (size_t i = 0; i < n; ++i) {
-      const int c = SortCompare(x[i], y[i]);
-      if (c != 0) return c < 0;
-    }
-    return x.size() < y.size();
-  };
+  auto cmp = [](const Row& x, const Row& y) { return CompareRows(x, y) < 0; };
   std::sort(a.begin(), a.end(), cmp);
   std::sort(b.begin(), b.end(), cmp);
   for (size_t i = 0; i < a.size(); ++i) {

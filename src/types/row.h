@@ -38,7 +38,7 @@ bool RowSlotsEqual(const Row& a, const Row& b,
 
 /// True iff `a` and `b` contain the same rows with the same multiplicities
 /// (order-insensitive), rows compared with RowsStructurallyEqual after
-/// sorting both in a strict weak order (NaN above every other number).
+/// sorting both with CompareRows.
 /// The workhorse assertion of the equivalence tests.
 bool RowMultisetsEqual(std::vector<Row> a, std::vector<Row> b);
 

@@ -1,7 +1,5 @@
 #include "types/value.h"
 
-#include <cmath>
-#include <functional>
 #include <sstream>
 
 #include "common/check.h"
@@ -92,35 +90,14 @@ DataType Value::type() const {
 
 namespace {
 
-TriBool FromOrdering(CompareOp op, int cmp) {
-  bool result = false;
-  switch (op) {
-    case CompareOp::kEq:
-      result = cmp == 0;
-      break;
-    case CompareOp::kNe:
-      result = cmp != 0;
-      break;
-    case CompareOp::kLt:
-      result = cmp < 0;
-      break;
-    case CompareOp::kLe:
-      result = cmp <= 0;
-      break;
-    case CompareOp::kGt:
-      result = cmp > 0;
-      break;
-    case CompareOp::kGe:
-      result = cmp >= 0;
-      break;
+// The numeric order over two numeric Values.
+int CompareNumbers(const Value& a, const Value& b) {
+  if (a.is_int64()) {
+    return b.is_int64() ? CompareNumeric(a.int64_value(), b.int64_value())
+                        : CompareNumeric(a.int64_value(), b.double_value());
   }
-  return result ? TriBool::kTrue : TriBool::kFalse;
-}
-
-int CompareDoubles(double a, double b) {
-  if (a < b) return -1;
-  if (a > b) return 1;
-  return 0;
+  return b.is_int64() ? CompareNumeric(a.double_value(), b.int64_value())
+                      : CompareNumeric(a.double_value(), b.double_value());
 }
 
 }  // namespace
@@ -129,14 +106,14 @@ int CompareDoubles(double a, double b) {
 TriBool Value::CompareSlow(CompareOp op, const Value& other) const {
   if (is_null() || other.is_null()) return TriBool::kUnknown;
   if (is_numeric() && other.is_numeric()) {
-    return FromOrdering(op, CompareDoubles(AsDouble(), other.AsDouble()));
+    return OrderingToTriBool(op, CompareNumbers(*this, other));
   }
   if (is_string() && other.is_string()) {
-    return FromOrdering(op, string_value().compare(other.string_value()));
+    return OrderingToTriBool(op, string_value().compare(other.string_value()));
   }
   if (is_bool() && other.is_bool()) {
     const int a = bool_value() ? 1 : 0, b = other.bool_value() ? 1 : 0;
-    return FromOrdering(op, a - b);
+    return OrderingToTriBool(op, a - b);
   }
   // Type mismatch: SQL would reject at bind time; be permissive at runtime.
   return TriBool::kUnknown;
@@ -159,9 +136,7 @@ int Value::OrderCompareSlow(const Value& other) const {
     const int a = bool_value() ? 1 : 0, b = other.bool_value() ? 1 : 0;
     return a - b;
   }
-  if (is_numeric()) {
-    return CompareDoubles(AsDouble(), other.AsDouble());
-  }
+  if (is_numeric()) return CompareNumbers(*this, other);
   const int c = string_value().compare(other.string_value());
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
@@ -169,15 +144,8 @@ int Value::OrderCompareSlow(const Value& other) const {
 size_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
   if (is_bool()) return bool_value() ? 0x1234567 : 0x7654321;
-  if (is_int64()) {
-    // Hash int64 via its double representation when it is exactly
-    // representable, so that 1 and 1.0 hash alike (they compare equal).
-    return std::hash<double>()(static_cast<double>(int64_value()));
-  }
-  if (is_double()) {
-    const double d = double_value();
-    return std::hash<double>()(d == 0.0 ? 0.0 : d);
-  }
+  if (is_int64()) return HashNumeric(int64_value());
+  if (is_double()) return HashNumeric(double_value());
   return std::hash<std::string>()(string_value());
 }
 

@@ -3,7 +3,10 @@
 #ifndef BYPASSDB_TYPES_VALUE_H_
 #define BYPASSDB_TYPES_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <variant>
@@ -56,6 +59,62 @@ CompareOp FlipCompareOp(CompareOp op);
 /// The operator θ' such that (a θ' b) == NOT (a θ b) under two-valued logic.
 CompareOp NegateCompareOp(CompareOp op);
 
+// The numeric order: the one rule for how two numbers compare (DESIGN.md
+// §3). Every comparison, hash, fold, index, zone and sort reaches numbers
+// only through these functions.
+//   * int64 × int64 is exact.
+//   * int64 × double is exact, with no widening: 2^53 + 1 > 2^53.0.
+//   * double × double follows PostgreSQL: -0.0 = 0.0, NaN = NaN, and NaN
+//     sorts above every number, +inf included.
+
+/// True when `d` equals an int64 exactly (its "twin", stored in `*out`):
+/// integral and in [-2^63, 2^63). -0.0's twin is 0; NaN and ±inf have none.
+inline bool Int64TwinOf(double d, int64_t* out) {
+  // 2^63 itself is not an int64, so the bounds are the exact doubles.
+  if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0)) {
+    return false;
+  }
+  const int64_t i = static_cast<int64_t>(d);
+  if (static_cast<double>(i) != d) return false;
+  *out = i;
+  return true;
+}
+
+/// Three-way numeric order (<0, 0, >0); see above.
+inline int CompareNumeric(int64_t a, int64_t b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+inline int CompareNumeric(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  if (a == b) return 0;
+  // Unordered: at least one NaN, and NaN is the largest number.
+  return static_cast<int>(std::isnan(a)) - static_cast<int>(std::isnan(b));
+}
+inline int CompareNumeric(int64_t a, double b) {
+  if (!(b >= -9223372036854775808.0)) return std::isnan(b) ? -1 : 1;
+  if (b >= 9223372036854775808.0) return -1;
+  // b truncates to an int64 t, exactly representable as a double, so
+  // comparing a to t and then t to b decides exactly.
+  const int64_t t = static_cast<int64_t>(b);
+  if (a != t) return a < t ? -1 : 1;
+  return CompareNumeric(static_cast<double>(t), b);
+}
+inline int CompareNumeric(double a, int64_t b) {
+  return -CompareNumeric(b, a);
+}
+
+/// Hash of a number, equal for numbers the order calls equal: ±0.0 hash
+/// as 0.0, every NaN alike, and an int64 hashes as its double.
+inline size_t HashNumeric(double d) {
+  if (d == 0.0) d = 0.0;
+  if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
+  return std::hash<double>()(d);
+}
+inline size_t HashNumeric(int64_t i) {
+  return HashNumeric(static_cast<double>(i));
+}
+
 /// A single SQL datum: NULL or a typed value.
 class Value {
  public:
@@ -93,25 +152,26 @@ class Value {
   /// The dynamic type; invalid to call on NULL.
   DataType type() const;
 
-  /// SQL comparison: NULL operands yield Unknown; numeric types compare
-  /// after widening; mismatched non-numeric types yield Unknown.
+  /// SQL comparison: NULL operands yield Unknown; numbers compare in the
+  /// numeric order; mismatched non-numeric types yield Unknown.
   /// The all-int64 case is inlined: it dominates comparison traffic in
   /// filters, join probes, and grouping.
   TriBool Compare(CompareOp op, const Value& other) const {
     if (const int64_t* a = std::get_if<int64_t>(&rep_)) {
       if (const int64_t* b = std::get_if<int64_t>(&other.rep_)) {
-        return OrderingToTriBool(op, *a < *b ? -1 : (*a > *b ? 1 : 0));
+        return OrderingToTriBool(op, CompareNumeric(*a, *b));
       }
     }
     return CompareSlow(op, other);
   }
 
   /// Total order used for sorting and grouping keys: NULL sorts first and
-  /// equals NULL (unlike SQL comparison). Returns <0, 0, >0.
+  /// equals NULL (unlike SQL comparison), then bool < number < string,
+  /// numbers in the numeric order. Returns <0, 0, >0.
   int OrderCompare(const Value& other) const {
     if (const int64_t* a = std::get_if<int64_t>(&rep_)) {
       if (const int64_t* b = std::get_if<int64_t>(&other.rep_)) {
-        return *a < *b ? -1 : (*a > *b ? 1 : 0);
+        return CompareNumeric(*a, *b);
       }
     }
     return OrderCompareSlow(other);

@@ -29,8 +29,9 @@ using testing_util::LoadSmallRst;
 
 // Predicate shapes the lowering must monomorphize: comparisons over
 // int64 under 3VL NULLs, AND/OR/NOT nesting, IS [NOT] NULL, arithmetic
-// (+,-,*; division stays interpreted), and a scalar-subquery disjunct so
-// bypass plans appear. Values live in [0, 6].
+// (+,-,*; division stays interpreted), a scalar-subquery disjunct so
+// bypass plans appear, and a grouping with MIN/MAX folds. Values live in
+// [0, 6].
 const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4",
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 "
@@ -40,6 +41,7 @@ const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 + a2 > 6 OR a3 * 2 = a4 "
     "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
     "SELECT * FROM r WHERE a1 - 1 <= a2 OR a4 > 5",
+    "SELECT a1, MAX(a2), MIN(a2), COUNT(a2) FROM r GROUP BY a1",
 };
 
 QueryOptions CodegenOptions(size_t batch_size = 1024, int num_threads = 1) {
@@ -98,13 +100,18 @@ void ExpectCompiledAgrees(Database* db, const std::string& sql,
 class CodegenDifferential
     : public ::testing::TestWithParam<std::tuple<size_t, double>> {};
 
+// Once more with a2 a DOUBLE column of NaN, -0.0, ±inf and integral
+// doubles: the emitted compares (double × double, int64 × double) and
+// MIN/MAX folds must follow the numeric order as the interpreter does.
 TEST_P(CodegenDifferential, MatchesInterpreterOnRst) {
   const auto [batch_size, null_fraction] = GetParam();
-  Database db;
-  LoadSmallRst(&db, 91, 60, 30, 15, null_fraction);
-  REQUIRE_CODEGEN(db);
-  for (const char* sql : kCodegenQueries) {
-    ExpectCompiledAgrees(&db, sql, CodegenOptions(batch_size));
+  for (bool special_doubles : {false, true}) {
+    Database db;
+    LoadSmallRst(&db, 91, 60, 30, 15, null_fraction, 6, "", special_doubles);
+    REQUIRE_CODEGEN(db);
+    for (const char* sql : kCodegenQueries) {
+      ExpectCompiledAgrees(&db, sql, CodegenOptions(batch_size));
+    }
   }
 }
 

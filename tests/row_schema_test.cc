@@ -65,9 +65,9 @@ TEST(RowTest, MultisetEqualityWithNulls) {
   EXPECT_TRUE(RowMultisetsEqual(a, b));
 }
 
-// OrderCompare ties NaN with every double, which is not a strict weak
-// order; the multiset sort puts NaN above every other number, so every
-// permutation of NaN-bearing rows compares equal to the original.
+// OrderCompare puts NaN above every other number and ties all NaNs, a
+// strict weak order, so every permutation of NaN-bearing rows compares
+// equal to the original.
 TEST(RowTest, MultisetEqualityHoldsForPermutedNaNRows) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<Row> rows;

@@ -168,9 +168,9 @@ TEST(StorageZoneMap, UntrackedColumnIsConservative) {
 // --- Zone index builder --------------------------------------------------
 
 /// Checks every zone of `table`'s segment index against a brute-force pass
-/// over the table's rows: NULL count, min/max over the non-NULL values (the
-/// first of equal values kept), and `untracked` for mixed-mode columns and
-/// NaN-bearing double segments.
+/// over the table's rows: NULL count, min/max over the non-NULL values in
+/// OrderCompare's order (the first of equal values kept, a NaN the largest
+/// number), and `untracked` for mixed-mode columns.
 void ExpectZonesMatchBruteForce(const Table& table) {
   const TableSegments& segs = table.segments();
   const std::vector<Row> data = TableRows(table);
@@ -191,9 +191,6 @@ void ExpectZonesMatchBruteForce(const Table& table) {
         if (v.is_null()) {
           ++want.null_count;
           continue;
-        }
-        if (v.is_double() && std::isnan(v.double_value())) {
-          want.untracked = true;
         }
         if (!any) {
           want.min = v;
@@ -266,7 +263,8 @@ TEST(StorageZoneIndex, ZonesMatchBruteForce) {
   }
   ExpectZonesMatchBruteForce(table);
   // The fixture reaches every case the builder distinguishes.
-  EXPECT_TRUE(segs.segments[0].zones[2].untracked);  // NaN
+  EXPECT_FALSE(segs.segments[0].zones[2].untracked);  // NaN is the max
+  EXPECT_TRUE(std::isnan(segs.segments[0].zones[2].max.double_value()));
   EXPECT_EQ(segs.segments[1].zones[2].min.double_value(), 0.0);
   EXPECT_TRUE(std::signbit(segs.segments[1].zones[2].min.double_value()));
   EXPECT_TRUE(segs.segments[0].zones[4].untracked);  // mixed mode
@@ -566,8 +564,9 @@ TEST(StorageZoneSkip, LongSharedPrefixStringsSkipByFullValue) {
 
 TEST(StorageZoneSkip, UntrackedSegmentsAreNeverSkipped) {
   // d is clustered: segment k holds doubles in [k, k + 1), and segment 0
-  // opens with a NaN, so its zone is untracked. m is a declared-double
-  // column fed int64s in even rows (mixed mode): every zone untracked.
+  // opens with a NaN, so its zone is tracked with max NaN (the largest
+  // number). m is a declared-double column fed int64s in even rows (mixed
+  // mode): every zone untracked.
   Database db;
   Schema schema;
   schema.AddColumn({"d", DataType::kDouble, ""});
@@ -586,7 +585,10 @@ TEST(StorageZoneSkip, UntrackedSegmentsAreNeverSkipped) {
   }
   ASSERT_TRUE((*table)->AppendUnchecked(std::move(rows)).ok());
   (*table)->set_segment_rows(128);
-  ASSERT_TRUE((*table)->segments().segments[0].zones[0].untracked);
+  ASSERT_FALSE((*table)->segments().segments[0].zones[0].untracked);
+  ASSERT_TRUE(std::isnan(
+      (*table)->segments().segments[0].zones[0].max.double_value()));
+  ASSERT_TRUE((*table)->segments().segments[0].zones[1].untracked);
   ASSERT_FALSE((*table)->segments().segments[1].zones[0].untracked);
 
   QueryOptions zones_off;
@@ -596,8 +598,8 @@ TEST(StorageZoneSkip, UntrackedSegmentsAreNeverSkipped) {
     int64_t skipped;
   };
   // d < 0.5 may only be true in segment 0, which must still be scanned;
-  // d >= 7.0 scans segment 7 and the untracked segment 0; no zone of m
-  // proves anything.
+  // d >= 7.0 scans segment 7 and segment 0, whose NaN is >= 7.0; no zone
+  // of m proves anything.
   for (const Case& c : {Case{"d < 0.5", 7}, Case{"d >= 7.0", 6},
                         Case{"m < 10", 0}, Case{"m = 4", 0}}) {
     const std::string sql =

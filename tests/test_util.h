@@ -4,6 +4,7 @@
 #define BYPASSDB_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,18 +81,36 @@ inline std::vector<Row> TableRows(const Table& table) {
 /// that empty groups, multi-row groups, and duplicate outer rows all
 /// occur. `null_fraction` is the chance that any one value, in any of the
 /// four columns, is NULL. Values are drawn from [0, max_value]; `suffix`
-/// renames the tables (r<suffix>, s<suffix>, t<suffix>).
+/// renames the tables (r<suffix>, s<suffix>, t<suffix>). With
+/// `special_doubles`, column 2 (a2, b2, c2, the correlation keys) is a
+/// DOUBLE column drawn from NaN, -0.0, 0.0, ±inf and the integral doubles
+/// of the domain.
 inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
                          int rows_s, int rows_t,
                          double null_fraction = 0.0,
                          int64_t max_value = 6,
-                         const std::string& suffix = "") {
+                         const std::string& suffix = "",
+                         bool special_doubles = false) {
   Rng rng(seed);
+  const double kSpecials[] = {std::numeric_limits<double>::quiet_NaN(),
+                              -0.0, 0.0,
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
   auto load = [&](const std::string& name, char prefix, int rows) {
     if (db->catalog()->HasTable(name)) {
       ASSERT_TRUE(db->catalog()->DropTable(name).ok());
     }
-    auto table = db->CreateTable(name, RstTableSchema(prefix));
+    Schema schema = RstTableSchema(prefix);
+    if (special_doubles) {
+      Schema with_double;
+      for (int c = 0; c < schema.num_columns(); ++c) {
+        ColumnDef def = schema.column(c);
+        if (c == 1) def.type = DataType::kDouble;
+        with_double.AddColumn(def);
+      }
+      schema = std::move(with_double);
+    }
+    auto table = db->CreateTable(name, std::move(schema));
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     std::vector<Row> data;
     for (int i = 0; i < rows; ++i) {
@@ -99,6 +118,11 @@ inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
       for (int c = 1; c <= 4; ++c) {
         if (null_fraction > 0 && rng.Bernoulli(null_fraction)) {
           row.push_back(Value::Null());
+        } else if (special_doubles && c == 2) {
+          const int64_t pick = rng.UniformInt(0, max_value + 5);
+          row.push_back(Value::Double(
+              pick <= max_value ? static_cast<double>(pick)
+                                : kSpecials[pick - max_value - 1]));
         } else {
           // Tight domains by default: lots of duplicates and group
           // collisions.
