@@ -5,12 +5,6 @@
 
 namespace bypass {
 
-namespace {
-/// (key row, arrival index) pairs — aliased so the comma survives the
-/// ASSIGN_OR_RETURN macro.
-using KeyedRows = std::vector<std::pair<Row, size_t>>;
-}  // namespace
-
 Status SortPhysOp::Prepare(ExecContext* ctx) {
   BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
   partials_.resize(static_cast<size_t>(ctx->run().num_worker_slots()));
@@ -26,45 +20,28 @@ void SortPhysOp::Reset() {
 }
 
 int SortPhysOp::CompareKeys(const Row& a, const Row& b) const {
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    const int c = a[i].OrderCompare(b[i]);
-    if (c != 0) return keys_[i].descending ? -c : c;
+  for (const PhysSortKey& k : keys_) {
+    const size_t slot = static_cast<size_t>(k.slot);
+    const int c = a[slot].OrderCompare(b[slot]);
+    if (c != 0) return k.descending ? -c : c;
   }
   return 0;
 }
 
-Result<std::vector<std::pair<Row, size_t>>> SortPhysOp::SortKeyed(
-    const std::vector<Row>& rows) const {
-  // Precompute key rows so the comparator never fails mid-sort.
-  std::vector<std::pair<Row, size_t>> keyed;
-  keyed.reserve(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    EvalContext ectx{&rows[i], ctx_->outer_row()};
-    Row key;
-    key.reserve(keys_.size());
-    for (const PhysSortKey& k : keys_) {
-      BYPASS_ASSIGN_OR_RETURN(Value v, k.expr->Eval(ectx));
-      key.push_back(std::move(v));
-    }
-    keyed.emplace_back(std::move(key), i);
-  }
-  std::stable_sort(keyed.begin(), keyed.end(),
-                   [this](const auto& a, const auto& b) {
-                     const int c = CompareKeys(a.first, b.first);
-                     if (c != 0) return c < 0;
-                     return a.second < b.second;
+void SortPhysOp::SortRows(std::vector<Row>* rows) const {
+  std::stable_sort(rows->begin(), rows->end(),
+                   [this](const Row& a, const Row& b) {
+                     return CompareKeys(a, b) < 0;
                    });
-  return keyed;
 }
 
 Status SortPhysOp::SpillRun(Partial* partial) {
   if (partial->rows.empty()) return Status::OK();
-  BYPASS_ASSIGN_OR_RETURN(KeyedRows keyed, SortKeyed(partial->rows));
+  SortRows(&partial->rows);
   BYPASS_ASSIGN_OR_RETURN(std::unique_ptr<SpillFile> run,
                           ctx_->run().spill->NewFile("sortrun"));
-  for (const auto& [key, idx] : keyed) {
-    BYPASS_RETURN_IF_ERROR(
-        run->AppendRow(ConcatRows(key, partial->rows[idx])));
+  for (const Row& row : partial->rows) {
+    BYPASS_RETURN_IF_ERROR(run->AppendRow(row));
   }
   BYPASS_RETURN_IF_ERROR(run->FinishWrite());
   ExecStats& stats = ctx_->run().stats();
@@ -108,14 +85,12 @@ Status SortPhysOp::EmitSorted(Row row, std::vector<Row>* chunk) {
   return Emit(kPortOut, RowBatch::FromRows(std::exchange(*chunk, {})));
 }
 
-Status SortPhysOp::MergeRuns(
-    std::vector<std::unique_ptr<SpillFile>> runs,
-    std::vector<Row>* buffer,
-    std::vector<std::pair<Row, size_t>>* keyed,
-    std::vector<Row>* chunk) {
-  // One cursor per run holding its current key ++ payload record; the
-  // sorted in-memory remainder joins the merge as the last stream, so
-  // cross-stream key ties resolve run-first in spill order.
+Status SortPhysOp::MergeRuns(std::vector<std::unique_ptr<SpillFile>> runs,
+                             std::vector<Row>* sorted,
+                             std::vector<Row>* chunk) {
+  // One cursor per run holding its current row; the sorted in-memory
+  // remainder joins the merge as the last stream, so cross-stream key
+  // ties resolve run-first in spill order.
   struct Cursor {
     SpillFile* file;
     Row current;
@@ -130,38 +105,26 @@ Status SortPhysOp::MergeRuns(
     c.done = !more;
     cursors.push_back(std::move(c));
   }
-  const size_t key_width = keys_.size();
-  size_t rest = 0;  // next unconsumed entry of the sorted remainder
+  size_t rest = 0;  // next unconsumed row of the sorted remainder
   while (true) {
     // Linear min-scan (run counts are small: one per budget-full of
     // input per worker); ties keep the earliest stream.
-    int best = -1;
-    for (size_t s = 0; s < cursors.size(); ++s) {
-      if (cursors[s].done) continue;
-      if (best < 0 || CompareKeys(cursors[s].current,
-                                  cursors[static_cast<size_t>(best)]
-                                      .current) < 0) {
-        best = static_cast<int>(s);
+    Cursor* best = nullptr;
+    for (Cursor& c : cursors) {
+      if (!c.done && (best == nullptr ||
+                      CompareKeys(c.current, best->current) < 0)) {
+        best = &c;
       }
     }
-    const bool rest_left = rest < keyed->size();
-    if (best < 0 && !rest_left) break;
-    if (best >= 0 &&
-        (!rest_left ||
-         CompareKeys(cursors[static_cast<size_t>(best)].current,
-                     (*keyed)[rest].first) <= 0)) {
-      Cursor& c = cursors[static_cast<size_t>(best)];
-      Row out;
-      out.reserve(c.current.size() - key_width);
-      for (size_t i = key_width; i < c.current.size(); ++i) {
-        out.push_back(std::move(c.current[i]));
-      }
-      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move(out), chunk));
-      BYPASS_ASSIGN_OR_RETURN(bool more, c.file->ReadRow(&c.current));
-      c.done = !more;
+    const bool rest_left = rest < sorted->size();
+    if (best == nullptr && !rest_left) break;
+    if (best != nullptr &&
+        (!rest_left || CompareKeys(best->current, (*sorted)[rest]) <= 0)) {
+      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move(best->current), chunk));
+      BYPASS_ASSIGN_OR_RETURN(bool more, best->file->ReadRow(&best->current));
+      best->done = !more;
     } else {
-      BYPASS_RETURN_IF_ERROR(
-          EmitSorted(std::move((*buffer)[(*keyed)[rest].second]), chunk));
+      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move((*sorted)[rest]), chunk));
       ++rest;
     }
   }
@@ -199,11 +162,11 @@ Status SortPhysOp::FinishPort(int) {
     }
     p.rows.clear();
   }
-  BYPASS_ASSIGN_OR_RETURN(KeyedRows keyed, SortKeyed(buffer));
+  SortRows(&buffer);
   // Without runs the merge streams the sorted remainder alone. Every
   // buffered row has left once it returns, so the buffer's charge goes.
   std::vector<Row> chunk;
-  BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &keyed, &chunk));
+  BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &chunk));
   ctx_->run().ReleaseMemory(charged);
   BYPASS_RETURN_IF_ERROR(Emit(kPortOut, RowBatch::FromRows(std::move(chunk))));
   return EmitFinish(kPortOut);

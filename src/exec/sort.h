@@ -4,9 +4,13 @@
 // stability ties are broken by post-merge arrival order, which is
 // scheduling-dependent under parallelism (equal keys only).
 //
+// Keys are slots of the input row: the translator computes any other
+// ORDER BY expression into a column (χ) below the sort and drops it (Π)
+// above, so the sort compares the buffered rows where they stand.
+//
 // Out-of-core: with a memory budget and a spill manager on the context,
 // a worker whose buffer cannot be charged sorts it into a run file
-// (records are key ++ payload, already in key order) and keeps going;
+// (records are the payload rows, already in key order) and keeps going;
 // the finish phase then streams a k-way merge of all runs plus the
 // sorted in-memory remainder. Ties across streams break by run ordinal
 // (worker, then spill order) before the remainder, so serial spilled
@@ -23,14 +27,13 @@
 #include <vector>
 
 #include "exec/phys_op.h"
-#include "expr/expr.h"
 #include "storage/spill.h"
 
 namespace bypass {
 
-/// A bound sort key.
+/// A bound sort key: a slot of the sort's input row.
 struct PhysSortKey {
-  ExprPtr expr;
+  int slot = 0;
   bool descending = false;
 };
 
@@ -52,25 +55,21 @@ class SortPhysOp : public UnaryPhysOp {
     std::vector<std::unique_ptr<SpillFile>> runs;
   };
 
-  /// Evaluates the sort keys of `rows` and sorts (key, index) pairs with
-  /// the key comparator, ties by index (= arrival order within `rows`).
-  Result<std::vector<std::pair<Row, size_t>>> SortKeyed(
-      const std::vector<Row>& rows) const;
-
-  /// -1 / 0 / +1 of the key rows under the sort direction flags.
+  /// -1 / 0 / +1 of two input rows at the key slots under the sort
+  /// direction flags.
   int CompareKeys(const Row& a, const Row& b) const;
 
-  /// Sorts the worker's buffered rows into a new run file (records are
-  /// the key row concatenated with the payload row) and releases their
-  /// budget charges.
+  /// Stable sort by the keys: ties keep arrival order within `rows`.
+  void SortRows(std::vector<Row>* rows) const;
+
+  /// Sorts the worker's buffered rows into a new run file and releases
+  /// their budget charges.
   Status SpillRun(Partial* partial);
 
   /// Streams the merge of the sorted run files (if any) and the sorted
-  /// in-memory remainder through EmitSorted.
+  /// in-memory remainder `sorted` through EmitSorted.
   Status MergeRuns(std::vector<std::unique_ptr<SpillFile>> runs,
-                   std::vector<Row>* buffer,
-                   std::vector<std::pair<Row, size_t>>* keyed,
-                   std::vector<Row>* chunk);
+                   std::vector<Row>* sorted, std::vector<Row>* chunk);
 
   /// Appends the next output row to `chunk`, emitting the chunk once it
   /// holds batch_size rows.

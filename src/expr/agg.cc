@@ -53,21 +53,6 @@ void Aggregator::Reset() {
   distinct_.Clear();
 }
 
-Status Aggregator::Accumulate(const EvalContext& ctx) {
-  if (spec_->arg == nullptr) {
-    // '*': operate on the whole input row. COUNT(*) counts every row;
-    // COUNT(DISTINCT *) counts distinct rows. Other functions cannot take
-    // '*' (rejected at bind time).
-    if (spec_->distinct) {
-      if (!distinct_.FindOrInsert(*ctx.row).second) return Status::OK();
-    }
-    ++count_;
-    return Status::OK();
-  }
-  BYPASS_ASSIGN_OR_RETURN(Value v, spec_->arg->Eval(ctx));
-  return AccumulateArg(v);
-}
-
 Status Aggregator::AccumulateArg(const Value& v) {
   if (v.is_null()) return Status::OK();  // aggregates skip NULL inputs
   if (spec_->distinct && !distinct_.FindOrInsert(v).second) {
@@ -305,13 +290,6 @@ AggregatorSet::AggregatorSet(const std::vector<AggregateSpec>* specs) {
 
 void AggregatorSet::Reset() {
   for (Aggregator& a : aggs_) a.Reset();
-}
-
-Status AggregatorSet::Accumulate(const EvalContext& ctx) {
-  for (Aggregator& a : aggs_) {
-    BYPASS_RETURN_IF_ERROR(a.Accumulate(ctx));
-  }
-  return Status::OK();
 }
 
 Status AggregatorSet::AccumulateBatch(const RowBatch& batch,

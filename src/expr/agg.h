@@ -53,17 +53,13 @@ class Aggregator {
 
   void Reset();
 
-  /// Folds in one input tuple; evaluates the argument against `ctx`.
-  /// The row path: the reference the batch folds are tested against.
-  Status Accumulate(const EvalContext& ctx);
-
   /// Grouped columnar fold of aggregate `index`: selected row i of
   /// `batch` folds into `sets[i]`'s aggregator `index`, straight from the
   /// batch's typed column when the aggregate is a non-DISTINCT COUNT(*),
   /// COUNT over any typed column, or SUM/AVG/MIN/MAX over an int64 or
   /// double column. Returns false when none applies, and the caller folds
   /// this aggregate from its evaluated argument. Each group sees its rows
-  /// in batch order, so float sums are bit-identical to the row path.
+  /// in batch order, so float sums are bit-identical to the Value fold.
   static bool AccumulateColumnarGrouped(size_t index, const RowBatch& batch,
                                         AggregatorSet* const* sets);
 
@@ -88,6 +84,8 @@ class Aggregator {
   friend class AggregatorSet;  // the grouped fallback folds
 
   /// Folds one evaluated argument: skips NULL, deduplicates DISTINCT.
+  /// The Value fold: untyped columns and DISTINCT aggregates fold through
+  /// it, and the typed column folds match it bit for bit.
   Status AccumulateArg(const Value& v);
   /// Folds one non-NULL, already deduplicated input.
   Status AccumulateValue(const Value& v);
@@ -95,7 +93,7 @@ class Aggregator {
   /// into one set inserts their whole rows as keys in one batch call.
   static void CountDistinctRows(size_t index, const RowBatch& batch,
                                 AggregatorSet* const* sets);
-  /// Accumulate of one non-NULL typed SUM/AVG/MIN/MAX input.
+  /// AccumulateValue of one non-NULL typed SUM/AVG/MIN/MAX input.
   void FoldInt64(int64_t v);
   void FoldDouble(double v);
 
@@ -113,15 +111,12 @@ class AggregatorSet {
  public:
   explicit AggregatorSet(const std::vector<AggregateSpec>* specs);
   void Reset();
-  Status Accumulate(const EvalContext& ctx);
-  /// Folds a whole batch into this set; equivalent to calling
-  /// Accumulate per selected row.
+  /// Folds every selected row of `batch` into this set.
   Status AccumulateBatch(const RowBatch& batch, const Row* outer_row);
   /// Grouped batch fold over sets built from one spec list: selected row
   /// i of `batch` folds into `sets[i]`. Aggregates with a columnar fast
   /// path fold straight from their columns; the rest evaluate their
   /// argument once over the batch (EvalBatch) and fold the values.
-  /// Equivalent to sets[i]->Accumulate per selected row.
   static Status AccumulateGrouped(const RowBatch& batch,
                                   AggregatorSet* const* sets,
                                   const Row* outer_row);

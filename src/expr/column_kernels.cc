@@ -385,7 +385,7 @@ bool DispatchCompare(CompareOp op, const ColumnOperand& l,
 }
 
 /// LIKE dispatch: string column / string constant run the typed matcher,
-/// a NULL constant is Unknown everywhere, anything else (the row path
+/// a NULL constant is Unknown everywhere, anything else (the Value path
 /// raises an execution error for non-string inputs) gets no kernel.
 template <typename EmitFn>
 bool DispatchLike(const ColumnOperand& input, std::string_view pattern,
@@ -403,7 +403,7 @@ bool DispatchLike(const ColumnOperand& input, std::string_view pattern,
 
 /// True when DispatchLike runs a typed loop for `input`: a string column
 /// or a string/NULL constant. Non-string inputs raise an execution error
-/// on the row path; the kernel must not swallow it.
+/// on the Value path; the kernel must not swallow it.
 bool LikeApplies(const ColumnOperand& input) {
   const SrcTag t = Classify(input);
   return t == SrcTag::kNullConst || IsStrTag(t);
@@ -574,7 +574,7 @@ bool ColumnarComparePartition(CompareOp op, const ColumnOperand& l,
                               std::vector<uint32_t>* sel_true,
                               std::vector<uint32_t>* sel_false,
                               std::vector<uint32_t>* sel_null) {
-  // Both-constant operands take the row path (mirrors DispatchCompare's
+  // Both-constant operands take the Value path (mirrors DispatchCompare's
   // bail-out); checked up front so the output resizes in PartitionStreams
   // are only done when a kernel will definitely run.
   if (l.column == nullptr && r.column == nullptr) return false;

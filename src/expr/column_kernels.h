@@ -47,7 +47,7 @@ bool ResolveColumnOperand(const Expr& e, const RowBatch& batch,
 /// order) to sel_true / sel_false / sel_null (null pointers skipped;
 /// passing the same vector as sel_false and sel_null yields the σ±
 /// negative stream). Returns false when no typed kernel applies — the
-/// caller falls back to the row path. Requires at least one column
+/// caller falls back to the Value path. Requires at least one column
 /// operand.
 bool ColumnarComparePartition(CompareOp op, const ColumnOperand& l,
                               const ColumnOperand& r, const RowBatch& batch,
@@ -66,7 +66,7 @@ bool ColumnarCompareEval(CompareOp op, const ColumnOperand& l,
 /// under 3VL (NULL input → Unknown), with the same output contract as
 /// ColumnarComparePartition. Returns false when the input is not a typed
 /// string column or string/NULL constant — non-string inputs raise an
-/// execution error on the row path and must keep doing so.
+/// execution error on the Value path and must keep doing so.
 bool ColumnarLikePartition(const ColumnOperand& input,
                            std::string_view pattern, bool negated,
                            const RowBatch& batch,

@@ -33,22 +33,6 @@ TriBool ValueToTriBool(const Value& v) {
   return TriBool::kUnknown;
 }
 
-Status Expr::EvalBatch(const RowBatch& batch, const Row* outer_row,
-                       std::vector<Value>* out) const {
-  // Every row evaluated is built into one scratch row from the columns.
-  const std::vector<ColumnVector>& columns = batch.columns()->columns;
-  out->reserve(out->size() + batch.size());
-  Row row;
-  const EvalContext ectx{&row, outer_row};
-  for (uint32_t idx : batch.selection()) {
-    row.clear();
-    for (const ColumnVector& col : columns) row.push_back(col.GetValue(idx));
-    BYPASS_ASSIGN_OR_RETURN(Value v, Eval(ectx));
-    out->push_back(std::move(v));
-  }
-  return Status::OK();
-}
-
 Status Expr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
                             std::vector<uint32_t>* sel_true,
                             std::vector<uint32_t>* sel_false,
@@ -68,8 +52,6 @@ Status Expr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
 
 // ---------------------------------------------------------------- Literal
 
-Result<Value> LiteralExpr::Eval(const EvalContext&) const { return value_; }
-
 Status LiteralExpr::EvalBatch(const RowBatch& batch, const Row*,
                               std::vector<Value>* out) const {
   out->insert(out->end(), batch.size(), value_);
@@ -81,23 +63,6 @@ ExprPtr LiteralExpr::Clone() const {
 }
 
 // -------------------------------------------------------------- ColumnRef
-
-Result<Value> ColumnRefExpr::Eval(const EvalContext& ctx) const {
-  if (slot_ < 0) {
-    return Status::Internal("evaluating unbound column reference " +
-                            ToString());
-  }
-  const Row* source = is_outer_ ? ctx.outer_row : ctx.row;
-  if (source == nullptr) {
-    return Status::Internal("no " +
-                            std::string(is_outer_ ? "outer " : "") +
-                            "row bound while evaluating " + ToString());
-  }
-  if (static_cast<size_t>(slot_) >= source->size()) {
-    return Status::Internal("slot out of range for " + ToString());
-  }
-  return (*source)[static_cast<size_t>(slot_)];
-}
 
 Status ColumnRefExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                                 std::vector<Value>* out) const {
@@ -145,12 +110,6 @@ std::string ColumnRefExpr::ToString() const {
 }
 
 // ------------------------------------------------------------- Comparison
-
-Result<Value> ComparisonExpr::Eval(const EvalContext& ctx) const {
-  BYPASS_ASSIGN_OR_RETURN(Value l, left_->Eval(ctx));
-  BYPASS_ASSIGN_OR_RETURN(Value r, right_->Eval(ctx));
-  return TriBoolToValue(l.Compare(op_, r));
-}
 
 Status ComparisonExpr::EvalBatch(const RowBatch& batch,
                                  const Row* outer_row,
@@ -207,10 +166,10 @@ std::string ComparisonExpr::ToString() const {
 namespace {
 
 /// Vectorized n-ary AND/OR. Terms are evaluated left to right over a
-/// shrinking sub-batch of still-undecided rows, which preserves the
-/// scalar evaluator's per-row short-circuit exactly — a term is never
-/// evaluated (no error, no subquery execution) for a row an earlier term
-/// already decided.
+/// shrinking sub-batch of still-undecided rows, so each row short-circuits
+/// exactly as SQL's 3VL allows: a term is never evaluated (no error, no
+/// subquery execution) for a row an earlier term already decided — the
+/// bypass intuition of Eqv. 2/3.
 Status EvalJunctionBatch(const std::vector<ExprPtr>& terms, bool is_and,
                          const RowBatch& batch, const Row* outer_row,
                          std::vector<Value>* out) {
@@ -246,16 +205,6 @@ Status EvalJunctionBatch(const std::vector<ExprPtr>& terms, bool is_and,
 
 }  // namespace
 
-Result<Value> AndExpr::Eval(const EvalContext& ctx) const {
-  TriBool acc = TriBool::kTrue;
-  for (const ExprPtr& t : terms_) {
-    BYPASS_ASSIGN_OR_RETURN(Value v, t->Eval(ctx));
-    acc = TriAnd(acc, ValueToTriBool(v));
-    if (acc == TriBool::kFalse) break;  // short-circuit
-  }
-  return TriBoolToValue(acc);
-}
-
 Status AndExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                           std::vector<Value>* out) const {
   return EvalJunctionBatch(terms_, /*is_and=*/true, batch, outer_row, out);
@@ -273,16 +222,6 @@ std::string AndExpr::ToString() const {
   parts.reserve(terms_.size());
   for (const ExprPtr& t : terms_) parts.push_back(t->ToString());
   return "(" + Join(parts, " AND ") + ")";
-}
-
-Result<Value> OrExpr::Eval(const EvalContext& ctx) const {
-  TriBool acc = TriBool::kFalse;
-  for (const ExprPtr& t : terms_) {
-    BYPASS_ASSIGN_OR_RETURN(Value v, t->Eval(ctx));
-    acc = TriOr(acc, ValueToTriBool(v));
-    if (acc == TriBool::kTrue) break;  // short-circuit: the bypass intuition
-  }
-  return TriBoolToValue(acc);
 }
 
 Status OrExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
@@ -306,11 +245,6 @@ std::string OrExpr::ToString() const {
 
 // -------------------------------------------------------------------- Not
 
-Result<Value> NotExpr::Eval(const EvalContext& ctx) const {
-  BYPASS_ASSIGN_OR_RETURN(Value v, input_->Eval(ctx));
-  return TriBoolToValue(TriNot(ValueToTriBool(v)));
-}
-
 Status NotExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                           std::vector<Value>* out) const {
   std::vector<Value> vals;
@@ -331,12 +265,6 @@ std::string NotExpr::ToString() const {
 }
 
 // ------------------------------------------------------------- Arithmetic
-
-Result<Value> ArithmeticExpr::Eval(const EvalContext& ctx) const {
-  BYPASS_ASSIGN_OR_RETURN(Value l, left_->Eval(ctx));
-  BYPASS_ASSIGN_OR_RETURN(Value r, right_->Eval(ctx));
-  return Combine(l, r);
-}
 
 Status ArithmeticExpr::EvalBatch(const RowBatch& batch,
                                  const Row* outer_row,
@@ -427,11 +355,6 @@ std::string ArithmeticExpr::ToString() const {
 
 // ------------------------------------------------------------------- Like
 
-Result<Value> LikeExpr::Eval(const EvalContext& ctx) const {
-  BYPASS_ASSIGN_OR_RETURN(Value v, input_->Eval(ctx));
-  return Match(v);
-}
-
 Result<Value> LikeExpr::Match(const Value& v) const {
   if (v.is_null()) return Value::Null();
   if (!v.is_string()) {
@@ -489,12 +412,6 @@ std::string LikeExpr::ToString() const {
 
 // ----------------------------------------------------------------- IsNull
 
-Result<Value> IsNullExpr::Eval(const EvalContext& ctx) const {
-  BYPASS_ASSIGN_OR_RETURN(Value v, input_->Eval(ctx));
-  const bool is_null = v.is_null();
-  return Value::Bool(negated_ ? !is_null : is_null);
-}
-
 Status IsNullExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                              std::vector<Value>* out) const {
   // Columnar path: IS [NOT] NULL over a typed column is a pure bitmap
@@ -536,16 +453,6 @@ std::string IsNullExpr::ToString() const {
 
 // --------------------------------------------------------------- Function
 
-Result<Value> FunctionExpr::Eval(const EvalContext& ctx) const {
-  std::vector<Value> vals;
-  vals.reserve(args_.size());
-  for (const ExprPtr& a : args_) {
-    BYPASS_ASSIGN_OR_RETURN(Value v, a->Eval(ctx));
-    vals.push_back(std::move(v));
-  }
-  return Apply(vals.data(), vals.size());
-}
-
 Status FunctionExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                                std::vector<Value>* out) const {
   if ((func_ == BuiltinFunc::kAddIgnoreNull ||
@@ -554,8 +461,8 @@ Status FunctionExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
     return Status::OK();
   }
   // Arguments column at a time (column references read the batch's
-  // columns), then one combine per row. Eval evaluates every argument
-  // of every row too, so no short-circuit is lost.
+  // columns), then one combine per row. Every argument of every row is
+  // evaluated; the built-ins take no short-circuit.
   const size_t n = batch.size();
   const size_t k = args_.size();
   std::vector<Value> args;  // row-major: args[i * k + j]
@@ -720,31 +627,42 @@ std::string FunctionExpr::ToString() const {
 
 // --------------------------------------------------------------- Subquery
 
-Result<Value> SubqueryExpr::Eval(const EvalContext& ctx) const {
+Status SubqueryExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
+                               std::vector<Value>* out) const {
   if (subplan_ == nullptr) {
     return Status::Internal(
         "subquery expression evaluated before lowering: " + ToString());
   }
-  switch (subquery_kind_) {
-    case SubqueryKind::kScalar: {
-      return subplan_->EvalScalar(ctx.row);
+  std::vector<Value> probes;
+  if (subquery_kind_ == SubqueryKind::kQuantified) {
+    BYPASS_RETURN_IF_ERROR(probe_->EvalBatch(batch, outer_row, &probes));
+  }
+  // 3VL: x θ ALL S is NOT (x θ̄ SOME S).
+  const bool all = quantifier_ == Quantifier::kAll;
+  const CompareOp some_op = all ? NegateCompareOp(compare_op_) : compare_op_;
+  // Each selected row is built into one scratch row, the block's outer
+  // row: the block's free attributes read this operator's input.
+  const std::vector<uint32_t>& sel = batch.selection();
+  out->reserve(out->size() + sel.size());
+  Row row;
+  for (size_t i = 0; i < sel.size(); ++i) {
+    row.clear();
+    for (const ColumnVector& col : batch.columns()->columns) {
+      row.push_back(col.GetValue(sel[i]));
     }
-    case SubqueryKind::kExists: {
-      BYPASS_ASSIGN_OR_RETURN(bool exists, subplan_->EvalExists(ctx.row));
-      return Value::Bool(negated_ ? !exists : exists);
-    }
-    case SubqueryKind::kQuantified: {
-      BYPASS_ASSIGN_OR_RETURN(Value probe, probe_->Eval(ctx));
-      // 3VL: x θ ALL S is NOT (x θ̄ SOME S).
-      const bool all = quantifier_ == Quantifier::kAll;
-      BYPASS_ASSIGN_OR_RETURN(
-          TriBool some,
-          subplan_->EvalSome(all ? NegateCompareOp(compare_op_) : compare_op_,
-                             probe, ctx.row));
-      return TriBoolToValue(all ? TriNot(some) : some);
+    if (subquery_kind_ == SubqueryKind::kScalar) {
+      BYPASS_ASSIGN_OR_RETURN(Value v, subplan_->EvalScalar(&row));
+      out->push_back(std::move(v));
+    } else if (subquery_kind_ == SubqueryKind::kExists) {
+      BYPASS_ASSIGN_OR_RETURN(bool exists, subplan_->EvalExists(&row));
+      out->push_back(Value::Bool(negated_ ? !exists : exists));
+    } else {
+      BYPASS_ASSIGN_OR_RETURN(TriBool some,
+                              subplan_->EvalSome(some_op, probes[i], &row));
+      out->push_back(TriBoolToValue(all ? TriNot(some) : some));
     }
   }
-  BYPASS_UNREACHABLE("bad SubqueryKind");
+  return Status::OK();
 }
 
 ExprPtr SubqueryExpr::Clone() const {

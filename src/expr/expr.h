@@ -32,14 +32,6 @@ std::string LogicalPlanSummary(const LogicalOp& plan);
 class Expr;
 using ExprPtr = std::shared_ptr<Expr>;
 
-/// Runtime evaluation context. `outer_row` carries the directly enclosing
-/// block's current tuple for correlated references (the paper restricts
-/// itself to direct correlation; so do we).
-struct EvalContext {
-  const Row* row = nullptr;
-  const Row* outer_row = nullptr;
-};
-
 enum class ExprKind {
   kLiteral,
   kColumnRef,
@@ -84,18 +76,16 @@ class Expr {
 
   virtual ExprKind kind() const = 0;
 
-  /// Evaluates against `ctx`. Boolean-valued expressions return
-  /// Value::Bool or NULL (= unknown).
-  virtual Result<Value> Eval(const EvalContext& ctx) const = 0;
-
   /// Evaluates the expression for every selected row of `batch`, appending
-  /// one value per row (in selection order) to `out`. `outer_row` is the
-  /// correlation row shared by the whole batch. The base implementation,
-  /// which only subqueries take, loops Eval over each row built into one
-  /// scratch row; the other node kinds read columns, preserving per-row
-  /// short-circuit semantics.
+  /// one value per row (in selection order) to `out`: the only evaluation
+  /// entry. Boolean-valued expressions yield Value::Bool or NULL
+  /// (= unknown). `outer_row` is the directly enclosing block's current
+  /// tuple, shared by the whole batch, for correlated references (direct
+  /// correlation only, as in the paper). AND/OR keep per-row
+  /// short-circuit: a row an earlier term decided never reaches the later
+  /// terms.
   virtual Status EvalBatch(const RowBatch& batch, const Row* outer_row,
-                           std::vector<Value>* out) const;
+                           std::vector<Value>* out) const = 0;
 
   /// Partitions the batch's selected rows by the expression's 3VL truth
   /// value: storage indices (entries of batch.selection(), in batch
@@ -126,7 +116,6 @@ class LiteralExpr : public Expr {
   explicit LiteralExpr(Value value) : value_(std::move(value)) {}
   ExprKind kind() const override { return ExprKind::kLiteral; }
   const Value& value() const { return value_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -158,7 +147,6 @@ class ColumnRefExpr : public Expr {
   void set_qualifier(std::string q) { qualifier_ = std::move(q); }
   void set_name(std::string n) { name_ = std::move(n); }
 
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -180,7 +168,6 @@ class ComparisonExpr : public Expr {
   CompareOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
@@ -205,7 +192,6 @@ class AndExpr : public Expr {
   explicit AndExpr(std::vector<ExprPtr> terms) : terms_(std::move(terms)) {}
   ExprKind kind() const override { return ExprKind::kAnd; }
   const std::vector<ExprPtr>& terms() const { return terms_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -222,7 +208,6 @@ class OrExpr : public Expr {
   explicit OrExpr(std::vector<ExprPtr> terms) : terms_(std::move(terms)) {}
   ExprKind kind() const override { return ExprKind::kOr; }
   const std::vector<ExprPtr>& terms() const { return terms_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -239,7 +224,6 @@ class NotExpr : public Expr {
   explicit NotExpr(ExprPtr input) : input_(std::move(input)) {}
   ExprKind kind() const override { return ExprKind::kNot; }
   const ExprPtr& input() const { return input_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -260,7 +244,6 @@ class ArithmeticExpr : public Expr {
   ArithOp op() const { return op_; }
   const ExprPtr& left() const { return left_; }
   const ExprPtr& right() const { return right_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -288,7 +271,6 @@ class LikeExpr : public Expr {
   const ExprPtr& input() const { return input_; }
   const std::string& pattern() const { return pattern_; }
   bool negated() const { return negated_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
@@ -316,7 +298,6 @@ class IsNullExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kIsNull; }
   const ExprPtr& input() const { return input_; }
   bool negated() const { return negated_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -336,7 +317,6 @@ class FunctionExpr : public Expr {
   ExprKind kind() const override { return ExprKind::kFunction; }
   BuiltinFunc func() const { return func_; }
   const std::vector<ExprPtr>& args() const { return args_; }
-  Result<Value> Eval(const EvalContext& ctx) const override;
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
@@ -390,7 +370,8 @@ class SubqueryExpr : public Expr {
     subplan_ = std::move(subplan);
   }
 
-  Result<Value> Eval(const EvalContext& ctx) const override;
+  Status EvalBatch(const RowBatch& batch, const Row* outer_row,
+                   std::vector<Value>* out) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   std::vector<ExprPtr> children() const override {

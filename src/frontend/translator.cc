@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "algebra/plan_util.h"
 #include "common/check.h"
 #include "common/string_util.h"
 #include "expr/expr_util.h"
@@ -228,7 +229,7 @@ Result<LogicalOpPtr> Translator::TranslateGroupBy(
           key_ast->ToString());
     }
     const auto* ref = static_cast<const ColumnRefExpr*>(key.get());
-    keys.push_back(GroupKey{ref->qualifier(), ref->name()});
+    keys.push_back(GroupKey{ref->qualifier(), ref->name(), ""});
     BYPASS_ASSIGN_OR_RETURN(
         int slot, local.FindColumn(ref->qualifier(), ref->name()));
     key_schema.AddColumn(local.column(slot));
@@ -378,6 +379,15 @@ Result<ExprPtr> Translator::TranslateExpr(const AstExpr& ast,
       return ExprPtr(std::make_shared<ArithmeticExpr>(
           ArithOp::kSub, MakeLiteral(Value::Int64(0)),
           std::move(inner)));
+    }
+    case AstExprKind::kCoalesce: {
+      std::vector<ExprPtr> args;
+      for (const AstExprPtr& c : ast.children) {
+        BYPASS_ASSIGN_OR_RETURN(ExprPtr a, TranslateExpr(*c, local, outer));
+        args.push_back(std::move(a));
+      }
+      return ExprPtr(std::make_shared<FunctionExpr>(BuiltinFunc::kCoalesce,
+                                                    std::move(args)));
     }
     case AstExprKind::kLike: {
       BYPASS_ASSIGN_OR_RETURN(ExprPtr input,
@@ -730,16 +740,32 @@ Result<LogicalOpPtr> Translator::TranslateBlock(const SelectStmt& stmt,
   }
 
   if (!stmt.order_by.empty()) {
+    // ORDER BY resolves against the block's output schema. The sort
+    // orders by columns: a key that is not one is computed by a χ below
+    // the sort and dropped by a Π above it (a hidden "resjunk" column).
+    const Schema output = plan->schema();
     std::vector<SortKey> keys;
+    std::vector<NamedExpr> computed;
     for (const OrderItem& item : stmt.order_by) {
-      // ORDER BY resolves against the block's output schema.
       BYPASS_ASSIGN_OR_RETURN(
-          ExprPtr e,
-          TranslateExpr(*item.expr, plan->schema(), outer_schema));
+          ExprPtr e, TranslateExpr(*item.expr, output, outer_schema));
+      if (e->kind() != ExprKind::kColumnRef ||
+          static_cast<const ColumnRefExpr&>(*e).is_outer()) {
+        std::string name = FreshName("sortkey");
+        computed.push_back(NamedExpr{std::move(e), name, ""});
+        e = MakeColumnRef("", std::move(name));
+      }
       keys.push_back(SortKey{std::move(e), item.descending});
+    }
+    if (!computed.empty()) {
+      plan = std::make_shared<MapOp>(LogicalInput{plan, StreamPort::kOut},
+                                     std::move(computed));
     }
     plan = std::make_shared<SortOp>(LogicalInput{plan, StreamPort::kOut},
                                     std::move(keys));
+    if (plan->schema().num_columns() != output.num_columns()) {
+      plan = ProjectToColumns(LogicalInput{plan, StreamPort::kOut}, output);
+    }
   }
 
   if (stmt.limit >= 0) {

@@ -374,10 +374,19 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
     case LogicalOpKind::kSort: {
       const auto& sort = static_cast<const SortOp&>(*node);
       std::vector<PhysSortKey> keys;
+      // The translator computes every other key into a column below the
+      // sort, so each key is a column of the input layout.
       for (const SortKey& k : sort.keys()) {
         BYPASS_ASSIGN_OR_RETURN(ExprPtr e,
                                 BindExpr(k.expr, *kids[0]->schema, ctx));
-        keys.push_back(PhysSortKey{std::move(e), k.descending});
+        const auto* ref = e->kind() == ExprKind::kColumnRef
+                              ? static_cast<const ColumnRefExpr*>(e.get())
+                              : nullptr;
+        if (ref == nullptr || ref->is_outer()) {
+          return Status::Internal("sort key is not an input column: " +
+                                  e->ToString());
+        }
+        keys.push_back(PhysSortKey{ref->slot(), k.descending});
       }
       result = forward(
           Register(ctx, std::make_unique<SortPhysOp>(std::move(keys))));

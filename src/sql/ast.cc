@@ -82,6 +82,11 @@ std::string AstExpr::ToString() const {
       return children[0]->ToString() + (negated ? " NOT IN (" : " IN (") +
              Join(parts, ", ") + ")";
     }
+    case AstExprKind::kCoalesce: {
+      std::vector<std::string> parts;
+      for (const AstExprPtr& c : children) parts.push_back(c->ToString());
+      return "COALESCE(" + Join(parts, ", ") + ")";
+    }
   }
   BYPASS_UNREACHABLE("bad AstExprKind");
 }

@@ -34,6 +34,7 @@ enum class AstExprKind {
   kInSubquery,  ///< children[0] [NOT] IN (SELECT ...)
   kInList,      ///< children[0] [NOT] IN (children[1..])
   kQuantified,  ///< children[0] op SOME/ANY/ALL (SELECT ...)
+  kCoalesce,    ///< COALESCE(children...)
 };
 
 /// Quantifier of a quantified comparison (paper outlook item 3).

@@ -522,6 +522,19 @@ Result<AstExprPtr> Parser::ParsePrimary() {
         BYPASS_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
         return AstExprPtr(node);
       }
+      if (EqualsIgnoreCase(t.text, "coalesce") &&
+          Peek(1).type == TokenType::kLParen) {
+        auto node = std::make_shared<AstExpr>();
+        node->kind = AstExprKind::kCoalesce;
+        Advance();  // name
+        Advance();  // (
+        do {
+          BYPASS_ASSIGN_OR_RETURN(AstExprPtr arg, ParseExpr());
+          node->children.push_back(std::move(arg));
+        } while (Match(TokenType::kComma));
+        BYPASS_RETURN_IF_ERROR(Expect(TokenType::kRParen, ")"));
+        return AstExprPtr(node);
+      }
       if (IsReserved(t.text)) {
         return Status::ParseError("unexpected keyword '" + t.text +
                                   "' at offset " +

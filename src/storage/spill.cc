@@ -184,6 +184,7 @@ Status SpillFile::OpenRead() {
     std::fclose(file_);
     file_ = nullptr;
   }
+  rows_read_ = 0;
   if (rows_written_ == 0) return Status::OK();  // nothing was created
   file_ = std::fopen(path_.c_str(), "rb");
   if (file_ == nullptr) {
@@ -199,9 +200,16 @@ Result<bool> SpillFile::ReadRow(Row* out) {
   if (file_ == nullptr) return false;  // empty file was never created
   uint32_t record_len = 0;
   const size_t got = std::fread(&record_len, 1, 4, file_);
-  if (got == 0) return false;
+  // End of file only once every written row has come back: a read error
+  // or a file cut short must not pass for the end.
+  if (got == 0 && std::ferror(file_) == 0 && rows_read_ == rows_written_) {
+    return false;
+  }
   if (got != 4) {
-    return Status::ExecutionError("spill: truncated record header");
+    return Status::ExecutionError("spill: cannot read record " +
+                                  std::to_string(rows_read_) + " of " +
+                                  std::to_string(rows_written_) + " from " +
+                                  path_);
   }
   read_buf_.resize(record_len);
   if (std::fread(read_buf_.data(), 1, record_len, file_) != record_len) {
@@ -210,6 +218,7 @@ Result<bool> SpillFile::ReadRow(Row* out) {
   if (!ParseRowSerialized(read_buf_.data(), record_len, out)) {
     return Status::ExecutionError("spill: malformed record");
   }
+  ++rows_read_;
   return true;
 }
 

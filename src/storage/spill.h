@@ -43,7 +43,8 @@ class SpillFile {
   Status FinishWrite();
   /// Opens the file for reading from the start (FinishWrite implied).
   Status OpenRead();
-  /// Reads the next row into `out`; returns false at end of file.
+  /// Reads the next row into `out`; returns false at end of file, which
+  /// comes only after rows_written() rows (an ExecutionError otherwise).
   Result<bool> ReadRow(Row* out);
 
   int64_t rows_written() const { return rows_written_; }
@@ -58,6 +59,7 @@ class SpillFile {
   std::string write_buf_;
   std::vector<char> read_buf_;
   int64_t rows_written_ = 0;
+  int64_t rows_read_ = 0;
   int64_t bytes_written_ = 0;
   bool writing_ = true;
 };

@@ -23,17 +23,25 @@ AggregateSpec Spec(AggFunc func, bool distinct = false,
   return spec;
 }
 
+/// Folds `rows` into `set` as one batch.
+Status Feed(AggregatorSet* set, std::vector<Row> rows) {
+  return set->AccumulateBatch(RowBatch::FromRows(std::move(rows)), nullptr);
+}
+
+/// `set`'s single aggregate value.
+Value Final(const AggregatorSet& set) {
+  ColumnVector out = ColumnVector::Untyped();
+  EXPECT_TRUE(set.FinalizeInto(&out).ok());
+  return out.size() == 1 ? out.GetValue(0) : Value::Null();
+}
+
 Value RunAgg(const AggregateSpec& spec,
              const std::vector<Row>& rows) {
-  Aggregator agg(&spec);
-  agg.Reset();
-  for (const Row& row : rows) {
-    EvalContext ctx{&row, nullptr};
-    EXPECT_TRUE(agg.Accumulate(ctx).ok());
-  }
-  auto result = agg.Finalize();
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return result.ok() ? *result : Value::Null();
+  const std::vector<AggregateSpec> specs{spec};
+  AggregatorSet set(&specs);
+  const Status st = Feed(&set, rows);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return Final(set);
 }
 
 std::vector<Row> Ints(std::initializer_list<int64_t> values) {
@@ -97,23 +105,18 @@ TEST(AggTest, SumDistinct) {
 // Partial DISTINCT sets hand their keys to Merge as stored: integral
 // doubles must come back as doubles, not as their packed int64 twins.
 TEST(AggTest, SumDistinctOverDoublesStaysDoubleAfterMerge) {
-  const AggregateSpec spec = Spec(AggFunc::kSum, true);
-  Aggregator left(&spec), right(&spec), total(&spec);
-  for (Aggregator* a : {&left, &right, &total}) a->Reset();
-  for (double d : {1.0, 2.0, 2.0}) {
-    const Row row{Value::Double(d)};
-    ASSERT_TRUE(left.Accumulate(EvalContext{&row, nullptr}).ok());
-  }
-  for (double d : {2.0, 3.0}) {
-    const Row row{Value::Double(d)};
-    ASSERT_TRUE(right.Accumulate(EvalContext{&row, nullptr}).ok());
-  }
+  const std::vector<AggregateSpec> specs{Spec(AggFunc::kSum, true)};
+  AggregatorSet left(&specs), right(&specs), total(&specs);
+  ASSERT_TRUE(Feed(&left, {Row{Value::Double(1.0)}, Row{Value::Double(2.0)},
+                           Row{Value::Double(2.0)}})
+                  .ok());
+  ASSERT_TRUE(
+      Feed(&right, {Row{Value::Double(2.0)}, Row{Value::Double(3.0)}}).ok());
   ASSERT_TRUE(total.Merge(left).ok());
   ASSERT_TRUE(total.Merge(right).ok());
-  auto v = total.Finalize();
-  ASSERT_TRUE(v.ok());
-  ASSERT_TRUE(v->is_double()) << v->ToString();
-  EXPECT_DOUBLE_EQ(v->double_value(), 6.0);
+  const Value v = Final(total);
+  ASSERT_TRUE(v.is_double()) << v.ToString();
+  EXPECT_DOUBLE_EQ(v.double_value(), 6.0);
 }
 
 TEST(AggTest, SumOfDoublesIsDouble) {
@@ -148,15 +151,14 @@ TEST(AggTest, MinSkipsNulls) {
 }
 
 TEST(AggTest, ResetClearsState) {
-  AggregateSpec spec = Spec(AggFunc::kCount, true);
-  Aggregator agg(&spec);
-  Row row{Value::Int64(1)};
-  EvalContext ctx{&row, nullptr};
-  ASSERT_TRUE(agg.Accumulate(ctx).ok());
-  agg.Reset();
-  EXPECT_EQ((*agg.Finalize()).int64_value(), 0);
-  ASSERT_TRUE(agg.Accumulate(ctx).ok());
-  EXPECT_EQ((*agg.Finalize()).int64_value(), 1);
+  const std::vector<AggregateSpec> specs{Spec(AggFunc::kCount, true)};
+  AggregatorSet set(&specs);
+  const Row row{Value::Int64(1)};
+  ASSERT_TRUE(Feed(&set, {row}).ok());
+  set.Reset();
+  EXPECT_EQ(Final(set).int64_value(), 0);
+  ASSERT_TRUE(Feed(&set, {row}).ok());
+  EXPECT_EQ(Final(set).int64_value(), 1);
 }
 
 TEST(AggTest, AggregatorSetEvaluatesAllSpecs) {
@@ -164,10 +166,7 @@ TEST(AggTest, AggregatorSetEvaluatesAllSpecs) {
                                       Spec(AggFunc::kSum),
                                       Spec(AggFunc::kMax)};
   AggregatorSet set(&specs);
-  for (const Row& row : Ints({1, 2, 3})) {
-    EvalContext ctx{&row, nullptr};
-    ASSERT_TRUE(set.Accumulate(ctx).ok());
-  }
+  ASSERT_TRUE(Feed(&set, Ints({1, 2, 3})).ok());
   std::vector<ColumnVector> out(specs.size(), ColumnVector::Untyped());
   ASSERT_TRUE(set.FinalizeInto(out.data()).ok());
   for (const ColumnVector& col : out) ASSERT_EQ(col.size(), 1u);
@@ -177,11 +176,10 @@ TEST(AggTest, AggregatorSetEvaluatesAllSpecs) {
 }
 
 TEST(AggTest, SumOnStringsIsExecutionError) {
-  AggregateSpec spec = Spec(AggFunc::kSum);
-  Aggregator agg(&spec);
-  Row row{Value::String("x")};
-  EvalContext ctx{&row, nullptr};
-  EXPECT_EQ(agg.Accumulate(ctx).code(), StatusCode::kExecutionError);
+  const std::vector<AggregateSpec> specs{Spec(AggFunc::kSum)};
+  AggregatorSet set(&specs);
+  EXPECT_EQ(Feed(&set, {Row{Value::String("x")}}).code(),
+            StatusCode::kExecutionError);
 }
 
 // --- decomposability (paper Sec. 3.3 / footnote 1) ---

@@ -71,7 +71,7 @@ TEST(AlgebraTest, GroupBySchemaIsKeysThenAggregates) {
   agg.output_name = "$g";
   auto gb = std::make_shared<GroupByOp>(
       LogicalInput{GetS(), StreamPort::kOut},
-      std::vector<GroupKey>{{"s", "b2"}},
+      std::vector<GroupKey>{{"s", "b2", ""}},
       std::vector<AggregateSpec>{std::move(agg)}, false);
   ASSERT_EQ(gb->schema().num_columns(), 2);
   EXPECT_EQ(gb->schema().column(0).name, "b2");

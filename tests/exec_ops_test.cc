@@ -841,8 +841,8 @@ TEST(SortOpTest, SortsByKeysWithDirections) {
   Table t = MakeTable("t", 2, {IntRow({1, 5}), IntRow({2, 5}),
                                IntRow({0, 7})});
   std::vector<PhysSortKey> keys;
-  keys.push_back(PhysSortKey{Slot(1), /*descending=*/true});
-  keys.push_back(PhysSortKey{Slot(0), /*descending=*/false});
+  keys.push_back(PhysSortKey{1, /*descending=*/true});
+  keys.push_back(PhysSortKey{0, /*descending=*/false});
   MiniPlan plan =
       UnaryPlan(&t, std::make_unique<SortPhysOp>(std::move(keys)));
   auto rows = plan.Run();
@@ -857,8 +857,8 @@ TEST(SortOpTest, SortsByKeysWithDirections) {
   for (int64_t i = 0; i < 30; ++i) input.push_back(IntRow({i, i % 4}));
   Table many = MakeTable("many", 2, input);
   std::vector<PhysSortKey> many_keys;
-  many_keys.push_back(PhysSortKey{Slot(1), /*descending=*/true});
-  many_keys.push_back(PhysSortKey{Slot(0), /*descending=*/false});
+  many_keys.push_back(PhysSortKey{1, /*descending=*/true});
+  many_keys.push_back(PhysSortKey{0, /*descending=*/false});
   int64_t memory_used = -1;
   const std::vector<Row> sorted = RunRecorded(
       &many, std::make_unique<SortPhysOp>(std::move(many_keys)), 7,

@@ -1116,17 +1116,22 @@ TEST(HashTableGroupByTest, ColumnFoldsMatchRowPathBitForBit) {
   const std::vector<AggregateSpec> specs = FoldSpecs();
   const std::vector<DataType> types{DataType::kInt64, DataType::kInt64,
                                     DataType::kDouble};
-  // Reference: the row path, one Accumulate per row per group. The NULL
-  // key is a group of its own.
+  // Reference: the Value fold, every row folded from untyped columns
+  // into its group's set. The NULL key is a group of its own.
   std::map<int64_t, std::unique_ptr<AggregatorSet>> want;
   auto group_of = [](const Row& row) {
     return row[0].is_null() ? int64_t{-1} : row[0].int64_value();
   };
+  std::vector<AggregatorSet*> want_sets;
   for (const Row& row : rows) {
     auto& set = want[group_of(row)];
     if (set == nullptr) set = std::make_unique<AggregatorSet>(&specs);
-    ASSERT_TRUE(set->Accumulate(EvalContext{&row, nullptr}).ok());
+    want_sets.push_back(set.get());
   }
+  ASSERT_TRUE(AggregatorSet::AccumulateGrouped(
+                  RowBatch::FromRows(rows, /*typed=*/false),
+                  want_sets.data(), nullptr)
+                  .ok());
   // Grouped folds over every batch form, fed in chunks of 100 rows so
   // each group spans batches.
   ColumnStore borrowed;
@@ -1169,10 +1174,11 @@ TEST(HashTableGroupByTest, ColumnFoldsMatchRowPathBitForBit) {
 
 TEST(HashTableGroupByTest, MixedExtremeTypesKeepOrderCompare) {
   // A MIN over int64 that later meets a double column (or the reverse)
-  // must fold exactly like the row path's OrderCompare.
+  // must fold exactly like the Value fold's OrderCompare over untyped
+  // columns.
   std::vector<AggregateSpec> specs{Agg(AggFunc::kMin, 0),
                                    Agg(AggFunc::kMax, 0)};
-  AggregatorSet row_path(&specs);
+  AggregatorSet value_fold(&specs);
   AggregatorSet columns(&specs);
   const std::vector<std::vector<Row>> chunks{
       {Row{Value::Int64(5)}, Row{Value::Int64(-2)}},
@@ -1181,19 +1187,21 @@ TEST(HashTableGroupByTest, MixedExtremeTypesKeepOrderCompare) {
   for (const std::vector<Row>& chunk : chunks) {
     ColumnStore store;
     store.columns.emplace_back(chunk[0][0].type());
-    for (const Row& row : chunk) {
-      store.AppendRow(row);
-      ASSERT_TRUE(row_path.Accumulate(EvalContext{&row, nullptr}).ok());
-    }
+    for (const Row& row : chunk) store.AppendRow(row);
     const RowBatch batch = RowBatch::FromColumns(std::move(store));
     std::vector<AggregatorSet*> sets(chunk.size(), &columns);
     ASSERT_TRUE(
         AggregatorSet::AccumulateGrouped(batch, sets.data(), nullptr)
             .ok());
+    std::vector<AggregatorSet*> value_sets(chunk.size(), &value_fold);
+    ASSERT_TRUE(AggregatorSet::AccumulateGrouped(
+                    RowBatch::FromRows(chunk, /*typed=*/false),
+                    value_sets.data(), nullptr)
+                    .ok());
   }
   std::vector<ColumnVector> a(specs.size(), ColumnVector::Untyped());
   std::vector<ColumnVector> b(specs.size(), ColumnVector::Untyped());
-  ASSERT_TRUE(row_path.FinalizeInto(a.data()).ok());
+  ASSERT_TRUE(value_fold.FinalizeInto(a.data()).ok());
   ASSERT_TRUE(columns.FinalizeInto(b.data()).ok());
   ExpectBitIdentical(a[0].GetValue(0), b[0].GetValue(0));
   ExpectBitIdentical(a[1].GetValue(0), b[1].GetValue(0));

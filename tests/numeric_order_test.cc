@@ -307,7 +307,9 @@ void RunOrderCases(int num_threads) {
       }
     }
   } while (std::next_permutation(perm.begin(), perm.end()));
-  if (codegen_available) EXPECT_GT(compiled, 0);
+  if (codegen_available) {
+    EXPECT_GT(compiled, 0);
+  }
 }
 
 TEST(OrderRegression, NaNAndInt64DoubleCasesAgreeEverywhere) {

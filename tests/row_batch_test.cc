@@ -129,7 +129,9 @@ void ExpectSameValue(const Value& got, const Value& want) {
     const double g = got.double_value(), w = want.double_value();
     EXPECT_EQ(std::isnan(g), std::isnan(w));
     EXPECT_EQ(std::signbit(g), std::signbit(w));
-    if (!std::isnan(w)) EXPECT_EQ(g, w);
+    if (!std::isnan(w)) {
+      EXPECT_EQ(g, w);
+    }
     return;
   }
   EXPECT_TRUE(got.StructurallyEquals(want)) << got.ToString();

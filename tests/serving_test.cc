@@ -220,7 +220,9 @@ TEST(Serving, PlanCacheStaysBoundedUnderAnalyzeChurn) {
     auto result = session->Query(sql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_LE(server.stats().plan_cache.entries, 4u);
-    if (i % 7 == 3) ASSERT_TRUE(db.Analyze("r").ok());
+    if (i % 7 == 3) {
+      ASSERT_TRUE(db.Analyze("r").ok());
+    }
   }
   const PlanCacheStats cache = server.stats().plan_cache;
   EXPECT_LE(cache.entries, 4u);

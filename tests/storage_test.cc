@@ -12,11 +12,15 @@
 // StorageParallel* so ctest can address them with -L storage and
 // -L parallel-storage.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -423,6 +427,50 @@ TEST(StorageSpill, FileWritesThenReadsBackInOrder) {
     readback.push_back(out);
   }
   EXPECT_EQ(SerializeRows(readback), SerializeRows(rows));
+}
+
+// A spill file that cannot be read back must fail the query, not end the
+// run early: the file is swapped for a directory of the same path, so
+// reopening succeeds and the first read fails; a file cut short ends
+// before its rows have come back.
+TEST(StorageSpill, ReadErrorIsAnErrorNotEndOfFile) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("bypassdb-spill-read-error-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  SpillManager manager(dir.string());
+  auto file = manager.NewFile("test");
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*file)->AppendRow(Row{Value::Int64(i)}).ok());
+  }
+  ASSERT_TRUE((*file)->FinishWrite().ok());
+  const std::filesystem::path path = dir / "test-0.spill";
+  ASSERT_TRUE(std::filesystem::remove(path));
+  ASSERT_TRUE(std::filesystem::create_directory(path));
+
+  ASSERT_TRUE((*file)->OpenRead().ok());
+  Row out;
+  auto more = (*file)->ReadRow(&out);
+  ASSERT_FALSE(more.ok()) << "a failed read passed for end of file";
+  EXPECT_EQ(more.status().code(), StatusCode::kExecutionError);
+
+  auto cut = manager.NewFile("cut");
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*cut)->AppendRow(Row{Value::Int64(i)}).ok());
+  }
+  ASSERT_TRUE((*cut)->FinishWrite().ok());
+  std::filesystem::resize_file(dir / "cut-1.spill",
+                               static_cast<uintmax_t>(
+                                   (*cut)->bytes_written() / 3));
+  ASSERT_TRUE((*cut)->OpenRead().ok());
+  more = (*cut)->ReadRow(&out);
+  ASSERT_TRUE(more.ok()) << more.status().ToString();
+  EXPECT_TRUE(*more);
+  more = (*cut)->ReadRow(&out);
+  ASSERT_FALSE(more.ok()) << "a short file passed for end of file";
+  EXPECT_EQ(more.status().code(), StatusCode::kExecutionError);
 }
 
 // --- Join hash-table footprint (memory-budget accounting) ----------------
@@ -852,6 +900,161 @@ TEST(StorageBudget, WorkloadAtTenthOfDataMatchesOracle) {
   EXPECT_GT(accumulated.segments_skipped, 0);
 }
 
+// --- Computed ORDER BY keys ----------------------------------------------
+
+/// One ORDER BY case over RST data: the query, the same block without
+/// ORDER BY / LIMIT (its rows are the reference), the select list, and
+/// the hand-computed sort key of a reference row with its directions.
+struct OrderCase {
+  std::string sql;
+  std::string unordered_sql;
+  std::vector<std::string> columns;
+  std::function<Row(const Row&)> key;
+  std::vector<bool> descending;
+  size_t limit;  // 0: no LIMIT
+};
+
+Value AddOrNull(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return Value::Null();
+  return Value::Int64(a.int64_value() + b.int64_value());
+}
+
+Value NegOrNull(const Value& a) {
+  return a.is_null() ? Value::Null() : Value::Int64(-a.int64_value());
+}
+
+Value CoalesceZero(const Value& a) {
+  return a.is_null() ? Value::Int64(0) : a;
+}
+
+/// Keys computed from output columns: sums, negations and COALESCE,
+/// mixed with bare columns, under DISTINCT and LIMIT.
+std::vector<OrderCase> ComputedOrderCases(const std::string& r) {
+  return {
+      {"SELECT a1, a2, a3 FROM " + r + " ORDER BY a1 + a2 DESC, a1",
+       "SELECT a1, a2, a3 FROM " + r,
+       {"a1", "a2", "a3"},
+       [](const Row& x) { return Row{AddOrNull(x[0], x[1]), x[0]}; },
+       {true, false},
+       0},
+      {"SELECT DISTINCT a4 FROM " + r + " ORDER BY -a4",
+       "SELECT DISTINCT a4 FROM " + r,
+       {"a4"},
+       [](const Row& x) { return Row{NegOrNull(x[0])}; },
+       {false},
+       0},
+      {"SELECT a1, a2 FROM " + r + " ORDER BY COALESCE(a2, 0), a1",
+       "SELECT a1, a2 FROM " + r,
+       {"a1", "a2"},
+       [](const Row& x) { return Row{CoalesceZero(x[1]), x[0]}; },
+       {false, false},
+       0},
+      {"SELECT DISTINCT a1, a2 FROM " + r +
+           " ORDER BY a1 + a2 DESC, a1, a2 LIMIT 20",
+       "SELECT DISTINCT a1, a2 FROM " + r,
+       {"a1", "a2"},
+       [](const Row& x) { return Row{AddOrNull(x[0], x[1]), x[0], x[1]}; },
+       {true, false, false},
+       20},
+      {"SELECT DISTINCT a2, a1 FROM " + r +
+           " ORDER BY COALESCE(a2, 0), a2, a1 LIMIT 15",
+       "SELECT DISTINCT a2, a1 FROM " + r,
+       {"a2", "a1"},
+       [](const Row& x) { return Row{CoalesceZero(x[0]), x[0], x[1]}; },
+       {false, false, false},
+       15},
+      {"SELECT a4, a3 FROM " + r + " ORDER BY -a4, a3 DESC LIMIT 5",
+       "SELECT a4, a3 FROM " + r,
+       {"a4", "a3"},
+       [](const Row& x) { return Row{NegOrNull(x[0]), x[1]}; },
+       {false, true},
+       5},
+  };
+}
+
+/// Checks `got` against the case's hand-sorted reference: the result
+/// schema is the select list (no hidden key column), the key sequence is
+/// the reference's exactly (the order ORDER BY defines), and the rows are
+/// the reference's (a sub-multiset of them under LIMIT).
+void ExpectOrdered(const OrderCase& c, const std::vector<Row>& reference,
+                   const QueryResult& got) {
+  ASSERT_EQ(got.schema.num_columns(), static_cast<int>(c.columns.size()));
+  for (size_t i = 0; i < c.columns.size(); ++i) {
+    EXPECT_EQ(got.schema.column(static_cast<int>(i)).name, c.columns[i]);
+  }
+  std::vector<Row> want = reference;
+  std::stable_sort(want.begin(), want.end(),
+                   [&](const Row& a, const Row& b) {
+                     const Row ka = c.key(a), kb = c.key(b);
+                     for (size_t i = 0; i < ka.size(); ++i) {
+                       const int cmp = ka[i].OrderCompare(kb[i]);
+                       if (cmp != 0) {
+                         return c.descending[i] ? cmp > 0 : cmp < 0;
+                       }
+                     }
+                     return false;
+                   });
+  if (c.limit > 0 && want.size() > c.limit) want.resize(c.limit);
+  std::vector<Row> got_keys, want_keys;
+  for (const Row& row : got.rows) got_keys.push_back(c.key(row));
+  for (const Row& row : want) want_keys.push_back(c.key(row));
+  EXPECT_EQ(SerializeRows(got_keys), SerializeRows(want_keys));
+  if (c.limit == 0) {
+    EXPECT_TRUE(RowMultisetsEqual(got.rows, reference));
+    return;
+  }
+  std::multiset<std::string> pool;
+  for (const Row& row : reference) pool.insert(SerializeRows({row}));
+  for (const Row& row : got.rows) {
+    const auto it = pool.find(SerializeRows({row}));
+    ASSERT_NE(it, pool.end()) << "a row not in the reference";
+    pool.erase(it);
+  }
+}
+
+/// Runs every computed-key case at batch {1, 7, 1024} on `threads`
+/// threads, then the LIMIT cases without DISTINCT over a larger table
+/// under a budget at which the sort writes runs.
+void CheckComputedOrderBy(int threads) {
+  Database db;
+  testing_util::LoadSmallRst(&db, 97, 2000, 10, 10, /*null_fraction=*/0.2,
+                             /*max_value=*/30);
+  testing_util::LoadSmallRst(&db, 98, 20000, 10, 10, /*null_fraction=*/0.2,
+                             /*max_value=*/1000, "big");
+  for (const bool spill : {false, true}) {
+    for (const OrderCase& c : ComputedOrderCases(spill ? "rbig" : "r")) {
+      if (spill && (c.limit == 0 || c.sql.find("DISTINCT") != c.sql.npos)) {
+        continue;
+      }
+      SCOPED_TRACE(c.sql);
+      const std::vector<Row> reference =
+          RunOk(&db, c.unordered_sql, QueryOptions()).rows;
+      for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        QueryOptions options;
+        options.batch_size = batch;
+        options.num_threads = threads;
+        if (spill) {
+          // A quarter of the result's bytes: the sort, which also buffers
+          // the computed keys, writes runs, while the few LIMIT rows the
+          // result keeps fit beside its in-memory remainder.
+          options.memory_budget_bytes = static_cast<size_t>(
+              ApproxRowsBytes(reference.size(), c.columns.size()) / 4);
+        }
+        const QueryResult got = RunOk(&db, c.sql, options);
+        if (spill) {
+          EXPECT_GT(got.stats.sort_spill_runs, 0);
+        }
+        ExpectOrdered(c, reference, got);
+      }
+    }
+  }
+}
+
+TEST(StorageSortComputedKeys, OrdersByExpressionsAtEveryBatchSize) {
+  CheckComputedOrderBy(/*threads=*/1);
+}
+
 // --- Parallel variants (TSan sweep) --------------------------------------
 
 TEST(StorageParallelBudget, ThreadedSpillMatchesSerialOracle) {
@@ -912,6 +1115,10 @@ TEST(StorageParallelSegmentScan, ConcurrentQueriesShareSegmentIndex) {
     EXPECT_EQ(SerializeRows(r.rows), SerializeRows(oracle.rows));
     EXPECT_GT(r.stats.segments_skipped, 0);
   }
+}
+
+TEST(StorageParallelSortComputedKeys, OrdersByExpressionsAtEveryBatchSize) {
+  CheckComputedOrderBy(/*threads=*/4);
 }
 
 }  // namespace
