@@ -143,7 +143,7 @@ void BM_JoinProbeFlat(benchmark::State& state) {
   for (auto _ : state) {
     for (const RowBatch& batch : batches) {
       table.ProbeBatch(batch, KeySlots(), &scratch);
-      matches += scratch.matches[0].count;
+      for (const JoinMatches& m : scratch.hits) matches += m.count;
     }
   }
   benchmark::DoNotOptimize(matches);
@@ -163,7 +163,7 @@ void BM_JoinProbeBatchFlat(benchmark::State& state) {
   int64_t matches = 0;
   for (auto _ : state) {
     table.ProbeBatch(batch, KeySlots(), &scratch);
-    for (const JoinMatches& m : scratch.matches) matches += m.count;
+    for (const JoinMatches& m : scratch.hits) matches += m.count;
   }
   benchmark::DoNotOptimize(matches);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

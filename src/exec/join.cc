@@ -90,12 +90,14 @@ void JoinHashTable::Build(const ColumnStore& build,
 void JoinHashTable::ProbeBatch(const RowBatch& batch,
                                const std::vector<int>& probe_slots,
                                JoinProbeScratch* scratch) const {
-  scratch->matches.assign(batch.size(), JoinMatches{});
-  JoinMatches* matches = scratch->matches.data();
+  std::vector<JoinMatches>& hits = scratch->hits;
+  hits.clear();
   index_.FindBatch(batch, probe_slots, &scratch->keys,
                    [&](size_t i, uint32_t id) {
-                     matches[i] = JoinMatches{payload_.data() + offsets_[id],
-                                              offsets_[id + 1] - offsets_[id]};
+                     hits.push_back(JoinMatches{
+                         payload_.data() + offsets_[id],
+                         offsets_[id + 1] - offsets_[id],
+                         static_cast<uint32_t>(i)});
                    });
 }
 
@@ -316,49 +318,49 @@ Status HashJoinOp::ProcessLeftBatch(RowBatch batch) {
 // candidate of every probe row.
 Status HashJoinOp::JoinBatch(RowBatch batch, const ColumnStore& build) {
   PairScratch& s = scratch_[static_cast<size_t>(CurrentWorkerId())];
-  const JoinMatches* matches = nullptr;
-  if (keyed()) {
-    table_.ProbeBatch(batch, probe_key_slots_, &s.probe);
-    matches = s.probe.matches.data();
-  }
-  if (existence()) {
-    return EmitExistence(std::move(batch), matches, build, &s);
-  }
-  return EmitPairs(batch, matches, build, &s);
+  if (keyed()) table_.ProbeBatch(batch, probe_key_slots_, &s.probe);
+  if (existence()) return EmitExistence(std::move(batch), build, &s);
+  return EmitPairs(batch, build, &s);
 }
 
-Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
-                                 const ColumnStore& build, PairScratch* s) {
+Status HashJoinOp::EmitExistence(RowBatch batch, const ColumnStore& build,
+                                 PairScratch* s) {
   const size_t n = batch.size();
-  const bool anti = kind_ == JoinKind::kAnti;
-  auto count = [&](size_t i) -> size_t {
-    return matches != nullptr ? matches[i].count : build.num_rows;
-  };
-  s->matched.resize(n);
-  if (residual_ == nullptr) {
-    for (size_t i = 0; i < n; ++i) s->matched[i] = count(i) > 0;
-  } else {
-    std::fill(s->matched.begin(), s->matched.end(), 0);
-    s->undecided.clear();
-    s->next.assign(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-      if (count(i) > 0) s->undecided.push_back(static_cast<uint32_t>(i));
+  std::vector<JoinMatches>& hits = s->probe.hits;
+  if (!keyed()) {
+    // Every probe row is a hit on every build row.
+    hits.clear();
+    const uint32_t rows = static_cast<uint32_t>(build.num_rows);
+    for (uint32_t i = 0; rows > 0 && i < n; ++i) {
+      hits.push_back(JoinMatches{nullptr, rows, i});
     }
+  }
+  // The positions that pass: every hit without a residual, else the hits
+  // with a TRUE pair.
+  s->passed.clear();
+  if (residual_ == nullptr) {
+    for (const JoinMatches& m : hits) s->passed.push_back(m.pos);
+  } else {
+    const size_t num_hits = hits.size();
+    s->matched.assign(num_hits, 0);
+    s->next.assign(num_hits, 0);
+    s->undecided.resize(num_hits);
+    std::iota(s->undecided.begin(), s->undecided.end(), 0);
     int64_t since_check = 0;
     while (!s->undecided.empty()) {
-      if (matches == nullptr) {
+      if (!keyed()) {
         since_check += static_cast<int64_t>(s->undecided.size());
         if (since_check >= 4096) {
           since_check = 0;
           BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
         }
       }
-      // Round: the next candidate of every undecided row.
-      s->pair_probe.assign(s->undecided.begin(), s->undecided.end());
+      // Round: the next candidate of every undecided hit.
+      s->pair_probe.clear();
       s->pair_build.clear();
-      for (uint32_t i : s->undecided) {
-        const uint32_t k = s->next[i];
-        s->pair_build.push_back(matches != nullptr ? matches[i].data[k] : k);
+      for (uint32_t h : s->undecided) {
+        s->pair_probe.push_back(hits[h].pos);
+        s->pair_build.push_back(hits[h].row(s->next[h]));
       }
       const RowBatch pairs =
           RowBatch::FromColumns(GatherPairs(batch, build, s));
@@ -367,64 +369,102 @@ Status HashJoinOp::EmitExistence(RowBatch batch, const JoinMatches* matches,
           pairs, ctx_->outer_row(), &s->sel_true, nullptr, nullptr));
       size_t t = 0;
       size_t kept = 0;
-      for (size_t p = 0; p < s->pair_probe.size(); ++p) {
-        const uint32_t i = s->pair_probe[p];
+      for (size_t p = 0; p < s->undecided.size(); ++p) {
+        const uint32_t h = s->undecided[p];
         if (t < s->sel_true.size() && s->sel_true[t] == p) {
           ++t;
-          s->matched[i] = 1;
-        } else if (++s->next[i] < count(i)) {
-          s->undecided[kept++] = i;
+          s->matched[h] = 1;
+        } else if (++s->next[h] < hits[h].count) {
+          s->undecided[kept++] = h;
         }
       }
       s->undecided.resize(kept);
     }
+    for (size_t h = 0; h < num_hits; ++h) {
+      if (s->matched[h] != 0) s->passed.push_back(hits[h].pos);
+    }
+  }
+  // The semi join keeps the passing positions; the anti join keeps the
+  // rest, in one cursor walk over the batch.
+  const std::vector<uint32_t>& passed = s->passed;
+  const std::vector<uint32_t>& sel = batch.selection();
+  const bool anti = kind_ == JoinKind::kAnti;
+  if (passed.size() == (anti ? 0 : n)) {
+    return Emit(kPortOut, std::move(batch));
   }
   s->keep.clear();
-  const std::vector<uint32_t>& sel = batch.selection();
-  for (size_t i = 0; i < n; ++i) {
-    if ((s->matched[i] != 0) != anti) s->keep.push_back(sel[i]);
+  if (anti) {
+    size_t p = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (p < passed.size() && passed[p] == i) {
+        ++p;
+      } else {
+        s->keep.push_back(sel[i]);
+      }
+    }
+  } else {
+    for (uint32_t i : passed) s->keep.push_back(sel[i]);
   }
-  if (s->keep.size() == n) return Emit(kPortOut, std::move(batch));
   return Emit(kPortOut, batch.ShareWithSelection(s->keep));
 }
 
-Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
-                             const ColumnStore& build, PairScratch* s) {
-  const size_t n = batch.size();
-  const bool pad = kind_ == JoinKind::kLeftOuter;
+Status HashJoinOp::EmitPairs(const RowBatch& batch, const ColumnStore& build,
+                             PairScratch* s) {
+  const std::vector<JoinMatches>& hits = s->probe.hits;
   const size_t chunk = batch_size();
   s->pair_probe.clear();
   s->pair_build.clear();
   s->pair_probe.reserve(chunk);
   s->pair_build.reserve(chunk);
-  if (residual_ != nullptr) s->matched.assign(n, 0);
-  int64_t since_check = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t probe = static_cast<uint32_t>(i);
-    const size_t count =
-        matches != nullptr ? matches[i].count : build.num_rows;
-    for (size_t k = 0; k < count; ++k) {
-      if (matches == nullptr && ++since_check >= 4096) {
-        since_check = 0;
-        BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
+  s->last_matched = kPad;
+  // Records one pair; true once the pairs fill a chunk.
+  auto add = [&](uint32_t probe, uint32_t build_row) {
+    s->pair_probe.push_back(probe);
+    s->pair_build.push_back(build_row);
+    return s->pair_probe.size() >= chunk;
+  };
+  const uint32_t n = static_cast<uint32_t>(batch.size());
+  if (!keyed()) {
+    // Every build row is a candidate of every probe row. A left outer
+    // join pads each row after its pairs when a residual decides the
+    // pad, and every row of an empty build.
+    const uint32_t rows = static_cast<uint32_t>(build.num_rows);
+    const bool pad = kind_ == JoinKind::kLeftOuter &&
+                     (residual_ != nullptr || rows == 0);
+    for (uint32_t i = 0; i < n; ++i) {
+      for (uint32_t k = 0; k < rows; ++k) {
+        if (add(i, k)) BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
       }
-      s->pair_probe.push_back(probe);
-      s->pair_build.push_back(matches != nullptr
-                                  ? matches[i].data[k]
-                                  : static_cast<uint32_t>(k));
-      if (s->pair_probe.size() >= chunk) {
+      if (pad && add(i, kPad)) {
         BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
       }
     }
-    // Without a residual a row is padded exactly when it has no
-    // candidate; with one, the pad is decided at the flush, after the
-    // row's candidates were evaluated.
-    if (pad && (residual_ != nullptr || count == 0)) {
-      s->pair_probe.push_back(probe);
-      s->pair_build.push_back(kPad);
-      if (s->pair_probe.size() >= chunk) {
-        BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
+  } else if (kind_ == JoinKind::kInner) {
+    for (const JoinMatches& m : hits) {
+      for (uint32_t k = 0; k < m.count; ++k) {
+        if (add(m.pos, m.data[k])) {
+          BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
+        }
       }
+    }
+  } else {
+    // Left outer: a cursor into the hits walks the batch. Without a
+    // residual a row is padded exactly when it missed; with one, every
+    // row's pad follows its pairs and is decided at the flush, after the
+    // row's pairs were evaluated.
+    size_t h = 0;
+    for (uint32_t i = 0; i < n; ++i) {
+      const bool hit = h < hits.size() && hits[h].pos == i;
+      if (hit) {
+        const JoinMatches m = hits[h++];
+        for (uint32_t k = 0; k < m.count; ++k) {
+          if (add(i, m.data[k])) {
+            BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
+          }
+        }
+        if (residual_ == nullptr) continue;
+      }
+      if (add(i, kPad)) BYPASS_RETURN_IF_ERROR(FlushPairs(batch, build, s));
     }
   }
   if (s->pair_probe.empty()) return Status::OK();
@@ -433,6 +473,9 @@ Status HashJoinOp::EmitPairs(const RowBatch& batch, const JoinMatches* matches,
 
 Status HashJoinOp::FlushPairs(const RowBatch& batch, const ColumnStore& build,
                               PairScratch* s) {
+  // A keyless join's pairs grow with the build side: a deadline check
+  // per chunk.
+  if (!keyed()) BYPASS_RETURN_IF_ERROR(ctx_->run().CheckBudget());
   ColumnStore gathered = GatherPairs(batch, build, s);
   const size_t num_pairs = s->pair_probe.size();
   if (residual_ == nullptr) {
@@ -454,7 +497,8 @@ Status HashJoinOp::FlushPairs(const RowBatch& batch, const ColumnStore& build,
     BYPASS_RETURN_IF_ERROR(residual_->PartitionBatch(
         view, ctx_->outer_row(), &s->sel_true, nullptr, nullptr));
   }
-  // A pad follows its row's candidates, so its row is decided by then.
+  // A pad follows its row's candidates (in this flush or an earlier
+  // one), so its row is decided by then.
   s->keep.clear();
   size_t t = 0;
   for (size_t p = 0; p < num_pairs; ++p) {
@@ -462,10 +506,10 @@ Status HashJoinOp::FlushPairs(const RowBatch& batch, const ColumnStore& build,
     if (s->pair_build[p] != kPad) {
       if (t < s->sel_true.size() && s->sel_true[t] == p) {
         ++t;
-        s->matched[i] = 1;
+        s->last_matched = i;
         s->keep.push_back(static_cast<uint32_t>(p));
       }
-    } else if (s->matched[i] == 0) {
+    } else if (s->last_matched != i) {
       s->keep.push_back(static_cast<uint32_t>(p));
     }
   }

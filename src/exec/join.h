@@ -21,21 +21,30 @@
 
 namespace bypass {
 
-/// One probe's matching build-row indices: a view into the table's
-/// payload array, ascending, empty on miss / NULL key.
+/// One probe row's matching build-row indices: a view into the table's
+/// payload array, ascending, plus the row's position in the probed
+/// batch's selection (it fills what would be padding, so an entry stays
+/// 16 bytes). A keyless semi or anti join's hits carry a null `data`,
+/// read through row(): match k is build row k.
 struct JoinMatches {
   const uint32_t* data = nullptr;
   uint32_t count = 0;
+  uint32_t pos = 0;
 
   bool empty() const { return count == 0; }
+  uint32_t row(uint32_t k) const { return data != nullptr ? data[k] : k; }
   const uint32_t* begin() const { return data; }
   const uint32_t* end() const { return data + count; }
 };
 
-/// Per-worker scratch for JoinHashTable::ProbeBatch.
+/// Per-worker scratch for JoinHashTable::ProbeBatch: the hit list. Only
+/// the probe rows that hit are recorded, by ascending position, each with
+/// its (never empty) build rows, so a join's work after the probe follows
+/// the hits, not the batch; a row that misses (or has a NULL key) appears
+/// nowhere.
 struct JoinProbeScratch {
   KeyScratch keys;
-  std::vector<JoinMatches> matches;  // aligned with the batch's rows
+  std::vector<JoinMatches> hits;
 };
 
 /// Index from build-side key values to build-row indices; SQL semantics:
@@ -60,11 +69,11 @@ class JoinHashTable {
   /// each key's index list is ascending.
   void Build(const ColumnStore& build, const std::vector<int>& key_slots);
 
-  /// Resolves every selected row of `batch` (KeyIndex::FindBatch);
-  /// `scratch->matches` ends up aligned with the batch's selected rows.
-  /// The batch's rows are never materialized unless the keys are
-  /// generic. Safe to call concurrently from multiple workers with
-  /// distinct scratches.
+  /// Resolves every selected row of `batch` (KeyIndex::FindBatch) and
+  /// leaves the hit list in `scratch`: the positions whose key is present,
+  /// ascending, each with its build rows. The batch's rows are never
+  /// materialized unless the keys are generic. Safe to call concurrently
+  /// from multiple workers with distinct scratches.
   void ProbeBatch(const RowBatch& batch,
                   const std::vector<int>& probe_slots,
                   JoinProbeScratch* scratch) const;
@@ -106,16 +115,20 @@ enum class JoinKind : uint8_t { kInner, kLeftOuter, kSemi, kAnti };
 /// NULL keys never match.
 ///
 /// The build side is buffered as columns (BinaryPhysOp). Work is per
-/// probe batch. The inner and left outer joins record (probe,
-/// build-or-pad) pairs, gather them column by column into one batch
-/// (probe columns from the probe batch's, build columns from the buffered
-/// build columns, pads from `unmatched_right`), evaluate the residual
-/// over it with the column kernels and emit it without its
-/// predicate-only tail. Semi and anti
-/// joins emit the probe batch itself with a narrowed selection; their
-/// residual is evaluated in rounds — round r holds the r-th candidate
-/// of every probe row still undecided — so no pair after a row's first
-/// TRUE one is ever evaluated.
+/// probe batch. A keyed join starts from its hit list (JoinProbeScratch),
+/// which records only the rows that hit; a keyless join takes every build
+/// row as a candidate of every probe row. The inner join records (probe,
+/// build) pairs from the hits alone; the left outer join walks the batch
+/// with a cursor into the hits and records each miss as a (probe, pad)
+/// pair. The pairs are gathered column by column into one batch (probe
+/// columns from the probe batch's, build columns from the buffered build
+/// columns, pads from `unmatched_right`), the residual is evaluated over
+/// it with the column kernels and it is emitted without its
+/// predicate-only tail. Semi and anti joins emit the probe batch itself
+/// with a narrowed selection: the hit positions, or their complement for
+/// the anti join. Their residual is evaluated in rounds over the hits —
+/// round r holds the r-th candidate of every hit still undecided — so no
+/// pair after a row's first TRUE one is ever evaluated.
 ///
 /// Out-of-core (keyed inner joins only): when the context carries a
 /// memory budget and a spill manager, a build side that cannot be
@@ -204,9 +217,13 @@ class HashJoinOp : public BinaryPhysOp {
     std::vector<uint32_t> pair_probe;  // pair → position in the batch
     std::vector<uint32_t> pair_build;  // pair → build row or kPad
     std::vector<uint32_t> storage;     // pair → probe storage index
-    std::vector<uint8_t> matched;      // per batch position
-    std::vector<uint32_t> next;        // per position: next candidate
-    std::vector<uint32_t> undecided;   // positions still undecided
+    /// Left outer join with a residual: the last position one of whose
+    /// pairs passed (kPad for none), which decides the pad after it.
+    uint32_t last_matched = kPad;
+    std::vector<uint8_t> matched;      // per hit: a pair passed
+    std::vector<uint32_t> next;        // per hit: next candidate
+    std::vector<uint32_t> undecided;   // hits still undecided
+    std::vector<uint32_t> passed;      // positions of the passing hits
     std::vector<uint32_t> candidates;  // pairs with a build row
     std::vector<uint32_t> sel_true;
     std::vector<uint32_t> keep;
@@ -216,12 +233,12 @@ class HashJoinOp : public BinaryPhysOp {
   /// the loaded partition in Grace mode, indexed by table_ when keyed).
   Status JoinBatch(RowBatch batch, const ColumnStore& build);
   /// Semi and anti joins: emits the batch narrowed to its passing rows.
-  Status EmitExistence(RowBatch batch, const JoinMatches* matches,
-                       const ColumnStore& build, PairScratch* s);
+  Status EmitExistence(RowBatch batch, const ColumnStore& build,
+                       PairScratch* s);
   /// Inner and left outer joins: records the batch's pairs and emits
   /// them in chunks of batch_size().
-  Status EmitPairs(const RowBatch& batch, const JoinMatches* matches,
-                   const ColumnStore& build, PairScratch* s);
+  Status EmitPairs(const RowBatch& batch, const ColumnStore& build,
+                   PairScratch* s);
   /// Gathers, filters and emits the recorded pairs, then clears them.
   Status FlushPairs(const RowBatch& batch, const ColumnStore& build,
                     PairScratch* s);

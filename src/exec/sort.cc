@@ -17,6 +17,8 @@ void SortPhysOp::Reset() {
     p.charged = 0;
     p.runs.clear();
   }
+  remainder_charge_ = 0;
+  remainder_in_chunk_ = 0;
 }
 
 int SortPhysOp::CompareKeys(const Row& a, const Row& b) const {
@@ -78,10 +80,20 @@ Status SortPhysOp::Consume(int, RowBatch batch) {
   return Status::OK();
 }
 
-Status SortPhysOp::EmitSorted(Row row, std::vector<Row>* chunk) {
+Status SortPhysOp::EmitSorted(Row row, bool from_remainder,
+                              std::vector<Row>* chunk) {
   if (chunk->empty()) chunk->reserve(batch_size());
   chunk->push_back(std::move(row));
+  if (from_remainder) ++remainder_in_chunk_;
   if (chunk->size() < batch_size()) return Status::OK();
+  // The chunk's remainder rows give back their charge (ApproxRowsBytes at
+  // the input's width) before the chunk leaves.
+  const int64_t bytes =
+      std::min(remainder_charge_,
+               ApproxRowsBytes(remainder_in_chunk_, chunk->front().size()));
+  ctx_->run().ReleaseMemory(bytes);
+  remainder_charge_ -= bytes;
+  remainder_in_chunk_ = 0;
   return Emit(kPortOut, RowBatch::FromRows(std::exchange(*chunk, {})));
 }
 
@@ -120,11 +132,14 @@ Status SortPhysOp::MergeRuns(std::vector<std::unique_ptr<SpillFile>> runs,
     if (best == nullptr && !rest_left) break;
     if (best != nullptr &&
         (!rest_left || CompareKeys(best->current, (*sorted)[rest]) <= 0)) {
-      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move(best->current), chunk));
+      BYPASS_RETURN_IF_ERROR(
+          EmitSorted(std::move(best->current), /*from_remainder=*/false,
+                     chunk));
       BYPASS_ASSIGN_OR_RETURN(bool more, best->file->ReadRow(&best->current));
       best->done = !more;
     } else {
-      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move((*sorted)[rest]), chunk));
+      BYPASS_RETURN_IF_ERROR(EmitSorted(std::move((*sorted)[rest]),
+                                        /*from_remainder=*/true, chunk));
       ++rest;
     }
   }
@@ -163,11 +178,16 @@ Status SortPhysOp::FinishPort(int) {
     p.rows.clear();
   }
   SortRows(&buffer);
-  // Without runs the merge streams the sorted remainder alone. Every
-  // buffered row has left once it returns, so the buffer's charge goes.
+  // Without runs the merge streams the sorted remainder alone. The
+  // buffer's charge leaves with its rows, a chunk at a time; what is left
+  // once the merge returns (the last chunk's share, or everything after
+  // an error) goes before the last chunk.
+  remainder_charge_ = charged;
+  remainder_in_chunk_ = 0;
   std::vector<Row> chunk;
-  BYPASS_RETURN_IF_ERROR(MergeRuns(std::move(runs), &buffer, &chunk));
-  ctx_->run().ReleaseMemory(charged);
+  const Status merged = MergeRuns(std::move(runs), &buffer, &chunk);
+  ctx_->run().ReleaseMemory(std::exchange(remainder_charge_, 0));
+  BYPASS_RETURN_IF_ERROR(merged);
   BYPASS_RETURN_IF_ERROR(Emit(kPortOut, RowBatch::FromRows(std::move(chunk))));
   return EmitFinish(kPortOut);
 }

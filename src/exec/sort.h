@@ -16,8 +16,10 @@
 // (worker, then spill order) before the remainder, so serial spilled
 // runs reproduce arrival-order stability exactly.
 // The buffer holds rows (charged by ApproxRowsBytes); the output leaves
-// in FromRows chunks of at most batch_size rows, and the charge goes once
-// the last row has left.
+// in FromRows chunks of at most batch_size rows, and each chunk's
+// remainder rows give back their charge before the chunk is emitted, so a
+// consumer that charges the rows it keeps (the collector) never holds a
+// charge for them at the same time as the sort.
 #ifndef BYPASSDB_EXEC_SORT_H_
 #define BYPASSDB_EXEC_SORT_H_
 
@@ -71,12 +73,17 @@ class SortPhysOp : public UnaryPhysOp {
   Status MergeRuns(std::vector<std::unique_ptr<SpillFile>> runs,
                    std::vector<Row>* sorted, std::vector<Row>* chunk);
 
-  /// Appends the next output row to `chunk`, emitting the chunk once it
+  /// Appends the next output row to `chunk` (`from_remainder`: taken
+  /// from the sorted in-memory remainder), emitting the chunk once it
   /// holds batch_size rows.
-  Status EmitSorted(Row row, std::vector<Row>* chunk);
+  Status EmitSorted(Row row, bool from_remainder, std::vector<Row>* chunk);
 
   std::vector<PhysSortKey> keys_;
   std::vector<Partial> partials_;  // per-worker input buffers
+  /// The remainder's charge still held during the merge, and how many
+  /// rows of the current chunk came from the remainder.
+  int64_t remainder_charge_ = 0;
+  size_t remainder_in_chunk_ = 0;
 };
 
 }  // namespace bypass

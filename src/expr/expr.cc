@@ -11,6 +11,23 @@ namespace bypass {
 
 namespace {
 
+/// Appends each selected row's storage index to the stream of its truth
+/// value, truth_at(i) for the i-th: TRUE to `sel_true`, FALSE to
+/// `sel_false` and NULL to `sel_null` when those are non-null, in batch
+/// order (so `sel_false == sel_null` gets one ordered stream).
+template <typename TruthAt>
+void SplitByTruth(const std::vector<uint32_t>& sel, TruthAt&& truth_at,
+                  std::vector<uint32_t>* sel_true,
+                  std::vector<uint32_t>* sel_false,
+                  std::vector<uint32_t>* sel_null) {
+  // Indexed by TriBool (kFalse=0, kTrue=1, kUnknown=2).
+  std::vector<uint32_t>* const outs[3] = {sel_false, sel_true, sel_null};
+  for (size_t i = 0; i < sel.size(); ++i) {
+    std::vector<uint32_t>* out = outs[static_cast<int>(truth_at(i))];
+    if (out != nullptr) out->push_back(sel[i]);
+  }
+}
+
 Value TriBoolToValue(TriBool t) {
   switch (t) {
     case TriBool::kTrue:
@@ -39,14 +56,9 @@ Status Expr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
                             std::vector<uint32_t>* sel_null) const {
   std::vector<Value> values;
   BYPASS_RETURN_IF_ERROR(EvalBatch(batch, outer_row, &values));
-  const std::vector<uint32_t>& sel = batch.selection();
-  // Indexed by TriBool (kFalse=0, kTrue=1, kUnknown=2).
-  std::vector<uint32_t>* const outs[3] = {sel_false, sel_true, sel_null};
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::vector<uint32_t>* out =
-        outs[static_cast<int>(ValueToTriBool(values[i]))];
-    if (out != nullptr) out->push_back(sel[i]);
-  }
+  SplitByTruth(
+      batch.selection(), [&](size_t i) { return ValueToTriBool(values[i]); },
+      sel_true, sel_false, sel_null);
   return Status::OK();
 }
 
@@ -165,41 +177,99 @@ std::string ComparisonExpr::ToString() const {
 
 namespace {
 
-/// Vectorized n-ary AND/OR. Terms are evaluated left to right over a
-/// shrinking sub-batch of still-undecided rows, so each row short-circuits
-/// exactly as SQL's 3VL allows: a term is never evaluated (no error, no
-/// subquery execution) for a row an earlier term already decided — the
-/// bypass intuition of Eqv. 2/3.
+/// Walks the selection `sel` of a partitioned batch alongside the TRUE and
+/// NULL streams its partition produced, calling visit(j, truth) for each
+/// entry j in order; an entry in neither stream is FALSE. Each stream is
+/// a subsequence of `sel`, and equal storage indices share one truth
+/// value, so a stream's head matches entry j exactly when j belongs to it.
+template <typename Visit>
+void WalkTruth(const std::vector<uint32_t>& sel,
+               const std::vector<uint32_t>& is_true,
+               const std::vector<uint32_t>& is_null, Visit&& visit) {
+  size_t t = 0;
+  size_t u = 0;
+  for (size_t j = 0; j < sel.size(); ++j) {
+    if (t < is_true.size() && is_true[t] == sel[j]) {
+      ++t;
+      visit(j, TriBool::kTrue);
+    } else if (u < is_null.size() && is_null[u] == sel[j]) {
+      ++u;
+      visit(j, TriBool::kUnknown);
+    } else {
+      visit(j, TriBool::kFalse);
+    }
+  }
+}
+
+/// The one junction kernel: the 3VL value of an n-ary AND/OR for each
+/// selected row of `batch`, in selection order. Terms run left to right,
+/// each partitioning (σ±) only the rows still undecided, so each row
+/// short-circuits exactly as SQL's 3VL allows: a term is never evaluated
+/// (no error, no subquery execution) for a row an earlier term already
+/// decided — the bypass intuition of Eqv. 2/3.
+Status JunctionTruth(const std::vector<ExprPtr>& terms, bool is_and,
+                     const RowBatch& batch, const Row* outer_row,
+                     std::vector<TriBool>* truth) {
+  const size_t n = batch.size();
+  const TriBool absorbing = is_and ? TriBool::kFalse : TriBool::kTrue;
+  truth->assign(n, is_and ? TriBool::kTrue : TriBool::kFalse);
+  std::vector<uint32_t> undecided(n);  // positions in [0, n)
+  std::iota(undecided.begin(), undecided.end(), 0);
+  std::vector<uint32_t> is_true, is_null;
+  for (const ExprPtr& term : terms) {
+    if (undecided.empty()) break;
+    // While no row is decided the term partitions the batch itself.
+    RowBatch sub;
+    if (undecided.size() < n) {
+      std::vector<uint32_t> sub_sel(undecided.size());
+      for (size_t j = 0; j < undecided.size(); ++j) {
+        sub_sel[j] = batch.selection()[undecided[j]];
+      }
+      sub = batch.ShareWithSelection(std::move(sub_sel));
+    }
+    const RowBatch& view = undecided.size() < n ? sub : batch;
+    is_true.clear();
+    is_null.clear();
+    BYPASS_RETURN_IF_ERROR(
+        term->PartitionBatch(view, outer_row, &is_true, nullptr, &is_null));
+    size_t kept = 0;
+    WalkTruth(view.selection(), is_true, is_null,
+              [&](size_t j, TriBool v) {
+                const uint32_t pos = undecided[j];
+                if (v == absorbing) {
+                  (*truth)[pos] = absorbing;
+                  return;
+                }
+                if (v == TriBool::kUnknown) (*truth)[pos] = v;
+                undecided[kept++] = pos;
+              });
+    undecided.resize(kept);
+  }
+  return Status::OK();
+}
+
 Status EvalJunctionBatch(const std::vector<ExprPtr>& terms, bool is_and,
                          const RowBatch& batch, const Row* outer_row,
                          std::vector<Value>* out) {
-  const size_t n = batch.size();
-  const size_t base = out->size();
-  const TriBool identity = is_and ? TriBool::kTrue : TriBool::kFalse;
-  const TriBool absorbing = is_and ? TriBool::kFalse : TriBool::kTrue;
-  out->insert(out->end(), n, TriBoolToValue(identity));
-  std::vector<size_t> active(n);  // undecided positions in [0, n)
-  std::iota(active.begin(), active.end(), 0);
-  std::vector<uint32_t> sub_sel;
-  std::vector<Value> term_vals;
-  for (const ExprPtr& t : terms) {
-    if (active.empty()) break;
-    sub_sel.clear();
-    for (size_t pos : active) sub_sel.push_back(batch.selection()[pos]);
-    const RowBatch sub = batch.ShareWithSelection(sub_sel);
-    term_vals.clear();
-    BYPASS_RETURN_IF_ERROR(t->EvalBatch(sub, outer_row, &term_vals));
-    size_t kept = 0;
-    for (size_t i = 0; i < active.size(); ++i) {
-      const size_t pos = active[i];
-      TriBool acc = ValueToTriBool((*out)[base + pos]);
-      const TriBool v = ValueToTriBool(term_vals[i]);
-      acc = is_and ? TriAnd(acc, v) : TriOr(acc, v);
-      (*out)[base + pos] = TriBoolToValue(acc);
-      if (acc != absorbing) active[kept++] = pos;
-    }
-    active.resize(kept);
-  }
+  std::vector<TriBool> truth;
+  BYPASS_RETURN_IF_ERROR(
+      JunctionTruth(terms, is_and, batch, outer_row, &truth));
+  out->reserve(out->size() + truth.size());
+  for (TriBool t : truth) out->push_back(TriBoolToValue(t));
+  return Status::OK();
+}
+
+Status PartitionJunctionBatch(const std::vector<ExprPtr>& terms, bool is_and,
+                              const RowBatch& batch, const Row* outer_row,
+                              std::vector<uint32_t>* sel_true,
+                              std::vector<uint32_t>* sel_false,
+                              std::vector<uint32_t>* sel_null) {
+  std::vector<TriBool> truth;
+  BYPASS_RETURN_IF_ERROR(
+      JunctionTruth(terms, is_and, batch, outer_row, &truth));
+  SplitByTruth(
+      batch.selection(), [&](size_t i) { return truth[i]; }, sel_true,
+      sel_false, sel_null);
   return Status::OK();
 }
 
@@ -208,6 +278,14 @@ Status EvalJunctionBatch(const std::vector<ExprPtr>& terms, bool is_and,
 Status AndExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                           std::vector<Value>* out) const {
   return EvalJunctionBatch(terms_, /*is_and=*/true, batch, outer_row, out);
+}
+
+Status AndExpr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                               std::vector<uint32_t>* sel_true,
+                               std::vector<uint32_t>* sel_false,
+                               std::vector<uint32_t>* sel_null) const {
+  return PartitionJunctionBatch(terms_, /*is_and=*/true, batch, outer_row,
+                                sel_true, sel_false, sel_null);
 }
 
 ExprPtr AndExpr::Clone() const {
@@ -227,6 +305,14 @@ std::string AndExpr::ToString() const {
 Status OrExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
                          std::vector<Value>* out) const {
   return EvalJunctionBatch(terms_, /*is_and=*/false, batch, outer_row, out);
+}
+
+Status OrExpr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                              std::vector<uint32_t>* sel_true,
+                              std::vector<uint32_t>* sel_false,
+                              std::vector<uint32_t>* sel_null) const {
+  return PartitionJunctionBatch(terms_, /*is_and=*/false, batch, outer_row,
+                                sel_true, sel_false, sel_null);
 }
 
 ExprPtr OrExpr::Clone() const {
@@ -253,6 +339,29 @@ Status NotExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
   for (const Value& v : vals) {
     out->push_back(TriBoolToValue(TriNot(ValueToTriBool(v))));
   }
+  return Status::OK();
+}
+
+Status NotExpr::PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                               std::vector<uint32_t>* sel_true,
+                               std::vector<uint32_t>* sel_false,
+                               std::vector<uint32_t>* sel_null) const {
+  // NOT swaps TRUE and FALSE and keeps NULL.
+  if (sel_false == nullptr || sel_false != sel_null) {
+    std::vector<uint32_t> unused;
+    return input_->PartitionBatch(batch, outer_row,
+                                  sel_false != nullptr ? sel_false : &unused,
+                                  sel_true, sel_null);
+  }
+  // One complement-of-TRUE stream: the input's TRUE and NULL rows merged
+  // back into batch order.
+  std::vector<uint32_t> is_true, is_null;
+  BYPASS_RETURN_IF_ERROR(input_->PartitionBatch(batch, outer_row, &is_true,
+                                                sel_true, &is_null));
+  const std::vector<uint32_t>& sel = batch.selection();
+  WalkTruth(sel, is_true, is_null, [&](size_t j, TriBool v) {
+    if (v != TriBool::kFalse) sel_false->push_back(sel[j]);
+  });
   return Status::OK();
 }
 

@@ -93,8 +93,10 @@ class Expr {
   /// when those are non-null. Passing the same vector as `sel_false` and
   /// `sel_null` collects the complement of TRUE as one ordered stream —
   /// exactly the σ± split of a bypass selection. The base implementation
-  /// goes through EvalBatch; comparisons override it with a fast path
-  /// that never materializes a Value per row.
+  /// goes through EvalBatch. Comparisons and LIKE override it with typed
+  /// column kernels that never materialize a Value per row; AND and OR
+  /// partition each term over the rows still undecided, narrowing the
+  /// selection term by term, and NOT swaps its input's TRUE and FALSE.
   virtual Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
                                 std::vector<uint32_t>* sel_true,
                                 std::vector<uint32_t>* sel_false,
@@ -186,7 +188,7 @@ class ComparisonExpr : public Expr {
   ExprPtr right_;
 };
 
-/// N-ary conjunction (3VL).
+/// N-ary conjunction (3VL, short-circuit on false).
 class AndExpr : public Expr {
  public:
   explicit AndExpr(std::vector<ExprPtr> terms) : terms_(std::move(terms)) {}
@@ -194,6 +196,10 @@ class AndExpr : public Expr {
   const std::vector<ExprPtr>& terms() const { return terms_; }
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
+  Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                        std::vector<uint32_t>* sel_true,
+                        std::vector<uint32_t>* sel_false,
+                        std::vector<uint32_t>* sel_null) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   std::vector<ExprPtr> children() const override { return terms_; }
@@ -210,6 +216,10 @@ class OrExpr : public Expr {
   const std::vector<ExprPtr>& terms() const { return terms_; }
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
+  Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                        std::vector<uint32_t>* sel_true,
+                        std::vector<uint32_t>* sel_false,
+                        std::vector<uint32_t>* sel_null) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   std::vector<ExprPtr> children() const override { return terms_; }
@@ -226,6 +236,10 @@ class NotExpr : public Expr {
   const ExprPtr& input() const { return input_; }
   Status EvalBatch(const RowBatch& batch, const Row* outer_row,
                    std::vector<Value>* out) const override;
+  Status PartitionBatch(const RowBatch& batch, const Row* outer_row,
+                        std::vector<uint32_t>* sel_true,
+                        std::vector<uint32_t>* sel_false,
+                        std::vector<uint32_t>* sel_null) const override;
   ExprPtr Clone() const override;
   std::string ToString() const override;
   std::vector<ExprPtr> children() const override { return {input_}; }

@@ -409,7 +409,8 @@ TriBool Greater(const Row& l, const Row& r) {
 
 // Every join kind, keyed or keyless, with or without a residual, over a
 // column-only probe input (Π's output): the join emits column-only
-// batches of typed columns, and its rows are the brute-force join's.
+// batches of typed columns, and its rows are the brute-force join's in
+// its order: probe order, then ascending build rows, then the pad.
 TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
   const Value null = Value::Null();
   auto v = [](int64_t x) { return Value::Int64(x); };
@@ -485,7 +486,7 @@ TEST(ColumnarJoinOutput, EveryKindEmitsColumnOnlyBatches) {
 
         EXPECT_EQ(rec->batches > 0, !want.empty());
         EXPECT_EQ(rec->untyped, 0);
-        EXPECT_TRUE(RowMultisetsEqual(rec->rows, want));
+        EXPECT_EQ(rec->rows, want);
       }
     }
   }

@@ -517,12 +517,30 @@ TEST(HashTableSetTest, ClearReelectsTheMode) {
 using JoinOracle = std::unordered_map<Row, std::vector<uint32_t>,
                                       RowKeyHash, RowKeyEq>;
 
+/// The hit list of a probe over `n` rows expanded into one JoinMatches
+/// per row (empty on a miss), after checking its shape: ascending
+/// positions below `n`, no empty range.
+std::vector<JoinMatches> ExpandHits(const JoinProbeScratch& scratch,
+                                    size_t n) {
+  std::vector<JoinMatches> matches(n);
+  for (size_t h = 0; h < scratch.hits.size(); ++h) {
+    const JoinMatches& m = scratch.hits[h];
+    EXPECT_LT(m.pos, n);
+    if (h > 0) {
+      EXPECT_LT(scratch.hits[h - 1].pos, m.pos);
+    }
+    EXPECT_FALSE(m.empty());
+    if (m.pos < n) matches[m.pos] = m;
+  }
+  return matches;
+}
+
 /// One row's matches, probed through ProbeBatch over a one-row batch.
 JoinMatches ProbeOne(const JoinHashTable& table, const Row& row,
                      const std::vector<int>& slots) {
   JoinProbeScratch scratch;
   table.ProbeBatch(RowBatch::FromRows({row}), slots, &scratch);
-  return scratch.matches[0];
+  return ExpandHits(scratch, 1)[0];
 }
 
 /// Builds the oracle: key row -> ascending build-row indices, skipping
@@ -573,12 +591,13 @@ void CheckProbesAgainstOracle(const JoinHashTable& table,
   RowBatch batch = RowBatch::FromRows(std::vector<Row>(probe_rows));
   JoinProbeScratch scratch;
   table.ProbeBatch(batch, probe_slots, &scratch);
-  ASSERT_EQ(scratch.matches.size(), probe_rows.size());
+  const std::vector<JoinMatches> matches =
+      ExpandHits(scratch, probe_rows.size());
   for (size_t i = 0; i < probe_rows.size(); ++i) {
     const JoinMatches single =
         ProbeOne(table, probe_rows[i], probe_slots);
-    ASSERT_EQ(scratch.matches[i].count, single.count) << i;
-    ASSERT_EQ(scratch.matches[i].data, single.data) << i;
+    ASSERT_EQ(matches[i].count, single.count) << i;
+    ASSERT_EQ(matches[i].data, single.data) << i;
   }
   (void)build_rows;
   (void)key_slots;
@@ -650,6 +669,107 @@ TEST(HashTableJoinTest, RebuildAfterClearAndModeFlip) {
   EXPECT_EQ(ProbeOne(table, probe, slots).count, 1u);
 }
 
+// ------------------------------------------- JoinHashTable: hit lists
+
+/// Build rows {k, k mod 3} for k in [0, 8) and a second copy of keys 2
+/// and 5, so key k has one build row or, for 2 and 5, two.
+std::vector<Row> HitListBuildRows() {
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < 8; ++k) {
+    rows.push_back(Row{Value::Int64(k), Value::Int64(k % 3)});
+  }
+  rows.push_back(Row{Value::Int64(2), Value::Int64(0)});
+  rows.push_back(Row{Value::Int64(5), Value::Int64(1)});
+  return rows;
+}
+
+/// Probes `batch` on column 0 (one typed int64 key: the one-pass kernel)
+/// and on columns {0, 1} (a packed two-column key), and checks the hit
+/// list against the hand-computed one: positions `want_pos` (indices into
+/// the batch's selection), each with the build rows of its key.
+void CheckHitList(const RowBatch& batch,
+                  const std::vector<uint32_t>& want_pos) {
+  const std::vector<Row> build = HitListBuildRows();
+  for (const std::vector<int>& slots :
+       {std::vector<int>{0}, std::vector<int>{0, 1}}) {
+    SCOPED_TRACE("key width " + std::to_string(slots.size()));
+    JoinHashTable table;
+    table.Build(ToColumns(build), slots);
+    const JoinOracle oracle = BuildJoinOracle(build, slots);
+    JoinProbeScratch scratch;
+    table.ProbeBatch(batch, slots, &scratch);
+    std::vector<uint32_t> pos;
+    for (const JoinMatches& m : scratch.hits) pos.push_back(m.pos);
+    EXPECT_EQ(pos, want_pos);
+    for (size_t h = 0; h < scratch.hits.size(); ++h) {
+      const uint32_t idx = batch.selection()[scratch.hits[h].pos];
+      Row key;
+      for (int slot : slots) {
+        key.push_back(batch.columns()->columns[static_cast<size_t>(slot)]
+                          .GetValue(idx));
+      }
+      const auto it = oracle.find(key);
+      ASSERT_NE(it, oracle.end()) << RowToString(key);
+      const JoinMatches m = scratch.hits[h];
+      EXPECT_EQ(std::vector<uint32_t>(m.begin(), m.end()), it->second);
+    }
+  }
+}
+
+TEST(HashTableJoinTest, HitListIsEmptyWhenNoRowHits) {
+  std::vector<Row> probe;
+  for (int64_t k = 100; k < 140; ++k) {
+    probe.push_back(Row{Value::Int64(k), Value::Int64(k % 3)});
+  }
+  const ColumnStore store = ToColumns(probe);
+  CheckHitList(RowBatch::BorrowedColumns(&store, 0, probe.size()), {});
+}
+
+TEST(HashTableJoinTest, HitListHoldsEveryRowWhenAllHit) {
+  // Every key of the build side, twice over, in a scrambled order.
+  std::vector<Row> probe;
+  std::vector<uint32_t> all;
+  for (int64_t i = 0; i < 16; ++i) {
+    const int64_t k = (i * 5) % 8;
+    probe.push_back(Row{Value::Int64(k), Value::Int64(k % 3)});
+    all.push_back(static_cast<uint32_t>(i));
+  }
+  const ColumnStore store = ToColumns(probe);
+  CheckHitList(RowBatch::BorrowedColumns(&store, 0, probe.size()), all);
+  CheckHitList(RowBatch::FromRows(probe), all);
+}
+
+TEST(HashTableJoinTest, HitListSkipsNullKeys) {
+  // Only NULL keys: nothing hits, whichever key column holds the NULL.
+  std::vector<Row> probe;
+  for (int64_t i = 0; i < 10; ++i) {
+    probe.push_back(i % 2 == 0 ? Row{Value::Null(), Value::Int64(i % 3)}
+                               : Row{Value::Null(), Value::Null()});
+  }
+  probe.push_back(Row{Value::Null(), Value::Null()});
+  const ColumnStore store = ToColumns(probe);
+  CheckHitList(RowBatch::BorrowedColumns(&store, 0, probe.size()), {});
+  CheckHitList(RowBatch::FromRows(probe), {});
+}
+
+TEST(HashTableJoinTest, HitListFollowsNarrowedSelection) {
+  // Even storage rows hit, odd ones miss.
+  std::vector<Row> probe;
+  for (int64_t i = 0; i < 40; ++i) {
+    const int64_t k = i % 2 == 0 ? i % 8 : 100 + i;
+    probe.push_back(Row{Value::Int64(k), Value::Int64(k % 3)});
+  }
+  const ColumnStore store = ToColumns(probe);
+  const RowBatch window = RowBatch::BorrowedColumns(&store, 0, probe.size());
+  // A narrowed, non-dense selection: storage rows 3, 4, 9, 10, 11, 20,
+  // 33, 38. Positions 1 (row 4), 3 (row 10), 5 (row 20) and 7 (row 38)
+  // hold even rows: the hit list counts positions, not storage rows.
+  const RowBatch narrowed =
+      window.ShareWithSelection({3, 4, 9, 10, 11, 20, 33, 38});
+  ASSERT_FALSE(narrowed.dense());
+  CheckHitList(narrowed, {1, 3, 5, 7});
+}
+
 // ------------------------------------------- JoinHashTable: key shapes
 
 /// The three probe batch forms an operator sees: rows, a column-only
@@ -692,7 +812,8 @@ void CheckProbeForms(const JoinHashTable& table,
     const RowBatch& batch = forms[f];
     JoinProbeScratch scratch;
     table.ProbeBatch(batch, probe_slots, &scratch);
-    ASSERT_EQ(scratch.matches.size(), batch.size());
+    const std::vector<JoinMatches> matches =
+        ExpandHits(scratch, batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       const Row& probe = probe_rows[batch.selection()[i]];
       bool has_null = false;
@@ -701,7 +822,7 @@ void CheckProbeForms(const JoinHashTable& table,
       }
       const auto it =
           has_null ? oracle.end() : oracle.find(ProjectRow(probe, probe_slots));
-      const JoinMatches m = scratch.matches[i];
+      const JoinMatches m = matches[i];
       if (it == oracle.end()) {
         ASSERT_TRUE(m.empty()) << RowToString(probe);
         continue;
@@ -976,7 +1097,9 @@ TEST(HashTableParallelTest, ConcurrentProbesWithDistinctScratches) {
   const Status st = pool.ParallelFor(num_tasks, [&](size_t t) -> Status {
     table.ProbeBatch(batch, slots, &scratches[t]);
     int64_t matches = 0;
-    for (const JoinMatches& m : scratches[t].matches) matches += m.count;
+    for (const JoinMatches& m : ExpandHits(scratches[t], batch.size())) {
+      matches += m.count;
+    }
     total.fetch_add(matches, std::memory_order_relaxed);
     return Status::OK();
   });
@@ -1471,8 +1594,9 @@ TEST(HashTableNullHashTest, NullAndItsHashTwinStayTwoKeys) {
   JoinProbeScratch scratch;
   table.ProbeBatch(RowBatch::FromRows(std::vector<Row>(probe)), {0},
                    &scratch);
-  EXPECT_EQ(scratch.matches[0].count, 0u);
-  EXPECT_EQ(scratch.matches[1].count, 1u);
+  const std::vector<JoinMatches> matches = ExpandHits(scratch, probe.size());
+  EXPECT_EQ(matches[0].count, 0u);
+  EXPECT_EQ(matches[1].count, 1u);
 }
 
 }  // namespace

@@ -28,7 +28,11 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "exec/exec_context.h"
+#include "exec/executor.h"
 #include "exec/join.h"
+#include "exec/scan.h"
+#include "exec/sink.h"
+#include "exec/sort.h"
 #include "expr/expr.h"
 #include "stats/plan_stats.h"
 #include "stats/selectivity.h"
@@ -867,6 +871,49 @@ TEST(StorageBudget, SpillDisabledKeepsStrictFailure) {
   auto result = db.Query(sql, strict);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(StorageBudget, SortedResultIsChargedOnce) {
+  // scan → Sort → collector over N rows. The sort charges its buffer (S
+  // bytes) and the collector charges every row it keeps (S bytes again),
+  // so a limit between the larger charge and their sum fails if the sort
+  // holds its buffer's charge until its last row has left, and passes if
+  // each chunk's charge leaves with it.
+  const size_t n = 2000;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < static_cast<int64_t>(n); ++i) {
+    rows.push_back(testing_util::IntRow({(i * 7919) % 2003, i}));
+  }
+  Table table("t", IntSchema({"k", "v"}));
+  ASSERT_TRUE(table.AppendUnchecked(std::move(rows)).ok());
+  const int64_t charge = ApproxRowsBytes(n, 2);
+
+  PhysicalPlan plan;
+  auto scan = std::make_unique<TableScanOp>(&table);
+  auto sort =
+      std::make_unique<SortPhysOp>(std::vector<PhysSortKey>{PhysSortKey{0}});
+  auto sink = std::make_unique<CollectorSink>();
+  CollectorSink* collector = sink.get();
+  scan->AddConsumer(kPortOut, sort.get(), 0);
+  sort->AddConsumer(kPortOut, sink.get(), 0);
+  plan.sources.push_back(scan.get());
+  plan.ops.push_back(std::move(scan));
+  plan.ops.push_back(std::move(sort));
+  plan.ops.push_back(std::move(sink));
+  auto run = std::make_shared<RunContext>();
+  run->batch_size = 100;
+  run->memory_limit = charge + charge / 2;
+  ExecContext ctx(run);
+  const Status st = RunPlan(&plan, &ctx);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  const std::vector<Row>& sorted = collector->rows();
+  ASSERT_EQ(sorted.size(), n);
+  for (size_t r = 1; r < n; ++r) {
+    ASSERT_LE(sorted[r - 1][0].int64_value(), sorted[r][0].int64_value());
+  }
+  // Only the collector's own charge is left: the sort holds nothing.
+  EXPECT_EQ(run->memory_used.load(), charge);
 }
 
 TEST(StorageBudget, WorkloadAtTenthOfDataMatchesOracle) {
