@@ -60,6 +60,9 @@ DataType InferExprType(const Expr& expr, const Schema& input) {
     }
     case ExprKind::kColumnRef: {
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
+      if (!ref.is_outer() && ref.position() >= 0) {
+        return input.column(ref.position()).type;
+      }
       if (!ref.is_outer()) {
         auto slot = input.FindColumn(ref.qualifier(), ref.name());
         if (slot.ok()) return input.column(*slot).type;
@@ -517,27 +520,53 @@ void CollectTopological(const LogicalOp* node,
   out->push_back(node);
 }
 
-/// Shared (bypass) nodes are numbered in first-visit order, so the text
-/// depends only on the plan's shape, never on node addresses.
-struct PrintState {
+/// Nodes reached by more than one edge: the shared (bypass) nodes.
+std::unordered_set<const LogicalOp*> SharedNodes(const LogicalOp& root) {
+  std::unordered_map<const LogicalOp*, int> ref_count;
+  for (const LogicalOp* node : TopologicalNodes(root)) {
+    for (const LogicalInput& in : node->inputs()) {
+      ++ref_count[in.op.get()];
+    }
+  }
   std::unordered_set<const LogicalOp*> shared;
-  std::unordered_map<const LogicalOp*, int> ids;  // printed shared nodes
+  for (const auto& [node, count] : ref_count) {
+    if (count > 1) shared.insert(node);
+  }
+  return shared;
+}
+
+/// Numbers the shared nodes below `node` in first-visit order of a
+/// depth-first walk that enters each shared node once.
+void NumberShared(const LogicalOp* node,
+                  const std::unordered_set<const LogicalOp*>& shared,
+                  std::unordered_map<const LogicalOp*, int>* ids) {
+  if (shared.count(node) > 0 &&
+      !ids->emplace(node, static_cast<int>(ids->size()) + 1).second) {
+    return;
+  }
+  for (const LogicalInput& in : node->inputs()) {
+    NumberShared(in.op.get(), shared, ids);
+  }
+}
+
+struct PrintState {
+  std::unordered_map<const LogicalOp*, int> ids;  // SharedNodeIds
+  std::unordered_set<const LogicalOp*> printed;   // shared nodes so far
 };
 
 void PrintNode(const LogicalOp* node, StreamPort port, int indent,
                PrintState* state, std::ostringstream* os) {
   for (int i = 0; i < indent; ++i) *os << "  ";
-  const bool shared = state->shared.count(node) > 0;
+  const auto id = state->ids.find(node);
+  const bool shared = id != state->ids.end();
   if (port == StreamPort::kNegative) {
     *os << "[-] ";
   } else if (shared) {
     *os << "[+] ";
   }
   if (shared) {
-    const auto [it, first] = state->ids.emplace(
-        node, static_cast<int>(state->ids.size()) + 1);
-    *os << "#" << it->second << " ";
-    if (!first) {
+    *os << "#" << id->second << " ";
+    if (!state->printed.insert(node).second) {
       *os << "(shared " << node->Label() << ")\n";
       return;
     }
@@ -557,18 +586,16 @@ std::vector<const LogicalOp*> TopologicalNodes(const LogicalOp& root) {
   return out;
 }
 
+std::unordered_map<const LogicalOp*, int> SharedNodeIds(
+    const LogicalOp& root) {
+  std::unordered_map<const LogicalOp*, int> ids;
+  NumberShared(&root, SharedNodes(root), &ids);
+  return ids;
+}
+
 std::string PlanToString(const LogicalOp& root) {
-  // Count references to discover shared (bypass) nodes.
-  std::unordered_map<const LogicalOp*, int> ref_count;
-  for (const LogicalOp* node : TopologicalNodes(root)) {
-    for (const LogicalInput& in : node->inputs()) {
-      ++ref_count[in.op.get()];
-    }
-  }
   PrintState state;
-  for (const auto& [node, count] : ref_count) {
-    if (count > 1) state.shared.insert(node);
-  }
+  state.ids = SharedNodeIds(root);
   std::ostringstream os;
   PrintNode(&root, StreamPort::kOut, 0, &state, &os);
   return os.str();

@@ -438,6 +438,11 @@ std::string PlanToString(const LogicalOp& root);
 /// Returns all nodes reachable from root (each once), children first.
 std::vector<const LogicalOp*> TopologicalNodes(const LogicalOp& root);
 
+/// The "#k" PlanToString prints for each shared (bypass) node: 1, 2, ...
+/// in first-visit order, so the ids depend only on the plan's shape.
+std::unordered_map<const LogicalOp*, int> SharedNodeIds(
+    const LogicalOp& root);
+
 }  // namespace bypass
 
 #endif  // BYPASSDB_ALGEBRA_LOGICAL_OP_H_

@@ -123,4 +123,25 @@ LogicalOpPtr ProjectToColumns(LogicalInput input, const Schema& columns) {
   return std::make_shared<ProjectOp>(std::move(input), std::move(items));
 }
 
+LogicalOpPtr ProjectToPrefix(LogicalInput input, int width) {
+  const Schema& in = input.op->schema();
+  std::vector<NamedExpr> items;
+  items.reserve(static_cast<size_t>(width));
+  for (int i = 0; i < width; ++i) {
+    const ColumnDef& c = in.column(i);
+    items.push_back(NamedExpr{ColumnRefExpr::AtPosition(i, c.qualifier, c.name),
+                              c.name, c.qualifier});
+  }
+  return std::make_shared<ProjectOp>(std::move(input), std::move(items));
+}
+
+Result<int> InputColumnOf(const ColumnRefExpr& ref, const Schema& input) {
+  if (ref.position() < 0) return input.FindColumn(ref.qualifier(), ref.name());
+  if (ref.position() >= input.num_columns()) {
+    return Status::Internal("column position out of range: " +
+                            ref.ToString());
+  }
+  return ref.position();
+}
+
 }  // namespace bypass

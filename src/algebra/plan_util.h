@@ -38,6 +38,15 @@ bool PlanHasNestedSubquery(const LogicalOp& root);
 /// qualifiers — the paper's Π_{A(R)}.
 LogicalOpPtr ProjectToColumns(LogicalInput input, const Schema& columns);
 
+/// Π over `input` keeping its first `width` columns by position, so two
+/// of them may share a name (ColumnRefExpr::AtPosition).
+LogicalOpPtr ProjectToPrefix(LogicalInput input, int width);
+
+/// The input column an uncorrelated `ref` names: its position when it is
+/// an AtPosition reference, else the one column its qualifier and name
+/// match in `input`.
+Result<int> InputColumnOf(const ColumnRefExpr& ref, const Schema& input);
+
 }  // namespace bypass
 
 #endif  // BYPASSDB_ALGEBRA_PLAN_UTIL_H_

@@ -1,8 +1,12 @@
 #include "catalog/table.h"
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
 #include <string_view>
 #include <unordered_set>
+
+#include "common/key_index.h"
 
 namespace bypass {
 
@@ -144,6 +148,32 @@ ColumnStatistics MixedColumnStats(const ColumnVector& col) {
   return st;
 }
 
+/// Rows per FindOrInsertBatch call of the duplicate-freeness proof.
+constexpr size_t kProofBatchRows = 4096;
+
+/// True when no row of `store` repeats an earlier one under DISTINCT's
+/// equality: the KeyIndex δ keys on, fed borrowed windows of every column
+/// as a scan would, so a new row is exactly one that gets the next id.
+bool ProveDuplicateFree(const ColumnStore& store) {
+  if (store.columns.empty()) return store.num_rows <= 1;
+  KeyIndex seen;
+  seen.Reserve(store.num_rows);
+  std::vector<int> slots(store.columns.size());
+  std::iota(slots.begin(), slots.end(), 0);
+  std::vector<uint32_t> ids;
+  for (size_t begin = 0; begin < store.num_rows; begin += kProofBatchRows) {
+    const RowBatch batch = RowBatch::BorrowedColumns(
+        &store, begin, std::min(store.num_rows, begin + kProofBatchRows));
+    const uint32_t first = static_cast<uint32_t>(seen.size());
+    ids.resize(batch.size());
+    seen.FindOrInsertBatch(batch, slots, ids.data());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] != first + i) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Table::Table(std::string name, Schema schema)
@@ -157,6 +187,7 @@ Table::Table(std::string name, Schema schema)
 void Table::Invalidate() {
   stats_valid_.store(false, std::memory_order_release);
   segments_valid_.store(false, std::memory_order_release);
+  duplicate_free_valid_.store(false, std::memory_order_release);
 }
 
 Status Table::Append(Row row) {
@@ -236,6 +267,18 @@ const TableSegments& Table::segments() const {
     }
   }
   return segments_;
+}
+
+bool Table::duplicate_free() const {
+  // Double-checked init, same discipline as stats().
+  if (!duplicate_free_valid_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(duplicate_free_mutex_);
+    if (!duplicate_free_valid_.load(std::memory_order_relaxed)) {
+      duplicate_free_ = ProveDuplicateFree(columns_);
+      duplicate_free_valid_.store(true, std::memory_order_release);
+    }
+  }
+  return duplicate_free_;
 }
 
 const std::vector<ColumnStatistics>& Table::stats() const {

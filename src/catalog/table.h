@@ -21,9 +21,10 @@ namespace bypass {
 /// A columnar heap with a schema. The ColumnStore (typed contiguous
 /// columns + null bitmaps) is the table's only copy of its values; scans
 /// borrow windows of it. Row mutation is not thread-safe (loads never
-/// race queries by contract), but the lazily computed statistics and
-/// segment index may be demanded by concurrent planning / execution
-/// threads, so their initialization is guarded.
+/// race queries by contract), but the lazily computed statistics,
+/// segment index and duplicate-freeness proof may be demanded by
+/// concurrent planning / execution threads, so their initialization is
+/// guarded.
 class Table {
  public:
   Table(std::string name, Schema schema);
@@ -39,7 +40,10 @@ class Table {
         segment_rows_(other.segment_rows_),
         segments_(std::move(other.segments_)),
         segments_valid_(
-            other.segments_valid_.load(std::memory_order_relaxed)) {}
+            other.segments_valid_.load(std::memory_order_relaxed)),
+        duplicate_free_(other.duplicate_free_),
+        duplicate_free_valid_(
+            other.duplicate_free_valid_.load(std::memory_order_relaxed)) {}
   Table& operator=(Table&& other) noexcept {
     name_ = std::move(other.name_);
     schema_ = std::move(other.schema_);
@@ -51,6 +55,10 @@ class Table {
     segments_ = std::move(other.segments_);
     segments_valid_.store(
         other.segments_valid_.load(std::memory_order_relaxed),
+        std::memory_order_relaxed);
+    duplicate_free_ = other.duplicate_free_;
+    duplicate_free_valid_.store(
+        other.duplicate_free_valid_.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
     return *this;
   }
@@ -66,6 +74,13 @@ class Table {
   int64_t num_rows() const {
     return static_cast<int64_t>(columns_.num_rows);
   }
+
+  /// True when no two rows are equal under DISTINCT's equality (NULL =
+  /// NULL, -0.0 = 0.0, NaN = NaN, 5 = 5.0). Proved on first use after a
+  /// modification by one KeyIndex pass over every row, which stops at the
+  /// first repeat; Append, AppendUnchecked and Clear forget it, ANALYZE
+  /// does not. Safe to call from concurrent readers.
+  bool duplicate_free() const;
 
   /// Appends one row after checking arity and types (NULL always allowed).
   Status Append(Row row);
@@ -116,6 +131,9 @@ class Table {
   mutable std::mutex segments_mutex_;
   mutable TableSegments segments_;
   mutable std::atomic<bool> segments_valid_{false};
+  mutable std::mutex duplicate_free_mutex_;
+  mutable bool duplicate_free_ = false;
+  mutable std::atomic<bool> duplicate_free_valid_{false};
 };
 
 }  // namespace bypass

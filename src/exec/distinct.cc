@@ -2,9 +2,41 @@
 
 #include <numeric>
 
+#include "common/string_util.h"
+
 namespace bypass {
 
+const Table* DistinctPhysOp::DuplicateBearingTable() const {
+  for (const Table* t : gate_.tables) {
+    if (!t->duplicate_free()) return t;
+  }
+  return nullptr;
+}
+
+Status DistinctPhysOp::Prepare(ExecContext* ctx) {
+  BYPASS_RETURN_IF_ERROR(UnaryPhysOp::Prepare(ctx));
+  skip_ = gate_.proven && DuplicateBearingTable() == nullptr;
+  return Status::OK();
+}
+
+std::string DistinctPhysOp::Label() const {
+  if (!gate_.proven) {
+    return gate_.text.empty() ? "Distinct"
+                              : "Distinct [kept: " + gate_.text + "]";
+  }
+  if (const Table* t = DuplicateBearingTable()) {
+    return "Distinct [kept: " + t->name() + " holds duplicate rows]";
+  }
+  std::vector<std::string> names;
+  for (const Table* t : gate_.tables) names.push_back(t->name());
+  std::vector<std::string> parts;
+  if (!names.empty()) parts.push_back(Join(names, ", ") + " duplicate-free");
+  if (!gate_.text.empty()) parts.push_back(gate_.text);
+  return "Distinct [skipped: " + Join(parts, "; ") + "]";
+}
+
 Status DistinctPhysOp::Consume(int, RowBatch batch) {
+  if (skip_) return Emit(kPortOut, std::move(batch));
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (seen_.empty()) seen_.Reserve(reserve_);

@@ -107,6 +107,7 @@ Status ColumnRefExpr::EvalBatch(const RowBatch& batch, const Row* outer_row,
 ExprPtr ColumnRefExpr::Clone() const {
   auto copy = std::make_shared<ColumnRefExpr>(qualifier_, name_, is_outer_);
   copy->set_slot(slot_);
+  copy->position_ = position_;
   return copy;
 }
 

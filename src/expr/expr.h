@@ -143,6 +143,21 @@ class ColumnRefExpr : public Expr {
   bool is_outer() const { return is_outer_; }
   int slot() const { return slot_; }
 
+  /// A reference to the input column at `position`, whatever its name:
+  /// how a Π tells apart two columns of one name (the translator's Π
+  /// above a sort with computed keys). `qualifier`/`name` only label it.
+  static std::shared_ptr<ColumnRefExpr> AtPosition(int position,
+                                                   std::string qualifier,
+                                                   std::string name) {
+    auto ref = std::make_shared<ColumnRefExpr>(std::move(qualifier),
+                                               std::move(name), false);
+    ref->position_ = position;
+    return ref;
+  }
+  /// The input position of an AtPosition reference; -1 for a reference
+  /// by name.
+  int position() const { return position_; }
+
   /// Binder hooks (planner / rewriter only).
   void set_slot(int slot) { slot_ = slot; }
   void set_is_outer(bool outer) { is_outer_ = outer; }
@@ -159,6 +174,7 @@ class ColumnRefExpr : public Expr {
   std::string name_;
   bool is_outer_;
   int slot_ = -1;
+  int position_ = -1;
 };
 
 /// Binary comparison with a linking/correlation operator θ.

@@ -763,8 +763,10 @@ Result<LogicalOpPtr> Translator::TranslateBlock(const SelectStmt& stmt,
     }
     plan = std::make_shared<SortOp>(LogicalInput{plan, StreamPort::kOut},
                                     std::move(keys));
+    // By position: the output may repeat a name (SELECT a1, a1, ...).
     if (plan->schema().num_columns() != output.num_columns()) {
-      plan = ProjectToColumns(LogicalInput{plan, StreamPort::kOut}, output);
+      plan = ProjectToPrefix(LogicalInput{plan, StreamPort::kOut},
+                             output.num_columns());
     }
   }
 

@@ -115,9 +115,10 @@ Result<PhysicalPlan> Planner::LowerPlan(const LogicalOpPtr& root,
   std::vector<std::pair<TableScanOp*, ExprPtr>> zone_candidates;
   const RequiredColumns required = ComputeRequiredColumns(*root);
   const auto estimates = EstimateAllNodes(*root, catalog_);
+  const auto distinct_gates = ProveDistinctInputs(*root, *catalog_);
   std::deque<Schema> layouts;
-  LoweringCtx ctx{&plan,     outer_schema, &zone_candidates,
-                  &required, &estimates,   &layouts};
+  LoweringCtx ctx{&plan,      outer_schema, &zone_candidates, &required,
+                  &estimates, &layouts,     &distinct_gates};
   LoweredMap memo;
   BYPASS_ASSIGN_OR_RETURN(const Lowered* top, LowerNode(root, &ctx, &memo));
   if (top->cols.size() != static_cast<size_t>(root->schema().num_columns())) {
@@ -311,10 +312,25 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
       std::vector<int> required = ctx->required->Of(node.get());
       std::vector<ExprPtr> exprs;
       for (int i : required) {
-        BYPASS_ASSIGN_OR_RETURN(
-            ExprPtr e,
-            BindExpr(proj.items()[static_cast<size_t>(i)].expr,
-                     *kids[0]->schema, ctx));
+        const ExprPtr& item = proj.items()[static_cast<size_t>(i)].expr;
+        const auto* at = item->kind() == ExprKind::kColumnRef
+                             ? static_cast<const ColumnRefExpr*>(item.get())
+                             : nullptr;
+        if (at != nullptr && at->position() >= 0) {
+          // A reference by position names a logical input column; find
+          // it in the input's layout.
+          const int slot = PosOf(kids[0]->cols, at->position());
+          if (slot < 0) {
+            return Status::Internal("projection input lost column " +
+                                    at->ToString());
+          }
+          ExprPtr e = item->Clone();
+          static_cast<ColumnRefExpr*>(e.get())->set_slot(slot);
+          exprs.push_back(std::move(e));
+          continue;
+        }
+        BYPASS_ASSIGN_OR_RETURN(ExprPtr e,
+                                BindExpr(item, *kids[0]->schema, ctx));
         exprs.push_back(std::move(e));
       }
       // Identity projections (every input column, in order) forward
@@ -357,9 +373,12 @@ Result<const Planner::Lowered*> Planner::LowerNode(const LogicalOpPtr& node,
       break;
     }
     case LogicalOpKind::kDistinct: {
+      // The gate's tables are checked when the δ is prepared, so a plan
+      // cached before an append still deduplicates.
       result = forward(Register(
           ctx, std::make_unique<DistinctPhysOp>(
-                   EstimatedInputRows(*ctx->estimates, inputs[0]))));
+                   EstimatedInputRows(*ctx->estimates, inputs[0]),
+                   ctx->distinct_gates->at(node.get()))));
       wire(result.op, 0, 0);
       break;
     }

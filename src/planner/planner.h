@@ -17,6 +17,7 @@
 #include "exec/subplan_impl.h"
 #include "planner/cost_model.h"
 #include "planner/required_columns.h"
+#include "planner/uniqueness.h"
 
 namespace bypass {
 
@@ -63,6 +64,8 @@ class Planner {
     const std::unordered_map<const LogicalOp*, PlanEstimate>* estimates;
     /// Narrowed layout schemas (stable addresses for Lowered::schema).
     std::deque<Schema>* layouts;
+    /// Per δ: whether its input is duplicate-free, and on which tables.
+    const std::unordered_map<const LogicalOp*, DistinctGate>* distinct_gates;
   };
 
   /// The schema of `node`'s layout `cols`: its own schema when `cols`

@@ -214,7 +214,10 @@ bool CollectExprColumns(const Expr& expr, const Schema& schema,
       const auto& ref = static_cast<const ColumnRefExpr&>(expr);
       // Correlated references read the enclosing block, not this input.
       if (ref.is_outer()) return true;
-      return CollectRef(ref.qualifier(), ref.name(), schema, out);
+      Result<int> slot = InputColumnOf(ref, schema);
+      if (!slot.ok()) return false;
+      out->push_back(*slot);
+      return true;
     }
     case ExprKind::kSubquery: {
       const auto& sq = static_cast<const SubqueryExpr&>(expr);

@@ -206,28 +206,35 @@ constexpr char kNotInRepro[] =
     "SELECT * FROM r WHERE a1 NOT IN (SELECT b1 FROM s WHERE a2 = b2) "
     "OR a4 > 5";
 
-TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
-  Database db;
-  const NullCase& c = GetParam();
-  switch (c.shape) {
+/// The instance of a case's shape; `duplicate_free` draws every repeated
+/// row again (LoadSmallRst).
+void LoadNullCase(Database* db, NullShape shape, bool duplicate_free) {
+  switch (shape) {
     case NullShape::kReducesKeys:
       // Keys in [0, 299] and an inner table 200× the outer one: the cost
       // gate applies the reduction.
-      LoadSmallRst(&db, 57, 20, 4000, 1500, /*null_fraction=*/0.2,
-                   /*max_value=*/299);
+      LoadSmallRst(db, 57, 20, 4000, 1500, /*null_fraction=*/0.2,
+                   /*max_value=*/299, "", false, duplicate_free);
       break;
     case NullShape::kCountsOverDelta:
       // Values in {NULL, 0, 1, 2}: most rows repeat, NULLs included.
-      LoadSmallRst(&db, 58, 30, 60, 40, /*null_fraction=*/0.4,
-                   /*max_value=*/2);
+      LoadSmallRst(db, 58, 30, 60, 40, /*null_fraction=*/0.4,
+                   /*max_value=*/2, "", false, duplicate_free);
       break;
     case NullShape::kAny:
     case NullShape::kHashedExistence:
     case NullShape::kKeylessExistence:
     case NullShape::kScalarQuantified:
-      LoadSmallRst(&db, 55, 35, 45, 10, /*null_fraction=*/0.2);
+      LoadSmallRst(db, 55, 35, 45, 10, /*null_fraction=*/0.2,
+                   /*max_value=*/6, "", false, duplicate_free);
       break;
   }
+}
+
+TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
+  Database db;
+  const NullCase& c = GetParam();
+  LoadNullCase(&db, c.shape, /*duplicate_free=*/false);
   const QueryResult got = ExpectCanonicalEqualsUnnested(&db, c.sql);
   if (c.shape == NullShape::kReducesKeys) {
     EXPECT_NE(got.optimized_plan.find("SemiJoin ("), std::string::npos)
@@ -256,6 +263,20 @@ TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedWithNulls) {
     const bool want_hashed = c.shape == NullShape::kHashedExistence;
     EXPECT_EQ(hashed, want_hashed) << plan;
     EXPECT_EQ(keyless, !want_hashed) << plan;
+  }
+}
+
+// The same texts on the same shapes of instance without a duplicate row,
+// unnested at batch {1, 7, 1024} × threads {1, 4}: here the uniqueness
+// gate skips δs, and no result may move.
+TEST_P(NullSemanticsProperty, CanonicalEqualsUnnestedDuplicateFree) {
+  Database db;
+  const NullCase& c = GetParam();
+  LoadNullCase(&db, c.shape, /*duplicate_free=*/true);
+  const bool skipped = testing_util::ExpectCanonicalEqualsUnnestedAcross(
+      &db, c.sql, testing_util::BatchThreadMatrix());
+  if (std::string(c.sql).rfind("SELECT DISTINCT", 0) == 0) {
+    EXPECT_TRUE(skipped) << "no unnested plan skipped a δ";
   }
 }
 

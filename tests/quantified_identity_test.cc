@@ -18,6 +18,7 @@
 //                                           OR y IS NULL))
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -90,20 +91,19 @@ std::pair<std::string, std::string> IdentityPair(QueryGenerator* gen,
   return pair;
 }
 
-class QuantifiedIdentityProperty : public ::testing::TestWithParam<int> {};
-
-// 50 seeds × 200 pairs: 10,000 generated identity pairs at 20 % NULLs.
-TEST_P(QuantifiedIdentityProperty, PairedTextsAgree) {
-  const uint64_t seed = static_cast<uint64_t>(GetParam());
-  Database db;
-  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
+/// Checks `pairs` generated identity pairs of `seed` under `select`
+/// ("SELECT * FROM r" or its DISTINCT form), canonically and with
+/// `unnested`. Returns true when some unnested plan skipped a δ.
+bool CheckIdentityPairs(Database* db, uint64_t seed, int pairs,
+                        const std::string& select,
+                        QueryOptions unnested) {
   QueryGenerator gen(seed * 211 + 17);
   Rng rng(seed * 7 + 1);
   QueryOptions canonical;
   canonical.unnest = false;
-  QueryOptions unnested;
   unnested.unnest = true;
-  for (int i = 0; i < 200; ++i) {
+  bool skipped = false;
+  for (int i = 0; i < pairs; ++i) {
     auto [lhs, rhs] = IdentityPair(&gen, &rng);
     // The pair alone, or as one disjunct beside random others.
     std::string before, after;
@@ -117,17 +117,22 @@ TEST_P(QuantifiedIdentityProperty, PairedTextsAgree) {
         after = " OR " + gen.Disjunction(/*allow_nested=*/false);
         break;
     }
-    const std::string left = "SELECT * FROM r WHERE " + before + lhs + after;
-    const std::string right = "SELECT * FROM r WHERE " + before + rhs + after;
+    const std::string left = select + " WHERE " + before + lhs + after;
+    const std::string right = select + " WHERE " + before + rhs + after;
     SCOPED_TRACE(left + "\n  vs\n" + right);
-    auto left_c = db.Query(left, canonical);
-    auto right_c = db.Query(right, canonical);
-    auto left_u = db.Query(left, unnested);
-    auto right_u = db.Query(right, unnested);
-    ASSERT_TRUE(left_c.ok()) << left_c.status().ToString();
-    ASSERT_TRUE(right_c.ok()) << right_c.status().ToString();
-    ASSERT_TRUE(left_u.ok()) << left_u.status().ToString();
-    ASSERT_TRUE(right_u.ok()) << right_u.status().ToString();
+    auto left_c = db->Query(left, canonical);
+    auto right_c = db->Query(right, canonical);
+    auto left_u = db->Query(left, unnested);
+    auto right_u = db->Query(right, unnested);
+    if (!left_c.ok() || !right_c.ok() || !left_u.ok() || !right_u.ok()) {
+      ADD_FAILURE() << left_c.status().ToString() << " | "
+                    << right_c.status().ToString() << " | "
+                    << left_u.status().ToString() << " | "
+                    << right_u.status().ToString();
+      return skipped;
+    }
+    skipped = skipped || testing_util::SkipsDistinct(*left_u) ||
+              testing_util::SkipsDistinct(*right_u);
     EXPECT_TRUE(RowMultisetsEqual(left_c->rows, right_c->rows))
         << "canonical: " << left_c->rows.size() << " vs "
         << right_c->rows.size() << " rows";
@@ -138,6 +143,32 @@ TEST_P(QuantifiedIdentityProperty, PairedTextsAgree) {
         << "canonical vs unnested: " << left_c->rows.size() << " vs "
         << left_u->rows.size() << " rows\n" << left_u->optimized_plan;
   }
+  return skipped;
+}
+
+class QuantifiedIdentityProperty : public ::testing::TestWithParam<int> {};
+
+// 50 seeds × 200 pairs: 10,000 generated identity pairs at 20 % NULLs.
+TEST_P(QuantifiedIdentityProperty, PairedTextsAgree) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  Database db;
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
+  CheckIdentityPairs(&db, seed, 200, "SELECT * FROM r", QueryOptions());
+}
+
+// 50 seeds × 100 pairs as DISTINCT texts on duplicate-free tables, where
+// the uniqueness gate skips the top δ. Seed k runs unnested at point
+// k mod 6 of the batch {1, 7, 1024} × threads {1, 4} matrix, so the
+// seeds cover every point.
+TEST_P(QuantifiedIdentityProperty, PairedTextsAgreeDuplicateFree) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  Database db;
+  LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2,
+               /*max_value=*/6, "", false, /*duplicate_free=*/true);
+  const std::vector<QueryOptions> matrix = testing_util::BatchThreadMatrix();
+  EXPECT_TRUE(CheckIdentityPairs(&db, seed, 100, "SELECT DISTINCT * FROM r",
+                                 matrix[seed % matrix.size()]))
+      << "no unnested plan skipped a δ";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantifiedIdentityProperty,

@@ -1016,6 +1016,20 @@ std::vector<OrderCase> ComputedOrderCases(const std::string& r) {
        [](const Row& x) { return Row{NegOrNull(x[0]), x[1]}; },
        {false, true},
        5},
+      // A repeated column name: the Π that drops the key column keeps
+      // the select list by position, so `r.a1` twice is not ambiguous.
+      {"SELECT a1, a1, a2 FROM " + r + " ORDER BY a2 + 1",
+       "SELECT a1, a1, a2 FROM " + r,
+       {"a1", "a1", "a2"},
+       [](const Row& x) { return Row{AddOrNull(x[2], Value::Int64(1))}; },
+       {false},
+       0},
+      {"SELECT a1, a1, a2 FROM " + r + " ORDER BY a2 + 1 DESC LIMIT 12",
+       "SELECT a1, a1, a2 FROM " + r,
+       {"a1", "a1", "a2"},
+       [](const Row& x) { return Row{AddOrNull(x[2], Value::Int64(1))}; },
+       {true},
+       12},
   };
 }
 

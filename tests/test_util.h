@@ -7,6 +7,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -84,13 +85,16 @@ inline std::vector<Row> TableRows(const Table& table) {
 /// renames the tables (r<suffix>, s<suffix>, t<suffix>). With
 /// `special_doubles`, column 2 (a2, b2, c2, the correlation keys) is a
 /// DOUBLE column drawn from NaN, -0.0, 0.0, ±inf and the integral doubles
-/// of the domain.
+/// of the domain. With `duplicate_free`, a drawn row equal to an earlier
+/// one of its table under DISTINCT's equality is drawn again, so no
+/// table holds a duplicate row (the domain must have room for them).
 inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
                          int rows_s, int rows_t,
                          double null_fraction = 0.0,
                          int64_t max_value = 6,
                          const std::string& suffix = "",
-                         bool special_doubles = false) {
+                         bool special_doubles = false,
+                         bool duplicate_free = false) {
   Rng rng(seed);
   const double kSpecials[] = {std::numeric_limits<double>::quiet_NaN(),
                               -0.0, 0.0,
@@ -113,6 +117,14 @@ inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
     auto table = db->CreateTable(name, std::move(schema));
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     std::vector<Row> data;
+    auto less = [](const Row& a, const Row& b) {
+      for (size_t i = 0; i < a.size(); ++i) {
+        const int cmp = a[i].OrderCompare(b[i]);
+        if (cmp != 0) return cmp < 0;
+      }
+      return false;
+    };
+    std::set<Row, decltype(less)> seen(less);
     for (int i = 0; i < rows; ++i) {
       Row row;
       for (int c = 1; c <= 4; ++c) {
@@ -128,6 +140,10 @@ inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
           // collisions.
           row.push_back(Value::Int64(rng.UniformInt(0, max_value)));
         }
+      }
+      if (duplicate_free && !seen.insert(row).second) {
+        --i;  // draw this row again
+        continue;
       }
       data.push_back(std::move(row));
     }
@@ -159,6 +175,54 @@ inline QueryResult ExpectCanonicalEqualsUnnested(Database* db,
       << "\nunnested rows: " << opt->rows.size() << "\nunnested plan:\n"
       << opt->optimized_plan;
   return std::move(*opt);
+}
+
+/// The execution matrix the duplicate-free property runs sweep: batch
+/// {1, 7, 1024} × threads {1, 4}.
+inline std::vector<QueryOptions> BatchThreadMatrix() {
+  std::vector<QueryOptions> matrix;
+  for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
+    for (int threads : {1, 4}) {
+      QueryOptions o;
+      o.batch_size = batch;
+      o.num_threads = threads;
+      matrix.push_back(o);
+    }
+  }
+  return matrix;
+}
+
+/// True when a physical plan skips some δ (planner/uniqueness.h).
+inline bool SkipsDistinct(const QueryResult& result) {
+  return result.physical_plan.find("Distinct [skipped") != std::string::npos;
+}
+
+/// Runs `sql` canonically once and unnested at every point of `matrix`
+/// (unnest forced on), asserting multiset-equal results. Returns true
+/// when some unnested plan skips a δ.
+inline bool ExpectCanonicalEqualsUnnestedAcross(
+    Database* db, const std::string& sql,
+    const std::vector<QueryOptions>& matrix) {
+  QueryOptions canonical;
+  canonical.unnest = false;
+  auto base = db->Query(sql, canonical);
+  EXPECT_TRUE(base.ok()) << base.status().ToString() << "\nsql: " << sql;
+  if (!base.ok()) return false;
+  bool skipped = false;
+  for (QueryOptions options : matrix) {
+    options.unnest = true;
+    auto opt = db->Query(sql, options);
+    EXPECT_TRUE(opt.ok()) << opt.status().ToString() << "\nsql: " << sql;
+    if (!opt.ok()) continue;
+    skipped = skipped || SkipsDistinct(*opt);
+    EXPECT_TRUE(RowMultisetsEqual(base->rows, opt->rows))
+        << "canonical and unnested plans disagree at batch "
+        << options.batch_size << ", " << options.num_threads
+        << " threads\nsql: " << sql << "\ncanonical rows: "
+        << base->rows.size() << "\nunnested rows: " << opt->rows.size()
+        << "\nunnested plan:\n" << opt->physical_plan;
+  }
+  return skipped;
 }
 
 }  // namespace testing_util
