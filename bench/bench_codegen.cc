@@ -11,19 +11,6 @@
 //                  subquery disjunct) on the RST workload.
 //   q2d            the paper's Query 2d on TPC-H (SF 0.01), end to end.
 //
-// PR 10 widens the compiled region past the pipeline breakers; the
-// join_agg section measures the three generation-2 shapes on the same
-// 1M-row table joined against its 1%-scale sibling:
-//
-//   join_probe     scan → fused hash-join probe (near-unique *3 keys,
-//                  ~1% hit rate): the compiled loop owns hashing, the
-//                  cached-hash compare, and prefetch-at-distance.
-//   group_agg      scan → fused group-by accumulate (1000 groups,
-//                  COUNT/SUM/MIN/MAX folding in-register into SoA).
-//   join_agg       filter → probe → accumulate in one emitted pass; the
-//                  ~5M joined rows are never materialized on the
-//                  compiled path — the headline widened-region number.
-//
 // Each cell runs batch_size 1 (row-at-a-time era) and 1024 (default
 // vectorized); medians of --reps runs. The compile section reports the
 // measured host-compiler latency, the artifact-cache-hit re-prepare
@@ -40,20 +27,12 @@
 // the tier is compiled out or the host toolchain probe fails. Exits
 // nonzero on any failure.
 //
-// --assert-codegen-joinagg is the widened-region probe: each
-// generation-2 shape (probe / accumulate / fused) must install, serve
-// every batch natively (compiled_join_batches / compiled_agg_batches
-// > 0, zero fallbacks), agree with the interpreted oracle, and two
-// textually distinct SQL strings must share one compiled artifact
-// (artifact_shared_hits).
-//
 // Flags: --rows=N           filter table cardinality (default 1000000)
 //        --rst-rows=N       RST rows per SF          (default 50000)
 //        --reps=N           runs per median          (default 5)
 //        --quick            20000/5000 rows, 3 reps
 //        --json             machine-readable report on stdout
 //        --assert-codegen   smoke probe (see above)
-//        --assert-codegen-joinagg   widened-region probe (see above)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -83,18 +62,6 @@ const char kFilterSql[] =
 const char kBypassSql[] =
     "SELECT COUNT(*) FROM r WHERE a2 < 100 "
     "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)";
-
-// The widened-region shapes (r: --rows, s: 1% of r). *3 is near-unique
-// in [0, rows), so a3 = b3 probes mostly miss (~1% hit) — a pure probe
-// benchmark. *1 links [0, 2·rows/1000] against s's [0, 2·|s|/1000], so
-// a1 = b1 fans out to ~5M joined rows that the fused shape folds
-// without materializing. *2 gives 1000 groups.
-const char kJoinProbeSql[] =
-    "SELECT COUNT(*) FROM r, s WHERE a3 = b3";
-const char kGroupAggSql[] =
-    "SELECT a2, COUNT(*), SUM(a4), MIN(a3), MAX(a3) FROM r GROUP BY a2";
-const char kJoinAggSql[] =
-    "SELECT a2, COUNT(*), SUM(a4) FROM r, s WHERE a1 = b1 GROUP BY a2";
 
 struct Timed {
   double median_ms = 0.0;
@@ -131,8 +98,6 @@ struct Cell {
   double speedup = 0.0;
   int64_t compiled_batches = 0;
   int64_t fallback_batches = 0;
-  int64_t join_batches = 0;
-  int64_t agg_batches = 0;
   bool result_agrees = false;
 };
 
@@ -168,8 +133,6 @@ Cell RunPair(Database* db, const std::string& sql, QueryOptions options,
   cell.speedup = tc.median_ms > 0 ? ti.median_ms / tc.median_ms : 0.0;
   cell.compiled_batches = tc.last.stats.compiled_batches;
   cell.fallback_batches = tc.last.stats.compiled_fallback_batches;
-  cell.join_batches = tc.last.stats.compiled_join_batches;
-  cell.agg_batches = tc.last.stats.compiled_agg_batches;
   cell.result_agrees = RowMultisetsEqual(ti.last.rows, tc.last.rows);
   return cell;
 }
@@ -180,13 +143,10 @@ void PrintCellJson(const char* name, size_t batch, const Cell& c,
       "    \"%s_batch_%zu\": {\"interpreted_ms\": %.3f, "
       "\"compiled_ms\": %.3f, \"speedup_compiled\": %.2f, "
       "\"compiled_batches\": %lld, \"fallback_batches\": %lld, "
-      "\"join_batches\": %lld, \"agg_batches\": %lld, "
       "\"result_agrees\": %s}%s\n",
       name, batch, c.interpreted_ms, c.compiled_ms, c.speedup,
       static_cast<long long>(c.compiled_batches),
       static_cast<long long>(c.fallback_batches),
-      static_cast<long long>(c.join_batches),
-      static_cast<long long>(c.agg_batches),
       c.result_agrees ? "true" : "false", last ? "" : ",");
 }
 
@@ -288,108 +248,6 @@ int AssertCodegen(int64_t rst_rows) {
   return 0;
 }
 
-// ---------------------------------------- --assert-codegen-joinagg
-
-int FailJa(const char* what, const char* shape) {
-  std::fprintf(stderr, "assert-codegen-joinagg: FAILED: %s (%s)\n", what,
-               shape);
-  return 1;
-}
-
-int AssertCodegenJoinAgg(int64_t rst_rows) {
-  Database db;
-  RstOptions ro;
-  ro.rows_per_sf = rst_rows;
-  Status st = LoadRst(&db, 1, 0.1, 0.1, ro);
-  if (!st.ok()) {
-    std::fprintf(stderr, "assert-codegen-joinagg: load failed: %s\n",
-                 st.ToString().c_str());
-    return 1;
-  }
-  if (!db.AnalyzeAll().ok()) return FailJa("ANALYZE failed", "-");
-  if (!CodegenEngine::BuiltWithCodegen() ||
-      !db.codegen_engine()->Available()) {
-    std::printf(
-        "assert-codegen-joinagg: n/a (tier unavailable on this build)\n");
-    return 0;
-  }
-
-  struct Shape {
-    const char* name;
-    const char* sql;
-    bool want_join;
-    bool want_agg;
-  };
-  const Shape shapes[] = {
-      {"probe", "SELECT * FROM r, s WHERE a3 = b3", true, false},
-      {"accumulate", kGroupAggSql, false, true},
-      {"fused", kJoinAggSql, true, true},
-  };
-  for (const Shape& shape : shapes) {
-    QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-    opts.enable_codegen = true;
-    opts.codegen_synchronous = true;
-    auto prepared = db.Prepare(shape.sql, opts);
-    if (!prepared.ok()) return FailJa("prepare failed", shape.name);
-    if (prepared->compiled_pipelines() == 0) {
-      return FailJa("no pipeline installed", shape.name);
-    }
-    auto compiled = prepared->Execute(opts);
-    if (!compiled.ok()) {
-      return FailJa("compiled execution failed", shape.name);
-    }
-    if (compiled->stats.compiled_batches <= 0) {
-      return FailJa("compiled code never ran", shape.name);
-    }
-    if (compiled->stats.compiled_fallback_batches != 0) {
-      return FailJa("unexpected per-batch fallback", shape.name);
-    }
-    if (shape.want_join && compiled->stats.compiled_join_batches <= 0) {
-      return FailJa("join probe was not fused", shape.name);
-    }
-    if (shape.want_agg && compiled->stats.compiled_agg_batches <= 0) {
-      return FailJa("group-by accumulate was not fused", shape.name);
-    }
-    QueryOptions interp = opts;
-    interp.enable_codegen = false;
-    auto oracle = db.Query(shape.sql, interp);
-    if (!oracle.ok()) return FailJa("interpreted oracle failed", shape.name);
-    if (!RowMultisetsEqual(compiled->rows, oracle->rows)) {
-      return FailJa("compiled result diverges from the interpreter",
-                    shape.name);
-    }
-  }
-
-  // Cross-plan artifact sharing: a textually distinct spelling of the
-  // fused query lowers to the same emitted source; the engine must
-  // serve the cached artifact (no recompile) and count the share.
-  const CodegenStats before = db.codegen_engine()->stats();
-  QueryOptions opts = QueryOptions::With(ExecutionStrategy::kUnnested);
-  opts.enable_codegen = true;
-  opts.codegen_synchronous = true;
-  const std::string variant =
-      "SELECT  a2,  COUNT(*),  SUM(a4) FROM r, s WHERE (a1 = b1) "
-      "GROUP BY a2";
-  auto again = db.Prepare(variant, opts);
-  if (!again.ok() || again->compiled_pipelines() == 0) {
-    return FailJa("variant spelling lost the compiled pipeline", "shared");
-  }
-  const CodegenStats after = db.codegen_engine()->stats();
-  if (after.compiles != before.compiles) {
-    return FailJa("variant spelling recompiled the artifact", "shared");
-  }
-  if (after.artifact_shared_hits <= before.artifact_shared_hits) {
-    return FailJa("cross-plan artifact share was not counted", "shared");
-  }
-
-  std::printf(
-      "assert-codegen-joinagg: OK (probe/accumulate/fused served "
-      "natively, %lld compiles, %lld shared hits)\n",
-      static_cast<long long>(after.compiles),
-      static_cast<long long>(after.artifact_shared_hits));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -401,9 +259,6 @@ int main(int argc, char** argv) {
   const int64_t rst_rows = flags.GetInt("rst-rows", quick ? 5000 : 50000);
 
   if (flags.Has("assert-codegen")) return AssertCodegen(rst_rows);
-  if (flags.Has("assert-codegen-joinagg")) {
-    return AssertCodegenJoinAgg(rst_rows);
-  }
 
   const bool json = flags.Has("json");
   if (!CodegenEngine::BuiltWithCodegen()) {
@@ -474,13 +329,6 @@ int main(int argc, char** argv) {
       {"bypass_select", &rst_db, kBypassSql, unnested},
       {"q2d", &tpch_db, TpchQuery2d(), unnested},
   };
-  // The widened-region (generation 2) cells run on the filter fixture:
-  // r at --rows against its 1%-scale sibling s.
-  const Row ja_rows[] = {
-      {"join_probe", &filter_db, kJoinProbeSql, plain},
-      {"group_agg", &filter_db, kGroupAggSql, plain},
-      {"join_agg", &filter_db, kJoinAggSql, plain},
-  };
   constexpr size_t kBatches[] = {1, 1024};
 
   std::vector<std::pair<std::string, Cell>> cells;
@@ -491,15 +339,6 @@ int main(int argc, char** argv) {
           RunPair(row.db, row.sql, row.options, batch, reps));
     }
   }
-  std::vector<std::pair<std::string, Cell>> ja_cells;
-  for (const Row& row : ja_rows) {
-    for (size_t batch : kBatches) {
-      ja_cells.emplace_back(
-          std::string(row.name) + "/" + std::to_string(batch),
-          RunPair(row.db, row.sql, row.options, batch, reps));
-    }
-  }
-
   // Compile economics: mean measured compiler latency, the cached
   // re-prepare cost, and the break-even execution count against the
   // headline batch-1024 filter gain.
@@ -548,14 +387,6 @@ int main(int argc, char** argv) {
                         cells[i].first.substr(slash + 1))),
                     cells[i].second, i + 1 == cells.size());
     }
-    std::printf("  },\n  \"join_agg\": {\n");
-    for (size_t i = 0; i < ja_cells.size(); ++i) {
-      const auto slash = ja_cells[i].first.find('/');
-      PrintCellJson(ja_cells[i].first.substr(0, slash).c_str(),
-                    static_cast<size_t>(std::stoul(
-                        ja_cells[i].first.substr(slash + 1))),
-                    ja_cells[i].second, i + 1 == ja_cells.size());
-    }
     std::printf(
         "  },\n  \"compile\": {\"compile_ms\": %.1f, "
         "\"cached_prepare_ms\": %.2f, \"compiles\": %lld, "
@@ -571,14 +402,12 @@ int main(int argc, char** argv) {
               "median of " + std::to_string(reps) + ", batch 1 and 1024");
   ResultTable table({"interpreted ms", "compiled ms", "speedup"});
   char buf[3][64];
-  for (const auto* group : {&cells, &ja_cells}) {
-    for (const auto& [name, cell] : *group) {
-      std::snprintf(buf[0], sizeof(buf[0]), "%.3f", cell.interpreted_ms);
-      std::snprintf(buf[1], sizeof(buf[1]), "%.3f", cell.compiled_ms);
-      std::snprintf(buf[2], sizeof(buf[2]), "%.2fx%s", cell.speedup,
-                    cell.result_agrees ? "" : " (MISMATCH)");
-      table.AddRow(name, {buf[0], buf[1], buf[2]});
-    }
+  for (const auto& [name, cell] : cells) {
+    std::snprintf(buf[0], sizeof(buf[0]), "%.3f", cell.interpreted_ms);
+    std::snprintf(buf[1], sizeof(buf[1]), "%.3f", cell.compiled_ms);
+    std::snprintf(buf[2], sizeof(buf[2]), "%.2fx%s", cell.speedup,
+                  cell.result_agrees ? "" : " (MISMATCH)");
+    table.AddRow(name, {buf[0], buf[1], buf[2]});
   }
   table.Print();
   std::printf(

@@ -70,11 +70,4 @@ run "${BIN}/bench_storage" --quick --assert-storage
 # emitted files. Prints n/a and passes on builds without the tier.
 run "${BIN}/bench_codegen" --assert-codegen --rst-rows=2000
 
-# Widened-region assertion: each generation-2 shape (join probe, group-by
-# accumulate, fused probe+accumulate) must install, serve every batch
-# natively with zero fallbacks, agree with the interpreted oracle, and a
-# textually distinct respelling must share the cached artifact instead of
-# recompiling. Prints n/a and passes on builds without the tier.
-run "${BIN}/bench_codegen" --assert-codegen-joinagg --rst-rows=2000
-
 echo "bench-smoke OK"

@@ -76,52 +76,6 @@ using CgRunFn = void (*)(const CgBatch*, uint32_t* const* outs,
 
 inline constexpr long long kCgAbiVersion = 1;
 
-// --- ABI generation 2: the widened compiled region (DESIGN.md §12).
-//     Chains may terminate in a fused hash-join probe and/or group-by
-//     accumulate loop; the emitted TU probes the interpreter's own key
-//     indexes through KeyIndex::Int64View (its one layout,
-//     static_assert-pinned at the export site) and folds aggregates into
-//     caller-provided SoA accumulator arrays. `slots == nullptr` means an
-//     empty index: every probe misses. `keys` holds a {null word, value}
-//     record per key id.
-
-/// A join's key index plus its payload multimap and per-worker probe
-/// scratch sized to the batch by the caller.
-struct CgJoinView {
-  const void* slots;        ///< {u64 hash, u32 id} pairs, 16-byte
-  uint64_t mask;
-  const int64_t* keys;      ///< {null word, value} per key id
-  const uint32_t* offsets;  ///< num_keys + 1 prefix sums into payload
-  const uint32_t* payload;  ///< build-row indices grouped by key, asc
-  uint64_t* hash_scratch;   ///< [n] probe hashes (pass 1 → pass 2)
-  int64_t* key_scratch;     ///< [n] probe keys
-  uint8_t* valid_scratch;   ///< [n] 1 = row passed filters, key non-NULL
-};
-
-/// One worker's group map, snapshotted before the batch runs (phase-B
-/// inserts grow the arrays, so the view is per batch).
-struct CgGroupView {
-  const void* slots;   ///< {u64 hash, u32 id} pairs, 16-byte
-  uint64_t mask;
-  const int64_t* keys; ///< {null word, value} per key id
-  uint64_t num_entries;
-};
-
-/// Generation-2 entry point. `accs` carries 5 SoA arrays per aggregate
-/// (count, int-sum, double-sum, extreme, has-extreme), indexed by dense
-/// group entry; `out_a`/`out_b` are the pair cursor (probe shape: batch
-/// position / build-row index; group shapes: batch position / match
-/// multiplicity of rows whose group missed the snapshot). `start_row`
-/// resumes a probe batch whose matches overflowed `out_cap` at a row
-/// boundary; counts[0] = pairs written, counts[1] = rows consumed.
-using CgRun2Fn = void (*)(const CgBatch*, const CgJoinView*,
-                          const CgGroupView*, void* const* accs,
-                          uint32_t* out_a, uint32_t* out_b,
-                          uint64_t out_cap, uint64_t start_row,
-                          uint64_t* counts);
-
-inline constexpr long long kCgAbiVersion2 = 2;
-
 /// FNV-1a hash of the emitted source — the artifact cache key.
 uint64_t CgHashSource(const std::string& source);
 
@@ -130,13 +84,10 @@ uint64_t CgHashSource(const std::string& source);
 /// (the backing file was already unlinked at load time).
 class CompiledArtifact {
  public:
-  CompiledArtifact(void* handle, long long abi, CgRunFn run,
-                   CgRun2Fn run2, uint64_t source_hash,
+  CompiledArtifact(void* handle, CgRunFn run, uint64_t source_hash,
                    uint64_t stats_epoch, double compile_seconds)
       : handle_(handle),
-        abi_(abi),
         run_(run),
-        run2_(run2),
         source_hash_(source_hash),
         stats_epoch_(stats_epoch),
         compile_seconds_(compile_seconds) {}
@@ -144,20 +95,14 @@ class CompiledArtifact {
   CompiledArtifact(const CompiledArtifact&) = delete;
   CompiledArtifact& operator=(const CompiledArtifact&) = delete;
 
-  /// The ABI generation the artifact exported (1 or 2); exactly the
-  /// matching entry point below is non-null.
-  long long abi() const { return abi_; }
   CgRunFn run() const { return run_; }
-  CgRun2Fn run2() const { return run2_; }
   uint64_t source_hash() const { return source_hash_; }
   uint64_t stats_epoch() const { return stats_epoch_; }
   double compile_seconds() const { return compile_seconds_; }
 
  private:
   void* handle_;
-  long long abi_;
   CgRunFn run_;
-  CgRun2Fn run2_;
   uint64_t source_hash_;
   uint64_t stats_epoch_;
   double compile_seconds_;

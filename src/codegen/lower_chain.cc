@@ -51,16 +51,6 @@ class Emitter {
 
   const std::vector<CgSlotUse>& slots() const { return slots_; }
 
-  /// Registers a raw column load outside predicate lowering (probe keys,
-  /// group keys, aggregate arguments); returns the CgBatch column index.
-  size_t RegisterSlot(int slot, DataType type) {
-    auto it = slot_index_.find(slot);
-    if (it != slot_index_.end()) return it->second;
-    const size_t idx = slots_.size();
-    slots_.push_back({slot, type});
-    slot_index_[slot] = idx;
-    return idx;
-  }
   std::string TakeBody() {
     std::string s = body_.str();
     body_.str(std::string());
@@ -390,7 +380,7 @@ std::string Emitter::EmitPredicate(const Expr& e, int depth) {
 std::string Emitter::HelperSection() const {
   std::ostringstream out;
   // CompareNumeric (types/value.h) verbatim: the numeric order of the
-  // compares and of the MIN/MAX folds.
+  // compares.
   out << "static inline int cg_cmp_i64(long long a, long long b) {\n"
       << "  return a < b ? -1 : (a > b ? 1 : 0);\n"
       << "}\n"
@@ -461,29 +451,6 @@ const char* TypeCName(DataType t) {
   }
 }
 
-/// Column pointer declarations shared by both generations' preludes.
-void EmitColumnDecls(std::ostringstream& src, const Emitter& em) {
-  for (size_t i = 0; i < em.slots().size(); ++i) {
-    const std::string c = "c" + std::to_string(i);
-    const CgSlotUse& use = em.slots()[i];
-    if (use.type == DataType::kString) {
-      src << "  const u64* " << c << "o = b->cols[" << i << "].offsets;\n"
-          << "  const char* " << c << "s = b->cols[" << i << "].chars;\n";
-    } else {
-      src << "  " << TypeCName(use.type) << " " << c << " = ("
-          << TypeCName(use.type) << ")b->cols[" << i << "].data;\n";
-    }
-    src << "  const u64* " << c << "n = b->cols[" << i << "].nulls;\n";
-  }
-}
-
-/// 0/1 expression for "row r's value in registered column `idx` is NULL".
-std::string NullBitExpr(size_t idx) {
-  const std::string c = "c" + std::to_string(idx);
-  return "((" + c + "n && ((" + c + "n[r >> 6] >> (r & 63)) & 1ull)) ? 1 "
-         ": 0)";
-}
-
 }  // namespace
 
 bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
@@ -526,7 +493,18 @@ bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
       << "extern \"C\" long long bypass_cg_abi() { return 1; }\n"
       << "extern \"C\" void bypass_cg_run(const CgBatch* b, u32* const* "
          "outs, u64* counts) {\n";
-  EmitColumnDecls(src, em);
+  for (size_t i = 0; i < em.slots().size(); ++i) {
+    const std::string c = "c" + std::to_string(i);
+    const CgSlotUse& use = em.slots()[i];
+    if (use.type == DataType::kString) {
+      src << "  const u64* " << c << "o = b->cols[" << i << "].offsets;\n"
+          << "  const char* " << c << "s = b->cols[" << i << "].chars;\n";
+    } else {
+      src << "  " << TypeCName(use.type) << " " << c << " = ("
+          << TypeCName(use.type) << ")b->cols[" << i << "].data;\n";
+    }
+    src << "  const u64* " << c << "n = b->cols[" << i << "].nulls;\n";
+  }
   for (int p = 0; p < num_ports; ++p) {
     src << "  u32* o" << p << " = outs[" << p << "]; u64 n" << p
         << " = 0;\n";
@@ -550,345 +528,6 @@ bool LowerChain(const std::vector<ChainStage>& stages, const Schema& schema,
   out->num_out_ports = num_ports;
   std::ostringstream summary;
   summary << stages.size() << (stages.size() == 1 ? " stage" : " stages");
-  summary << ", " << em.slots().size()
-          << (em.slots().size() == 1 ? " col" : " cols");
-  out->summary = summary.str();
-  return true;
-}
-
-bool LowerChainWidened(const std::vector<ChainStage>& stages,
-                       const ChainTerminal& terminal, const Schema& schema,
-                       LoweredChain* out) {
-  if (terminal.kind == ChainTerminalKind::kNone) return false;
-  const bool join = terminal.kind == ChainTerminalKind::kJoinProbe ||
-                    terminal.kind == ChainTerminalKind::kJoinGroupBy;
-  const bool group = terminal.kind == ChainTerminalKind::kGroupBy ||
-                     terminal.kind == ChainTerminalKind::kJoinGroupBy;
-  auto slot_ok = [&](int s, DataType want) {
-    return s >= 0 && s < static_cast<int>(schema.num_columns()) &&
-           schema.column(static_cast<size_t>(s)).type == want;
-  };
-  if (join && !slot_ok(terminal.probe_slot, DataType::kInt64)) return false;
-  if (group && !slot_ok(terminal.group_slot, DataType::kInt64)) {
-    return false;
-  }
-  if (group) {
-    for (const CgAggFold& a : terminal.aggs) {
-      if (a.star) {
-        if (a.func != AggFunc::kCount) return false;
-        continue;
-      }
-      // Argument columns are monomorphized on int64/double; COUNT over
-      // other types (and every DISTINCT) stays interpreted.
-      if (a.type != DataType::kInt64 && a.type != DataType::kDouble) {
-        return false;
-      }
-      if (!slot_ok(a.slot, a.type)) return false;
-    }
-  }
-
-  Emitter em(schema);
-  // Filters lower exactly like generation 1: straight-line row body, a
-  // failing σ exits the do-while early. σ± stages cannot feed
-  // a fused breaker (they fan out) — the install pass never offers them.
-  std::ostringstream filters;
-  for (const ChainStage& st : stages) {
-    if (st.kind != ChainStageKind::kFilter || st.predicate == nullptr) {
-      return false;
-    }
-    const std::string t = em.EmitPredicate(*st.predicate, 0);
-    if (t.empty()) return false;
-    filters << em.TakeBody();
-    filters << "      if (" << t << " != 1) break;\n";
-  }
-  const size_t jk =
-      join ? em.RegisterSlot(terminal.probe_slot, DataType::kInt64) : 0;
-  const size_t gk =
-      group ? em.RegisterSlot(terminal.group_slot, DataType::kInt64) : 0;
-  std::vector<size_t> argc(terminal.aggs.size(), 0);
-  for (size_t j = 0; j < terminal.aggs.size(); ++j) {
-    if (!terminal.aggs[j].star) {
-      argc[j] = em.RegisterSlot(terminal.aggs[j].slot,
-                                terminal.aggs[j].type);
-    }
-  }
-
-  // --- Reusable snippets over the registered columns.
-
-  // Group-key hash + slot probe; leaves the key id in `g` (4294967295u =
-  // missed the snapshot). Mirrors KeyIndex's width-1 probe: cached-hash
-  // compare, then the {null word, value} record.
-  auto group_key_and_probe = [&](std::ostringstream& os) {
-    const std::string c = "c" + std::to_string(gk);
-    os << "      const long long gkv = " << c << "[r];\n"
-       << "      const int gnl = " << NullBitExpr(gk) << ";\n"
-       << "      const u64 gh = gnl ? 0x7b4a5c8d9e2f1a6bull : "
-          "cg_mix((u64)gkv);\n"
-       << "      u32 g = 4294967295u;\n"
-       << "      if (gs) {\n"
-       << "        u64 gp = gh & gm;\n"
-       << "        for (;;) {\n"
-       << "          const CgSlot s = gs[gp];\n"
-       << "          if (s.id == 4294967295u) break;\n"
-       << "          const long long* e = gke + 2 * (u64)s.id;\n"
-       << "          if (s.hash == gh && e[0] == gnl && (gnl || e[1] == gkv)) "
-          "{ g = s.id; break; }\n"
-       << "          gp = (gp + 1) & gm;\n"
-       << "        }\n"
-       << "      }\n";
-  };
-  // Aggregate argument loads for row r (shared across a row's fold
-  // repetitions — the value does not change with the match multiplicity).
-  auto arg_loads = [&](std::ostringstream& os) {
-    for (size_t j = 0; j < terminal.aggs.size(); ++j) {
-      const CgAggFold& a = terminal.aggs[j];
-      if (a.star) continue;
-      const std::string c = "c" + std::to_string(argc[j]);
-      const char* ty =
-          a.type == DataType::kDouble ? "double" : "long long";
-      os << "      const " << ty << " x" << j << " = " << c << "[r];\n"
-         << "      const int x" << j << "n = " << NullBitExpr(argc[j])
-         << ";\n";
-    }
-  };
-  // One fold repetition into the SoA accumulators at entry `g`. The
-  // bodies replicate Aggregator::AccumulateValue exactly: COUNT counts
-  // non-null inputs (every row for '*'), SUM/AVG accumulate count +
-  // int-sum + double-sum (int64) or count + double-sum (double), MIN/MAX
-  // adopt-then-compare in the numeric order (a NaN is the largest).
-  auto folds = [&](std::ostringstream& os, const std::string& ind) {
-    for (size_t j = 0; j < terminal.aggs.size(); ++j) {
-      const CgAggFold& a = terminal.aggs[j];
-      const std::string J = std::to_string(j);
-      const std::string x = "x" + J;
-      const std::string xn = "x" + J + "n";
-      switch (a.func) {
-        case AggFunc::kCount:
-          if (a.star) {
-            os << ind << "a" << J << "c[g] += 1;\n";
-          } else {
-            os << ind << "if (!" << xn << ") a" << J << "c[g] += 1;\n";
-          }
-          break;
-        case AggFunc::kSum:
-        case AggFunc::kAvg:
-          if (a.type == DataType::kInt64) {
-            os << ind << "if (!" << xn << ") { a" << J << "c[g] += 1; a"
-               << J << "i[g] += " << x << "; a" << J
-               << "d[g] += (double)" << x << "; }\n";
-          } else {
-            os << ind << "if (!" << xn << ") { a" << J << "c[g] += 1; a"
-               << J << "d[g] += " << x << "; }\n";
-          }
-          break;
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          const char* cmp = a.func == AggFunc::kMin ? "<" : ">";
-          const char* order =
-              a.type == DataType::kDouble ? "cg_cmp_f64" : "cg_cmp_i64";
-          os << ind << "if (!" << xn << ") { if (!a" << J
-             << "h[g]) { a" << J << "b[g] = " << x << "; a" << J
-             << "h[g] = 1; } else if (" << order << "(" << x << ", a" << J
-             << "b[g]) " << cmp << " 0) a" << J << "b[g] = " << x
-             << "; }\n";
-          break;
-        }
-      }
-    }
-  };
-  // Join pass 1: filters + probe-key hashing into the caller's scratch
-  // (run once per batch; capacity resumes re-enter at pass 2 only).
-  auto join_pass1 = [&](std::ostringstream& os) {
-    const std::string c = "c" + std::to_string(jk);
-    os << "  if (start_row == 0) {\n"
-       << "    for (u64 i = 0; i < n; ++i) {\n"
-       << "      const u32 r = sel[i];\n"
-       << "      (void)r;\n"
-       << "      vs[i] = 0;\n"
-       << "      do {\n"
-       << filters.str()
-       << "      const int knl = " << NullBitExpr(jk) << ";\n"
-       << "      if (knl) break;\n"  // NULL key never matches (inner join)
-       << "      const long long kv = " << c << "[r];\n"
-       << "      ks[i] = kv;\n"
-       << "      hs[i] = cg_mix((u64)kv);\n"
-       << "      vs[i] = 1;\n"
-       << "      } while (0);\n"
-       << "    }\n"
-       << "  }\n";
-  };
-  // Join slot probe for the row at loop index i (hash/key from scratch);
-  // leaves the key id in `kid`. Mirrors KeyIndex's width-1 probe; a join
-  // stores no NULL key, so the value word decides.
-  auto join_probe = [&](std::ostringstream& os) {
-    os << "      const u64 h = hs[i];\n"
-       << "      const long long kv = ks[i];\n"
-       << "      u32 kid = 4294967295u;\n"
-       << "      u64 p = h & jm;\n"
-       << "      for (;;) {\n"
-       << "        const CgSlot s = js[p];\n"
-       << "        if (s.id == 4294967295u) break;\n"
-       << "        if (s.hash == h && jke[2 * (u64)s.id + 1] == kv) { kid = "
-          "s.id; break; }\n"
-       << "        p = (p + 1) & jm;\n"
-       << "      }\n";
-  };
-  const char* prefetch =
-      "      if (i + 8 < n && vs[i + 8]) "
-      "__builtin_prefetch(&js[hs[i + 8] & jm]);\n";
-
-  // --- Assemble the translation unit (freestanding, like generation 1;
-  //     the view structs re-declare the engine layouts pinned by the
-  //     static_asserts at the export sites).
-  std::ostringstream src;
-  src << "// bypassdb emitted pipeline (codegen tier, abi 2)\n"
-      << "typedef unsigned long long u64;\n"
-      << "typedef unsigned int u32;\n"
-      << "struct CgCol { const void* data; const u64* offsets; const char* "
-         "chars; const u64* nulls; };\n"
-      << "struct CgBatch { const CgCol* cols; const u32* sel; u64 n; };\n"
-      << "struct CgJoinView { const void* slots; u64 mask; const long "
-         "long* keys; const u32* offsets; const u32* payload; u64* "
-         "hash_scratch; long long* key_scratch; unsigned char* "
-         "valid_scratch; };\n"
-      << "struct CgGroupView { const void* slots; u64 mask; const long "
-         "long* keys; u64 num_entries; };\n"
-      << "struct CgSlot { u64 hash; u32 id; };\n"
-      << "static u64 cg_mix(u64 h) {\n"  // splitmix64 == HashInt64Key
-      << "  h += 0x9e3779b97f4a7c15ull;\n"
-      << "  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;\n"
-      << "  h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;\n"
-      << "  return h ^ (h >> 31);\n"
-      << "}\n"
-      << em.HelperSection()
-      << "extern \"C\" long long bypass_cg_abi() { return 2; }\n"
-      << "extern \"C\" void bypass_cg_run2(const CgBatch* b, const "
-         "CgJoinView* jv, const CgGroupView* gv, void* const* accs, u32* "
-         "out_a, u32* out_b, u64 out_cap, u64 start_row, u64* counts) {\n";
-  EmitColumnDecls(src, em);
-  if (join) {
-    src << "  const CgSlot* js = (const CgSlot*)jv->slots;\n"
-        << "  const u64 jm = jv->mask;\n"
-        << "  const long long* jke = jv->keys;\n"
-        << "  const u32* jof = jv->offsets;\n"
-        << "  const u32* jpl = jv->payload;\n"
-        << "  u64* hs = jv->hash_scratch;\n"
-        << "  long long* ks = jv->key_scratch;\n"
-        << "  unsigned char* vs = jv->valid_scratch;\n";
-  }
-  if (group) {
-    src << "  const CgSlot* gs = (const CgSlot*)gv->slots;\n"
-        << "  const u64 gm = gv->mask;\n"
-        << "  const long long* gke = gv->keys;\n";
-    for (size_t j = 0; j < terminal.aggs.size(); ++j) {
-      const CgAggFold& a = terminal.aggs[j];
-      const std::string J = std::to_string(j);
-      src << "  long long* a" << J << "c = (long long*)accs[" << j * 5
-          << "];\n";
-      if (a.func == AggFunc::kSum || a.func == AggFunc::kAvg) {
-        if (a.type == DataType::kInt64) {
-          src << "  long long* a" << J << "i = (long long*)accs["
-              << j * 5 + 1 << "];\n";
-        }
-        src << "  double* a" << J << "d = (double*)accs[" << j * 5 + 2
-            << "];\n";
-      }
-      if (a.func == AggFunc::kMin || a.func == AggFunc::kMax) {
-        const char* ty =
-            a.type == DataType::kDouble ? "double" : "long long";
-        src << "  " << ty << "* a" << J << "b = (" << ty << "*)accs["
-            << j * 5 + 3 << "];\n"
-            << "  unsigned char* a" << J << "h = (unsigned char*)accs["
-            << j * 5 + 4 << "];\n";
-      }
-    }
-  }
-  src << "  const u32* sel = b->sel;\n"
-      << "  const u64 n = b->n;\n";
-
-  if (terminal.kind == ChainTerminalKind::kGroupBy) {
-    // Single pass: filter, probe the group snapshot, fold hits into the
-    // SoA; misses go to the pair cursor (multiplicity 1) for phase B.
-    src << "  u64 na = 0;\n"
-        << "  for (u64 i = 0; i < n; ++i) {\n"
-        << "    const u32 r = sel[i];\n"
-        << "    (void)r;\n"
-        << "    do {\n"
-        << filters.str();
-    group_key_and_probe(src);
-    src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
-           "= 1u; ++na; break; }\n";
-    arg_loads(src);
-    folds(src, "      ");
-    src << "    } while (0);\n"
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = n;\n";
-  } else if (terminal.kind == ChainTerminalKind::kJoinProbe) {
-    join_pass1(src);
-    // Pass 2: resolve with prefetch-at-distance, append (position,
-    // build row) pairs; a full cursor stops at a row boundary so the
-    // caller can drain and resume at counts[1].
-    src << "  u64 na = 0;\n"
-        << "  u64 i = start_row;\n"
-        << "  if (js) {\n"
-        << "    for (; i < n; ++i) {\n"
-        << prefetch
-        << "      if (!vs[i]) continue;\n";
-    join_probe(src);
-    src << "      if (kid == 4294967295u) continue;\n"
-        << "      const u32 mb = jof[kid];\n"
-        << "      const u32 me = jof[kid + 1];\n"
-        << "      if (na + (u64)(me - mb) > out_cap) break;\n"
-        << "      for (u32 t = mb; t < me; ++t) { out_a[na] = (u32)i; "
-           "out_b[na] = jpl[t]; ++na; }\n"
-        << "    }\n"
-        << "  } else {\n"
-        << "    i = n;\n"  // empty build side: every probe misses
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = i;\n";
-  } else {  // kJoinGroupBy
-    join_pass1(src);
-    // Pass 2: each matching probe row folds its aggregates once per
-    // build match (multiplicity loop — repeated adds keep double sums
-    // bit-identical to the interpreter's per-output-row folds); rows
-    // whose group missed the snapshot emit one (position, multiplicity)
-    // pair for phase B. At most one pair per row, so the cursor (sized
-    // to the batch) never overflows and no resume is needed.
-    src << "  u64 na = 0;\n"
-        << "  if (js) {\n"
-        << "    for (u64 i = 0; i < n; ++i) {\n"
-        << prefetch
-        << "      if (!vs[i]) continue;\n";
-    join_probe(src);
-    src << "      if (kid == 4294967295u) continue;\n"
-        << "      const u32 m = jof[kid + 1] - jof[kid];\n"
-        << "      const u32 r = sel[i];\n"
-        << "      (void)r;\n";
-    group_key_and_probe(src);
-    src << "      if (g == 4294967295u) { out_a[na] = (u32)i; out_b[na] "
-           "= m; ++na; continue; }\n";
-    arg_loads(src);
-    src << "      for (u32 mt = 0; mt < m; ++mt) {\n";
-    folds(src, "        ");
-    src << "      }\n"
-        << "    }\n"
-        << "  }\n"
-        << "  counts[0] = na;\n"
-        << "  counts[1] = n;\n";
-  }
-  src << "}\n";
-
-  out->source = src.str();
-  out->slots = em.slots();
-  out->num_out_ports = 1;
-  out->generation = 2;
-  out->terminal = terminal;
-  std::ostringstream summary;
-  summary << stages.size() << (stages.size() == 1 ? " stage" : " stages");
-  if (join) summary << " + probe";
-  if (group) summary << " + agg(" << terminal.aggs.size() << ")";
   summary << ", " << em.slots().size()
           << (em.slots().size() == 1 ? " col" : " cols");
   out->summary = summary.str();

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "expr/agg.h"
 #include "expr/expr.h"
 #include "types/schema.h"
 
@@ -54,47 +53,13 @@ struct CgSlotUse {
   DataType type;
 };
 
-/// What terminates a widened (generation-2) chain — the fused pipeline
-/// breakers of DESIGN.md §12. kNone marks a generation-1 routing chain.
-enum class ChainTerminalKind {
-  kNone,
-  kJoinProbe,    ///< hash-join probe loop → (position, build row) pairs
-  kGroupBy,      ///< group-by accumulate loop over the int64 fast path
-  kJoinGroupBy,  ///< probe feeding accumulate, fully fused
-};
-
-/// One aggregate the emitted accumulate loop folds in-register. The
-/// argument is a scan-slot column load (already remapped through any
-/// projection copy layers by the install pass); only int64/double
-/// arguments — and argument-less COUNT(*) — lower.
-struct CgAggFold {
-  AggFunc func = AggFunc::kCount;
-  bool star = false;  ///< COUNT(*): no argument column
-  int slot = -1;      ///< scan slot of the argument (ignored when star)
-  DataType type = DataType::kInt64;
-};
-
-/// Terminal description for the generation-2 lowering: which breaker(s)
-/// the chain fuses and the scan slots their keys live in.
-struct ChainTerminal {
-  ChainTerminalKind kind = ChainTerminalKind::kNone;
-  int probe_slot = -1;  ///< scan slot of the int64 join probe key
-  int group_slot = -1;  ///< scan slot of the int64 group key
-  std::vector<CgAggFold> aggs;
-};
-
 struct LoweredChain {
   /// The complete emitted translation unit (no #includes; exports
-  /// bypass_cg_abi plus bypass_cg_run or bypass_cg_run2 by generation).
+  /// bypass_cg_abi and bypass_cg_run).
   std::string source;
   /// Columns in CgBatch::cols order.
   std::vector<CgSlotUse> slots;
   int num_out_ports = 1;
-  /// ABI generation of the emitted entry point (1 = routing chain,
-  /// 2 = widened probe/accumulate chain).
-  int generation = 1;
-  /// Echo of the widened terminal (generation 2 only).
-  ChainTerminal terminal;
   /// Short human-readable shape note for operator labels.
   std::string summary;
 };
@@ -108,17 +73,6 @@ bool LowerChain(const std::vector<ChainStage>& stages,
 /// Dry-run of one stage: true when it would lower. The install pass uses
 /// this to find the longest compilable prefix of a chain.
 bool StageSupported(const ChainStage& stage, const Schema& schema);
-
-/// Generation-2 lowering: σ filters (only — no σ± stage, and
-/// `stages` may be empty for a bare scan→breaker chain) terminated by a
-/// fused hash-join probe and/or group-by accumulate loop. The emitted TU
-/// exports bypass_cg_run2 (abi 2); it probes the interpreter's hash
-/// structures through the CgJoinView/CgGroupView slot views and folds
-/// aggregates into the caller's SoA accumulator arrays (DESIGN.md §12).
-/// False when a filter or the terminal is outside the supported matrix.
-bool LowerChainWidened(const std::vector<ChainStage>& stages,
-                       const ChainTerminal& terminal, const Schema& schema,
-                       LoweredChain* out);
 
 }  // namespace bypass
 

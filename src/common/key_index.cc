@@ -253,22 +253,6 @@ void KeyIndex::AppendKeyColumns(uint32_t begin, uint32_t end,
   }
 }
 
-KeyIndex::Int64View KeyIndex::ExportInt64View() const {
-  static_assert(sizeof(Slot) == 16 && offsetof(Slot, id) == 8,
-                "emitted CgSlot mirrors this layout");
-  Int64View v;
-  if (shape_ == Shape::kGeneric || (shape_ == Shape::kPacked && width_ != 1)) {
-    return v;
-  }
-  v.valid = true;
-  if (size_ > 0) {
-    v.slots = slots_.data();
-    v.mask = mask_;
-    v.keys = arena_.data();
-  }
-  return v;
-}
-
 int64_t KeyIndex::RetainedBytes() const {
   size_t bytes = slots_.capacity() * sizeof(Slot) +
                  arena_.capacity() * sizeof(int64_t) +

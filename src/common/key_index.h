@@ -177,18 +177,6 @@ class KeyIndex {
   void AppendKeyColumns(uint32_t begin, uint32_t end,
                         std::vector<ColumnVector>* out) const;
 
-  /// The one layout emitted code reads (DESIGN.md §12). Valid while the
-  /// index is empty (null `slots`: every probe misses) or packed at width
-  /// 1; `keys` then holds a {null word, value} record per id. Pointers
-  /// are a snapshot: an insert may move them.
-  struct Int64View {
-    const void* slots = nullptr;  ///< Slot{u64 hash, u32 id} array
-    uint64_t mask = 0;
-    const int64_t* keys = nullptr;
-    bool valid = false;
-  };
-  Int64View ExportInt64View() const;
-
   /// Bytes held: slots, packed records and generic key rows, the heap
   /// chars of their strings included.
   int64_t RetainedBytes() const;

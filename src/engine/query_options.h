@@ -145,8 +145,7 @@ struct QueryOptions {
   //     host toolchain; otherwise silently interpreted.
 
   /// Splice compiled pipelines into prepared plans: scan-rooted
-  /// filter/σ± chains (and an eligible hash-join probe or group-by
-  /// accumulate behind them) are JIT-compiled via the host compiler +
+  /// filter/σ± chains are JIT-compiled via the host compiler +
   /// dlopen. Off by default — serving workloads that prepare
   /// once and execute many opt in.
   bool enable_codegen = false;

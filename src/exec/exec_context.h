@@ -68,11 +68,6 @@ struct ExecStats {
   int64_t compiled_batches = 0;
   int64_t compiled_fallback_batches = 0;
   int64_t codegen_cache_hits = 0;
-  /// Widened-region counters: compiled batches whose emitted pipeline
-  /// also ran the fused hash-join probe loop / group-by accumulate loop
-  /// (a fused filter→probe→group-by batch increments both).
-  int64_t compiled_join_batches = 0;
-  int64_t compiled_agg_batches = 0;
 
   void Add(const ExecStats& other) {
     rows_scanned += other.rows_scanned;
@@ -90,8 +85,6 @@ struct ExecStats {
     compiled_batches += other.compiled_batches;
     compiled_fallback_batches += other.compiled_fallback_batches;
     codegen_cache_hits += other.codegen_cache_hits;
-    compiled_join_batches += other.compiled_join_batches;
-    compiled_agg_batches += other.compiled_agg_batches;
   }
 };
 

@@ -38,22 +38,10 @@ class HashGroupByOp : public UnaryPhysOp {
     return scalar_ ? "ScalarAgg" : "HashGroupBy";
   }
 
+ private:
   // Per worker: group ids from one KeyIndex, an AggregatorSet per id.
   using GroupMap = FlatRowMap<std::unique_ptr<AggregatorSet>>;
 
-  /// Worker `w`'s partial group map: a compiled pipeline that fused this
-  /// operator's accumulate loop folds straight into it (DESIGN.md §12).
-  GroupMap* worker_groups(size_t w) { return &partials_[w].groups; }
-  size_t num_partials() const { return partials_.size(); }
-  /// Spec list backing every AggregatorSet of this operator — phase-B
-  /// inserts must construct their sets against this exact vector.
-  const std::vector<AggregateSpec>* aggregates() const {
-    return &aggregates_;
-  }
-  const std::vector<int>& key_slots() const { return key_slots_; }
-  bool scalar() const { return scalar_; }
-
- private:
   /// One worker's partial aggregation state, padded to its own cache line.
   struct alignas(64) Partial {
     GroupMap groups;

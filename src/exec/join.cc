@@ -1,7 +1,6 @@
 #include "exec/join.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 
 #include "common/check.h"
@@ -118,7 +117,6 @@ Status HashJoinOp::Prepare(ExecContext* ctx) {
 
 void HashJoinOp::Reset() {
   BinaryPhysOp::Reset();
-  table_published_.store(false, std::memory_order_release);
   table_.Clear();
   grace_ = false;
   right_parts_.clear();
@@ -178,11 +176,6 @@ Status HashJoinOp::BuildFromRight() {
     TakeRightColumns();
     ctx_->run().ReleaseMemory(TakeRightCharges());
   }
-  // The build is complete and budgeted: publish the table. The release
-  // store pairs with codegen_table()'s acquire load — a compiled probe
-  // bypasses this operator's internal phase ordering, so it needs its own
-  // happens-before edge to the table's arrays.
-  table_published_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -531,7 +524,7 @@ Status HashJoinOp::FlushPairs(const RowBatch& batch, const ColumnStore& build,
 }
 
 ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
-                                    const ColumnStore& build,
+                                    const ColumnStore& build_columns,
                                     PairScratch* s) const {
   const size_t num_pairs = s->pair_probe.size();
   const std::vector<uint32_t>& sel = batch.selection();
@@ -539,15 +532,8 @@ ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
   for (size_t p = 0; p < num_pairs; ++p) {
     s->storage[p] = sel[s->pair_probe[p]];
   }
-  return GatherPairs(batch, build, s->storage.data(), s->pair_build.data(),
-                     num_pairs);
-}
-
-ColumnStore HashJoinOp::GatherPairs(const RowBatch& batch,
-                                    const ColumnStore& build_columns,
-                                    const uint32_t* probe,
-                                    const uint32_t* build,
-                                    size_t num_pairs) const {
+  const uint32_t* probe = s->storage.data();
+  const uint32_t* build = s->pair_build.data();
   const std::vector<GatherCol>* cols = &gather().cols();
   std::vector<GatherCol> concat;
   if (gather().is_concat()) {

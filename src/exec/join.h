@@ -5,7 +5,6 @@
 #define BYPASSDB_EXEC_JOIN_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -80,10 +79,6 @@ class JoinHashTable {
 
   size_t num_keys() const { return index_.size(); }
   const KeyIndex& index() const { return index_; }
-  /// num_keys + 1 prefix sums into payload(), by key id.
-  const uint32_t* offsets() const { return offsets_.data(); }
-  /// Build-row indices grouped by key id, ascending within a key.
-  const uint32_t* payload() const { return payload_.data(); }
 
   /// Bytes retained by the index itself — key index, offsets, payload
   /// and the build's per-row key ids — excluding the build columns (their
@@ -162,32 +157,6 @@ class HashJoinOp : public BinaryPhysOp {
 
   JoinKind kind() const { return kind_; }
 
-  /// The built table once the in-memory build completed (acquire), for
-  /// a compiled pipeline that fused this join's probe (DESIGN.md §12);
-  /// null while building, after a failed budget charge and in Grace mode.
-  const JoinHashTable* codegen_table() const {
-    return table_published_.load(std::memory_order_acquire) ? &table_
-                                                            : nullptr;
-  }
-  /// Build columns the payload indices point into (narrowed to the
-  /// buffered layout the gather addresses).
-  const ColumnStore& build_columns() const { return right_columns(); }
-  const std::vector<int>& probe_key_slots() const {
-    return probe_key_slots_;
-  }
-  bool has_residual() const { return residual_ != nullptr; }
-
-  /// The gathered columns (predicate-only tail included) of `num_pairs`
-  /// pairs: pair p joins the batch's storage row `probe[p]` (an entry of
-  /// its selection) with row `build[p]` of `build_columns`, or with the
-  /// left outer join's pad row when `build[p]` is the pad marker. Also
-  /// the output path of a compiled pipeline that fused this join's probe,
-  /// which passes build_columns().
-  ColumnStore GatherPairs(const RowBatch& batch,
-                          const ColumnStore& build_columns,
-                          const uint32_t* probe, const uint32_t* build,
-                          size_t num_pairs) const;
-
  protected:
   Status BuildFromRight() override;
   Status ProcessLeftBatch(RowBatch batch) override;
@@ -242,7 +211,10 @@ class HashJoinOp : public BinaryPhysOp {
   /// Gathers, filters and emits the recorded pairs, then clears them.
   Status FlushPairs(const RowBatch& batch, const ColumnStore& build,
                     PairScratch* s);
-  /// GatherPairs over the recorded pairs.
+  /// The gathered columns (predicate-only tail included) of the
+  /// recorded pairs: pair p joins the batch's row at position
+  /// `pair_probe[p]` with row `pair_build[p]` of `build`, or with the
+  /// left outer join's pad row when `pair_build[p]` is kPad.
   ColumnStore GatherPairs(const RowBatch& batch, const ColumnStore& build,
                           PairScratch* s) const;
 
@@ -275,8 +247,6 @@ class HashJoinOp : public BinaryPhysOp {
   /// in Grace mode; workers only read it, under the same phase ordering
   /// that publishes the hash table itself.
   bool grace_ = false;
-  /// Set once per in-memory build (see codegen_table()).
-  std::atomic<bool> table_published_{false};
   std::vector<std::unique_ptr<SpillFile>> right_parts_;
   std::vector<std::unique_ptr<SpillFile>> left_parts_;
   std::array<std::mutex, kGracePartitions> part_mutex_;

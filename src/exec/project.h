@@ -32,12 +32,6 @@ class ProjectPhysOp : public UnaryPhysOp {
   Status Consume(int in_port, RowBatch batch) override;
   std::string Label() const override;
 
-  /// Expression list / identity flag, read by the codegen install pass
-  /// to recognize pure column-copy layers it can fold into a compiled
-  /// pipeline's slot remapping (DESIGN.md §12).
-  const std::vector<ExprPtr>& exprs() const { return exprs_; }
-  bool identity() const { return identity_; }
-
  private:
   struct alignas(64) Scratch {
     std::vector<std::vector<Value>> columns;

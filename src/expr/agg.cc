@@ -243,27 +243,6 @@ Status Aggregator::Merge(const Aggregator& other) {
   return Status::OK();
 }
 
-void Aggregator::MergeCompiledPartial(int64_t count, int64_t int_sum,
-                                      double double_sum,
-                                      bool sum_is_double,
-                                      const Value& extreme) {
-  count_ += count;
-  sum_is_double_ = sum_is_double_ || sum_is_double;
-  int_sum_ += int_sum;
-  double_sum_ += double_sum;
-  if (!extreme.is_null()) {
-    if (extreme_.is_null()) {
-      extreme_ = extreme;
-    } else {
-      const int c = extreme.OrderCompare(extreme_);
-      if ((spec_->func == AggFunc::kMin && c < 0) ||
-          (spec_->func == AggFunc::kMax && c > 0)) {
-        extreme_ = extreme;
-      }
-    }
-  }
-}
-
 Result<Value> Aggregator::Finalize() const {
   switch (spec_->func) {
     case AggFunc::kCount:

@@ -68,15 +68,6 @@ class Aggregator {
   /// entries not yet in this accumulator's dedup set are re-applied.
   Status Merge(const Aggregator& other);
 
-  /// Folds a codegen SoA partial (DESIGN.md §12): the compiled
-  /// accumulate loop keeps count/int-sum/double-sum/extreme per group in
-  /// flat arrays; the compiled operator's finish hook merges them here,
-  /// mirroring the non-DISTINCT half of Merge exactly. `extreme` is the
-  /// partial's running MIN/MAX (NULL when it folded no non-null input).
-  void MergeCompiledPartial(int64_t count, int64_t int_sum,
-                            double double_sum, bool sum_is_double,
-                            const Value& extreme);
-
   /// Current aggregate value (f(∅) when nothing was accumulated).
   Result<Value> Finalize() const;
 
@@ -124,8 +115,6 @@ class AggregatorSet {
   Status Merge(const AggregatorSet& other);
   /// Appends spec i's finalized value to `columns[i]`, for every spec.
   Status FinalizeInto(ColumnVector* columns) const;
-  /// The i-th aggregator — the compiled operator's SoA absorb target.
-  Aggregator& mutable_agg(size_t i) { return aggs_[i]; }
 
  private:
   friend class Aggregator;  // the grouped column folds

@@ -6,8 +6,11 @@
 // ANALYZE staleness protocol shared with the plan cache. Every test
 // skips cleanly when the tier is compiled out or the host toolchain
 // probe fails, so minimal and sanitizer builds stay green.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,8 +33,8 @@ using testing_util::LoadSmallRst;
 // Predicate shapes the lowering must monomorphize: comparisons over
 // int64 under 3VL NULLs, AND/OR/NOT nesting, IS [NOT] NULL, arithmetic
 // (+,-,*; division stays interpreted), a scalar-subquery disjunct so
-// bypass plans appear, and a grouping with MIN/MAX folds. Values live in
-// [0, 6].
+// bypass plans appear, and a grouping with MIN/MAX folds over a
+// compiled filter. Values live in [0, 6].
 const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4",
     "SELECT * FROM r WHERE a1 < 2 OR a2 > 4 OR a3 = 3 "
@@ -41,7 +44,8 @@ const char* kCodegenQueries[] = {
     "SELECT * FROM r WHERE a1 + a2 > 6 OR a3 * 2 = a4 "
     "OR a1 = (SELECT COUNT(*) FROM s WHERE a2 = b2)",
     "SELECT * FROM r WHERE a1 - 1 <= a2 OR a4 > 5",
-    "SELECT a1, MAX(a2), MIN(a2), COUNT(a2) FROM r GROUP BY a1",
+    "SELECT a1, MAX(a2), MIN(a2), COUNT(a2) FROM r WHERE a2 > 1 OR a3 <> 3 "
+    "GROUP BY a1",
 };
 
 QueryOptions CodegenOptions(size_t batch_size = 1024, int num_threads = 1) {
@@ -102,7 +106,8 @@ class CodegenDifferential
 
 // Once more with a2 a DOUBLE column of NaN, -0.0, ±inf and integral
 // doubles: the emitted compares (double × double, int64 × double) and
-// MIN/MAX folds must follow the numeric order as the interpreter does.
+// MIN/MAX folds over the compiled selection must follow the numeric
+// order as the interpreter does.
 TEST_P(CodegenDifferential, MatchesInterpreterOnRst) {
   const auto [batch_size, null_fraction] = GetParam();
   for (bool special_doubles : {false, true}) {
@@ -318,6 +323,113 @@ TEST(Codegen, ArtifactCacheDedupesCompiles) {
   auto res = second->Execute(opts);
   ASSERT_TRUE(res.ok());
   EXPECT_GT(res->stats.codegen_cache_hits, 0);
+}
+
+// Two textually distinct SQL strings lower to the same emitted source;
+// the second Prepare must reuse the first's dlopen artifact (one
+// compile) and the engine must count the cross-plan share: the plan tag
+// is a hash of the SQL text, so the tags differ while the source hash
+// matches.
+TEST(Codegen, DistinctSqlTextsShareOneArtifact) {
+  Database db;
+  LoadSmallRst(&db, 117, 50, 25, 12);
+  REQUIRE_CODEGEN(db);
+  QueryOptions opts = CodegenOptions(1024);
+  const std::string sql_a = "SELECT * FROM r WHERE a1 < 2 OR a2 > 4";
+  const std::string sql_b = "SELECT  *  FROM r WHERE (a1 < 2) OR (a2 > 4)";
+
+  auto first = db.Prepare(sql_a, opts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_GT(first->compiled_pipelines(), 0);
+  const CodegenStats after_first = db.codegen_engine()->stats();
+  EXPECT_EQ(after_first.compiles, 1u);
+  EXPECT_EQ(after_first.artifact_shared_hits, 0);
+
+  auto second = db.Prepare(sql_b, opts);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_GT(second->compiled_pipelines(), 0);
+  const CodegenStats after_second = db.codegen_engine()->stats();
+  EXPECT_EQ(after_second.compiles, 1u)  // no recompilation
+      << "textually distinct but structurally identical queries "
+         "recompiled the artifact";
+  EXPECT_GT(after_second.cache_hits, after_first.cache_hits);
+  EXPECT_GE(after_second.artifact_shared_hits, 1)
+      << "cross-plan artifact reuse was not counted";
+
+  // Re-preparing an already-seen text is a plain cache hit, not another
+  // cross-plan share.
+  auto again = db.Prepare(sql_a, opts);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(db.codegen_engine()->stats().artifact_shared_hits,
+            after_second.artifact_shared_hits);
+
+  auto res_a = first->Execute(opts);
+  auto res_b = second->Execute(opts);
+  ASSERT_TRUE(res_a.ok());
+  ASSERT_TRUE(res_b.ok());
+  EXPECT_TRUE(RowMultisetsEqual(res_a->rows, res_b->rows));
+}
+
+// ------------------------------------------------- float folds + swap
+
+/// The rows as sorted strings, doubles spelled by their bit patterns, so
+/// two results compare equal only when every sum is bit-identical.
+std::vector<std::string> BitExactRows(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string line;
+    for (const Value& v : row) {
+      if (v.is_double()) {
+        const double d = v.double_value();
+        uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        line += "d" + std::to_string(bits);
+      } else {
+        line += v.ToString();
+      }
+      line += "|";
+    }
+    out.push_back(std::move(line));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A grouped float SUM/AVG over a compiled filter chain: the grouping
+// stays interpreted and folds each group's rows in row order whether a
+// batch was filtered compiled or interpreted, so a run that straddles
+// the async swap yields the interpreter's sums bit for bit.
+TEST(Codegen, FloatFoldsOverAsyncSwapAreBitIdentical) {
+  Database db;
+  LoadSmallRst(&db, 119, 400, 30, 15, 0.2);
+  REQUIRE_CODEGEN(db);
+  QueryOptions opts = CodegenOptions(16);
+  opts.codegen_synchronous = false;
+  const std::string sql =
+      "SELECT a1, SUM(a2 * 0.1), AVG(a3 * 0.1) FROM r WHERE a4 > 2 "
+      "GROUP BY a1";
+
+  auto prepared = db.Prepare(sql, opts);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_GT(prepared->compiled_pipelines(), 0);
+
+  QueryOptions interp = opts;
+  interp.enable_codegen = false;
+  auto oracle = db.Query(sql, interp);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const std::vector<std::string> want = BitExactRows(oracle->rows);
+
+  auto first = prepared->Execute(opts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(BitExactRows(first->rows), want);
+
+  ASSERT_TRUE(db.codegen_engine()->WaitIdle(std::chrono::milliseconds(30000)));
+  auto second = prepared->Execute(opts);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(second->stats.compiled_batches, 0)
+      << "compiled function was not swapped in after WaitIdle";
+  EXPECT_EQ(second->stats.compiled_fallback_batches, 0);
+  EXPECT_EQ(BitExactRows(second->rows), want);
 }
 
 // The regression the staleness protocol exists for: ANALYZE bumps the

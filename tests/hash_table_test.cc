@@ -848,10 +848,6 @@ std::vector<Row> NullableIntRows(Rng* rng, size_t n) {
   return rows;
 }
 
-bool IsPacked(const JoinHashTable& table) {
-  return table.index().packed() && !table.index().ExportInt64View().valid;
-}
-
 const std::vector<DataType> kFourInts(4, DataType::kInt64);
 
 TEST(HashTableJoinTest, PackedKeysMatchOracle) {
@@ -864,7 +860,7 @@ TEST(HashTableJoinTest, PackedKeysMatchOracle) {
     SCOPED_TRACE("key width " + std::to_string(slots.size()));
     JoinHashTable table;
     table.Build(ToColumns(build), slots);
-    EXPECT_TRUE(IsPacked(table));
+    EXPECT_TRUE(table.index().packed());
     const JoinOracle oracle = BuildJoinOracle(build, slots);
     ASSERT_EQ(table.num_keys(), oracle.size());
     CheckProbeForms(table, probe, kFourInts, slots, oracle);
@@ -881,7 +877,6 @@ TEST(HashTableJoinTest, SingleInt64KeyMatchesOracleInEveryProbeForm) {
   JoinHashTable table;
   table.Build(ToColumns(build), slots);
   EXPECT_TRUE(table.index().packed());
-  EXPECT_TRUE(table.index().ExportInt64View().valid);
   CheckProbeForms(table, probe, kFourInts, slots,
                   BuildJoinOracle(build, slots));
 }
@@ -927,7 +922,6 @@ TEST(HashTableJoinTest, NonIntegralOrStringKeysFallBackToGeneric) {
       JoinHashTable table;
       table.Build(ToColumns(build), slots);
       EXPECT_FALSE(table.index().packed());
-      EXPECT_FALSE(table.index().ExportInt64View().valid);
       const JoinOracle oracle = BuildJoinOracle(build, slots);
       ASSERT_EQ(table.num_keys(), oracle.size());
       CheckProbeForms(table, probe, kFourInts, slots, oracle);
@@ -938,7 +932,7 @@ TEST(HashTableJoinTest, NonIntegralOrStringKeysFallBackToGeneric) {
     const std::vector<Row> ints = NullableIntRows(&rng, 300);
     JoinHashTable packed;
     packed.Build(ToColumns(ints), {0, 1});
-    ASSERT_TRUE(IsPacked(packed));
+    ASSERT_TRUE(packed.index().packed());
     std::vector<Row> odd_probe = NullableIntRows(&rng, 50);
     for (Row& row : odd_probe) row[1] = odd;
     CheckProbeForms(packed, odd_probe, kFourInts, {0, 1},

@@ -148,11 +148,13 @@ bool CheckIdentityPairs(Database* db, uint64_t seed, int pairs,
 
 class QuantifiedIdentityProperty : public ::testing::TestWithParam<int> {};
 
-// 50 seeds × 200 pairs: 10,000 generated identity pairs at 20 % NULLs.
+// 50 seeds × 200 pairs: 10,000 generated identity pairs at 20 % NULLs,
+// on tables that each hold a few re-appended duplicate rows.
 TEST_P(QuantifiedIdentityProperty, PairedTextsAgree) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   Database db;
   LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2);
+  testing_util::AddDuplicateRows(&db, seed);
   CheckIdentityPairs(&db, seed, 200, "SELECT * FROM r", QueryOptions());
 }
 

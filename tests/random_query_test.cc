@@ -12,6 +12,7 @@
 namespace bypass {
 namespace {
 
+using testing_util::AddDuplicateRows;
 using testing_util::BatchThreadMatrix;
 using testing_util::ExpectCanonicalEqualsUnnested;
 using testing_util::ExpectCanonicalEqualsUnnestedAcross;
@@ -23,9 +24,10 @@ class RandomQueryProperty : public ::testing::TestWithParam<int> {};
 // Each seed runs on int64 data, then with the correlation keys (a2, b2,
 // c2) a DOUBLE column holding NaN, -0.0, ±inf and integral doubles: the
 // nested evaluator and the hash operators must share one numeric order.
-// Both run on tables with duplicate rows, where a δ over a table that
-// holds one must run, and again on duplicate-free tables at batch {1, 7,
-// 1024} × threads {1, 4}, where the uniqueness gate skips most top δ.
+// Both run on tables with duplicate rows (a few re-appended copies in
+// each of r, s and t), where a δ over a table that holds one must run,
+// and again on duplicate-free tables at batch {1, 7, 1024} × threads
+// {1, 4}, where the uniqueness gate skips most top δ.
 TEST_P(RandomQueryProperty, CanonicalEqualsUnnested) {
   const uint64_t seed = static_cast<uint64_t>(GetParam());
   for (bool duplicate_free : {false, true}) {
@@ -36,6 +38,7 @@ TEST_P(RandomQueryProperty, CanonicalEqualsUnnested) {
       LoadSmallRst(&db, seed, 25, 30, 20, /*null_fraction=*/0.2,
                    /*max_value=*/6, /*suffix=*/"", special_doubles,
                    duplicate_free);
+      if (!duplicate_free) AddDuplicateRows(&db, seed);
       QueryGenerator generator(seed * 31 + 7);
       bool skipped = false;
       for (int i = 0; i < 6; ++i) {

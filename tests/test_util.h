@@ -154,6 +154,26 @@ inline void LoadSmallRst(Database* db, uint64_t seed, int rows_r,
   load("t" + suffix, 'c', rows_t);
 }
 
+/// Appends copies of three seeded picks among the existing rows to each
+/// of r, s and t, so every table holds a duplicate row and a δ over any
+/// of them must run.
+inline void AddDuplicateRows(Database* db, uint64_t seed) {
+  Rng rng(seed);
+  for (const char* name : {"r", "s", "t"}) {
+    auto table = db->catalog()->GetTable(name);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const std::vector<Row> rows = TableRows(**table);
+    ASSERT_FALSE(rows.empty());
+    std::vector<Row> again;
+    for (int i = 0; i < 3; ++i) {
+      again.push_back(rows[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(rows.size()) - 1))]);
+    }
+    ASSERT_TRUE((*table)->AppendUnchecked(std::move(again)).ok());
+    ASSERT_FALSE((*table)->duplicate_free()) << name;
+  }
+}
+
 /// Runs `sql` canonically and unnested and asserts multiset-equal results.
 /// Returns the unnested result for further inspection.
 inline QueryResult ExpectCanonicalEqualsUnnested(Database* db,
